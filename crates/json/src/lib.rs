@@ -132,10 +132,7 @@ impl Value {
     /// [`Value::parse`] with a structured error carrying the byte
     /// offset of the failure.
     pub fn parse_detailed(src: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            src: src.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -287,7 +284,7 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 }
 
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -300,15 +297,13 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len()
-            && matches!(self.src[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -335,7 +330,7 @@ impl Parser<'_> {
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.src[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -418,6 +413,7 @@ impl Parser<'_> {
                         Some(b'u') => {
                             let hex = self
                                 .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(
@@ -433,12 +429,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.src[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -470,7 +467,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)

@@ -1,8 +1,9 @@
 //! Mapping algorithms: from abstract chain to placement + route.
 
 use crate::engine::{route_chain, ChainMapping};
+use crate::path::PathSearch;
 use crate::state::ResourceState;
-use escape_sg::{Chain, ResourceTopology, ServiceGraph};
+use escape_sg::{Chain, ServiceGraph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -44,9 +45,13 @@ pub trait MappingAlgorithm: Send {
     fn name(&self) -> &'static str;
 
     /// Maps one chain, returning the placement and routed segments.
+    /// `paths` answers every distance and route query over `state`'s
+    /// residual bandwidth at the chain's rate. One session serves both
+    /// candidate ranking and final routing, so an implementation may
+    /// reserve compute on a scratch copy of `state` but never bandwidth.
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
@@ -73,22 +78,22 @@ fn chain_vnfs<'a>(
 /// Builds the final mapping from a placement, routing it and checking
 /// the budget.
 fn finish(
-    topo: &ResourceTopology,
+    paths: &mut PathSearch<'_>,
     chain: &Chain,
     placement: Vec<(String, String)>,
-    state: &ResourceState,
 ) -> Result<ChainMapping, MapError> {
     let by_vnf: HashMap<&str, &str> = placement
         .iter()
         .map(|(v, c)| (v.as_str(), c.as_str()))
         .collect();
+    let index = paths.index();
     let locate = |hop: &str| -> Option<String> {
         match by_vnf.get(hop) {
             Some(c) => Some(c.to_string()),
-            None => topo.node(hop).map(|n| n.name.clone()),
+            None => index.has_node(hop).then(|| hop.to_string()),
         }
     };
-    let (segments, total) = route_chain(topo, chain, &locate, state)?;
+    let (segments, total) = route_chain(paths, chain, &locate)?;
     Ok(ChainMapping {
         chain: chain.clone(),
         placement,
@@ -108,7 +113,7 @@ impl MappingAlgorithm for GreedyFirstFit {
 
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
@@ -126,7 +131,7 @@ impl MappingAlgorithm for GreedyFirstFit {
                 .expect("fits was checked");
             placement.push((vnf.to_string(), host));
         }
-        finish(topo, chain, placement, state)
+        finish(paths, chain, placement)
     }
 }
 
@@ -141,7 +146,7 @@ impl MappingAlgorithm for BestFitCpu {
 
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
@@ -165,7 +170,7 @@ impl MappingAlgorithm for BestFitCpu {
                 .expect("fits was checked");
             placement.push((vnf.to_string(), host));
         }
-        finish(topo, chain, placement, state)
+        finish(paths, chain, placement)
     }
 }
 
@@ -181,7 +186,7 @@ impl MappingAlgorithm for NearestNeighbor {
 
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
@@ -199,14 +204,8 @@ impl MappingAlgorithm for NearestNeighbor {
                 if !scratch.fits(&c, cpu, mem) {
                     continue;
                 }
-                let d = if c == location {
-                    0
-                } else {
-                    match topo.shortest_path(&location, &c, chain.bandwidth_mbps, Some(&scratch.bw))
-                    {
-                        Some((_, d)) => d,
-                        None => continue,
-                    }
+                let Some(d) = paths.distance(&location, &c) else {
+                    continue;
                 };
                 if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
                     best = Some((d, c));
@@ -219,7 +218,9 @@ impl MappingAlgorithm for NearestNeighbor {
             location = host.clone();
             placement.push((vnf.to_string(), host));
         }
-        finish(topo, chain, placement, state)
+        // Ranking above and routing below read the same trees.
+        debug_assert_eq!(scratch.bw, state.bw, "scratch must not reserve bandwidth");
+        finish(paths, chain, placement)
     }
 }
 
@@ -245,7 +246,7 @@ impl MappingAlgorithm for Backtracking {
 
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
@@ -258,9 +259,8 @@ impl MappingAlgorithm for Backtracking {
 
         #[allow(clippy::too_many_arguments)]
         fn recurse(
-            topo: &ResourceTopology,
+            paths: &mut PathSearch<'_>,
             chain: &Chain,
-            state: &ResourceState,
             scratch: &mut ResourceState,
             vnfs: &[(&str, f64, u64)],
             containers: &[String],
@@ -273,7 +273,7 @@ impl MappingAlgorithm for Backtracking {
             }
             *budget -= 1;
             if stack.len() == vnfs.len() {
-                if let Ok(m) = finish(topo, chain, stack.clone(), state) {
+                if let Ok(m) = finish(paths, chain, stack.clone()) {
                     if best
                         .as_ref()
                         .is_none_or(|b| m.total_delay_us < b.total_delay_us)
@@ -292,9 +292,7 @@ impl MappingAlgorithm for Backtracking {
                     .reserve_compute(c, cpu, mem)
                     .expect("fits was checked");
                 stack.push((vnf.to_string(), c.clone()));
-                recurse(
-                    topo, chain, state, scratch, vnfs, containers, stack, best, budget,
-                );
+                recurse(paths, chain, scratch, vnfs, containers, stack, best, budget);
                 stack.pop();
                 scratch.release_compute(c, cpu, mem);
             }
@@ -302,9 +300,8 @@ impl MappingAlgorithm for Backtracking {
 
         let mut scratch = state.clone();
         recurse(
-            topo,
+            paths,
             chain,
-            state,
             &mut scratch,
             &vnfs,
             &containers,
@@ -350,13 +347,13 @@ impl MappingAlgorithm for SimulatedAnnealing {
 
     fn map_chain(
         &mut self,
-        topo: &ResourceTopology,
+        paths: &mut PathSearch<'_>,
         sg: &ServiceGraph,
         chain: &Chain,
         state: &ResourceState,
     ) -> Result<ChainMapping, MapError> {
         let vnfs = chain_vnfs(sg, chain)?;
-        let mut current = GreedyFirstFit.map_chain(topo, sg, chain, state)?;
+        let mut current = GreedyFirstFit.map_chain(paths, sg, chain, state)?;
         if vnfs.is_empty() {
             return Ok(current);
         }
@@ -389,7 +386,7 @@ impl MappingAlgorithm for SimulatedAnnealing {
             if !feasible {
                 continue;
             }
-            let Ok(candidate) = finish(topo, chain, proposal, state) else {
+            let Ok(candidate) = finish(paths, chain, proposal) else {
                 continue;
             };
             let delta = candidate.total_delay_us as f64 - current.total_delay_us as f64;
@@ -408,8 +405,9 @@ impl MappingAlgorithm for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::PathIndex;
     use escape_sg::topo::builders;
-    use escape_sg::ServiceGraph;
+    use escape_sg::{ResourceTopology, ServiceGraph};
 
     fn two_vnf_sg() -> ServiceGraph {
         ServiceGraph::new()
@@ -420,10 +418,17 @@ mod tests {
             .chain("c", &["sap0", "a", "b", "sap1"], 10.0, None)
     }
 
-    fn run(algo: &mut dyn MappingAlgorithm, topo: &ResourceTopology) -> ChainMapping {
-        let sg = two_vnf_sg();
+    /// Maps `sg`'s first chain onto an unloaded `topo`.
+    fn map(
+        algo: &mut dyn MappingAlgorithm,
+        topo: &ResourceTopology,
+        sg: &ServiceGraph,
+    ) -> Result<ChainMapping, MapError> {
         let state = ResourceState::from_topology(topo);
-        algo.map_chain(topo, &sg, &sg.chains[0], &state).unwrap()
+        let index = PathIndex::new(topo);
+        let chain = &sg.chains[0];
+        let mut paths = index.search(&state, chain.bandwidth_mbps);
+        algo.map_chain(&mut paths, sg, chain, &state)
     }
 
     #[test]
@@ -437,7 +442,7 @@ mod tests {
             Box::new(SimulatedAnnealing::default()),
         ];
         for mut a in algos {
-            let m = run(a.as_mut(), &topo);
+            let m = map(a.as_mut(), &topo, &two_vnf_sg()).unwrap();
             assert_eq!(m.placement.len(), 2, "{}", a.name());
             assert_eq!(m.segments.len(), 3);
             assert!(m.total_delay_us > 0);
@@ -491,13 +496,8 @@ mod tests {
             .vnf("a", "monitor", 1.0, 64)
             .vnf("b", "monitor", 1.0, 64)
             .chain("c", &["sap0", "a", "b", "sap5"], 10.0, None);
-        let state = ResourceState::from_topology(&topo);
-        let greedy = GreedyFirstFit
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
-        let optimal = Backtracking::default()
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
+        let greedy = map(&mut GreedyFirstFit, &topo, &sg).unwrap();
+        let optimal = map(&mut Backtracking::default(), &topo, &sg).unwrap();
         assert!(optimal.total_delay_us <= greedy.total_delay_us);
     }
 
@@ -511,13 +511,8 @@ mod tests {
             .sap("sap4")
             .vnf("v", "monitor", 1.0, 64)
             .chain("c", &["sap3", "v", "sap4"], 10.0, None);
-        let state = ResourceState::from_topology(&topo);
-        let nn = NearestNeighbor
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
-        let ff = GreedyFirstFit
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
+        let nn = map(&mut NearestNeighbor, &topo, &sg).unwrap();
+        let ff = map(&mut GreedyFirstFit, &topo, &sg).unwrap();
         assert!(nn.total_delay_us <= ff.total_delay_us);
         assert_eq!(nn.container_of("v"), Some("c3"));
     }
@@ -541,10 +536,7 @@ mod tests {
             .sap("sap1")
             .vnf("small", "monitor", 0.5, 64)
             .chain("c", &["sap0", "small", "sap1"], 10.0, None);
-        let state = ResourceState::from_topology(&topo);
-        let m = BestFitCpu
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
+        let m = map(&mut BestFitCpu, &topo, &sg).unwrap();
         assert_eq!(m.container_of("small"), Some("c0"));
     }
 
@@ -552,19 +544,12 @@ mod tests {
     fn annealing_is_deterministic_per_seed() {
         let topo = builders::star(8, 2.0);
         let sg = two_vnf_sg();
-        let state = ResourceState::from_topology(&topo);
-        let m1 = SimulatedAnnealing {
+        let anneal = || SimulatedAnnealing {
             iterations: 300,
             seed: 7,
-        }
-        .map_chain(&topo, &sg, &sg.chains[0], &state)
-        .unwrap();
-        let m2 = SimulatedAnnealing {
-            iterations: 300,
-            seed: 7,
-        }
-        .map_chain(&topo, &sg, &sg.chains[0], &state)
-        .unwrap();
+        };
+        let m1 = map(&mut anneal(), &topo, &sg).unwrap();
+        let m2 = map(&mut anneal(), &topo, &sg).unwrap();
         assert_eq!(m1.placement, m2.placement);
         assert_eq!(m1.total_delay_us, m2.total_delay_us);
     }
@@ -573,18 +558,15 @@ mod tests {
     fn no_capacity_error_names_the_vnf() {
         let topo = builders::linear(2, 0.5);
         let sg = two_vnf_sg(); // wants 1.0 CPU per VNF
-        let state = ResourceState::from_topology(&topo);
         for mut a in [
             Box::new(GreedyFirstFit) as Box<dyn MappingAlgorithm>,
             Box::new(BestFitCpu),
             Box::new(NearestNeighbor),
         ] {
-            let e = a.map_chain(&topo, &sg, &sg.chains[0], &state).unwrap_err();
+            let e = map(a.as_mut(), &topo, &sg).unwrap_err();
             assert!(matches!(e, MapError::NoCapacity(_)), "{}: {e}", a.name());
         }
-        let e = Backtracking::default()
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap_err();
+        let e = map(&mut Backtracking::default(), &topo, &sg).unwrap_err();
         assert!(matches!(e, MapError::NoCapacity(_)));
     }
 
@@ -597,10 +579,7 @@ mod tests {
             10.0,
             None,
         );
-        let state = ResourceState::from_topology(&topo);
-        let m = GreedyFirstFit
-            .map_chain(&topo, &sg, &sg.chains[0], &state)
-            .unwrap();
+        let m = map(&mut GreedyFirstFit, &topo, &sg).unwrap();
         assert!(m.placement.is_empty());
         assert_eq!(m.segments.len(), 1);
     }

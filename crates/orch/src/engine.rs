@@ -1,6 +1,7 @@
 //! The orchestration engine: commits embeddings against the resource view.
 
 use crate::algo::{MapError, MappingAlgorithm};
+use crate::path::{PathIndex, PathSearch};
 use crate::state::ResourceState;
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
@@ -49,10 +50,9 @@ impl ChainMapping {
 /// Routes a chain given a placement: shortest residual-capacity paths
 /// between consecutive hop locations, with the delay budget enforced.
 pub fn route_chain(
-    topo: &ResourceTopology,
+    paths: &mut PathSearch<'_>,
     chain: &Chain,
     locate: &dyn Fn(&str) -> Option<String>,
-    state: &ResourceState,
 ) -> Result<(Vec<PathSegment>, u64), MapError> {
     let mut segments = Vec::new();
     let mut total = 0u64;
@@ -66,12 +66,10 @@ pub fn route_chain(
             });
             continue;
         }
-        let (nodes, delay) = topo
-            .shortest_path(&from, &to, chain.bandwidth_mbps, Some(&state.bw))
-            .ok_or_else(|| MapError::NoPath {
-                from: from.clone(),
-                to: to.clone(),
-            })?;
+        let (nodes, delay) = paths.path(&from, &to).ok_or_else(|| MapError::NoPath {
+            from: from.clone(),
+            to: to.clone(),
+        })?;
         total += delay;
         segments.push(PathSegment {
             nodes,
@@ -125,6 +123,9 @@ type CommitRecord = (ChainMapping, Vec<(String, f64, u64)>);
 
 pub struct Orchestrator {
     topo: ResourceTopology,
+    /// `topo` compiled for path search. The topology never changes after
+    /// construction; failures and reservations live in `state`.
+    paths: PathIndex,
     state: ResourceState,
     algorithm: Box<dyn MappingAlgorithm>,
     committed: HashMap<String, CommitRecord>,
@@ -152,6 +153,7 @@ impl Orchestrator {
         let state = ResourceState::from_topology(&topo);
         let counters = OrchCounters::new(&registry);
         Ok(Orchestrator {
+            paths: PathIndex::new(&topo),
             topo,
             state,
             algorithm,
@@ -237,9 +239,10 @@ impl Orchestrator {
                 chain.name
             )));
         }
+        let mut paths = self.paths.search(&self.state, chain.bandwidth_mbps);
         let mapping = self
             .algorithm
-            .map_chain(&self.topo, sg, chain, &self.state)?;
+            .map_chain(&mut paths, sg, chain, &self.state)?;
         // Commit: compute then bandwidth, rolling back on failure.
         let mut reserved_compute: Vec<(String, f64, u64)> = Vec::new();
         for (vnf, container) in &mapping.placement {
@@ -495,23 +498,23 @@ impl Orchestrator {
                 _ => None,
             }
         };
-        let routed =
-            route_chain(topo, &old.chain, &locate, &self.state).and_then(|(segments, total)| {
-                let mut reserved: Vec<&PathSegment> = Vec::new();
-                for seg in &segments {
-                    if let Err(e) = self
-                        .state
-                        .reserve_path(&seg.nodes, old.chain.bandwidth_mbps)
-                    {
-                        for s in reserved {
-                            self.state.release_path(&s.nodes, old.chain.bandwidth_mbps);
-                        }
-                        return Err(MapError::Infeasible(e));
+        let mut paths = self.paths.search(&self.state, old.chain.bandwidth_mbps);
+        let routed = route_chain(&mut paths, &old.chain, &locate).and_then(|(segments, total)| {
+            let mut reserved: Vec<&PathSegment> = Vec::new();
+            for seg in &segments {
+                if let Err(e) = self
+                    .state
+                    .reserve_path(&seg.nodes, old.chain.bandwidth_mbps)
+                {
+                    for s in reserved {
+                        self.state.release_path(&s.nodes, old.chain.bandwidth_mbps);
                     }
-                    reserved.push(seg);
+                    return Err(MapError::Infeasible(e));
                 }
-                Ok((segments, total))
-            });
+                reserved.push(seg);
+            }
+            Ok((segments, total))
+        });
         match routed {
             Ok((segments, total)) => {
                 let mapping = ChainMapping {
@@ -830,6 +833,56 @@ mod tests {
         let fresh = ResourceState::from_topology(orch.topology());
         assert_eq!(orch.state().bw, fresh.bw);
         assert_eq!(orch.state().cpu, fresh.cpu);
+    }
+
+    /// Trees grown on this thread while `f` runs.
+    fn searches_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = crate::path::SEARCHES.get();
+        let out = f();
+        (out, crate::path::SEARCHES.get() - before)
+    }
+
+    #[test]
+    fn a_chain_costs_one_search_per_hop_not_one_per_candidate() {
+        // The end-to-end harness's fabric: 80 containers, all of which fit
+        // while the fabric is empty, so a search per candidate per VNF plus
+        // one per segment would come to 161 for this chain.
+        let mut orch = Orchestrator::new(
+            builders::leaf_spine(2, 10, 8, 4, 1.0),
+            Box::new(crate::algo::NearestNeighbor),
+        )
+        .unwrap();
+        let g = ServiceGraph::new()
+            .sap("h02_0")
+            .sap("h07_1")
+            .vnf("fw", "firewall", 0.75, 64)
+            .vnf("mon", "monitor", 0.75, 64)
+            .chain("c1", &["h02_0", "fw", "mon", "h07_1"], 10.0, None);
+        let (m, searches) = searches_during(|| orch.embed_chain(&g, &g.chains[0]).unwrap());
+        assert_ne!(
+            m.placement[0].1, m.placement[1].1,
+            "one container cannot hold both"
+        );
+        assert!(searches <= 4, "embedding ran {searches} searches");
+
+        // Cross-leaf traffic picked a spine; fail that uplink and re-route.
+        let uplink = m
+            .segments
+            .iter()
+            .flat_map(|s| s.nodes.windows(2))
+            .find(|w| w[1].starts_with("sp"))
+            .expect("the chain crosses the spine layer");
+        orch.mark_link_failed(&uplink[0], &uplink[1]);
+        let (m2, searches) = searches_during(|| orch.reroute_chain("c1").unwrap());
+        assert!(
+            searches <= m2.segments.len(),
+            "re-routing {} segments ran {searches} searches",
+            m2.segments.len()
+        );
+        assert_ne!(
+            m2.segments, m.segments,
+            "the route moved off the failed link"
+        );
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   implementations: [`algo::GreedyFirstFit`], [`algo::BestFitCpu`],
 //!   [`algo::NearestNeighbor`], [`algo::Backtracking`] (optimal on small
 //!   instances) and [`algo::SimulatedAnnealing`];
+//! * [`path::PathIndex`] / [`path::PathSearch`] — the path-search layer:
+//!   the topology compiled to integer adjacency once per orchestrator,
+//!   and one shortest-path tree per chain hop that serves both candidate
+//!   ranking and routing;
 //! * [`engine::Orchestrator`] — commits/releases embeddings against the
 //!   resource state and produces [`engine::ChainMapping`]s, the input the
 //!   deployment pipeline (escape crate) turns into NETCONF calls and
@@ -22,6 +26,7 @@
 
 pub mod algo;
 pub mod engine;
+pub mod path;
 pub mod state;
 pub mod workload;
 
@@ -30,4 +35,5 @@ pub use algo::{
     SimulatedAnnealing,
 };
 pub use engine::{ChainMapping, Orchestrator, PathSegment};
+pub use path::{PathIndex, PathSearch};
 pub use state::ResourceState;

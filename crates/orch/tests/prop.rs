@@ -1,13 +1,23 @@
 //! Property tests for the orchestrator: every accepted mapping satisfies
 //! the resource constraints; embed/release is lossless; algorithms are
-//! deterministic.
+//! deterministic; and the path-search layer is an exact rewrite — its
+//! trees agree with `ResourceTopology::shortest_path` on every pair, and
+//! all five algorithms produce the mappings the per-candidate reference
+//! code in `reference/` produces.
+
+mod reference;
 
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
 use escape_orch::{
-    BestFitCpu, GreedyFirstFit, MappingAlgorithm, NearestNeighbor, Orchestrator, ResourceState,
+    Backtracking, BestFitCpu, GreedyFirstFit, MappingAlgorithm, NearestNeighbor, Orchestrator,
+    PathIndex, ResourceState, SimulatedAnnealing,
 };
 use escape_sg::topo::{builders, TopoNodeKind};
+use escape_sg::ResourceTopology;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use reference::Algo;
 
 fn spec(seed: u64, chains: usize) -> WorkloadSpec {
     WorkloadSpec {
@@ -28,8 +38,168 @@ fn algo(which: u8) -> Box<dyn MappingAlgorithm> {
     }
 }
 
+/// A random connected topology of `n` nodes: at least two SAPs and one
+/// container, names whose sort order is unrelated to link order, a
+/// spanning tree plus extra links that may run parallel or loop on one
+/// node, and delays from a handful of values (zero included) so that
+/// equal-cost paths are the norm.
+fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
+    from[rng.gen_range(0..from.len())]
+}
+
+fn random_topology(rng: &mut SmallRng, n: usize) -> ResourceTopology {
+    let mut t = ResourceTopology::new();
+    let mut names: Vec<String> = Vec::new();
+    let mut tags: Vec<u32> = (0..100).collect();
+    for i in 0..n {
+        let tag = tags.swap_remove(rng.gen_range(0..tags.len()));
+        let kind = if i < 2 { 0 } else { rng.gen_range(0..4u32) };
+        let name = match kind {
+            0 => format!("sap{tag}"),
+            1 => format!("c{tag}"),
+            _ => format!("s{tag}"),
+        };
+        match kind {
+            0 => t.add_sap(&name),
+            1 => t.add_container(&name, pick(rng, &[1.0, 2.0, 4.0]), 256),
+            _ => t.add_switch(&name),
+        };
+        names.push(name);
+    }
+    let tag = tags[0];
+    t.add_container(format!("c{tag}"), 2.0, 256);
+    names.push(format!("c{tag}"));
+    let link = |t: &mut ResourceTopology, a: usize, b: usize, rng: &mut SmallRng| {
+        let delay = pick(rng, &[0, 10, 10, 20, 50]);
+        let bw = pick(rng, &[100.0, 1000.0]);
+        t.add_link(&names[a], &names[b], bw, delay);
+    };
+    for i in 1..names.len() {
+        let j = rng.gen_range(0..i);
+        // Either end first: `neighbors` treats the two differently.
+        if rng.gen() {
+            link(&mut t, i, j, rng);
+        } else {
+            link(&mut t, j, i, rng);
+        }
+    }
+    for _ in 0..rng.gen_range(0..=2 * names.len()) {
+        let (a, b) = (rng.gen_range(0..names.len()), rng.gen_range(0..names.len()));
+        link(&mut t, a, b, rng);
+    }
+    t
+}
+
+/// A residual view of `topo` with some links drained to arbitrary
+/// levels, some failed, and some missing from the map altogether (the
+/// search then falls back to the link's nominal bandwidth).
+fn random_residuals(rng: &mut SmallRng, topo: &ResourceTopology) -> ResourceState {
+    let mut state = ResourceState::from_topology(topo);
+    for l in &topo.links {
+        match rng.gen_range(0..8u32) {
+            0 => {
+                state.fail_link(&l.a, &l.b);
+            }
+            1 => {
+                state.bw.remove(&escape_sg::topo::link_key(&l.a, &l.b));
+            }
+            2 | 3 => {
+                let left = pick(rng, &[0.0, 50.0, 100.0, 500.0]);
+                if let Some(bw) = state.bw.get_mut(&escape_sg::topo::link_key(&l.a, &l.b)) {
+                    *bw = left;
+                }
+            }
+            _ => {}
+        }
+    }
+    state
+}
+
+fn shipped(algo: Algo) -> Box<dyn MappingAlgorithm> {
+    match algo {
+        Algo::FirstFit => Box::new(GreedyFirstFit),
+        Algo::BestFit => Box::new(BestFitCpu),
+        Algo::Nearest => Box::new(NearestNeighbor),
+        Algo::Backtracking { node_budget } => Box::new(Backtracking { node_budget }),
+        Algo::Annealing { iterations, seed } => Box::new(SimulatedAnnealing { iterations, seed }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// For every ordered pair of nodes the tree's path and delay are
+    /// exactly the reference search's — same nodes, so same tie-breaks —
+    /// and the two are absent together.
+    #[test]
+    fn trees_agree_with_shortest_path_on_every_pair(seed in any::<u64>(), n in 2usize..40) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let topo = random_topology(&mut rng, n);
+        let state = random_residuals(&mut rng, &topo);
+        let floor = pick(&mut rng, &[0.0, 10.0, 100.0, 600.0]);
+        let index = PathIndex::new(&topo);
+        let mut paths = index.search(&state, floor);
+        for from in &topo.nodes {
+            for to in &topo.nodes {
+                let want = topo.shortest_path(&from.name, &to.name, floor, Some(&state.bw));
+                prop_assert_eq!(
+                    paths.distance(&from.name, &to.name),
+                    want.as_ref().map(|(_, d)| *d),
+                    "{} -> {}", from.name, to.name
+                );
+                prop_assert_eq!(paths.path(&from.name, &to.name), want);
+            }
+        }
+    }
+
+    /// Each shipped algorithm returns what the per-candidate reference
+    /// code returns — placement, node paths, delays, or the same error —
+    /// chain after chain as the residual view fills up and links and
+    /// containers fail.
+    #[test]
+    fn mappings_equal_the_per_candidate_reference(
+        seed in any::<u64>(),
+        n in 4usize..24,
+        which in 0usize..5,
+    ) {
+        let algo = [
+            Algo::FirstFit,
+            Algo::BestFit,
+            Algo::Nearest,
+            Algo::Backtracking { node_budget: 400 },
+            Algo::Annealing { iterations: 40, seed },
+        ][which];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let topo = random_topology(&mut rng, n);
+        let sg = random_service_graph(&topo, &WorkloadSpec {
+            chains: 6,
+            bandwidth_mbps: (10.0, 400.0),
+            max_delay_us: pick(&mut rng, &[None, Some(60)]),
+            ..spec(seed, 6)
+        }).unwrap();
+        let index = PathIndex::new(&topo);
+        // The orchestrator only evolves the residual view between chains.
+        let mut orch = Orchestrator::new(topo.clone(), shipped(algo)).unwrap();
+        for chain in &sg.chains {
+            let state = orch.state();
+            let want = reference::map_chain(algo, &topo, &sg, chain, state);
+            let got = shipped(algo).map_chain(
+                &mut index.search(state, chain.bandwidth_mbps),
+                &sg,
+                chain,
+                state,
+            );
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", chain.name);
+            let _ = orch.embed_chain(&sg, chain);
+            let l = &topo.links[rng.gen_range(0..topo.links.len())];
+            match rng.gen_range(0..6u32) {
+                0 => { orch.mark_link_failed(&l.a, &l.b); }
+                1 => { orch.mark_link_recovered(&l.a, &l.b); }
+                2 => { orch.mark_container_failed(&l.a); }
+                _ => {}
+            }
+        }
+    }
 
     /// After embedding, no container is over-committed and no link's
     /// residual bandwidth is negative; accepted placements sum correctly.

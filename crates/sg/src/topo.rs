@@ -354,6 +354,39 @@ pub mod builders {
         t
     }
 
+    /// A two-tier leaf–spine fabric: every leaf `lfNN` links to every
+    /// spine `spN` (so any two leaves are joined by `spines` equal-cost
+    /// paths) and carries `containers` containers `cNN_i` of `cpu` cores
+    /// and `saps` SAPs `hNN_j`.
+    pub fn leaf_spine(
+        spines: usize,
+        leaves: usize,
+        containers: usize,
+        saps: usize,
+        cpu: f64,
+    ) -> ResourceTopology {
+        let mut t = ResourceTopology::new();
+        for s in 0..spines {
+            t.add_switch(format!("sp{s}"));
+        }
+        for l in 0..leaves {
+            let leaf = format!("lf{l:02}");
+            t.add_switch(&leaf);
+            for s in 0..spines {
+                t.add_link(&leaf, format!("sp{s}"), 40_000.0, 50);
+            }
+            for i in 0..containers {
+                t.add_container(format!("c{l:02}_{i}"), cpu, 1024);
+                t.add_link(format!("c{l:02}_{i}"), &leaf, 10_000.0, 20);
+            }
+            for j in 0..saps {
+                t.add_sap(format!("h{l:02}_{j}"));
+                t.add_link(format!("h{l:02}_{j}"), &leaf, 10_000.0, 10);
+            }
+        }
+        t
+    }
+
     /// A complete binary tree of switches of the given `depth`; leaf
     /// switches carry a container and a SAP each.
     pub fn tree(depth: u32, cpu: f64) -> ResourceTopology {
@@ -396,6 +429,10 @@ mod tests {
         builders::linear(5, 4.0).validate().unwrap();
         builders::star(8, 2.0).validate().unwrap();
         builders::tree(3, 2.0).validate().unwrap();
+        let fabric = builders::leaf_spine(2, 10, 8, 4, 1.0);
+        fabric.validate().unwrap();
+        assert_eq!(fabric.containers().count(), 80);
+        assert_eq!(fabric.links.len(), 10 * (2 + 8 + 4));
     }
 
     #[test]

@@ -28,8 +28,38 @@ const GHOST_SG: &str = "sap sap0 sap1\n\
                        vnf mon type=monitor cpu=1\n\
                        chain ghost = sap0 -> mon -> sap1 bw=10\n";
 
-fn temp_path(name: &str, ext: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("escape-restart-{name}-{}{ext}", std::process::id()))
+/// A socket or state directory in the temp dir, removed when the test
+/// ends — pass or fail. A `kill -9`'d daemon cannot unlink its own
+/// socket, and a failed assertion skips whatever cleanup follows it.
+struct TempPath(PathBuf);
+
+impl TempPath {
+    fn remove(&self) {
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        self.remove();
+    }
+}
+
+/// A path no earlier run's leftovers occupy.
+fn temp_path(name: &str, ext: &str) -> TempPath {
+    let path = TempPath(
+        std::env::temp_dir().join(format!("escape-restart-{name}-{}{ext}", std::process::id())),
+    );
+    path.remove();
+    path
 }
 
 fn default_session(seed: u64) -> Session {
@@ -90,7 +120,10 @@ fn status(client: &mut CtlClient) -> escape_ctl::StatusInfo {
 /// returns the resulting state fingerprint — the uncrashed control.
 fn control_fingerprint(name: &str, seed: u64, script: impl FnOnce(&mut CtlClient)) -> String {
     let socket = temp_path(name, ".sock");
-    let daemon = spawn_daemon(default_session(seed), DaemonConfig::new(socket.clone()));
+    let daemon = spawn_daemon(
+        default_session(seed),
+        DaemonConfig::new(socket.to_path_buf()),
+    );
     let mut c = connect(&socket);
     script(&mut c);
     let digest = fingerprint(&mut c);
@@ -103,7 +136,6 @@ fn control_fingerprint(name: &str, seed: u64, script: impl FnOnce(&mut CtlClient
 /// dangling intent — byte-for-byte the log a SIGKILL between an
 /// intent fsync and its commit marker leaves behind.
 fn craft_wal(dir: &Path, seed: u64, committed: &[CtlRequest], dangling: &CtlRequest) {
-    let _ = std::fs::remove_dir_all(dir);
     let (mut wal, rec) = Wal::open(dir, seed).unwrap();
     assert!(!rec.restarted, "crafting must start from a fresh dir");
     for op in committed {
@@ -120,25 +152,25 @@ fn craft_wal(dir: &Path, seed: u64, committed: &[CtlRequest], dangling: &CtlRequ
 // Real subprocess: SIGKILL, restart, converge
 // ---------------------------------------------------------------------
 
-fn spawn_escaped(socket: &Path, state_dir: Option<&Path>, seed: u64) -> std::process::Child {
+fn spawn_escaped(socket: &Path, state_dir: &Path, seed: u64) -> std::process::Child {
     spawn_escaped_args(socket, state_dir, seed, &[])
 }
 
 fn spawn_escaped_args(
     socket: &Path,
-    state_dir: Option<&Path>,
+    state_dir: &Path,
     seed: u64,
     extra: &[&str],
 ) -> std::process::Child {
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_escaped"));
-    cmd.args(["--socket"])
+    std::process::Command::new(env!("CARGO_BIN_EXE_escaped"))
+        .args(["--socket"])
         .arg(socket)
+        .args(["--state-dir"])
+        .arg(state_dir)
         .args(["--seed", &seed.to_string()])
-        .args(extra);
-    if let Some(dir) = state_dir {
-        cmd.args(["--state-dir"]).arg(dir);
-    }
-    cmd.spawn().unwrap()
+        .args(extra)
+        .spawn()
+        .unwrap()
 }
 
 fn sigkill(child: &mut std::process::Child) {
@@ -195,10 +227,9 @@ fn full_script(c: &mut CtlClient) {
 #[test]
 fn sigkilled_daemon_restarts_to_the_uncrashed_fingerprint() {
     let state_dir = temp_path("kill-state", "");
-    let _ = std::fs::remove_dir_all(&state_dir);
     let socket1 = temp_path("kill-1", ".sock");
 
-    let mut first = spawn_escaped(&socket1, Some(&state_dir), 11);
+    let mut first = spawn_escaped(&socket1, &state_dir, 11);
     let mut c = connect(&socket1);
     full_script(&mut c);
     drop(c);
@@ -228,7 +259,7 @@ fn sigkilled_daemon_restarts_to_the_uncrashed_fingerprint() {
 
     // Restart on the same state directory, different socket.
     let socket2 = temp_path("kill-2", ".sock");
-    let mut second = spawn_escaped(&socket2, Some(&state_dir), 11);
+    let mut second = spawn_escaped(&socket2, &state_dir, 11);
     let mut c = connect(&socket2);
 
     let s = status(&mut c);
@@ -262,16 +293,14 @@ fn sigkilled_daemon_restarts_to_the_uncrashed_fingerprint() {
         !state_dir.join("snapshot.json").exists(),
         "snapshot.json leaked"
     );
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
 fn retried_request_id_after_crash_returns_the_original_outcome() {
     let state_dir = temp_path("dedup-state", "");
-    let _ = std::fs::remove_dir_all(&state_dir);
     let socket1 = temp_path("dedup-1", ".sock");
 
-    let mut first = spawn_escaped(&socket1, Some(&state_dir), 23);
+    let mut first = spawn_escaped(&socket1, &state_dir, 23);
     let mut c = connect(&socket1);
     let original = c
         .call_with_id(&deploy_req(DEMO_SG), "cli-deploy-1")
@@ -284,7 +313,7 @@ fn retried_request_id_after_crash_returns_the_original_outcome() {
     // the same stamped request. The daemon must answer with the original
     // outcome instead of deploying a duplicate.
     let socket2 = temp_path("dedup-2", ".sock");
-    let mut second = spawn_escaped(&socket2, Some(&state_dir), 23);
+    let mut second = spawn_escaped(&socket2, &state_dir, 23);
     let mut c = connect(&socket2);
     let retried = c
         .call_with_id(&deploy_req(DEMO_SG), "cli-deploy-1")
@@ -298,19 +327,17 @@ fn retried_request_id_after_crash_returns_the_original_outcome() {
 
     call(&mut c, CtlRequest::Shutdown);
     second.wait().unwrap();
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
 fn background_ticks_are_journaled_and_survive_a_crash() {
     let state_dir = temp_path("tick-state", "");
-    let _ = std::fs::remove_dir_all(&state_dir);
     let socket1 = temp_path("tick-1", ".sock");
 
     // `--tick-ms` advances the virtual clock from the idle loop; those
     // ticks mutate durable state and must hit the WAL like any client
     // `run-for` would.
-    let mut first = spawn_escaped_args(&socket1, Some(&state_dir), 31, &["--tick-ms", "5"]);
+    let mut first = spawn_escaped_args(&socket1, &state_dir, 31, &["--tick-ms", "5"]);
     let mut c = connect(&socket1);
     assert!(matches!(
         call(&mut c, deploy_req(DEMO_SG)),
@@ -332,7 +359,7 @@ fn background_ticks_are_journaled_and_survive_a_crash() {
     sigkill(&mut first);
 
     let socket2 = temp_path("tick-2", ".sock");
-    let mut second = spawn_escaped_args(&socket2, Some(&state_dir), 31, &["--tick-ms", "5"]);
+    let mut second = spawn_escaped_args(&socket2, &state_dir, 31, &["--tick-ms", "5"]);
     let mut c = connect(&socket2);
     let s = status(&mut c);
     assert!(s.restarted);
@@ -347,7 +374,6 @@ fn background_ticks_are_journaled_and_survive_a_crash() {
     );
     call(&mut c, CtlRequest::Shutdown);
     second.wait().unwrap();
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 // ---------------------------------------------------------------------
@@ -362,8 +388,8 @@ fn dangling_deploy_intent_is_rolled_back_on_restart() {
     craft_wal(&state_dir, 7, &[deploy_req(DEMO_SG)], &deploy_req(GHOST_SG));
 
     let socket = temp_path("mid-deploy", ".sock");
-    let mut cfg = DaemonConfig::new(socket.clone());
-    cfg.state_dir = Some(state_dir.clone());
+    let mut cfg = DaemonConfig::new(socket.to_path_buf());
+    cfg.state_dir = Some(state_dir.to_path_buf());
     let daemon = spawn_daemon(default_session(7), cfg);
     let mut c = connect(&socket);
 
@@ -387,7 +413,6 @@ fn dangling_deploy_intent_is_rolled_back_on_restart() {
     call(&mut c, CtlRequest::Shutdown);
     daemon.join().unwrap();
     assert!(!state_dir.join("wal.log").exists(), "wal.log leaked");
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -403,8 +428,8 @@ fn dangling_scale_intent_is_rolled_back_on_restart() {
     craft_wal(&state_dir, 13, &[deploy_req(DEMO_SG), scale(2)], &scale(3));
 
     let socket = temp_path("mid-scale", ".sock");
-    let mut cfg = DaemonConfig::new(socket.clone());
-    cfg.state_dir = Some(state_dir.clone());
+    let mut cfg = DaemonConfig::new(socket.to_path_buf());
+    cfg.state_dir = Some(state_dir.to_path_buf());
     let daemon = spawn_daemon(default_session(13), cfg);
     let mut c = connect(&socket);
 
@@ -432,7 +457,6 @@ fn dangling_scale_intent_is_rolled_back_on_restart() {
 
     call(&mut c, CtlRequest::Shutdown);
     daemon.join().unwrap();
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 // ---------------------------------------------------------------------
@@ -450,8 +474,8 @@ fn watch_since_replays_recovery_history() {
     );
 
     let socket = temp_path("since", ".sock");
-    let mut cfg = DaemonConfig::new(socket.clone());
-    cfg.state_dir = Some(state_dir.clone());
+    let mut cfg = DaemonConfig::new(socket.to_path_buf());
+    cfg.state_dir = Some(state_dir.to_path_buf());
     let daemon = spawn_daemon(default_session(17), cfg);
 
     // Resume from sequence 0: the subscriber must see the whole
@@ -488,5 +512,4 @@ fn watch_since_replays_recovery_history() {
     let mut c = connect(&socket);
     call(&mut c, CtlRequest::Shutdown);
     daemon.join().unwrap();
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
