@@ -14,9 +14,10 @@
 //!
 //! Deterministic part (printed + `BENCH_dataplane.json` at the repo
 //! root): pps cache-off vs cache-on, speedup and cache hit rate per
-//! scenario. The committed snapshot is the perf baseline the check gate
-//! diffs against: with `ESCAPE_BENCH_GATE=1`, the bench fails if the
-//! headline cached pps regressed more than 20% below the baseline.
+//! scenario. The snapshot records what the cache buys on the host that
+//! took it (`host_cpus` says which); it gates nothing — wall-clock
+//! dataplane speed is gated end to end by the harness's `dataplane_bare`
+//! workload (`BENCHMARK.json`).
 //! Criterion part: the cached switch_only hot loop (skipped under
 //! `ESCAPE_BENCH_TABLE_ONLY=1`).
 
@@ -39,9 +40,6 @@ const FRAME_LEN: usize = 128;
 const TABLE_SIZES: &[usize] = &[1_024, 4_096];
 /// Decoy rules per switch in the VNF chain scenario.
 const CHAIN_RULES: usize = 2_048;
-/// Regression gate: fail if headline pps drops below this fraction of
-/// the committed baseline.
-const GATE_FLOOR: f64 = 0.8;
 /// Wall-clock samples per measurement; the fastest is kept.
 const SAMPLES: usize = 3;
 
@@ -163,10 +161,9 @@ fn run_vnf_chain(cache_on: bool, frames: u64) -> RunResult {
 /// Runs one measurement [`SAMPLES`] times and keeps the fastest run.
 /// Wall-clock noise on a shared host is one-sided (preemption slows a
 /// run down; nothing speeds it up), so best-of-N is the stable
-/// estimator — used for both the committed baseline and the gate
-/// sample, so the two are comparable. The simulation itself is
-/// deterministic: delivery and cache counters are identical across
-/// repeats, only the wall clock varies.
+/// estimator. The simulation itself is deterministic: delivery and
+/// cache counters are identical across repeats, only the wall clock
+/// varies.
 fn best_of(mut run: impl FnMut() -> RunResult) -> RunResult {
     let mut best = run();
     for _ in 1..SAMPLES {
@@ -176,15 +173,6 @@ fn best_of(mut run: impl FnMut() -> RunResult) -> RunResult {
         }
     }
     best
-}
-
-/// Reads the committed baseline's headline cached pps, if a snapshot
-/// exists at the repo root.
-fn baseline_pps() -> Option<f64> {
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dataplane.json");
-    let doc = escape_json::Value::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    doc.get("headline")?.get("pps_cached")?.as_f64()
 }
 
 fn print_table() {
@@ -251,26 +239,6 @@ fn print_table() {
     }
     let (pps_walk, pps_cached, hit_rate) = headline.unwrap();
     let speedup = pps_cached / pps_walk.max(1e-9);
-
-    // Regression gate against the committed baseline, before overwriting
-    // it (scripts/check.sh runs the bench with ESCAPE_BENCH_GATE=1).
-    let old = baseline_pps();
-    if std::env::var_os("ESCAPE_BENCH_GATE").is_some() {
-        let old = old.expect("gate mode needs a committed BENCH_dataplane.json");
-        if pps_cached < old * GATE_FLOOR {
-            eprintln!(
-                "E0 REGRESSION: cached pps {pps_cached:.0} fell below {:.0} \
-                 ({}% of the committed baseline {old:.0})",
-                old * GATE_FLOOR,
-                (GATE_FLOOR * 100.0) as u64,
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gate: cached pps {pps_cached:.0} within budget (baseline {old:.0}, floor {:.0})",
-            old * GATE_FLOOR
-        );
-    }
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())

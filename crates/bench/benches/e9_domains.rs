@@ -1,16 +1,23 @@
-//! E9 — Multi-domain scaling: the same 8-pod substrate and the same
-//! 12-chain workload, partitioned into 1, 2, 4 and 8 operator domains
-//! with one simulator worker per domain.
+//! E9 — Multi-domain scaling: do the coordinator's worker threads buy
+//! wall-clock time? The same 8-pod substrate and the same 12-chain
+//! workload at each *fixed* partitioning (2, 4 and 8 operator domains),
+//! run with 1 worker and with `min(host_cpus, domains)` workers.
 //!
 //! The workload mirrors a real multi-PoP deployment: every pod carries
 //! heavy local traffic (which parallelizes across domain simulators)
 //! while four long chains cross half the pod line and exercise the
 //! gateway handoff path.
 //!
-//! Deterministic part (printed + `BENCH_domains.json`): wall-clock time
-//! for deploy + traffic, speedup over the single-domain baseline, and
-//! the mapping success rate of the hierarchical orchestrator.
-//! Criterion part: the 4-domain / 4-worker configuration end to end.
+//! Deterministic part (printed + `BENCH_domains.json`): per
+//! partitioning, [`PAIRS`] alternating pairs of runs — median wall-clock
+//! time for deploy + traffic at each worker count, their ratio, and in
+//! how many pairs the threaded run was faster — plus the mapping success
+//! rate of the hierarchical orchestrator and the delivered-frame count,
+//! which must not depend on partitioning or worker count. The ratio
+//! compares like with like: partitioning changes the work (gateway
+//! hand-offs, epoch barriers), so runs at different partitionings say
+//! nothing about threads.
+//! Criterion part: the 4-domain configuration end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use escape::env::Escape;
@@ -30,6 +37,8 @@ const LOCAL_INTERVAL_US: u64 = 2;
 const CROSS_FRAMES: u64 = 400;
 const CROSS_INTERVAL_US: u64 = 50;
 const RUN_MS: u64 = 60;
+/// Alternating (1 worker, N workers) pairs per partitioning.
+const PAIRS: usize = 10;
 
 /// A line of 8 pods; pod i is `sap{i}/xsap{i} - s{i} - c{i}` and the
 /// `s{i}-s{i+1}` trunks become gateway links once the line is
@@ -170,40 +179,74 @@ fn run_once(domains: usize, workers: usize) -> RunResult {
     }
 }
 
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+}
+
 fn print_table() {
-    println!("\nE9: multi-domain scaling (8 pods, 8 local + 4 cross-domain chains)");
+    let host_cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!(
-        "{:>8} {:>8} {:>10} {:>9} {:>8} {:>10} {:>10}",
-        "domains", "workers", "wall_ms", "speedup", "mapped", "success", "delivered"
+        "\nE9: multi-domain scaling (8 pods, 8 local + 4 cross-domain chains, {PAIRS} pairs, {host_cpus} cpus)"
     );
-    let mut base_ms = 0.0f64;
+    println!(
+        "{:>8} {:>8} {:>12} {:>12} {:>8} {:>7} {:>8} {:>10}",
+        "domains", "workers", "wall_ms@1", "wall_ms@N", "ratio", "wins", "mapped", "delivered"
+    );
     let mut runs = Vec::new();
-    for domains in [1usize, 2, 4, 8] {
-        let r = run_once(domains, domains);
-        if domains == 1 {
-            base_ms = r.wall_ms;
+    let mut delivered_everywhere = None;
+    for domains in [2usize, 4, 8] {
+        let workers = host_cpus.min(domains);
+        let (mut one, mut many, mut wins) = (Vec::new(), Vec::new(), 0u64);
+        let mut last = None;
+        for pair in 0..PAIRS {
+            // Alternate which side runs first, so drift in the host's
+            // speed lands on both.
+            let order = if pair % 2 == 0 {
+                [1, workers]
+            } else {
+                [workers, 1]
+            };
+            let mut ms = [0.0f64; 2];
+            for w in order {
+                let r = run_once(domains, w);
+                assert_eq!(r.mapped, r.total, "every chain maps at {domains} domains");
+                assert_eq!(
+                    *delivered_everywhere.get_or_insert(r.delivered),
+                    r.delivered,
+                    "delivery depends on neither partitioning nor threads"
+                );
+                ms[usize::from(w != 1)] = r.wall_ms;
+                last = Some(r);
+            }
+            wins += u64::from(ms[1] < ms[0]);
+            one.push(ms[0]);
+            many.push(ms[1]);
         }
-        let speedup = base_ms / r.wall_ms.max(1e-9);
-        let success = r.mapped as f64 / r.total as f64;
+        let r = last.expect("at least one pair");
+        let (one_ms, many_ms) = (median(&mut one), median(&mut many));
+        let ratio = one_ms / many_ms.max(1e-9);
         println!(
-            "{:>8} {:>8} {:>10.2} {:>9.2} {:>8} {:>10.2} {:>10}",
-            domains, domains, r.wall_ms, speedup, r.mapped, success, r.delivered
+            "{:>8} {:>8} {:>12.2} {:>12.2} {:>8.2} {:>4}/{:<2} {:>8} {:>10}",
+            domains, workers, one_ms, many_ms, ratio, wins, PAIRS, r.mapped, r.delivered
         );
         runs.push(
             escape_json::Value::obj()
                 .set("domains", domains as u64)
-                .set("workers", domains as u64)
-                .set("wall_ms", r.wall_ms)
-                .set("speedup", speedup)
+                .set("workers", workers as u64)
+                .set("pairs", PAIRS as u64)
+                .set("wall_ms_1_worker", one_ms)
+                .set("wall_ms_n_workers", many_ms)
+                .set("ratio", ratio)
+                .set("threaded_faster_in", wins)
                 .set("chains_total", r.total as u64)
                 .set("chains_mapped", r.mapped as u64)
-                .set("mapping_success_rate", success)
+                .set("mapping_success_rate", r.mapped as f64 / r.total as f64)
                 .set("frames_delivered", r.delivered),
         );
     }
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let doc = escape_json::Value::obj()
         .set("experiment", "e9_domains")
         .set("host_cpus", host_cpus as u64)
@@ -214,9 +257,9 @@ fn print_table() {
     if let Some(path) = escape_bench::write_repo_artifact("BENCH_domains", &doc) {
         println!("baseline snapshot: {}", path.display());
     }
-    println!("(expected shape: mapping success and frames delivered are identical at");
-    println!(" every partitioning; wall-clock speedup tracks the host's cores — this");
-    println!(" host has {host_cpus} — and saturates once domains outnumber them)\n");
+    println!("(expected shape: mapping success and frames delivered are identical in");
+    println!(" every run; the ratio tracks the host's cores — 1.0 on one cpu, where");
+    println!(" both columns run one worker)\n");
 }
 
 fn bench(c: &mut Criterion) {

@@ -18,21 +18,16 @@
 //! * [`global`] — [`global::GlobalOrchestrator`]: domain-path selection
 //!   (Dijkstra over the domain graph by inter-domain delay), VNF
 //!   distribution along the path against aggregate capacity, and the
-//!   per-domain [`global::ChainLeg`]s that local orchestrators embed;
-//! * [`merge`] — the deterministic virtual-clock-ordered merge of
-//!   per-domain event streams (same seed ⇒ byte-identical merged trace,
-//!   regardless of how many worker threads drove the domains).
+//!   per-domain [`global::ChainLeg`]s that local orchestrators embed.
 //!
 //! The runtime that drives one netem simulator per domain lives in the
 //! `escape` crate (`escape::domains`); this crate is pure data and
 //! planning so it can be reused without pulling in the emulator.
 
 pub mod global;
-pub mod merge;
 pub mod partition;
 pub mod spec;
 
 pub use global::{ChainLeg, ChainPlan, GlobalOrchestrator, PlanError};
-pub use merge::merge_event_logs;
 pub use partition::{partition, DomainView, GatewayLink, LocalDomain, Partition};
 pub use spec::{DomainDef, DomainSpec};

@@ -28,8 +28,8 @@
 
 use crate::env::{AdmissionConfig, Escape};
 use crate::error::{AdmissionVerdict, EscapeError};
-use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
-use escape_domain::{merge_event_logs, ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
+use crate::journal::{Journal, JournalEvent, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
+use escape_domain::{ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
 use escape_netem::{LinkState, Time};
 use escape_orch::{MapError, MappingAlgorithm};
 use escape_pox::SteeringMode;
@@ -92,8 +92,6 @@ pub struct MultiDomainEscape {
     ports: HashMap<String, u16>,
     next_port: u16,
     workers: usize,
-    /// Coordinator-level event log: (virtual ns, message).
-    events: Vec<(u64, String)>,
     /// Coordinator-level typed event journal (stitches, escalations,
     /// gateway faults). Per-domain journals live in each [`Escape`];
     /// [`MultiDomainEscape::journal_json_lines`] merges them all.
@@ -162,7 +160,6 @@ impl MultiDomainEscape {
             ports: HashMap::new(),
             next_port: CHAIN_PORT_BASE,
             workers: workers.max(1),
-            events: Vec::new(),
             journal: Journal::new(&registry, DEFAULT_JOURNAL_CAP),
             registry,
             clock: Time::ZERO,
@@ -215,10 +212,6 @@ impl MultiDomainEscape {
         self.plans.get(chain)
     }
 
-    fn note(&mut self, msg: String) {
-        self.events.push((self.clock.as_ns(), msg));
-    }
-
     /// Appends a typed entry to the coordinator journal at the current
     /// coordinator (virtual) time.
     fn journal_event(&mut self, severity: Severity, kind: JournalKind, detail: String) {
@@ -231,31 +224,33 @@ impl MultiDomainEscape {
         &self.journal
     }
 
-    /// Merged, domain-labelled journal as JSON lines: the coordinator's
-    /// entries (`"domain":"global"`) and every domain's, stably ordered
-    /// by virtual timestamp (ties keep global-then-partition-order, the
-    /// same discipline as [`MultiDomainEscape::event_trace`]).
-    /// Byte-identical across same-seed runs and any worker count.
-    pub fn journal_json_lines(&self) -> String {
-        let mut rows: Vec<(u64, String)> = Vec::new();
-        for e in self.journal.entries() {
-            rows.push((e.at_ns, e.json_value().set("domain", "global").to_string()));
-        }
-        for rt in &self.parts {
-            for e in rt.esc.journal().entries() {
-                rows.push((
-                    e.at_ns,
-                    e.json_value().set("domain", rt.name.as_str()).to_string(),
-                ));
-            }
-        }
+    /// Every retained journal entry — the coordinator's (domain
+    /// `global`) and each domain's — rendered by `render(domain, entry)`
+    /// and stably ordered by virtual timestamp (ties keep
+    /// global-then-partition order). Worker threads never touch the
+    /// order: it is byte-identical across same-seed runs and any worker
+    /// count.
+    fn merged_journal(&self, render: impl Fn(&str, &JournalEvent) -> String) -> Vec<String> {
+        let streams = std::iter::once(("global", &self.journal)).chain(
+            self.parts
+                .iter()
+                .map(|rt| (rt.name.as_str(), rt.esc.journal())),
+        );
+        let mut rows: Vec<(u64, String)> = streams
+            .flat_map(|(domain, journal)| {
+                let render = &render;
+                journal.entries().map(move |e| (e.at_ns, render(domain, e)))
+            })
+            .collect();
         rows.sort_by_key(|(at, _)| *at); // stable: ties keep stream order
-        let mut out = String::new();
-        for (_, line) in rows {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
+        rows.into_iter().map(|(_, line)| line).collect()
+    }
+
+    /// Merged, domain-labelled journal as JSON lines (see
+    /// [`MultiDomainEscape::event_trace`] for the order).
+    pub fn journal_json_lines(&self) -> String {
+        self.merged_journal(|domain, e| e.json_value().set("domain", domain).to_string() + "\n")
+            .concat()
     }
 
     fn domain_index(&self, name: &str) -> usize {
@@ -294,10 +289,6 @@ impl MultiDomainEscape {
         if let Some(cfg) = self.admission {
             let utilization = self.cpu_utilization();
             if utilization >= cfg.hard_watermark {
-                self.note(format!(
-                    "admission: rejected (mean utilization {utilization:.2} >= hard {:.2})",
-                    cfg.hard_watermark
-                ));
                 self.journal_event(
                     Severity::Warn,
                     JournalKind::AdmissionRejected,
@@ -321,13 +312,6 @@ impl MultiDomainEscape {
             })?;
             self.deploy_plan(sg, &plan)?;
             self.global.commit(sg, &plan);
-            self.note(format!(
-                "chain {} stitched across {:?} ({} legs, {}us inter-domain)",
-                plan.chain,
-                plan.domain_path,
-                plan.legs.len(),
-                plan.inter_domain_us
-            ));
             self.journal_event(
                 Severity::Info,
                 JournalKind::DeployCommitted,
@@ -426,7 +410,6 @@ impl MultiDomainEscape {
         self.handoffs.retain(|_, h| h.chain != chain);
         self.global.release(chain);
         self.graphs.remove(chain);
-        self.note(format!("chain {chain} torn down"));
         self.journal_event(
             Severity::Info,
             JournalKind::Teardown,
@@ -543,21 +526,23 @@ impl MultiDomainEscape {
         arrivals.sort_by_key(|(di, _, rx)| (rx.at, *di));
         for (di, sap, rx) in arrivals {
             let key = (di, sap.clone(), rx.src, rx.src_port);
-            let Some(h) = self.handoffs.get(&key).cloned() else {
-                let src = rx.src;
-                self.note(format!("gateway {sap}: unroutable payload from {src}"));
+            let from_domain = self.parts[di].name.clone();
+            let from = [("from", from_domain.as_str())];
+            let Some(h) = self.handoffs.get(&key) else {
+                // No chain claims this source on this gateway (its chain
+                // was torn down or re-stitched with frames in flight).
+                self.registry
+                    .counter_with("domains.unroutable_payloads", &from)
+                    .inc();
                 continue;
             };
             let at = (rx.at + EPOCH).max(end);
-            let from_domain = self.parts[di].name.clone();
             if self.parts[h.to_domain]
                 .esc
                 .gateway_send(&h.from_sap, &h.to_sap, rx.payload, rx.born_ns, at, h.port)
                 .is_ok()
             {
-                self.registry
-                    .counter_with("domains.handoffs", &[("from", from_domain.as_str())])
-                    .inc();
+                self.registry.counter_with("domains.handoffs", &from).inc();
             }
         }
     }
@@ -581,9 +566,6 @@ impl MultiDomainEscape {
         }
         broken.sort();
         for chain in broken {
-            self.note(format!(
-                "chain {chain}: local recovery exhausted, escalating to global re-stitch"
-            ));
             self.journal_event(
                 Severity::Warn,
                 JournalKind::HealEscalated,
@@ -625,10 +607,6 @@ impl MultiDomainEscape {
             Ok(plan) => {
                 self.global.commit(&sg, &plan);
                 self.registry.counter("domains.restitches").inc();
-                self.note(format!(
-                    "chain {chain} re-stitched across {:?}",
-                    plan.domain_path
-                ));
                 self.journal_event(
                     Severity::Info,
                     JournalKind::ChainRestitched,
@@ -639,7 +617,6 @@ impl MultiDomainEscape {
             Err(e) => {
                 self.registry.counter("domains.restitch_failures").inc();
                 self.graphs.remove(chain);
-                self.note(format!("chain {chain} abandoned: {e}"));
                 self.journal_event(
                     Severity::Error,
                     JournalKind::ChainAbandoned,
@@ -666,10 +643,6 @@ impl MultiDomainEscape {
         self.global.mark_gateway_failed(id);
         self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Down);
         self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Down);
-        self.note(format!(
-            "gateway {id} ({}--{}) down",
-            g.a_switch, g.b_switch
-        ));
         self.journal_event(
             Severity::Warn,
             JournalKind::GatewayDown,
@@ -701,10 +674,6 @@ impl MultiDomainEscape {
         self.global.mark_gateway_recovered(id);
         self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Up);
         self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Up);
-        self.note(format!(
-            "gateway {id} ({}--{}) restored",
-            g.a_switch, g.b_switch
-        ));
         self.journal_event(
             Severity::Info,
             JournalKind::GatewayRestored,
@@ -754,22 +723,17 @@ impl MultiDomainEscape {
         Snapshot { entries }
     }
 
-    /// Merged, virtual-clock-ordered event trace across the coordinator
-    /// and every domain. Byte-identical across same-seed runs and any
-    /// worker count.
+    /// The merged journal as text: one `[{ns}ns] [{domain}] {severity}
+    /// {kind}: {detail}` line per entry of the coordinator and of every
+    /// domain, in virtual-clock order. Byte-identical across same-seed
+    /// runs and any worker count.
     pub fn event_trace(&self) -> Vec<String> {
-        let mut streams = Vec::with_capacity(self.parts.len() + 1);
-        streams.push((
-            "global".to_string(),
-            self.events
-                .iter()
-                .map(|(ns, m)| format!("[{ns}ns] {m}"))
-                .collect(),
-        ));
-        for rt in &self.parts {
-            streams.push((rt.name.clone(), rt.esc.event_trace().to_vec()));
-        }
-        merge_event_logs(&streams)
+        self.merged_journal(|domain, e| {
+            format!(
+                "[{}ns] [{domain}] {} {}: {}",
+                e.at_ns, e.severity, e.kind, e.detail
+            )
+        })
     }
 
     /// Turns on the flight recorder in every domain.

@@ -1,0 +1,295 @@
+//! Observation: the typed event journal, the periodic sampler and its
+//! sample-point observers, the packet flight recorder with per-chain
+//! SLA verdicts, and live VNF state over NETCONF.
+
+use super::Escape;
+use crate::error::EscapeError;
+use crate::flight::{self, FlightRecord, NodeKind, SlaVerdict};
+use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
+use escape_netconf::message::ReplyBody;
+use escape_netem::NodeId;
+use escape_telemetry::{Registry, Sampler, SamplerConfig, Snapshot, Tracer};
+use std::collections::HashMap;
+
+/// The journal, the sampler and what its observers remember between
+/// sample points.
+pub(super) struct Observation {
+    /// Typed operational event journal (bounded ring, virtual-clock
+    /// stamped; evictions counted as `escape.journal_evicted`).
+    journal: Journal,
+    /// Periodic metric sampler on the virtual clock. `None` until
+    /// enabled with [`Escape::enable_sampler`].
+    pub(super) sampler: Option<Sampler>,
+    /// Last observed SLA pass flag per chain, for flip detection at
+    /// sample points.
+    pub(super) sla_last: HashMap<String, bool>,
+    /// `openflow.cache_invalidations` total at the previous sample
+    /// point, for storm detection.
+    last_cache_invalidations: u64,
+}
+
+impl Observation {
+    pub(super) fn new(telemetry: &Registry) -> Observation {
+        Observation {
+            journal: Journal::new(telemetry, DEFAULT_JOURNAL_CAP),
+            sampler: None,
+            sla_last: HashMap::new(),
+            last_cache_invalidations: 0,
+        }
+    }
+}
+
+/// Cache invalidations within one sample period at or above this count
+/// are journaled as a storm (rule churn thrashing the fast path).
+const CACHE_STORM_THRESHOLD: u64 = 64;
+
+impl Escape {
+    /// One sample point: detect SLA verdict flips and cache-invalidation
+    /// storms, then record a registry snapshot into the sampler ring.
+    /// Everything here runs on the virtual clock, so the journal and the
+    /// series stay byte-identical across same-seed runs.
+    pub(super) fn observe_tick(&mut self) {
+        let now_ns = self.sim.now().as_ns();
+        // SLA flips are only observable while the flight recorder runs.
+        if self.sim.trace.is_some() {
+            for v in self.sla_verdicts() {
+                let was = self.observe.sla_last.insert(v.chain.clone(), v.pass);
+                if was == Some(v.pass) {
+                    continue;
+                }
+                let (sev, what) = if v.pass {
+                    (Severity::Info, "pass")
+                } else {
+                    (Severity::Warn, "fail")
+                };
+                self.journal_note(
+                    sev,
+                    JournalKind::SlaFlip,
+                    format!(
+                        "chain {}: {what} (delivered {} dropped {} loss {:.3})",
+                        v.chain, v.delivered, v.dropped, v.loss
+                    ),
+                );
+            }
+        }
+        let snap = self.telemetry.snapshot();
+        let invalidations = snap.counter_total("openflow.cache_invalidations");
+        let delta = invalidations.saturating_sub(self.observe.last_cache_invalidations);
+        if delta >= CACHE_STORM_THRESHOLD {
+            self.journal_note(
+                Severity::Warn,
+                JournalKind::CacheInvalidationStorm,
+                format!("{delta} flow-cache invalidations in one sample period"),
+            );
+        }
+        self.observe.last_cache_invalidations = invalidations;
+        if let Some(s) = &mut self.observe.sampler {
+            s.record(now_ns, snap);
+        }
+        // The autoscaler runs after the snapshot so scaling RPCs (which
+        // advance virtual time) never skew the recorded sample.
+        self.autoscale_tick();
+    }
+
+    /// Turns on the periodic metric sampler. Samples are taken at
+    /// period boundaries of the *virtual* clock while time advances
+    /// through [`Escape::run_for_ms`] / [`Escape::run_with_recovery`] /
+    /// [`Escape::run_until`].
+    pub fn enable_sampler(&mut self, cfg: SamplerConfig) {
+        self.observe.sampler = Some(Sampler::new(&self.telemetry, cfg));
+    }
+
+    /// The sampler ring, if enabled.
+    pub fn sampler(&self) -> Option<&Sampler> {
+        self.observe.sampler.as_ref()
+    }
+
+    /// Delta-encoded sampler series as a JSON document (see
+    /// [`Sampler::series_json`]). An environment without a sampler
+    /// reports an empty window.
+    pub fn sampler_series_json(&self) -> String {
+        match &self.observe.sampler {
+            Some(s) => s.series_json().to_string_pretty(),
+            None => escape_json::Value::obj()
+                .set("period_ns", 0u64)
+                .set("evicted", 0u64)
+                .set("at_ns", Vec::<u64>::new())
+                .set("series", escape_json::Value::Arr(Vec::new()))
+                .to_string_pretty(),
+        }
+    }
+
+    /// The typed operational event journal.
+    pub fn journal(&self) -> &Journal {
+        &self.observe.journal
+    }
+
+    /// The retained journal as JSON lines.
+    pub fn journal_json_lines(&self) -> String {
+        self.observe.journal.json_lines()
+    }
+
+    /// Appends a typed entry to the journal at the current virtual time.
+    /// Public because the daemon's crash-recovery pass records restart
+    /// provenance (daemon-restarted, txn-rolled-back, wal-truncated)
+    /// through it too.
+    pub fn journal_note(&mut self, severity: Severity, kind: JournalKind, detail: String) {
+        self.observe
+            .journal
+            .record(self.sim.now().as_ns(), severity, kind, detail);
+    }
+
+    /// Rebases the journal's sequence cursor after a restart so `watch
+    /// --since <seq>` cursors taken against the previous incarnation
+    /// stay valid (see [`Journal::restore_base`]).
+    pub fn restore_journal_base(&mut self, base: u64) {
+        self.observe.journal.restore_base(base);
+    }
+
+    /// The journal as text, one line per retained entry (`[{ns}ns]
+    /// {severity} {kind}: {detail}`) — the form the CLI prints and the
+    /// determinism witnesses compare: same seed + same script ⇒
+    /// byte-identical lines.
+    pub fn event_trace(&self) -> Vec<String> {
+        self.observe
+            .journal
+            .entries()
+            .map(ToString::to_string)
+            .collect()
+    }
+
+    /// The simulation-wide telemetry registry (netem, pox, orch, netconf
+    /// and escape metrics all land here).
+    pub fn telemetry(&self) -> &Registry {
+        &self.telemetry
+    }
+
+    /// The virtual-time span tracer: chain setup phases as nested spans.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Point-in-time snapshot of every metric in the environment.
+    pub fn metrics(&self) -> Snapshot {
+        self.telemetry.snapshot()
+    }
+
+    // ---------------- flight recorder -------------------------------
+
+    /// Turns on the packet flight recorder: a trace ring of `cap`
+    /// records that [`Self::flight_record`] later correlates into
+    /// per-packet journeys. Enable it *before* starting traffic.
+    pub fn enable_flight_recorder(&mut self, cap: usize) {
+        self.sim.enable_trace(cap);
+    }
+
+    /// Reconstructs every traced packet's journey. Empty if the flight
+    /// recorder was never enabled.
+    pub fn flight_record(&self) -> FlightRecord {
+        let Some(trace) = &self.sim.trace else {
+            return FlightRecord::default();
+        };
+        // Topology-name and role lookup for every emulator node.
+        let mut roles: HashMap<NodeId, (String, NodeKind)> = HashMap::new();
+        for (name, &node) in &self.infra.nodes {
+            let kind = if self.infra.dpid.contains_key(name) {
+                NodeKind::Switch
+            } else if self.infra.sap_addr.contains_key(name) {
+                NodeKind::Host
+            } else if self.infra.netconf_conn.contains_key(name) {
+                NodeKind::Container
+            } else {
+                NodeKind::Other
+            };
+            roles.insert(node, (name.clone(), kind));
+        }
+        let cookies: HashMap<u64, String> = self
+            .deployed
+            .iter()
+            .map(|(name, dc)| (dc.cookie, name.clone()))
+            .collect();
+        flight::reconstruct(
+            trace.records(),
+            |n| {
+                roles
+                    .get(&n)
+                    .cloned()
+                    .unwrap_or_else(|| (self.sim.node_name(n).to_string(), NodeKind::Other))
+            },
+            &cookies,
+        )
+    }
+
+    /// Reconstructs journeys, publishes per-chain aggregates into the
+    /// telemetry registry and returns the record.
+    pub fn flight_record_aggregated(&self) -> FlightRecord {
+        let fr = self.flight_record();
+        fr.aggregate(&self.telemetry);
+        fr
+    }
+
+    /// Evaluates every deployed chain's SLA (from its service graph)
+    /// against the recorded traffic, in chain-name order. Chains without
+    /// an SLA get a vacuous pass.
+    pub fn sla_verdicts(&self) -> Vec<SlaVerdict> {
+        let fr = self.flight_record();
+        let mut names: Vec<&String> = self.deployed.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let sla = self
+                    .graphs
+                    .get(name)
+                    .and_then(|g| g.chains.iter().find(|c| &c.name == name))
+                    .and_then(|c| c.sla)
+                    .unwrap_or_default();
+                flight::evaluate_sla(name, &sla, fr.for_chain(name))
+            })
+            .collect()
+    }
+
+    /// Live VNF state over NETCONF (`getVNFInfo`) — the Clicky view:
+    /// returns (handler path, value) pairs of the named chain VNF.
+    pub fn monitor_vnf(
+        &mut self,
+        chain: &str,
+        vnf_name: &str,
+    ) -> Result<Vec<(String, String)>, EscapeError> {
+        let (container, vnf_id) = {
+            let dc = self
+                .deployed
+                .get(chain)
+                .ok_or_else(|| EscapeError::NotFound(format!("chain {chain}")))?;
+            let v = dc
+                .vnfs
+                .iter()
+                .find(|v| v.vnf_name == vnf_name)
+                .ok_or_else(|| EscapeError::NotFound(format!("vnf {vnf_name} in {chain}")))?;
+            (v.container.clone(), v.vnf_id.clone())
+        };
+        let vid = vnf_id.clone();
+        let reply = self.rpc(&container, |c| c.get_vnf_info(Some(&vid)))?;
+        let ReplyBody::Data(data) = &reply.body else {
+            return Err(EscapeError::Netconf("getVNFInfo returned no data".into()));
+        };
+        let mut out = Vec::new();
+        for vnfs in data {
+            for vnf in vnfs.find_all("vnf") {
+                if vnf.child_text("id") == Some(vnf_id.as_str()) {
+                    out.push((
+                        "status".to_string(),
+                        vnf.child_text("status").unwrap_or("").to_string(),
+                    ));
+                    for h in vnf.find_all("handler") {
+                        out.push((
+                            h.child_text("name").unwrap_or("").to_string(),
+                            h.child_text("value").unwrap_or("").to_string(),
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+}

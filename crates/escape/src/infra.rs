@@ -2,6 +2,7 @@
 //! emulated network (switches, containers, SAP hosts, control network).
 
 use crate::container::VnfContainer;
+use crate::error::EscapeError;
 use escape_netem::{CtrlId, Host, LinkConfig, NodeCtx, NodeId, NodeLogic, Sim, Time};
 use escape_openflow::Switch;
 use escape_packet::{MacAddr, Packet};
@@ -253,6 +254,14 @@ impl Infra {
     /// The emulator node of a topology node.
     pub fn node(&self, name: &str) -> Option<NodeId> {
         self.nodes.get(name).copied()
+    }
+
+    /// The (MAC, IP) address pair of a SAP.
+    pub(crate) fn sap(&self, name: &str) -> Result<(MacAddr, Ipv4Addr), EscapeError> {
+        self.sap_addr
+            .get(name)
+            .copied()
+            .ok_or_else(|| EscapeError::NotFound(format!("sap {name}")))
     }
 }
 

@@ -1,12 +1,12 @@
 //! Structured event journal: a bounded, severity-tagged ring of typed
 //! operational events stamped on the virtual clock.
 //!
-//! The free-form `Escape::note` trace stays the determinism witness it
-//! always was; the journal runs alongside it with *typed* entries
-//! (kind + severity + detail) so operators and tools can filter and
-//! stream without parsing prose. Like the sampler and the netem packet
-//! trace, the ring counts its own evictions (`escape.journal_evicted`)
-//! so silent truncation is observable.
+//! This is the environment's one event log. Entries are *typed* (kind +
+//! severity + detail), so operators and tools filter and stream without
+//! parsing prose; rendered as text (`Display`, one line per entry) the
+//! same entries are `event_trace()`, the determinism witness. Like the
+//! sampler and the netem packet trace, the ring counts its own evictions
+//! (`escape.journal_evicted`) so silent truncation is observable.
 //!
 //! Timestamps come from the simulator's virtual clock, which makes the
 //! journal deterministic: two same-seed runs export byte-identical

@@ -132,7 +132,8 @@ pub struct SessionStatus {
     pub recovery_failures: u64,
     pub rollbacks: u64,
     pub admission_rejected: u64,
-    /// Lines in the fault/recovery event trace.
+    /// Journal entries ever recorded (the journal's sequence cursor, so
+    /// evicted entries still count).
     pub events: u64,
     /// True when this session was rebuilt from durable state after a
     /// daemon restart (never set on a fresh build).
@@ -355,7 +356,7 @@ impl Session {
             recovery_failures: m.counter_total("escape.recovery_failures"),
             rollbacks: m.counter_total("escape.rollbacks"),
             admission_rejected: m.counter_total("escape.admission_rejected"),
-            events: self.esc.event_trace().len() as u64,
+            events: self.esc.journal().seq_end(),
             restarted: self.restarted,
             recovered_chains: self.recovered_chains,
             rolled_back_txns: self.rolled_back_txns,

@@ -5,7 +5,10 @@
 //! by *node name* so plans can be written as JSON files before a topology
 //! is instantiated. [`FaultInjector::install`] resolves the plan against a
 //! live [`Sim`], arms one virtual timer per event and applies each fault
-//! exactly when its timer fires. Because the injector is an ordinary
+//! exactly when its timer fires. One injector node serves any number of
+//! plans: later plans are appended to it, and an applied fault's entry is
+//! dropped, so the node holds only what is still scheduled. Because the
+//! injector is an ordinary
 //! [`NodeLogic`] driven by the event queue, fault application is totally
 //! ordered with every other event: two runs with the same seed and plan
 //! produce byte-identical histories.
@@ -19,6 +22,7 @@ use crate::link::{LinkId, LinkState};
 use crate::sim::{NodeCtx, NodeId, NodeLogic, Sim};
 use crate::time::Time;
 use escape_json::Value;
+use std::collections::HashMap;
 
 /// One kind of fault, addressed by node names (resolved at install time).
 #[derive(Debug, Clone, PartialEq)]
@@ -321,19 +325,27 @@ enum ResolvedOp {
 
 /// The injector node: a [`NodeLogic`] whose only inputs are its own
 /// timers, one per scheduled fault.
+#[derive(Default)]
 pub struct FaultInjector {
-    plan_name: String,
-    ops: Vec<(FaultKind, ResolvedOp)>,
+    /// Faults scheduled and not yet applied, by timer token.
+    ops: HashMap<u64, (FaultKind, ResolvedOp)>,
+    next_token: u64,
     records: Vec<FaultRecord>,
-    applied: u64,
 }
 
 impl FaultInjector {
-    /// Resolves `plan` against `sim` (by node name), adds the injector
-    /// node and arms its timers. Event times are relative to now. Fails
-    /// with a typed [`FaultPlanError`] naming the exact offending event
-    /// and entity if the plan references unknown nodes or links.
-    pub fn install(sim: &mut Sim, plan: &FaultPlan) -> Result<NodeId, FaultPlanError> {
+    /// Resolves `plan` against `sim` (by node name) and arms its timers
+    /// on the injector node `into` — or, given `None`, on an injector
+    /// node it adds. Returns that node, to pass back in with the next
+    /// plan. Event times are relative to now. Fails with a typed
+    /// [`FaultPlanError`] naming the exact offending event and entity if
+    /// the plan references unknown nodes or links; nothing is armed
+    /// then.
+    pub fn install(
+        sim: &mut Sim,
+        into: Option<NodeId>,
+        plan: &FaultPlan,
+    ) -> Result<NodeId, FaultPlanError> {
         let mut ops: Vec<(Time, FaultKind, ResolvedOp)> = Vec::new();
         let links_of =
             |sim: &Sim, a: &str, b: &str, i: usize| -> Result<Vec<LinkId>, FaultPlanError> {
@@ -405,33 +417,23 @@ impl FaultInjector {
             };
             ops.push((at, ev.kind.clone(), op));
         }
-        let node = sim.add_node(
-            "fault-injector",
-            0,
-            Box::new(FaultInjector {
-                plan_name: plan.name.clone(),
-                ops: Vec::new(),
-                records: Vec::new(),
-                applied: 0,
-            }),
-        );
-        for (token, (at, _, _)) in ops.iter().enumerate() {
-            sim.set_timer_for(node, *at, token as u64);
+        let node = into.unwrap_or_else(|| {
+            sim.add_node("fault-injector", 0, Box::new(FaultInjector::default()))
+        });
+        let injector = sim
+            .node_as_mut::<FaultInjector>(node)
+            .expect("`into` names a fault injector");
+        let first = injector.next_token;
+        let mut due = Vec::with_capacity(ops.len());
+        for (at, kind, op) in ops {
+            injector.ops.insert(injector.next_token, (kind, op));
+            injector.next_token += 1;
+            due.push(at);
         }
-        sim.node_as_mut::<FaultInjector>(node)
-            .expect("just installed")
-            .ops = ops.into_iter().map(|(_, k, op)| (k, op)).collect();
+        for (token, at) in (first..).zip(due) {
+            sim.set_timer_for(node, at, token);
+        }
         Ok(node)
-    }
-
-    /// The plan this injector was installed with.
-    pub fn plan_name(&self) -> &str {
-        &self.plan_name
-    }
-
-    /// Faults applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied
     }
 
     /// Drains the applied-fault log (records accumulate until taken).
@@ -452,38 +454,36 @@ impl NodeLogic for FaultInjector {
     fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _port: u16, _pkt: escape_packet::Packet) {}
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        let Some((kind, op)) = self.ops.get(token as usize) else {
+        let Some((kind, op)) = self.ops.remove(&token) else {
             return;
         };
         match op {
             ResolvedOp::SetState(links, state) => {
-                for &l in links {
-                    ctx.set_link_state(l, *state);
+                for l in links {
+                    ctx.set_link_state(l, state);
                 }
             }
             ResolvedOp::SetLoss(pairs) => {
-                for &(l, loss) in pairs {
+                for (l, loss) in pairs {
                     ctx.set_link_loss(l, loss);
                 }
             }
             ResolvedOp::SetDelay(pairs) => {
-                for &(l, d) in pairs {
+                for (l, d) in pairs {
                     ctx.set_link_delay(l, d);
                 }
             }
             ResolvedOp::Kill(n) => {
-                ctx.kill_node(*n);
+                ctx.kill_node(n);
             }
             ResolvedOp::Pause(n) => {
-                ctx.pause_node(*n);
+                ctx.pause_node(n);
             }
             ResolvedOp::Resume(n) => {
-                ctx.resume_node(*n);
+                ctx.resume_node(n);
             }
         }
-        let kind = kind.clone();
         ctx.count_fault(kind.label());
-        self.applied += 1;
         self.records.push(FaultRecord {
             at: ctx.now(),
             kind,
@@ -593,7 +593,7 @@ mod tests {
                 b: "ghost".into(),
             },
         );
-        let err = FaultInjector::install(&mut sim, &plan).unwrap_err();
+        let err = FaultInjector::install(&mut sim, None, &plan).unwrap_err();
         assert_eq!(
             err,
             FaultPlanError::UnknownLink {
@@ -618,7 +618,7 @@ mod tests {
                     node: "nope".into(),
                 },
             );
-        let err = FaultInjector::install(&mut sim, &plan).unwrap_err();
+        let err = FaultInjector::install(&mut sim, None, &plan).unwrap_err();
         assert_eq!(
             err,
             FaultPlanError::UnknownNode {
@@ -635,7 +635,7 @@ mod tests {
     #[test]
     fn link_flap_applies_at_scheduled_times() {
         let (mut sim, a, _, _) = two_nodes();
-        let inj = FaultInjector::install(&mut sim, &flap_plan()).unwrap();
+        let inj = FaultInjector::install(&mut sim, None, &flap_plan()).unwrap();
         // Frame during the outage is dropped; after recovery it passes.
         sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::from_ms(2));
         sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::from_ms(4));
@@ -659,6 +659,18 @@ mod tests {
             snap.counter("faults.injected", &[("kind", "link_up")]),
             Some(1)
         );
+        // A later plan lands on the same injector node, times relative
+        // to now; applied faults leave nothing behind on it.
+        assert_eq!(
+            FaultInjector::install(&mut sim, Some(inj), &flap_plan()),
+            Ok(inj)
+        );
+        assert_eq!(sim.node_count(), 3, "one injector node, not one a plan");
+        sim.run_until(Time::from_ms(20));
+        let fi = sim.node_as_mut::<FaultInjector>(inj).unwrap();
+        let at: Vec<Time> = fi.take_records().iter().map(|r| r.at).collect();
+        assert_eq!(at, vec![Time::from_ms(11), Time::from_ms(13)]);
+        assert!(fi.ops.is_empty());
     }
 
     #[test]
@@ -671,7 +683,7 @@ mod tests {
                 for_us: 2_000,
             },
         );
-        let inj = FaultInjector::install(&mut sim, &plan).unwrap();
+        let inj = FaultInjector::install(&mut sim, None, &plan).unwrap();
         // During the stall, frames to b are discarded (not delivered to
         // logic); after resume, node_as works again.
         sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::from_us(1_500));
@@ -698,7 +710,7 @@ mod tests {
                     loss: 0.5,
                 },
             );
-            let inj = FaultInjector::install(&mut sim, &plan).unwrap();
+            let inj = FaultInjector::install(&mut sim, None, &plan).unwrap();
             for i in 0..50 {
                 sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::from_us(i * 100));
             }

@@ -57,6 +57,11 @@ struct Stream {
     /// parallel timer chain and send the stream at a multiple of its
     /// configured rate.
     started: bool,
+    /// The stream's last timer has fired: nothing refers to its slot any
+    /// more, so [`Host::add_stream`] may hand the slot to a new stream.
+    /// (`remaining == 0` alone is not enough — a zero-count stream still
+    /// has its first timer in flight.)
+    finished: bool,
 }
 
 /// An active ping schedule.
@@ -177,8 +182,8 @@ impl Host {
     }
 
     /// Registers a paced UDP stream: `count` frames of `frame_len` bytes,
-    /// one every `interval`, to `dst_ip`. Call before the sim starts and
-    /// kick it off with [`Host::start_streams`].
+    /// one every `interval`, to `dst_ip`, and returns its slot. Kick it
+    /// off with [`Host::start_streams`].
     pub fn add_stream(
         &mut self,
         dst_ip: Ipv4Addr,
@@ -188,7 +193,7 @@ impl Host {
         interval: Time,
         count: u64,
     ) -> usize {
-        self.streams.push(Stream {
+        let stream = Stream {
             dst_ip,
             sport,
             dport,
@@ -196,8 +201,23 @@ impl Host {
             interval,
             remaining: count,
             started: false,
-        });
-        self.streams.len() - 1
+            finished: false,
+        };
+        // A finished stream leaves only its slot and its pooled frame
+        // behind. Reuse the slot so a long-lived host does not grow with
+        // every stream it ever sent, and drop the frame with it: the pool
+        // is keyed by slot, so the old stream's bytes would be served.
+        match self.streams.iter().position(|s| s.finished) {
+            Some(k) => {
+                self.tx_pool.retain(|&(slot, _)| slot != k);
+                self.streams[k] = stream;
+                k
+            }
+            None => {
+                self.streams.push(stream);
+                self.streams.len() - 1
+            }
+        }
     }
 
     /// Registers a paced ping schedule: `count` echo requests to
@@ -267,6 +287,7 @@ impl Host {
     fn emit_udp(&mut self, ctx: &mut NodeCtx<'_>, k: usize) {
         let s = self.streams[k].clone();
         if s.remaining == 0 {
+            self.streams[k].finished = true;
             return;
         }
         self.streams[k].remaining -= 1;
@@ -304,6 +325,8 @@ impl Host {
         }
         if self.streams[k].remaining > 0 {
             ctx.set_timer(s.interval, k as u64);
+        } else {
+            self.streams[k].finished = true;
         }
     }
 
@@ -551,6 +574,53 @@ mod tests {
             "one layered encode, nineteen refcount clones"
         );
         assert_eq!(sim.node_as::<Host>(nb).unwrap().stats.udp_rx, 20);
+    }
+
+    #[test]
+    fn finished_stream_slot_is_reused_with_its_own_frame() {
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        // Sends `streams` (source port, frame length, count) one after
+        // the other from one host; returns the slot each took, the frames
+        // left pooled, and [udp_tx, udp_rx, bytes_rx].
+        let run = |streams: &[(u16, usize, u64)]| {
+            let (mut sim, na, nb) = hosts_back_to_back();
+            let ha = sim.node_as_mut::<Host>(na).unwrap();
+            ha.static_arp(dst, MacAddr::from_id(2));
+            let mut slots = Vec::new();
+            for &(sport, len, count) in streams {
+                let ha = sim.node_as_mut::<Host>(na).unwrap();
+                slots.push(ha.add_stream(dst, sport, 9000, len, Time::from_us(10), count));
+                Host::start_streams(&mut sim, na, Time::ZERO);
+                sim.run(100_000);
+            }
+            let (ha, hb) = (
+                sim.node_as::<Host>(na).unwrap(),
+                sim.node_as::<Host>(nb).unwrap(),
+            );
+            let counts = [ha.stats.udp_tx, hb.stats.udp_rx, hb.stats.bytes_rx];
+            (slots, ha.tx_pool.len(), counts)
+        };
+        let (first, second) = ((5000, 100, 5), (6000, 300, 7));
+        let (slots, pooled, both) = run(&[first, second]);
+        assert_eq!(slots, [0, 0], "the finished stream's slot is reused");
+        assert_eq!(pooled, 1, "the old stream's frame went with it");
+        // The second stream sent its own bytes, not the frame pooled
+        // under its slot: counts and bytes match each stream alone on a
+        // fresh host.
+        let (one, two) = (run(&[first]).2, run(&[second]).2);
+        assert_eq!(both, [one[0] + two[0], one[1] + two[1], one[2] + two[2]]);
+
+        // A zero-count stream is free only once its one timer has fired.
+        let (mut sim, na, _) = hosts_back_to_back();
+        let add = |sim: &mut Sim| {
+            let ha = sim.node_as_mut::<Host>(na).unwrap();
+            ha.add_stream(dst, 1, 2, 64, Time::from_us(10), 0)
+        };
+        assert_eq!(add(&mut sim), 0);
+        Host::start_streams(&mut sim, na, Time::ZERO);
+        assert_eq!(add(&mut sim), 1, "slot 0's timer is still in flight");
+        sim.run(100);
+        assert_eq!(add(&mut sim), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Cached handles into the telemetry [`Registry`] for the kernel's hot
 /// paths — one atomic increment per event, no lookups.
@@ -165,19 +165,6 @@ pub struct Sim {
     clock: Time,
     seq: u64,
     queue: BinaryHeap<Scheduled>,
-    /// Fast lane for the current timestamp cohort: events scheduled *at*
-    /// the current clock while it is being processed. Anything landing
-    /// here carries a seq greater than every queued event at this time
-    /// (seq is globally monotone and heap entries at `clock` predate the
-    /// clock reaching it), so FIFO order here — merged against the heap
-    /// by `(at, seq)` in [`Sim::pop_next`] — reproduces the pure-heap
-    /// dispatch order exactly while skipping the heap's O(log n) ops for
-    /// same-timestamp cascades (Click chains, ideal links, fan-out).
-    due_now: VecDeque<Scheduled>,
-    /// Routes every schedule through the heap (the reference one-at-a-time
-    /// discipline) — used by regression tests to prove the fast lane
-    /// changes nothing.
-    strict_heap: bool,
     nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     ctrls: Vec<Ctrl>,
@@ -208,8 +195,6 @@ impl Sim {
             clock: Time::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
-            due_now: VecDeque::new(),
-            strict_heap: false,
             nodes: Vec::new(),
             links: Vec::new(),
             ctrls: Vec::new(),
@@ -484,49 +469,12 @@ impl Sim {
     fn schedule(&mut self, at: Time, ev: Event) {
         let seq = self.seq;
         self.seq += 1;
-        let s = Scheduled { at, seq, ev };
-        if at == self.clock && !self.strict_heap {
-            self.due_now.push_back(s);
-        } else {
-            self.queue.push(s);
-        }
-    }
-
-    /// Disables (`true`) or re-enables (`false`) the same-timestamp fast
-    /// lane, moving any cohort in flight back onto the heap. The
-    /// reference discipline for differential tests; dispatch order is
-    /// identical either way.
-    pub fn set_strict_heap(&mut self, strict: bool) {
-        self.strict_heap = strict;
-        if strict {
-            self.queue.extend(self.due_now.drain(..));
-        }
-    }
-
-    /// Picks the globally earliest pending event by `(at, seq)` across
-    /// the fast lane and the heap. The fast lane only ever holds events
-    /// at the current clock, so it always drains before time advances.
-    fn pop_next(&mut self) -> Option<Scheduled> {
-        match (self.due_now.front(), self.queue.peek()) {
-            (Some(d), Some(h)) => {
-                if (d.at, d.seq) < (h.at, h.seq) {
-                    self.due_now.pop_front()
-                } else {
-                    self.queue.pop()
-                }
-            }
-            (Some(_), None) => self.due_now.pop_front(),
-            (None, _) => self.queue.pop(),
-        }
+        self.queue.push(Scheduled { at, seq, ev });
     }
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        match (self.due_now.front(), self.queue.peek()) {
-            (Some(d), Some(h)) => Some(d.at.min(h.at)),
-            (Some(d), None) => Some(d.at),
-            (None, h) => h.map(|s| s.at),
-        }
+        self.queue.peek().map(|s| s.at)
     }
 
     /// Runs until the queue drains or `limit` events have been dispatched.
@@ -559,7 +507,7 @@ impl Sim {
 
     /// Dispatches one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(s) = self.pop_next() else {
+        let Some(s) = self.queue.pop() else {
             return false;
         };
         debug_assert!(s.at >= self.clock, "time went backwards");
@@ -1192,109 +1140,6 @@ mod tests {
             Some(0),
             "queues drained"
         );
-    }
-
-    /// Re-broadcasts every frame out all ports except the ingress.
-    struct Fan;
-    impl NodeLogic for Fan {
-        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: u16, pkt: Packet) {
-            for p in 0..4u16 {
-                if p != port {
-                    ctx.send(p, pkt.clone());
-                }
-            }
-        }
-    }
-
-    /// The same-timestamp fast lane must be invisible: a fan-out
-    /// broadcast workload over zero-latency links (every frame cascades
-    /// through a same-timestamp cohort) yields identical stats, trace
-    /// and delivery times with batching on and with every event forced
-    /// through the heap one at a time — across seeds, with lossy links
-    /// exercising the shared RNG draw order.
-    #[test]
-    fn same_timestamp_batching_matches_strict_heap() {
-        fn run(seed: u64, strict: bool) -> (SimStats, Vec<String>, Vec<(Time, u64)>) {
-            let mut sim = Sim::new(seed);
-            sim.set_strict_heap(strict);
-            sim.enable_trace(100_000);
-            let root = sim.add_node("root", 4, Box::new(Fan));
-            let mut sinks = Vec::new();
-            for i in 0..4u16 {
-                let mid = sim.add_node(format!("m{i}"), 4, Box::new(Fan));
-                sim.connect((root, i), (mid, 0), LinkConfig::ideal().with_loss(0.05));
-                for j in 0..3u16 {
-                    let s = sim.add_node(format!("s{i}{j}"), 1, Box::new(Counter::default()));
-                    sim.connect((mid, j + 1), (s, 0), LinkConfig::ideal().with_loss(0.05));
-                    sinks.push(s);
-                }
-            }
-            for k in 0..20u64 {
-                sim.inject(root, 0, Bytes::from(vec![0u8; 64]), Time::from_us(k * 5));
-            }
-            sim.run(1_000_000);
-            let trace = sim
-                .trace
-                .as_ref()
-                .unwrap()
-                .records()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            let rx = sinks
-                .iter()
-                .flat_map(|s| sim.node_as::<Counter>(*s).unwrap().rx.clone())
-                .collect();
-            (sim.stats(), trace, rx)
-        }
-        for seed in [1u64, 7, 42] {
-            let batched = run(seed, false);
-            let reference = run(seed, true);
-            assert_eq!(batched.0, reference.0, "stats diverged at seed {seed}");
-            assert_eq!(batched.1, reference.1, "trace diverged at seed {seed}");
-            assert_eq!(batched.2, reference.2, "rx diverged at seed {seed}");
-        }
-    }
-
-    /// `peek_time` and `run_until` see events parked in the fast lane.
-    #[test]
-    fn peek_time_sees_due_now_cohort() {
-        struct Arm;
-        impl NodeLogic for Arm {
-            fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _: u16, _: Packet) {
-                // Zero-delay timer lands in the same-timestamp cohort.
-                ctx.set_timer(Time::ZERO, 9);
-            }
-            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: u64) {
-                assert_eq!(ctx.now(), Time::from_ms(5));
-            }
-        }
-        let mut sim = Sim::new(0);
-        let a = sim.add_node("a", 1, Box::new(Arm));
-        sim.inject(a, 0, Bytes::from(vec![0u8; 10]), Time::from_ms(5));
-        sim.step();
-        assert_eq!(sim.peek_time(), Some(Time::from_ms(5)));
-        assert_eq!(sim.run_until(Time::from_ms(5)), 1);
-        assert_eq!(sim.stats().timers, 1);
-    }
-
-    /// Flipping strict mode mid-run migrates the in-flight cohort onto
-    /// the heap without losing or reordering events.
-    #[test]
-    fn strict_heap_toggle_preserves_pending_cohort() {
-        struct Arm;
-        impl NodeLogic for Arm {
-            fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _: u16, _: Packet) {
-                ctx.set_timer(Time::ZERO, 1);
-                ctx.set_timer(Time::ZERO, 2);
-            }
-        }
-        let mut sim = Sim::new(0);
-        let a = sim.add_node("a", 1, Box::new(Arm));
-        sim.inject(a, 0, Bytes::from(vec![0u8; 10]), Time::ZERO);
-        sim.step(); // both timers now parked in the fast lane
-        sim.set_strict_heap(true);
-        assert_eq!(sim.run(10), 2);
-        assert_eq!(sim.stats().timers, 2);
     }
 
     #[test]

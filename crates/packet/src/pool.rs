@@ -61,6 +61,12 @@ impl<K: Eq + Hash> FramePool<K> {
         self.map.remove(key);
     }
 
+    /// Drops the cached frames whose key fails `keep` (e.g. a component
+    /// of the key is being reused for a different frame).
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.map.retain(|k, _| keep(k));
+    }
+
     /// Drops every cached frame.
     pub fn clear(&mut self) {
         self.map.clear();

@@ -202,9 +202,8 @@ mod tests {
             Time::from_us(500),
             5,
         );
-        // Re-arm only the new stream (index 1).
-        let me = h1;
-        sim.set_timer_for(me, Time::from_ms(1), 1);
+        // Arms only the new stream.
+        Host::start_streams(&mut sim, h1, Time::from_ms(1));
         sim.run(1_000_000);
         assert_eq!(sim.node_as::<Host>(h2).unwrap().stats.udp_rx, 10);
         let ctl = sim.node_as::<Controller>(c).unwrap();

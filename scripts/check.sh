@@ -6,6 +6,15 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== no source file over 1500 lines =="
+# A file that size is a decision to take in review, not an accident.
+LONG="$(find crates/*/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1500')"
+if [ -n "$LONG" ]; then
+    echo "source files over 1500 lines:" >&2
+    echo "$LONG" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -36,28 +45,17 @@ if pgrep -f "escaped --socket target/benchmark/run/" >/dev/null; then
     exit 1
 fi
 
-echo "== dataplane perf gate (E0 cached pps vs committed BENCH_dataplane.json) =="
-# The bench refreshes the root snapshot; if it was clean going in, put the
-# committed baseline back so the gate never dirties the tree.
-BASELINE_CLEAN=0
-if git ls-files --error-unmatch BENCH_dataplane.json >/dev/null 2>&1 \
-    && git diff --quiet -- BENCH_dataplane.json; then
-    BASELINE_CLEAN=1
-fi
-ESCAPE_BENCH_GATE=1 ESCAPE_BENCH_TABLE_ONLY=1 \
-    cargo bench -q -p escape-bench --bench e0_dataplane
-if [ "$BASELINE_CLEAN" = 1 ]; then
-    git checkout -- BENCH_dataplane.json
-fi
-
-echo "== scaling perf gate (E10 replica speedup vs BENCH_scale.json) =="
+echo "== scaling gate (E10: 2 replicas deliver >= 1.5x one, in virtual time) =="
+# The floor is an assertion inside the bench. The bench also refreshes
+# the root snapshot; if it was clean going in, put the committed one back
+# so the gate never dirties the tree. (Wall-clock dataplane speed is
+# gated by the end-to-end harness's dataplane_bare workload, not here.)
 SCALE_BASELINE_CLEAN=0
 if git ls-files --error-unmatch BENCH_scale.json >/dev/null 2>&1 \
     && git diff --quiet -- BENCH_scale.json; then
     SCALE_BASELINE_CLEAN=1
 fi
-ESCAPE_BENCH_GATE=1 ESCAPE_BENCH_TABLE_ONLY=1 \
-    cargo bench -q -p escape-bench --bench e10_scale
+ESCAPE_BENCH_TABLE_ONLY=1 cargo bench -q -p escape-bench --bench e10_scale
 if [ "$SCALE_BASELINE_CLEAN" = 1 ]; then
     git checkout -- BENCH_scale.json
 fi

@@ -30,18 +30,23 @@ struct Outcome {
     rx: u64,
     /// Metric snapshot at the end of the run.
     metrics: Snapshot,
+    /// Virtual timestamp (ns) of the first `heal-recovered` entry.
+    recovered_at_ns: Option<u64>,
 }
 
-/// Virtual timestamp (ns) of the first "recovered chain" event.
-fn recovered_at_ns(trace: &[String]) -> Option<u64> {
-    trace
-        .iter()
-        .find(|l| l.contains("recovered chain"))?
-        .strip_prefix('[')?
-        .split("ns]")
-        .next()?
-        .parse()
-        .ok()
+/// Sends the post-fault burst and collects the run's outcome.
+fn outcome(mut esc: Escape) -> Outcome {
+    let rx = burst(&mut esc);
+    Outcome {
+        trace: esc.event_trace(),
+        rx,
+        metrics: esc.metrics(),
+        recovered_at_ns: esc
+            .journal()
+            .entries()
+            .find(|e| e.kind == escape::JournalKind::HealRecovered)
+            .map(|e| e.at_ns),
+    }
 }
 
 fn fault_count(m: &Snapshot, kind: &str) -> Option<u64> {
@@ -112,12 +117,7 @@ fn link_flap(seed: u64) -> Outcome {
         );
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(80);
-    let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    outcome(esc)
 }
 
 /// The container hosting the chain's VNF dies; recovery re-maps the
@@ -135,12 +135,7 @@ fn vnf_crash(seed: u64) -> Outcome {
     let plan = FaultPlan::new("vnf-crash").at_ms(10, FaultKind::VnfCrash { node: "c0".into() });
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(40);
-    let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    outcome(esc)
 }
 
 /// The agent stalls across the deployment RPCs; the first attempt times
@@ -165,12 +160,7 @@ fn netconf_timeout(seed: u64) -> Outcome {
     esc.load_fault_plan(&plan).unwrap();
     esc.deploy(&fw_chain()).unwrap();
     esc.run_with_recovery(10);
-    let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    outcome(esc)
 }
 
 /// Heavy loss on the primary link — above the degradation threshold, so
@@ -202,12 +192,7 @@ fn loss_spike(seed: u64) -> Outcome {
         );
     esc.load_fault_plan(&plan).unwrap();
     esc.run_with_recovery(80);
-    let rx = burst(&mut esc);
-    Outcome {
-        trace: esc.event_trace().to_vec(),
-        rx,
-        metrics: esc.metrics(),
-    }
+    outcome(esc)
 }
 
 // ---------------- assertions -------------------------------------------
@@ -224,7 +209,7 @@ fn scenario_link_flap_reroutes_and_converges() {
     assert_eq!(o.metrics.counter("pox.steering.resteers", &[]), Some(1));
     // Convergence bound: re-route + re-steer within 10 virtual ms of the
     // fault landing at t=+10 ms (plus the 5 ms build settle).
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = o.recovered_at_ns.expect("recovery event logged");
     assert!(at <= 25_000_000, "converged at {at} ns");
     let lat = o.metrics.histogram("recovery.latency_ns", &[]).unwrap();
     assert_eq!(lat.count, 1);
@@ -245,7 +230,7 @@ fn scenario_vnf_crash_remaps_and_converges() {
     assert_eq!(o.metrics.counter("pox.steering.resteers", &[]), Some(1));
     // Re-map includes a fresh NETCONF deployment leg; allow 15 virtual ms
     // after the crash at t=+10 ms (plus the 5 ms build settle).
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = o.recovered_at_ns.expect("recovery event logged");
     assert!(at <= 30_000_000, "converged at {at} ns");
     assert_eq!(o.trace, vnf_crash(202).trace);
 }
@@ -272,7 +257,7 @@ fn scenario_loss_spike_reroutes_off_the_degraded_link() {
     assert_eq!(fault_count(&o.metrics, "loss_clear"), Some(1));
     assert_eq!(o.metrics.counter("escape.recoveries", &[]), Some(1));
     assert_eq!(o.metrics.counter("orch.reroutes", &[]), Some(1));
-    let at = recovered_at_ns(&o.trace).expect("recovery event logged");
+    let at = o.recovered_at_ns.expect("recovery event logged");
     assert!(at <= 25_000_000, "converged at {at} ns");
     assert_eq!(o.trace, loss_spike(404).trace);
 }
@@ -323,5 +308,8 @@ fn fault_plan_with_unknown_target_is_rejected_at_load_time() {
     assert_eq!(node, "c9");
     // Nothing was armed: time passes without any fault landing.
     esc.run_with_recovery(10);
-    assert!(esc.event_trace().iter().all(|l| !l.contains("fault ")));
+    assert!(esc
+        .journal()
+        .entries()
+        .all(|e| e.kind != escape::JournalKind::FaultInjected));
 }

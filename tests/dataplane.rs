@@ -196,7 +196,9 @@ fn resteer_under_load_is_cache_transparent() {
     let off = flap_run(31, false);
 
     assert!(
-        on.events.iter().any(|l| l.contains("recovered chain c1")),
+        on.events
+            .iter()
+            .any(|l| l.contains("heal-recovered: chain c1 ")),
         "the flap must force a mid-stream resteer: {:?}",
         on.events
     );

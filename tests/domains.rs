@@ -9,6 +9,7 @@
 //! *and* across worker-thread counts.
 
 use escape::env::Escape;
+use escape::JournalKind;
 use escape_domain::DomainSpec;
 use escape_orch::{GreedyFirstFit, MappingAlgorithm};
 use escape_pox::SteeringMode;
@@ -206,9 +207,15 @@ fn gateway_failure_triggers_global_restitch() {
     md.fail_gateway(0).unwrap();
     assert_eq!(md.plan("c1").unwrap().domain_path, vec!["d0", "d2", "d3"]);
     assert!(
+        md.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::ChainRestitched),
+        "re-stitch not journaled by the coordinator"
+    );
+    assert!(
         md.event_trace()
             .iter()
-            .any(|l| l.contains("re-stitched across")),
+            .any(|l| l.contains("[global] info chain-restitched: chain c1 ")),
         "re-stitch not visible in the merged event trace"
     );
 
@@ -336,9 +343,9 @@ fn coordinator_admission_rejects_at_hard_watermark() {
     };
     assert!(utilization >= hard_watermark);
     assert!(
-        md.event_trace()
-            .iter()
-            .any(|l| l.contains("admission: rejected")),
+        md.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::AdmissionRejected),
         "trace: {:#?}",
         md.event_trace()
     );

@@ -3,13 +3,42 @@
 
 use escape::container::VnfContainer;
 use escape::env::Escape;
-use escape::{DeployPhase, EscapeError};
+use escape::{DeployPhase, EscapeError, JournalKind, RollbackReport};
 use escape_netconf::VnfInstrumentation;
 use escape_netem::LinkState;
+use escape_openflow::Match;
 use escape_orch::{GreedyFirstFit, NearestNeighbor};
-use escape_pox::SteeringMode;
+use escape_pox::{Controller, SteeringMode, SteeringRule, TrafficSteering};
 use escape_sg::topo::builders;
 use escape_sg::ServiceGraph;
+
+/// A rollback as its ordered `(action, target, ok)` list.
+fn steps(r: &RollbackReport) -> Vec<(&'static str, &str, bool)> {
+    r.steps
+        .iter()
+        .map(|s| (s.action, s.target.as_str(), s.ok))
+        .collect()
+}
+
+/// Parks a rule for a datapath that never connects in the controller's
+/// live queue: every later flush leaves it pending, so the next wait
+/// for steering runs into its deadline.
+fn jam_steering(esc: &mut Escape) {
+    esc.sim
+        .node_as_mut::<Controller>(esc.infra.controller)
+        .unwrap()
+        .component_as_mut::<TrafficSteering>()
+        .unwrap()
+        .queue_rules(vec![SteeringRule {
+            dpid: 0xdead,
+            match_: Match::any(),
+            priority: 1,
+            actions: Vec::new(),
+            idle_timeout: 0,
+            hard_timeout: 0,
+            chain_id: 0,
+        }]);
+}
 
 fn sg() -> ServiceGraph {
     ServiceGraph::new()
@@ -124,17 +153,20 @@ fn dead_agent_times_out_cleanly() {
     // The reservation was the only completed step; undoing it cannot
     // fail, so the rollback reports complete.
     assert!(rollback.complete(), "rollback: {rollback}");
-    assert!(
-        rollback
-            .steps
-            .iter()
-            .any(|s| s.action == "release-reservation"),
+    assert_eq!(
+        steps(&rollback),
+        vec![("release-reservation", "c1", true)],
         "rollback released the plan-phase reservation: {rollback}"
     );
     // Each attempt waited out the RPC deadline plus its backoff slot.
     assert!(
         esc.now().since(before) >= 5 * 100_000_000,
         "virtual time spent waiting"
+    );
+    assert_eq!(
+        esc.now().as_ns(),
+        659_903_110,
+        "instant the failed deploy returned"
     );
     // The retry counter saw exactly the retries (not the first attempt).
     assert_eq!(esc.metrics().counter("netconf.rpc_retries", &[]), Some(4));
@@ -173,9 +205,9 @@ fn remap_with_no_surviving_capacity_degrades_gracefully() {
     assert_eq!(m.counter("escape.recovery_failures", &[]), Some(1));
     assert_eq!(m.counter("escape.recoveries", &[]), Some(0));
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("recovery of chain c1 failed")),
+        esc.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::HealFailed && e.detail.starts_with("chain c1:")),
         "trace: {:#?}",
         esc.event_trace()
     );
@@ -284,11 +316,20 @@ fn netconf_timeout_mid_deploy_rolls_back_to_identical_state() {
     // v0 on healthy c0 was started and connected; both undo steps hit a
     // live agent and succeed, as does releasing the reservation.
     assert!(rollback.complete(), "rollback: {rollback}");
-    assert!(rollback.steps.iter().any(|s| s.action == "stop-vnf"));
-    assert!(rollback
-        .steps
-        .iter()
-        .any(|s| s.action == "release-reservation"));
+    assert_eq!(
+        steps(&rollback),
+        vec![
+            ("stop-vnf", "c0/c0-vnf2", true),
+            ("disconnect-vnf", "c0/c0-vnf2:dev1", true),
+            ("disconnect-vnf", "c0/c0-vnf2:dev0", true),
+            ("release-reservation", "big", true),
+        ]
+    );
+    assert_eq!(
+        esc.now().as_ns(),
+        668_281_446,
+        "instant the failed deploy returned"
+    );
 
     // Zero residual state: resources, flow tables, running VNFs and
     // sessions are byte-identical to the pre-deploy view.
@@ -345,14 +386,20 @@ fn malformed_agent_reply_fails_deploy_with_typed_error() {
     assert_eq!(container, "c0");
     assert!(reason.contains("XML"), "{reason}");
     assert!(rollback.complete(), "rollback: {rollback}");
+    assert_eq!(steps(&rollback), vec![("release-reservation", "c1", true)]);
+    assert_eq!(
+        esc.now().as_ns(),
+        5_450_000,
+        "instant the failed deploy returned"
+    );
     assert_eq!(
         esc.metrics().counter("netconf.malformed_replies", &[]),
         Some(1)
     );
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("malformed reply from c0")),
+        esc.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::MalformedReply && e.detail.starts_with("c0:")),
         "trace: {:#?}",
         esc.event_trace()
     );
@@ -361,4 +408,146 @@ fn malformed_agent_reply_fails_deploy_with_typed_error() {
     // deploys cleanly right after.
     esc.deploy(&sg()).unwrap();
     assert!(esc.check_invariants().is_empty());
+}
+
+/// Two chains, one per direction, with a 3-CPU VNF each: on 4-CPU
+/// containers greedy puts `va` on c0 and `vb` on c1.
+fn two_chains() -> ServiceGraph {
+    ServiceGraph::new()
+        .sap("sap0")
+        .sap("sap1")
+        .vnf("va", "monitor", 3.0, 64)
+        .vnf("vb", "monitor", 3.0, 64)
+        .chain("a", &["sap0", "va", "sap1"], 10.0, None)
+        .chain("b", &["sap1", "vb", "sap0"], 10.0, None)
+}
+
+#[test]
+fn two_chain_prepare_failure_unwinds_newest_chain_first() {
+    // Chain a prepares completely (VNF up, rules staged); chain b's only
+    // VNF lands on a stalled agent. The rollback walks b then a, and
+    // releases the reservations last, b before a.
+    let topo = builders::linear(2, 4.0);
+    let mut esc =
+        Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Proactive, 35).unwrap();
+    let plan = escape_netem::FaultPlan::new("c1-stall").at_ms(
+        0,
+        escape_netem::FaultKind::VnfStall {
+            node: "c1".into(),
+            for_us: 3_000_000,
+        },
+    );
+    esc.load_fault_plan(&plan).unwrap();
+    esc.run_for_ms(1);
+
+    let err = esc.deploy(&two_chains()).expect_err("deploy must fail");
+    let EscapeError::DeployFailed {
+        phase, rollback, ..
+    } = err
+    else {
+        panic!("expected DeployFailed, got {err}");
+    };
+    assert_eq!(phase, DeployPhase::Prepare);
+    assert_eq!(
+        steps(&rollback),
+        vec![
+            ("discard-rules", "a", true),
+            ("stop-vnf", "c0/c0-vnf1", true),
+            ("disconnect-vnf", "c0/c0-vnf1:dev1", true),
+            ("disconnect-vnf", "c0/c0-vnf1:dev0", true),
+            ("release-reservation", "b", true),
+            ("release-reservation", "a", true),
+        ]
+    );
+    assert_eq!(
+        esc.now().as_ns(),
+        663_313_428,
+        "instant the failed deploy returned"
+    );
+    assert!(esc.check_invariants().is_empty());
+    assert_eq!(esc.orchestrator().cpu_utilization(), 0.0);
+}
+
+#[test]
+fn chains_never_attempted_release_their_reservation_too() {
+    // The plan phase reserves for every chain of the graph before any
+    // prepare step runs. When the *first* chain fails, the second was
+    // never attempted — its reservation must come back all the same.
+    let topo = builders::linear(2, 4.0);
+    let mut esc =
+        Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Proactive, 37).unwrap();
+    let plan = escape_netem::FaultPlan::new("c0-stall").at_ms(
+        0,
+        escape_netem::FaultKind::VnfStall {
+            node: "c0".into(),
+            for_us: 3_000_000,
+        },
+    );
+    esc.load_fault_plan(&plan).unwrap();
+    esc.run_for_ms(1);
+    let before = esc.state_fingerprint();
+
+    let err = esc.deploy(&two_chains()).expect_err("deploy must fail");
+    let EscapeError::DeployFailed {
+        phase, rollback, ..
+    } = err
+    else {
+        panic!("expected DeployFailed, got {err}");
+    };
+    assert_eq!(phase, DeployPhase::Prepare);
+    assert_eq!(
+        steps(&rollback),
+        vec![
+            ("release-reservation", "b", true),
+            ("release-reservation", "a", true),
+        ]
+    );
+    assert_eq!(esc.orchestrator().cpu_utilization(), 0.0);
+    assert_eq!(esc.state_fingerprint(), before, "residual state leaked");
+}
+
+#[test]
+fn commit_failure_removes_every_chains_rules_before_releasing() {
+    // Both chains prepare and commit their rules; the wait for the
+    // switches then times out on a jammed controller queue. Per chain,
+    // newest first: rules out, VNFs down; then one flush; then the
+    // reservations.
+    let topo = builders::linear(2, 4.0);
+    let mut esc =
+        Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Proactive, 36).unwrap();
+    jam_steering(&mut esc);
+
+    let err = esc.deploy(&two_chains()).expect_err("deploy must fail");
+    let EscapeError::DeployFailed {
+        phase,
+        cause,
+        rollback,
+    } = err
+    else {
+        panic!("expected DeployFailed, got {err}");
+    };
+    assert_eq!(phase, DeployPhase::Commit);
+    assert!(matches!(*cause, EscapeError::Steering(_)), "cause: {cause}");
+    assert_eq!(
+        steps(&rollback),
+        vec![
+            ("remove-rules", "b", true),
+            ("stop-vnf", "c1/c1-vnf1", true),
+            ("disconnect-vnf", "c1/c1-vnf1:dev1", true),
+            ("disconnect-vnf", "c1/c1-vnf1:dev0", true),
+            ("remove-rules", "a", true),
+            ("stop-vnf", "c0/c0-vnf1", true),
+            ("disconnect-vnf", "c0/c0-vnf1:dev1", true),
+            ("disconnect-vnf", "c0/c0-vnf1:dev0", true),
+            ("release-reservation", "b", true),
+            ("release-reservation", "a", true),
+        ]
+    );
+    assert_eq!(
+        esc.now().as_ns(),
+        112_650_000,
+        "instant the failed deploy returned"
+    );
+    assert!(esc.deployed_chains().is_empty());
+    assert_eq!(esc.orchestrator().cpu_utilization(), 0.0);
 }

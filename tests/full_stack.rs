@@ -298,6 +298,19 @@ fn custom_click_config_vnf_deploys_end_to_end() {
         "got {cause}"
     );
     assert!(rollback.complete(), "rollback: {rollback}");
+    // The agent refused initiateVNF, so no VNF exists to undo: the whole
+    // rollback is the reservation, released the instant the error came.
+    let steps: Vec<_> = rollback
+        .steps
+        .iter()
+        .map(|s| (s.action, s.target.as_str(), s.ok))
+        .collect();
+    assert_eq!(steps, vec![("release-reservation", "c2", true)]);
+    assert_eq!(
+        esc.now().as_ns(),
+        58_060_000,
+        "instant the failed deploy returned"
+    );
     // The first chain is untouched and still carries traffic.
     esc.start_udp("sap0", "sap1", 128, 300, 3).unwrap();
     esc.run_for_ms(50);

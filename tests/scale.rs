@@ -17,10 +17,11 @@
 
 use escape::env::Escape;
 use escape::flight::Outcome;
-use escape::EscapeError;
+use escape::{EscapeError, RollbackReport};
 use escape_netem::{FaultKind, FaultPlan};
+use escape_openflow::Match;
 use escape_orch::NearestNeighbor;
-use escape_pox::SteeringMode;
+use escape_pox::{Controller, SteeringMode, SteeringRule, TrafficSteering};
 use escape_scale::{AutoscalerConfig, MigrationPhase};
 use escape_sg::{topo::builders, ServiceGraph, Sla};
 use escape_telemetry::SamplerConfig;
@@ -51,6 +52,14 @@ fn build(seed: u64) -> Escape {
     .unwrap();
     esc.deploy(&demo_sg(None)).unwrap();
     esc
+}
+
+/// A rollback as its ordered `(action, target, ok)` list.
+fn steps(r: &RollbackReport) -> Vec<(&'static str, &str, bool)> {
+    r.steps
+        .iter()
+        .map(|s| (s.action, s.target.as_str(), s.ok))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -171,18 +180,28 @@ fn disruptive_fault_mid_migration_rolls_back_to_prescale_fingerprint() {
                 rollback.steps.iter().all(|s| s.ok),
                 "rollback steps failed: {rollback}"
             );
-            assert!(rollback.steps.iter().any(|s| s.action == "discard-rules"));
             assert_eq!(
-                rollback
-                    .steps
-                    .iter()
-                    .filter(|s| s.action == "release-replica")
-                    .count(),
-                2
+                steps(rollback),
+                vec![
+                    ("discard-rules", "demo", true),
+                    ("stop-vnf", "c0/c0-vnf3", true),
+                    ("disconnect-vnf", "c0/c0-vnf3:dev1", true),
+                    ("disconnect-vnf", "c0/c0-vnf3:dev0", true),
+                    ("stop-vnf", "c0/c0-vnf2", true),
+                    ("disconnect-vnf", "c0/c0-vnf2:dev1", true),
+                    ("disconnect-vnf", "c0/c0-vnf2:dev0", true),
+                    ("release-replica", "demo/fw", true),
+                    ("release-replica", "demo/fw", true),
+                ]
             );
         }
         e => panic!("want ScaleFailed, got {e}"),
     }
+    assert_eq!(
+        esc.now().as_ns(),
+        17_860_000,
+        "instant the failed scale returned"
+    );
     assert_eq!(
         before,
         esc.state_fingerprint(),
@@ -203,6 +222,99 @@ fn disruptive_fault_mid_migration_rolls_back_to_prescale_fingerprint() {
         esc.scale_chain("demo", "fw", 2).is_err(),
         "chain is broken by the cut; scaling it stays refused or fails downstream"
     );
+}
+
+#[test]
+fn scale_out_failing_after_promote_restores_rules_then_retires_the_new_replica() {
+    let mut esc = build(12);
+    // A rule for a datapath that never connects jams the controller's
+    // live queue: the promote flush leaves it pending, so the wait for
+    // the cutover runs into its deadline — and so does the wait after
+    // the rollback swaps the pre-scale rules back.
+    esc.sim
+        .node_as_mut::<Controller>(esc.infra.controller)
+        .unwrap()
+        .component_as_mut::<TrafficSteering>()
+        .unwrap()
+        .queue_rules(vec![SteeringRule {
+            dpid: 0xdead,
+            match_: Match::any(),
+            priority: 1,
+            actions: Vec::new(),
+            idle_timeout: 0,
+            hard_timeout: 0,
+            chain_id: 0,
+        }]);
+    let err = esc.scale_chain("demo", "fw", 2).unwrap_err();
+    let EscapeError::ScaleFailed {
+        phase, rollback, ..
+    } = &err
+    else {
+        panic!("want ScaleFailed, got {err}");
+    };
+    assert_eq!(*phase, MigrationPhase::Promote);
+    assert_eq!(
+        steps(rollback),
+        vec![
+            ("restore-rules", "demo", false),
+            ("stop-vnf", "c0/c0-vnf2", true),
+            ("disconnect-vnf", "c0/c0-vnf2:dev1", true),
+            ("disconnect-vnf", "c0/c0-vnf2:dev0", true),
+            ("release-replica", "demo/fw", true),
+        ]
+    );
+    assert_eq!(
+        esc.now().as_ns(),
+        210_160_000,
+        "instant the failed scale returned"
+    );
+    assert_eq!(esc.replica_count("demo", "fw"), 1);
+}
+
+#[test]
+fn retire_stall_keeps_the_cutover_and_undoes_nothing() {
+    let mut esc = build(14);
+    esc.scale_chain("demo", "fw", 2).unwrap();
+    let container = esc.replicas("demo", "fw")[0].2.clone();
+    // Stall the agent for longer than the whole RPC retry schedule: the
+    // survivor rules promote (no RPC involved), then stopVNF times out.
+    let plan = FaultPlan::new("stall").at_ms(
+        0,
+        FaultKind::VnfStall {
+            node: container,
+            for_us: 3_000_000,
+        },
+    );
+    esc.load_fault_plan(&plan).unwrap();
+    esc.run_for_ms(1);
+    let err = esc.scale_chain("demo", "fw", 1).unwrap_err();
+    let EscapeError::ScaleFailed {
+        phase,
+        cause,
+        rollback,
+        ..
+    } = &err
+    else {
+        panic!("want ScaleFailed, got {err}");
+    };
+    assert_eq!(*phase, MigrationPhase::Retire);
+    assert!(
+        matches!(**cause, EscapeError::RpcTimeout { .. }),
+        "cause: {cause}"
+    );
+    assert_eq!(steps(rollback), vec![]);
+    assert_eq!(
+        esc.now().as_ns(),
+        665_201_976,
+        "instant the failed scale returned"
+    );
+    // The replica stays registered; a retry finishes the job once the
+    // agent answers again.
+    assert_eq!(esc.replica_count("demo", "fw"), 2);
+    esc.run_for_ms(3_100);
+    esc.scale_chain("demo", "fw", 1).unwrap();
+    assert_eq!(esc.replica_count("demo", "fw"), 1);
+    assert!(esc.check_invariants().is_empty());
 }
 
 // ---------------------------------------------------------------------

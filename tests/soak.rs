@@ -16,7 +16,7 @@
 
 use escape::env::Escape;
 use escape::soak::{run_soak, SoakConfig};
-use escape::{AdmissionConfig, AdmissionVerdict, EscapeError};
+use escape::{AdmissionConfig, AdmissionVerdict, EscapeError, JournalKind};
 use escape_orch::GreedyFirstFit;
 use escape_pox::SteeringMode;
 use escape_sg::topo::builders;
@@ -176,13 +176,58 @@ fn queued_deploy_lands_once_capacity_frees_up() {
     assert_eq!(esc.pending_admissions(), 0);
     assert!(esc.deployed("b").is_some(), "queued chain deployed");
     assert!(esc.check_invariants().is_empty());
+    // The journal tells the story in order: parked, then committed.
+    let at = |kind: JournalKind, detail: &str| {
+        esc.journal()
+            .entries()
+            .position(|e| e.kind == kind && e.detail.starts_with(detail))
+    };
+    let queued = at(JournalKind::AdmissionQueued, "position 0");
+    let landed = at(JournalKind::DeployCommitted, "chain b ");
     assert!(
-        esc.event_trace()
-            .iter()
-            .any(|l| l.contains("admission: dequeued after")),
+        queued.is_some() && queued < landed,
         "trace: {:#?}",
         esc.event_trace()
     );
+}
+
+#[test]
+fn queued_deploy_that_no_longer_maps_is_journaled_as_dropped() {
+    // A 1.5-CPU VNF fits no 1-CPU container. While chain a holds 50%
+    // the request parks; once a is gone utilization is 0, the request is
+    // dequeued — and the orchestrator refuses it before any transaction
+    // starts. That exit from the queue must not be silent.
+    let topo = builders::star(2, 1.0);
+    let mut esc =
+        Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Proactive, 94).unwrap();
+    esc.set_admission(AdmissionConfig {
+        soft_watermark: 0.25,
+        hard_watermark: 0.9,
+        max_queue: 4,
+        max_retries: 8,
+    });
+    esc.deploy(&graph("a", 1.0)).unwrap();
+    let err = esc.deploy(&graph("big", 1.5)).err().unwrap();
+    assert!(
+        matches!(err, EscapeError::Admission(AdmissionVerdict::Queued { .. })),
+        "got {err}"
+    );
+    esc.teardown("a").unwrap();
+    esc.run_for_ms(200);
+    assert_eq!(esc.pending_admissions(), 0);
+    assert!(esc.deployed("big").is_none());
+    let dropped: Vec<&str> = esc
+        .journal()
+        .entries()
+        .filter(|e| e.kind == JournalKind::AdmissionDropped)
+        .map(|e| e.detail.as_str())
+        .collect();
+    assert_eq!(dropped.len(), 1, "journal: {:#?}", esc.event_trace());
+    assert!(
+        dropped[0].contains("mapping failed") && dropped[0].contains("big"),
+        "{dropped:?}"
+    );
+    assert!(esc.check_invariants().is_empty());
 }
 
 #[test]
