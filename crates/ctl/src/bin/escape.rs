@@ -53,9 +53,9 @@
 use escape::env::Escape;
 use escape::monitor::format_handler_table;
 use escape::session::{algorithm_by_name as algorithm, InputFormat};
-use escape::{Session, SessionConfig};
+use escape::{ChainInfo, Session, SessionConfig};
 use escape_ctl::launch::{parse_daemon_args, run_daemon, DAEMON_USAGE};
-use escape_ctl::proto::{CtlEvent, CtlRequest, CtlResponse, MetricsFormat, SgFormat, WatchTopic};
+use escape_ctl::proto::{CtlEvent, CtlRequest, CtlResponse, MetricsFormat, WatchTopic};
 use escape_ctl::CtlClient;
 use escape_domain::DomainSpec;
 use escape_json::Value;
@@ -516,15 +516,10 @@ fn run(o: Options) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let report = esc.deploy(&sg).map_err(|e| e.to_string())?;
     for dc in &report.chains {
-        let placements: Vec<String> = dc
-            .vnfs
-            .iter()
-            .map(|v| format!("{}→{}", v.vnf_name, v.container))
-            .collect();
         println!(
             "deployed {}: [{}] path {} µs, {} rules",
             dc.mapping.chain.name,
-            placements.join(", "),
+            ChainInfo::of(dc).placements(),
             dc.mapping.total_delay_us,
             dc.rules
         );
@@ -608,19 +603,18 @@ fn run_soak_cmd(o: Options) -> Result<(), String> {
     });
     println!("{}", report.summary());
     if o.json {
-        println!(
-            "{{\"steps\":{},\"deploys\":{},\"rollbacks\":{},\"teardowns\":{},\"teardown_retries\":{},\"faults\":{},\"queued\":{},\"rejected\":{},\"live_at_end\":{},\"violations\":{}}}",
-            report.steps,
-            report.deploys,
-            report.rollbacks,
-            report.teardowns,
-            report.teardown_retries,
-            report.faults,
-            report.admission_queued,
-            report.admission_rejected,
-            report.live_at_end,
-            report.violations.len(),
-        );
+        let doc = Value::obj()
+            .set("steps", report.steps)
+            .set("deploys", report.deploys)
+            .set("rollbacks", report.rollbacks)
+            .set("teardowns", report.teardowns)
+            .set("teardown_retries", report.teardown_retries)
+            .set("faults", report.faults)
+            .set("queued", report.admission_queued)
+            .set("rejected", report.admission_rejected)
+            .set("live_at_end", report.live_at_end)
+            .set("violations", report.violations.len());
+        println!("{doc}");
     }
     if !report.clean() {
         for v in &report.violations {
@@ -696,10 +690,10 @@ fn run_ctl(args: Vec<String>) -> Result<(), String> {
         "deploy" => {
             let file = arg(1, "service-graph file")?;
             let sg = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let format = if json_flag || InputFormat::from_path(&file) == InputFormat::Json {
-                SgFormat::Json
+            let format = if json_flag {
+                InputFormat::Json
             } else {
-                SgFormat::Dsl
+                InputFormat::from_path(&file)
             };
             CtlRequest::Deploy { sg, format }
         }
@@ -980,17 +974,12 @@ fn render_ctl_response(resp: CtlResponse) -> Result<(), String> {
                 s.pending_admissions
             );
             for c in &s.chains {
-                let placements: Vec<String> = c
-                    .vnfs
-                    .iter()
-                    .map(|(vnf, container)| format!("{vnf}→{container}"))
-                    .collect();
                 println!(
                     "  {}: cookie={} rules={} [{}]",
                     c.name,
                     c.cookie,
                     c.rules,
-                    placements.join(", ")
+                    c.placements()
                 );
             }
             println!(
@@ -1014,15 +1003,10 @@ fn render_ctl_response(resp: CtlResponse) -> Result<(), String> {
         }
         CtlResponse::Deployed(d) => {
             for c in &d.chains {
-                let placements: Vec<String> = c
-                    .vnfs
-                    .iter()
-                    .map(|(vnf, container)| format!("{vnf}→{container}"))
-                    .collect();
                 println!(
                     "deployed {}: [{}] {} rules",
                     c.name,
-                    placements.join(", "),
+                    c.placements(),
                     c.rules
                 );
             }

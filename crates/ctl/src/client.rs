@@ -30,8 +30,7 @@ impl CtlClient {
     /// retrying the same mutating request after a crash-reconnect returns
     /// the original response instead of acting twice.
     pub fn call_with_id(&mut self, req: &CtlRequest, request_id: &str) -> io::Result<CtlResponse> {
-        let payload = req.to_value().set("request_id", request_id).to_string();
-        self.send_raw(&payload)
+        self.send_raw(&req.encode_enveloped(request_id))
     }
 
     /// Sends an arbitrary payload — the escape hatch the protocol tests

@@ -5,96 +5,45 @@
 //! [`crate::frame`]) holding a single JSON object. Requests carry a
 //! `"verb"` discriminator, responses a `"kind"`, errors a `"code"` — so
 //! a client can always dispatch without guessing at field presence.
+//!
+//! Each message is declared once, as an [`escape_json::wire`] table:
+//! the declaration below *is* the wire format — labels, key names and
+//! key order — and encode and decode are both read off it.
 
-use escape_json::Value;
-
-/// Exposition format for the `metrics` verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    Prometheus,
-    Json,
-}
-
-impl MetricsFormat {
-    fn label(self) -> &'static str {
-        match self {
-            MetricsFormat::Prometheus => "prometheus",
-            MetricsFormat::Json => "json",
-        }
-    }
-
-    fn parse(s: &str) -> Result<MetricsFormat, CtlError> {
-        match s {
-            "prometheus" => Ok(MetricsFormat::Prometheus),
-            "json" => Ok(MetricsFormat::Json),
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown metrics format {other:?}"),
-            }),
-        }
-    }
-}
+use escape_json::wire::{Flat, Omit, Pairs, Wire, WireError};
+use escape_json::{wire_enum, wire_struct, wire_tagged, Value};
 
 /// Text format of a shipped service-graph document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SgFormat {
-    Dsl,
-    Json,
-}
+pub use escape::session::InputFormat as SgFormat;
+pub use escape::session::{ChainInfo, StatusInfo};
 
-impl SgFormat {
-    fn label(self) -> &'static str {
-        match self {
-            SgFormat::Dsl => "dsl",
-            SgFormat::Json => "json",
-        }
-    }
-
-    fn parse(s: &str) -> Result<SgFormat, CtlError> {
-        match s {
-            "dsl" => Ok(SgFormat::Dsl),
-            "json" => Ok(SgFormat::Json),
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown service-graph format {other:?}"),
-            }),
-        }
+wire_enum! {
+    /// Exposition format for the `metrics` verb.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum MetricsFormat {
+        Prometheus = "prometheus",
+        Json = "json",
     }
 }
 
-/// A stream a `watch` subscriber can select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WatchTopic {
-    /// Structured journal events (deploys, faults, heals, ...).
-    Events,
-    /// Per-sample metric deltas from the time-series sampler.
-    MetricsDeltas,
-    /// SLA verdict changes from the flight recorder.
-    Sla,
+wire_enum! {
+    /// A stream a `watch` subscriber can select.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum WatchTopic {
+        /// Structured journal events (deploys, faults, heals, ...).
+        Events = "events",
+        /// Per-sample metric deltas from the time-series sampler.
+        MetricsDeltas = "metrics-deltas",
+        /// SLA verdict changes from the flight recorder.
+        Sla = "sla",
+    }
 }
 
 impl WatchTopic {
-    pub const ALL: [WatchTopic; 3] = [
-        WatchTopic::Events,
-        WatchTopic::MetricsDeltas,
-        WatchTopic::Sla,
-    ];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            WatchTopic::Events => "events",
-            WatchTopic::MetricsDeltas => "metrics-deltas",
-            WatchTopic::Sla => "sla",
-        }
-    }
-
     pub fn parse(s: &str) -> Result<WatchTopic, CtlError> {
-        match s {
-            "events" => Ok(WatchTopic::Events),
-            "metrics-deltas" => Ok(WatchTopic::MetricsDeltas),
-            "sla" => Ok(WatchTopic::Sla),
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown watch topic {other:?}"),
-            }),
-        }
+        WatchTopic::from_label(s).ok_or_else(|| CtlError::Invalid {
+            reason: format!("unknown watch topic {s:?}"),
+        })
     }
 }
 
@@ -104,262 +53,233 @@ impl std::fmt::Display for WatchTopic {
     }
 }
 
-/// A command sent to the daemon. The file-based verbs (`deploy`,
-/// `fault`) ship the document *contents*, not a path — the daemon never
-/// reads the client's filesystem.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CtlRequest {
-    /// Live chains, virtual time, counters.
-    Status,
-    /// Deploy a service graph (transactional, admission-gated).
-    Deploy { sg: String, format: SgFormat },
-    /// Tear one chain down (all-or-nothing).
-    Teardown { chain: String },
-    /// Advance virtual time with self-healing.
-    RunFor { ms: u64 },
-    /// Arm a JSON fault plan.
-    Fault { plan: String },
-    /// Run one healing pass now.
-    Heal,
-    /// Telemetry exposition.
-    Metrics { format: MetricsFormat },
-    /// Per-chain SLA verdicts from the flight recorder.
-    Sla,
-    /// Delta-encoded sampler series (JSON document).
-    Series,
-    /// The retained event journal as JSON lines.
-    Journal,
-    /// Subscribe this connection to server-push [`CtlEvent`] frames.
-    /// After the [`CtlResponse::Watching`] ack, the daemon streams event
-    /// frames until the client hangs up (or falls too far behind).
-    /// `since` resumes an events subscription at a journal sequence
-    /// cursor: retained entries with seq >= `since` are replayed before
-    /// live streaming starts, so a watcher survives a daemon restart
-    /// without gaps (an unreachable cursor shows up as a `lagged`
-    /// frame, never as silence).
-    Watch {
-        topics: Vec<WatchTopic>,
-        since: Option<u64>,
-    },
-    /// Start a paced UDP stream between two SAPs.
-    Traffic {
-        from: String,
-        to: String,
-        frames: u64,
-        len: u64,
-        interval_us: u64,
-    },
-    /// Resize one chain VNF to a replica count (make-before-break
-    /// migration with hash-bucket steering).
-    Scale {
-        chain: String,
-        vnf: String,
-        replicas: u64,
-    },
-    /// Canonical full-state fingerprint of the live environment — the
-    /// cross-process equality witness crash-recovery tests compare.
-    Fingerprint,
-    /// Graceful daemon shutdown (teardown + telemetry flush).
-    Shutdown,
+wire_tagged! {
+    /// A command sent to the daemon. The file-based verbs (`deploy`,
+    /// `fault`) ship the document *contents*, not a path — the daemon
+    /// never reads the client's filesystem.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CtlRequest as "verb" {
+        /// Live chains, virtual time, counters.
+        "status" => Status,
+        /// Deploy a service graph (transactional, admission-gated).
+        "deploy" => Deploy { sg: String, format: SgFormat },
+        /// Tear one chain down (all-or-nothing).
+        "teardown" => Teardown { chain: String },
+        /// Advance virtual time with self-healing.
+        "run-for" => RunFor { ms: u64 },
+        /// Arm a JSON fault plan.
+        "fault" => Fault { plan: String },
+        /// Run one healing pass now.
+        "heal" => Heal,
+        /// Telemetry exposition.
+        "metrics" => Metrics { format: MetricsFormat },
+        /// Per-chain SLA verdicts from the flight recorder.
+        "sla" => Sla,
+        /// Delta-encoded sampler series (JSON document).
+        "series" => Series,
+        /// The retained event journal as JSON lines.
+        "journal" => Journal,
+        /// Subscribe this connection to server-push [`CtlEvent`] frames.
+        /// After the [`CtlResponse::Watching`] ack, the daemon streams
+        /// event frames until the client hangs up (or falls too far
+        /// behind). `since` resumes an events subscription at a journal
+        /// sequence cursor: retained entries with seq >= `since` are
+        /// replayed before live streaming starts, so a watcher survives
+        /// a daemon restart without gaps (an unreachable cursor shows up
+        /// as a `lagged` frame, never as silence).
+        "watch" => Watch {
+            topics: Vec<WatchTopic>,
+            since: Option<u64> => Omit,
+        },
+        /// Start a paced UDP stream between two SAPs.
+        "traffic" => Traffic {
+            from: String,
+            to: String,
+            frames: u64,
+            len: u64,
+            interval_us: u64,
+        },
+        /// Resize one chain VNF to a replica count (make-before-break
+        /// migration with hash-bucket steering).
+        "scale" => Scale {
+            chain: String,
+            vnf: String,
+            replicas: u64,
+        },
+        /// Canonical full-state fingerprint of the live environment —
+        /// the cross-process equality witness crash-recovery tests
+        /// compare.
+        "fingerprint" => Fingerprint,
+        /// Graceful daemon shutdown (teardown + telemetry flush).
+        "shutdown" => Shutdown,
+    }
 }
 
-/// One live chain as reported by `status` and `deploy`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainInfo {
-    pub name: String,
-    pub cookie: u64,
-    pub rules: u64,
-    /// `(vnf_name, container)` in placement order.
-    pub vnfs: Vec<(String, String)>,
+wire_struct! {
+    /// What a completed deploy reports (virtual-time phase latencies).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DeployInfo {
+        pub chains: Vec<ChainInfo>,
+        pub total_ns: u64,
+        pub netconf_ns: u64,
+        pub steering_ns: u64,
+    }
 }
 
-/// The `status` document. Everything here derives from virtual time and
-/// deterministic counters: same seed + same command script ⇒
-/// byte-identical encoding.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatusInfo {
-    pub now_ns: u64,
-    pub chains: Vec<ChainInfo>,
-    pub pending_admissions: u64,
-    pub utilization: f64,
-    pub deploys: u64,
-    pub deploy_failures: u64,
-    pub teardowns: u64,
-    pub recoveries: u64,
-    pub recovery_failures: u64,
-    pub rollbacks: u64,
-    pub admission_rejected: u64,
-    pub events: u64,
-    /// True when this daemon rebuilt its state from a durable state
-    /// directory after a restart (false on a fresh start).
-    pub restarted: bool,
-    /// Chains live after the recovery pass.
-    pub recovered_chains: u64,
-    /// Mid-flight transactions rolled back during recovery.
-    pub rolled_back_txns: u64,
+wire_struct! {
+    /// One chain's SLA verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlaInfo {
+        pub chain: String,
+        pub pass: bool,
+        pub delivered: u64,
+        pub dropped: u64,
+        pub loss: f64,
+        pub max_latency_ns: Option<u64>,
+        pub violations: Vec<String>,
+    }
 }
 
-/// What a completed deploy reports (virtual-time phase latencies).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeployInfo {
-    pub chains: Vec<ChainInfo>,
-    pub total_ns: u64,
-    pub netconf_ns: u64,
-    pub steering_ns: u64,
+wire_tagged! {
+    /// What the daemon answers. Every request gets exactly one response
+    /// frame; failures are [`CtlResponse::Error`] with a typed
+    /// [`CtlError`] — the connection stays open either way.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CtlResponse as "kind" {
+        "status" => Status(StatusInfo),
+        /// Carries [`DeployInfo`]'s keys beside the tag, not under one.
+        "deployed" => Deployed(DeployInfo => Flat),
+        /// Admission parked the deploy on the queue; it retries as
+        /// virtual time advances.
+        "queued" => Queued {
+            position: u64,
+            utilization: f64,
+        },
+        "torn-down" => ToreDown { chain: String },
+        "advanced" => Advanced { now_ns: u64 },
+        "fault-armed" => FaultArmed { events: u64 },
+        "healed" => Healed {
+            recoveries: u64,
+            failures: u64,
+        },
+        "metrics" => Metrics {
+            format: MetricsFormat,
+            body: String,
+        },
+        "sla" => Sla(Vec<SlaInfo> as "verdicts"),
+        /// Sampler series document (JSON text).
+        "series" => Series { body: String },
+        /// Journal export (JSON lines).
+        "journal" => Journal { body: String },
+        /// `watch` acknowledged; [`CtlEvent`] frames follow on this
+        /// connection.
+        "watching" => Watching { topics: Vec<WatchTopic> },
+        "traffic-started" => TrafficStarted,
+        /// A completed scale transaction: replica count moved `from` →
+        /// `to` behind one atomic rule cutover.
+        "scaled" => Scaled {
+            chain: String,
+            vnf: String,
+            from: u64,
+            to: u64,
+            /// Live rule count afterwards.
+            rules: u64,
+            /// Virtual time the cutover took.
+            cutover_ns: u64,
+        },
+        /// Canonical full-state fingerprint text of the live environment.
+        "fingerprint" => Fingerprint { digest: String },
+        "shutting-down" => ShuttingDown,
+        "error" => Error(CtlError),
+    }
 }
 
-/// One chain's SLA verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlaInfo {
-    pub chain: String,
-    pub pass: bool,
-    pub delivered: u64,
-    pub dropped: u64,
-    pub loss: f64,
-    pub max_latency_ns: Option<u64>,
-    pub violations: Vec<String>,
+wire_tagged! {
+    /// One server-push frame on a watching connection. Carries an
+    /// `"event"` discriminator so a subscriber can dispatch without
+    /// guessing — and so these frames can never be confused with
+    /// `"kind"`-tagged responses.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CtlEvent as "event" {
+        /// One structured journal entry.
+        "journal" => Journal {
+            at_ns: u64,
+            severity: String,
+            kind: String,
+            detail: String,
+        },
+        /// Metric movement over one sample period. Counters and
+        /// histograms report the per-period delta; gauges report the new
+        /// value.
+        "metrics-delta" => MetricsDelta {
+            at_ns: u64,
+            deltas: Vec<MetricDelta>,
+        },
+        /// Fresh SLA verdicts (sent when a chain's verdict flips).
+        "sla" => Sla { at_ns: u64, verdicts: Vec<SlaInfo> },
+        /// The subscriber fell behind and `missed` frames were dropped.
+        "lagged" => Lagged { missed: u64 },
+    }
 }
 
-/// What the daemon answers. Every request gets exactly one response
-/// frame; failures are [`CtlResponse::Error`] with a typed
-/// [`CtlError`] — the connection stays open either way.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CtlResponse {
-    Status(StatusInfo),
-    Deployed(DeployInfo),
-    /// Admission parked the deploy on the queue; it retries as virtual
-    /// time advances.
-    Queued {
-        position: u64,
-        utilization: f64,
-    },
-    ToreDown {
-        chain: String,
-    },
-    Advanced {
-        now_ns: u64,
-    },
-    FaultArmed {
-        events: u64,
-    },
-    Healed {
-        recoveries: u64,
-        failures: u64,
-    },
-    Metrics {
-        format: MetricsFormat,
-        body: String,
-    },
-    Sla(Vec<SlaInfo>),
-    /// Sampler series document (JSON text).
-    Series {
-        body: String,
-    },
-    /// Journal export (JSON lines).
-    Journal {
-        body: String,
-    },
-    /// `watch` acknowledged; [`CtlEvent`] frames follow on this
-    /// connection.
-    Watching {
-        topics: Vec<WatchTopic>,
-    },
-    TrafficStarted,
-    /// A completed scale transaction: replica count moved `from` → `to`
-    /// behind one atomic rule cutover that took `cutover_ns` of virtual
-    /// time; `rules` is the live rule count afterwards.
-    Scaled {
-        chain: String,
-        vnf: String,
-        from: u64,
-        to: u64,
-        rules: u64,
-        cutover_ns: u64,
-    },
-    /// Canonical full-state fingerprint text of the live environment.
-    Fingerprint {
-        digest: String,
-    },
-    ShuttingDown,
-    Error(CtlError),
+wire_struct! {
+    /// One metric's movement inside a [`CtlEvent::MetricsDelta`] frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricDelta {
+        pub name: String,
+        pub labels: Vec<(String, String)> => Pairs("k", "v"),
+        /// `"counter"`, `"gauge"` or `"histogram"`.
+        pub metric: String,
+        pub value: f64,
+    }
 }
 
-/// One server-push frame on a watching connection. Carries an `"event"`
-/// discriminator so a subscriber can dispatch without guessing — and so
-/// these frames can never be confused with `"kind"`-tagged responses.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CtlEvent {
-    /// One structured journal entry.
-    Journal {
-        at_ns: u64,
-        severity: String,
-        kind: String,
-        detail: String,
-    },
-    /// Metric movement over one sample period. Counters and histograms
-    /// report the per-period delta; gauges report the new value.
-    MetricsDelta {
-        at_ns: u64,
-        deltas: Vec<MetricDelta>,
-    },
-    /// Fresh SLA verdicts (sent when a chain's verdict flips).
-    Sla { at_ns: u64, verdicts: Vec<SlaInfo> },
-    /// The subscriber fell behind and `missed` frames were dropped.
-    Lagged { missed: u64 },
-}
-
-/// One metric's movement inside a [`CtlEvent::MetricsDelta`] frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    pub name: String,
-    pub labels: Vec<(String, String)>,
-    /// `"counter"`, `"gauge"` or `"histogram"`.
-    pub metric: String,
-    pub value: f64,
-}
-
-/// Structured control-plane failure. `Malformed` carries the byte
-/// offset into the offending frame payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CtlError {
-    /// The request frame was not a valid protocol message.
-    Malformed { offset: u64, reason: String },
-    /// Valid JSON, but not a verb this daemon speaks.
-    UnknownVerb { verb: String },
-    /// A named entity (chain, SAP, ...) does not exist.
-    NotFound { what: String },
-    /// Admission control refused outright: utilization at or above the
-    /// hard watermark.
-    RejectedHard {
-        utilization: f64,
-        hard_watermark: f64,
-    },
-    /// The admission queue is full.
-    QueueFull { capacity: u64 },
-    /// A deployment transaction failed and was rolled back.
-    DeployFailed { phase: String, cause: String },
-    /// A scale transaction failed in a make-before-break phase
-    /// (`prepare`, `promote`, `drain`, `retire`) and was rolled back —
-    /// or, in `retire`, parked retryable.
-    ScaleFailed {
-        chain: String,
-        vnf: String,
-        phase: String,
-        cause: String,
-    },
-    /// A durable state artifact (write-ahead log or snapshot) is
-    /// truncated or garbled beyond the tolerated torn final record.
-    CorruptState {
-        path: String,
-        offset: u64,
-        cause: String,
-    },
-    /// The request was well-formed but semantically wrong.
-    Invalid { reason: String },
-    /// The daemon is shutting down and no longer executes commands.
-    ShuttingDown,
-    /// Anything else (environment-level failure).
-    Internal { reason: String },
+wire_tagged! {
+    /// Structured control-plane failure. `Malformed` carries the byte
+    /// offset into the offending frame payload.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CtlError as "code" {
+        /// The request frame was not a valid protocol message.
+        "malformed" => Malformed { offset: u64, reason: String },
+        /// Valid JSON, but not a verb this daemon speaks. (`"verb"` is
+        /// the request's own discriminator, so the offender travels
+        /// under another key.)
+        "unknown-verb" => UnknownVerb { verb: String as "req_verb" },
+        /// A named entity (chain, SAP, ...) does not exist.
+        "not-found" => NotFound { what: String },
+        /// Admission control refused outright: utilization at or above
+        /// the hard watermark.
+        "rejected-hard" => RejectedHard {
+            utilization: f64,
+            hard_watermark: f64,
+        },
+        /// The admission queue is full.
+        "queue-full" => QueueFull { capacity: u64 },
+        /// A deployment transaction failed and was rolled back.
+        "deploy-failed" => DeployFailed { phase: String, cause: String },
+        /// A scale transaction failed in a make-before-break phase
+        /// (`prepare`, `promote`, `drain`, `retire`) and was rolled back
+        /// — or, in `retire`, parked retryable.
+        "scale-failed" => ScaleFailed {
+            chain: String,
+            vnf: String,
+            phase: String,
+            cause: String,
+        },
+        /// A durable state artifact (write-ahead log or snapshot) is
+        /// truncated or garbled beyond the tolerated torn final record.
+        "corrupt-state" => CorruptState {
+            path: String,
+            offset: u64,
+            cause: String,
+        },
+        /// The request was well-formed but semantically wrong.
+        "invalid" => Invalid { reason: String },
+        /// The daemon is shutting down and no longer executes commands.
+        "shutting-down" => ShuttingDown,
+        /// Anything else (environment-level failure).
+        "internal" => Internal { reason: String },
+    }
 }
 
 impl std::fmt::Display for CtlError {
@@ -401,718 +321,86 @@ impl std::fmt::Display for CtlError {
     }
 }
 
-// ---------------------------------------------------------------------
-// encoding
-// ---------------------------------------------------------------------
-
-fn str_field(v: &Value, key: &str) -> Result<String, CtlError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| CtlError::Invalid {
-            reason: format!("missing string field {key:?}"),
-        })
+/// A document of the wrong shape is `Invalid`; the reason names the path
+/// to the offending value.
+impl From<WireError> for CtlError {
+    fn from(e: WireError) -> CtlError {
+        CtlError::Invalid {
+            reason: e.to_string(),
+        }
+    }
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, CtlError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| CtlError::Invalid {
-            reason: format!("missing integer field {key:?}"),
-        })
+/// Unparsable JSON is `Malformed`, with the byte offset of the failure.
+fn parse(src: &str) -> Result<Value, CtlError> {
+    Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
+        offset: e.offset as u64,
+        reason: e.message,
+    })
 }
 
-fn f64_field(v: &Value, key: &str) -> Result<f64, CtlError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| CtlError::Invalid {
-            reason: format!("missing number field {key:?}"),
-        })
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, CtlError> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| CtlError::Invalid {
-            reason: format!("missing boolean field {key:?}"),
-        })
-}
-
-fn arr_field<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], CtlError> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| CtlError::Invalid {
-            reason: format!("missing array field {key:?}"),
-        })
+wire_struct! {
+    /// A request as it travels: the verb's own keys, then the optional
+    /// idempotency token clients stamp on mutating verbs so a
+    /// crash-reconnect retry is answered with the original outcome
+    /// instead of re-executing.
+    struct Envelope {
+        req: CtlRequest => Flat,
+        request_id: Option<String> => Omit,
+    }
 }
 
 impl CtlRequest {
-    pub fn to_value(&self) -> Value {
-        match self {
-            CtlRequest::Status => Value::obj().set("verb", "status"),
-            CtlRequest::Deploy { sg, format } => Value::obj()
-                .set("verb", "deploy")
-                .set("sg", sg.as_str())
-                .set("format", format.label()),
-            CtlRequest::Teardown { chain } => Value::obj()
-                .set("verb", "teardown")
-                .set("chain", chain.as_str()),
-            CtlRequest::RunFor { ms } => Value::obj().set("verb", "run-for").set("ms", *ms),
-            CtlRequest::Fault { plan } => {
-                Value::obj().set("verb", "fault").set("plan", plan.as_str())
-            }
-            CtlRequest::Heal => Value::obj().set("verb", "heal"),
-            CtlRequest::Metrics { format } => Value::obj()
-                .set("verb", "metrics")
-                .set("format", format.label()),
-            CtlRequest::Sla => Value::obj().set("verb", "sla"),
-            CtlRequest::Series => Value::obj().set("verb", "series"),
-            CtlRequest::Journal => Value::obj().set("verb", "journal"),
-            CtlRequest::Watch { topics, since } => {
-                let v = Value::obj().set("verb", "watch").set(
-                    "topics",
-                    Value::Arr(
-                        topics
-                            .iter()
-                            .map(|t| Value::Str(t.label().into()))
-                            .collect(),
-                    ),
-                );
-                match since {
-                    Some(seq) => v.set("since", *seq),
-                    None => v,
-                }
-            }
-            CtlRequest::Traffic {
-                from,
-                to,
-                frames,
-                len,
-                interval_us,
-            } => Value::obj()
-                .set("verb", "traffic")
-                .set("from", from.as_str())
-                .set("to", to.as_str())
-                .set("frames", *frames)
-                .set("len", *len)
-                .set("interval_us", *interval_us),
-            CtlRequest::Scale {
-                chain,
-                vnf,
-                replicas,
-            } => Value::obj()
-                .set("verb", "scale")
-                .set("chain", chain.as_str())
-                .set("vnf", vnf.as_str())
-                .set("replicas", *replicas),
-            CtlRequest::Fingerprint => Value::obj().set("verb", "fingerprint"),
-            CtlRequest::Shutdown => Value::obj().set("verb", "shutdown"),
-        }
-    }
-
-    pub fn from_value(v: &Value) -> Result<CtlRequest, CtlError> {
-        let verb = str_field(v, "verb")?;
-        match verb.as_str() {
-            "status" => Ok(CtlRequest::Status),
-            "deploy" => Ok(CtlRequest::Deploy {
-                sg: str_field(v, "sg")?,
-                format: SgFormat::parse(&str_field(v, "format")?)?,
-            }),
-            "teardown" => Ok(CtlRequest::Teardown {
-                chain: str_field(v, "chain")?,
-            }),
-            "run-for" => Ok(CtlRequest::RunFor {
-                ms: u64_field(v, "ms")?,
-            }),
-            "fault" => Ok(CtlRequest::Fault {
-                plan: str_field(v, "plan")?,
-            }),
-            "heal" => Ok(CtlRequest::Heal),
-            "metrics" => Ok(CtlRequest::Metrics {
-                format: MetricsFormat::parse(&str_field(v, "format")?)?,
-            }),
-            "sla" => Ok(CtlRequest::Sla),
-            "series" => Ok(CtlRequest::Series),
-            "journal" => Ok(CtlRequest::Journal),
-            "watch" => Ok(CtlRequest::Watch {
-                topics: arr_field(v, "topics")?
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .ok_or_else(|| CtlError::Invalid {
-                                reason: "watch topic is not a string".into(),
-                            })
-                            .and_then(WatchTopic::parse)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                since: v.get("since").and_then(Value::as_u64),
-            }),
-            "traffic" => Ok(CtlRequest::Traffic {
-                from: str_field(v, "from")?,
-                to: str_field(v, "to")?,
-                frames: u64_field(v, "frames")?,
-                len: u64_field(v, "len")?,
-                interval_us: u64_field(v, "interval_us")?,
-            }),
-            "scale" => Ok(CtlRequest::Scale {
-                chain: str_field(v, "chain")?,
-                vnf: str_field(v, "vnf")?,
-                replicas: u64_field(v, "replicas")?,
-            }),
-            "fingerprint" => Ok(CtlRequest::Fingerprint),
-            "shutdown" => Ok(CtlRequest::Shutdown),
-            _ => Err(CtlError::UnknownVerb { verb }),
-        }
-    }
-
     pub fn encode(&self) -> String {
         self.to_value().to_string()
     }
 
+    /// [`CtlRequest::encode`] with an idempotency token.
+    pub fn encode_enveloped(&self, request_id: &str) -> String {
+        let enveloped = Envelope {
+            req: self.clone(),
+            request_id: Some(request_id.to_string()),
+        };
+        enveloped.to_value().to_string()
+    }
+
     pub fn decode(src: &str) -> Result<CtlRequest, CtlError> {
-        let v = Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
-            offset: e.offset as u64,
-            reason: e.message,
-        })?;
-        CtlRequest::from_value(&v)
+        CtlRequest::decode_enveloped(src).map(|(req, _id)| req)
     }
 
-    /// Decodes a request together with its idempotency envelope: an
-    /// optional top-level `"request_id"` field clients stamp on
-    /// mutating verbs so a crash-reconnect retry is answered with the
-    /// original outcome instead of re-executing.
+    /// Decodes a request together with its idempotency envelope.
     pub fn decode_enveloped(src: &str) -> Result<(CtlRequest, Option<String>), CtlError> {
-        let v = Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
-            offset: e.offset as u64,
-            reason: e.message,
-        })?;
-        let request_id = v
-            .get("request_id")
-            .and_then(Value::as_str)
-            .map(str::to_string);
-        Ok((CtlRequest::from_value(&v)?, request_id))
-    }
-}
-
-impl ChainInfo {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("name", self.name.as_str())
-            .set("cookie", self.cookie)
-            .set("rules", self.rules)
-            .set(
-                "vnfs",
-                Value::Arr(
-                    self.vnfs
-                        .iter()
-                        .map(|(name, container)| {
-                            Value::obj()
-                                .set("name", name.as_str())
-                                .set("container", container.as_str())
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    fn from_value(v: &Value) -> Result<ChainInfo, CtlError> {
-        let vnfs = arr_field(v, "vnfs")?
-            .iter()
-            .map(|e| Ok((str_field(e, "name")?, str_field(e, "container")?)))
-            .collect::<Result<Vec<_>, CtlError>>()?;
-        Ok(ChainInfo {
-            name: str_field(v, "name")?,
-            cookie: u64_field(v, "cookie")?,
-            rules: u64_field(v, "rules")?,
-            vnfs,
-        })
-    }
-}
-
-impl SlaInfo {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("chain", self.chain.as_str())
-            .set("pass", self.pass)
-            .set("delivered", self.delivered)
-            .set("dropped", self.dropped)
-            .set("loss", self.loss)
-            .set("max_latency_ns", self.max_latency_ns)
-            .set(
-                "violations",
-                Value::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| Value::Str(v.clone()))
-                        .collect(),
-                ),
-            )
-    }
-
-    fn from_value(s: &Value) -> Result<SlaInfo, CtlError> {
-        Ok(SlaInfo {
-            chain: str_field(s, "chain")?,
-            pass: bool_field(s, "pass")?,
-            delivered: u64_field(s, "delivered")?,
-            dropped: u64_field(s, "dropped")?,
-            loss: f64_field(s, "loss")?,
-            max_latency_ns: s.get("max_latency_ns").and_then(Value::as_u64),
-            violations: arr_field(s, "violations")?
-                .iter()
-                .map(|x| {
-                    x.as_str().map(str::to_string).ok_or(CtlError::Invalid {
-                        reason: "violation is not a string".into(),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
-}
-
-impl StatusInfo {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("now_ns", self.now_ns)
-            .set(
-                "chains",
-                Value::Arr(self.chains.iter().map(ChainInfo::to_value).collect()),
-            )
-            .set("pending_admissions", self.pending_admissions)
-            .set("utilization", self.utilization)
-            .set("deploys", self.deploys)
-            .set("deploy_failures", self.deploy_failures)
-            .set("teardowns", self.teardowns)
-            .set("recoveries", self.recoveries)
-            .set("recovery_failures", self.recovery_failures)
-            .set("rollbacks", self.rollbacks)
-            .set("admission_rejected", self.admission_rejected)
-            .set("events", self.events)
-            .set("restarted", self.restarted)
-            .set("recovered_chains", self.recovered_chains)
-            .set("rolled_back_txns", self.rolled_back_txns)
-    }
-
-    fn from_value(v: &Value) -> Result<StatusInfo, CtlError> {
-        Ok(StatusInfo {
-            now_ns: u64_field(v, "now_ns")?,
-            chains: arr_field(v, "chains")?
-                .iter()
-                .map(ChainInfo::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            pending_admissions: u64_field(v, "pending_admissions")?,
-            utilization: f64_field(v, "utilization")?,
-            deploys: u64_field(v, "deploys")?,
-            deploy_failures: u64_field(v, "deploy_failures")?,
-            teardowns: u64_field(v, "teardowns")?,
-            recoveries: u64_field(v, "recoveries")?,
-            recovery_failures: u64_field(v, "recovery_failures")?,
-            rollbacks: u64_field(v, "rollbacks")?,
-            admission_rejected: u64_field(v, "admission_rejected")?,
-            events: u64_field(v, "events")?,
-            restarted: bool_field(v, "restarted")?,
-            recovered_chains: u64_field(v, "recovered_chains")?,
-            rolled_back_txns: u64_field(v, "rolled_back_txns")?,
-        })
-    }
-}
-
-impl CtlError {
-    pub fn to_value(&self) -> Value {
-        match self {
-            CtlError::Malformed { offset, reason } => Value::obj()
-                .set("code", "malformed")
-                .set("offset", *offset)
-                .set("reason", reason.as_str()),
-            CtlError::UnknownVerb { verb } => Value::obj()
-                .set("code", "unknown-verb")
-                .set("req_verb", verb.as_str()),
-            CtlError::NotFound { what } => Value::obj()
-                .set("code", "not-found")
-                .set("what", what.as_str()),
-            CtlError::RejectedHard {
-                utilization,
-                hard_watermark,
-            } => Value::obj()
-                .set("code", "rejected-hard")
-                .set("utilization", *utilization)
-                .set("hard_watermark", *hard_watermark),
-            CtlError::QueueFull { capacity } => Value::obj()
-                .set("code", "queue-full")
-                .set("capacity", *capacity),
-            CtlError::DeployFailed { phase, cause } => Value::obj()
-                .set("code", "deploy-failed")
-                .set("phase", phase.as_str())
-                .set("cause", cause.as_str()),
-            CtlError::ScaleFailed {
-                chain,
-                vnf,
-                phase,
-                cause,
-            } => Value::obj()
-                .set("code", "scale-failed")
-                .set("chain", chain.as_str())
-                .set("vnf", vnf.as_str())
-                .set("phase", phase.as_str())
-                .set("cause", cause.as_str()),
-            CtlError::CorruptState {
-                path,
-                offset,
-                cause,
-            } => Value::obj()
-                .set("code", "corrupt-state")
-                .set("path", path.as_str())
-                .set("offset", *offset)
-                .set("cause", cause.as_str()),
-            CtlError::Invalid { reason } => Value::obj()
-                .set("code", "invalid")
-                .set("reason", reason.as_str()),
-            CtlError::ShuttingDown => Value::obj().set("code", "shutting-down"),
-            CtlError::Internal { reason } => Value::obj()
-                .set("code", "internal")
-                .set("reason", reason.as_str()),
-        }
-    }
-
-    pub fn from_value(v: &Value) -> Result<CtlError, CtlError> {
-        let code = str_field(v, "code")?;
-        match code.as_str() {
-            "malformed" => Ok(CtlError::Malformed {
-                offset: u64_field(v, "offset")?,
-                reason: str_field(v, "reason")?,
+        let v = parse(src)?;
+        // An unrecognised verb is its own error kind, not a shape error.
+        match v.get(CtlRequest::LABEL_KEY).and_then(Value::as_str) {
+            Some(verb) if !CtlRequest::LABELS.contains(&verb) => Err(CtlError::UnknownVerb {
+                verb: verb.to_string(),
             }),
-            "unknown-verb" => Ok(CtlError::UnknownVerb {
-                verb: str_field(v, "req_verb")?,
-            }),
-            "not-found" => Ok(CtlError::NotFound {
-                what: str_field(v, "what")?,
-            }),
-            "rejected-hard" => Ok(CtlError::RejectedHard {
-                utilization: f64_field(v, "utilization")?,
-                hard_watermark: f64_field(v, "hard_watermark")?,
-            }),
-            "queue-full" => Ok(CtlError::QueueFull {
-                capacity: u64_field(v, "capacity")?,
-            }),
-            "deploy-failed" => Ok(CtlError::DeployFailed {
-                phase: str_field(v, "phase")?,
-                cause: str_field(v, "cause")?,
-            }),
-            "scale-failed" => Ok(CtlError::ScaleFailed {
-                chain: str_field(v, "chain")?,
-                vnf: str_field(v, "vnf")?,
-                phase: str_field(v, "phase")?,
-                cause: str_field(v, "cause")?,
-            }),
-            "corrupt-state" => Ok(CtlError::CorruptState {
-                path: str_field(v, "path")?,
-                offset: u64_field(v, "offset")?,
-                cause: str_field(v, "cause")?,
-            }),
-            "invalid" => Ok(CtlError::Invalid {
-                reason: str_field(v, "reason")?,
-            }),
-            "shutting-down" => Ok(CtlError::ShuttingDown),
-            "internal" => Ok(CtlError::Internal {
-                reason: str_field(v, "reason")?,
-            }),
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown error code {other:?}"),
-            }),
+            _ => {
+                let e = Envelope::from_value(&v)?;
+                Ok((e.req, e.request_id))
+            }
         }
     }
 }
 
 impl CtlResponse {
-    pub fn to_value(&self) -> Value {
-        match self {
-            CtlResponse::Status(s) => Value::obj()
-                .set("kind", "status")
-                .set("status", s.to_value()),
-            CtlResponse::Deployed(d) => Value::obj()
-                .set("kind", "deployed")
-                .set(
-                    "chains",
-                    Value::Arr(d.chains.iter().map(ChainInfo::to_value).collect()),
-                )
-                .set("total_ns", d.total_ns)
-                .set("netconf_ns", d.netconf_ns)
-                .set("steering_ns", d.steering_ns),
-            CtlResponse::Queued {
-                position,
-                utilization,
-            } => Value::obj()
-                .set("kind", "queued")
-                .set("position", *position)
-                .set("utilization", *utilization),
-            CtlResponse::ToreDown { chain } => Value::obj()
-                .set("kind", "torn-down")
-                .set("chain", chain.as_str()),
-            CtlResponse::Advanced { now_ns } => {
-                Value::obj().set("kind", "advanced").set("now_ns", *now_ns)
-            }
-            CtlResponse::FaultArmed { events } => Value::obj()
-                .set("kind", "fault-armed")
-                .set("events", *events),
-            CtlResponse::Healed {
-                recoveries,
-                failures,
-            } => Value::obj()
-                .set("kind", "healed")
-                .set("recoveries", *recoveries)
-                .set("failures", *failures),
-            CtlResponse::Metrics { format, body } => Value::obj()
-                .set("kind", "metrics")
-                .set("format", format.label())
-                .set("body", body.as_str()),
-            CtlResponse::Sla(verdicts) => Value::obj().set("kind", "sla").set(
-                "verdicts",
-                Value::Arr(verdicts.iter().map(SlaInfo::to_value).collect()),
-            ),
-            CtlResponse::Series { body } => Value::obj()
-                .set("kind", "series")
-                .set("body", body.as_str()),
-            CtlResponse::Journal { body } => Value::obj()
-                .set("kind", "journal")
-                .set("body", body.as_str()),
-            CtlResponse::Watching { topics } => Value::obj().set("kind", "watching").set(
-                "topics",
-                Value::Arr(
-                    topics
-                        .iter()
-                        .map(|t| Value::Str(t.label().into()))
-                        .collect(),
-                ),
-            ),
-            CtlResponse::TrafficStarted => Value::obj().set("kind", "traffic-started"),
-            CtlResponse::Scaled {
-                chain,
-                vnf,
-                from,
-                to,
-                rules,
-                cutover_ns,
-            } => Value::obj()
-                .set("kind", "scaled")
-                .set("chain", chain.as_str())
-                .set("vnf", vnf.as_str())
-                .set("from", *from)
-                .set("to", *to)
-                .set("rules", *rules)
-                .set("cutover_ns", *cutover_ns),
-            CtlResponse::Fingerprint { digest } => Value::obj()
-                .set("kind", "fingerprint")
-                .set("digest", digest.as_str()),
-            CtlResponse::ShuttingDown => Value::obj().set("kind", "shutting-down"),
-            CtlResponse::Error(e) => Value::obj().set("kind", "error").set("error", e.to_value()),
-        }
-    }
-
-    pub fn from_value(v: &Value) -> Result<CtlResponse, CtlError> {
-        let kind = str_field(v, "kind")?;
-        match kind.as_str() {
-            "status" => {
-                let s = v.get("status").ok_or_else(|| CtlError::Invalid {
-                    reason: "missing field \"status\"".into(),
-                })?;
-                Ok(CtlResponse::Status(StatusInfo::from_value(s)?))
-            }
-            "deployed" => Ok(CtlResponse::Deployed(DeployInfo {
-                chains: arr_field(v, "chains")?
-                    .iter()
-                    .map(ChainInfo::from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-                total_ns: u64_field(v, "total_ns")?,
-                netconf_ns: u64_field(v, "netconf_ns")?,
-                steering_ns: u64_field(v, "steering_ns")?,
-            })),
-            "queued" => Ok(CtlResponse::Queued {
-                position: u64_field(v, "position")?,
-                utilization: f64_field(v, "utilization")?,
-            }),
-            "torn-down" => Ok(CtlResponse::ToreDown {
-                chain: str_field(v, "chain")?,
-            }),
-            "advanced" => Ok(CtlResponse::Advanced {
-                now_ns: u64_field(v, "now_ns")?,
-            }),
-            "fault-armed" => Ok(CtlResponse::FaultArmed {
-                events: u64_field(v, "events")?,
-            }),
-            "healed" => Ok(CtlResponse::Healed {
-                recoveries: u64_field(v, "recoveries")?,
-                failures: u64_field(v, "failures")?,
-            }),
-            "metrics" => Ok(CtlResponse::Metrics {
-                format: MetricsFormat::parse(&str_field(v, "format")?)?,
-                body: str_field(v, "body")?,
-            }),
-            "sla" => Ok(CtlResponse::Sla(
-                arr_field(v, "verdicts")?
-                    .iter()
-                    .map(SlaInfo::from_value)
-                    .collect::<Result<Vec<_>, CtlError>>()?,
-            )),
-            "series" => Ok(CtlResponse::Series {
-                body: str_field(v, "body")?,
-            }),
-            "journal" => Ok(CtlResponse::Journal {
-                body: str_field(v, "body")?,
-            }),
-            "watching" => Ok(CtlResponse::Watching {
-                topics: arr_field(v, "topics")?
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .ok_or_else(|| CtlError::Invalid {
-                                reason: "watch topic is not a string".into(),
-                            })
-                            .and_then(WatchTopic::parse)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "traffic-started" => Ok(CtlResponse::TrafficStarted),
-            "scaled" => Ok(CtlResponse::Scaled {
-                chain: str_field(v, "chain")?,
-                vnf: str_field(v, "vnf")?,
-                from: u64_field(v, "from")?,
-                to: u64_field(v, "to")?,
-                rules: u64_field(v, "rules")?,
-                cutover_ns: u64_field(v, "cutover_ns")?,
-            }),
-            "fingerprint" => Ok(CtlResponse::Fingerprint {
-                digest: str_field(v, "digest")?,
-            }),
-            "shutting-down" => Ok(CtlResponse::ShuttingDown),
-            "error" => {
-                let e = v.get("error").ok_or_else(|| CtlError::Invalid {
-                    reason: "missing field \"error\"".into(),
-                })?;
-                Ok(CtlResponse::Error(CtlError::from_value(e)?))
-            }
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown response kind {other:?}"),
-            }),
-        }
-    }
-
     pub fn encode(&self) -> String {
         self.to_value().to_string()
     }
 
     pub fn decode(src: &str) -> Result<CtlResponse, CtlError> {
-        let v = Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
-            offset: e.offset as u64,
-            reason: e.message,
-        })?;
-        CtlResponse::from_value(&v)
-    }
-}
-
-impl MetricDelta {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("name", self.name.as_str())
-            .set(
-                "labels",
-                Value::Arr(
-                    self.labels
-                        .iter()
-                        .map(|(k, v)| Value::obj().set("k", k.as_str()).set("v", v.as_str()))
-                        .collect(),
-                ),
-            )
-            .set("metric", self.metric.as_str())
-            .set("value", self.value)
-    }
-
-    fn from_value(v: &Value) -> Result<MetricDelta, CtlError> {
-        Ok(MetricDelta {
-            name: str_field(v, "name")?,
-            labels: arr_field(v, "labels")?
-                .iter()
-                .map(|l| Ok((str_field(l, "k")?, str_field(l, "v")?)))
-                .collect::<Result<Vec<_>, CtlError>>()?,
-            metric: str_field(v, "metric")?,
-            value: f64_field(v, "value")?,
-        })
+        Ok(CtlResponse::from_value(&parse(src)?)?)
     }
 }
 
 impl CtlEvent {
-    pub fn to_value(&self) -> Value {
-        match self {
-            CtlEvent::Journal {
-                at_ns,
-                severity,
-                kind,
-                detail,
-            } => Value::obj()
-                .set("event", "journal")
-                .set("at_ns", *at_ns)
-                .set("severity", severity.as_str())
-                .set("kind", kind.as_str())
-                .set("detail", detail.as_str()),
-            CtlEvent::MetricsDelta { at_ns, deltas } => Value::obj()
-                .set("event", "metrics-delta")
-                .set("at_ns", *at_ns)
-                .set(
-                    "deltas",
-                    Value::Arr(deltas.iter().map(MetricDelta::to_value).collect()),
-                ),
-            CtlEvent::Sla { at_ns, verdicts } => {
-                Value::obj().set("event", "sla").set("at_ns", *at_ns).set(
-                    "verdicts",
-                    Value::Arr(verdicts.iter().map(SlaInfo::to_value).collect()),
-                )
-            }
-            CtlEvent::Lagged { missed } => {
-                Value::obj().set("event", "lagged").set("missed", *missed)
-            }
-        }
-    }
-
-    pub fn from_value(v: &Value) -> Result<CtlEvent, CtlError> {
-        let event = str_field(v, "event")?;
-        match event.as_str() {
-            "journal" => Ok(CtlEvent::Journal {
-                at_ns: u64_field(v, "at_ns")?,
-                severity: str_field(v, "severity")?,
-                kind: str_field(v, "kind")?,
-                detail: str_field(v, "detail")?,
-            }),
-            "metrics-delta" => Ok(CtlEvent::MetricsDelta {
-                at_ns: u64_field(v, "at_ns")?,
-                deltas: arr_field(v, "deltas")?
-                    .iter()
-                    .map(MetricDelta::from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "sla" => Ok(CtlEvent::Sla {
-                at_ns: u64_field(v, "at_ns")?,
-                verdicts: arr_field(v, "verdicts")?
-                    .iter()
-                    .map(SlaInfo::from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "lagged" => Ok(CtlEvent::Lagged {
-                missed: u64_field(v, "missed")?,
-            }),
-            other => Err(CtlError::Invalid {
-                reason: format!("unknown event {other:?}"),
-            }),
-        }
-    }
-
     pub fn encode(&self) -> String {
         self.to_value().to_string()
     }
 
     pub fn decode(src: &str) -> Result<CtlEvent, CtlError> {
-        let v = Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
-            offset: e.offset as u64,
-            reason: e.message,
-        })?;
-        CtlEvent::from_value(&v)
+        Ok(CtlEvent::from_value(&parse(src)?)?)
     }
 }
 

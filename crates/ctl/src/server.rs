@@ -18,7 +18,7 @@
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{
     ChainInfo, CtlError, CtlEvent, CtlRequest, CtlResponse, DeployInfo, MetricDelta, MetricsFormat,
-    SlaInfo, StatusInfo, WatchTopic,
+    SlaInfo, WatchTopic,
 };
 use crate::wal::{
     AutoscalerRecord, ChainRecord, Recovered, Snapshot as WalSnapshot, Wal, SNAPSHOT_FILE,
@@ -27,8 +27,7 @@ use crate::wal::{
 use escape::env::DeploymentReport;
 use escape::error::{AdmissionVerdict, EscapeError};
 use escape::flight::SlaVerdict;
-use escape::session::{InputFormat, SessionStatus};
-use escape::{AutoscalerConfig, JournalKind, Session, Severity};
+use escape::{AutoscalerConfig, JournalEvent, JournalKind, Session, Severity};
 use escape_orch::{ChainMapping, PathSegment};
 use escape_sg::ServiceGraph;
 use escape_telemetry::{ReportEntry, Snapshot};
@@ -252,12 +251,7 @@ impl Publisher {
         let events: Vec<CtlEvent> = esc
             .journal()
             .events_since(self.journal_seq)
-            .map(|e| CtlEvent::Journal {
-                at_ns: e.at_ns,
-                severity: e.severity.label().into(),
-                kind: e.kind.label().into(),
-                detail: e.detail.clone(),
-            })
+            .map(journal_frame)
             .collect();
         self.journal_seq = esc.journal().seq_end();
 
@@ -321,6 +315,15 @@ impl Publisher {
     }
 }
 
+fn journal_frame(e: &JournalEvent) -> CtlEvent {
+    CtlEvent::Journal {
+        at_ns: e.at_ns,
+        severity: e.severity.label().into(),
+        kind: e.kind.label().into(),
+        detail: e.detail.clone(),
+    }
+}
+
 fn metric_delta(e: &ReportEntry) -> MetricDelta {
     match e {
         ReportEntry::CounterDelta {
@@ -368,16 +371,17 @@ impl Daemon {
     /// live chain is torn down transactionally, telemetry is flushed to
     /// `cfg.artifacts` if set, and the socket + state files are removed.
     pub fn run(mut session: Session, cfg: DaemonConfig) -> io::Result<()> {
-        let mut dedup = DedupWindow::new(DEDUP_WINDOW);
-        let mut wal = match &cfg.state_dir {
-            Some(dir) => {
-                let (wal, recovered) =
-                    Wal::open(dir, session.config().seed).map_err(startup_error)?;
-                recover(&mut session, &recovered, &mut dedup).map_err(startup_error)?;
-                Some(wal)
-            }
-            None => None,
+        let mut durable = Durability {
+            wal: None,
+            dedup: DedupWindow::new(DEDUP_WINDOW),
+            commits_since_compact: 0,
+            compact_every: cfg.wal_compact_every,
         };
+        if let Some(dir) = &cfg.state_dir {
+            let (wal, recovered) = Wal::open(dir, session.config().seed).map_err(startup_error)?;
+            recover(&mut session, &recovered, &mut durable.dedup).map_err(startup_error)?;
+            durable.wal = Some(wal);
+        }
         let listener = bind(&cfg.socket)?;
         listener.set_nonblocking(true)?;
         if cfg.handle_signals {
@@ -391,72 +395,51 @@ impl Daemon {
         };
 
         let mut publisher = Publisher::new(&session);
-        let mut commits_since_compact: u64 = 0;
         loop {
             if cfg.handle_signals && sig::requested() {
                 break;
             }
-            match rx.recv_timeout(Duration::from_millis(25)) {
+            // The next command to execute and who (if anyone) waits for
+            // its answer.
+            let (req, request_id, reply) = match rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(Command::Request(CtlRequest::Shutdown, _id, reply)) => {
                     let _ = reply.send(CtlResponse::ShuttingDown);
                     break;
                 }
-                Ok(Command::Request(req, request_id, reply)) => {
-                    let resp = dispatch(
-                        &mut session,
-                        &req,
-                        request_id.as_deref(),
-                        wal.as_mut(),
-                        &mut dedup,
-                        &mut commits_since_compact,
-                    );
-                    let _ = reply.send(resp);
-                    publisher.publish(&session);
-                    maybe_compact(
-                        &session,
-                        wal.as_mut(),
-                        &dedup,
-                        &mut commits_since_compact,
-                        cfg.wal_compact_every,
-                    );
-                }
+                Ok(Command::Request(req, request_id, reply)) => (req, request_id, Some(reply)),
                 Ok(Command::Subscribe(mut sub, since)) => {
                     if let Some(seq) = since {
                         replay_journal(&session, &mut sub, seq);
                     }
                     publisher.subscribers.push(sub);
+                    continue;
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if cfg.tick_ms > 0 {
-                        // A background tick mutates durable state (virtual
-                        // clock, traffic delivery, autoscaler actions) just
-                        // like a client `run-for`, so it takes the same
-                        // intent/commit path through the WAL — otherwise a
-                        // crash would silently lose all tick-driven progress
-                        // since the last snapshot.
-                        let tick = CtlRequest::RunFor { ms: cfg.tick_ms };
-                        if let CtlResponse::Error(e) = dispatch(
-                            &mut session,
-                            &tick,
-                            None,
-                            wal.as_mut(),
-                            &mut dedup,
-                            &mut commits_since_compact,
-                        ) {
-                            eprintln!("escaped: background tick not journaled: {e}");
-                        }
-                        publisher.publish(&session);
-                        maybe_compact(
-                            &session,
-                            wal.as_mut(),
-                            &dedup,
-                            &mut commits_since_compact,
-                            cfg.wal_compact_every,
-                        );
+                // A background tick mutates durable state (virtual clock,
+                // traffic delivery, autoscaler actions) just like a client
+                // `run-for`, so it takes the same intent/commit path
+                // through the WAL — otherwise a crash would silently lose
+                // all tick-driven progress since the last snapshot.
+                Err(mpsc::RecvTimeoutError::Timeout) if cfg.tick_ms > 0 => {
+                    (CtlRequest::RunFor { ms: cfg.tick_ms }, None, None)
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
+            // Answer first, then fan out what the command changed, then
+            // fold the log if it is time.
+            let resp = durable.dispatch(&mut session, &req, request_id.as_deref());
+            match reply {
+                Some(reply) => {
+                    let _ = reply.send(resp);
+                }
+                None => {
+                    if let CtlResponse::Error(e) = resp {
+                        eprintln!("escaped: background tick not journaled: {e}");
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
+            publisher.publish(&session);
+            durable.maybe_compact(&session);
         }
 
         // Stop accepting, refuse anything already queued, then dismantle.
@@ -479,7 +462,7 @@ impl Daemon {
         // A graceful exit leaves nothing to recover: remove the state
         // files like the socket. Crash recovery is exactly the case
         // where this line never ran.
-        if let Some(w) = wal.take() {
+        if let Some(w) = durable.wal.take() {
             if let Err(e) = w.remove_files() {
                 eprintln!("escaped: could not remove state files: {e}");
             }
@@ -513,99 +496,84 @@ fn is_mutating(req: &CtlRequest) -> bool {
     )
 }
 
-fn verb_name(req: &CtlRequest) -> &'static str {
-    match req {
-        CtlRequest::Status => "status",
-        CtlRequest::Deploy { .. } => "deploy",
-        CtlRequest::Teardown { .. } => "teardown",
-        CtlRequest::RunFor { .. } => "run-for",
-        CtlRequest::Fault { .. } => "fault",
-        CtlRequest::Heal => "heal",
-        CtlRequest::Metrics { .. } => "metrics",
-        CtlRequest::Sla => "sla",
-        CtlRequest::Series => "series",
-        CtlRequest::Journal => "journal",
-        CtlRequest::Watch { .. } => "watch",
-        CtlRequest::Traffic { .. } => "traffic",
-        CtlRequest::Scale { .. } => "scale",
-        CtlRequest::Fingerprint => "fingerprint",
-        CtlRequest::Shutdown => "shutdown",
-    }
+/// What makes mutations durable: the log (absent without a
+/// `--state-dir`), the idempotency window and the compaction cadence.
+struct Durability {
+    wal: Option<Wal>,
+    dedup: DedupWindow,
+    commits_since_compact: u64,
+    /// Compact every this many committed mutations; `0` never compacts.
+    compact_every: u64,
 }
 
-/// Executes one command with write-ahead durability: dedup-window hit →
-/// original outcome; otherwise intent (fsync) → execute → commit marker
-/// (fsync) → reply. Once the reply leaves the daemon the operation
-/// survives `kill -9`; a crash between intent and commit is rolled back
-/// on restart because the in-memory effects died with the process.
-fn dispatch(
-    session: &mut Session,
-    req: &CtlRequest,
-    request_id: Option<&str>,
-    wal: Option<&mut Wal>,
-    dedup: &mut DedupWindow,
-    commits: &mut u64,
-) -> CtlResponse {
-    let Some(wal) = wal else {
-        return execute(session, req);
-    };
-    if !is_mutating(req) {
-        return execute(session, req);
-    }
-    if let Some(id) = request_id {
-        if let Some(original) = dedup.get(id) {
-            return original.clone();
+impl Durability {
+    /// Executes one command with write-ahead durability: dedup-window
+    /// hit → original outcome; otherwise intent (fsync) → execute →
+    /// commit marker (fsync) → reply. Once the reply leaves the daemon
+    /// the operation survives `kill -9`; a crash between intent and
+    /// commit is rolled back on restart because the in-memory effects
+    /// died with the process.
+    fn dispatch(
+        &mut self,
+        session: &mut Session,
+        req: &CtlRequest,
+        request_id: Option<&str>,
+    ) -> CtlResponse {
+        let Some(wal) = self.wal.as_mut() else {
+            return execute(session, req);
+        };
+        if !is_mutating(req) {
+            return execute(session, req);
         }
-    }
-    let seq = match wal.append_intent(req, request_id) {
-        Ok(seq) => seq,
-        Err(e) => return CtlResponse::Error(e),
-    };
-    let resp = execute(session, req);
-    match wal.append_commit(seq, &resp) {
-        Ok(()) => {
-            *commits += 1;
-            if let Some(id) = request_id {
-                dedup.insert(id.to_string(), resp.clone());
+        if let Some(id) = request_id {
+            if let Some(original) = self.dedup.get(id) {
+                return original.clone();
             }
-            resp
         }
-        Err(e) => {
-            // The op executed but is not durable; fail loudly rather
-            // than ack state a crash would silently lose. The mutation
-            // is live in this process though, so the dedup window still
-            // remembers the real outcome — a client retrying the same
-            // request_id must not double-apply it.
-            if let Some(id) = request_id {
-                dedup.insert(id.to_string(), resp);
+        let seq = match wal.append_intent(req, request_id) {
+            Ok(seq) => seq,
+            Err(e) => return CtlResponse::Error(e),
+        };
+        let resp = execute(session, req);
+        match wal.append_commit(seq, &resp) {
+            Ok(()) => {
+                self.commits_since_compact += 1;
+                if let Some(id) = request_id {
+                    self.dedup.insert(id.to_string(), resp.clone());
+                }
+                resp
             }
-            CtlResponse::Error(e)
+            Err(e) => {
+                // The op executed but is not durable; fail loudly rather
+                // than ack state a crash would silently lose. The mutation
+                // is live in this process though, so the dedup window still
+                // remembers the real outcome — a client retrying the same
+                // request_id must not double-apply it.
+                if let Some(id) = request_id {
+                    self.dedup.insert(id.to_string(), resp);
+                }
+                CtlResponse::Error(e)
+            }
         }
     }
-}
 
-/// Folds the WAL into a fresh snapshot once enough mutations committed.
-/// Compaction waits for the admission queue to drain — queued deploys
-/// are not checkpointed, only the log records that produced them, so
-/// compacting midway would forget them.
-fn maybe_compact(
-    session: &Session,
-    wal: Option<&mut Wal>,
-    dedup: &DedupWindow,
-    commits: &mut u64,
-    every: u64,
-) {
-    let Some(wal) = wal else { return };
-    if every == 0 || *commits < every {
-        return;
-    }
-    if session.escape().pending_admissions() > 0 {
-        return;
-    }
-    let snap = capture_snapshot(session, wal.next_seq(), dedup);
-    match wal.compact(&snap) {
-        Ok(()) => *commits = 0,
-        Err(e) => eprintln!("escaped: wal compaction failed: {e}"),
+    /// Folds the WAL into a fresh snapshot once enough mutations
+    /// committed. Compaction waits for the admission queue to drain —
+    /// queued deploys are not checkpointed, only the log records that
+    /// produced them, so compacting midway would forget them.
+    fn maybe_compact(&mut self, session: &Session) {
+        let Some(wal) = self.wal.as_mut() else { return };
+        if self.compact_every == 0 || self.commits_since_compact < self.compact_every {
+            return;
+        }
+        if session.escape().pending_admissions() > 0 {
+            return;
+        }
+        let snap = capture_snapshot(session, wal.next_seq(), &self.dedup);
+        match wal.compact(&snap) {
+            Ok(()) => self.commits_since_compact = 0,
+            Err(e) => eprintln!("escaped: wal compaction failed: {e}"),
+        }
     }
 }
 
@@ -792,7 +760,7 @@ fn recover(
             JournalKind::TxnRolledBack,
             format!(
                 "intent seq {seq} ({}) was mid-flight at crash; rolled back",
-                verb_name(op)
+                op.label()
             ),
         );
     }
@@ -824,12 +792,7 @@ fn replay_journal(session: &Session, sub: &mut Subscriber, since: u64) {
         });
     }
     for e in journal.events_since(since) {
-        sub.push(&CtlEvent::Journal {
-            at_ns: e.at_ns,
-            severity: e.severity.label().into(),
-            kind: e.kind.label().into(),
-            detail: e.detail.clone(),
-        });
+        sub.push(&journal_frame(e));
     }
 }
 
@@ -1010,17 +973,11 @@ fn reply(stream: &mut UnixStream, resp: CtlResponse) -> io::Result<()> {
 /// (admission, transactions, healing) lives in the session/environment.
 pub fn execute(session: &mut Session, req: &CtlRequest) -> CtlResponse {
     match req {
-        CtlRequest::Status => CtlResponse::Status(status_info(&session.status())),
-        CtlRequest::Deploy { sg, format } => {
-            let fmt = match format {
-                crate::proto::SgFormat::Dsl => InputFormat::Dsl,
-                crate::proto::SgFormat::Json => InputFormat::Json,
-            };
-            match session.deploy_text(sg, fmt) {
-                Ok(report) => CtlResponse::Deployed(deploy_info(&report)),
-                Err(e) => escape_error_response(e),
-            }
-        }
+        CtlRequest::Status => CtlResponse::Status(session.status()),
+        CtlRequest::Deploy { sg, format } => match session.deploy_text(sg, *format) {
+            Ok(report) => CtlResponse::Deployed(deploy_info(&report)),
+            Err(e) => escape_error_response(e),
+        },
         CtlRequest::Teardown { chain } => match session.teardown(chain) {
             Ok(()) => CtlResponse::ToreDown {
                 chain: chain.clone(),
@@ -1161,51 +1118,9 @@ fn escape_error_response(e: EscapeError) -> CtlResponse {
     }
 }
 
-fn status_info(s: &SessionStatus) -> StatusInfo {
-    StatusInfo {
-        now_ns: s.now_ns,
-        chains: s
-            .chains
-            .iter()
-            .map(|c| ChainInfo {
-                name: c.name.clone(),
-                cookie: c.cookie,
-                rules: c.rules,
-                vnfs: c.vnfs.clone(),
-            })
-            .collect(),
-        pending_admissions: s.pending_admissions,
-        utilization: s.utilization,
-        deploys: s.deploys,
-        deploy_failures: s.deploy_failures,
-        teardowns: s.teardowns,
-        recoveries: s.recoveries,
-        recovery_failures: s.recovery_failures,
-        rollbacks: s.rollbacks,
-        admission_rejected: s.admission_rejected,
-        events: s.events,
-        restarted: s.restarted,
-        recovered_chains: s.recovered_chains,
-        rolled_back_txns: s.rolled_back_txns,
-    }
-}
-
 fn deploy_info(report: &DeploymentReport) -> DeployInfo {
     DeployInfo {
-        chains: report
-            .chains
-            .iter()
-            .map(|dc| ChainInfo {
-                name: dc.mapping.chain.name.clone(),
-                cookie: dc.cookie,
-                rules: dc.rules as u64,
-                vnfs: dc
-                    .vnfs
-                    .iter()
-                    .map(|v| (v.vnf_name.clone(), v.container.clone()))
-                    .collect(),
-            })
-            .collect(),
+        chains: report.chains.iter().map(ChainInfo::of).collect(),
         total_ns: report.total().as_ns(),
         netconf_ns: report.netconf_phase().as_ns(),
         steering_ns: report.steering_phase().as_ns(),

@@ -37,7 +37,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use escape_json::Value;
+use escape_json::wire::{Omit, Pairs, Wire};
+use escape_json::{wire_struct, wire_tagged, Value};
 
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
 
@@ -53,55 +54,62 @@ pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 
-/// One chain in the snapshot: everything needed to restore it
-/// *verbatim* — recorded placement and cookie are committed without
-/// re-running the (history-dependent) mapping algorithm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainRecord {
-    pub name: String,
-    pub cookie: u64,
-    /// The service graph as its canonical JSON document.
-    pub sg_json: String,
-    /// `(vnf_name, container)` in placement order.
-    pub placement: Vec<(String, String)>,
-    /// `(hop node names, delay_us)` per chain segment.
-    pub segments: Vec<(Vec<String>, u64)>,
-    pub total_delay_us: u64,
-    /// `(vnf_name, replica_count)` for every VNF scaled past 1.
-    pub replicas: Vec<(String, u64)>,
+wire_struct! {
+    /// One chain in the snapshot: everything needed to restore it
+    /// *verbatim* — recorded placement and cookie are committed without
+    /// re-running the (history-dependent) mapping algorithm.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ChainRecord {
+        pub name: String,
+        pub cookie: u64,
+        /// The service graph as its canonical JSON document.
+        pub sg_json: String as "sg",
+        /// `(vnf_name, container)` in placement order.
+        pub placement: Vec<(String, String)> => Pairs("vnf", "container"),
+        /// `(hop node names, delay_us)` per chain segment.
+        pub segments: Vec<(Vec<String>, u64)> => Pairs("nodes", "delay_us"),
+        pub total_delay_us: u64,
+        /// `(vnf_name, replica_count)` for every VNF scaled past 1.
+        pub replicas: Vec<(String, u64)> => Pairs("vnf", "count"),
+    }
 }
 
-/// Autoscaler configuration as captured in the snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AutoscalerRecord {
-    pub high_watermark: f64,
-    pub low_watermark: f64,
-    pub queue_high: u64,
-    pub cooldown_ticks: u64,
-    pub min_replicas: u64,
-    pub max_replicas: u64,
-    pub max_actions_per_tick: u64,
+wire_struct! {
+    /// Autoscaler configuration as captured in the snapshot.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AutoscalerRecord {
+        pub high_watermark: f64,
+        pub low_watermark: f64,
+        pub queue_high: u64,
+        pub cooldown_ticks: u64,
+        pub min_replicas: u64,
+        pub max_replicas: u64,
+        pub max_actions_per_tick: u64,
+    }
 }
 
-/// Versioned capture of desired state at a compaction point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    pub version: u64,
-    pub seed: u64,
-    /// Virtual clock at capture time.
-    pub now_ns: u64,
-    /// Next flow cookie the environment would mint.
-    pub next_cookie: u64,
-    /// Next WAL sequence number (log records before this are folded in).
-    pub next_seq: u64,
-    /// Journal sequence cursor at capture time, so `watch --since`
-    /// cursors stay valid across the restart.
-    pub journal_base: u64,
-    /// Live chains in cookie order.
-    pub chains: Vec<ChainRecord>,
-    pub autoscaler: Option<AutoscalerRecord>,
-    /// The idempotency window: `(request_id, original outcome)`.
-    pub dedup: Vec<(String, CtlResponse)>,
+wire_struct! {
+    /// Versioned capture of desired state at a compaction point.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Snapshot {
+        pub version: u64,
+        pub seed: u64,
+        /// Virtual clock at capture time.
+        pub now_ns: u64,
+        /// Next flow cookie the environment would mint.
+        pub next_cookie: u64,
+        /// Next WAL sequence number (log records before this are folded
+        /// in).
+        pub next_seq: u64,
+        /// Journal sequence cursor at capture time, so `watch --since`
+        /// cursors stay valid across the restart.
+        pub journal_base: u64,
+        /// Live chains in cookie order.
+        pub chains: Vec<ChainRecord>,
+        /// The idempotency window: `(request_id, original outcome)`.
+        pub dedup: Vec<(String, CtlResponse)> => Pairs("id", "outcome"),
+        pub autoscaler: Option<AutoscalerRecord> => Omit,
+    }
 }
 
 /// One committed operation recovered from the log tail, in sequence
@@ -156,286 +164,33 @@ fn io_internal(what: &str, e: std::io::Error) -> CtlError {
     }
 }
 
-fn pairs_to_value(pairs: &[(String, String)], k: &str, v: &str) -> Value {
-    Value::Arr(
-        pairs
-            .iter()
-            .map(|(a, b)| Value::obj().set(k, a.as_str()).set(v, b.as_str()))
-            .collect(),
-    )
-}
-
-fn str_of(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn u64_of(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field {key:?}"))
-}
-
-fn f64_of(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing number field {key:?}"))
-}
-
-fn arr_of<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing array field {key:?}"))
-}
-
-impl ChainRecord {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("name", self.name.as_str())
-            .set("cookie", self.cookie)
-            .set("sg", self.sg_json.as_str())
-            .set(
-                "placement",
-                pairs_to_value(&self.placement, "vnf", "container"),
-            )
-            .set(
-                "segments",
-                Value::Arr(
-                    self.segments
-                        .iter()
-                        .map(|(nodes, delay_us)| {
-                            Value::obj()
-                                .set(
-                                    "nodes",
-                                    Value::Arr(
-                                        nodes.iter().map(|n| Value::Str(n.clone())).collect(),
-                                    ),
-                                )
-                                .set("delay_us", *delay_us)
-                        })
-                        .collect(),
-                ),
-            )
-            .set("total_delay_us", self.total_delay_us)
-            .set(
-                "replicas",
-                Value::Arr(
-                    self.replicas
-                        .iter()
-                        .map(|(vnf, count)| {
-                            Value::obj().set("vnf", vnf.as_str()).set("count", *count)
-                        })
-                        .collect(),
-                ),
-            )
+/// Decodes a snapshot document, refusing a layout this build does not
+/// read.
+fn decode_snapshot(doc: &Value) -> Result<Snapshot, String> {
+    let snap = Snapshot::from_value(doc)?;
+    if snap.version != SNAPSHOT_VERSION {
+        return Err(format!(
+            "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
+            snap.version
+        ));
     }
-
-    fn from_value(v: &Value) -> Result<ChainRecord, String> {
-        let placement = arr_of(v, "placement")?
-            .iter()
-            .map(|p| Ok((str_of(p, "vnf")?, str_of(p, "container")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        let segments = arr_of(v, "segments")?
-            .iter()
-            .map(|s| {
-                let nodes = arr_of(s, "nodes")?
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "segment node is not a string".to_string())
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((nodes, u64_of(s, "delay_us")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let replicas = arr_of(v, "replicas")?
-            .iter()
-            .map(|r| Ok((str_of(r, "vnf")?, u64_of(r, "count")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ChainRecord {
-            name: str_of(v, "name")?,
-            cookie: u64_of(v, "cookie")?,
-            sg_json: str_of(v, "sg")?,
-            placement,
-            segments,
-            total_delay_us: u64_of(v, "total_delay_us")?,
-            replicas,
-        })
-    }
+    Ok(snap)
 }
 
-impl AutoscalerRecord {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("high_watermark", self.high_watermark)
-            .set("low_watermark", self.low_watermark)
-            .set("queue_high", self.queue_high)
-            .set("cooldown_ticks", self.cooldown_ticks)
-            .set("min_replicas", self.min_replicas)
-            .set("max_replicas", self.max_replicas)
-            .set("max_actions_per_tick", self.max_actions_per_tick)
-    }
-
-    fn from_value(v: &Value) -> Result<AutoscalerRecord, String> {
-        Ok(AutoscalerRecord {
-            high_watermark: f64_of(v, "high_watermark")?,
-            low_watermark: f64_of(v, "low_watermark")?,
-            queue_high: u64_of(v, "queue_high")?,
-            cooldown_ticks: u64_of(v, "cooldown_ticks")?,
-            min_replicas: u64_of(v, "min_replicas")?,
-            max_replicas: u64_of(v, "max_replicas")?,
-            max_actions_per_tick: u64_of(v, "max_actions_per_tick")?,
-        })
-    }
-}
-
-impl Snapshot {
-    pub fn to_value(&self) -> Value {
-        let mut doc = Value::obj()
-            .set("version", self.version)
-            .set("seed", self.seed)
-            .set("now_ns", self.now_ns)
-            .set("next_cookie", self.next_cookie)
-            .set("next_seq", self.next_seq)
-            .set("journal_base", self.journal_base)
-            .set(
-                "chains",
-                Value::Arr(self.chains.iter().map(ChainRecord::to_value).collect()),
-            )
-            .set(
-                "dedup",
-                Value::Arr(
-                    self.dedup
-                        .iter()
-                        .map(|(id, outcome)| {
-                            Value::obj()
-                                .set("id", id.as_str())
-                                .set("outcome", outcome.to_value())
-                        })
-                        .collect(),
-                ),
-            );
-        if let Some(a) = &self.autoscaler {
-            doc = doc.set("autoscaler", a.to_value());
-        }
-        doc
-    }
-
-    pub fn from_value(v: &Value) -> Result<Snapshot, String> {
-        let version = u64_of(v, "version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
-            ));
-        }
-        let chains = arr_of(v, "chains")?
-            .iter()
-            .map(ChainRecord::from_value)
-            .collect::<Result<Vec<_>, String>>()?;
-        let dedup = arr_of(v, "dedup")?
-            .iter()
-            .map(|d| {
-                let outcome = d
-                    .get("outcome")
-                    .ok_or_else(|| "missing field \"outcome\"".to_string())?;
-                let outcome = CtlResponse::from_value(outcome).map_err(|e| e.to_string())?;
-                Ok((str_of(d, "id")?, outcome))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let autoscaler = match v.get("autoscaler") {
-            Some(a) => Some(AutoscalerRecord::from_value(a)?),
-            None => None,
-        };
-        Ok(Snapshot {
-            version,
-            seed: u64_of(v, "seed")?,
-            now_ns: u64_of(v, "now_ns")?,
-            next_cookie: u64_of(v, "next_cookie")?,
-            next_seq: u64_of(v, "next_seq")?,
-            journal_base: u64_of(v, "journal_base")?,
-            chains,
-            autoscaler,
-            dedup,
-        })
-    }
-}
-
-/// One decoded log record.
-#[derive(Debug, Clone, PartialEq)]
-enum WalRecord {
-    /// Log header: the seed this log was written under. Always the
-    /// first record, so a snapshot-less tail still refuses replay
-    /// under a different seed.
-    Meta {
-        seed: u64,
-    },
-    Intent {
-        seq: u64,
-        request_id: Option<String>,
-        op: CtlRequest,
-    },
-    Commit {
-        seq: u64,
-        outcome: CtlResponse,
-    },
-}
-
-impl WalRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            WalRecord::Meta { seed } => Value::obj().set("rec", "meta").set("seed", *seed),
-            WalRecord::Intent {
-                seq,
-                request_id,
-                op,
-            } => {
-                let v = Value::obj()
-                    .set("rec", "intent")
-                    .set("seq", *seq)
-                    .set("op", op.to_value());
-                match request_id {
-                    Some(id) => v.set("request_id", id.as_str()),
-                    None => v,
-                }
-            }
-            WalRecord::Commit { seq, outcome } => Value::obj()
-                .set("rec", "commit")
-                .set("seq", *seq)
-                .set("outcome", outcome.to_value()),
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<WalRecord, String> {
-        let rec = str_of(v, "rec")?;
-        match rec.as_str() {
-            "meta" => Ok(WalRecord::Meta {
-                seed: u64_of(v, "seed")?,
-            }),
-            "intent" => Ok(WalRecord::Intent {
-                seq: u64_of(v, "seq")?,
-                request_id: v
-                    .get("request_id")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                op: CtlRequest::from_value(
-                    v.get("op")
-                        .ok_or_else(|| "missing field \"op\"".to_string())?,
-                )
-                .map_err(|e| e.to_string())?,
-            }),
-            "commit" => Ok(WalRecord::Commit {
-                seq: u64_of(v, "seq")?,
-                outcome: CtlResponse::from_value(
-                    v.get("outcome")
-                        .ok_or_else(|| "missing field \"outcome\"".to_string())?,
-                )
-                .map_err(|e| e.to_string())?,
-            }),
-            other => Err(format!("unknown record type {other:?}")),
-        }
+wire_tagged! {
+    /// One decoded log record.
+    #[derive(Debug, Clone, PartialEq)]
+    enum WalRecord as "rec" {
+        /// Log header: the seed this log was written under. Always the
+        /// first record, so a snapshot-less tail still refuses replay
+        /// under a different seed.
+        "meta" => Meta { seed: u64 },
+        "intent" => Intent {
+            seq: u64,
+            op: CtlRequest,
+            request_id: Option<String> => Omit,
+        },
+        "commit" => Commit { seq: u64, outcome: CtlResponse },
     }
 }
 
@@ -526,12 +281,15 @@ impl Wal {
         let log_path = dir.join(WAL_FILE);
         let restarted = snap_path.exists() || log_path.exists();
 
-        let snapshot = match fs::read_to_string(&snap_path) {
-            Ok(text) => {
-                let doc = Value::parse(&text).map_err(|e| {
+        let snapshot = match fs::read(&snap_path) {
+            Ok(bytes) => {
+                let text = std::str::from_utf8(&bytes).map_err(|e| {
+                    corrupt(&snap_path, e.valid_up_to() as u64, "snapshot is not UTF-8")
+                })?;
+                let doc = Value::parse(text).map_err(|e| {
                     corrupt(&snap_path, 0, format!("snapshot is not valid JSON: {e}"))
                 })?;
-                Some(Snapshot::from_value(&doc).map_err(|e| corrupt(&snap_path, 0, e))?)
+                Some(decode_snapshot(&doc).map_err(|e| corrupt(&snap_path, 0, e))?)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_internal("read snapshot", e)),
@@ -580,11 +338,11 @@ impl Wal {
                     request_id,
                     op,
                 } => {
-                    max_seq = max_seq.max(seq + 1);
+                    max_seq = max_seq.max(seq.saturating_add(1));
                     open_intents.insert(seq, (request_id, op));
                 }
                 WalRecord::Commit { seq, outcome } => {
-                    max_seq = max_seq.max(seq + 1);
+                    max_seq = max_seq.max(seq.saturating_add(1));
                     let (request_id, op) = open_intents.remove(&seq).ok_or_else(|| {
                         corrupt(
                             &log_path,
@@ -656,7 +414,15 @@ impl Wal {
 
     fn write_record(&mut self, rec: &WalRecord) -> Result<(), CtlError> {
         let payload = rec.to_value().to_string().into_bytes();
-        assert!(payload.len() <= MAX_WAL_RECORD, "oversized wal record");
+        if payload.len() > MAX_WAL_RECORD {
+            // Written, it would be refused as corruption at the next start.
+            return Err(CtlError::Invalid {
+                reason: format!(
+                    "a {}-byte log record exceeds the {MAX_WAL_RECORD}-byte cap",
+                    payload.len()
+                ),
+            });
+        }
         let mut buf = Vec::with_capacity(4 + payload.len());
         buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         buf.extend_from_slice(&payload);
@@ -676,12 +442,17 @@ impl Wal {
         request_id: Option<&str>,
     ) -> Result<u64, CtlError> {
         let seq = self.next_seq;
+        // Only a doctored snapshot or log gets the cursor this far (`open`
+        // saturates on one); the number is refused, not reused.
+        let next_seq = seq.checked_add(1).ok_or_else(|| CtlError::Internal {
+            reason: "wal sequence numbers exhausted".into(),
+        })?;
         self.write_record(&WalRecord::Intent {
             seq,
             request_id: request_id.map(str::to_string),
             op: op.clone(),
         })?;
-        self.next_seq += 1;
+        self.next_seq = next_seq;
         Ok(seq)
     }
 
@@ -1115,6 +886,41 @@ mod tests {
         // The matching seed still recovers normally.
         let (_wal, rec) = Wal::open(&dir, SEED).unwrap();
         assert_eq!(rec.committed.len(), 1);
+        cleanup(&dir);
+    }
+
+    /// A seed above `i64::MAX` used to be written as a float and read
+    /// back as a different integer, so a daemon started with one refused
+    /// to restart from its own clean log.
+    #[test]
+    fn a_seed_above_i64_max_reopens_its_own_log() {
+        let seed = 11400714819323198485;
+        let dir = temp_dir("big-seed");
+        {
+            let (mut wal, _) = Wal::open(&dir, seed).unwrap();
+            wal.append_intent(&CtlRequest::Heal, None).unwrap();
+        }
+        let (_wal, rec) = Wal::open(&dir, seed).unwrap();
+        assert_eq!(rec.rolled_back, vec![(0, CtlRequest::Heal)]);
+        cleanup(&dir);
+    }
+
+    /// A request just under the frame cap makes an intent record just
+    /// over the record cap: refused before anything is written, not a
+    /// panic and not a log the next start would call corrupt.
+    #[test]
+    fn an_oversized_record_is_refused_not_written() {
+        let dir = temp_dir("oversized-record");
+        let (mut wal, _) = Wal::open(&dir, SEED).unwrap();
+        let huge = CtlRequest::Fault {
+            plan: "x".repeat(MAX_WAL_RECORD),
+        };
+        let err = wal.append_intent(&huge, None).unwrap_err();
+        assert!(matches!(err, CtlError::Invalid { .. }), "{err:?}");
+        assert_eq!(wal.next_seq(), 0);
+        drop(wal);
+        let (_wal, rec) = Wal::open(&dir, SEED).unwrap();
+        assert!(rec.committed.is_empty() && rec.rolled_back.is_empty());
         cleanup(&dir);
     }
 

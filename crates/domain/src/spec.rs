@@ -16,20 +16,25 @@
 //! one domain; links whose endpoints land in different domains become
 //! gateway links during [`crate::partition::partition`].
 
-use escape_json::Value;
+use escape_json::wire::{from_json, Wire};
+use escape_json::wire_struct;
 use escape_sg::{ResourceTopology, TopoNodeKind};
 
-/// One named domain: a set of topology node names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainDef {
-    pub name: String,
-    pub nodes: Vec<String>,
+wire_struct! {
+    /// One named domain: a set of topology node names.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DomainDef {
+        pub name: String,
+        pub nodes: Vec<String>,
+    }
 }
 
-/// A full partitioning of a topology into domains.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DomainSpec {
-    pub domains: Vec<DomainDef>,
+wire_struct! {
+    /// A full partitioning of a topology into domains.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct DomainSpec {
+        pub domains: Vec<DomainDef>,
+    }
 }
 
 impl DomainSpec {
@@ -57,46 +62,12 @@ impl DomainSpec {
 
     /// Parses the JSON form shown in the module docs.
     pub fn from_json(src: &str) -> Result<DomainSpec, String> {
-        let v = Value::parse(src)?;
-        let domains = v
-            .get("domains")
-            .and_then(Value::as_arr)
-            .ok_or("domain spec: missing \"domains\" array")?;
-        let mut spec = DomainSpec::new();
-        for d in domains {
-            let name = d
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("domain spec: domain missing \"name\"")?
-                .to_string();
-            let nodes = d
-                .get("nodes")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("domain spec: domain {name:?} missing \"nodes\" array"))?
-                .iter()
-                .map(|n| {
-                    n.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("domain spec: non-string node in domain {name:?}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            spec.domains.push(DomainDef { name, nodes });
-        }
-        Ok(spec)
+        from_json(src)
     }
 
     /// Renders the spec back to its JSON form.
     pub fn to_json(&self) -> String {
-        let domains: Vec<Value> = self
-            .domains
-            .iter()
-            .map(|d| {
-                Value::obj()
-                    .set("name", d.name.as_str())
-                    .set("nodes", d.nodes.clone())
-            })
-            .collect();
-        Value::obj().set("domains", domains).to_string_pretty()
+        self.to_value().to_string_pretty()
     }
 
     /// Checks the spec against a topology: at least one domain, unique

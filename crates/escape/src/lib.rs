@@ -61,5 +61,5 @@ pub use error::{AdmissionVerdict, DeployPhase, EscapeError, RollbackReport, Roll
 pub use escape_scale::{Autoscaler, AutoscalerConfig};
 pub use flight::{FlightRecord, Journey, Outcome, SlaVerdict};
 pub use journal::{Journal, JournalEvent, JournalKind, Severity};
-pub use session::{Session, SessionConfig, SessionStatus};
+pub use session::{ChainInfo, Session, SessionConfig, StatusInfo};
 pub use soak::{SoakConfig, SoakReport};

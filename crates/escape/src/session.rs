@@ -9,10 +9,11 @@
 //! virtual time with self-healing, metrics exposition — lives here so the
 //! two paths cannot drift apart.
 
-use crate::env::{AdmissionConfig, DeploymentReport, Escape, ScaleReport};
+use crate::env::{AdmissionConfig, DeployedChain, DeploymentReport, Escape, ScaleReport};
 use crate::error::EscapeError;
 use crate::flight::SlaVerdict;
-use escape_json::Value;
+use escape_json::wire::Pairs;
+use escape_json::{wire_enum, wire_struct, Value};
 use escape_netem::FaultPlan;
 use escape_orch::{
     Backtracking, BestFitCpu, GreedyFirstFit, MappingAlgorithm, NearestNeighbor, SimulatedAnnealing,
@@ -21,13 +22,16 @@ use escape_pox::SteeringMode;
 use escape_sg::{parse_service_graph, parse_topology, ResourceTopology, ServiceGraph};
 use escape_telemetry::SamplerConfig;
 
-/// Text format of a topology / service-graph / fault-plan document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputFormat {
-    /// The line-oriented DSL (`.topo` / `.sg` files).
-    Dsl,
-    /// JSON documents.
-    Json,
+wire_enum! {
+    /// Text format of a topology / service-graph / fault-plan document;
+    /// on the control socket, the format of a shipped service graph.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum InputFormat {
+        /// The line-oriented DSL (`.topo` / `.sg` files).
+        Dsl = "dsl",
+        /// JSON documents.
+        Json = "json",
+    }
 }
 
 impl InputFormat {
@@ -103,46 +107,76 @@ impl Default for SessionConfig {
     }
 }
 
-/// One live chain as the control plane reports it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainSummary {
-    pub name: String,
-    pub cookie: u64,
-    pub rules: u64,
-    /// `(vnf_name, container)` in placement order.
-    pub vnfs: Vec<(String, String)>,
+wire_struct! {
+    /// One live chain as `status` and `deploy` report it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ChainInfo {
+        pub name: String,
+        pub cookie: u64,
+        pub rules: u64,
+        /// `(vnf_name, container)` in placement order.
+        pub vnfs: Vec<(String, String)> => Pairs("name", "container"),
+    }
 }
 
-/// Point-in-time session state: everything `status` needs, all of it
-/// derived from virtual time and deterministic counters so same-seed
-/// runs render byte-identical status documents.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionStatus {
-    /// Current virtual time (ns).
-    pub now_ns: u64,
-    pub chains: Vec<ChainSummary>,
-    /// Deploys parked on the admission queue.
-    pub pending_admissions: u64,
-    /// Compute utilization (0..=1).
-    pub utilization: f64,
-    pub deploys: u64,
-    pub deploy_failures: u64,
-    pub teardowns: u64,
-    pub recoveries: u64,
-    pub recovery_failures: u64,
-    pub rollbacks: u64,
-    pub admission_rejected: u64,
-    /// Journal entries ever recorded (the journal's sequence cursor, so
-    /// evicted entries still count).
-    pub events: u64,
-    /// True when this session was rebuilt from durable state after a
-    /// daemon restart (never set on a fresh build).
-    pub restarted: bool,
-    /// Chains live after the recovery pass (0 on a fresh session).
-    pub recovered_chains: u64,
-    /// Mid-flight transactions rolled back during recovery (intent
-    /// logged, no commit marker).
-    pub rolled_back_txns: u64,
+impl ChainInfo {
+    /// One live chain in its wire shape.
+    pub fn of(dc: &DeployedChain) -> ChainInfo {
+        ChainInfo {
+            name: dc.mapping.chain.name.clone(),
+            cookie: dc.cookie,
+            rules: dc.rules as u64,
+            vnfs: dc
+                .vnfs
+                .iter()
+                .map(|v| (v.vnf_name.clone(), v.container.clone()))
+                .collect(),
+        }
+    }
+
+    /// `fw→c1, mon→c2`: the placement as the CLI prints it.
+    pub fn placements(&self) -> String {
+        let pairs: Vec<String> = self
+            .vnfs
+            .iter()
+            .map(|(vnf, container)| format!("{vnf}→{container}"))
+            .collect();
+        pairs.join(", ")
+    }
+}
+
+wire_struct! {
+    /// Point-in-time session state, the `status` document: all of it
+    /// derived from virtual time and deterministic counters, so same
+    /// seed + same command script ⇒ byte-identical encoding.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct StatusInfo {
+        /// Current virtual time (ns).
+        pub now_ns: u64,
+        pub chains: Vec<ChainInfo>,
+        /// Deploys parked on the admission queue.
+        pub pending_admissions: u64,
+        /// Compute utilization (0..=1).
+        pub utilization: f64,
+        pub deploys: u64,
+        pub deploy_failures: u64,
+        pub teardowns: u64,
+        pub recoveries: u64,
+        pub recovery_failures: u64,
+        pub rollbacks: u64,
+        pub admission_rejected: u64,
+        /// Journal entries ever recorded (the journal's sequence cursor,
+        /// so evicted entries still count).
+        pub events: u64,
+        /// True when this session was rebuilt from durable state after a
+        /// daemon restart (never set on a fresh build).
+        pub restarted: bool,
+        /// Chains live after the recovery pass (0 on a fresh session).
+        pub recovered_chains: u64,
+        /// Mid-flight transactions rolled back during recovery (intent
+        /// logged, no commit marker).
+        pub rolled_back_txns: u64,
+    }
 }
 
 /// A live environment plus its build configuration.
@@ -324,27 +358,15 @@ impl Session {
     }
 
     /// Snapshot of the session for `status`.
-    pub fn status(&self) -> SessionStatus {
+    pub fn status(&self) -> StatusInfo {
         let m = self.esc.metrics();
         let chains = self
             .esc
             .deployed_chains()
-            .into_iter()
-            .map(|name| {
-                let dc = self.esc.deployed(&name).expect("listed chain is live");
-                ChainSummary {
-                    name,
-                    cookie: dc.cookie,
-                    rules: dc.rules as u64,
-                    vnfs: dc
-                        .vnfs
-                        .iter()
-                        .map(|v| (v.vnf_name.clone(), v.container.clone()))
-                        .collect(),
-                }
-            })
+            .iter()
+            .map(|name| ChainInfo::of(self.esc.deployed(name).expect("listed chain is live")))
             .collect();
-        SessionStatus {
+        StatusInfo {
             now_ns: self.esc.now().as_ns(),
             chains,
             pending_admissions: self.esc.pending_admissions() as u64,

@@ -10,6 +10,11 @@
 //!
 //! The parser accepts any RFC 8259 document; the printer emits 2-space
 //! indented output like `serde_json::to_string_pretty`.
+//!
+//! Typed documents sit on top of [`Value`] through the [`wire`] layer:
+//! each message declares its fields once and both directions follow.
+
+pub mod wire;
 
 /// A parse failure with the byte offset it occurred at. The offset is
 /// into the raw input handed to [`Value::parse_detailed`] — control
@@ -41,6 +46,10 @@ pub enum Value {
     Bool(bool),
     /// Integral number (printed without a decimal point).
     Int(i64),
+    /// An integer above `i64::MAX`, and only that: `From<u64>` and the
+    /// parser produce `Int` for everything `Int` can hold, so equal
+    /// numbers compare equal.
+    UInt(u64),
     /// Floating number (printed with a decimal point).
     Float(f64),
     Str(String),
@@ -89,6 +98,7 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
+            Value::UInt(u) => Some(*u as f64),
             Value::Float(f) => Some(*f),
             _ => None,
         }
@@ -98,6 +108,7 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) if *i >= 0 => Some(*i as u64),
+            Value::UInt(u) => Some(*u),
             Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
             _ => None,
         }
@@ -132,7 +143,11 @@ impl Value {
     /// [`Value::parse`] with a structured error carrying the byte
     /// offset of the failure.
     pub fn parse_detailed(src: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { src, pos: 0 };
+        let mut p = Parser {
+            src,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -154,6 +169,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(i) => out.push_str(&i.to_string()),
+            Value::UInt(u) => out.push_str(&u.to_string()),
             Value::Float(f) => {
                 if f.is_finite() {
                     // {:?} prints the shortest representation that
@@ -240,11 +256,7 @@ impl From<i64> for Value {
 }
 impl From<u64> for Value {
     fn from(u: u64) -> Value {
-        if u <= i64::MAX as u64 {
-            Value::Int(u as i64)
-        } else {
-            Value::Float(u as f64)
-        }
+        i64::try_from(u).map_or(Value::UInt(u), Value::Int)
     }
 }
 impl From<u32> for Value {
@@ -283,9 +295,15 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// Deepest nesting of arrays and objects the parser follows. The parser
+/// recurses per level, so without a cap a frame of nothing but `[`
+/// overflows the stack of whichever thread reads it.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -317,8 +335,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
@@ -327,6 +345,19 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
@@ -473,15 +504,13 @@ impl Parser<'_> {
                 .map(Value::Float)
                 .map_err(|e| self.err(e.to_string()))
         } else {
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Value::Int(i)),
-                // Overflowing integers degrade to float like serde_json's
-                // arbitrary-precision-off behaviour.
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|e| self.err(e.to_string())),
-            }
+            // Integers beyond both `i64` and `u64` degrade to float like
+            // serde_json's arbitrary-precision-off behaviour.
+            text.parse::<i64>()
+                .map(Value::Int)
+                .or_else(|_| text.parse::<u64>().map(Value::UInt))
+                .or_else(|_| text.parse::<f64>().map(Value::Float))
+                .map_err(|e| self.err(e.to_string()))
         }
     }
 }
@@ -523,6 +552,29 @@ mod tests {
     }
 
     #[test]
+    fn every_u64_and_i64_round_trips_exactly() {
+        for u in [
+            0,
+            i64::MAX as u64,
+            (1 << 63) + 1,
+            11400714819323198485,
+            u64::MAX,
+        ] {
+            let text = Value::from(u).to_string();
+            assert_eq!(text, u.to_string());
+            let back = Value::parse(&text).unwrap();
+            assert_eq!(back, Value::from(u));
+            assert_eq!(back.as_u64(), Some(u));
+        }
+        let min = Value::parse(&Value::from(i64::MIN).to_string()).unwrap();
+        assert_eq!(min, Value::Int(i64::MIN));
+        assert_eq!(min.as_u64(), None);
+        // Past `u64` there is nothing exact to hold it: still a float.
+        let big = Value::parse("18446744073709551616").unwrap();
+        assert_eq!(big, Value::Float(18446744073709551616.0));
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let v = Value::Str("a\"b\\c\nd\té\u{1}".to_string());
         let back = Value::parse(&v.to_string()).unwrap();
@@ -551,6 +603,15 @@ mod tests {
         assert!(Value::parse("").is_err());
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Value::parse_detailed(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        assert!(Value::parse(&"[{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

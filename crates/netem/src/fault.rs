@@ -21,50 +21,39 @@
 use crate::link::{LinkId, LinkState};
 use crate::sim::{NodeCtx, NodeId, NodeLogic, Sim};
 use crate::time::Time;
-use escape_json::Value;
+use escape_json::wire::{from_json, Flat, Wire};
+use escape_json::{wire_struct, wire_tagged};
 use std::collections::HashMap;
 
-/// One kind of fault, addressed by node names (resolved at install time).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultKind {
-    /// Administratively downs every link between `a` and `b`.
-    LinkDown { a: String, b: String },
-    /// Brings the `a`-`b` links back up.
-    LinkUp { a: String, b: String },
-    /// Sets random loss on the `a`-`b` links to `loss` (0..=1).
-    LossSpike { a: String, b: String, loss: f64 },
-    /// Restores the `a`-`b` links' loss to its pre-plan value.
-    LossClear { a: String, b: String },
-    /// Sets propagation delay on the `a`-`b` links to `delay_us`.
-    DelaySpike { a: String, b: String, delay_us: u64 },
-    /// Restores the `a`-`b` links' delay to its pre-plan value.
-    DelayClear { a: String, b: String },
-    /// Kills the named node permanently (crashed VNF container).
-    VnfCrash { node: String },
-    /// Pauses the named node for `for_us`, then resumes it (a hung
-    /// process: events addressed to it meanwhile are discarded).
-    VnfStall { node: String, for_us: u64 },
-    /// Resumes a previously stalled node (also emitted automatically at
-    /// the end of a [`FaultKind::VnfStall`]).
-    VnfResume { node: String },
+wire_tagged! {
+    /// One kind of fault, addressed by node names (resolved at install
+    /// time). Its label is the `"kind"` in JSON and the telemetry label.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum FaultKind as "kind" {
+        /// Administratively downs every link between `a` and `b`.
+        "link_down" => LinkDown { a: String, b: String },
+        /// Brings the `a`-`b` links back up.
+        "link_up" => LinkUp { a: String, b: String },
+        /// Sets random loss on the `a`-`b` links to `loss` (0..=1).
+        "loss_spike" => LossSpike { a: String, b: String, loss: f64 },
+        /// Restores the `a`-`b` links' loss to its pre-plan value.
+        "loss_clear" => LossClear { a: String, b: String },
+        /// Sets propagation delay on the `a`-`b` links to `delay_us`.
+        "delay_spike" => DelaySpike { a: String, b: String, delay_us: u64 },
+        /// Restores the `a`-`b` links' delay to its pre-plan value.
+        "delay_clear" => DelayClear { a: String, b: String },
+        /// Kills the named node permanently (crashed VNF container).
+        "vnf_crash" => VnfCrash { node: String },
+        /// Pauses the named node for `for_us`, then resumes it (a hung
+        /// process: events addressed to it meanwhile are discarded).
+        "vnf_stall" => VnfStall { node: String, for_us: u64 },
+        /// Resumes a previously stalled node (also emitted automatically
+        /// at the end of a [`FaultKind::VnfStall`]).
+        "vnf_resume" => VnfResume { node: String },
+    }
 }
 
 impl FaultKind {
-    /// Stable lowercase tag, used in JSON and as the telemetry label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::LinkDown { .. } => "link_down",
-            FaultKind::LinkUp { .. } => "link_up",
-            FaultKind::LossSpike { .. } => "loss_spike",
-            FaultKind::LossClear { .. } => "loss_clear",
-            FaultKind::DelaySpike { .. } => "delay_spike",
-            FaultKind::DelayClear { .. } => "delay_clear",
-            FaultKind::VnfCrash { .. } => "vnf_crash",
-            FaultKind::VnfStall { .. } => "vnf_stall",
-            FaultKind::VnfResume { .. } => "vnf_resume",
-        }
-    }
-
     /// Human-readable target ("a-b" for links, the node name otherwise).
     pub fn target(&self) -> String {
         match self {
@@ -94,38 +83,23 @@ impl FaultKind {
     }
 }
 
-/// One scheduled fault. `at_us` is virtual microseconds after the plan is
-/// installed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    pub at_us: u64,
-    pub kind: FaultKind,
+wire_struct! {
+    /// One scheduled fault. `at_us` is virtual microseconds after the
+    /// plan is installed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FaultEvent {
+        pub at_us: u64,
+        pub kind: FaultKind => Flat,
+    }
 }
 
-/// A named, scriptable fault schedule.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    pub name: String,
-    pub events: Vec<FaultEvent>,
-}
-
-fn str_field(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing or non-string field {key:?}"))
-}
-
-fn u64_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer field {key:?}"))
-}
-
-fn f64_field(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing or non-numeric field {key:?}"))
+wire_struct! {
+    /// A named, scriptable fault schedule.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct FaultPlan {
+        pub name: String,
+        pub events: Vec<FaultEvent>,
+    }
 }
 
 impl FaultPlan {
@@ -150,104 +124,20 @@ impl FaultPlan {
 
     /// Serializes the plan to pretty JSON.
     pub fn to_json(&self) -> String {
-        let events: Vec<Value> = self
-            .events
-            .iter()
-            .map(|ev| {
-                let base = Value::obj()
-                    .set("at_us", ev.at_us)
-                    .set("kind", ev.kind.label());
-                match &ev.kind {
-                    FaultKind::LinkDown { a, b }
-                    | FaultKind::LinkUp { a, b }
-                    | FaultKind::LossClear { a, b }
-                    | FaultKind::DelayClear { a, b } => {
-                        base.set("a", a.as_str()).set("b", b.as_str())
-                    }
-                    FaultKind::LossSpike { a, b, loss } => base
-                        .set("a", a.as_str())
-                        .set("b", b.as_str())
-                        .set("loss", *loss),
-                    FaultKind::DelaySpike { a, b, delay_us } => base
-                        .set("a", a.as_str())
-                        .set("b", b.as_str())
-                        .set("delay_us", *delay_us),
-                    FaultKind::VnfCrash { node } | FaultKind::VnfResume { node } => {
-                        base.set("node", node.as_str())
-                    }
-                    FaultKind::VnfStall { node, for_us } => {
-                        base.set("node", node.as_str()).set("for_us", *for_us)
-                    }
-                }
-            })
-            .collect();
-        Value::obj()
-            .set("name", self.name.as_str())
-            .set("events", Value::Arr(events))
-            .to_string_pretty()
+        self.to_value().to_string_pretty()
     }
 
     /// Parses a plan from JSON. Errors name the offending field.
     pub fn from_json(src: &str) -> Result<FaultPlan, String> {
-        let v = Value::parse(src)?;
-        let name = str_field(&v, "name", "fault plan")?;
-        let events_v = v
-            .get("events")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "fault plan: missing or non-array field \"events\"".to_string())?;
-        let mut events = Vec::new();
-        for (i, ev) in events_v.iter().enumerate() {
-            let ctx = format!("events[{i}]");
-            let at_us = u64_field(ev, "at_us", &ctx)?;
-            let tag = str_field(ev, "kind", &ctx)?;
-            let link = || -> Result<(String, String), String> {
-                Ok((str_field(ev, "a", &ctx)?, str_field(ev, "b", &ctx)?))
-            };
-            let kind = match tag.as_str() {
-                "link_down" => {
-                    let (a, b) = link()?;
-                    FaultKind::LinkDown { a, b }
+        let plan: FaultPlan = from_json(src)?;
+        for (i, ev) in plan.events.iter().enumerate() {
+            if let FaultKind::LossSpike { loss, .. } = ev.kind {
+                if !(0.0..=1.0).contains(&loss) {
+                    return Err(format!("events[{i}]: field \"loss\" must be within 0..=1"));
                 }
-                "link_up" => {
-                    let (a, b) = link()?;
-                    FaultKind::LinkUp { a, b }
-                }
-                "loss_spike" => {
-                    let (a, b) = link()?;
-                    let loss = f64_field(ev, "loss", &ctx)?;
-                    if !(0.0..=1.0).contains(&loss) {
-                        return Err(format!("{ctx}: field \"loss\" must be within 0..=1"));
-                    }
-                    FaultKind::LossSpike { a, b, loss }
-                }
-                "loss_clear" => {
-                    let (a, b) = link()?;
-                    FaultKind::LossClear { a, b }
-                }
-                "delay_spike" => {
-                    let (a, b) = link()?;
-                    let delay_us = u64_field(ev, "delay_us", &ctx)?;
-                    FaultKind::DelaySpike { a, b, delay_us }
-                }
-                "delay_clear" => {
-                    let (a, b) = link()?;
-                    FaultKind::DelayClear { a, b }
-                }
-                "vnf_crash" => FaultKind::VnfCrash {
-                    node: str_field(ev, "node", &ctx)?,
-                },
-                "vnf_stall" => FaultKind::VnfStall {
-                    node: str_field(ev, "node", &ctx)?,
-                    for_us: u64_field(ev, "for_us", &ctx)?,
-                },
-                "vnf_resume" => FaultKind::VnfResume {
-                    node: str_field(ev, "node", &ctx)?,
-                },
-                other => return Err(format!("{ctx}: unknown value {other:?} in field \"kind\"")),
-            };
-            events.push(FaultEvent { at_us, kind });
+            }
         }
-        Ok(FaultPlan { name, events })
+        Ok(plan)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::algo::{MapError, MappingAlgorithm};
 use crate::path::{PathIndex, PathSearch};
-use crate::state::ResourceState;
+use crate::state::{sum_in_name_order, ResourceState};
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
 use escape_telemetry::{Counter, Histogram, Registry};
@@ -616,7 +616,10 @@ impl Orchestrator {
 
     /// Fraction of total container CPU currently reserved.
     pub fn cpu_utilization(&self) -> f64 {
-        let total: f64 = ResourceState::from_topology(&self.topo).total_free_cpu();
+        let total = sum_in_name_order(self.topo.containers().filter_map(|n| match n.kind {
+            TopoNodeKind::Container { cpu, .. } => Some((n.name.as_str(), cpu)),
+            _ => None,
+        }));
         if total == 0.0 {
             return 0.0;
         }
@@ -658,6 +661,33 @@ mod tests {
         assert_eq!(orch.state().total_free_cpu(), free0);
         assert!(orch.embedded_chains().is_empty());
         assert!(orch.release_chain("c1").is_none());
+    }
+
+    /// Same topology, same asks in the same order: the utilization must
+    /// agree to the bit, whatever order each orchestrator's maps happen
+    /// to iterate in (it is printed into journals and sent in `status`).
+    #[test]
+    fn utilization_is_bit_identical_across_orchestrators() {
+        let graphs: Vec<ServiceGraph> = (0..12)
+            .map(|i| {
+                ServiceGraph::new()
+                    .sap("sap0")
+                    .sap("sap1")
+                    .vnf("v", "monitor", 0.1 * (i % 7 + 1) as f64, 64)
+                    .chain(&format!("c{i}"), &["sap0", "v", "sap1"], 1.0, None)
+            })
+            .collect();
+        let bits: Vec<u64> = (0..32)
+            .map(|_| {
+                let topo = builders::star(12, 1.0);
+                let mut orch = Orchestrator::new(topo, Box::new(GreedyFirstFit)).unwrap();
+                for g in &graphs {
+                    assert_eq!(orch.embed_graph(g).0.len(), 1);
+                }
+                orch.cpu_utilization().to_bits()
+            })
+            .collect();
+        assert!(bits.iter().all(|b| *b == bits[0]), "{bits:x?}");
     }
 
     #[test]

@@ -217,8 +217,18 @@ impl ResourceState {
 
     /// Total CPU still free.
     pub fn total_free_cpu(&self) -> f64 {
-        self.cpu.values().sum()
+        sum_in_name_order(self.cpu.iter().map(|(name, cpu)| (name.as_str(), *cpu)))
     }
+}
+
+/// Sums per-container amounts in container-name order. `f64` addition
+/// is not associative and a `HashMap` walks in a different order in
+/// every process, so a sum in map order differs in its last bit from
+/// one same-seed run to the next.
+pub(crate) fn sum_in_name_order<'a>(amounts: impl Iterator<Item = (&'a str, f64)>) -> f64 {
+    let mut amounts: Vec<(&str, f64)> = amounts.collect();
+    amounts.sort_unstable_by_key(|(name, _)| *name);
+    amounts.iter().map(|(_, amount)| amount).sum()
 }
 
 #[cfg(test)]

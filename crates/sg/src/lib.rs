@@ -17,7 +17,6 @@
 //!   machine interchange format.
 
 pub mod dsl;
-mod jsonutil;
 pub mod sg;
 pub mod topo;
 

@@ -1,41 +1,72 @@
 //! The abstract service graph: VNF requests and chains.
 
-use crate::jsonutil::{arr_field, f64_field, str_field, str_items, u64_field};
-use escape_json::Value;
+use escape_json::wire::{decode_items, from_json, Codec, Obj, Omit, Wire, WireError};
+use escape_json::{wire_struct, Value};
 use std::collections::HashSet;
 
-/// A requested VNF instance: which catalog type, how much resource.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VnfReq {
-    /// Instance name, unique within the service graph.
-    pub name: String,
-    /// Catalog type (e.g. "firewall") — resolved by the orchestrator.
-    pub vnf_type: String,
-    /// CPU cores requested.
-    pub cpu: f64,
-    /// Memory requested (MB).
-    pub mem_mb: u64,
-    /// Catalog parameter overrides for this instance (e.g. firewall
-    /// rules), forwarded verbatim to `initiateVNF`. Omitted from the
-    /// JSON form when empty.
-    pub params: Vec<(String, String)>,
-    /// Raw Click configuration overriding the catalog template — the
-    /// "develop your own VNF" path. Sent as `initiateVNF`'s
-    /// `click-config`; `vnf_type` then only labels the instance.
-    /// Omitted from the JSON form when absent.
-    pub click_config: Option<String>,
+wire_struct! {
+    /// A requested VNF instance: which catalog type, how much resource.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct VnfReq {
+        /// Instance name, unique within the service graph.
+        pub name: String,
+        /// Catalog type (e.g. "firewall") — resolved by the orchestrator.
+        pub vnf_type: String,
+        /// CPU cores requested.
+        pub cpu: f64,
+        /// Memory requested (MB).
+        pub mem_mb: u64,
+        /// Catalog parameter overrides for this instance (e.g. firewall
+        /// rules), forwarded verbatim to `initiateVNF`. Omitted from the
+        /// JSON form when empty.
+        pub params: Vec<(String, String)> => ParamList,
+        /// Raw Click configuration overriding the catalog template — the
+        /// "develop your own VNF" path. Sent as `initiateVNF`'s
+        /// `click-config`; `vnf_type` then only labels the instance.
+        /// Omitted from the JSON form when absent.
+        pub click_config: Option<String> => Omit,
+    }
 }
 
-/// A service-level agreement attached to a chain: observed-traffic
-/// objectives the flight recorder checks after a run (distinct from
-/// `max_delay_us`, which is the admission-time budget the orchestrator
-/// plans against).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Sla {
-    /// Maximum acceptable end-to-end latency per delivered packet (µs).
-    pub max_latency_us: Option<u64>,
-    /// Maximum acceptable loss ratio in `0.0..=1.0`.
-    pub max_loss: Option<f64>,
+/// `params` on the wire: a list of `[key, value]` arrays, the key left
+/// out altogether when the list is empty.
+struct ParamList;
+
+impl Codec<Vec<(String, String)>> for ParamList {
+    fn put(&self, key: &str, field: &Vec<(String, String)>, out: &mut Obj) {
+        if !field.is_empty() {
+            let pairs = field
+                .iter()
+                .map(|(k, w)| Value::Arr(vec![k.as_str().into(), w.as_str().into()]))
+                .collect();
+            out.push((key.to_string(), Value::Arr(pairs)));
+        }
+    }
+
+    fn take(&self, key: &str, obj: &Value) -> Result<Vec<(String, String)>, WireError> {
+        let Some(list) = obj.get(key) else {
+            return Ok(Vec::new());
+        };
+        decode_items(list, |pair| match pair.as_arr() {
+            Some([Value::Str(k), Value::Str(w)]) => Ok((k.clone(), w.clone())),
+            _ => Err(WireError::new("expected a [key, value] pair of strings")),
+        })
+        .map_err(|e| e.in_field(key))
+    }
+}
+
+wire_struct! {
+    /// A service-level agreement attached to a chain: observed-traffic
+    /// objectives the flight recorder checks after a run (distinct from
+    /// `max_delay_us`, which is the admission-time budget the
+    /// orchestrator plans against).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct Sla {
+        /// Maximum acceptable end-to-end latency per delivered packet (µs).
+        pub max_latency_us: Option<u64> => Omit,
+        /// Maximum acceptable loss ratio in `0.0..=1.0`.
+        pub max_loss: Option<f64> => Omit,
+    }
 }
 
 impl Sla {
@@ -45,30 +76,34 @@ impl Sla {
     }
 }
 
-/// One service chain: an ordered walk SAP → VNF… → SAP with end-to-end
-/// requirements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Chain {
-    /// Chain name, unique within the service graph.
-    pub name: String,
-    /// Hops: first and last are SAP names, the middle are VNF names.
-    pub hops: Vec<String>,
-    /// Bandwidth to reserve on every traversed link (Mbit/s).
-    pub bandwidth_mbps: f64,
-    /// End-to-end delay budget (µs); `None` = best effort.
-    pub max_delay_us: Option<u64>,
-    /// Post-run objectives checked against recorded traffic.
-    pub sla: Option<Sla>,
+wire_struct! {
+    /// One service chain: an ordered walk SAP → VNF… → SAP with
+    /// end-to-end requirements.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Chain {
+        /// Chain name, unique within the service graph.
+        pub name: String,
+        /// Hops: first and last are SAP names, the middle are VNF names.
+        pub hops: Vec<String>,
+        /// Bandwidth to reserve on every traversed link (Mbit/s).
+        pub bandwidth_mbps: f64,
+        /// End-to-end delay budget (µs); `None` = best effort.
+        pub max_delay_us: Option<u64>,
+        /// Post-run objectives checked against recorded traffic.
+        pub sla: Option<Sla> => Omit,
+    }
 }
 
-/// The abstract service description the service layer hands to the
-/// orchestrator (what the paper's SG editor produces).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceGraph {
-    /// SAP names referenced by chains; must exist in the topology.
-    pub saps: Vec<String>,
-    pub vnfs: Vec<VnfReq>,
-    pub chains: Vec<Chain>,
+wire_struct! {
+    /// The abstract service description the service layer hands to the
+    /// orchestrator (what the paper's SG editor produces).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ServiceGraph {
+        /// SAP names referenced by chains; must exist in the topology.
+        pub saps: Vec<String>,
+        pub vnfs: Vec<VnfReq>,
+        pub chains: Vec<Chain>,
+    }
 }
 
 impl ServiceGraph {
@@ -226,161 +261,12 @@ impl ServiceGraph {
 
     /// JSON serialization (the SG editor's save format).
     pub fn to_json(&self) -> String {
-        Value::obj()
-            .set("saps", self.saps.clone())
-            .set(
-                "vnfs",
-                Value::Arr(self.vnfs.iter().map(VnfReq::to_value).collect()),
-            )
-            .set(
-                "chains",
-                Value::Arr(self.chains.iter().map(Chain::to_value).collect()),
-            )
-            .to_string_pretty()
+        self.to_value().to_string_pretty()
     }
 
     /// JSON deserialization.
     pub fn from_json(s: &str) -> Result<ServiceGraph, String> {
-        let v = Value::parse(s)?;
-        let saps = str_items(arr_field(&v, "saps", "service graph")?, "saps")?;
-        let vnfs = arr_field(&v, "vnfs", "service graph")?
-            .iter()
-            .map(VnfReq::from_value)
-            .collect::<Result<_, _>>()?;
-        let chains = arr_field(&v, "chains", "service graph")?
-            .iter()
-            .map(Chain::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(ServiceGraph { saps, vnfs, chains })
-    }
-}
-
-impl VnfReq {
-    fn to_value(&self) -> Value {
-        let mut v = Value::obj()
-            .set("name", self.name.as_str())
-            .set("vnf_type", self.vnf_type.as_str())
-            .set("cpu", self.cpu)
-            .set("mem_mb", self.mem_mb);
-        if !self.params.is_empty() {
-            v = v.set(
-                "params",
-                Value::Arr(
-                    self.params
-                        .iter()
-                        .map(|(k, w)| Value::Arr(vec![k.as_str().into(), w.as_str().into()]))
-                        .collect(),
-                ),
-            );
-        }
-        if let Some(cfg) = &self.click_config {
-            v = v.set("click_config", cfg.as_str());
-        }
-        v
-    }
-
-    fn from_value(v: &Value) -> Result<VnfReq, String> {
-        let name = str_field(v, "name", "vnf")?;
-        let ctx = format!("vnf {name:?}");
-        let params = match v.get("params") {
-            None => Vec::new(),
-            Some(p) => p
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: params must be an array"))?
-                .iter()
-                .map(|pair| {
-                    let kv = pair.as_arr().filter(|kv| kv.len() == 2);
-                    match kv.map(|kv| (kv[0].as_str(), kv[1].as_str())) {
-                        Some((Some(k), Some(w))) => Ok((k.to_string(), w.to_string())),
-                        _ => Err(format!("{ctx}: each param must be a [key, value] pair")),
-                    }
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let click_config = match v.get("click_config") {
-            None => None,
-            Some(c) if c.is_null() => None,
-            Some(c) => Some(
-                c.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{ctx}: click_config must be a string"))?,
-            ),
-        };
-        Ok(VnfReq {
-            vnf_type: str_field(v, "vnf_type", &ctx)?,
-            cpu: f64_field(v, "cpu", &ctx)?,
-            mem_mb: u64_field(v, "mem_mb", &ctx)?,
-            params,
-            click_config,
-            name,
-        })
-    }
-}
-
-impl Chain {
-    fn to_value(&self) -> Value {
-        let mut v = Value::obj()
-            .set("name", self.name.as_str())
-            .set("hops", self.hops.clone())
-            .set("bandwidth_mbps", self.bandwidth_mbps)
-            .set("max_delay_us", self.max_delay_us);
-        if let Some(sla) = &self.sla {
-            let mut s = Value::obj();
-            if let Some(lat) = sla.max_latency_us {
-                s = s.set("max_latency_us", lat);
-            }
-            if let Some(loss) = sla.max_loss {
-                s = s.set("max_loss", loss);
-            }
-            v = v.set("sla", s);
-        }
-        v
-    }
-
-    fn from_value(v: &Value) -> Result<Chain, String> {
-        let name = str_field(v, "name", "chain")?;
-        let ctx = format!("chain {name:?}");
-        let max_delay_us = match v.get("max_delay_us") {
-            None => None,
-            Some(d) if d.is_null() => None,
-            Some(d) => Some(
-                d.as_u64()
-                    .ok_or_else(|| format!("{ctx}: max_delay_us must be an integer"))?,
-            ),
-        };
-        let sla = match v.get("sla") {
-            None => None,
-            Some(s) if s.is_null() => None,
-            Some(s) => {
-                let max_latency_us =
-                    match s.get("max_latency_us") {
-                        None => None,
-                        Some(l) if l.is_null() => None,
-                        Some(l) => Some(l.as_u64().ok_or_else(|| {
-                            format!("{ctx}: sla max_latency_us must be an integer")
-                        })?),
-                    };
-                let max_loss = match s.get("max_loss") {
-                    None => None,
-                    Some(l) if l.is_null() => None,
-                    Some(l) => Some(
-                        l.as_f64()
-                            .ok_or_else(|| format!("{ctx}: sla max_loss must be a number"))?,
-                    ),
-                };
-                Some(Sla {
-                    max_latency_us,
-                    max_loss,
-                })
-            }
-        };
-        Ok(Chain {
-            hops: str_items(arr_field(v, "hops", &ctx)?, &ctx)?,
-            bandwidth_mbps: f64_field(v, "bandwidth_mbps", &ctx)?,
-            max_delay_us,
-            sla,
-            name,
-        })
+        from_json(s)
     }
 }
 

@@ -1,43 +1,50 @@
 //! The resource topology: the orchestrator's view of the infrastructure.
 
-use crate::jsonutil::{arr_field, f64_field, str_field, u64_field};
-use escape_json::Value;
+use escape_json::wire::{from_json, Flat, Wire};
+use escape_json::{wire_struct, wire_tagged};
 use std::collections::{BinaryHeap, HashMap};
 
-/// What a topology node is. In the JSON form this is a `"kind"` tag
-/// (`"switch"` / `"container"` / `"sap"`) with the container capacity
-/// fields inlined next to it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TopoNodeKind {
-    /// An OpenFlow switch.
-    Switch,
-    /// A VNF container: compute where VNFs can be placed.
-    Container { cpu: f64, mem_mb: u64 },
-    /// A service access point: where user traffic enters/leaves.
-    Sap,
+wire_tagged! {
+    /// What a topology node is. In the JSON form this is a `"kind"` tag
+    /// with the container capacity fields inlined next to it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TopoNodeKind as "kind" {
+        /// An OpenFlow switch.
+        "switch" => Switch,
+        /// A VNF container: compute where VNFs can be placed.
+        "container" => Container { cpu: f64, mem_mb: u64 },
+        /// A service access point: where user traffic enters/leaves.
+        "sap" => Sap,
+    }
 }
 
-/// One topology node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopoNode {
-    pub name: String,
-    pub kind: TopoNodeKind,
+wire_struct! {
+    /// One topology node.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TopoNode {
+        pub name: String,
+        pub kind: TopoNodeKind => Flat,
+    }
 }
 
-/// One bidirectional link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopoLink {
-    pub a: String,
-    pub b: String,
-    pub bandwidth_mbps: f64,
-    pub delay_us: u64,
+wire_struct! {
+    /// One bidirectional link.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TopoLink {
+        pub a: String,
+        pub b: String,
+        pub bandwidth_mbps: f64,
+        pub delay_us: u64,
+    }
 }
 
-/// The infrastructure topology.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResourceTopology {
-    pub nodes: Vec<TopoNode>,
-    pub links: Vec<TopoLink>,
+wire_struct! {
+    /// The infrastructure topology.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ResourceTopology {
+        pub nodes: Vec<TopoNode>,
+        pub links: Vec<TopoLink>,
+    }
 }
 
 impl ResourceTopology {
@@ -230,80 +237,12 @@ impl ResourceTopology {
 
     /// JSON serialization (the MiniEdit-substitute file format).
     pub fn to_json(&self) -> String {
-        Value::obj()
-            .set(
-                "nodes",
-                Value::Arr(self.nodes.iter().map(TopoNode::to_value).collect()),
-            )
-            .set(
-                "links",
-                Value::Arr(self.links.iter().map(TopoLink::to_value).collect()),
-            )
-            .to_string_pretty()
+        self.to_value().to_string_pretty()
     }
 
     /// JSON deserialization.
     pub fn from_json(s: &str) -> Result<ResourceTopology, String> {
-        let v = Value::parse(s)?;
-        let nodes = arr_field(&v, "nodes", "topology")?
-            .iter()
-            .map(TopoNode::from_value)
-            .collect::<Result<_, _>>()?;
-        let links = arr_field(&v, "links", "topology")?
-            .iter()
-            .map(TopoLink::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(ResourceTopology { nodes, links })
-    }
-}
-
-impl TopoNode {
-    fn to_value(&self) -> Value {
-        let v = Value::obj().set("name", self.name.as_str());
-        match &self.kind {
-            TopoNodeKind::Switch => v.set("kind", "switch"),
-            TopoNodeKind::Container { cpu, mem_mb } => v
-                .set("kind", "container")
-                .set("cpu", *cpu)
-                .set("mem_mb", *mem_mb),
-            TopoNodeKind::Sap => v.set("kind", "sap"),
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<TopoNode, String> {
-        let name = str_field(v, "name", "node")?;
-        let ctx = format!("node {name:?}");
-        let kind = match str_field(v, "kind", &ctx)?.as_str() {
-            "switch" => TopoNodeKind::Switch,
-            "sap" => TopoNodeKind::Sap,
-            "container" => TopoNodeKind::Container {
-                cpu: f64_field(v, "cpu", &ctx)?,
-                mem_mb: u64_field(v, "mem_mb", &ctx)?,
-            },
-            other => return Err(format!("{ctx}: unknown kind {other:?}")),
-        };
-        Ok(TopoNode { name, kind })
-    }
-}
-
-impl TopoLink {
-    fn to_value(&self) -> Value {
-        Value::obj()
-            .set("a", self.a.as_str())
-            .set("b", self.b.as_str())
-            .set("bandwidth_mbps", self.bandwidth_mbps)
-            .set("delay_us", self.delay_us)
-    }
-
-    fn from_value(v: &Value) -> Result<TopoLink, String> {
-        let a = str_field(v, "a", "link")?;
-        let ctx = format!("link from {a:?}");
-        Ok(TopoLink {
-            b: str_field(v, "b", &ctx)?,
-            bandwidth_mbps: f64_field(v, "bandwidth_mbps", &ctx)?,
-            delay_us: u64_field(v, "delay_us", &ctx)?,
-            a,
-        })
+        from_json(s)
     }
 }
 

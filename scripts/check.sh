@@ -15,6 +15,16 @@ if [ -n "$LONG" ]; then
     exit 1
 fi
 
+echo "== no JSON field accessor outside crates/json =="
+# Reading a field, and what the error says when it is wrong, has one
+# home (escape_json::wire). A second copy is a decision, not an accident.
+ACCESSORS="$(git grep -nE 'fn (str|u64|f64|bool|arr)_(field|of)\b' -- crates ':!crates/json' || true)"
+if [ -n "$ACCESSORS" ]; then
+    echo "field accessors defined outside crates/json:" >&2
+    echo "$ACCESSORS" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
