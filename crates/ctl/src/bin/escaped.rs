@@ -6,22 +6,8 @@
 //! `escape ctl <verb>`. See `escape-ctl`'s crate docs for the protocol
 //! and DESIGN.md §12 for the architecture.
 
-use escape_ctl::launch::{parse_daemon_args, run_daemon, DAEMON_USAGE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let o = match parse_daemon_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n{DAEMON_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match run_daemon(o, true) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    escape_ctl::launch::main(std::env::args().skip(1).collect())
 }

@@ -1,64 +1,26 @@
-//! Shared launcher for the daemon: both the `escaped` binary and the
-//! `escape daemon` subcommand parse the same options and run the same
-//! [`Daemon::run`] loop, so there is exactly one way to start a daemon.
+//! The daemon subcommand: `escaped` and `escape daemon` parse the same
+//! options and run the same [`Daemon::run`] loop, so there is exactly one
+//! way to start a daemon. The flags parse straight into the two configs
+//! the daemon is built from.
 
-use crate::server::{Daemon, DaemonConfig, DEFAULT_WAL_COMPACT_EVERY};
-use escape::session::{parse_topology_text, InputFormat};
+use crate::args::{self, Args, DEFAULT_SOCKET};
+use crate::load;
+use crate::server::{Daemon, DaemonConfig};
+use escape::session::demo_topology;
 use escape::{AdmissionConfig, Session, SessionConfig};
-use escape_pox::SteeringMode;
 use escape_telemetry::SamplerConfig;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-/// Everything the daemon CLI accepts.
+/// Everything the daemon command line says.
 #[derive(Debug, Clone)]
-pub struct DaemonOptions {
-    pub socket: PathBuf,
+pub struct Launch {
     /// Topology file; the built-in demo substrate when `None`.
-    pub topo_file: Option<String>,
-    /// Input files are JSON instead of the DSL.
+    pub topo: Option<String>,
+    /// The topology file is JSON whatever its name.
     pub json: bool,
-    pub algorithm: String,
-    pub steering: SteeringMode,
-    pub seed: u64,
-    /// Virtual ms advanced per idle poll; 0 keeps time manual.
-    pub tick_ms: u64,
-    /// Telemetry flush directory on shutdown.
-    pub artifacts: Option<PathBuf>,
-    /// Admission watermarks; `None` admits everything.
-    pub admission: Option<AdmissionConfig>,
-    /// Flight-recorder ring capacity; 0 disables (and with it `sla`).
-    pub flight_recorder: usize,
-    /// Time-series sample period in virtual ms; 0 disables the sampler
-    /// (and with it `series` / `escape top`).
-    pub sample_ms: u64,
-    /// Samples retained by the sampler ring.
-    pub sample_retention: usize,
-    /// Durable state directory (intent log + checkpoints); `None` keeps
-    /// the daemon purely in-memory.
-    pub state_dir: Option<PathBuf>,
-    /// Commits between checkpoint compactions; 0 never compacts.
-    pub wal_compact: u64,
-}
-
-impl Default for DaemonOptions {
-    fn default() -> DaemonOptions {
-        DaemonOptions {
-            socket: PathBuf::from("escaped.sock"),
-            topo_file: None,
-            json: false,
-            algorithm: "nearest".into(),
-            steering: SteeringMode::Proactive,
-            seed: 1,
-            tick_ms: 0,
-            artifacts: None,
-            admission: None,
-            flight_recorder: 65_536,
-            sample_ms: 5,
-            sample_retention: 120,
-            state_dir: None,
-            wal_compact: DEFAULT_WAL_COMPACT_EVERY,
-        }
-    }
+    pub session: SessionConfig,
+    pub daemon: DaemonConfig,
 }
 
 pub const DAEMON_USAGE: &str = "usage: escaped [--socket PATH] [--topo FILE] [--json] \
@@ -66,192 +28,148 @@ pub const DAEMON_USAGE: &str = "usage: escaped [--socket PATH] [--topo FILE] [--
      [--artifacts DIR] [--admission SOFT:HARD[:QUEUE[:RETRIES]]] [--flight-recorder N] \
      [--sample-ms N] [--sample-retention N] [--state-dir DIR] [--wal-compact N]";
 
+/// `--admission SOFT:HARD[:QUEUE[:RETRIES]]`.
+fn admission(v: &str) -> Result<AdmissionConfig, String> {
+    if args::fields(v).len() < 2 {
+        return Err(format!("--admission {v:?}: need SOFT:HARD"));
+    }
+    let default = AdmissionConfig::default();
+    Ok(AdmissionConfig {
+        soft_watermark: args::field(v, 0, default.soft_watermark, "soft watermark")?,
+        hard_watermark: args::field(v, 1, default.hard_watermark, "hard watermark")?,
+        max_queue: args::field(v, 2, default.max_queue, "queue size")?,
+        max_retries: args::field(v, 3, default.max_retries, "retry budget")?,
+    })
+}
+
 /// Parses daemon options from an argument list (program name already
 /// stripped).
-pub fn parse_daemon_args(args: impl Iterator<Item = String>) -> Result<DaemonOptions, String> {
-    let mut o = DaemonOptions::default();
-    let mut args = args.peekable();
+pub fn parse_daemon_args(words: Vec<String>) -> Result<Launch, String> {
+    let mut l = Launch {
+        topo: None,
+        json: false,
+        session: SessionConfig {
+            flight_recorder: Some(65_536),
+            ..SessionConfig::default()
+        },
+        daemon: DaemonConfig::new(DEFAULT_SOCKET),
+    };
+    // Sampler period (virtual ms) and retained samples; 0 in either
+    // disables the sampler (and with it `series` / `escape top`).
+    let (mut sample_ms, mut sample_retention) = (5u64, 120usize);
+    let mut args = Args::new(words);
     while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--socket" => o.socket = PathBuf::from(need("--socket")?),
-            "--topo" => o.topo_file = Some(need("--topo")?),
-            "--json" => o.json = true,
-            "--algorithm" => o.algorithm = need("--algorithm")?,
-            "--steering" => {
-                o.steering = match need("--steering")?.as_str() {
-                    "proactive" => SteeringMode::Proactive,
-                    "reactive" => SteeringMode::Reactive,
-                    other => return Err(format!("unknown steering mode {other:?}")),
-                }
-            }
-            "--seed" => o.seed = need("--seed")?.parse().map_err(|_| "bad seed")?,
-            "--tick-ms" => o.tick_ms = need("--tick-ms")?.parse().map_err(|_| "bad tick-ms")?,
-            "--artifacts" => o.artifacts = Some(PathBuf::from(need("--artifacts")?)),
-            "--admission" => {
-                let v = need("--admission")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                if parts.len() < 2 {
-                    return Err(format!("--admission {v:?}: need SOFT:HARD"));
-                }
-                let default = AdmissionConfig::default();
-                o.admission = Some(AdmissionConfig {
-                    soft_watermark: parts[0]
-                        .parse()
-                        .map_err(|_| format!("bad soft watermark in {v:?}"))?,
-                    hard_watermark: parts[1]
-                        .parse()
-                        .map_err(|_| format!("bad hard watermark in {v:?}"))?,
-                    max_queue: parts
-                        .get(2)
-                        .map_or(Ok(default.max_queue), |s| s.parse())
-                        .map_err(|_| format!("bad queue size in {v:?}"))?,
-                    max_retries: parts
-                        .get(3)
-                        .map_or(Ok(default.max_retries), |s| s.parse())
-                        .map_err(|_| format!("bad retry budget in {v:?}"))?,
-                });
-            }
+            "--socket" => l.daemon.socket = PathBuf::from(args.value()?),
+            "--topo" => l.topo = Some(args.value()?),
+            "--json" => l.json = true,
+            "--algorithm" => l.session.algorithm = args.value()?,
+            "--steering" => l.session.steering = args::steering(&args.value()?)?,
+            "--seed" => l.session.seed = args.parsed("seed")?,
+            "--tick-ms" => l.daemon.tick_ms = args.parsed("tick-ms")?,
+            "--artifacts" => l.daemon.artifacts = Some(PathBuf::from(args.value()?)),
+            "--admission" => l.session.admission = Some(admission(&args.value()?)?),
+            // Ring capacity; 0 disables the recorder (and with it `sla`).
             "--flight-recorder" => {
-                o.flight_recorder = need("--flight-recorder")?
-                    .parse()
-                    .map_err(|_| "bad flight-recorder capacity")?
+                let cap: usize = args.parsed("flight-recorder capacity")?;
+                l.session.flight_recorder = (cap > 0).then_some(cap);
             }
-            "--sample-ms" => {
-                o.sample_ms = need("--sample-ms")?
-                    .parse()
-                    .map_err(|_| "bad sample period")?
-            }
-            "--sample-retention" => {
-                o.sample_retention = need("--sample-retention")?
-                    .parse()
-                    .map_err(|_| "bad sample retention")?
-            }
-            "--state-dir" => o.state_dir = Some(PathBuf::from(need("--state-dir")?)),
-            "--wal-compact" => {
-                o.wal_compact = need("--wal-compact")?
-                    .parse()
-                    .map_err(|_| "bad wal-compact interval")?
-            }
+            "--sample-ms" => sample_ms = args.parsed("sample period")?,
+            "--sample-retention" => sample_retention = args.parsed("sample retention")?,
+            "--state-dir" => l.daemon.state_dir = Some(PathBuf::from(args.value()?)),
+            "--wal-compact" => l.daemon.wal_compact_every = args.parsed("wal-compact interval")?,
             other => return Err(format!("unknown option {other}")),
         }
     }
-    Ok(o)
+    l.session.sampler = (sample_ms > 0 && sample_retention > 0).then(|| SamplerConfig {
+        period_ns: sample_ms.saturating_mul(1_000_000),
+        retention: sample_retention,
+    });
+    Ok(l)
 }
 
-/// Builds the session and serves it until shutdown. `handle_signals`
-/// should be true for a real daemon process and false for in-process
-/// (test) servers.
-pub fn run_daemon(o: DaemonOptions, handle_signals: bool) -> Result<(), String> {
-    let topo = match &o.topo_file {
-        Some(file) => {
-            let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let format = if o.json {
-                InputFormat::Json
-            } else {
-                InputFormat::from_path(file)
-            };
-            parse_topology_text(&src, format)?
-        }
-        None => escape::session::demo_topology(),
+/// Builds the session and serves it until shutdown.
+pub fn run_daemon(l: Launch) -> Result<(), String> {
+    let topo = match &l.topo {
+        Some(file) => load::topology(file, l.json)?,
+        None => demo_topology(),
     };
-    let session = Session::new(
-        topo,
-        SessionConfig {
-            algorithm: o.algorithm.clone(),
-            steering: o.steering,
-            seed: o.seed,
-            admission: o.admission,
-            flight_recorder: if o.flight_recorder > 0 {
-                Some(o.flight_recorder)
-            } else {
-                None
-            },
-            sampler: if o.sample_ms > 0 && o.sample_retention > 0 {
-                Some(SamplerConfig {
-                    period_ns: o.sample_ms * 1_000_000,
-                    retention: o.sample_retention,
-                })
-            } else {
-                None
-            },
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let session = Session::new(topo, l.session).map_err(|e| e.to_string())?;
     eprintln!(
         "escaped: serving on {} (algorithm={} seed={} tick_ms={})",
-        o.socket.display(),
-        o.algorithm,
-        o.seed,
-        o.tick_ms
+        l.daemon.socket.display(),
+        session.config().algorithm,
+        session.config().seed,
+        l.daemon.tick_ms
     );
-    Daemon::run(
-        session,
-        DaemonConfig {
-            socket: o.socket,
-            tick_ms: o.tick_ms,
-            artifacts: o.artifacts,
-            handle_signals,
-            state_dir: o.state_dir,
-            wal_compact_every: o.wal_compact,
-        },
-    )
-    .map_err(|e| e.to_string())
+    Daemon::run(session, l.daemon).map_err(|e| e.to_string())
+}
+
+/// `escaped` / `escape daemon`: exit 2 with the usage text on a bad
+/// command line, 1 when the daemon cannot start or fails, 0 after a
+/// graceful shutdown. A real daemon process handles SIGINT / SIGTERM.
+pub fn main(words: Vec<String>) -> ExitCode {
+    let mut l = match parse_daemon_args(words) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("error: {e}\n{DAEMON_USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    l.daemon.handle_signals = true;
+    args::exit(run_daemon(l))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::DEFAULT_WAL_COMPACT_EVERY;
 
-    fn parse(args: &[&str]) -> Result<DaemonOptions, String> {
-        parse_daemon_args(args.iter().map(|s| s.to_string()))
+    fn parse(line: &str) -> Result<Launch, String> {
+        parse_daemon_args(line.split_whitespace().map(String::from).collect())
     }
 
     #[test]
     fn defaults_and_overrides() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.socket, PathBuf::from("escaped.sock"));
-        assert_eq!(o.tick_ms, 0);
-        assert!(o.admission.is_none());
-        assert!(o.state_dir.is_none());
-        assert_eq!(o.wal_compact, DEFAULT_WAL_COMPACT_EVERY);
+        let l = parse("").unwrap();
+        assert_eq!(l.daemon.socket, PathBuf::from("escaped.sock"));
+        assert_eq!(l.daemon.tick_ms, 0);
+        assert!(l.session.admission.is_none());
+        assert!(l.daemon.state_dir.is_none());
+        assert_eq!(l.daemon.wal_compact_every, DEFAULT_WAL_COMPACT_EVERY);
+        assert_eq!(l.session.flight_recorder, Some(65_536));
+        let sampler = l.session.sampler.unwrap();
+        assert_eq!((sampler.period_ns, sampler.retention), (5_000_000, 120));
 
-        let o = parse(&[
-            "--socket",
-            "/tmp/e.sock",
-            "--seed",
-            "9",
-            "--tick-ms",
-            "5",
-            "--admission",
-            "0.5:0.8:4:2",
-            "--flight-recorder",
-            "0",
-            "--state-dir",
-            "/tmp/escaped-state",
-            "--wal-compact",
-            "8",
-        ])
+        let l = parse(
+            "--socket /tmp/e.sock --seed 9 --tick-ms 5 --admission 0.5:0.8:4:2 \
+             --flight-recorder 0 --sample-retention 0 --state-dir /tmp/escaped-state \
+             --wal-compact 8",
+        )
         .unwrap();
-        assert_eq!(o.socket, PathBuf::from("/tmp/e.sock"));
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.tick_ms, 5);
-        let a = o.admission.unwrap();
+        assert_eq!(l.daemon.socket, PathBuf::from("/tmp/e.sock"));
+        assert_eq!(l.session.seed, 9);
+        assert_eq!(l.daemon.tick_ms, 5);
+        let a = l.session.admission.unwrap();
         assert_eq!(a.soft_watermark, 0.5);
         assert_eq!(a.hard_watermark, 0.8);
         assert_eq!(a.max_queue, 4);
         assert_eq!(a.max_retries, 2);
-        assert_eq!(o.flight_recorder, 0);
-        assert_eq!(o.state_dir, Some(PathBuf::from("/tmp/escaped-state")));
-        assert_eq!(o.wal_compact, 8);
+        assert_eq!(l.session.flight_recorder, None);
+        assert!(l.session.sampler.is_none());
+        assert_eq!(
+            l.daemon.state_dir,
+            Some(PathBuf::from("/tmp/escaped-state"))
+        );
+        assert_eq!(l.daemon.wal_compact_every, 8);
     }
 
     #[test]
     fn bad_options_are_rejected() {
-        assert!(parse(&["--admission", "0.5"]).is_err());
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--seed"]).is_err());
-        assert!(parse(&["--wal-compact", "many"]).is_err());
-        assert!(parse(&["--state-dir"]).is_err());
+        assert!(parse("--admission 0.5").is_err());
+        assert!(parse("--frobnicate").is_err());
+        assert!(parse("--seed").is_err());
+        assert!(parse("--wal-compact many").is_err());
+        assert!(parse("--state-dir").is_err());
     }
 }

@@ -14,11 +14,22 @@
 //! * [`server`] — the `escaped` daemon core: accept/reader threads funnel
 //!   commands through one queue into the environment loop, so admission
 //!   control backpressures external callers exactly like in-process ones.
+//! * [`wal`] — the write-ahead intent log and snapshot under `--state-dir`.
+//!
+//! The command line in front of it (DESIGN.md §20): [`args`] is the one
+//! option grammar and [`load`] the one document loader; on them,
+//! [`oneshot`] (`escape run|metrics|trace|soak`), [`remote`]
+//! (`escape ctl`, `escape top`) and [`launch`] (`escaped` /
+//! `escape daemon`). The binaries only pick a subcommand.
 
+pub mod args;
 pub mod client;
 pub mod frame;
 pub mod launch;
+pub mod load;
+pub mod oneshot;
 pub mod proto;
+pub mod remote;
 pub mod server;
 pub mod wal;
 

@@ -37,10 +37,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use escape_json::wire::{Omit, Pairs, Wire};
-use escape_json::{wire_struct, wire_tagged, Value};
+use escape_json::wire::{Omit, Wire};
+use escape_json::{wire_tagged, Value};
 
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
+
+mod records;
+pub use records::{AutoscalerRecord, ChainRecord, Snapshot};
 
 /// Snapshot document version; bumped when the layout changes.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -53,64 +56,6 @@ pub const MAX_WAL_RECORD: usize = crate::frame::MAX_FRAME as usize;
 pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
-
-wire_struct! {
-    /// One chain in the snapshot: everything needed to restore it
-    /// *verbatim* — recorded placement and cookie are committed without
-    /// re-running the (history-dependent) mapping algorithm.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct ChainRecord {
-        pub name: String,
-        pub cookie: u64,
-        /// The service graph as its canonical JSON document.
-        pub sg_json: String as "sg",
-        /// `(vnf_name, container)` in placement order.
-        pub placement: Vec<(String, String)> => Pairs("vnf", "container"),
-        /// `(hop node names, delay_us)` per chain segment.
-        pub segments: Vec<(Vec<String>, u64)> => Pairs("nodes", "delay_us"),
-        pub total_delay_us: u64,
-        /// `(vnf_name, replica_count)` for every VNF scaled past 1.
-        pub replicas: Vec<(String, u64)> => Pairs("vnf", "count"),
-    }
-}
-
-wire_struct! {
-    /// Autoscaler configuration as captured in the snapshot.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct AutoscalerRecord {
-        pub high_watermark: f64,
-        pub low_watermark: f64,
-        pub queue_high: u64,
-        pub cooldown_ticks: u64,
-        pub min_replicas: u64,
-        pub max_replicas: u64,
-        pub max_actions_per_tick: u64,
-    }
-}
-
-wire_struct! {
-    /// Versioned capture of desired state at a compaction point.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Snapshot {
-        pub version: u64,
-        pub seed: u64,
-        /// Virtual clock at capture time.
-        pub now_ns: u64,
-        /// Next flow cookie the environment would mint.
-        pub next_cookie: u64,
-        /// Next WAL sequence number (log records before this are folded
-        /// in).
-        pub next_seq: u64,
-        /// Journal sequence cursor at capture time, so `watch --since`
-        /// cursors stay valid across the restart.
-        pub journal_base: u64,
-        /// Live chains in cookie order.
-        pub chains: Vec<ChainRecord>,
-        /// The idempotency window: `(request_id, original outcome)`.
-        pub dedup: Vec<(String, CtlResponse)> => Pairs("id", "outcome"),
-        pub autoscaler: Option<AutoscalerRecord> => Omit,
-    }
-}
 
 /// One committed operation recovered from the log tail, in sequence
 /// order — replaying these through the normal execution path
@@ -150,7 +95,7 @@ pub struct Wal {
     seed: u64,
 }
 
-fn corrupt(path: &Path, offset: u64, cause: impl Into<String>) -> CtlError {
+pub(crate) fn corrupt(path: &Path, offset: u64, cause: impl Into<String>) -> CtlError {
     CtlError::CorruptState {
         path: path.display().to_string(),
         offset,

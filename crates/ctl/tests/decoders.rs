@@ -2,11 +2,14 @@
 //! nothing fed to them — arbitrary bytes, or a corpus document with one
 //! token damaged — makes them panic. Socket frames, the four file
 //! formats and the state directory all enter the program here, so the
-//! answer is always a value or a typed error.
+//! answer is always a value or a typed error. The same holds one layer
+//! out: the frame reader under the socket, the option grammar under
+//! every command line, and `escape top`'s reading of a daemon-supplied
+//! series document.
 
 use escape_ctl::proto::{CtlError, CtlEvent, CtlRequest, CtlResponse};
 use escape_ctl::wal::{SNAPSHOT_FILE, WAL_FILE};
-use escape_ctl::Wal;
+use escape_ctl::{launch, oneshot, read_frame, remote, Wal, MAX_FRAME};
 use escape_domain::DomainSpec;
 use escape_netem::FaultPlan;
 use escape_sg::{ResourceTopology, ServiceGraph};
@@ -273,6 +276,182 @@ proptest! {
         let snapshot = snapshot.as_ref().map(|s| s.as_bytes());
         prop_assert_eq!(open_state_dir(Some(&log), snapshot), Ok(()));
     }
+}
+
+/// A stream of frames whose length prefixes lie in every way a hostile
+/// peer's can: short, exact, long, zero, at the cap and past it.
+fn arb_frame_stream() -> impl Strategy<Value = Vec<u8>> {
+    let len = prop_oneof![
+        0u32..64,
+        (0u32..4).prop_map(|d| MAX_FRAME - 1 + d),
+        any::<u32>(),
+    ];
+    let frame = (
+        len,
+        proptest::collection::vec(any::<u8>(), 0..64),
+        0usize..5,
+    )
+        .prop_map(|(len, payload, header)| {
+            // `header` < 4 tears the prefix itself.
+            let mut bytes = len.to_be_bytes()[..header.min(4)].to_vec();
+            bytes.extend(payload);
+            bytes
+        });
+    proptest::collection::vec(frame, 0..4).prop_map(|frames| frames.concat())
+}
+
+/// Words a command line is made of: every flag of every grammar, every
+/// verb, values at and past the numeric boundaries, loose syntax.
+const WORDS: &[&str] = &[
+    "--algorithm",
+    "--steering",
+    "--traffic",
+    "--ping",
+    "--duration-ms",
+    "--monitor",
+    "--seed",
+    "--json",
+    "--faults",
+    "--chrome",
+    "--domains",
+    "--workers",
+    "--workload",
+    "--steps",
+    "--format",
+    "--socket",
+    "--topo",
+    "--tick-ms",
+    "--artifacts",
+    "--admission",
+    "--flight-recorder",
+    "--sample-ms",
+    "--sample-retention",
+    "--state-dir",
+    "--wal-compact",
+    "--prom",
+    "--topics",
+    "--since",
+    "--request-id",
+    "--frobnicate",
+    "--",
+    "-",
+    "status",
+    "deploy",
+    "teardown",
+    "run-for",
+    "fault",
+    "heal",
+    "metrics",
+    "sla",
+    "series",
+    "journal",
+    "fingerprint",
+    "watch",
+    "traffic",
+    "scale",
+    "shutdown",
+    "0",
+    "1",
+    "-1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "1e9",
+    "0.5",
+    "nan",
+    "",
+    ":",
+    "::",
+    "a:b",
+    "a:b:1",
+    "a:b:1:2:3:4",
+    "a:b:x",
+    ":::::",
+    "0.5:0.8",
+    "1:1:18446744073709551616",
+    "proactive",
+    "json",
+    "events,sla",
+    "events,,",
+    "no-such-file",
+    "é→",
+];
+
+fn arb_argv() -> impl Strategy<Value = Vec<String>> {
+    let word = prop_oneof![
+        (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+        (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+        "\\PC{0,12}".prop_map(|s| s),
+    ];
+    proptest::collection::vec(word, 0..10)
+}
+
+/// A well-formed series document for `escape top` to be damaged.
+const SERIES: &str = r#"{"period_ns":5000000,"evicted":2,"at_ns":[5000000,10000000,15000000],
+  "series":[{"name":"netem.events","labels":{},"kind":"counter","points":[155.0,400.0]},
+            {"name":"netem.drops","labels":{"reason":"loss"},"kind":"gauge","points":[0.5,-1.0]}]}"#;
+
+fn arb_damaged_series() -> impl Strategy<Value = String> {
+    let toks = tokens(SERIES);
+    (any::<u32>(), any::<u32>(), 0..POOL.len() + 3).prop_map(move |(at, other, op)| {
+        let mut toks = toks.clone();
+        let at = at as usize % toks.len();
+        match op.checked_sub(POOL.len()) {
+            None => toks[at] = POOL[op].to_string(),
+            Some(0) => drop(toks.remove(at)),
+            Some(1) => toks.insert(at, toks[at].clone()),
+            Some(_) => toks[at] = toks[other as usize % toks.len()].clone(),
+        }
+        toks.concat()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Frames until the stream ends or is refused; a length prefix never
+    /// allocates past the cap and never indexes past the bytes.
+    #[test]
+    fn read_frame_never_panics(stream in arb_frame_stream()) {
+        let mut cursor = std::io::Cursor::new(stream);
+        while let Ok(Some(payload)) = read_frame(&mut cursor) {
+            prop_assert!(payload.len() <= MAX_FRAME as usize);
+        }
+    }
+
+    /// Every grammar answers a parsed command line or a usage message.
+    #[test]
+    fn option_grammar_never_panics(argv in arb_argv(), explicit in any::<bool>()) {
+        let _ = oneshot::parse(argv.clone(), explicit);
+        let _ = launch::parse_daemon_args(argv.clone());
+        let _ = remote::parse_ctl(argv);
+    }
+
+    #[test]
+    fn render_top_never_panics_on_arbitrary_text(text in arb_jsonish_text()) {
+        let _ = remote::render_top(&text);
+    }
+
+    #[test]
+    fn render_top_never_panics_on_a_damaged_document(text in arb_damaged_series()) {
+        let _ = remote::render_top(&text);
+    }
+}
+
+/// What the damage starts from renders, and the cases the properties are
+/// aimed at do not depend on the generator finding them: sample times
+/// running backwards, a sampler period too large to scale.
+#[test]
+fn the_hostile_cases_are_answered() {
+    let table = remote::render_top(SERIES).expect("the series document renders");
+    assert!(
+        table.contains("3 samples @ 5.0 ms (window 10.0 ms, 2 evicted)"),
+        "{table}"
+    );
+    assert!(table.contains("netem.drops{reason=loss}"), "{table}");
+    let backwards = remote::render_top(r#"{"at_ns":[9,3]}"#).expect("renders");
+    assert!(backwards.contains("window 0.0 ms"), "{backwards}");
+    let l = launch::parse_daemon_args(vec!["--sample-ms".into(), u64::MAX.to_string()]);
+    assert_eq!(l.unwrap().session.sampler.unwrap().period_ns, u64::MAX);
 }
 
 /// The damage above reaches the decoders it is aimed at: undamaged, the

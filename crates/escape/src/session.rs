@@ -2,12 +2,13 @@
 //! against it.
 //!
 //! [`Session`] is the ownership seam between the control plane and the
-//! data plane. A one-shot CLI run builds a session, drives it and exits;
-//! the `escaped` daemon builds the same session once and keeps it alive
-//! behind a unix-socket command queue. Everything both callers need —
-//! building by algorithm name, deploying from DSL or JSON text, advancing
-//! virtual time with self-healing, metrics exposition — lives here so the
-//! two paths cannot drift apart.
+//! data plane. A one-shot CLI run (`escape run`, `metrics`, `trace` — one
+//! driver in `escape_ctl::oneshot`) builds a session, drives it and
+//! exits; the `escaped` daemon builds the same session once and keeps it
+//! alive behind a unix-socket command queue. Everything both callers need
+//! — building by algorithm name, deploying from DSL or JSON text,
+//! advancing virtual time with self-healing, metrics exposition — lives
+//! here so the two paths cannot drift apart.
 
 use crate::env::{AdmissionConfig, DeployedChain, DeploymentReport, Escape, ScaleReport};
 use crate::error::EscapeError;

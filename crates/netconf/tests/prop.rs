@@ -1,7 +1,11 @@
 //! Property tests for NETCONF: XML round trips, framing reassembly under
 //! arbitrary splits, envelope round trips, datastore edit laws, backoff
-//! schedule invariants.
+//! schedule invariants, and `never_panics` for the parser and both
+//! session ends under arbitrary bytes and single-token damage of a valid
+//! dialogue.
 
+use escape_netconf::agent::{Agent, VnfInstrumentation, VnfStatusInfo};
+use escape_netconf::client::Client;
 use escape_netconf::datastore::{Datastore, EditOperation};
 use escape_netconf::framing::Framer;
 use escape_netconf::message::{Rpc, RpcReply};
@@ -238,5 +242,225 @@ proptest! {
         let zero_a = RetryPolicy::new(base, cap, 0.0, retries, seed_a).schedule();
         let zero_b = RetryPolicy::new(base, cap, 0.0, retries, seed_b).schedule();
         prop_assert_eq!(zero_a, zero_b, "zero jitter must erase the seed entirely");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Decoders never panic
+// ---------------------------------------------------------------------
+
+/// Instrumentation that says yes to everything.
+struct Yes;
+
+impl VnfInstrumentation for Yes {
+    fn initiate(
+        &mut self,
+        _vnf_type: &str,
+        _click_config: Option<&str>,
+        _options: &[(String, String)],
+    ) -> Result<String, String> {
+        Ok("vnf1".into())
+    }
+    fn start(&mut self, _vnf_id: &str) -> Result<(), String> {
+        Ok(())
+    }
+    fn stop(&mut self, _vnf_id: &str) -> Result<(), String> {
+        Ok(())
+    }
+    fn connect(&mut self, _vnf_id: &str, vnf_port: u16, _switch_id: &str) -> Result<u16, String> {
+        Ok(vnf_port)
+    }
+    fn disconnect(&mut self, _vnf_id: &str, _vnf_port: u16) -> Result<(), String> {
+        Ok(())
+    }
+    fn info(&self, _vnf_id: Option<&str>) -> Vec<VnfStatusInfo> {
+        vec![VnfStatusInfo {
+            id: "vnf1".into(),
+            vnf_type: "firewall".into(),
+            status: "running".into(),
+            ports: vec![(0, "s1".into())],
+            handlers: vec![("fw.passed".into(), "12".into())],
+        }]
+    }
+}
+
+/// One valid dialogue: every message the client sends and every message
+/// the agent answers with, unframed XML text in order.
+fn dialogue() -> (Vec<String>, Vec<String>) {
+    let mut client = Client::new();
+    let mut agent = Agent::new(7, Yes);
+    let options = [("rate_bps".to_string(), "20000000".to_string())];
+    let requests = [
+        client.start(),
+        client.initiate_vnf("firewall", None, &options).1,
+        client.connect_vnf("vnf1", 0, "s1").1,
+        client.start_vnf("vnf1").1,
+        client.get_vnf_info(Some("vnf1")).1,
+        client.stop_vnf("vnf1").1,
+        client.close().1,
+    ];
+    let mut replies = vec![agent.start()];
+    replies.extend(requests.iter().map(|r| agent.on_bytes(r)));
+    let unframe = |wire: &Vec<u8>| -> Vec<String> {
+        let mut framer = Framer::new();
+        let msgs = framer.feed(wire);
+        assert_eq!(framer.pending(), 0, "the dialogue is whole frames");
+        msgs.into_iter()
+            .map(|m| String::from_utf8(m).expect("the dialogue is UTF-8"))
+            .collect()
+    };
+    let requests: Vec<String> = requests.iter().flat_map(unframe).collect();
+    let replies: Vec<String> = replies.iter().flat_map(unframe).collect();
+    assert_eq!(requests.len(), 7);
+    assert_eq!(replies.len(), 7, "every request was answered");
+    (requests, replies)
+}
+
+/// Splits XML text into markup characters, quoted strings and runs of
+/// everything else; the tokens concatenate back to the text.
+fn xml_tokens(doc: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    let mut chars = doc.chars().peekable();
+    while let Some(c) = chars.next() {
+        let mut tok = String::from(c);
+        if c == '"' {
+            for c in chars.by_ref() {
+                tok.push(c);
+                if c == '"' {
+                    break;
+                }
+            }
+        } else if !"<>/=".contains(c) && !c.is_whitespace() {
+            while let Some(c) = chars.next_if(|c| !"<>/=\"".contains(*c) && !c.is_whitespace()) {
+                tok.push(c);
+            }
+        }
+        out.push(tok);
+    }
+    out
+}
+
+/// What a damaged token is replaced with: loose markup, entities, the
+/// names the session layer looks for, numbers at the integer boundaries
+/// and the frame delimiter itself.
+const XML_POOL: &[&str] = &[
+    "<",
+    ">",
+    "/",
+    "=",
+    "\"",
+    "'",
+    "&",
+    "&amp;",
+    "&#x;",
+    "&#99999999;",
+    "<!--",
+    "<?",
+    "<![CDATA[",
+    "rpc",
+    "rpc-reply",
+    "hello",
+    "ok",
+    "rpc-error",
+    "message-id",
+    "session-id",
+    "capability",
+    "-1",
+    "18446744073709551616",
+    "",
+    " ",
+    "\u{0}",
+    "]]>]]>",
+];
+
+/// One message of `msgs` with one token replaced, deleted, doubled or
+/// swapped for another of its own.
+fn arb_damaged(msgs: Vec<String>) -> impl Strategy<Value = String> {
+    let docs: Vec<Vec<String>> = msgs.iter().map(|d| xml_tokens(d)).collect();
+    (
+        0..docs.len(),
+        any::<u32>(),
+        any::<u32>(),
+        0..XML_POOL.len() + 3,
+    )
+        .prop_map(move |(doc, at, other, op)| {
+            let mut toks = docs[doc].clone();
+            let at = at as usize % toks.len();
+            match op.checked_sub(XML_POOL.len()) {
+                None => toks[at] = XML_POOL[op].to_string(),
+                Some(0) => drop(toks.remove(at)),
+                Some(1) => toks.insert(at, toks[at].clone()),
+                Some(_) => toks[at] = toks[other as usize % toks.len()].clone(),
+            }
+            toks.concat()
+        })
+}
+
+/// Bytes that look enough like XML to get past the first character.
+fn arb_xmlish_bytes() -> impl Strategy<Value = Vec<u8>> {
+    const MARKUP: &[u8] = b"<>/=\"'&;#! ?-[]abcrpxmlns:0123456789\n";
+    let byte = prop_oneof![
+        any::<u8>(),
+        (0..MARKUP.len()).prop_map(|i| MARKUP[i]),
+        (0..MARKUP.len()).prop_map(|i| MARKUP[i]),
+    ];
+    proptest::collection::vec(byte, 0..200)
+}
+
+/// A session past its hello, fed `bytes` as a frame of their own and
+/// then raw: the answer is events / reply bytes, so returning is the
+/// property. Afterwards the session still takes a good message.
+fn feed_agent(bytes: &[u8]) {
+    let (requests, _) = dialogue();
+    let mut agent = Agent::new(7, Yes);
+    agent.on_bytes(&Framer::frame(requests[0].as_bytes()));
+    agent.on_bytes(&Framer::frame(bytes));
+    agent.on_bytes(bytes);
+    agent.on_bytes(&Framer::frame(requests[4].as_bytes()));
+}
+
+fn feed_client(bytes: &[u8]) {
+    let (_, replies) = dialogue();
+    let mut client = Client::new();
+    client.on_bytes(&Framer::frame(replies[0].as_bytes()));
+    client.get_vnf_info(None);
+    client.on_bytes(&Framer::frame(bytes));
+    client.on_bytes(bytes);
+    client.on_bytes(&Framer::frame(replies[4].as_bytes()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn xml_parser_never_panics_on_markup_soup(bytes in arb_xmlish_bytes()) {
+        let _ = XmlElement::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn xml_parser_never_panics_on_a_damaged_message(
+        text in arb_damaged([dialogue().0, dialogue().1].concat()),
+    ) {
+        let _ = XmlElement::parse(&text);
+    }
+
+    #[test]
+    fn agent_never_panics_on_arbitrary_bytes(bytes in arb_xmlish_bytes()) {
+        feed_agent(&bytes);
+    }
+
+    #[test]
+    fn agent_never_panics_on_a_damaged_request(text in arb_damaged(dialogue().0)) {
+        feed_agent(text.as_bytes());
+    }
+
+    #[test]
+    fn client_never_panics_on_arbitrary_bytes(bytes in arb_xmlish_bytes()) {
+        feed_client(&bytes);
+    }
+
+    #[test]
+    fn client_never_panics_on_a_damaged_reply(text in arb_damaged(dialogue().1)) {
+        feed_client(text.as_bytes());
     }
 }

@@ -544,3 +544,204 @@ fn same_seed_runs_export_byte_identical_journals() {
     let c = scripted_journal("journal-c", 42, 80);
     assert_ne!(a, c, "different scripts must journal differently");
 }
+
+// ---------------------------------------------------------------------
+// Demand-driven topics: a topic's first holder starts from "now"
+// ---------------------------------------------------------------------
+
+/// Sums a `metrics-deltas` stream per metric and checks `baseline` plus
+/// the streamed movement equals `fin` (gauges: the last streamed value).
+fn assert_deltas_reconcile(
+    baseline: &HashMap<String, Polled>,
+    fin: &HashMap<String, Polled>,
+    events: &[CtlEvent],
+) {
+    let mut moved: HashMap<String, u64> = HashMap::new();
+    let mut gauge_last: HashMap<String, f64> = HashMap::new();
+    for ev in events {
+        let CtlEvent::MetricsDelta { deltas, .. } = ev else {
+            panic!("metrics-deltas subscriber got an off-topic frame: {ev:?}")
+        };
+        for d in deltas {
+            let key = metric_key(&d.name, &d.labels);
+            match d.metric.as_str() {
+                "counter" | "histogram" => *moved.entry(key).or_insert(0) += d.value as u64,
+                "gauge" => {
+                    gauge_last.insert(key, d.value);
+                }
+                m => panic!("unknown delta metric kind {m}"),
+            }
+        }
+    }
+    for (key, final_val) in fin {
+        let acc = moved.get(key).copied().unwrap_or(0);
+        match (*final_val, baseline.get(key)) {
+            (Polled::Counter(f), Some(Polled::Counter(b))) => assert_eq!(b + acc, f, "{key}"),
+            (Polled::Hist(f), Some(Polled::Hist(b))) => assert_eq!(b + acc, f, "{key}"),
+            (Polled::Counter(f) | Polled::Hist(f), _) => assert_eq!(acc, f, "{key}"),
+            (Polled::Gauge(f), base) => {
+                let expect = gauge_last.get(key).copied().unwrap_or(match base {
+                    Some(Polled::Gauge(b)) => *b,
+                    _ => 0.0,
+                });
+                assert_eq!(expect, f, "gauge {key} drifted from its last delta");
+            }
+        }
+    }
+}
+
+fn journal_lines(client: &mut CtlClient) -> Vec<Value> {
+    let CtlResponse::Journal { body } = call(client, CtlRequest::Journal) else {
+        panic!("journal export failed")
+    };
+    body.lines()
+        .map(|l| Value::parse(l).expect("journal line parses"))
+        .collect()
+}
+
+/// A pushed journal frame and an exported journal line are one entry.
+fn assert_same_entry(frame: &CtlEvent, line: &Value) {
+    let CtlEvent::Journal {
+        at_ns,
+        severity,
+        kind,
+        detail,
+    } = frame
+    else {
+        panic!("expected a journal frame, got {frame:?}")
+    };
+    assert_eq!(line.get("at_ns").and_then(Value::as_u64), Some(*at_ns));
+    let text = |key| line.get(key).and_then(Value::as_str);
+    assert_eq!(text("severity"), Some(severity.as_str()));
+    assert_eq!(text("kind"), Some(kind.as_str()));
+    assert_eq!(text("detail"), Some(detail.as_str()));
+}
+
+#[test]
+fn late_subscribers_start_from_the_moment_they_register() {
+    let socket = temp_socket("late");
+    let daemon = spawn_daemon(default_session(19), &socket);
+    let run_for = |c: &mut CtlClient, ms| {
+        assert!(matches!(
+            call(c, CtlRequest::RunFor { ms }),
+            CtlResponse::Advanced { .. }
+        ));
+    };
+
+    // History nobody watches: journal entries and plenty of metric
+    // movement before the first subscriber exists.
+    let mut c = connect(&socket);
+    deploy(&mut c);
+    assert_eq!(
+        call(
+            &mut c,
+            CtlRequest::Traffic {
+                from: "sap0".into(),
+                to: "sap1".into(),
+                frames: 400,
+                len: 128,
+                interval_us: 200,
+            },
+        ),
+        CtlResponse::TrafficStarted
+    );
+    run_for(&mut c, 30);
+
+    // The first `metrics-deltas` holder: its baseline is the registry
+    // at its ack, not at daemon start.
+    let mut deltas = connect(&socket)
+        .watch(&[WatchTopic::MetricsDeltas], None)
+        .unwrap();
+    let baseline = poll_metrics(&mut c);
+    run_for(&mut c, 30);
+    run_for(&mut c, 30);
+
+    // The first `events` holder joins while the other is still attached
+    // and sees only what is journaled after its own ack.
+    let before = journal_lines(&mut c).len();
+    assert!(
+        before >= 1,
+        "the deploy was journaled before anyone watched"
+    );
+    let mut events = connect(&socket).watch(&[WatchTopic::Events], None).unwrap();
+    assert!(matches!(
+        call(
+            &mut c,
+            CtlRequest::Teardown {
+                chain: "demo".into()
+            }
+        ),
+        CtlResponse::ToreDown { .. }
+    ));
+    let fin = poll_metrics(&mut c);
+    let journal = journal_lines(&mut c);
+    call(&mut c, CtlRequest::Shutdown);
+
+    let delta_frames = drain(&mut deltas);
+    let event_frames = drain(&mut events);
+    daemon.join().unwrap();
+
+    assert!(
+        delta_frames.len() >= 3,
+        "one frame per run-for and teardown"
+    );
+    assert_deltas_reconcile(&baseline, &fin, &delta_frames);
+
+    assert!(journal.len() > before, "the teardown was journaled");
+    assert_eq!(event_frames.len(), journal.len() - before);
+    for (frame, line) in event_frames.iter().zip(&journal[before..]) {
+        assert_same_entry(frame, line);
+    }
+}
+
+// ---------------------------------------------------------------------
+// `--since` replay is bounded by the journal, not by the push queue
+// ---------------------------------------------------------------------
+
+#[test]
+fn since_replays_every_retained_entry_in_order_then_goes_live() {
+    let socket = temp_socket("replay");
+    let daemon = spawn_daemon(default_session(23), &socket);
+    let mut c = connect(&socket);
+    for _ in 0..320 {
+        deploy(&mut c);
+        assert!(matches!(
+            call(
+                &mut c,
+                CtlRequest::Teardown {
+                    chain: "demo".into()
+                }
+            ),
+            CtlResponse::ToreDown { .. }
+        ));
+    }
+    let history = journal_lines(&mut c);
+    assert!(
+        history.len() >= 600,
+        "want a replay well past the 256-slot queue, got {}",
+        history.len()
+    );
+
+    let mut watch = connect(&socket)
+        .watch(&[WatchTopic::Events], Some(0))
+        .unwrap();
+    // One live entry behind the history, so a reader that was short-
+    // changed sees the `lagged` frame instead of blocking forever.
+    deploy(&mut c);
+    let journal = journal_lines(&mut c);
+    assert!(journal.len() > history.len());
+    call(&mut c, CtlRequest::Shutdown);
+
+    // Ack, then all of history in sequence order, then the live entry:
+    // nothing dropped, nothing reordered, no `lagged` frame.
+    let frames = drain(&mut watch);
+    daemon.join().unwrap();
+    assert!(
+        !frames.iter().any(|e| matches!(e, CtlEvent::Lagged { .. })),
+        "replay of retained history must not lag"
+    );
+    assert_eq!(frames.len(), journal.len());
+    for (frame, line) in frames.iter().zip(&journal) {
+        assert_same_entry(frame, line);
+    }
+}
