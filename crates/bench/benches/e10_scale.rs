@@ -14,8 +14,7 @@
 //!
 //! All headline numbers are measured in *virtual* time and are therefore
 //! deterministic — byte-identical across machines and repeats; only the
-//! informational `wall_ms` column varies. The committed snapshot is
-//! `BENCH_scale.json` at the repo root. The bench fails unless 2
+//! informational `wall_ms` column varies. The bench fails unless 2
 //! replicas deliver at least [`GATE_SPEEDUP`]× the single-replica
 //! throughput — an exact check, so it needs no switch.
 
@@ -265,9 +264,6 @@ fn print_table() {
         .set("cutovers", escape_json::Value::Arr(cutovers));
     if let Some(path) = escape_bench::write_telemetry_artifact("BENCH_scale", &doc) {
         println!("telemetry artifact: {}", path.display());
-    }
-    if let Some(path) = escape_bench::write_repo_artifact("BENCH_scale", &doc) {
-        println!("baseline snapshot: {}", path.display());
     }
     println!("(expected shape: ~Nx aggregate throughput until per-bucket offered load");
     println!(" drops below one replica's capacity; p99 collapses once unsaturated)\n");

@@ -333,13 +333,13 @@ fn report_run(esc: &mut Escape, o: &RunOptions, plan: Option<&FaultPlan>) -> Res
         );
     }
     if plan.is_some() {
-        let m = esc.metrics();
+        let m = esc.telemetry();
         println!(
             "faults: injected={} recoveries={} failures={} rpc_retries={}",
             m.counter_total("faults.injected"),
-            m.counter("escape.recoveries", &[]).unwrap_or(0),
-            m.counter("escape.recovery_failures", &[]).unwrap_or(0),
-            m.counter("netconf.rpc_retries", &[]).unwrap_or(0),
+            m.counter_total("escape.recoveries"),
+            m.counter_total("escape.recovery_failures"),
+            m.counter_total("netconf.rpc_retries"),
         );
         for line in esc.event_trace() {
             println!("  {line}");

@@ -16,7 +16,7 @@ use super::Command;
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{CtlError, CtlEvent, CtlResponse, MetricDelta, WatchTopic};
 use escape::{JournalEvent, Session};
-use escape_telemetry::{ReportEntry, Snapshot};
+use escape_telemetry::{delta, Scalar};
 use std::collections::HashMap;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,14 +74,15 @@ impl Subscriber {
 }
 
 /// Fan-out state for `watch` subscriptions, owned by the environment
-/// loop. `journal_seq` and `last_snapshot` mean something only while a
+/// loop. `journal_seq` and `last_values` mean something only while a
 /// subscriber holds their topic; `sla_last` lives as long as the daemon,
 /// so a second `sla` subscriber is not re-told every chain's verdict.
 #[derive(Default)]
 pub(super) struct Publisher {
     subscribers: Vec<Subscriber>,
     journal_seq: u64,
-    last_snapshot: Snapshot,
+    /// The registry's value vector at the previous publish.
+    last_values: Vec<Scalar>,
     sla_last: HashMap<String, bool>,
 }
 
@@ -107,7 +108,7 @@ impl Publisher {
             self.journal_seq = journal.seq_end();
         }
         if sub.wants(WatchTopic::MetricsDeltas) && !self.held(WatchTopic::MetricsDeltas) {
-            self.last_snapshot = esc.metrics();
+            self.last_values = esc.telemetry().values();
         }
         let mut history = Vec::new();
         if let Some(since) = since.filter(|_| sub.wants(WatchTopic::Events)) {
@@ -141,10 +142,24 @@ impl Publisher {
             self.journal_seq = journal.seq_end();
         }
         if self.held(WatchTopic::MetricsDeltas) {
-            let snap = esc.metrics();
-            let report = self.last_snapshot.diff(&snap);
-            if !report.is_empty() {
-                let deltas = report.entries.iter().map(metric_delta).collect();
+            let registry = esc.telemetry();
+            let values = registry.values();
+            // Only the series that moved are named; the frame lists them
+            // in name-then-labels order.
+            let mut deltas: Vec<MetricDelta> = delta(&self.last_values, &values)
+                .into_iter()
+                .map(|(slot, value)| {
+                    let (name, labels) = registry.key(slot);
+                    MetricDelta {
+                        name,
+                        labels,
+                        metric: values[slot].kind().into(),
+                        value,
+                    }
+                })
+                .collect();
+            if !deltas.is_empty() {
+                deltas.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
                 frames.push((
                     WatchTopic::MetricsDeltas,
                     CtlEvent::MetricsDelta {
@@ -153,7 +168,7 @@ impl Publisher {
                     },
                 ));
             }
-            self.last_snapshot = snap;
+            self.last_values = values;
         }
         // The verdict scan walks the flight-recorder trace.
         if self.held(WatchTopic::Sla) {
@@ -188,31 +203,6 @@ fn journal_frame(e: &JournalEvent) -> CtlEvent {
         severity: e.severity.label().into(),
         kind: e.kind.label().into(),
         detail: e.detail.clone(),
-    }
-}
-
-fn metric_delta(e: &ReportEntry) -> MetricDelta {
-    let (name, labels, metric, value) = match e {
-        ReportEntry::CounterDelta {
-            name,
-            labels,
-            delta,
-        } => (name, labels, "counter", *delta as f64),
-        ReportEntry::GaugeChange {
-            name, labels, to, ..
-        } => (name, labels, "gauge", *to as f64),
-        ReportEntry::HistogramActivity {
-            name,
-            labels,
-            observations,
-            ..
-        } => (name, labels, "histogram", *observations as f64),
-    };
-    MetricDelta {
-        name: name.clone(),
-        labels: labels.clone(),
-        metric: metric.into(),
-        value,
     }
 }
 
@@ -322,7 +312,7 @@ mod tests {
         let mut publisher = Publisher::default();
         publisher.publish(&session);
         assert_eq!(publisher.journal_seq, 0);
-        assert_eq!(publisher.last_snapshot, Snapshot::default());
+        assert!(publisher.last_values.is_empty());
         assert!(publisher.sla_last.is_empty());
     }
 

@@ -203,16 +203,17 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("escape-cli-{tag}-{}", std::process::id()))
 }
 
-/// An in-process daemon configured the way a flagless `escaped` is.
-fn spawn_daemon(socket: &Path, seed: u64) -> thread::JoinHandle<()> {
+/// An in-process daemon configured the way a flagless `escaped` is,
+/// with the sampler's `--sample-ms` / `--sample-retention` as given.
+fn spawn_daemon(socket: &Path, sample_ms: u64, retention: usize) -> thread::JoinHandle<()> {
     let session = Session::new(
         demo_topology(),
         SessionConfig {
-            seed,
+            seed: 7,
             flight_recorder: Some(65_536),
             sampler: Some(SamplerConfig {
-                period_ns: 5_000_000,
-                retention: 120,
+                period_ns: sample_ms * 1_000_000,
+                retention,
             }),
             ..SessionConfig::default()
         },
@@ -362,7 +363,7 @@ fn daemon_verbs(c: &mut Corpus) {
     let socket = temp_path("daemon.sock");
     let sock = socket.display().to_string();
     c.aliases.push((sock.clone(), "$SOCK"));
-    let daemon = spawn_daemon(&socket, 7);
+    let daemon = spawn_daemon(&socket, 5, 120);
     let sg = format!("{DATA}/demo.sg");
     let fault = format!("{DATA}/flaky.fault");
 
@@ -403,7 +404,20 @@ fn daemon_verbs(c: &mut Corpus) {
     let args = [
         "ctl", "watch", "--socket", &sock, "--topics", "events", "--since", "0",
     ];
-    let mut watch = command("escape", &args)
+    watch_until_shutdown(c, &args, |c| ctl(c, &["shutdown"], Filter::None));
+    daemon.join().unwrap();
+    assert!(!socket.exists(), "daemon left its socket behind");
+
+    // Nobody answers on the socket any more.
+    ctl(c, &["status"], Filter::None);
+    c.run("escape", &["top", "--socket", &sock]);
+}
+
+/// Pins one `escape ctl watch` stream: starts it, waits for its ack,
+/// runs `script` (which ends by shutting the daemon down) and records
+/// everything the stream printed until the daemon hung up.
+fn watch_until_shutdown(c: &mut Corpus, args: &[&str], script: impl FnOnce(&mut Corpus)) {
+    let mut watch = command("escape", args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -411,18 +425,59 @@ fn daemon_verbs(c: &mut Corpus) {
     let mut err = BufReader::new(watch.stderr.take().expect("piped stderr"));
     let mut ack = String::new();
     err.read_line(&mut ack).expect("the watching ack");
-    ctl(c, &["shutdown"], Filter::None);
+    script(c);
     let mut rest = String::new();
     err.read_to_string(&mut rest).unwrap();
     let mut out = watch.wait_with_output().expect("watch exits");
     out.stderr = format!("{ack}{rest}").into_bytes();
-    c.record("escape", &args, &out, Stderr::All, Filter::None);
-    daemon.join().unwrap();
-    assert!(!socket.exists(), "daemon left its socket behind");
+    c.record("escape", args, &out, Stderr::All, Filter::None);
+}
 
-    // Nobody answers on the socket any more.
-    ctl(c, &["status"], Filter::None);
-    c.run("escape", &["top", "--socket", &sock]);
+/// The sampler ring where a refactor can get it wrong: a window that
+/// has wrapped, a series that registers inside the retained window
+/// (points before registration read 0), and the metrics-delta stream
+/// (key order, gauges absolute, counters as increments).
+fn wrapped_series_ring(c: &mut Corpus) {
+    let socket = temp_path("ring.sock");
+    let sock = socket.display().to_string();
+    c.aliases.push((sock.clone(), "$RING"));
+    let daemon = spawn_daemon(&socket, 1, 16);
+    let sg = format!("{DATA}/scale.sg");
+    let ctl = |c: &mut Corpus, words: &[&str]| {
+        let mut args = vec!["ctl", "--socket", &sock];
+        args.extend(words);
+        c.run("escape", &args);
+    };
+    ctl(c, &["deploy", &sg]);
+    ctl(c, &["traffic", "sap0:sap1:50:128:200"]);
+    ctl(c, &["run-for", "20"]);
+    ctl(c, &["series"]);
+    // The first scale step registers the per-replica gauges and the
+    // scale spans' series inside the retained window.
+    ctl(c, &["scale", "demo", "mon", "2"]);
+    ctl(c, &["traffic", "sap0:sap1:20:128:200"]);
+    ctl(c, &["run-for", "6"]);
+    ctl(c, &["series"]);
+    ctl(c, &["teardown", "demo"]);
+
+    let args = [
+        "ctl",
+        "watch",
+        "--socket",
+        &sock,
+        "--topics",
+        "metrics-deltas",
+    ];
+    watch_until_shutdown(c, &args, |c| {
+        ctl(c, &["deploy", &sg]);
+        ctl(c, &["scale", "demo", "mon", "3"]);
+        ctl(c, &["traffic", "sap0:sap1:10:128:200"]);
+        ctl(c, &["run-for", "5"]);
+        ctl(c, &["scale", "demo", "mon", "1"]);
+        ctl(c, &["teardown", "demo"]);
+        ctl(c, &["shutdown"]);
+    });
+    daemon.join().unwrap();
 }
 
 fn usage_failures(c: &mut Corpus) {
@@ -551,6 +606,7 @@ fn command_lines_match_the_golden_corpus() {
     let mut corpus = Corpus::load();
     one_shot_runs(&mut corpus);
     daemon_verbs(&mut corpus);
+    wrapped_series_ring(&mut corpus);
     usage_failures(&mut corpus);
     json_files_need_no_flag(&mut corpus);
     corpus.finish();

@@ -34,7 +34,7 @@ use escape_netem::{LinkState, Time};
 use escape_orch::{MapError, MappingAlgorithm};
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
-use escape_telemetry::{Registry, Snapshot};
+use escape_telemetry::{Counter, Registry, Snapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -48,6 +48,19 @@ pub const EPOCH: Time = Time::from_us(500);
 struct DomainRuntime {
     name: String,
     esc: Escape,
+    /// `domains.handoffs{from=name}` and
+    /// `domains.unroutable_payloads{from=name}`, each looked up at the
+    /// domain's first such payload.
+    handoffs: Option<Counter>,
+    unroutable: Option<Counter>,
+}
+
+/// Counts one payload under `series{from=domain}`, looking the series
+/// up the first time.
+fn count_from(handle: &mut Option<Counter>, registry: &Registry, series: &str, domain: &str) {
+    handle
+        .get_or_insert_with(|| registry.counter_with(series, &[("from", domain)]))
+        .inc();
 }
 
 /// First chain-identifying source port handed out by the coordinator.
@@ -139,6 +152,8 @@ impl MultiDomainEscape {
             parts.push(DomainRuntime {
                 name: d.name.clone(),
                 esc,
+                handoffs: None,
+                unroutable: None,
             });
         }
         let mut gw_saps = Vec::new();
@@ -526,14 +541,13 @@ impl MultiDomainEscape {
         arrivals.sort_by_key(|(di, _, rx)| (rx.at, *di));
         for (di, sap, rx) in arrivals {
             let key = (di, sap.clone(), rx.src, rx.src_port);
-            let from_domain = self.parts[di].name.clone();
-            let from = [("from", from_domain.as_str())];
+            let registry = &self.registry;
             let Some(h) = self.handoffs.get(&key) else {
                 // No chain claims this source on this gateway (its chain
                 // was torn down or re-stitched with frames in flight).
-                self.registry
-                    .counter_with("domains.unroutable_payloads", &from)
-                    .inc();
+                let from = &mut self.parts[di];
+                let series = "domains.unroutable_payloads";
+                count_from(&mut from.unroutable, registry, series, &from.name);
                 continue;
             };
             let at = (rx.at + EPOCH).max(end);
@@ -542,7 +556,8 @@ impl MultiDomainEscape {
                 .gateway_send(&h.from_sap, &h.to_sap, rx.payload, rx.born_ns, at, h.port)
                 .is_ok()
             {
-                self.registry.counter_with("domains.handoffs", &from).inc();
+                let from = &mut self.parts[di];
+                count_from(&mut from.handoffs, registry, "domains.handoffs", &from.name);
             }
         }
     }

@@ -43,6 +43,7 @@ pub use scale::{ScaleReport, MAX_REPLICAS};
 use crate::container::VnfContainer;
 use crate::error::{EscapeError, RollbackReport, RollbackStep};
 use crate::infra::{Infra, CTRL_LATENCY};
+use crate::journal::DEFAULT_JOURNAL_CAP;
 use escape_netconf::client::{switch_port_of, vnf_id_of};
 use escape_netem::{Sim, Time};
 use escape_orch::{MappingAlgorithm, Orchestrator};
@@ -205,7 +206,7 @@ impl Escape {
             deployed: HashMap::new(),
             graphs: HashMap::new(),
             next_cookie: 1,
-            tracer: Tracer::new(telemetry.clone()),
+            tracer: Tracer::new(telemetry.clone(), DEFAULT_JOURNAL_CAP),
             rpcs: rpc::RpcPlane::new(&telemetry, seed),
             counters: deploy::DeployCounters::new(&telemetry),
             admission: admission::Admission::new(&telemetry, seed),

@@ -44,8 +44,8 @@ impl Observation {
 const CACHE_STORM_THRESHOLD: u64 = 64;
 
 impl Escape {
-    /// One sample point: detect SLA verdict flips and cache-invalidation
-    /// storms, then record a registry snapshot into the sampler ring.
+    /// One sample point: note SLA verdict flips, sample the registry
+    /// into the sampler ring, then note a cache-invalidation storm.
     /// Everything here runs on the virtual clock, so the journal and the
     /// series stay byte-identical across same-seed runs.
     pub(super) fn observe_tick(&mut self) {
@@ -72,8 +72,12 @@ impl Escape {
                 );
             }
         }
-        let snap = self.telemetry.snapshot();
-        let invalidations = snap.counter_total("openflow.cache_invalidations");
+        // The sample sees the flip notes' journal evictions, not the
+        // storm note's.
+        if let Some(s) = &mut self.observe.sampler {
+            s.record(now_ns);
+        }
+        let invalidations = self.telemetry.counter_total("openflow.cache_invalidations");
         let delta = invalidations.saturating_sub(self.observe.last_cache_invalidations);
         if delta >= CACHE_STORM_THRESHOLD {
             self.journal_note(
@@ -83,10 +87,7 @@ impl Escape {
             );
         }
         self.observe.last_cache_invalidations = invalidations;
-        if let Some(s) = &mut self.observe.sampler {
-            s.record(now_ns, snap);
-        }
-        // The autoscaler runs after the snapshot so scaling RPCs (which
+        // The autoscaler runs after the sample so scaling RPCs (which
         // advance virtual time) never skew the recorded sample.
         self.autoscale_tick();
     }
@@ -97,11 +98,6 @@ impl Escape {
     /// [`Escape::run_until`].
     pub fn enable_sampler(&mut self, cfg: SamplerConfig) {
         self.observe.sampler = Some(Sampler::new(&self.telemetry, cfg));
-    }
-
-    /// The sampler ring, if enabled.
-    pub fn sampler(&self) -> Option<&Sampler> {
-        self.observe.sampler.as_ref()
     }
 
     /// Delta-encoded sampler series as a JSON document (see
@@ -233,6 +229,7 @@ impl Escape {
     /// an SLA get a vacuous pass.
     pub fn sla_verdicts(&self) -> Vec<SlaVerdict> {
         let fr = self.flight_record();
+        let journeys = fr.by_chain();
         let mut names: Vec<&String> = self.deployed.keys().collect();
         names.sort();
         names
@@ -244,7 +241,8 @@ impl Escape {
                     .and_then(|g| g.chains.iter().find(|c| &c.name == name))
                     .and_then(|c| c.sla)
                     .unwrap_or_default();
-                flight::evaluate_sla(name, &sla, fr.for_chain(name))
+                let of_chain = journeys.get(name.as_str()).into_iter().flatten();
+                flight::evaluate_sla(name, &sla, of_chain.copied())
             })
             .collect()
     }

@@ -13,7 +13,7 @@
 
 use escape_netem::{DropReason, HopDetail, NodeId, Time, TraceDir, TraceRecord};
 use escape_sg::Sla;
-use escape_telemetry::{ChromeEvent, Registry, DURATION_BOUNDS_NS};
+use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
@@ -234,11 +234,16 @@ fn build_journey(
 }
 
 impl FlightRecord {
-    /// Journeys attributed to the named chain.
-    pub fn for_chain<'a>(&'a self, chain: &'a str) -> impl Iterator<Item = &'a Journey> {
-        self.journeys
-            .iter()
-            .filter(move |j| j.chain.as_deref() == Some(chain))
+    /// The attributed journeys, bucketed by chain in one pass (record
+    /// order within a chain).
+    pub fn by_chain(&self) -> HashMap<&str, Vec<&Journey>> {
+        let mut buckets: HashMap<&str, Vec<&Journey>> = HashMap::new();
+        for j in &self.journeys {
+            if let Some(chain) = &j.chain {
+                buckets.entry(chain).or_default().push(j);
+            }
+        }
+        buckets
     }
 
     /// The journey of one packet.
@@ -252,36 +257,32 @@ impl FlightRecord {
     /// (`chain.e2e_latency_ns`). Unattributed journeys land under
     /// `chain="unattributed"`.
     pub fn aggregate(&self, registry: &Registry) {
+        // A series is looked up at its first journey, not at every one.
+        let mut counters: HashMap<(&str, &str, Option<DropReason>), Counter> = HashMap::new();
+        let mut latencies: HashMap<&str, Histogram> = HashMap::new();
         for j in &self.journeys {
             let chain = j.chain.as_deref().unwrap_or("unattributed");
-            match &j.outcome {
-                Outcome::Delivered { .. } => {
-                    registry
-                        .counter_with("chain.delivered", &[("chain", chain)])
-                        .inc();
-                    if let Some(ns) = j.e2e_latency_ns() {
-                        registry
-                            .histogram_with(
-                                "chain.e2e_latency_ns",
-                                &[("chain", chain)],
-                                DURATION_BOUNDS_NS,
-                            )
-                            .observe(ns);
-                    }
-                }
-                Outcome::Dropped { reason, .. } => {
-                    registry
-                        .counter_with(
-                            "chain.dropped",
-                            &[("chain", chain), ("reason", reason.label())],
-                        )
-                        .inc();
-                }
-                Outcome::InFlight => {
-                    registry
-                        .counter_with("chain.in_flight", &[("chain", chain)])
-                        .inc();
-                }
+            let (name, reason) = match &j.outcome {
+                Outcome::Delivered { .. } => ("chain.delivered", None),
+                Outcome::Dropped { reason, .. } => ("chain.dropped", Some(*reason)),
+                Outcome::InFlight => ("chain.in_flight", None),
+            };
+            counters
+                .entry((name, chain, reason))
+                .or_insert_with(|| {
+                    let mut labels = vec![("chain", chain)];
+                    labels.extend(reason.map(|r| ("reason", r.label())));
+                    registry.counter_with(name, &labels)
+                })
+                .inc();
+            if let (Outcome::Delivered { .. }, Some(ns)) = (&j.outcome, j.e2e_latency_ns()) {
+                latencies
+                    .entry(chain)
+                    .or_insert_with(|| {
+                        let labels = [("chain", chain)];
+                        registry.histogram_with("chain.e2e_latency_ns", &labels, DURATION_BOUNDS_NS)
+                    })
+                    .observe(ns);
             }
         }
     }
@@ -589,13 +590,13 @@ mod tests {
             max_latency_us: Some(1_000),
             max_loss: Some(0.5),
         };
-        let v = evaluate_sla("demo", &loose, fr.for_chain("demo"));
+        let v = evaluate_sla("demo", &loose, fr.by_chain()["demo"].iter().copied());
         assert!(v.pass, "loose sla should pass: {v}");
         let tight = Sla {
             max_latency_us: Some(10),
             max_loss: None,
         };
-        let v = evaluate_sla("demo", &tight, fr.for_chain("demo"));
+        let v = evaluate_sla("demo", &tight, fr.by_chain()["demo"].iter().copied());
         assert!(!v.pass);
         assert_eq!(v.violations.len(), 1);
         assert!(v.to_string().contains("FAIL"));

@@ -306,7 +306,7 @@ impl Session {
     /// recovery-failure counts afterwards.
     pub fn heal_now(&mut self) -> (u64, u64) {
         self.esc.heal_now();
-        let m = self.esc.metrics();
+        let m = self.esc.telemetry();
         (
             m.counter_total("escape.recoveries"),
             m.counter_total("escape.recovery_failures"),
@@ -360,7 +360,7 @@ impl Session {
 
     /// Snapshot of the session for `status`.
     pub fn status(&self) -> StatusInfo {
-        let m = self.esc.metrics();
+        let m = self.esc.telemetry();
         let chains = self
             .esc
             .deployed_chains()
@@ -451,6 +451,47 @@ mod tests {
             s.escape().metrics().prometheus()
         );
         assert!(s.metrics_exposition(true).starts_with('{'));
+    }
+
+    #[test]
+    fn span_history_is_bounded_so_the_json_exposition_stops_growing() {
+        let mut s = Session::new(demo_topology(), SessionConfig::default()).unwrap();
+        let sg = demo_sg();
+        let exposition = |s: &Session| {
+            let text = s.metrics_exposition(true);
+            let doc = Value::parse(&text).unwrap();
+            let spans = doc.get("trace").unwrap().get("spans").unwrap();
+            (spans.as_arr().unwrap().len(), text.len())
+        };
+        let round = |s: &mut Session| {
+            s.deploy(&sg).unwrap();
+            s.teardown("demo").unwrap();
+        };
+        round(&mut s);
+        let per_round = exposition(&s).0;
+        let cap = crate::journal::DEFAULT_JOURNAL_CAP;
+        for _ in 0..cap / per_round + 1 {
+            round(&mut s);
+        }
+        let full = exposition(&s);
+        assert_eq!(full.0, cap, "the history holds its capacity, no more");
+        // Past the capacity a round changes digits, not the reply's size.
+        for _ in 0..20 {
+            round(&mut s);
+        }
+        let later = exposition(&s);
+        assert_eq!(later.0, cap);
+        assert!(
+            later.1.abs_diff(full.1) < full.1 / 100,
+            "reply grew from {} to {} bytes",
+            full.1,
+            later.1
+        );
+        let evicted = s
+            .escape()
+            .telemetry()
+            .counter_total("telemetry.spans_evicted");
+        assert!(evicted >= 20 * per_round as u64);
     }
 
     #[test]

@@ -357,9 +357,9 @@ pub fn run_soak(cfg: SoakConfig) -> SoakReport {
     report
         .violations
         .extend(final_violations.into_iter().map(|v| format!("final: {v}")));
-    let snap = esc.metrics();
-    report.admission_queued = snap.counter("escape.admission_queued", &[]).unwrap_or(0);
-    report.admission_rejected = snap.counter("escape.admission_rejected", &[]).unwrap_or(0);
+    let m = esc.telemetry();
+    report.admission_queued = m.counter_total("escape.admission_queued");
+    report.admission_rejected = m.counter_total("escape.admission_rejected");
     report.live_at_end = esc.deployed_chains().len();
     report.fingerprint = esc.state_fingerprint();
     report

@@ -175,6 +175,9 @@ pub struct Sim {
     /// Per-link drop counters (`netem.link_drops{link="a-b"}`), parallel
     /// to `links`.
     link_drops: Vec<Counter>,
+    /// `netem.drops{reason=...}` by `DropReason as usize`, each looked up
+    /// at its first drop so an unseen reason has no series.
+    drops_by_reason: Vec<Option<Counter>>,
     /// Optional packet trace (pcap stand-in).
     pub trace: Option<Trace>,
 }
@@ -203,6 +206,7 @@ impl Sim {
             telemetry,
             counters,
             link_drops: Vec::new(),
+            drops_by_reason: vec![None; DropReason::all().len()],
             trace: None,
         }
     }
@@ -657,9 +661,12 @@ impl Sim {
         }
     }
 
-    fn count_drop_reason(&self, reason: DropReason) {
-        self.telemetry
-            .counter_with("netem.drops", &[("reason", reason.label())])
+    fn count_drop_reason(&mut self, reason: DropReason) {
+        self.drops_by_reason[reason as usize]
+            .get_or_insert_with(|| {
+                let labels = [("reason", reason.label())];
+                self.telemetry.counter_with("netem.drops", &labels)
+            })
             .inc();
     }
 
@@ -1068,6 +1075,33 @@ mod tests {
         let tr = sim.trace.as_ref().unwrap();
         let drop = tr.records().find(|r| r.dir == TraceDir::Drop).unwrap();
         assert_eq!(drop.drop, Some(DropReason::LinkDown));
+    }
+
+    #[test]
+    fn a_drop_reason_registers_once_and_counts_every_drop() {
+        let (mut sim, a, _b) = two_node_sim(LinkConfig::lan());
+        sim.set_link_state(LinkId(0), LinkState::Down);
+        let link_down = |sim: &Sim| {
+            let snap = sim.telemetry().snapshot();
+            let n = snap.counter("netem.drops", &[("reason", "link_down")]);
+            (n, snap.entries.len())
+        };
+        let (none, before) = link_down(&sim);
+        assert_eq!(none, None, "no series before the first drop");
+        let mut after_first = 0;
+        for i in 0..1_000u64 {
+            sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::from_ns(i));
+            sim.run(10);
+            if i == 0 {
+                after_first = link_down(&sim).1;
+                assert!(after_first > before);
+            }
+        }
+        assert_eq!(link_down(&sim), (Some(1_000), after_first));
+        // The handle table is indexed by the enum's discriminant.
+        for (i, reason) in DropReason::all().iter().enumerate() {
+            assert_eq!(*reason as usize, i);
+        }
     }
 
     #[test]

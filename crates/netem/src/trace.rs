@@ -11,7 +11,7 @@
 use crate::sim::NodeId;
 use crate::time::Time;
 use bytes::Bytes;
-use std::collections::VecDeque;
+use escape_telemetry::Ring;
 
 /// Direction of a traced frame relative to the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,25 +170,19 @@ impl TraceRecord {
 /// expensive, so tracing is opt-in per [`crate::Sim`]. At capacity the
 /// trace behaves as a ring buffer: the oldest records are evicted so the
 /// tail of the run is always retained.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Trace {
-    records: VecDeque<TraceRecord>,
-    /// Maximum records kept.
-    cap: usize,
-    /// Records evicted from the front once the cap was reached.
-    evicted: u64,
+    records: Ring<TraceRecord>,
     /// When true, frame bytes are kept so the trace can be exported as a
     /// real pcap file.
     pub capture_payloads: bool,
 }
 
 impl Trace {
-    /// A trace bounded to `cap` records.
+    /// A trace bounded to `cap` records; a capacity of 0 records nothing.
     pub fn with_capacity(cap: usize) -> Self {
         Trace {
-            records: VecDeque::new(),
-            cap,
-            evicted: 0,
+            records: Ring::new(cap),
             capture_payloads: false,
         }
     }
@@ -196,14 +190,9 @@ impl Trace {
     /// Records an event, evicting the oldest record once the cap is
     /// reached (ring-buffer semantics).
     pub fn record(&mut self, rec: TraceRecord) {
-        if self.cap == 0 {
-            return;
+        if self.records.capacity() > 0 {
+            self.records.push(rec);
         }
-        if self.records.len() >= self.cap {
-            self.records.pop_front();
-            self.evicted += 1;
-        }
-        self.records.push_back(rec);
     }
 
     /// All retained records in time order.
@@ -223,12 +212,12 @@ impl Trace {
 
     /// The `i`-th retained record (0 = oldest).
     pub fn get(&self, i: usize) -> Option<&TraceRecord> {
-        self.records.get(i)
+        self.records.iter().nth(i)
     }
 
     /// Records evicted because the capacity was reached.
     pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.records.evicted()
     }
 
     /// Records matching a node.
@@ -262,7 +251,7 @@ impl Trace {
         out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
         out.extend_from_slice(&65_535u32.to_le_bytes()); // snaplen
         out.extend_from_slice(&1u32.to_le_bytes()); // linktype: Ethernet
-        for r in &self.records {
+        for r in self.records.iter() {
             let Some(data) = &r.data else { continue };
             let secs = (r.time.as_ns() / 1_000_000_000) as u32;
             let usecs = ((r.time.as_ns() % 1_000_000_000) / 1_000) as u32;
@@ -278,7 +267,7 @@ impl Trace {
     /// Renders the trace as a tcpdump-ish text listing.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             out.push_str(&format!(
                 "{:>14} node{} port{} {} len={} id={}",
                 r.time.to_string(),

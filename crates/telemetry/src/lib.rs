@@ -14,22 +14,29 @@
 //!   deterministic for a fixed seed. Every finished span feeds a
 //!   duration histogram named `span.<name>.duration_ns`.
 //! * Exposition — [`Snapshot`] renders as Prometheus text
-//!   ([`Snapshot::prometheus`]) or JSON ([`Snapshot::to_json`]), and two
-//!   snapshots diff into a [`TelemetryReport`] of what happened between
-//!   them.
+//!   ([`Snapshot::prometheus`]) or JSON ([`Snapshot::to_json`]).
+//! * Two points in time — a series keeps one slot in the registry for
+//!   the registry's life, [`Registry::values`] reads every slot into a
+//!   vector of [`Scalar`]s, and [`delta`] of two such vectors is what
+//!   changed between them. The [`Sampler`]'s series document and the
+//!   watch plane's metrics-delta frames are both that one delta.
+//! * [`Ring`] — the bounded history under the sampler, the span trace,
+//!   the event journal and the packet trace.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use escape_json::Value;
 
 pub mod chrome;
+mod ring;
 pub mod sampler;
 mod span;
 pub use chrome::ChromeEvent;
-pub use sampler::{Sample, Sampler, SamplerConfig};
+pub use ring::Ring;
+pub use sampler::{Sampler, SamplerConfig};
 pub use span::{SpanHandle, SpanRecord, Tracer};
 
 /// Label set attached to a metric: sorted `(key, value)` pairs.
@@ -45,7 +52,7 @@ fn normalize_labels(labels: &[(&str, &str)]) -> Labels {
 }
 
 /// A monotonically increasing counter.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
 }
@@ -71,7 +78,7 @@ impl Counter {
 }
 
 /// A value that can go up and down (queue depths, utilization).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
 }
@@ -91,15 +98,6 @@ impl Gauge {
 
     pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Records `v` and remembers the largest value ever set (exposed as
-    /// a companion `<name>.max` sample in snapshots).
-    pub fn set_max_tracking(&self, v: i64, max_cell: &Gauge) {
-        self.set(v);
-        if v > max_cell.get() {
-            max_cell.set(v);
-        }
     }
 }
 
@@ -231,16 +229,115 @@ struct MetricKey {
     labels: Labels,
 }
 
+/// The current value of one series, as much of it as a delta needs: a
+/// counter's total, a gauge's level, a histogram's observation count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar {
+    Counter(u64),
+    Gauge(i64),
+    Histogram(u64),
+}
+
+impl Scalar {
+    /// `"counter"`, `"gauge"` or `"histogram"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scalar::Counter(_) => "counter",
+            Scalar::Gauge(_) => "gauge",
+            Scalar::Histogram(_) => "histogram",
+        }
+    }
+
+    fn level(self) -> i128 {
+        match self {
+            Scalar::Counter(v) | Scalar::Histogram(v) => v.into(),
+            Scalar::Gauge(v) => v.into(),
+        }
+    }
+
+    /// The one delta encoding: what this value reports against `was`,
+    /// the same series earlier, or `None` when it has not moved. A
+    /// counter reports its increment, a histogram its new observations,
+    /// a gauge its new level. A series that did not exist yet (`None`)
+    /// counts from zero, which is exact because every metric is born at
+    /// zero.
+    pub fn since(self, was: Option<Scalar>) -> Option<f64> {
+        let (now, was) = (self.level(), was.map_or(0, Scalar::level));
+        (now != was).then(|| match self {
+            Scalar::Gauge(_) => now as f64,
+            _ => (now - was).max(0) as f64,
+        })
+    }
+}
+
+/// What changed between two [`Registry::values`] vectors of one
+/// registry: `(slot, value)` per moved series in slot order, each value
+/// encoded by [`Scalar::since`]. `newer` may be longer than `older`
+/// (series registered in between); slots never disappear.
+pub fn delta(older: &[Scalar], newer: &[Scalar]) -> Vec<(usize, f64)> {
+    newer
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, now)| Some((slot, now.since(older.get(slot).copied())?)))
+        .collect()
+}
+
+/// Registering one name + labels under two types is a bug in this
+/// program.
+fn type_mismatch(name: &str) -> ! {
+    panic!("metric {name:?} already registered with a different type")
+}
+
+/// The series table: a series' slot is its index in `slots`, assigned
+/// at registration and kept for the registry's life (nothing
+/// unregisters).
+#[derive(Default)]
+struct Table {
+    index: HashMap<MetricKey, usize>,
+    slots: Vec<(MetricKey, Metric)>,
+}
+
 /// The process-wide metric registry. Cheap to clone (all clones share
 /// state); each subsystem holds its own clone plus cached handles.
 #[derive(Clone, Default)]
 pub struct Registry {
-    metrics: Arc<Mutex<HashMap<MetricKey, Metric>>>,
+    table: Arc<Mutex<Table>>,
 }
 
 impl Registry {
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        // Nothing panics under this lock short of a slot index no value
+        // vector of this registry could have produced.
+        self.table
+            .lock()
+            .expect("a thread panicked while it held the registry lock")
+    }
+
+    /// The one registration body: the series at `name` + `labels`,
+    /// which `make` builds on first use.
+    fn register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        make: impl FnOnce() -> Metric,
+    ) -> Metric {
+        let key = MetricKey {
+            name: name.to_string(),
+            labels: normalize_labels(labels),
+        };
+        let mut t = self.lock();
+        if let Some(&slot) = t.index.get(&key) {
+            return t.slots[slot].1.clone();
+        }
+        let metric = make();
+        let slot = t.slots.len();
+        t.index.insert(key.clone(), slot);
+        t.slots.push((key, metric.clone()));
+        metric
     }
 
     /// Counter without labels.
@@ -252,18 +349,9 @@ impl Registry {
     /// `counter_with("steering.flow_mods", &[("dpid", "3")])`.
     /// Registering the same name+labels twice returns the same cell.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: normalize_labels(labels),
-        };
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(key).or_insert_with(|| {
-            Metric::Counter(Counter {
-                cell: Arc::new(AtomicU64::new(0)),
-            })
-        }) {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
+        match self.register(name, labels, || Metric::Counter(Counter::default())) {
+            Metric::Counter(c) => c,
+            _ => type_mismatch(name),
         }
     }
 
@@ -272,18 +360,9 @@ impl Registry {
     }
 
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: normalize_labels(labels),
-        };
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(key).or_insert_with(|| {
-            Metric::Gauge(Gauge {
-                cell: Arc::new(AtomicI64::new(0)),
-            })
-        }) {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
+        match self.register(name, labels, || Metric::Gauge(Gauge::default())) {
+            Metric::Gauge(g) => g,
+            _ => type_mismatch(name),
         }
     }
 
@@ -297,12 +376,7 @@ impl Registry {
             !bounds.is_empty() && bounds.windows(2).all(|w| w[0] < w[1]),
             "bounds must be sorted and non-empty"
         );
-        let key = MetricKey {
-            name: name.to_string(),
-            labels: normalize_labels(labels),
-        };
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(key).or_insert_with(|| {
+        let make = || {
             Metric::Histogram(Histogram {
                 core: Arc::new(HistogramCore {
                     bounds: bounds.to_vec(),
@@ -311,17 +385,19 @@ impl Registry {
                     sum: AtomicU64::new(0),
                 }),
             })
-        }) {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
+        };
+        match self.register(name, labels, make) {
+            Metric::Histogram(h) => h,
+            _ => type_mismatch(name),
         }
     }
 
     /// Point-in-time copy of every registered metric, sorted by name
     /// then labels.
     pub fn snapshot(&self) -> Snapshot {
-        let m = self.metrics.lock().unwrap();
-        let mut entries: Vec<MetricSnapshot> = m
+        let t = self.lock();
+        let mut entries: Vec<MetricSnapshot> = t
+            .slots
             .iter()
             .map(|(key, metric)| MetricSnapshot {
                 name: key.name.clone(),
@@ -335,6 +411,40 @@ impl Registry {
             .collect();
         entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         Snapshot { entries }
+    }
+
+    /// The current value of every series, by slot. A vector taken
+    /// earlier is a prefix-by-length of one taken later.
+    pub fn values(&self) -> Vec<Scalar> {
+        let t = self.lock();
+        t.slots
+            .iter()
+            .map(|(_, metric)| match metric {
+                Metric::Counter(c) => Scalar::Counter(c.get()),
+                Metric::Gauge(g) => Scalar::Gauge(g.get()),
+                Metric::Histogram(h) => Scalar::Histogram(h.count()),
+            })
+            .collect()
+    }
+
+    /// Name and labels of the series in `slot`. Panics on a slot no
+    /// [`Registry::values`] vector of this registry has.
+    pub fn key(&self, slot: usize) -> (String, Labels) {
+        let key = &self.lock().slots[slot].0;
+        (key.name.clone(), key.labels.clone())
+    }
+
+    /// Sum of a counter across all label sets, read from the cells.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let t = self.lock();
+        t.slots
+            .iter()
+            .filter(|(key, _)| key.name == name)
+            .filter_map(|(_, metric)| match metric {
+                Metric::Counter(c) => Some(c.get()),
+                _ => None,
+            })
+            .sum()
     }
 }
 
@@ -359,12 +469,18 @@ pub struct Snapshot {
     pub entries: Vec<MetricSnapshot>,
 }
 
-fn label_suffix(labels: &Labels) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        let parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-        format!("{{{}}}", parts.join(","))
+/// `{k="v",...}` — nothing for an empty set. `le` is a histogram
+/// bucket's upper edge, appended after the series' own labels.
+fn push_labels(out: &mut String, labels: &Labels, le: Option<&str>) {
+    let pairs = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(le.map(|le| ("le", le)));
+    for (i, (k, v)) in pairs.enumerate() {
+        let _ = write!(out, "{}{k}={v:?}", if i == 0 { '{' } else { ',' });
+    }
+    if !labels.is_empty() || le.is_some() {
+        out.push('}');
     }
 }
 
@@ -382,14 +498,41 @@ fn prom_name(name: &str) -> String {
         .collect()
 }
 
+/// A label set as a JSON object.
+pub(crate) fn labels_json(labels: &Labels) -> Value {
+    Value::Obj(
+        labels
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+            .collect(),
+    )
+}
+
+impl MetricValue {
+    fn kind(&self) -> &'static str {
+        match self {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) => "gauge",
+            MetricValue::Histogram(_) => "histogram",
+        }
+    }
+}
+
 impl Snapshot {
+    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        let labels = normalize_labels(labels);
+        self.entries
+            .iter()
+            .find(|e| e.name == name && e.labels == labels)
+            .map(|e| &e.value)
+    }
+
     /// Counter value by name and labels (test/report convenience).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let labels = normalize_labels(labels);
-        self.entries.iter().find_map(|e| match &e.value {
-            MetricValue::Counter(v) if e.name == name && e.labels == labels => Some(*v),
+        match self.find(name, labels)? {
+            MetricValue::Counter(v) => Some(*v),
             _ => None,
-        })
+        }
     }
 
     /// Sum of a counter across all label sets.
@@ -405,69 +548,53 @@ impl Snapshot {
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
-        let labels = normalize_labels(labels);
-        self.entries.iter().find_map(|e| match &e.value {
-            MetricValue::Gauge(v) if e.name == name && e.labels == labels => Some(*v),
+        match self.find(name, labels)? {
+            MetricValue::Gauge(v) => Some(*v),
             _ => None,
-        })
+        }
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramData> {
-        let labels = normalize_labels(labels);
-        self.entries.iter().find_map(|e| match &e.value {
-            MetricValue::Histogram(h) if e.name == name && e.labels == labels => Some(h),
+        match self.find(name, labels)? {
+            MetricValue::Histogram(h) => Some(h),
             _ => None,
-        })
+        }
     }
 
     /// Prometheus text exposition format.
     pub fn prometheus(&self) -> String {
+        fn sample(
+            out: &mut String,
+            (name, suffix): (&str, &str),
+            labels: &Labels,
+            le: Option<&str>,
+            value: impl std::fmt::Display,
+        ) {
+            out.push_str(name);
+            out.push_str(suffix);
+            push_labels(out, labels, le);
+            let _ = writeln!(out, " {value}");
+        }
         let mut out = String::new();
         let mut last_typed = String::new();
         for e in &self.entries {
             let pname = prom_name(&e.name);
+            if last_typed != pname {
+                let _ = writeln!(out, "# TYPE {pname} {}", e.value.kind());
+                last_typed.clone_from(&pname);
+            }
             match &e.value {
-                MetricValue::Counter(v) => {
-                    if last_typed != pname {
-                        out.push_str(&format!("# TYPE {pname} counter\n"));
-                        last_typed = pname.clone();
-                    }
-                    out.push_str(&format!("{pname}{} {v}\n", label_suffix(&e.labels)));
-                }
-                MetricValue::Gauge(v) => {
-                    if last_typed != pname {
-                        out.push_str(&format!("# TYPE {pname} gauge\n"));
-                        last_typed = pname.clone();
-                    }
-                    out.push_str(&format!("{pname}{} {v}\n", label_suffix(&e.labels)));
-                }
+                MetricValue::Counter(v) => sample(&mut out, (&pname, ""), &e.labels, None, v),
+                MetricValue::Gauge(v) => sample(&mut out, (&pname, ""), &e.labels, None, v),
                 MetricValue::Histogram(h) => {
-                    if last_typed != pname {
-                        out.push_str(&format!("# TYPE {pname} histogram\n"));
-                        last_typed = pname.clone();
-                    }
                     let mut cum = 0u64;
                     for (i, &c) in h.counts.iter().enumerate() {
                         cum += c;
-                        let le = if i < h.bounds.len() {
-                            h.bounds[i].to_string()
-                        } else {
-                            "+Inf".to_string()
-                        };
-                        let mut labels = e.labels.clone();
-                        labels.push(("le".to_string(), le));
-                        out.push_str(&format!("{pname}_bucket{} {cum}\n", label_suffix(&labels)));
+                        let le = h.bounds.get(i).map_or("+Inf".into(), u64::to_string);
+                        sample(&mut out, (&pname, "_bucket"), &e.labels, Some(&le), cum);
                     }
-                    out.push_str(&format!(
-                        "{pname}_sum{} {}\n",
-                        label_suffix(&e.labels),
-                        h.sum
-                    ));
-                    out.push_str(&format!(
-                        "{pname}_count{} {}\n",
-                        label_suffix(&e.labels),
-                        h.count
-                    ));
+                    sample(&mut out, (&pname, "_sum"), &e.labels, None, h.sum);
+                    sample(&mut out, (&pname, "_count"), &e.labels, None, h.count);
                 }
             }
         }
@@ -478,27 +605,14 @@ impl Snapshot {
     pub fn json_value(&self) -> Value {
         let mut arr = Vec::new();
         for e in &self.entries {
-            let labels = Value::Obj(
-                e.labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                    .collect(),
-            );
-            let v = match &e.value {
-                MetricValue::Counter(c) => Value::obj()
-                    .set("name", e.name.as_str())
-                    .set("type", "counter")
-                    .set("labels", labels)
-                    .set("value", *c),
-                MetricValue::Gauge(g) => Value::obj()
-                    .set("name", e.name.as_str())
-                    .set("type", "gauge")
-                    .set("labels", labels)
-                    .set("value", *g as f64),
-                MetricValue::Histogram(h) => Value::obj()
-                    .set("name", e.name.as_str())
-                    .set("type", "histogram")
-                    .set("labels", labels)
+            let v = Value::obj()
+                .set("name", e.name.as_str())
+                .set("type", e.value.kind())
+                .set("labels", labels_json(&e.labels));
+            arr.push(match &e.value {
+                MetricValue::Counter(c) => v.set("value", *c),
+                MetricValue::Gauge(g) => v.set("value", *g as f64),
+                MetricValue::Histogram(h) => v
                     .set("count", h.count)
                     .set("sum", h.sum)
                     .set("mean", h.mean())
@@ -506,161 +620,13 @@ impl Snapshot {
                     .set("p99", h.quantile(0.99))
                     .set("bounds", h.bounds.clone())
                     .set("buckets", h.counts.clone()),
-            };
-            arr.push(v);
+            });
         }
         Value::obj().set("metrics", Value::Arr(arr))
     }
 
     pub fn to_json(&self) -> String {
         self.json_value().to_string_pretty()
-    }
-
-    /// What changed between `self` (earlier) and `later`: counter
-    /// deltas, gauge before/after pairs, and histogram activity.
-    pub fn diff(&self, later: &Snapshot) -> TelemetryReport {
-        let mut entries = Vec::new();
-        for e in &later.entries {
-            let before = self
-                .entries
-                .iter()
-                .find(|b| b.name == e.name && b.labels == e.labels)
-                .map(|b| &b.value);
-            match (&e.value, before) {
-                (MetricValue::Counter(now), before) => {
-                    let was = match before {
-                        Some(MetricValue::Counter(w)) => *w,
-                        _ => 0,
-                    };
-                    if *now != was {
-                        entries.push(ReportEntry::CounterDelta {
-                            name: e.name.clone(),
-                            labels: e.labels.clone(),
-                            delta: now.saturating_sub(was),
-                        });
-                    }
-                }
-                (MetricValue::Gauge(now), before) => {
-                    let was = match before {
-                        Some(MetricValue::Gauge(w)) => *w,
-                        _ => 0,
-                    };
-                    if *now != was {
-                        entries.push(ReportEntry::GaugeChange {
-                            name: e.name.clone(),
-                            labels: e.labels.clone(),
-                            from: was,
-                            to: *now,
-                        });
-                    }
-                }
-                (MetricValue::Histogram(now), before) => {
-                    let (was_count, was_sum) = match before {
-                        Some(MetricValue::Histogram(w)) => (w.count, w.sum),
-                        _ => (0, 0),
-                    };
-                    if now.count != was_count {
-                        let dc = now.count - was_count;
-                        let ds = now.sum - was_sum;
-                        entries.push(ReportEntry::HistogramActivity {
-                            name: e.name.clone(),
-                            labels: e.labels.clone(),
-                            observations: dc,
-                            mean: ds as f64 / dc as f64,
-                        });
-                    }
-                }
-            }
-        }
-        TelemetryReport { entries }
-    }
-}
-
-/// The difference between two snapshots — "what happened during X".
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetryReport {
-    pub entries: Vec<ReportEntry>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReportEntry {
-    CounterDelta {
-        name: String,
-        labels: Labels,
-        delta: u64,
-    },
-    GaugeChange {
-        name: String,
-        labels: Labels,
-        from: i64,
-        to: i64,
-    },
-    HistogramActivity {
-        name: String,
-        labels: Labels,
-        observations: u64,
-        mean: f64,
-    },
-}
-
-impl ReportEntry {
-    pub fn name(&self) -> &str {
-        match self {
-            ReportEntry::CounterDelta { name, .. }
-            | ReportEntry::GaugeChange { name, .. }
-            | ReportEntry::HistogramActivity { name, .. } => name,
-        }
-    }
-}
-
-impl TelemetryReport {
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Counter delta by name (summed over label sets), 0 if unchanged.
-    pub fn counter_delta(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .filter_map(|e| match e {
-                ReportEntry::CounterDelta { name: n, delta, .. } if n == name => Some(*delta),
-                _ => None,
-            })
-            .sum()
-    }
-}
-
-impl fmt::Display for TelemetryReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.entries.is_empty() {
-            return writeln!(f, "(no telemetry activity)");
-        }
-        for e in &self.entries {
-            match e {
-                ReportEntry::CounterDelta {
-                    name,
-                    labels,
-                    delta,
-                } => writeln!(f, "{name}{} +{delta}", label_suffix(labels))?,
-                ReportEntry::GaugeChange {
-                    name,
-                    labels,
-                    from,
-                    to,
-                } => writeln!(f, "{name}{} {from} -> {to}", label_suffix(labels))?,
-                ReportEntry::HistogramActivity {
-                    name,
-                    labels,
-                    observations,
-                    mean,
-                } => writeln!(
-                    f,
-                    "{name}{} {observations} observations, mean {mean:.0}",
-                    label_suffix(labels)
-                )?,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -686,6 +652,10 @@ mod tests {
         assert_eq!(snap.counter("x.drops", &[("link", "a-b")]), Some(2));
         assert_eq!(snap.counter("x.drops", &[("link", "b-c")]), Some(1));
         assert_eq!(snap.counter_total("x.drops"), 3);
+        // The registry sums the same cells without copying itself.
+        assert_eq!(r.counter_total("x.drops"), 3);
+        assert_eq!(r.counter_total("x.events"), 3);
+        assert_eq!(r.counter_total("never.registered"), 0);
     }
 
     #[test]
@@ -878,35 +848,38 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_reports_only_changes() {
+    fn a_series_keeps_its_slot_and_values_are_read_by_slot() {
         let r = Registry::new();
         let c = r.counter("work.done");
-        let g = r.gauge("depth");
-        let h = r.histogram_with("lat", &[], &[100]);
+        let g = r.gauge_with("depth", &[("q", "1")]);
         c.add(2);
-        g.set(1);
-        let before = r.snapshot();
-        c.add(3);
+        let before = r.values();
+        assert_eq!(before, [Scalar::Counter(2), Scalar::Gauge(0)]);
+        // Looking a series up again registers nothing; a new one lands
+        // behind the others whatever its name sorts like.
+        r.counter("work.done").add(3);
         g.set(5);
+        let h = r.histogram_with("a.lat", &[], &[100]);
         h.observe(50);
         h.observe(150);
-        let after = r.snapshot();
-        let report = before.diff(&after);
-        assert_eq!(report.counter_delta("work.done"), 3);
-        assert!(report
-            .entries
-            .iter()
-            .any(|e| matches!(e, ReportEntry::GaugeChange { from: 1, to: 5, .. })));
-        assert!(report.entries.iter().any(|e| matches!(
-            e,
-            ReportEntry::HistogramActivity {
-                observations: 2,
-                ..
-            }
-        )));
-        // Diffing identical snapshots is empty.
-        assert!(after.diff(&after).is_empty());
-        let text = format!("{report}");
-        assert!(text.contains("work.done +3"));
+        let (after, h) = (r.values(), Scalar::Histogram(2));
+        assert_eq!(after, [Scalar::Counter(5), Scalar::Gauge(5), h]);
+        assert_eq!(r.key(1), ("depth".into(), normalize_labels(&[("q", "1")])));
+        assert_eq!(r.key(2).0, "a.lat");
+        // Counters as increments, gauges absolute, histograms as new
+        // observations; the slot the older vector lacks counts from 0.
+        assert_eq!(delta(&before, &after), [(0, 3.0), (1, 5.0), (2, 2.0)]);
+        assert!(delta(&after, &after).is_empty());
+        // A gauge back at its old level has not moved.
+        g.set(0);
+        assert_eq!(delta(&before, &r.values()), [(0, 3.0), (2, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered with a different type")]
+    fn one_name_under_two_types_is_refused() {
+        let r = Registry::new();
+        r.counter("x");
+        r.gauge("x");
     }
 }

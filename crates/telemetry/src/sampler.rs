@@ -1,12 +1,14 @@
-//! Time-series sampler: a bounded ring of periodic [`Snapshot`]s taken
-//! on the caller's (virtual) clock.
+//! Time-series sampler: a bounded ring of periodic samples of the
+//! registry taken on the caller's (virtual) clock.
 //!
-//! The environment loop calls [`Sampler::due`] / [`Sampler::record`] as
-//! virtual time advances; the ring keeps the most recent `retention`
-//! samples and counts what it drops (`telemetry.samples_evicted`), so
-//! truncation is observable instead of silent. Sampling on the virtual
-//! clock keeps the series deterministic for a fixed seed — two
-//! same-seed runs produce byte-identical series documents.
+//! A sample is the registry's value vector ([`Registry::values`]): one
+//! scalar per series slot, no name or label. The environment loop calls
+//! [`Sampler::due`] / [`Sampler::record`] as virtual time advances; the
+//! ring keeps the most recent `retention` samples and counts what it
+//! drops (`telemetry.samples_evicted`), so truncation is observable
+//! instead of silent. Sampling on the virtual clock keeps the series
+//! deterministic for a fixed seed — two same-seed runs produce
+//! byte-identical series documents.
 //!
 //! [`Sampler::series_json`] renders the ring delta-encoded: counters
 //! and histograms as per-interval activity, gauges as end-of-interval
@@ -14,11 +16,9 @@
 //! top`) or a plotting pipeline wants, and it compresses long idle
 //! stretches to runs of zeros.
 
-use std::collections::VecDeque;
-
 use escape_json::Value;
 
-use crate::{Counter, MetricValue, Registry, Snapshot};
+use crate::{labels_json, Counter, Registry, Ring, Scalar};
 
 /// Sampling cadence and ring capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,41 +38,29 @@ impl Default for SamplerConfig {
     }
 }
 
-/// One entry in the ring: the virtual timestamp and the full snapshot.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    pub at_ns: u64,
-    pub snapshot: Snapshot,
-}
-
-/// Bounded ring of periodic registry snapshots.
+/// Bounded ring of periodic registry samples.
 pub struct Sampler {
+    registry: Registry,
     period_ns: u64,
-    retention: usize,
-    samples: VecDeque<Sample>,
-    evicted: u64,
+    /// `(at_ns, values by slot)`, oldest first.
+    samples: Ring<(u64, Vec<Scalar>)>,
     evicted_ctr: Counter,
     next_due_ns: u64,
 }
 
 impl Sampler {
-    /// Builds a sampler and registers its eviction counter
-    /// (`telemetry.samples_evicted`) on `registry`.
+    /// Builds a sampler over `registry` and registers its eviction
+    /// counter (`telemetry.samples_evicted`) there.
     pub fn new(registry: &Registry, cfg: SamplerConfig) -> Sampler {
         assert!(cfg.period_ns > 0, "sampler period must be positive");
         assert!(cfg.retention > 0, "sampler retention must be positive");
         Sampler {
+            registry: registry.clone(),
             period_ns: cfg.period_ns,
-            retention: cfg.retention,
-            samples: VecDeque::with_capacity(cfg.retention),
-            evicted: 0,
+            samples: Ring::new(cfg.retention),
             evicted_ctr: registry.counter("telemetry.samples_evicted"),
             next_due_ns: 0,
         }
-    }
-
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
     }
 
     /// The virtual timestamp at (or after) which the next sample is due.
@@ -85,42 +73,18 @@ impl Sampler {
         now_ns >= self.next_due_ns
     }
 
-    /// Appends a sample, evicting the oldest when the ring is full.
-    pub fn record(&mut self, now_ns: u64, snapshot: Snapshot) {
-        if self.samples.len() == self.retention {
-            self.samples.pop_front();
-            self.evicted += 1;
+    /// Samples the registry, evicting the oldest sample when the ring is
+    /// full. The registry is read first, so a sample never includes the
+    /// eviction it causes.
+    pub fn record(&mut self, now_ns: u64) {
+        let values = self.registry.values();
+        if self.samples.push((now_ns, values)).is_some() {
             self.evicted_ctr.inc();
         }
-        self.samples.push_back(Sample {
-            at_ns: now_ns,
-            snapshot,
-        });
         // Next sample lands on the next period boundary, not at
         // `now + period`: if the loop overshoots a boundary the
         // cadence stays aligned with the virtual clock grid.
         self.next_due_ns = now_ns - (now_ns % self.period_ns) + self.period_ns;
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// How many samples have been dropped off the front of the ring.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    pub fn samples(&self) -> impl Iterator<Item = &Sample> {
-        self.samples.iter()
-    }
-
-    pub fn latest(&self) -> Option<&Sample> {
-        self.samples.back()
     }
 
     /// Delta-encoded series over the ring as a JSON document:
@@ -142,68 +106,56 @@ impl Sampler {
     /// samples (`at_ns.len() - 1` points). Counters and histograms are
     /// per-interval deltas (increments / observation counts); gauges
     /// are the value at the end of each interval. Series that never
-    /// move over the whole window are omitted.
+    /// move over the whole window are omitted; a series that registered
+    /// inside the window reads 0 before it existed (older samples are
+    /// shorter vectors). Series come in name-then-labels order.
     pub fn series_json(&self) -> Value {
-        let at_ns: Vec<u64> = self.samples.iter().map(|s| s.at_ns).collect();
-        let mut series = Vec::new();
-        if let Some(last) = self.samples.back() {
-            for e in &last.snapshot.entries {
-                let kind = match e.value {
-                    MetricValue::Counter(_) => "counter",
-                    MetricValue::Gauge(_) => "gauge",
-                    MetricValue::Histogram(_) => "histogram",
-                };
-                let mut points: Vec<f64> = Vec::with_capacity(self.samples.len());
-                let mut prev: Option<f64> = None;
-                let mut moved = false;
-                for s in &self.samples {
-                    let abs = match s
-                        .snapshot
-                        .entries
-                        .iter()
-                        .find(|c| c.name == e.name && c.labels == e.labels)
-                        .map(|c| &c.value)
-                    {
-                        Some(MetricValue::Counter(v)) => *v as f64,
-                        Some(MetricValue::Gauge(v)) => *v as f64,
-                        Some(MetricValue::Histogram(h)) => h.count as f64,
-                        None => 0.0,
-                    };
-                    if let Some(p) = prev {
-                        let point = match e.value {
-                            MetricValue::Gauge(_) => abs,
-                            _ => abs - p,
-                        };
-                        if abs != p {
-                            moved = true;
-                        }
-                        points.push(point);
+        let at_ns: Vec<u64> = self.samples.iter().map(|s| s.0).collect();
+        let newest = self.samples.iter().next_back().map_or(&[][..], |s| &s.1);
+        let mut moving = Vec::new();
+        let mut column: Vec<Option<Scalar>> = Vec::new();
+        for (slot, last) in newest.iter().enumerate() {
+            column.clear();
+            column.extend(self.samples.iter().map(|s| s.1.get(slot).copied()));
+            let mut moved = false;
+            let points: Vec<f64> = column
+                .windows(2)
+                .map(|w| match (w[1], w[1].and_then(|now| now.since(w[0]))) {
+                    (_, Some(point)) => {
+                        moved = true;
+                        point
                     }
-                    prev = Some(abs);
-                }
-                if !moved {
-                    continue;
-                }
-                let labels = Value::Obj(
-                    e.labels
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                        .collect(),
-                );
-                series.push(
-                    Value::obj()
-                        .set("name", e.name.as_str())
-                        .set("labels", labels)
-                        .set("kind", kind)
-                        .set("points", points),
-                );
+                    // Flat: a gauge holds its level, activity is none.
+                    (Some(Scalar::Gauge(level)), None) => level as f64,
+                    _ => 0.0,
+                })
+                .collect();
+            if moved {
+                moving.push((self.registry.key(slot), last.kind(), points));
             }
         }
+        moving.sort_by(|a, b| a.0.cmp(&b.0));
+        let series = moving
+            .into_iter()
+            .map(|((name, labels), kind, points)| {
+                Value::obj()
+                    .set("name", name)
+                    .set("labels", labels_json(&labels))
+                    .set("kind", kind)
+                    .set("points", points)
+            })
+            .collect();
         Value::obj()
             .set("period_ns", self.period_ns)
-            .set("evicted", self.evicted)
+            .set("evicted", self.samples.evicted())
             .set("at_ns", at_ns)
             .set("series", Value::Arr(series))
+    }
+
+    /// The retained value vectors, oldest first.
+    #[cfg(test)]
+    fn retained(&self) -> impl Iterator<Item = &[Scalar]> {
+        self.samples.iter().map(|s| &s.1[..])
     }
 }
 
@@ -214,26 +166,24 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_counts_it() {
         let r = Registry::new();
-        let c = r.counter("work.done");
-        let mut s = Sampler::new(
-            &r,
-            SamplerConfig {
-                period_ns: 1_000,
-                retention: 3,
-            },
-        );
-        for i in 0..5u64 {
-            c.inc();
-            s.record(i * 1_000, r.snapshot());
+        let counters: Vec<Counter> = (0..299)
+            .map(|i| r.counter_with("x.events", &[("shard", &i.to_string())]))
+            .collect();
+        let mut s = Sampler::new(&r, SamplerConfig::default());
+        for i in 0..1_000u64 {
+            counters[i as usize % counters.len()].inc();
+            s.record(i * 5_000_000);
         }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.evicted(), 2);
-        assert_eq!(
-            r.snapshot().counter("telemetry.samples_evicted", &[]),
-            Some(2)
-        );
-        // The surviving window starts at the third sample.
-        assert_eq!(s.samples().next().unwrap().at_ns, 2_000);
+        // A sample is one scalar per series (299 + the eviction counter)
+        // and nothing else: no key, no label.
+        assert_eq!(s.retained().count(), 120);
+        assert!(s.retained().all(|values| values.len() == 300));
+        assert_eq!(r.counter_total("telemetry.samples_evicted"), 880);
+        // The surviving window starts at sample 880.
+        let doc = s.series_json();
+        assert_eq!(doc.get("evicted").unwrap().as_u64(), Some(880));
+        let at = doc.get("at_ns").unwrap().as_arr().unwrap();
+        assert_eq!((at.len(), at[0].as_u64()), (120, Some(880 * 5_000_000)));
     }
 
     #[test]
@@ -247,12 +197,12 @@ mod tests {
             },
         );
         assert!(s.due(0));
-        s.record(0, r.snapshot());
+        s.record(0);
         assert!(!s.due(999));
         assert!(s.due(1_000));
         // Overshooting a boundary re-aligns to the grid rather than
         // drifting by the overshoot.
-        s.record(1_700, r.snapshot());
+        s.record(1_700);
         assert_eq!(s.next_due_ns(), 2_000);
     }
 
@@ -270,14 +220,14 @@ mod tests {
                 retention: 8,
             },
         );
-        s.record(0, r.snapshot());
+        s.record(0);
         c.add(3);
         g.set(2);
         h.observe(50);
-        s.record(1_000, r.snapshot());
+        s.record(1_000);
         c.add(1);
         g.set(1);
-        s.record(2_000, r.snapshot());
+        s.record(2_000);
 
         let doc = s.series_json();
         let at = doc.get("at_ns").unwrap().as_arr().unwrap();

@@ -56,19 +56,10 @@ if pgrep -f "escaped --socket target/benchmark/run/" >/dev/null; then
 fi
 
 echo "== scaling gate (E10: 2 replicas deliver >= 1.5x one, in virtual time) =="
-# The floor is an assertion inside the bench. The bench also refreshes
-# the root snapshot; if it was clean going in, put the committed one back
-# so the gate never dirties the tree. (Wall-clock dataplane speed is
-# gated by the end-to-end harness's dataplane_bare workload, not here.)
-SCALE_BASELINE_CLEAN=0
-if git ls-files --error-unmatch BENCH_scale.json >/dev/null 2>&1 \
-    && git diff --quiet -- BENCH_scale.json; then
-    SCALE_BASELINE_CLEAN=1
-fi
+# The floor is an assertion inside the bench. (Wall-clock dataplane
+# speed is gated by the end-to-end harness's dataplane_bare workload,
+# not here.)
 ESCAPE_BENCH_TABLE_ONLY=1 cargo bench -q -p escape-bench --bench e10_scale
-if [ "$SCALE_BASELINE_CLEAN" = 1 ]; then
-    git checkout -- BENCH_scale.json
-fi
 
 echo "== soak smoke (escape soak --steps 200 --seed 7) =="
 cargo run --release -q --bin escape -- soak --steps 200 --seed 7
