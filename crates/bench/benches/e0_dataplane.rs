@@ -81,7 +81,8 @@ fn load_decoys(sw: &mut Switch, rules: usize) {
 /// lookup plus fixed kernel overhead.
 fn run_switch_only(rules: usize, cache_on: bool, frames: u64) -> RunResult {
     let mut sim = Sim::new(7);
-    let sw = sim.add_node("s1", 2, Box::new(Switch::new(1, 2)));
+    let sw = Switch::with_registry(1, 2, sim.telemetry());
+    let sw = sim.add_node("s1", 2, Box::new(sw));
     let (h1_ip, h2_ip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
     let h1 = sim.add_node("h1", 1, Box::new(Host::new(MacAddr::from_id(1), h1_ip)));
     let h2 = sim.add_node("h2", 1, Box::new(Host::new(MacAddr::from_id(2), h2_ip)));
@@ -111,13 +112,13 @@ fn run_switch_only(rules: usize, cache_on: bool, frames: u64) -> RunResult {
     sim.run_until(Time::from_us(frames + 1_000));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let delivered = sim.node_as::<Host>(h2).unwrap().stats.udp_rx;
-    let s = sim.node_as_mut::<Switch>(sw).unwrap();
+    let m = sim.telemetry();
     RunResult {
         wall_ms,
         pps: delivered as f64 / (wall_ms / 1e3).max(1e-9),
         delivered,
-        hits: s.table.cache().hits,
-        misses: s.table.cache().misses,
+        hits: m.counter_total("openflow.cache_hits"),
+        misses: m.counter_total("openflow.cache_misses"),
     }
 }
 

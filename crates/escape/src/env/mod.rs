@@ -195,7 +195,7 @@ impl Escape {
         let telemetry = Registry::new();
         let mut sim = Sim::with_registry(seed, telemetry.clone());
         let infra = Infra::build(&mut sim, &topo, mode, seed).map_err(EscapeError::Invalid)?;
-        let orch = Orchestrator::with_registry(topo.clone(), algorithm, telemetry.clone())
+        let orch = Orchestrator::with_registry(topo.clone(), algorithm, &telemetry)
             .map_err(EscapeError::Invalid)?;
         let mut esc = Escape {
             sim,

@@ -71,7 +71,7 @@ impl Escape {
                 .rpcs
                 .clients
                 .entry(owner.clone())
-                .or_insert_with(|| Client::with_registry(self.telemetry.clone()));
+                .or_insert_with(|| Client::with_registry(&self.telemetry));
             for ev in client.on_bytes(&bytes) {
                 match ev {
                     ClientEvent::Reply(r) => replies.push((owner.clone(), r)),
@@ -113,7 +113,7 @@ impl Escape {
                 .rpcs
                 .clients
                 .entry(container.to_string())
-                .or_insert_with(|| Client::with_registry(self.telemetry.clone()));
+                .or_insert_with(|| Client::with_registry(&self.telemetry));
             let hello = client.start();
             self.sim.ctrl_send_from(self.infra.manager, conn, hello);
             if !self.poll_until(&mut |env| {

@@ -174,11 +174,8 @@ impl Infra {
                     let d = next_dpid;
                     next_dpid += 1;
                     dpid.insert(n.name.clone(), d);
-                    let mut sw = Switch::new(d, ports);
-                    // Flow-cache hit/miss/invalidation counters land in
-                    // the environment-wide snapshot (all switches share
-                    // the `openflow.cache_*` series).
-                    sw.attach_telemetry(sim.telemetry());
+                    // All switches share the `openflow.cache_*` series.
+                    let sw = Switch::with_registry(d, ports, sim.telemetry());
                     sim.add_node(n.name.clone(), ports, Box::new(sw))
                 }
                 TopoNodeKind::Container { .. } => {
@@ -212,9 +209,10 @@ impl Infra {
         }
 
         // Control network: controller <-> every switch. The controller
-        // publishes its counters into the simulation-wide registry.
-        let mut controller = Controller::with_registry(sim.telemetry().clone());
-        controller.add_component(Box::new(TrafficSteering::new(mode)));
+        // and its steering component count into the simulation-wide
+        // registry.
+        let mut controller = Controller::with_registry(sim.telemetry());
+        controller.add_component(Box::new(TrafficSteering::new(mode, sim.telemetry())));
         let controller_node = sim.add_node("controller", 0, Box::new(controller));
         for (name, &node) in &nodes {
             if dpid.contains_key(name) {

@@ -48,12 +48,12 @@ pub struct Client {
 
 impl Client {
     pub fn new() -> Client {
-        Client::with_registry(Registry::new())
+        Client::with_registry(&Registry::new())
     }
 
     /// A client publishing `netconf.*` counters into `registry` — the
     /// environment passes the simulation-wide registry here.
-    pub fn with_registry(registry: Registry) -> Client {
+    pub fn with_registry(registry: &Registry) -> Client {
         Client {
             framer: Framer::new(),
             next_id: 0,

@@ -16,6 +16,7 @@
 //! with the cache on and off produce byte-identical event traces.
 
 use escape_packet::FlowKey;
+use escape_telemetry::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 
 /// Default bound on cached microflows per switch.
@@ -31,32 +32,39 @@ pub type CacheKey = (FlowKey, u16);
 /// valid between mutations because the only operations that reorder or
 /// remove entries ([`crate::table::FlowTable::add`] / `modify` /
 /// `delete` / `expire`) flush the cache first.
-#[derive(Debug, Default)]
+///
+/// The cache's three counters are the only count of each fact: every
+/// switch built on one registry adds into the same `openflow.cache_*`
+/// series.
+#[derive(Debug)]
 pub struct FlowCache {
     map: HashMap<CacheKey, usize>,
     /// Insertion order for deterministic FIFO eviction.
     order: VecDeque<CacheKey>,
     cap: usize,
     enabled: bool,
-    /// Probes answered from the cache.
-    pub hits: u64,
-    /// Probes that fell through to the table walk.
-    pub misses: u64,
-    /// Entries dropped by flushes (strict invalidation) and evictions.
-    pub invalidations: u64,
+    /// Probes answered from the cache (`openflow.cache_hits`).
+    hits: Counter,
+    /// Probes that fell through to the table walk
+    /// (`openflow.cache_misses`).
+    misses: Counter,
+    /// Entries dropped by flushes (strict invalidation, disabling) and
+    /// by evictions (`openflow.cache_invalidations`).
+    invalidations: Counter,
 }
 
 impl FlowCache {
-    /// An enabled cache with the default capacity.
-    pub fn new() -> FlowCache {
+    /// An enabled cache with the default capacity, counting into
+    /// `registry`.
+    pub fn new(registry: &Registry) -> FlowCache {
         FlowCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             cap: DEFAULT_CACHE_CAP,
             enabled: true,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
+            hits: registry.counter("openflow.cache_hits"),
+            misses: registry.counter("openflow.cache_misses"),
+            invalidations: registry.counter("openflow.cache_invalidations"),
         }
     }
 
@@ -67,11 +75,6 @@ impl FlowCache {
             self.flush();
         }
         self.enabled = enabled;
-    }
-
-    /// Whether lookups consult the cache.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of cached microflows.
@@ -91,11 +94,11 @@ impl FlowCache {
         }
         match self.map.get(key) {
             Some(&idx) => {
-                self.hits += 1;
+                self.hits.inc();
                 Some(idx)
             }
             None => {
-                self.misses += 1;
+                self.misses.inc();
                 None
             }
         }
@@ -107,10 +110,7 @@ impl FlowCache {
             return;
         }
         if self.map.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                self.invalidations += 1;
-            }
+            self.forget_oldest(1);
         }
         if self.map.insert(key, idx).is_none() {
             self.order.push_back(key);
@@ -120,9 +120,17 @@ impl FlowCache {
     /// Strict invalidation: forgets every cached microflow. Called on
     /// every table mutation.
     pub fn flush(&mut self) {
-        self.invalidations += self.map.len() as u64;
-        self.map.clear();
-        self.order.clear();
+        self.forget_oldest(self.order.len());
+    }
+
+    /// Forgets the `n` oldest cached microflows (`order` holds exactly
+    /// the map's keys). Every entry the cache drops, by eviction or by
+    /// flush, is counted here.
+    fn forget_oldest(&mut self, n: usize) {
+        for old in self.order.drain(..n) {
+            self.map.remove(&old);
+        }
+        self.invalidations.add(n as u64);
     }
 }
 
@@ -132,6 +140,12 @@ mod tests {
     use bytes::Bytes;
     use escape_packet::{MacAddr, PacketBuilder};
     use std::net::Ipv4Addr;
+
+    /// `[hits, misses, invalidations]` as the registry reads them.
+    fn counts(reg: &Registry) -> [u64; 3] {
+        ["hits", "misses", "invalidations"]
+            .map(|c| reg.counter_total(&format!("openflow.cache_{c}")))
+    }
 
     fn key(dport: u16) -> CacheKey {
         let f = PacketBuilder::udp(
@@ -148,31 +162,34 @@ mod tests {
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let mut c = FlowCache::new();
+        let reg = Registry::new();
+        let mut c = FlowCache::new(&reg);
         assert_eq!(c.get(&key(80)), None);
         c.insert(key(80), 3);
         assert_eq!(c.get(&key(80)), Some(3));
-        assert_eq!((c.hits, c.misses), (1, 1));
+        assert_eq!(counts(&reg), [1, 1, 0]);
     }
 
     #[test]
     fn flush_forgets_and_counts() {
-        let mut c = FlowCache::new();
+        let reg = Registry::new();
+        let mut c = FlowCache::new(&reg);
         c.insert(key(80), 0);
         c.insert(key(81), 1);
         c.flush();
         assert_eq!(c.get(&key(80)), None);
-        assert_eq!(c.invalidations, 2);
+        assert_eq!(counts(&reg)[2], 2);
         assert!(c.is_empty());
     }
 
     #[test]
     fn disabled_cache_never_answers() {
-        let mut c = FlowCache::new();
+        let reg = Registry::new();
+        let mut c = FlowCache::new(&reg);
         c.insert(key(80), 0);
         c.set_enabled(false);
         assert_eq!(c.get(&key(80)), None);
-        assert_eq!((c.hits, c.misses), (0, 0), "disabled probes are uncounted");
+        assert_eq!(counts(&reg), [0, 0, 1], "disabled probes are uncounted");
         // Re-enabling starts cold.
         c.set_enabled(true);
         assert_eq!(c.get(&key(80)), None);
@@ -180,7 +197,8 @@ mod tests {
 
     #[test]
     fn eviction_is_fifo_and_bounded() {
-        let mut c = FlowCache::new();
+        let reg = Registry::new();
+        let mut c = FlowCache::new(&reg);
         c.cap = 2;
         c.insert(key(1), 0);
         c.insert(key(2), 1);

@@ -8,6 +8,7 @@ use crate::wire::{
 };
 use escape_netem::{CtrlId, DropReason, HopDetail, NodeCtx, NodeLogic, Time};
 use escape_packet::{FlowKey, MacAddr, Packet};
+use escape_telemetry::Registry;
 use std::collections::HashMap;
 
 /// `buffer_id` meaning "packet not buffered, full frame attached".
@@ -40,12 +41,23 @@ pub struct Switch {
 }
 
 impl Switch {
-    /// A switch with `n_ports` dataplane ports.
+    /// A switch with `n_ports` dataplane ports whose flow cache counts
+    /// into a private registry.
     pub fn new(dpid: u64, n_ports: u16) -> Switch {
+        Switch::with_table(dpid, n_ports, FlowTable::new())
+    }
+
+    /// A switch whose flow cache counts `openflow.cache_*` into
+    /// `registry`; every switch of one environment shares its series.
+    pub fn with_registry(dpid: u64, n_ports: u16, registry: &Registry) -> Switch {
+        Switch::with_table(dpid, n_ports, FlowTable::with_registry(registry))
+    }
+
+    fn with_table(dpid: u64, n_ports: u16, table: FlowTable) -> Switch {
         Switch {
             dpid,
             n_ports,
-            table: FlowTable::new(),
+            table,
             ctrl: None,
             buffers: HashMap::new(),
             buffer_order: Vec::new(),
@@ -72,12 +84,6 @@ impl Switch {
     /// every lookup walks the table, the seed behaviour).
     pub fn set_flow_cache(&mut self, enabled: bool) {
         self.table.set_cache_enabled(enabled);
-    }
-
-    /// Re-homes the flow cache counters into the environment's registry
-    /// so `escape metrics` reports `openflow.cache_*`.
-    pub fn attach_telemetry(&mut self, registry: &escape_telemetry::Registry) {
-        self.table.attach_telemetry(registry);
     }
 
     /// Dataplane port count.
@@ -130,7 +136,9 @@ impl Switch {
                     }
                 }
             }
-            port::IN_PORT => self.tx(ctx, in_port, pkt.clone()),
+            // A packet-out may name no ingress port (`NONE`) or any
+            // other number: only a real port can send it back.
+            port::IN_PORT if in_port < self.n_ports => self.tx(ctx, in_port, pkt.clone()),
             port::CONTROLLER => {
                 let data = pkt.data.clone();
                 let total_len = data.len() as u16;
@@ -795,5 +803,23 @@ mod tests {
         sim.run(10);
         let stub = sim.node_as::<CtrlStub>(c).unwrap();
         assert!(matches!(stub.inbox[0], OfMessage::Error { .. }));
+    }
+
+    #[test]
+    fn packet_out_back_through_no_ingress_port_is_dropped() {
+        let (mut sim, _sw, sinks, c, conn) = rig();
+        for in_port in [port::NONE, 3] {
+            let out = OfMessage::PacketOut {
+                buffer_id: NO_BUFFER,
+                in_port,
+                actions: vec![Action::out(port::IN_PORT)],
+                data: frame(80),
+            };
+            sim.ctrl_send_from(c, conn, out.encode(1));
+        }
+        sim.run(100);
+        for h in sinks {
+            assert!(sim.node_as::<Sink>(h).unwrap().rx.is_empty());
+        }
     }
 }

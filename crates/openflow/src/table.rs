@@ -10,7 +10,7 @@ use crate::port;
 use crate::wire::FlowStats;
 use escape_netem::Time;
 use escape_packet::FlowKey;
-use escape_telemetry::{Counter, Registry};
+use escape_telemetry::Registry;
 
 /// One installed flow.
 #[derive(Debug, Clone)]
@@ -48,12 +48,6 @@ pub struct FlowTable {
     pub missed: u64,
     /// Exact-match fast path over the walk (see [`crate::cache`]).
     cache: FlowCache,
-    /// Telemetry mirrors of the cache stats. Born on a private registry
-    /// and re-homed by [`FlowTable::attach_telemetry`] (the
-    /// [`crate::switch::Switch`] forwards the environment's registry).
-    hits_ctr: Counter,
-    misses_ctr: Counter,
-    invalidations_ctr: Counter,
 }
 
 impl Default for FlowTable {
@@ -63,32 +57,22 @@ impl Default for FlowTable {
 }
 
 impl FlowTable {
-    /// An empty table with the cache enabled.
+    /// An empty table with the cache enabled, counting into a private
+    /// registry.
     pub fn new() -> Self {
-        let reg = Registry::new();
+        FlowTable::with_registry(&Registry::new())
+    }
+
+    /// An empty table with the cache enabled, counting
+    /// `openflow.cache_*` into `registry` (the environment's, so
+    /// `escape metrics` reports the hit rate).
+    pub fn with_registry(registry: &Registry) -> Self {
         FlowTable {
             entries: Vec::new(),
             matched: 0,
             missed: 0,
-            cache: FlowCache::new(),
-            hits_ctr: reg.counter("openflow.cache_hits"),
-            misses_ctr: reg.counter("openflow.cache_misses"),
-            invalidations_ctr: reg.counter("openflow.cache_invalidations"),
+            cache: FlowCache::new(registry),
         }
-    }
-
-    /// Re-homes the cache counters into `registry` so the whole stack's
-    /// snapshot (`escape metrics`, `escape ctl metrics`) reports hit
-    /// rate without a bench run. Counts recorded before re-homing are
-    /// carried over.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let (h, m, i) = (self.cache.hits, self.cache.misses, self.cache.invalidations);
-        self.hits_ctr = registry.counter("openflow.cache_hits");
-        self.misses_ctr = registry.counter("openflow.cache_misses");
-        self.invalidations_ctr = registry.counter("openflow.cache_invalidations");
-        self.hits_ctr.add(h);
-        self.misses_ctr.add(m);
-        self.invalidations_ctr.add(i);
     }
 
     /// Turns the exact-match cache on or off (off = every lookup walks
@@ -97,18 +81,9 @@ impl FlowTable {
         self.cache.set_enabled(enabled);
     }
 
-    /// Read access to the cache (stats, occupancy).
+    /// Read access to the cache (occupancy).
     pub fn cache(&self) -> &FlowCache {
         &self.cache
-    }
-
-    /// Strict invalidation: wipes the cache and mirrors the dropped
-    /// entry count into telemetry.
-    fn invalidate_cache(&mut self) {
-        let before = self.cache.invalidations;
-        self.cache.flush();
-        self.invalidations_ctr
-            .add(self.cache.invalidations - before);
     }
 
     /// Number of installed entries.
@@ -147,22 +122,13 @@ impl FlowTable {
         now: Time,
     ) -> Option<usize> {
         let cache_key = (*key, in_port);
-        let best = match self.cache.get(&cache_key) {
-            Some(i) => {
-                self.hits_ctr.inc();
-                Some(i)
+        let mut best = self.cache.get(&cache_key);
+        if best.is_none() {
+            best = self.walk(key, in_port);
+            if let Some(i) = best {
+                self.cache.insert(cache_key, i);
             }
-            None => {
-                let walked = self.walk(key, in_port);
-                if self.cache.enabled() {
-                    self.misses_ctr.inc();
-                    if let Some(i) = walked {
-                        self.cache.insert(cache_key, i);
-                    }
-                }
-                walked
-            }
-        };
+        }
         match best {
             Some(i) => {
                 self.matched += 1;
@@ -200,7 +166,7 @@ impl FlowTable {
     /// `OFPFC_ADD`: install, replacing an entry with identical match and
     /// priority (per spec).
     pub fn add(&mut self, entry: FlowEntry) {
-        self.invalidate_cache();
+        self.cache.flush();
         if let Some(e) = self
             .entries
             .iter_mut()
@@ -222,7 +188,7 @@ impl FlowTable {
         strict: bool,
         actions: &[Action],
     ) -> usize {
-        self.invalidate_cache();
+        self.cache.flush();
         let mut n = 0;
         for e in &mut self.entries {
             let hit = if strict {
@@ -252,7 +218,7 @@ impl FlowTable {
         out_port: u16,
         cookie: u64,
     ) -> Vec<FlowEntry> {
-        self.invalidate_cache();
+        self.cache.flush();
         let mut removed = Vec::new();
         self.entries.retain(|e| {
             let m = if strict {
@@ -295,7 +261,7 @@ impl FlowTable {
         });
         if !out.is_empty() {
             // Entry indices shifted: strict invalidation, same as a delete.
-            self.invalidate_cache();
+            self.cache.flush();
         }
         out
     }
@@ -372,6 +338,12 @@ mod tests {
     use bytes::Bytes;
     use escape_packet::{MacAddr, PacketBuilder};
     use std::net::Ipv4Addr;
+
+    /// `[hits, misses, invalidations]` as the registry reads them.
+    fn counts(reg: &Registry) -> [u64; 3] {
+        ["hits", "misses", "invalidations"]
+            .map(|c| reg.counter_total(&format!("openflow.cache_{c}")))
+    }
 
     fn key(dport: u16) -> FlowKey {
         let f = PacketBuilder::udp(
@@ -594,7 +566,8 @@ mod tests {
 
     #[test]
     fn cached_lookup_matches_walk_and_invalidates_on_mutation() {
-        let mut t = FlowTable::new();
+        let reg = Registry::new();
+        let mut t = FlowTable::with_registry(&reg);
         t.add(FlowEntry::new(
             Match::any().with_tp_dst(80),
             10,
@@ -610,7 +583,7 @@ mod tests {
         // First packet walks and caches; second hits.
         t.lookup(&key(80), 0, 60, Time::ZERO);
         t.lookup(&key(80), 0, 60, Time::ZERO);
-        assert_eq!((t.cache().hits, t.cache().misses), (1, 1));
+        assert_eq!(counts(&reg), [1, 1, 0]);
         assert_eq!(t.entries()[0].packet_count, 2, "hit bumps same counters");
         // A higher-priority add must invalidate: next lookup re-walks and
         // picks the new winner.
@@ -622,12 +595,13 @@ mod tests {
         ));
         let e = t.lookup(&key(80), 0, 60, Time::ZERO).unwrap();
         assert_eq!(e.actions, vec![Action::out(5)]);
-        assert_eq!(t.cache().misses, 2, "post-mutation lookup is a miss");
+        assert_eq!(counts(&reg)[1], 2, "post-mutation lookup is a miss");
     }
 
     #[test]
     fn cache_disabled_walks_every_time() {
-        let mut t = FlowTable::new();
+        let reg = Registry::new();
+        let mut t = FlowTable::with_registry(&reg);
         t.set_cache_enabled(false);
         t.add(FlowEntry::new(
             Match::any(),
@@ -637,8 +611,27 @@ mod tests {
         ));
         t.lookup(&key(80), 0, 60, Time::ZERO);
         t.lookup(&key(80), 0, 60, Time::ZERO);
-        assert_eq!((t.cache().hits, t.cache().misses), (0, 0));
+        assert_eq!(counts(&reg), [0; 3]);
         assert_eq!(t.entries()[0].packet_count, 2);
+    }
+
+    #[test]
+    fn evictions_and_disabling_count_as_invalidations() {
+        let reg = Registry::new();
+        let mut t = FlowTable::with_registry(&reg);
+        t.add(FlowEntry::new(
+            Match::any(),
+            1,
+            vec![Action::out(1)],
+            Time::ZERO,
+        ));
+        let cap = crate::cache::DEFAULT_CACHE_CAP as u64;
+        for dport in 0..=cap {
+            t.lookup(&key(dport as u16), 0, 60, Time::ZERO);
+        }
+        assert_eq!(counts(&reg)[2], 1, "one past capacity evicts one");
+        t.set_cache_enabled(false);
+        assert_eq!(counts(&reg)[2], 1 + cap, "disabling drops them all");
     }
 
     #[test]

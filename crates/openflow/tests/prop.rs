@@ -5,6 +5,7 @@ use escape_netem::Time;
 use escape_openflow::table::FlowEntry;
 use escape_openflow::{port, Action, FlowModCommand, FlowTable, Match, OfMessage, PacketInReason};
 use escape_packet::{FlowKey, MacAddr, PacketBuilder};
+use escape_telemetry::Registry;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -323,7 +324,9 @@ proptest! {
     /// the *same* randomized op sequence — lookups interleaved with
     /// add/modify/delete flow-mods — agree on every lookup result (same
     /// winning entry index into identically-ordered tables) and end with
-    /// byte-equal entries, per-entry packet/byte counters included.
+    /// byte-equal entries, per-entry packet/byte counters included. The
+    /// registry the cached table was built on counts every lookup once,
+    /// as a hit or a miss, and every cached entry a flush drops.
     #[test]
     fn cached_lookup_is_equivalent_to_full_walk(
         seeds in proptest::collection::vec(
@@ -332,14 +335,20 @@ proptest! {
         ),
         ops in proptest::collection::vec(arb_table_op(), 1..80),
     ) {
-        let mut cached = FlowTable::new();
+        let reg = Registry::new();
+        let mut cached = FlowTable::with_registry(&reg);
         let mut walked = FlowTable::new();
         walked.set_cache_enabled(false);
+        let (mut lookups, mut dropped) = (0u64, 0u64);
         for (dport, in_port, prio, cookie) in seeds {
             cached.add(entry_for(dport, in_port, prio, cookie));
             walked.add(entry_for(dport, in_port, prio, cookie));
         }
         for op in ops {
+            // Every mutation flushes the cache wholesale.
+            if !matches!(op, TableOp::Lookup { .. }) {
+                dropped += cached.cache().len() as u64;
+            }
             match op {
                 TableOp::Lookup { dport, in_port } => {
                     let frame = PacketBuilder::udp(
@@ -355,6 +364,7 @@ proptest! {
                     let a = cached.lookup_idx(&key, in_port, 60, Time::ZERO);
                     let b = walked.lookup_idx(&key, in_port, 60, Time::ZERO);
                     prop_assert_eq!(a, b, "cached and walked lookups disagree");
+                    lookups += 1;
                 }
                 TableOp::Add { dport, in_port, prio, cookie } => {
                     cached.add(entry_for(dport, in_port, prio, cookie));
@@ -377,6 +387,9 @@ proptest! {
         }
         prop_assert_eq!(cached.matched, walked.matched);
         prop_assert_eq!(cached.missed, walked.missed);
+        let total = |name| reg.counter_total(name);
+        prop_assert_eq!(total("openflow.cache_hits") + total("openflow.cache_misses"), lookups);
+        prop_assert_eq!(total("openflow.cache_invalidations"), dropped);
         prop_assert_eq!(cached.len(), walked.len());
         for (a, b) in cached.entries().iter().zip(walked.entries()) {
             prop_assert_eq!(&a.match_, &b.match_);

@@ -129,7 +129,6 @@ pub struct Orchestrator {
     state: ResourceState,
     algorithm: Box<dyn MappingAlgorithm>,
     committed: HashMap<String, CommitRecord>,
-    telemetry: Registry,
     counters: OrchCounters,
 }
 
@@ -140,32 +139,25 @@ impl Orchestrator {
         topo: ResourceTopology,
         algorithm: Box<dyn MappingAlgorithm>,
     ) -> Result<Orchestrator, String> {
-        Orchestrator::with_registry(topo, algorithm, Registry::new())
+        Orchestrator::with_registry(topo, algorithm, &Registry::new())
     }
 
     /// Creates an orchestrator publishing `orch.*` metrics into `registry`.
     pub fn with_registry(
         topo: ResourceTopology,
         algorithm: Box<dyn MappingAlgorithm>,
-        registry: Registry,
+        registry: &Registry,
     ) -> Result<Orchestrator, String> {
         topo.validate()?;
         let state = ResourceState::from_topology(&topo);
-        let counters = OrchCounters::new(&registry);
         Ok(Orchestrator {
             paths: PathIndex::new(&topo),
             topo,
             state,
             algorithm,
             committed: HashMap::new(),
-            telemetry: registry,
-            counters,
+            counters: OrchCounters::new(registry),
         })
-    }
-
-    /// The registry this orchestrator publishes `orch.*` metrics into.
-    pub fn telemetry(&self) -> &Registry {
-        &self.telemetry
     }
 
     /// The algorithm in use.
@@ -827,7 +819,9 @@ mod tests {
 
     #[test]
     fn reroute_moves_traffic_off_a_failed_link() {
-        let mut orch = Orchestrator::new(triangle(), Box::new(GreedyFirstFit)).unwrap();
+        let reg = Registry::new();
+        let mut orch =
+            Orchestrator::with_registry(triangle(), Box::new(GreedyFirstFit), &reg).unwrap();
         let g = ServiceGraph::new()
             .sap("sap0")
             .sap("sap1")
@@ -855,8 +849,7 @@ mod tests {
         );
         assert!(m2.total_delay_us > m.total_delay_us);
         assert!(orch.chains_using_link("s0", "s1").is_empty());
-        let snap = orch.telemetry().snapshot();
-        assert_eq!(snap.counter("orch.reroutes", &[]), Some(1));
+        assert_eq!(reg.counter_total("orch.reroutes"), 1);
         // The full round trip still releases cleanly.
         orch.mark_link_recovered("s0", "s1");
         orch.release_chain("c1").unwrap();
@@ -918,8 +911,10 @@ mod tests {
     #[test]
     fn reroute_without_alternate_path_releases_everything() {
         // linear(2) has a single path between the SAPs.
+        let reg = Registry::new();
         let mut orch =
-            Orchestrator::new(builders::linear(2, 4.0), Box::new(GreedyFirstFit)).unwrap();
+            Orchestrator::with_registry(builders::linear(2, 4.0), Box::new(GreedyFirstFit), &reg)
+                .unwrap();
         let g = sg();
         orch.embed_chain(&g, &g.chains[0]).unwrap();
         orch.mark_link_failed("s0", "s1");
@@ -931,17 +926,15 @@ mod tests {
         let fresh = ResourceState::from_topology(orch.topology());
         assert_eq!(orch.state().cpu, fresh.cpu);
         assert_eq!(orch.state().bw, fresh.bw);
-        assert_eq!(
-            orch.telemetry()
-                .snapshot()
-                .counter("orch.reroute_failures", &[]),
-            Some(1)
-        );
+        assert_eq!(reg.counter_total("orch.reroute_failures"), 1);
     }
 
     #[test]
     fn remap_moves_a_chain_off_a_failed_container() {
-        let mut orch = Orchestrator::new(builders::star(2, 4.0), Box::new(GreedyFirstFit)).unwrap();
+        let reg = Registry::new();
+        let mut orch =
+            Orchestrator::with_registry(builders::star(2, 4.0), Box::new(GreedyFirstFit), &reg)
+                .unwrap();
         let g = ServiceGraph::new()
             .sap("sap0")
             .sap("sap1")
@@ -954,15 +947,15 @@ mod tests {
         let m2 = orch.remap_chain(&g, "c1").unwrap();
         assert_eq!(m2.container_of("fw"), Some("c1"), "moved to the survivor");
         assert_eq!(orch.chains_on_container("c1"), vec!["c1"]);
-        assert_eq!(
-            orch.telemetry().snapshot().counter("orch.remaps", &[]),
-            Some(1)
-        );
+        assert_eq!(reg.counter_total("orch.remaps"), 1);
     }
 
     #[test]
     fn remap_without_capacity_fails_gracefully() {
-        let mut orch = Orchestrator::new(builders::star(2, 1.0), Box::new(GreedyFirstFit)).unwrap();
+        let reg = Registry::new();
+        let mut orch =
+            Orchestrator::with_registry(builders::star(2, 1.0), Box::new(GreedyFirstFit), &reg)
+                .unwrap();
         let g = ServiceGraph::new()
             .sap("sap0")
             .sap("sap1")
@@ -975,12 +968,7 @@ mod tests {
         assert!(matches!(err, MapError::NoCapacity(_)), "{err:?}");
         assert!(orch.embedded_chains().is_empty());
         assert!(orch.remap_chain(&g, "c1").is_err(), "unknown chain now");
-        assert_eq!(
-            orch.telemetry()
-                .snapshot()
-                .counter("orch.remap_failures", &[]),
-            Some(1)
-        );
+        assert_eq!(reg.counter_total("orch.remap_failures"), 1);
         // Survivors come back once the containers recover.
         orch.mark_container_recovered("c0");
         orch.mark_container_recovered("c1");

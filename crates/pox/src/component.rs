@@ -4,7 +4,7 @@ use bytes::Bytes;
 use escape_netem::{CtrlId, NodeCtx, Time};
 use escape_openflow::{port, Action, FlowModCommand, Match, OfMessage, PortDesc};
 use escape_packet::FlowKey;
-use escape_telemetry::{Counter, Registry};
+use escape_telemetry::Counter;
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -42,11 +42,6 @@ impl<T: Any> AsAnyComponent for T {
 pub trait Component: AsAnyComponent + Send {
     /// Component name (diagnostics).
     fn name(&self) -> &'static str;
-
-    /// Called once when the component is added to a controller; counters
-    /// the component owns should be re-homed into `registry` so they show
-    /// up in the environment-wide telemetry snapshot.
-    fn attach_telemetry(&mut self, _registry: &Registry) {}
 
     /// A switch completed the handshake.
     fn on_connection_up(&mut self, _ctl: &mut Ctl<'_, '_>, _dpid: u64, _ports: &[PortDesc]) {}

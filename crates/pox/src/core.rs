@@ -59,7 +59,6 @@ pub struct Controller {
     by_dpid: HashMap<u64, CtrlId>,
     ports_by_dpid: HashMap<u64, Vec<PortDesc>>,
     components: Vec<Option<Box<dyn Component>>>,
-    telemetry: Registry,
     counters: CoreCounters,
     xid: u32,
 }
@@ -67,27 +66,21 @@ pub struct Controller {
 impl Controller {
     /// An empty controller with a private telemetry registry.
     pub fn new() -> Controller {
-        Controller::with_registry(Registry::new())
+        Controller::with_registry(&Registry::new())
     }
 
     /// An empty controller publishing its counters into `registry` —
-    /// the environment passes the simulation-wide registry here.
-    pub fn with_registry(registry: Registry) -> Controller {
-        let counters = CoreCounters::new(&registry);
+    /// the environment passes the simulation-wide registry here, and
+    /// builds its components on the same one.
+    pub fn with_registry(registry: &Registry) -> Controller {
         Controller {
             conns: HashMap::new(),
             by_dpid: HashMap::new(),
             ports_by_dpid: HashMap::new(),
             components: Vec::new(),
-            telemetry: registry,
-            counters,
+            counters: CoreCounters::new(registry),
             xid: 0,
         }
-    }
-
-    /// The registry this controller publishes `pox.*` counters into.
-    pub fn telemetry(&self) -> &Registry {
-        &self.telemetry
     }
 
     /// Current counter values (compat view over the telemetry registry).
@@ -112,10 +105,8 @@ impl Controller {
         );
     }
 
-    /// Adds a component at the end of the dispatch chain. The component's
-    /// counters are re-homed into this controller's telemetry registry.
-    pub fn add_component(&mut self, mut c: Box<dyn Component>) {
-        c.attach_telemetry(&self.telemetry);
+    /// Adds a component at the end of the dispatch chain.
+    pub fn add_component(&mut self, c: Box<dyn Component>) {
         self.components.push(Some(c));
     }
 
@@ -207,14 +198,14 @@ impl NodeLogic for Controller {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
         match token {
             HANDSHAKE_TOKEN => {
-                let pending: Vec<u32> = self
-                    .conns
-                    .iter()
-                    .filter(|(_, s)| !s.hello_sent)
-                    .map(|(&c, _)| c)
-                    .collect();
+                let mut pending = Vec::new();
+                for (&c, st) in &mut self.conns {
+                    if !st.hello_sent {
+                        st.hello_sent = true;
+                        pending.push(c);
+                    }
+                }
                 for c in pending {
-                    self.conns.get_mut(&c).unwrap().hello_sent = true;
                     self.send_on(ctx, CtrlId(c), OfMessage::Hello);
                     self.send_on(ctx, CtrlId(c), OfMessage::FeaturesRequest);
                 }

@@ -23,24 +23,16 @@ pub struct StatsCollector {
     pub poll_on_flush: bool,
 }
 
-impl Default for StatsCollector {
-    fn default() -> Self {
-        let reg = Registry::new();
+impl StatsCollector {
+    /// A collector that polls on every flush, counting `pox.stats.*`
+    /// into `registry`.
+    pub fn new(registry: &Registry) -> StatsCollector {
         StatsCollector {
             flows: HashMap::new(),
             ports: HashMap::new(),
-            polls_ctr: reg.counter("pox.stats.polls_sent"),
-            replies_ctr: reg.counter("pox.stats.replies_seen"),
-            poll_on_flush: false,
-        }
-    }
-}
-
-impl StatsCollector {
-    pub fn new() -> StatsCollector {
-        StatsCollector {
+            polls_ctr: registry.counter("pox.stats.polls_sent"),
+            replies_ctr: registry.counter("pox.stats.replies_seen"),
             poll_on_flush: true,
-            ..Default::default()
         }
     }
 
@@ -94,11 +86,6 @@ impl Component for StatsCollector {
         "stats_collector"
     }
 
-    fn attach_telemetry(&mut self, registry: &Registry) {
-        self.polls_ctr = registry.counter("pox.stats.polls_sent");
-        self.replies_ctr = registry.counter("pox.stats.replies_seen");
-    }
-
     fn on_connection_up(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: u64, _ports: &[PortDesc]) {
         if self.poll_on_flush {
             self.poll_all(ctl);
@@ -146,7 +133,8 @@ mod tests {
         );
         sim.connect((sw, 0), (h1, 0), LinkConfig::lan());
         sim.connect((sw, 1), (h2, 0), LinkConfig::lan());
-        let c = sim.add_node("c0", 0, Box::new(Controller::new()));
+        let reg = sim.telemetry().clone();
+        let c = sim.add_node("c0", 0, Box::new(Controller::with_registry(&reg)));
         let conn = sim.ctrl_connect(sw, c, Time::from_us(100));
         sim.node_as_mut::<Switch>(sw)
             .unwrap()
@@ -155,7 +143,7 @@ mod tests {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
             ctl.register_switch(conn);
             ctl.add_component(Box::new(L2Learning::new()));
-            ctl.add_component(Box::new(StatsCollector::new()));
+            ctl.add_component(Box::new(StatsCollector::new(&reg)));
         }
         Controller::start(&mut sim, c);
         sim.run(1000);

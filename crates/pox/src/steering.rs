@@ -58,19 +58,17 @@ pub struct TrafficSteering {
 }
 
 impl TrafficSteering {
-    pub fn new(mode: SteeringMode) -> TrafficSteering {
-        // A private registry until the controller re-homes the counters
-        // (handles outlive the registry, so counts are never lost).
-        let reg = Registry::new();
+    /// A steering component counting `pox.steering.*` into `registry`.
+    pub fn new(mode: SteeringMode, registry: &Registry) -> TrafficSteering {
         TrafficSteering {
             mode,
             queued: Vec::new(),
             installed: HashMap::new(),
             staged: HashMap::new(),
             pending_removal: Vec::new(),
-            reactive_ctr: reg.counter("pox.steering.reactive_installs"),
-            proactive_ctr: reg.counter("pox.steering.proactive_installs"),
-            resteer_ctr: reg.counter("pox.steering.resteers"),
+            reactive_ctr: registry.counter("pox.steering.reactive_installs"),
+            proactive_ctr: registry.counter("pox.steering.proactive_installs"),
+            resteer_ctr: registry.counter("pox.steering.resteers"),
         }
     }
 
@@ -240,12 +238,6 @@ impl Component for TrafficSteering {
         "traffic_steering"
     }
 
-    fn attach_telemetry(&mut self, registry: &Registry) {
-        self.reactive_ctr = registry.counter("pox.steering.reactive_installs");
-        self.proactive_ctr = registry.counter("pox.steering.proactive_installs");
-        self.resteer_ctr = registry.counter("pox.steering.resteers");
-    }
-
     /// Called both on real connection-up and on the controller's FLUSH
     /// event; both are moments to sync queued rules down to switches.
     fn on_connection_up(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: u64, _ports: &[PortDesc]) {
@@ -331,6 +323,7 @@ mod tests {
         escape_netem::NodeId,
     ) {
         let mut sim = Sim::new(9);
+        let reg = sim.telemetry().clone();
         let sw = sim.add_node("s1", 2, Box::new(Switch::new(1, 2)));
         let h1 = sim.add_node(
             "h1",
@@ -344,7 +337,7 @@ mod tests {
         );
         sim.connect((sw, 0), (h1, 0), LinkConfig::lan());
         sim.connect((sw, 1), (h2, 0), LinkConfig::lan());
-        let c = sim.add_node("c0", 0, Box::new(Controller::new()));
+        let c = sim.add_node("c0", 0, Box::new(Controller::with_registry(&reg)));
         let conn = sim.ctrl_connect(sw, c, Time::from_us(200));
         sim.node_as_mut::<Switch>(sw)
             .unwrap()
@@ -352,7 +345,7 @@ mod tests {
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
             ctl.register_switch(conn);
-            ctl.add_component(Box::new(TrafficSteering::new(mode)));
+            ctl.add_component(Box::new(TrafficSteering::new(mode, &reg)));
         }
         // Static ARP both ways: steering setups pre-provision ARP.
         sim.node_as_mut::<Host>(h1)

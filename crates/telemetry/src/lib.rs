@@ -223,7 +223,7 @@ enum Metric {
     Histogram(Histogram),
 }
 
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct MetricKey {
     name: String,
     labels: Labels,
@@ -290,11 +290,11 @@ fn type_mismatch(name: &str) -> ! {
 
 /// The series table: a series' slot is its index in `slots`, assigned
 /// at registration and kept for the registry's life (nothing
-/// unregisters).
+/// unregisters). The index and the slot share one copy of each key.
 #[derive(Default)]
 struct Table {
-    index: HashMap<MetricKey, usize>,
-    slots: Vec<(MetricKey, Metric)>,
+    index: HashMap<Arc<MetricKey>, usize>,
+    slots: Vec<(Arc<MetricKey>, Metric)>,
 }
 
 /// The process-wide metric registry. Cheap to clone (all clones share
@@ -335,7 +335,8 @@ impl Registry {
         }
         let metric = make();
         let slot = t.slots.len();
-        t.index.insert(key.clone(), slot);
+        let key = Arc::new(key);
+        t.index.insert(Arc::clone(&key), slot);
         t.slots.push((key, metric.clone()));
         metric
     }

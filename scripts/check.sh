@@ -25,6 +25,16 @@ if [ -n "$ACCESSORS" ]; then
     exit 1
 fi
 
+echo "== no attach_telemetry in crates =="
+# A component is built with the registry it counts into; re-homing
+# counters after birth is how one fact came to be counted twice.
+REHOMES="$(git grep -nE 'fn attach_telemetry\b' -- crates || true)"
+if [ -n "$REHOMES" ]; then
+    echo "counters re-homed after construction:" >&2
+    echo "$REHOMES" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
