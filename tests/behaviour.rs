@@ -4,8 +4,8 @@
 //! A line holds the step's op and its outcome, the virtual clock after
 //! it, hashes of what a client reads after it — the metrics exposition
 //! outside `wallclock.*`, the sampler's series document and
-//! `state_fingerprint` — the span count, and every journal entry the
-//! step added. Run A steers proactively, run B reactively; both run the
+//! `state_fingerprint` — the span count, a hash of the SLA verdicts, and
+//! every journal entry the step added. Run A steers proactively, run B reactively; both run the
 //! autoscaler, the sampler (small retention), the flight recorder and
 //! admission control over a small leaf-spine fabric.
 //!
@@ -253,14 +253,16 @@ fn run(tag: &str, seed: u64, steering: SteeringMode) -> String {
             .filter(|l| !l.contains("wallclock_"))
             .map(|l| format!("{l}\n"))
             .collect();
+        let verdicts: String = s.sla_verdicts().iter().map(|v| format!("{v}\n")).collect();
         write!(
             out,
-            "{tag}{step:03} t={} {op} | m={:016x} s={:016x} fp={:016x} spans={}",
+            "{tag}{step:03} t={} {op} | m={:016x} s={:016x} fp={:016x} spans={} sla={:016x}",
             esc.now().as_ns(),
             fnv(&metrics),
             fnv(&s.series_json()),
             fnv(&s.state_fingerprint()),
             esc.tracer().records().count(),
+            fnv(&verdicts),
         )
         .expect("writing to a String");
         for e in esc.journal().events_since(seq) {
