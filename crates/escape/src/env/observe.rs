@@ -7,8 +7,10 @@ use crate::error::EscapeError;
 use crate::flight::{self, FlightRecord, NodeKind, SlaVerdict};
 use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
 use escape_netconf::message::ReplyBody;
-use escape_netem::NodeId;
+use escape_netem::{NodeId, Trace};
+use escape_sg::Sla;
 use escape_telemetry::{Registry, Sampler, SamplerConfig, Snapshot, Tracer};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// The journal, the sampler and what its observers remember between
@@ -26,6 +28,27 @@ pub(super) struct Observation {
     /// `openflow.cache_invalidations` total at the previous sample
     /// point, for storm detection.
     last_cache_invalidations: u64,
+    /// The last SLA verdicts and what they were computed from, shared by
+    /// the sample tick, the watch publisher and the `sla` verb.
+    sla_memo: RefCell<Option<SlaMemo>>,
+}
+
+/// Verdicts and the key they hold for. A verdict is a function of the
+/// trace ring's records, each deployed chain's cookie and SLA, and the
+/// node roles. The roles are fixed by `Infra::build`, so they are not
+/// part of the key.
+struct SlaMemo {
+    /// `Sim::trace_epoch`: a re-enabled recorder is a new ring whose
+    /// positions start again at zero.
+    epoch: u64,
+    /// `Trace::seq_end`: the ring only changes by appending, so within
+    /// one epoch an unchanged end means unchanged records.
+    seq_end: u64,
+    /// (name, cookie, SLA) of every deployed chain in name order: a
+    /// deploy, teardown or redeploy changes what is attributed to whom
+    /// and what it is judged against.
+    chains: Vec<(String, u64, Sla)>,
+    verdicts: Vec<SlaVerdict>,
 }
 
 impl Observation {
@@ -35,6 +58,7 @@ impl Observation {
             sampler: None,
             sla_last: HashMap::new(),
             last_cache_invalidations: 0,
+            sla_memo: RefCell::new(None),
         }
     }
 }
@@ -185,35 +209,49 @@ impl Escape {
         let Some(trace) = &self.sim.trace else {
             return FlightRecord::default();
         };
-        // Topology-name and role lookup for every emulator node.
-        let mut roles: HashMap<NodeId, (String, NodeKind)> = HashMap::new();
-        for (name, &node) in &self.infra.nodes {
-            let kind = if self.infra.dpid.contains_key(name) {
-                NodeKind::Switch
-            } else if self.infra.sap_addr.contains_key(name) {
-                NodeKind::Host
-            } else if self.infra.netconf_conn.contains_key(name) {
-                NodeKind::Container
-            } else {
-                NodeKind::Other
-            };
-            roles.insert(node, (name.clone(), kind));
-        }
         let cookies: HashMap<u64, String> = self
             .deployed
             .iter()
             .map(|(name, dc)| (dc.cookie, name.clone()))
             .collect();
+        let resolve = self.node_roles();
         flight::reconstruct(
             trace.records(),
             |n| {
-                roles
-                    .get(&n)
-                    .cloned()
-                    .unwrap_or_else(|| (self.sim.node_name(n).to_string(), NodeKind::Other))
+                let (name, kind) = resolve(n);
+                (name.to_string(), kind)
             },
             &cookies,
         )
+    }
+
+    /// Topology name and role of an emulator node: the dpid map makes a
+    /// switch, a SAP address a host, a NETCONF connection a container.
+    /// A node the topology does not name keeps its emulator name.
+    fn node_roles<'a>(&'a self) -> impl Fn(NodeId) -> (&'a str, NodeKind) + 'a {
+        let roles: HashMap<NodeId, (&str, NodeKind)> = self
+            .infra
+            .nodes
+            .iter()
+            .map(|(name, &node)| {
+                let kind = if self.infra.dpid.contains_key(name) {
+                    NodeKind::Switch
+                } else if self.infra.sap_addr.contains_key(name) {
+                    NodeKind::Host
+                } else if self.infra.netconf_conn.contains_key(name) {
+                    NodeKind::Container
+                } else {
+                    NodeKind::Other
+                };
+                (node, (name.as_str(), kind))
+            })
+            .collect();
+        move |n| {
+            roles
+                .get(&n)
+                .copied()
+                .unwrap_or_else(|| (self.sim.node_name(n), NodeKind::Other))
+        }
     }
 
     /// Reconstructs journeys, publishes per-chain aggregates into the
@@ -226,25 +264,62 @@ impl Escape {
 
     /// Evaluates every deployed chain's SLA (from its service graph)
     /// against the recorded traffic, in chain-name order. Chains without
-    /// an SLA get a vacuous pass.
+    /// an SLA get a vacuous pass. The counts come from one
+    /// `flight::tallies` pass over the trace ring, and are reused until
+    /// the ring or the chain set changes.
     pub fn sla_verdicts(&self) -> Vec<SlaVerdict> {
-        let fr = self.flight_record();
-        let journeys = fr.by_chain();
-        let mut names: Vec<&String> = self.deployed.keys().collect();
-        names.sort();
-        names
-            .into_iter()
-            .map(|name| {
-                let sla = self
-                    .graphs
-                    .get(name)
-                    .and_then(|g| g.chains.iter().find(|c| &c.name == name))
-                    .and_then(|c| c.sla)
-                    .unwrap_or_default();
-                let of_chain = journeys.get(name.as_str()).into_iter().flatten();
-                flight::evaluate_sla(name, &sla, of_chain.copied())
+        let mut chains: Vec<(&str, u64, Sla)> = self
+            .deployed
+            .iter()
+            .map(|(name, dc)| (name.as_str(), dc.cookie, self.sla_of(name)))
+            .collect();
+        chains.sort_by(|a, b| a.0.cmp(b.0));
+        // No recorder counts like an empty ring: nothing to tally.
+        let trace = self.sim.trace.as_ref();
+        let (epoch, seq_end) = (self.sim.trace_epoch(), trace.map_or(0, Trace::seq_end));
+        let mut memo = self.observe.sla_memo.borrow_mut();
+        if let Some(m) = memo.as_ref() {
+            let same_chains = m
+                .chains
+                .iter()
+                .map(|(name, cookie, sla)| (name.as_str(), *cookie, *sla))
+                .eq(chains.iter().copied());
+            if (m.epoch, m.seq_end) == (epoch, seq_end) && same_chains {
+                return m.verdicts.clone();
+            }
+        }
+        let cookies: HashMap<u64, &str> = chains
+            .iter()
+            .map(|&(name, cookie, _)| (cookie, name))
+            .collect();
+        let records = trace.into_iter().flat_map(Trace::records);
+        let tallies = flight::tallies(records, self.node_roles(), &cookies);
+        let verdicts: Vec<SlaVerdict> = chains
+            .iter()
+            .map(|(name, _, sla)| {
+                let tally = tallies.get(name).copied().unwrap_or_default();
+                flight::evaluate_sla(name, sla, tally)
             })
-            .collect()
+            .collect();
+        *memo = Some(SlaMemo {
+            epoch,
+            seq_end,
+            chains: chains
+                .into_iter()
+                .map(|(name, cookie, sla)| (name.to_string(), cookie, sla))
+                .collect(),
+            verdicts: verdicts.clone(),
+        });
+        verdicts
+    }
+
+    /// A deployed chain's SLA, from the service graph it came from.
+    fn sla_of(&self, chain: &str) -> Sla {
+        self.graphs
+            .get(chain)
+            .and_then(|g| g.chains.iter().find(|c| c.name == chain))
+            .and_then(|c| c.sla)
+            .unwrap_or_default()
     }
 
     /// Live VNF state over NETCONF (`getVNFInfo`) — the Clicky view:
@@ -289,5 +364,109 @@ impl Escape {
             }
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use escape_orch::NearestNeighbor;
+    use escape_pox::SteeringMode;
+    use escape_sg::{topo::builders, ServiceGraph};
+
+    /// A one-VNF chain from `sap0` to `sap1` with an SLA no delivered
+    /// packet meets, so every verdict prints its worst latency.
+    fn graph(chain: &str) -> ServiceGraph {
+        let fw = format!("{chain}-fw");
+        ServiceGraph::new()
+            .sap("sap0")
+            .sap("sap1")
+            .vnf(&fw, "firewall", 0.5, 64)
+            .chain(chain, &["sap0", &fw, "sap1"], 10.0, None)
+            .with_sla(Sla {
+                max_latency_us: Some(1),
+                max_loss: Some(0.0),
+            })
+    }
+
+    fn verdicts(esc: &Escape) -> Vec<String> {
+        esc.sla_verdicts().iter().map(ToString::to_string).collect()
+    }
+
+    /// The verdicts computed afresh: `reconstruct`, then the journey fold.
+    fn fresh(esc: &Escape) -> Vec<String> {
+        let tallies = flight::journey_tallies(&esc.flight_record());
+        let mut chains = esc.deployed_chains();
+        chains.sort();
+        chains
+            .iter()
+            .map(|c| {
+                let tally = tallies.get(c).copied().unwrap_or_default();
+                flight::evaluate_sla(c, &esc.sla_of(c), tally).to_string()
+            })
+            .collect()
+    }
+
+    /// Ten frames of `len` bytes through whatever chain is deployed.
+    fn send(esc: &mut Escape, len: usize) {
+        esc.start_udp("sap0", "sap1", len, 200, 10).unwrap();
+        esc.run_for_ms(20);
+    }
+
+    fn ring_end(esc: &Escape) -> u64 {
+        esc.sim.trace.as_ref().expect("recorder on").seq_end()
+    }
+
+    #[test]
+    fn memoised_verdicts_are_never_stale() {
+        let mut esc = Escape::build(
+            builders::linear(2, 4.0),
+            Box::new(NearestNeighbor),
+            SteeringMode::Proactive,
+            7,
+        )
+        .unwrap();
+        esc.deploy(&graph("a")).unwrap();
+        esc.enable_flight_recorder(4096);
+        let idle = verdicts(&esc);
+
+        // Traffic moves the ring's end.
+        send(&mut esc, 128);
+        let busy = verdicts(&esc);
+        assert_ne!(busy, idle);
+        assert_eq!(busy, fresh(&esc));
+
+        // The chain set moves while the ring stands still.
+        let end = ring_end(&esc);
+        esc.teardown("a").unwrap();
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        assert!(verdicts(&esc).is_empty(), "a torn-down chain disappears");
+        esc.deploy(&graph("b")).unwrap();
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        assert!(
+            verdicts(&esc)[0].starts_with("chain b "),
+            "{:?}",
+            verdicts(&esc)
+        );
+        assert_eq!(ring_end(&esc), end, "no record between the verdicts");
+
+        // A new ring reaches the old one's position with other records:
+        // the same frames at another size, so another worst latency.
+        esc.enable_flight_recorder(4096);
+        send(&mut esc, 128);
+        let end = ring_end(&esc);
+        let small = verdicts(&esc);
+        esc.sim.enable_trace(4096);
+        send(&mut esc, 1400);
+        assert_eq!(ring_end(&esc), end);
+        let large = verdicts(&esc);
+        assert_ne!(large, small);
+        assert_eq!(large, fresh(&esc));
+        esc.enable_flight_recorder(4096);
+        send(&mut esc, 700);
+        assert_eq!(ring_end(&esc), end);
+        let middle = verdicts(&esc);
+        assert_ne!(middle, large);
+        assert_eq!(middle, fresh(&esc));
     }
 }

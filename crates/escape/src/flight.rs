@@ -16,6 +16,7 @@ use escape_sg::Sla;
 use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// What role a visited node plays in the emulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,84 +146,48 @@ fn build_journey(
     let mut outcome = Outcome::InFlight;
     for r in recs {
         let (node, kind) = resolve(r.node);
-        // Does this record continue the current node visit?
-        let open = hops
+        let last = hops
             .last()
-            .is_some_and(|h| h.node == node && h.departed.is_none() && h.drop.is_none());
-        match r.dir {
-            TraceDir::Rx => hops.push(Hop {
+            .map(|h| (&h.node, h.departed.is_some(), h.drop.is_some()));
+        match lands(r.dir, &node, last) {
+            Landing::Opens { departed } => hops.push(Hop {
                 node,
                 kind,
                 arrived: r.time,
-                departed: None,
+                departed: departed.then_some(r.time),
                 details: Vec::new(),
                 drop: None,
             }),
-            TraceDir::Hop => {
-                if !open {
-                    hops.push(Hop {
-                        node,
-                        kind,
-                        arrived: r.time,
-                        departed: None,
-                        details: Vec::new(),
-                        drop: None,
-                    });
-                }
-                if let Some(d) = &r.hop {
-                    hops.last_mut()
-                        .expect("hop pushed above")
-                        .details
-                        .push(d.clone());
-                }
+            Landing::Continues { departs: true } => {
+                hops.last_mut().expect("a continued visit exists").departed = Some(r.time);
             }
-            TraceDir::Tx => {
-                if open {
-                    hops.last_mut().expect("open visit").departed = Some(r.time);
-                } else {
-                    // Origin host: the first record is the transmit itself.
-                    hops.push(Hop {
-                        node,
-                        kind,
-                        arrived: r.time,
-                        departed: Some(r.time),
-                        details: Vec::new(),
-                        drop: None,
-                    });
-                }
-            }
+            Landing::Continues { departs: false } => {}
+        }
+        let h = hops.last_mut().expect("every record lands on a visit");
+        match r.dir {
+            TraceDir::Hop => h.details.extend(r.hop.clone()),
             TraceDir::Drop => {
-                if !open {
-                    hops.push(Hop {
-                        node: node.clone(),
-                        kind,
-                        arrived: r.time,
-                        departed: None,
-                        details: Vec::new(),
-                        drop: None,
-                    });
-                }
-                let h = hops.last_mut().expect("drop hop exists");
                 h.drop = r.drop;
                 if let Some(reason) = r.drop {
-                    outcome = Outcome::Dropped { node, reason };
+                    outcome = Outcome::Dropped {
+                        node: h.node.clone(),
+                        reason,
+                    };
                 }
             }
+            TraceDir::Rx | TraceDir::Tx => {}
         }
     }
-    // Delivered: the last visit is a host that kept the packet.
     if outcome == Outcome::InFlight {
-        if let Some(last) = hops.last() {
-            if last.kind == NodeKind::Host && last.departed.is_none() && last.drop.is_none() {
-                outcome = Outcome::Delivered { at: last.arrived };
-            }
+        if let Some(last) = hops
+            .last()
+            .filter(|h| delivered(h.kind, h.departed.is_some(), h.drop.is_some()))
+        {
+            outcome = Outcome::Delivered { at: last.arrived };
         }
     }
     // Chain attribution: first steering cookie seen along the path.
-    let cookie = hops.iter().flat_map(|h| &h.details).find_map(|d| match d {
-        HopDetail::FlowMatch { cookie, .. } => Some(*cookie),
-        _ => None,
-    });
+    let cookie = hops.iter().flat_map(|h| &h.details).find_map(flow_cookie);
     let chain = cookie.and_then(|c| chains.get(&c).cloned());
     Journey {
         packet_id,
@@ -233,19 +198,194 @@ fn build_journey(
     }
 }
 
-impl FlightRecord {
-    /// The attributed journeys, bucketed by chain in one pass (record
-    /// order within a chain).
-    pub fn by_chain(&self) -> HashMap<&str, Vec<&Journey>> {
-        let mut buckets: HashMap<&str, Vec<&Journey>> = HashMap::new();
-        for j in &self.journeys {
-            if let Some(chain) = &j.chain {
-                buckets.entry(chain).or_default().push(j);
-            }
-        }
-        buckets
+// ---------------- visit rules -------------------------------------------
+//
+// `build_journey` and `tallies` both follow a packet's records through
+// these three functions, so the journeys and the SLA counts cannot
+// drift apart.
+
+/// Where one record lands in its packet's visit list.
+#[derive(Clone, Copy)]
+enum Landing {
+    /// A new visit arriving at the record's time; `departed` when it
+    /// leaves at once (an origin send).
+    Opens { departed: bool },
+    /// The latest visit; `departs` when the record is its transmit.
+    Continues { departs: bool },
+}
+
+/// The visit rule: `Rx` opens a visit; `Hop`, `Tx` and `Drop` continue
+/// the latest one only if it is at the same node *name* and has neither
+/// departed nor dropped; an unmatched `Tx` is an origin send. `last` is
+/// the latest visit as (node, departed, dropped).
+fn lands<N: PartialEq>(dir: TraceDir, node: &N, last: Option<(&N, bool, bool)>) -> Landing {
+    let open = last.is_some_and(|(n, departed, dropped)| n == node && !departed && !dropped);
+    match dir {
+        TraceDir::Rx => Landing::Opens { departed: false },
+        TraceDir::Hop | TraceDir::Drop if open => Landing::Continues { departs: false },
+        TraceDir::Hop | TraceDir::Drop => Landing::Opens { departed: false },
+        TraceDir::Tx if open => Landing::Continues { departs: true },
+        // Origin host: the first record is the transmit itself.
+        TraceDir::Tx => Landing::Opens { departed: true },
+    }
+}
+
+/// A journey that no drop ended is delivered when its last visit is a
+/// host that kept the packet (neither departed nor dropped there).
+fn delivered(kind: NodeKind, departed: bool, dropped: bool) -> bool {
+    kind == NodeKind::Host && !departed && !dropped
+}
+
+/// The steering cookie a hop detail carries, if it is a flow match.
+fn flow_cookie(d: &HopDetail) -> Option<u64> {
+    match d {
+        HopDetail::FlowMatch { cookie, .. } => Some(*cookie),
+        _ => None,
+    }
+}
+
+// ---------------- SLA tallies -------------------------------------------
+
+/// One chain's journey outcomes over the packets a trace holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    pub delivered: u64,
+    pub dropped: u64,
+    pub in_flight: u64,
+    /// Worst end-to-end latency among delivered packets (virtual ns).
+    pub max_latency_ns: Option<u64>,
+}
+
+/// A packet's latest visit, as [`tallies`] keeps it.
+#[derive(Clone, Copy)]
+struct LastVisit {
+    /// Interned node name.
+    node: u32,
+    kind: NodeKind,
+    arrived: Time,
+    departed: bool,
+    dropped: bool,
+}
+
+/// What [`tallies`] remembers of one packet.
+#[derive(Clone, Copy)]
+struct PacketFold {
+    /// The first retained record's time: where latency starts.
+    started: Time,
+    /// The first steering cookie seen.
+    cookie: Option<u64>,
+    /// A drop record with a reason was seen.
+    dropped: bool,
+    last: Option<LastVisit>,
+}
+
+/// Hashes a packet id with one multiply. Ids are sequential integers
+/// the emulator hands out, not adversarial input, and the lookup per
+/// record is the fold's inner loop: under SipHash the fold takes twice
+/// as long.
+#[derive(Default)]
+struct PacketIdHasher(u64);
+
+impl Hasher for PacketIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// Counts, per chain, the journeys [`reconstruct`] would build from the
+/// same records, in one pass and without building them: each packet
+/// keeps only its first time and cookie, whether it dropped, and its
+/// latest visit. `resolve` is asked once per node; `cookies` maps
+/// steering cookies to chains, and a packet with no known cookie counts
+/// nowhere.
+pub(crate) fn tallies<'a, 'n, C: Copy + Eq + Hash>(
+    records: impl Iterator<Item = &'a TraceRecord>,
+    resolve: impl Fn(NodeId) -> (&'n str, NodeKind),
+    cookies: &HashMap<u64, C>,
+) -> HashMap<C, Tally> {
+    // Node id -> (interned name, kind). Visits match by name, and two
+    // nodes may share one.
+    let mut nodes: Vec<Option<(u32, NodeKind)>> = Vec::new();
+    let mut names: HashMap<&'n str, u32> = HashMap::new();
+    let mut packets: HashMap<u64, PacketFold, BuildHasherDefault<PacketIdHasher>> =
+        HashMap::default();
+    for r in records {
+        let i = r.node.0 as usize;
+        if nodes.len() <= i {
+            nodes.resize(i + 1, None);
+        }
+        let (node, kind) = *nodes[i].get_or_insert_with(|| {
+            let (name, kind) = resolve(r.node);
+            let next = names.len() as u32;
+            (*names.entry(name).or_insert(next), kind)
+        });
+        let p = packets.entry(r.packet_id).or_insert(PacketFold {
+            started: r.time,
+            cookie: None,
+            dropped: false,
+            last: None,
+        });
+        let last = p.last.as_ref().map(|v| (&v.node, v.departed, v.dropped));
+        match lands(r.dir, &node, last) {
+            Landing::Opens { departed } => {
+                p.last = Some(LastVisit {
+                    node,
+                    kind,
+                    arrived: r.time,
+                    departed,
+                    dropped: false,
+                });
+            }
+            Landing::Continues { departs: true } => {
+                if let Some(v) = p.last.as_mut() {
+                    v.departed = true;
+                }
+            }
+            Landing::Continues { departs: false } => {}
+        }
+        match r.dir {
+            TraceDir::Hop if p.cookie.is_none() => p.cookie = r.hop.as_ref().and_then(flow_cookie),
+            TraceDir::Drop => {
+                if let Some(v) = p.last.as_mut() {
+                    v.dropped = r.drop.is_some();
+                }
+                p.dropped |= r.drop.is_some();
+            }
+            _ => {}
+        }
+    }
+    // Sums and a max only, so the map's order cannot leak into a count.
+    let mut out: HashMap<C, Tally> = HashMap::new();
+    for p in packets.values() {
+        let Some(&chain) = p.cookie.and_then(|c| cookies.get(&c)) else {
+            continue;
+        };
+        let t = out.entry(chain).or_default();
+        let last = p.last.filter(|v| delivered(v.kind, v.departed, v.dropped));
+        if p.dropped {
+            t.dropped += 1;
+        } else if let Some(v) = last {
+            t.delivered += 1;
+            let ns = v.arrived.since(p.started);
+            t.max_latency_ns = Some(t.max_latency_ns.map_or(ns, |m| m.max(ns)));
+        } else {
+            t.in_flight += 1;
+        }
+    }
+    out
+}
+
+impl FlightRecord {
     /// The journey of one packet.
     pub fn journey(&self, packet_id: u64) -> Option<&Journey> {
         self.journeys.iter().find(|j| j.packet_id == packet_id)
@@ -418,26 +558,14 @@ impl std::fmt::Display for SlaVerdict {
     }
 }
 
-/// Checks `sla` against the journeys attributed to `chain`.
-pub fn evaluate_sla<'a>(
-    chain: &str,
-    sla: &Sla,
-    journeys: impl Iterator<Item = &'a Journey>,
-) -> SlaVerdict {
-    let (mut delivered, mut dropped, mut in_flight) = (0u64, 0u64, 0u64);
-    let mut max_latency_ns: Option<u64> = None;
-    for j in journeys {
-        match &j.outcome {
-            Outcome::Delivered { .. } => {
-                delivered += 1;
-                if let Some(ns) = j.e2e_latency_ns() {
-                    max_latency_ns = Some(max_latency_ns.unwrap_or(0).max(ns));
-                }
-            }
-            Outcome::Dropped { .. } => dropped += 1,
-            Outcome::InFlight => in_flight += 1,
-        }
-    }
+/// Checks `sla` against one chain's tally.
+pub fn evaluate_sla(chain: &str, sla: &Sla, tally: Tally) -> SlaVerdict {
+    let Tally {
+        delivered,
+        dropped,
+        in_flight,
+        max_latency_ns,
+    } = tally;
     let finished = delivered + dropped;
     let loss = if finished == 0 {
         0.0
@@ -476,22 +604,53 @@ pub fn evaluate_sla<'a>(
     }
 }
 
+/// The journey fold `evaluate_sla` ran before [`tallies`] existed: the
+/// reference `tallies` is tested against.
+#[cfg(test)]
+pub(crate) fn journey_tallies(fr: &FlightRecord) -> HashMap<String, Tally> {
+    let mut out: HashMap<String, Tally> = HashMap::new();
+    for j in &fr.journeys {
+        let Some(chain) = &j.chain else { continue };
+        let t = out.entry(chain.clone()).or_default();
+        match &j.outcome {
+            Outcome::Delivered { .. } => {
+                t.delivered += 1;
+                if let Some(ns) = j.e2e_latency_ns() {
+                    t.max_latency_ns = Some(t.max_latency_ns.unwrap_or(0).max(ns));
+                }
+            }
+            Outcome::Dropped { .. } => t.dropped += 1,
+            Outcome::InFlight => t.in_flight += 1,
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(time_us: u64, node: u32, dir: TraceDir) -> TraceRecord {
         TraceRecord::wire(Time::from_us(time_us), NodeId(node), 0, dir, 64, 7)
     }
 
-    fn resolve(n: NodeId) -> (String, NodeKind) {
+    /// Nodes 4 and 5 share a name with nodes 1 and 3 (the first under
+    /// another kind), as an emulator fallback name can.
+    fn role(n: NodeId) -> (&'static str, NodeKind) {
         match n.0 {
-            0 => ("sap0".into(), NodeKind::Host),
-            1 => ("s0".into(), NodeKind::Switch),
-            2 => ("c0".into(), NodeKind::Container),
-            3 => ("sap1".into(), NodeKind::Host),
-            _ => (format!("n{}", n.0), NodeKind::Other),
+            0 => ("sap0", NodeKind::Host),
+            1 => ("s0", NodeKind::Switch),
+            2 => ("c0", NodeKind::Container),
+            3 => ("sap1", NodeKind::Host),
+            4 => ("s0", NodeKind::Other),
+            _ => ("sap1", NodeKind::Host),
         }
+    }
+
+    fn resolve(n: NodeId) -> (String, NodeKind) {
+        let (name, kind) = role(n);
+        (name.to_string(), kind)
     }
 
     fn chains() -> HashMap<u64, String> {
@@ -585,18 +744,18 @@ mod tests {
     #[test]
     fn sla_verdicts_pass_and_fail() {
         let trace = delivered_trace();
-        let fr = reconstruct(trace.iter(), resolve, &chains());
         let loose = Sla {
             max_latency_us: Some(1_000),
             max_loss: Some(0.5),
         };
-        let v = evaluate_sla("demo", &loose, fr.by_chain()["demo"].iter().copied());
+        let tally = tallies(trace.iter(), role, &HashMap::from([(9, "demo")]))["demo"];
+        let v = evaluate_sla("demo", &loose, tally);
         assert!(v.pass, "loose sla should pass: {v}");
         let tight = Sla {
             max_latency_us: Some(10),
             max_loss: None,
         };
-        let v = evaluate_sla("demo", &tight, fr.by_chain()["demo"].iter().copied());
+        let v = evaluate_sla("demo", &tight, tally);
         assert!(!v.pass);
         assert_eq!(v.violations.len(), 1);
         assert!(v.to_string().contains("FAIL"));
@@ -614,5 +773,75 @@ mod tests {
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 5); // one complete event per hop
         assert_eq!(fr.chrome_json(), doc); // deterministic
+    }
+
+    const DIRS: [TraceDir; 4] = [TraceDir::Tx, TraceDir::Rx, TraceDir::Hop, TraceDir::Drop];
+
+    /// A record from drawn fields. Drop reasons and hop details are drawn
+    /// for every direction, since both folds must ignore them off their
+    /// own; cookies 9 and 10 are deployed chains, 11 is not.
+    fn drawn(
+        time_us: u64,
+        (node, dir, packet, drop, hop): (u32, usize, u64, u8, u8),
+    ) -> TraceRecord {
+        let mut r = TraceRecord::wire(
+            Time::from_us(time_us),
+            NodeId(node),
+            0,
+            DIRS[dir],
+            64,
+            packet,
+        );
+        r.drop = [
+            None,
+            Some(DropReason::LinkDown),
+            Some(DropReason::QueueFull),
+        ][usize::from(drop)];
+        r.hop = match hop {
+            0 => None,
+            1..=3 => Some(HopDetail::FlowMatch {
+                dpid: 1,
+                cookie: 8 + u64::from(hop),
+                priority: 500,
+            }),
+            4 => Some(HopDetail::TableMiss { dpid: 1 }),
+            _ => Some(HopDetail::VnfPath {
+                vnf: "fw".into(),
+                elements: vec!["in".into(), "out".into()],
+            }),
+        };
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `tallies` counts what folding `reconstruct`'s journeys counts,
+        /// on every suffix of a stream: a suffix is what eviction leaves,
+        /// cutting journeys at any record.
+        #[test]
+        fn tallies_equal_the_journey_fold(
+            steps in prop::collection::vec((0u64..3, (0u32..6, 0usize..4, 0u64..5, 0u8..3, 0u8..6)), 0..40)
+        ) {
+            let mut time_us = 0;
+            let records: Vec<TraceRecord> = steps
+                .into_iter()
+                .map(|(dt, fields)| {
+                    time_us += dt;
+                    drawn(time_us, fields)
+                })
+                .collect();
+            let chains = HashMap::from([(9, "demo".to_string()), (10, "other".to_string())]);
+            let cookies: HashMap<u64, &str> = chains.iter().map(|(&c, n)| (c, n.as_str())).collect();
+            for from in 0..=records.len() {
+                let suffix = &records[from..];
+                let folded: HashMap<String, Tally> = tallies(suffix.iter(), role, &cookies)
+                    .into_iter()
+                    .map(|(chain, t)| (chain.to_string(), t))
+                    .collect();
+                let reference = journey_tallies(&reconstruct(suffix.iter(), resolve, &chains));
+                prop_assert_eq!(folded, reference, "suffix from record {}", from);
+            }
+        }
     }
 }

@@ -180,6 +180,8 @@ pub struct Sim {
     drops_by_reason: Vec<Option<Counter>>,
     /// Optional packet trace (pcap stand-in).
     pub trace: Option<Trace>,
+    /// Traces started by [`Sim::enable_trace`] so far.
+    trace_epoch: u64,
 }
 
 impl Sim {
@@ -208,6 +210,7 @@ impl Sim {
             link_drops: Vec::new(),
             drops_by_reason: vec![None; DropReason::all().len()],
             trace: None,
+            trace_epoch: 0,
         }
     }
 
@@ -235,6 +238,13 @@ impl Sim {
     /// Enables packet tracing, keeping at most `cap` records.
     pub fn enable_trace(&mut self, cap: usize) {
         self.trace = Some(Trace::with_capacity(cap));
+        self.trace_epoch += 1;
+    }
+
+    /// Bumped by every [`Sim::enable_trace`], whose new trace numbers its
+    /// records from zero: (epoch, [`Trace::seq_end`]) names one content.
+    pub fn trace_epoch(&self) -> u64 {
+        self.trace_epoch
     }
 
     /// Current virtual time.

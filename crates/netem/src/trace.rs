@@ -220,6 +220,12 @@ impl Trace {
         self.records.evicted()
     }
 
+    /// Sequence number one past the newest record, over the trace's
+    /// whole life: it moves on every record and on nothing else.
+    pub fn seq_end(&self) -> u64 {
+        self.records.seq_end()
+    }
+
     /// Records matching a node.
     pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter().filter(move |r| r.node == node)

@@ -5,7 +5,7 @@ use escape_netem::{CtrlId, NodeCtx, NodeLogic, Time};
 use escape_openflow::{OfMessage, PortDesc};
 use escape_packet::{FlowKey, Packet};
 use escape_telemetry::{Counter, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Timer token: kick off handshakes on registered connections.
 const HANDSHAKE_TOKEN: u64 = 0xC0DE;
@@ -55,7 +55,8 @@ struct ConnState {
 /// [`Controller::add_component`]; then arm the handshake with
 /// [`Controller::start`].
 pub struct Controller {
-    conns: HashMap<u32, ConnState>,
+    /// Ordered, so the handshake greets switches in connection-id order.
+    conns: BTreeMap<u32, ConnState>,
     by_dpid: HashMap<u64, CtrlId>,
     ports_by_dpid: HashMap<u64, Vec<PortDesc>>,
     components: Vec<Option<Box<dyn Component>>>,
@@ -74,7 +75,7 @@ impl Controller {
     /// builds its components on the same one.
     pub fn with_registry(registry: &Registry) -> Controller {
         Controller {
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             by_dpid: HashMap::new(),
             ports_by_dpid: HashMap::new(),
             components: Vec::new(),

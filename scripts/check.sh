@@ -142,6 +142,11 @@ target/release/escape ctl --socket "$WSOCK" deploy examples/data/demo.sg
 target/release/escape ctl --socket "$WSOCK" traffic sap0:sap1:50:128:200
 target/release/escape ctl --socket "$WSOCK" run-for 20
 target/release/escape ctl --socket "$WSOCK" run-for 20
+# The verdict path through a real daemon: the verb's count over the
+# trace ring, pinned, and the publisher's frame for each chain (below).
+SLA="$(target/release/escape ctl --socket "$WSOCK" sla)"
+grep -qxF "demo: PASS delivered=50 dropped=0 loss=0.000 max_latency=217374ns" <<<"$SLA" \
+    || { echo "watch smoke: demo verdict moved" >&2; echo "$SLA" >&2; exit 1; }
 stop_daemon
 if ! wait "$WATCH_PID"; then
     echo "watch smoke: subscriber exited non-zero" >&2
@@ -150,6 +155,10 @@ if ! wait "$WATCH_PID"; then
 fi
 grep -q "deploy-committed" "$WATCH_OUT" \
     || { echo "watch smoke: no deploy event seen" >&2; cat "$WATCH_OUT" >&2; exit 1; }
+for chain in back demo; do
+    grep -qE "sla-verdict +chain $chain: " "$WATCH_OUT" \
+        || { echo "watch smoke: no sla-verdict for $chain" >&2; cat "$WATCH_OUT" >&2; exit 1; }
+done
 DELTAS=$(grep -c "metrics-delta" "$WATCH_OUT" || true)
 if [ "$DELTAS" -lt 2 ]; then
     echo "watch smoke: only $DELTAS metrics-delta frames (want >=2)" >&2
