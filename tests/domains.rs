@@ -7,13 +7,23 @@
 //! chain over three domains yields identical embeddings and a
 //! byte-identical merged flight-recorder trace across repeated runs
 //! *and* across worker-thread counts.
+//!
+//! That witness compares runs inside one build, so a change that moves
+//! behaviour the same way at every worker count passes it. The corpus
+//! in `domains.txt` pins two scripted runs across builds: on a mismatch
+//! the current corpus is written to the target tmp dir as
+//! `domains.actual.txt`, ready to diff or copy over.
 
 use escape::env::Escape;
-use escape::JournalKind;
+use escape::{JournalKind, MultiDomainEscape};
 use escape_domain::DomainSpec;
 use escape_orch::{GreedyFirstFit, MappingAlgorithm};
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const CORPUS: &str = include_str!("domains.txt");
 
 fn greedy() -> Box<dyn MappingAlgorithm> {
     Box::new(GreedyFirstFit)
@@ -185,17 +195,21 @@ fn diamond() -> (ResourceTopology, DomainSpec) {
     (t, spec)
 }
 
+/// One firewall chain across the diamond, `sap0` to `sap3`.
+fn diamond_sg(chain: &str, vnf: &str) -> ServiceGraph {
+    ServiceGraph::new()
+        .sap("sap0")
+        .sap("sap3")
+        .vnf(vnf, "firewall", 1.0, 256)
+        .chain(chain, &["sap0", vnf, "sap3"], 20.0, None)
+}
+
 #[test]
 fn gateway_failure_triggers_global_restitch() {
     let (topo, spec) = diamond();
     let mut md =
         Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 11, 2).unwrap();
-    let sg = ServiceGraph::new()
-        .sap("sap0")
-        .sap("sap3")
-        .vnf("fw", "firewall", 1.0, 256)
-        .chain("c1", &["sap0", "fw", "sap3"], 20.0, None);
-    md.deploy(&sg).unwrap();
+    md.deploy(&diamond_sg("c1", "fw")).unwrap();
     assert_eq!(
         md.plan("c1").unwrap().domain_path,
         vec!["d0", "d1", "d3"],
@@ -353,4 +367,96 @@ fn coordinator_admission_rejects_at_hard_watermark() {
     // Freeing the chain reopens admission.
     md.teardown("c1").unwrap();
     md.deploy(&more).unwrap();
+}
+
+/// FNV-1a, 64 bit: no dependency, and the same on every toolchain.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One corpus block: the embedding and event traces in full, the sink
+/// SAP's stats, and hashes of the merged flight trace and of the merged
+/// metrics outside `wallclock.*`.
+fn witness(tag: &str, md: &MultiDomainEscape, sink: &str) -> String {
+    let mut out = format!("## {tag}\n{}", md.embedding_trace());
+    for line in md.event_trace() {
+        writeln!(out, "event {line}").expect("writing to a String");
+    }
+    let metrics: String = md
+        .metrics()
+        .prometheus()
+        .lines()
+        .filter(|l| !l.contains("wallclock_"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    writeln!(
+        out,
+        "sink {sink} {:?}\nflight={:016x} metrics={:016x}",
+        md.sap_stats(sink).expect("the sink SAP"),
+        fnv(&md.merged_flight_trace()),
+        fnv(&metrics),
+    )
+    .expect("writing to a String");
+    out
+}
+
+/// Run A: the spill chain across linear3, 20 frames, 60 ms.
+fn corpus_linear3() -> String {
+    let (topo, spec) = linear3();
+    let mut md =
+        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 42, 2).unwrap();
+    md.enable_flight_recorder(4096);
+    md.deploy(&spill_sg()).unwrap();
+    md.start_chain_udp("c1", 128, 200, BURST).unwrap();
+    md.run_for_ms(60);
+    witness("A linear3 seed=42 first_fit", &md, "sap2")
+}
+
+/// Run B: a chain re-stitched around a failed gateway carries traffic;
+/// once the gateway is back a new chain takes the cheap route again;
+/// then the first chain is torn down.
+fn corpus_diamond() -> String {
+    let (topo, spec) = diamond();
+    let mut md =
+        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 11, 2).unwrap();
+    md.enable_flight_recorder(4096);
+    md.deploy(&diamond_sg("c1", "fw")).unwrap();
+    md.fail_gateway(0).unwrap();
+    md.start_chain_udp("c1", 128, 200, BURST).unwrap();
+    md.run_for_ms(60);
+    md.restore_gateway(0).unwrap();
+    md.deploy(&diamond_sg("c2", "fw2")).unwrap();
+    assert_eq!(
+        md.plan("c2").unwrap().domain_path,
+        vec!["d0", "d1", "d3"],
+        "a restored gateway carries new chains again"
+    );
+    md.teardown("c1").unwrap();
+    md.run_for_ms(10);
+    witness("B diamond seed=11 first_fit", &md, "sap3")
+}
+
+#[test]
+fn multi_domain_corpus_is_unchanged() {
+    let actual = corpus_linear3() + &corpus_diamond();
+    if actual == CORPUS {
+        return;
+    }
+    let first = actual
+        .lines()
+        .zip(CORPUS.lines())
+        .position(|(x, y)| x != y)
+        .map_or_else(
+            || "a missing or extra line".to_string(),
+            |i| format!("line {}", i + 1),
+        );
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("domains.actual.txt");
+    std::fs::write(&path, &actual).expect("writing the actual corpus");
+    panic!(
+        "multi-domain runs differ from tests/domains.txt, first at {first}; \
+         current corpus written to {}",
+        path.display()
+    );
 }
