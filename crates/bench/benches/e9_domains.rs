@@ -20,9 +20,8 @@
 //! Criterion part: the 4-domain configuration end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use escape::env::Escape;
+use escape::MultiDomainEscape;
 use escape_domain::DomainSpec;
-use escape_orch::{MappingAlgorithm, NearestNeighbor};
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
 use std::time::Instant;
@@ -143,13 +142,12 @@ fn run_once(domains: usize, workers: usize) -> RunResult {
     // Nearest-neighbor keeps each pod's local VNF on the pod's own
     // container at every partitioning, so the runs stay comparable
     // (first-fit would pile VNFs onto the first pods when D=1).
-    let factory = || Box::new(NearestNeighbor) as Box<dyn MappingAlgorithm>;
     let jobs = workload();
     let t0 = Instant::now();
-    let mut md = Escape::with_domains(
+    let mut md = MultiDomainEscape::build(
         &pod_line(),
         &domain_spec(domains),
-        &factory,
+        "nearest",
         SteeringMode::Proactive,
         7,
         workers,

@@ -12,8 +12,8 @@ use crate::args::{self, Args, Flow};
 use crate::load;
 use escape::env::Escape;
 use escape::monitor::format_handler_table;
-use escape::session::{algorithm_by_name, demo_topology};
-use escape::{ChainInfo, Session, SessionConfig};
+use escape::session::demo_topology;
+use escape::{ChainInfo, MultiDomainEscape, Session, SessionConfig};
 use escape_json::Value;
 use escape_netem::{FaultPlan, HostStats};
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
@@ -354,7 +354,6 @@ fn report_run(esc: &mut Escape, o: &RunOptions, plan: Option<&FaultPlan>) -> Res
 fn run_domains(o: &RunOptions, spec_file: &str) -> Result<(), String> {
     let (topo, sg) = load_inputs(o)?;
     let spec = load::domain_spec(spec_file)?;
-    let algorithm = &o.session.algorithm;
 
     println!(
         "escape: {} domains over {} nodes | {} VNFs, {} chains | algorithm={} workers={}",
@@ -362,17 +361,15 @@ fn run_domains(o: &RunOptions, spec_file: &str) -> Result<(), String> {
         topo.nodes.len(),
         sg.vnfs.len(),
         sg.chains.len(),
-        algorithm,
+        o.session.algorithm,
         o.workers,
     );
 
-    algorithm_by_name(algorithm)?; // validate the name before building
-    let factory = move || algorithm_by_name(algorithm).expect("algorithm validated above");
     let text = |e: escape::EscapeError| e.to_string();
-    let mut md = Escape::with_domains(
+    let mut md = MultiDomainEscape::build(
         &topo,
         &spec,
-        &factory,
+        &o.session.algorithm,
         o.session.steering,
         o.session.seed,
         o.workers,

@@ -145,10 +145,6 @@ impl GlobalOrchestrator {
         self.failed_gateways.remove(&id);
     }
 
-    pub fn gateway_failed(&self, id: usize) -> bool {
-        self.failed_gateways.contains(&id)
-    }
-
     /// Which user-SAP domain a name belongs to (gateway SAPs excluded —
     /// chains cannot terminate on a stitch point).
     fn sap_domain(&self, sap: &str) -> Option<&str> {

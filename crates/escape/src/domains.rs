@@ -26,12 +26,13 @@
 //! merged event and flight traces are byte-identical for any worker
 //! count and across repeated runs with the same seed.
 
-use crate::env::{AdmissionConfig, Escape};
-use crate::error::{AdmissionVerdict, EscapeError};
-use crate::journal::{Journal, JournalEvent, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
+use crate::env::Escape;
+use crate::error::EscapeError;
+use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
+use crate::session::algorithm_by_name;
 use escape_domain::{ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
 use escape_netem::{LinkState, Time};
-use escape_orch::{MapError, MappingAlgorithm};
+use escape_orch::MapError;
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
 use escape_telemetry::{Counter, Registry, Snapshot};
@@ -107,13 +108,11 @@ pub struct MultiDomainEscape {
     workers: usize,
     /// Coordinator-level typed event journal (stitches, escalations,
     /// gateway faults). Per-domain journals live in each [`Escape`];
-    /// [`MultiDomainEscape::journal_json_lines`] merges them all.
+    /// [`MultiDomainEscape::event_trace`] merges them all.
     journal: Journal,
     /// Coordinator-level metrics (handoffs, re-stitches).
     registry: Registry,
     clock: Time,
-    /// Hard-watermark admission gate over the mean domain utilization.
-    admission: Option<AdmissionConfig>,
 }
 
 /// Per-domain seeds must differ (identical seeds would produce eerily
@@ -124,26 +123,25 @@ fn domain_seed(seed: u64, index: usize) -> u64 {
 }
 
 impl MultiDomainEscape {
-    /// Partitions `topo` per `spec` and builds one [`Escape`] per domain.
-    /// `algorithm` is a factory because each local orchestrator owns its
-    /// instance. `workers` caps the simulator threads used per epoch
-    /// (`1` = fully sequential; results are identical either way).
+    /// Partitions `topo` per `spec` and builds one [`Escape`] per domain,
+    /// each local orchestrator running its own instance of the mapping
+    /// `algorithm`, named as for [`crate::Session::new`] (an unknown name
+    /// fails before any domain is built). `workers` caps the simulator
+    /// threads used per epoch (`1` = fully sequential; results are
+    /// identical either way).
     pub fn build(
         topo: &ResourceTopology,
         spec: &DomainSpec,
-        algorithm: &dyn Fn() -> Box<dyn MappingAlgorithm>,
+        algorithm: &str,
         mode: SteeringMode,
         seed: u64,
         workers: usize,
     ) -> Result<MultiDomainEscape, EscapeError> {
-        // Worker threads move whole `Escape` instances across threads.
-        fn assert_send<T: Send>() {}
-        assert_send::<Escape>();
-
         let partition = escape_domain::partition(topo, spec).map_err(EscapeError::Invalid)?;
         let mut parts = Vec::with_capacity(partition.domains.len());
         for (i, d) in partition.domains.iter().enumerate() {
-            let mut esc = Escape::build(d.topo.clone(), algorithm(), mode, domain_seed(seed, i))?;
+            let algorithm = algorithm_by_name(algorithm).map_err(EscapeError::Invalid)?;
+            let mut esc = Escape::build(d.topo.clone(), algorithm, mode, domain_seed(seed, i))?;
             for g in &partition.gateways {
                 if let Some(sap) = g.sap_in(&d.name) {
                     esc.set_gateway_sap(sap)?;
@@ -178,25 +176,9 @@ impl MultiDomainEscape {
             journal: Journal::new(&registry, DEFAULT_JOURNAL_CAP),
             registry,
             clock: Time::ZERO,
-            admission: None,
         };
         md.align();
         Ok(md)
-    }
-
-    /// Current coordinator virtual time (all domains are at least here).
-    pub fn now(&self) -> Time {
-        self.clock
-    }
-
-    /// Domain names, in partition order.
-    pub fn domains(&self) -> Vec<&str> {
-        self.parts.iter().map(|rt| rt.name.as_str()).collect()
-    }
-
-    /// The global orchestrator (aggregated views, failed gateways).
-    pub fn global(&self) -> &GlobalOrchestrator {
-        &self.global
     }
 
     /// The partition this environment runs over.
@@ -239,85 +221,16 @@ impl MultiDomainEscape {
         &self.journal
     }
 
-    /// Every retained journal entry — the coordinator's (domain
-    /// `global`) and each domain's — rendered by `render(domain, entry)`
-    /// and stably ordered by virtual timestamp (ties keep
-    /// global-then-partition order). Worker threads never touch the
-    /// order: it is byte-identical across same-seed runs and any worker
-    /// count.
-    fn merged_journal(&self, render: impl Fn(&str, &JournalEvent) -> String) -> Vec<String> {
-        let streams = std::iter::once(("global", &self.journal)).chain(
-            self.parts
-                .iter()
-                .map(|rt| (rt.name.as_str(), rt.esc.journal())),
-        );
-        let mut rows: Vec<(u64, String)> = streams
-            .flat_map(|(domain, journal)| {
-                let render = &render;
-                journal.entries().map(move |e| (e.at_ns, render(domain, e)))
-            })
-            .collect();
-        rows.sort_by_key(|(at, _)| *at); // stable: ties keep stream order
-        rows.into_iter().map(|(_, line)| line).collect()
-    }
-
-    /// Merged, domain-labelled journal as JSON lines (see
-    /// [`MultiDomainEscape::event_trace`] for the order).
-    pub fn journal_json_lines(&self) -> String {
-        self.merged_journal(|domain, e| e.json_value().set("domain", domain).to_string() + "\n")
-            .concat()
-    }
-
     fn domain_index(&self, name: &str) -> usize {
         self.global.partition().domain_index(name).unwrap()
     }
 
     // ---------------- deployment ------------------------------------
 
-    /// Enables coordinator-level admission control: deploys are rejected
-    /// outright once the *mean* domain compute utilization reaches the
-    /// hard watermark. The soft watermark is not used here — queueing a
-    /// half-planned cross-domain chain would risk deploying stale legs
-    /// against a moved resource view, so overload at the coordinator is
-    /// always a typed, immediate rejection.
-    pub fn set_admission(&mut self, cfg: AdmissionConfig) {
-        self.admission = Some(cfg);
-    }
-
-    /// Mean compute utilization across all domains.
-    pub fn cpu_utilization(&self) -> f64 {
-        if self.parts.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .parts
-            .iter()
-            .map(|p| p.esc.orchestrator().cpu_utilization())
-            .sum();
-        total / self.parts.len() as f64
-    }
-
     /// Plans every chain globally, deploys each leg through the owning
     /// domain's local orchestrator and wires the gateway handoffs.
     pub fn deploy(&mut self, sg: &ServiceGraph) -> Result<(), EscapeError> {
         sg.validate().map_err(EscapeError::Invalid)?;
-        if let Some(cfg) = self.admission {
-            let utilization = self.cpu_utilization();
-            if utilization >= cfg.hard_watermark {
-                self.journal_event(
-                    Severity::Warn,
-                    JournalKind::AdmissionRejected,
-                    format!(
-                        "mean utilization {utilization:.2} >= hard watermark {:.2}",
-                        cfg.hard_watermark
-                    ),
-                );
-                return Err(EscapeError::Admission(AdmissionVerdict::RejectedHard {
-                    utilization,
-                    hard_watermark: cfg.hard_watermark,
-                }));
-            }
-        }
         for chain in &sg.chains {
             let plan = self.global.plan_chain(sg, chain).map_err(|e| {
                 EscapeError::MappingFailed(vec![(
@@ -739,16 +652,29 @@ impl MultiDomainEscape {
     }
 
     /// The merged journal as text: one `[{ns}ns] [{domain}] {severity}
-    /// {kind}: {detail}` line per entry of the coordinator and of every
-    /// domain, in virtual-clock order. Byte-identical across same-seed
-    /// runs and any worker count.
+    /// {kind}: {detail}` line per retained entry of the coordinator
+    /// (domain `global`) and of every domain, stably ordered by virtual
+    /// timestamp (ties keep global-then-partition order). Worker threads
+    /// never touch the order: it is byte-identical across same-seed runs
+    /// and any worker count.
     pub fn event_trace(&self) -> Vec<String> {
-        self.merged_journal(|domain, e| {
-            format!(
-                "[{}ns] [{domain}] {} {}: {}",
-                e.at_ns, e.severity, e.kind, e.detail
-            )
-        })
+        let streams = std::iter::once(("global", &self.journal)).chain(
+            self.parts
+                .iter()
+                .map(|rt| (rt.name.as_str(), rt.esc.journal())),
+        );
+        let mut rows: Vec<_> = streams
+            .flat_map(|(domain, journal)| journal.entries().map(move |e| (domain, e)))
+            .collect();
+        rows.sort_by_key(|(_, e)| e.at_ns); // stable: ties keep stream order
+        rows.into_iter()
+            .map(|(domain, e)| {
+                format!(
+                    "[{}ns] [{domain}] {} {}: {}",
+                    e.at_ns, e.severity, e.kind, e.detail
+                )
+            })
+            .collect()
     }
 
     /// Turns on the flight recorder in every domain.

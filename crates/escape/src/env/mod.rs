@@ -220,23 +220,6 @@ impl Escape {
         Ok(esc)
     }
 
-    /// Builds a *multi-domain* environment instead: `topo` is split per
-    /// `spec` into per-domain ESCAPE instances under a global
-    /// orchestrator (see [`crate::domains::MultiDomainEscape`]).
-    /// `algorithm` is a factory because every local orchestrator owns
-    /// its own instance; `workers` bounds the simulator threads per
-    /// epoch (results are identical for any value).
-    pub fn with_domains(
-        topo: &ResourceTopology,
-        spec: &escape_domain::DomainSpec,
-        algorithm: &dyn Fn() -> Box<dyn MappingAlgorithm>,
-        mode: SteeringMode,
-        seed: u64,
-        workers: usize,
-    ) -> Result<crate::domains::MultiDomainEscape, EscapeError> {
-        crate::domains::MultiDomainEscape::build(topo, spec, algorithm, mode, seed, workers)
-    }
-
     // ---------------- clock -----------------------------------------
 
     /// Current virtual time.

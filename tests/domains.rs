@@ -14,20 +14,14 @@
 //! the current corpus is written to the target tmp dir as
 //! `domains.actual.txt`, ready to diff or copy over.
 
-use escape::env::Escape;
 use escape::{JournalKind, MultiDomainEscape};
 use escape_domain::DomainSpec;
-use escape_orch::{GreedyFirstFit, MappingAlgorithm};
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 const CORPUS: &str = include_str!("domains.txt");
-
-fn greedy() -> Box<dyn MappingAlgorithm> {
-    Box::new(GreedyFirstFit)
-}
 
 /// Three domains in a line:
 /// `sap0 - s0(c0) -[300us]- s1(c1) -[400us]- s2(c2) - sap2`.
@@ -72,8 +66,15 @@ const BURST: u64 = 20;
 /// One full run at the given worker count; returns the witnesses.
 fn run_linear3(workers: usize) -> (String, String, Vec<String>, u64) {
     let (topo, spec) = linear3();
-    let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 42, workers).unwrap();
+    let mut md = MultiDomainEscape::build(
+        &topo,
+        &spec,
+        "first_fit",
+        SteeringMode::Proactive,
+        42,
+        workers,
+    )
+    .unwrap();
     md.enable_flight_recorder(4096);
     md.deploy(&spill_sg()).unwrap();
     md.start_chain_udp("c1", 128, 200, BURST).unwrap();
@@ -91,7 +92,8 @@ fn run_linear3(workers: usize) -> (String, String, Vec<String>, u64) {
 fn three_domain_chain_delivers_end_to_end() {
     let (topo, spec) = linear3();
     let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 42, 1).unwrap();
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 42, 1)
+            .unwrap();
     md.deploy(&spill_sg()).unwrap();
 
     // The hierarchical split: VNFs greedily fill d0, spill into d1.
@@ -135,7 +137,7 @@ fn determinism_across_runs_and_worker_counts() {
 fn per_domain_telemetry_labels() {
     let (topo, spec) = linear3();
     let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 7, 2).unwrap();
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 7, 2).unwrap();
     md.enable_flight_recorder(4096);
     md.deploy(&spill_sg()).unwrap();
     md.start_chain_udp("c1", 128, 200, BURST).unwrap();
@@ -208,7 +210,8 @@ fn diamond_sg(chain: &str, vnf: &str) -> ServiceGraph {
 fn gateway_failure_triggers_global_restitch() {
     let (topo, spec) = diamond();
     let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 11, 2).unwrap();
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 11, 2)
+            .unwrap();
     md.deploy(&diamond_sg("c1", "fw")).unwrap();
     assert_eq!(
         md.plan("c1").unwrap().domain_path,
@@ -267,7 +270,8 @@ fn intra_domain_crash_heals_locally_without_restitch() {
     let spec = DomainSpec::new()
         .domain("d0", &["sap0", "s0", "c0"])
         .domain("d1", &["s1", "c1a", "c1b", "sap1"]);
-    let mut md = Escape::with_domains(&t, &spec, &greedy, SteeringMode::Proactive, 5, 2).unwrap();
+    let mut md =
+        MultiDomainEscape::build(&t, &spec, "first_fit", SteeringMode::Proactive, 5, 2).unwrap();
     let sg = ServiceGraph::new()
         .sap("sap0")
         .sap("sap1")
@@ -323,52 +327,6 @@ fn intra_domain_crash_heals_locally_without_restitch() {
     assert_eq!(md.sap_stats("sap1").unwrap().udp_rx, BURST);
 }
 
-#[test]
-fn coordinator_admission_rejects_at_hard_watermark() {
-    // Fill the three domains past a low hard watermark, then verify the
-    // coordinator rejects with the typed verdict instead of planning a
-    // doomed cross-domain chain.
-    let (topo, spec) = linear3();
-    let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 77, 1).unwrap();
-    md.set_admission(escape::AdmissionConfig {
-        soft_watermark: 0.2,
-        hard_watermark: 0.3,
-        max_queue: 4,
-        max_retries: 3,
-    });
-    assert_eq!(md.cpu_utilization(), 0.0);
-    md.deploy(&spill_sg()).unwrap();
-    // 4.5 of 12 CPU reserved -> mean utilization 0.375 >= 0.3.
-    assert!(md.cpu_utilization() >= 0.3, "{}", md.cpu_utilization());
-
-    let more = ServiceGraph::new()
-        .sap("sap0")
-        .sap("sap2")
-        .vnf("g1", "monitor", 0.5, 64)
-        .chain("c2", &["sap0", "g1", "sap2"], 10.0, None);
-    let err = md.deploy(&more).err().unwrap();
-    let escape::EscapeError::Admission(escape::AdmissionVerdict::RejectedHard {
-        utilization,
-        hard_watermark,
-    }) = err
-    else {
-        panic!("expected RejectedHard, got {err}");
-    };
-    assert!(utilization >= hard_watermark);
-    assert!(
-        md.journal()
-            .entries()
-            .any(|e| e.kind == JournalKind::AdmissionRejected),
-        "trace: {:#?}",
-        md.event_trace()
-    );
-
-    // Freeing the chain reopens admission.
-    md.teardown("c1").unwrap();
-    md.deploy(&more).unwrap();
-}
-
 /// FNV-1a, 64 bit: no dependency, and the same on every toolchain.
 fn fnv(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -406,7 +364,8 @@ fn witness(tag: &str, md: &MultiDomainEscape, sink: &str) -> String {
 fn corpus_linear3() -> String {
     let (topo, spec) = linear3();
     let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 42, 2).unwrap();
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 42, 2)
+            .unwrap();
     md.enable_flight_recorder(4096);
     md.deploy(&spill_sg()).unwrap();
     md.start_chain_udp("c1", 128, 200, BURST).unwrap();
@@ -420,7 +379,8 @@ fn corpus_linear3() -> String {
 fn corpus_diamond() -> String {
     let (topo, spec) = diamond();
     let mut md =
-        Escape::with_domains(&topo, &spec, &greedy, SteeringMode::Proactive, 11, 2).unwrap();
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 11, 2)
+            .unwrap();
     md.enable_flight_recorder(4096);
     md.deploy(&diamond_sg("c1", "fw")).unwrap();
     md.fail_gateway(0).unwrap();
@@ -458,5 +418,17 @@ fn multi_domain_corpus_is_unchanged() {
         "multi-domain runs differ from tests/domains.txt, first at {first}; \
          current corpus written to {}",
         path.display()
+    );
+}
+
+#[test]
+fn an_unknown_algorithm_is_invalid_input() {
+    let (topo, spec) = linear3();
+    let err = MultiDomainEscape::build(&topo, &spec, "magic", SteeringMode::Proactive, 1, 1)
+        .err()
+        .expect("an unknown algorithm fails the build");
+    assert_eq!(
+        err.to_string(),
+        "invalid input: unknown algorithm \"magic\""
     );
 }
