@@ -326,18 +326,30 @@ impl MultiDomainEscape {
     }
 
     /// Removes a stitched chain everywhere: legs, handoffs, global CPU.
+    /// The plan stays until every leg is down, so a teardown that fails
+    /// part-way (a stalled agent) can be retried; the retry skips the
+    /// legs whose domain no longer holds the chain. Dropping the chain's
+    /// graph first keeps the coordinator from re-stitching it meanwhile.
     pub fn teardown(&mut self, chain: &str) -> Result<(), EscapeError> {
         let plan = self
             .plans
-            .remove(chain)
+            .get(chain)
             .ok_or_else(|| EscapeError::NotFound(format!("chain {chain}")))?;
-        for leg in &plan.legs {
-            let di = self.domain_index(&leg.domain);
-            self.parts[di].esc.teardown(chain)?;
+        let legs: Vec<usize> = plan
+            .legs
+            .iter()
+            .map(|l| self.domain_index(&l.domain))
+            .collect();
+        self.graphs.remove(chain);
+        for di in legs {
+            let esc = &mut self.parts[di].esc;
+            if esc.deployed(chain).is_some() {
+                esc.teardown(chain)?;
+            }
         }
+        self.plans.remove(chain);
         self.handoffs.retain(|_, h| h.chain != chain);
         self.global.release(chain);
-        self.graphs.remove(chain);
         self.journal_event(
             Severity::Info,
             JournalKind::Teardown,
@@ -484,10 +496,13 @@ impl MultiDomainEscape {
         }
         let mut broken: Vec<String> = Vec::new();
         for (chain, plan) in &self.plans {
-            let lost = plan.legs.iter().any(|leg| {
-                let di = self.global.partition().domain_index(&leg.domain).unwrap();
-                self.parts[di].esc.deployed(chain).is_none()
-            });
+            // A chain whose teardown failed part-way has no graph: the
+            // teardown's retry finishes it, not a re-stitch.
+            let lost = self.graphs.contains_key(chain)
+                && plan.legs.iter().any(|leg| {
+                    let di = self.global.partition().domain_index(&leg.domain).unwrap();
+                    self.parts[di].esc.deployed(chain).is_none()
+                });
             if lost {
                 broken.push(chain.clone());
             }
@@ -508,10 +523,11 @@ impl MultiDomainEscape {
     /// aggregate capacity), redeploy. Abandons the chain if the global
     /// layer cannot place it either.
     fn restitch(&mut self, chain: &str) {
-        let Some(old) = self.plans.remove(chain) else {
+        // No graph: a teardown is under way and owns the plan.
+        let Some(sg) = self.graphs.get(chain).cloned() else {
             return;
         };
-        let Some(sg) = self.graphs.get(chain).cloned() else {
+        let Some(old) = self.plans.remove(chain) else {
             return;
         };
         for leg in &old.legs {

@@ -14,7 +14,7 @@
 //! the current corpus is written to the target tmp dir as
 //! `domains.actual.txt`, ready to diff or copy over.
 
-use escape::{JournalKind, MultiDomainEscape};
+use escape::{EscapeError, JournalKind, MultiDomainEscape};
 use escape_domain::DomainSpec;
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
@@ -419,6 +419,48 @@ fn multi_domain_corpus_is_unchanged() {
          current corpus written to {}",
         path.display()
     );
+}
+
+#[test]
+fn teardown_keeps_the_plan_until_every_leg_is_down() {
+    use escape_netem::{FaultKind, FaultPlan};
+    let (topo, spec) = linear3();
+    let mut md =
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 42, 1)
+            .unwrap();
+    md.deploy(&spill_sg()).unwrap();
+    // Stall d1's container, which hosts f3, past the RPC retry budget.
+    let stall = FaultPlan::new("stall").at_ms(
+        0,
+        FaultKind::VnfStall {
+            node: "c1".into(),
+            for_us: 900_000,
+        },
+    );
+    md.domain_escape_mut("d1")
+        .unwrap()
+        .load_fault_plan(&stall)
+        .unwrap();
+    md.run_for_ms(1);
+
+    // d0's leg comes down, d1's times out: the chain is half torn down,
+    // and the plan stays so the teardown can be retried.
+    let err = md.teardown("c1").unwrap_err();
+    assert!(matches!(err, EscapeError::RpcTimeout { .. }), "{err}");
+    assert!(md.plan("c1").is_some(), "the plan outlives a failed leg");
+
+    // After the stall the retry skips d0 and finishes the rest.
+    md.run_for_ms(900);
+    md.teardown("c1").unwrap();
+    assert!(md.plan("c1").is_none());
+    for d in ["d0", "d1", "d2"] {
+        let esc = md.domain_escape(d).unwrap();
+        assert!(esc.deployed("c1").is_none(), "{d} still holds c1");
+        assert_eq!(esc.check_invariants(), Vec::<String>::new(), "{d}");
+    }
+    // The global view gave d0's CPU back: f1 and f2 fit there again.
+    md.deploy(&spill_sg()).unwrap();
+    assert_eq!(md.plan("c1").unwrap().legs[0].vnfs, vec!["f1", "f2"]);
 }
 
 #[test]
