@@ -233,7 +233,7 @@ impl GlobalOrchestrator {
             )));
         }
         let src_sap = &chain.hops[0];
-        let dst_sap = chain.hops.last().unwrap();
+        let dst_sap = chain.hops.last().expect("checked above: at least two hops");
         let src_d = self
             .sap_domain(src_sap)
             .ok_or_else(|| PlanError::UnknownSap(src_sap.clone()))?
@@ -295,20 +295,14 @@ impl GlobalOrchestrator {
             } else {
                 Some(gws[i])
             };
-            let entry = match ingress_gw {
-                None => src_sap.clone(),
-                Some(gid) => self.partition.gateways[gid]
+            let gateway_sap = |gid: usize| {
+                self.partition.gateways[gid]
                     .sap_in(domain)
-                    .unwrap()
-                    .to_string(),
+                    .expect("a path gateway touches both domains it joins")
+                    .to_string()
             };
-            let exit = match egress_gw {
-                None => dst_sap.clone(),
-                Some(gid) => self.partition.gateways[gid]
-                    .sap_in(domain)
-                    .unwrap()
-                    .to_string(),
-            };
+            let entry = ingress_gw.map_or_else(|| src_sap.clone(), gateway_sap);
+            let exit = egress_gw.map_or_else(|| dst_sap.clone(), gateway_sap);
             let mut hops = Vec::with_capacity(placed[i].len() + 2);
             hops.push(entry);
             hops.extend(placed[i].iter().cloned());

@@ -117,12 +117,12 @@ impl Partition {
 
 /// Splits `topo` into per-domain local topologies per `spec`.
 ///
-/// Validates the spec first; fails if any generated gateway SAP name
+/// Validates the spec (and the topology) first; fails if any generated
+/// gateway SAP name
 /// collides with an existing node. Domain order follows the spec,
 /// gateway IDs follow the original link order — both deterministic.
 pub fn partition(topo: &ResourceTopology, spec: &DomainSpec) -> Result<Partition, String> {
     spec.validate(topo)?;
-    topo.validate()?;
 
     let mut domains: Vec<LocalDomain> = spec
         .domains
@@ -154,10 +154,14 @@ pub fn partition(topo: &ResourceTopology, spec: &DomainSpec) -> Result<Partition
         })
         .collect();
 
+    let owner = |node: &str| {
+        spec.domain_of(node)
+            .expect("a validated spec owns every link end")
+            .to_string()
+    };
     let mut gateways = Vec::new();
     for l in &topo.links {
-        let da = spec.domain_of(&l.a).unwrap().to_string();
-        let db = spec.domain_of(&l.b).unwrap().to_string();
+        let (da, db) = (owner(&l.a), owner(&l.b));
         if da == db {
             continue;
         }
@@ -172,22 +176,17 @@ pub fn partition(topo: &ResourceTopology, spec: &DomainSpec) -> Result<Partition
             }
         }
         let half = l.delay_us / 2;
-        {
-            let side_a = domains.iter_mut().find(|d| d.name == da).unwrap();
-            side_a.topo.add_sap(a_sap.clone());
-            side_a
-                .topo
-                .add_link(a_sap.clone(), l.a.clone(), l.bandwidth_mbps, half);
-        }
-        {
-            let side_b = domains.iter_mut().find(|d| d.name == db).unwrap();
-            side_b.topo.add_sap(b_sap.clone());
-            side_b.topo.add_link(
-                b_sap.clone(),
-                l.b.clone(),
-                l.bandwidth_mbps,
-                l.delay_us - half,
-            );
+        for (domain, sap, switch, delay_us) in [
+            (&da, &a_sap, &l.a, half),
+            (&db, &b_sap, &l.b, l.delay_us - half),
+        ] {
+            let side = domains
+                .iter_mut()
+                .find(|d| &d.name == domain)
+                .expect("one local domain per spec domain");
+            side.topo.add_sap(sap.clone());
+            side.topo
+                .add_link(sap.clone(), switch.clone(), l.bandwidth_mbps, delay_us);
         }
         gateways.push(GatewayLink {
             id,

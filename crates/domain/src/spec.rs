@@ -70,12 +70,14 @@ impl DomainSpec {
         self.to_value().to_string_pretty()
     }
 
-    /// Checks the spec against a topology: at least one domain, unique
-    /// non-empty domain names, every topology node covered exactly once,
-    /// no unknown nodes, and every cross-domain link running
-    /// switch-to-switch (gateway SAPs attach to switches, so partitioning
-    /// a link whose endpoint is a container or SAP has no stitch point).
+    /// Checks the topology itself, then the spec against it: at least
+    /// one domain, unique non-empty domain names, every topology node
+    /// covered exactly once, no unknown nodes, and every cross-domain
+    /// link running switch-to-switch (gateway SAPs attach to switches, so
+    /// partitioning a link whose endpoint is a container or SAP has no
+    /// stitch point).
     pub fn validate(&self, topo: &ResourceTopology) -> Result<(), String> {
+        topo.validate()?;
         if self.domains.is_empty() {
             return Err("domain spec: no domains defined".into());
         }
@@ -113,11 +115,13 @@ impl DomainSpec {
                 ));
             }
         }
+        // The topology is valid, so every link end is a node, and every
+        // node has an owner.
+        let owner_of = |node: &str| owner.get(node).expect("every node has an owner");
         for l in &topo.links {
-            let (da, db) = (owner[l.a.as_str()], owner[l.b.as_str()]);
-            if da != db {
+            if owner_of(&l.a) != owner_of(&l.b) {
                 for end in [&l.a, &l.b] {
-                    let kind = &topo.node(end).unwrap().kind;
+                    let kind = &topo.node(end).expect("a link end is a node").kind;
                     if !matches!(kind, TopoNodeKind::Switch) {
                         return Err(format!(
                             "domain spec: cross-domain link {:?} -- {:?} must join \
@@ -192,6 +196,16 @@ mod tests {
             .domain("left", &["sap0", "sw0", "c0", "sw1", "sap1"])
             .domain("right", &["c1"]);
         assert!(spec.validate(&topo).unwrap_err().contains("switch"));
+    }
+
+    #[test]
+    fn validate_checks_the_topology_first() {
+        let mut topo = two_domain_topo();
+        topo.add_link("ghost", "sw1", 1000.0, 10);
+        assert_eq!(
+            two_domain_spec().validate(&topo).unwrap_err(),
+            "link references unknown node \"ghost\""
+        );
     }
 
     #[test]

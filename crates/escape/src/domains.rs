@@ -30,7 +30,7 @@ use crate::env::Escape;
 use crate::error::EscapeError;
 use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
 use crate::session::algorithm_by_name;
-use escape_domain::{ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
+use escape_domain::{ChainLeg, ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
 use escape_netem::{LinkState, Time};
 use escape_orch::MapError;
 use escape_pox::SteeringMode;
@@ -157,8 +157,11 @@ impl MultiDomainEscape {
         let mut gw_saps = Vec::new();
         for g in &partition.gateways {
             for domain in [&g.a_domain, &g.b_domain] {
-                let di = partition.domain_index(domain).unwrap();
-                gw_saps.push((di, g.sap_in(domain).unwrap().to_string()));
+                let di = partition
+                    .domain_index(domain)
+                    .expect("a gateway joins two partition domains");
+                let sap = g.sap_in(domain).expect("a gateway has a SAP in each end");
+                gw_saps.push((di, sap.to_string()));
             }
         }
         gw_saps.sort();
@@ -222,7 +225,10 @@ impl MultiDomainEscape {
     }
 
     fn domain_index(&self, name: &str) -> usize {
-        self.global.partition().domain_index(name).unwrap()
+        self.global
+            .partition()
+            .domain_index(name)
+            .expect("plan legs name partition domains")
     }
 
     // ---------------- deployment ------------------------------------
@@ -294,7 +300,10 @@ impl MultiDomainEscape {
             let gid = leg.egress_gw.expect("non-final leg has an egress gateway");
             let g = &self.global.partition().gateways[gid];
             let di = self.domain_index(&leg.domain);
-            let egress_sap = g.sap_in(&leg.domain).unwrap().to_string();
+            let egress_sap = g
+                .sap_in(&leg.domain)
+                .expect("a leg's egress gateway touches its domain")
+                .to_string();
             let src_sap = &leg.chain.hops[0];
             let src_ip = self.parts[di]
                 .esc
@@ -306,8 +315,11 @@ impl MultiDomainEscape {
             let handoff = Handoff {
                 chain: plan.chain.clone(),
                 to_domain: self.domain_index(&next.domain),
-                from_sap: g.sap_in(&next.domain).unwrap().to_string(),
-                to_sap: next.chain.hops.last().unwrap().clone(),
+                from_sap: g
+                    .sap_in(&next.domain)
+                    .expect("the next leg enters through this gateway")
+                    .to_string(),
+                to_sap: leg_exit(next).to_string(),
                 port,
             };
             let key = (di, egress_sap.clone(), src_ip, port);
@@ -374,10 +386,7 @@ impl MultiDomainEscape {
             .get(chain)
             .ok_or_else(|| EscapeError::NotFound(format!("chain {chain}")))?;
         let leg = &plan.legs[0];
-        let (from, to) = (
-            leg.chain.hops[0].clone(),
-            leg.chain.hops.last().unwrap().clone(),
-        );
+        let (from, to) = (leg.chain.hops[0].clone(), leg_exit(leg).to_string());
         let di = self.domain_index(&leg.domain);
         let port = *self
             .ports
@@ -500,7 +509,7 @@ impl MultiDomainEscape {
             // teardown's retry finishes it, not a re-stitch.
             let lost = self.graphs.contains_key(chain)
                 && plan.legs.iter().any(|leg| {
-                    let di = self.global.partition().domain_index(&leg.domain).unwrap();
+                    let di = self.domain_index(&leg.domain);
                     self.parts[di].esc.deployed(chain).is_none()
                 });
             if lost {
@@ -735,7 +744,7 @@ impl MultiDomainEscape {
                 plan.domain_path, plan.inter_domain_us
             );
             for leg in &plan.legs {
-                let di = self.global.partition().domain_index(&leg.domain).unwrap();
+                let di = self.domain_index(&leg.domain);
                 if let Some(dc) = self.parts[di].esc.deployed(c) {
                     let _ = writeln!(
                         out,
@@ -749,13 +758,21 @@ impl MultiDomainEscape {
     }
 }
 
+/// Where a leg leaves its domain: a gateway SAP, or the chain's exit SAP.
+fn leg_exit(leg: &ChainLeg) -> &str {
+    leg.chain
+        .hops
+        .last()
+        .expect("a leg runs from an entry SAP to an exit SAP")
+}
+
 /// The single-domain service graph a local orchestrator embeds for one
 /// leg: the leg chain plus exactly the SAPs and VNFs it references.
-fn leg_service_graph(sg: &ServiceGraph, leg: &escape_domain::ChainLeg) -> ServiceGraph {
+fn leg_service_graph(sg: &ServiceGraph, leg: &ChainLeg) -> ServiceGraph {
     let mut saps = vec![leg.chain.hops[0].clone()];
-    let exit = leg.chain.hops.last().unwrap().clone();
+    let exit = leg_exit(leg);
     if exit != saps[0] {
-        saps.push(exit);
+        saps.push(exit.to_string());
     }
     ServiceGraph {
         saps,

@@ -35,6 +35,19 @@ if [ -n "$REHOMES" ]; then
     exit 1
 fi
 
+echo "== no bare unwrap on the multi-domain path =="
+# Between a --domains file and the coordinator, a panic site names the
+# invariant that makes it unreachable (expect), or input that can reach
+# it gets a typed error. Test modules are exempt.
+UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$UNWRAPS" ]; then
+    echo "bare unwrap on the multi-domain path:" >&2
+    echo "$UNWRAPS" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
