@@ -97,7 +97,7 @@ fn main() -> ExitCode {
             if explicit {
                 words.remove(0);
             }
-            match oneshot::parse(words, explicit) {
+            match oneshot::parse(cmd, words, explicit) {
                 Ok(o) => oneshot::run(cmd, &o),
                 Err(e) => {
                     eprintln!("error: {e}");

@@ -55,21 +55,21 @@ pub struct RunOptions {
     pub chrome: Option<String>,
     /// Domain spec file (JSON); enables multi-domain orchestration.
     pub domains: Option<String>,
-    /// Simulator worker threads for the multi-domain epoch loop.
-    pub workers: usize,
+    /// Simulator worker threads for the multi-domain epoch loop (1 when
+    /// not given).
+    pub workers: Option<usize>,
     /// Generate this many random chains instead of reading an SG file.
     pub workload: Option<usize>,
     /// Steps for the soak subcommand.
     pub steps: u64,
 }
 
-/// Parses the one-shot commands' shared options. `explicit` says a
-/// subcommand word was given, which is what makes a run without files
-/// (the built-in demo) legal.
-pub fn parse(words: Vec<String>, explicit: bool) -> Result<RunOptions, String> {
+/// Parses the one-shot commands' shared options for `cmd`. `explicit`
+/// says a subcommand word was given, which is what makes a run without
+/// files (the built-in demo) legal.
+pub fn parse(cmd: Command, words: Vec<String>, explicit: bool) -> Result<RunOptions, String> {
     let mut o = RunOptions {
         duration_ms: 200,
-        workers: 1,
         steps: 500,
         ..RunOptions::default()
     };
@@ -103,10 +103,11 @@ pub fn parse(words: Vec<String>, explicit: bool) -> Result<RunOptions, String> {
             "--chrome" => o.chrome = Some(args.value()?),
             "--domains" => o.domains = Some(args.value()?),
             "--workers" => {
-                o.workers = args.parsed("workers")?;
-                if o.workers == 0 {
+                let workers = args.parsed("workers")?;
+                if workers == 0 {
                     return Err("--workers must be at least 1".into());
                 }
+                o.workers = Some(workers);
             }
             "--workload" => o.workload = Some(args.parsed("workload")?),
             "--steps" => o.steps = args.parsed("steps")?,
@@ -131,7 +132,33 @@ pub fn parse(words: Vec<String>, explicit: bool) -> Result<RunOptions, String> {
         0 if explicit => {}
         _ => return Err("need exactly two positional arguments".into()),
     }
+    reject_unread(cmd, &o)?;
     Ok(o)
+}
+
+/// The multi-domain fork reads neither streams, pings, monitors nor
+/// fault plans, and only `escape run` has it; the others run one domain.
+/// An option that would be dropped silently is a usage error instead.
+fn reject_unread(cmd: Command, o: &RunOptions) -> Result<(), String> {
+    if o.domains.is_none() {
+        return match o.workers {
+            Some(_) => Err("--workers needs --domains".into()),
+            None => Ok(()),
+        };
+    }
+    if cmd != Command::Run {
+        return Err("--domains works with escape run only".into());
+    }
+    let unread = [
+        ("--traffic", !o.traffic.is_empty()),
+        ("--ping", !o.pings.is_empty()),
+        ("--monitor", !o.monitors.is_empty()),
+        ("--faults", o.faults.is_some()),
+    ];
+    match unread.iter().find(|(_, given)| *given) {
+        Some((flag, _)) => Err(format!("{flag} does not work with --domains")),
+        None => Ok(()),
+    }
 }
 
 /// Runs one parsed one-shot command.
@@ -354,15 +381,15 @@ fn report_run(esc: &mut Escape, o: &RunOptions, plan: Option<&FaultPlan>) -> Res
 fn run_domains(o: &RunOptions, spec_file: &str) -> Result<(), String> {
     let (topo, sg) = load_inputs(o)?;
     let spec = load::domain_spec(spec_file)?;
+    let workers = o.workers.unwrap_or(1);
 
     println!(
-        "escape: {} domains over {} nodes | {} VNFs, {} chains | algorithm={} workers={}",
+        "escape: {} domains over {} nodes | {} VNFs, {} chains | algorithm={} workers={workers}",
         spec.domains.len(),
         topo.nodes.len(),
         sg.vnfs.len(),
         sg.chains.len(),
         o.session.algorithm,
-        o.workers,
     );
 
     let text = |e: escape::EscapeError| e.to_string();
@@ -372,7 +399,7 @@ fn run_domains(o: &RunOptions, spec_file: &str) -> Result<(), String> {
         &o.session.algorithm,
         o.session.steering,
         o.session.seed,
-        o.workers,
+        workers,
     )
     .map_err(text)?;
     for g in &md.partition().gateways {

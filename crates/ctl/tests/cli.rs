@@ -601,6 +601,62 @@ fn json_files_need_no_flag(c: &mut Corpus) {
     );
 }
 
+/// The multi-domain fork against the single-domain front door: a
+/// topology the JSON loader accepts but that does not validate fails the
+/// same way with and without `--domains`, an unknown algorithm is
+/// invalid input in both, and every option the fork would drop is a
+/// usage error that names it.
+fn multi_domain_fork(c: &mut Corpus) {
+    let md = |f: &str| format!("{DATA}/multidomain.{f}");
+    let (topo, sg, spec) = (md("topo"), md("sg"), md("domains.json"));
+    let mut ghost = escape::session::parse_topology_text(
+        &fs::read_to_string(Path::new(ROOT).join(&topo)).unwrap(),
+        escape::session::InputFormat::Dsl,
+    )
+    .unwrap();
+    ghost.add_link("ghost", "s2", 1000.0, 10);
+    let ghost_file =
+        std::env::temp_dir().join(format!("escape-cli-ghost-{}.topo.json", std::process::id()));
+    fs::write(&ghost_file, ghost.to_json()).unwrap();
+    let ghost_arg = ghost_file.display().to_string();
+    c.aliases.push((ghost_arg.clone(), "$GHOST"));
+    let one = ["run", &ghost_arg, &sg];
+    let many = ["run", &ghost_arg, &sg, "--domains", &spec];
+    c.run("escape", &one);
+    c.run("escape", &many);
+    let _ = fs::remove_file(&ghost_file);
+    let stderr = |c: &Corpus, args: &[&str]| {
+        let name = c.scrub(&format!("escape {}", args.join(" ")));
+        let (_, body) = c.actual.iter().find(|(n, _)| *n == name).unwrap();
+        body.lines()
+            .skip_while(|l| *l != "stderr:")
+            .nth(1)
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(
+        stderr(c, &many),
+        stderr(c, &one),
+        "the fork words the error as the front door does"
+    );
+
+    let run = ["run", &topo, &sg, "--domains", &spec];
+    c.run("escape", &[&run[..], &["--algorithm", "magic"]].concat());
+    let fault = format!("{DATA}/flaky.fault");
+    for unread in [
+        &["--traffic", "sap0:sap2:7"][..],
+        &["--ping", "sap0:sap2:1"],
+        &["--monitor", "c1:f1"],
+        &["--faults", &fault],
+    ] {
+        c.run("escape", &[&run[..], unread].concat());
+    }
+    for cmd in ["metrics", "trace"] {
+        c.run("escape", &[cmd, &topo, &sg, "--domains", &spec]);
+    }
+    c.run("escape", &["run", "--workers", "2"]);
+}
+
 #[test]
 fn command_lines_match_the_golden_corpus() {
     let mut corpus = Corpus::load();
@@ -609,5 +665,6 @@ fn command_lines_match_the_golden_corpus() {
     wrapped_series_ring(&mut corpus);
     usage_failures(&mut corpus);
     json_files_need_no_flag(&mut corpus);
+    multi_domain_fork(&mut corpus);
     corpus.finish();
 }

@@ -7,9 +7,10 @@
 //! every command line, and `escape top`'s reading of a daemon-supplied
 //! series document.
 
+use escape_ctl::oneshot::{self, Command};
 use escape_ctl::proto::{CtlError, CtlEvent, CtlRequest, CtlResponse};
 use escape_ctl::wal::{SNAPSHOT_FILE, WAL_FILE};
-use escape_ctl::{launch, oneshot, read_frame, remote, Wal, MAX_FRAME};
+use escape_ctl::{launch, read_frame, remote, Wal, MAX_FRAME};
 use escape_domain::DomainSpec;
 use escape_netem::FaultPlan;
 use escape_sg::{ResourceTopology, ServiceGraph};
@@ -421,7 +422,9 @@ proptest! {
     /// Every grammar answers a parsed command line or a usage message.
     #[test]
     fn option_grammar_never_panics(argv in arb_argv(), explicit in any::<bool>()) {
-        let _ = oneshot::parse(argv.clone(), explicit);
+        for cmd in [Command::Run, Command::Metrics, Command::Trace, Command::Soak] {
+            let _ = oneshot::parse(cmd, argv.clone(), explicit);
+        }
         let _ = launch::parse_daemon_args(argv.clone());
         let _ = remote::parse_ctl(argv);
     }
