@@ -449,8 +449,23 @@ fn teardown_keeps_the_plan_until_every_leg_is_down() {
     assert!(matches!(err, EscapeError::RpcTimeout { .. }), "{err}");
     assert!(md.plan("c1").is_some(), "the plan outlives a failed leg");
 
-    // After the stall the retry skips d0 and finishes the rest.
+    // Neither a gateway fault nor the heal sweep re-stitches a chain
+    // that is being removed.
+    md.fail_gateway(0).unwrap();
     md.run_for_ms(900);
+    assert!(
+        md.plan("c1").is_some(),
+        "a half-removed chain was re-stitched"
+    );
+    assert!(
+        !md.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::HealEscalated),
+        "the heal sweep escalated a half-removed chain"
+    );
+    md.restore_gateway(0).unwrap();
+
+    // After the stall the retry skips d0 and finishes the rest.
     md.teardown("c1").unwrap();
     assert!(md.plan("c1").is_none());
     for d in ["d0", "d1", "d2"] {
@@ -461,16 +476,4 @@ fn teardown_keeps_the_plan_until_every_leg_is_down() {
     // The global view gave d0's CPU back: f1 and f2 fit there again.
     md.deploy(&spill_sg()).unwrap();
     assert_eq!(md.plan("c1").unwrap().legs[0].vnfs, vec!["f1", "f2"]);
-}
-
-#[test]
-fn an_unknown_algorithm_is_invalid_input() {
-    let (topo, spec) = linear3();
-    let err = MultiDomainEscape::build(&topo, &spec, "magic", SteeringMode::Proactive, 1, 1)
-        .err()
-        .expect("an unknown algorithm fails the build");
-    assert_eq!(
-        err.to_string(),
-        "invalid input: unknown algorithm \"magic\""
-    );
 }
