@@ -370,6 +370,7 @@ impl Escape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escape_netem::Time;
     use escape_orch::NearestNeighbor;
     use escape_pox::SteeringMode;
     use escape_sg::{topo::builders, ServiceGraph};
@@ -468,5 +469,59 @@ mod tests {
         let middle = verdicts(&esc);
         assert_ne!(middle, large);
         assert_eq!(middle, fresh(&esc));
+    }
+
+    /// A 150-record ring holds about nine journeys, so every stream below
+    /// wraps it, and the queries between its frames see journeys whose
+    /// heads were evicted since the previous query.
+    #[test]
+    fn verdicts_stay_fresh_while_the_ring_wraps() {
+        let mut esc = Escape::build(
+            builders::linear(2, 4.0),
+            Box::new(NearestNeighbor),
+            SteeringMode::Proactive,
+            7,
+        )
+        .unwrap();
+        let sap0 = esc.infra.nodes["sap0"];
+        // Queries that found the oldest retained record past its packet's
+        // origin send: a journey cut at the head.
+        let mut cut_heads = 0;
+        let mut stream = |esc: &mut Escape, len: usize, frames: u64| {
+            esc.start_udp("sap0", "sap1", len, 150, frames).unwrap();
+            for _ in 0..frames * 3 {
+                esc.run_until(esc.now() + Time::from_us(70));
+                assert_eq!(verdicts(esc), fresh(esc), "at {}", esc.now());
+                let trace = esc.sim.trace.as_ref().expect("recorder on");
+                cut_heads += usize::from(trace.records().next().is_some_and(|r| r.node != sap0));
+            }
+        };
+        esc.deploy(&graph("a")).unwrap();
+        esc.enable_flight_recorder(150);
+        for (i, frames) in [3, 7, 12, 5].into_iter().enumerate() {
+            stream(&mut esc, 128 + 400 * i, frames);
+        }
+        assert!(esc.sim.trace.as_ref().unwrap().evicted() > 150);
+
+        // Teardown and redeploy on a ring that does not move.
+        let end = ring_end(&esc);
+        esc.teardown("a").unwrap();
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        esc.deploy(&graph("a")).unwrap();
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        esc.deploy(&graph("b")).unwrap();
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        assert_eq!(ring_end(&esc), end, "no record between the verdicts");
+        stream(&mut esc, 900, 9);
+
+        // A new ring while frames are on the wire: their journeys start
+        // mid-path in it.
+        esc.start_udp("sap0", "sap1", 300, 150, 6).unwrap();
+        esc.run_until(esc.now() + Time::from_us(400));
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        esc.enable_flight_recorder(150);
+        assert_eq!(verdicts(&esc), fresh(&esc));
+        stream(&mut esc, 64, 10);
+        assert!(cut_heads > 20, "only {cut_heads} queries saw a cut journey");
     }
 }
