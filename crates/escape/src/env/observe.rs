@@ -4,14 +4,14 @@
 
 use super::Escape;
 use crate::error::EscapeError;
-use crate::flight::{self, FlightRecord, NodeKind, SlaVerdict};
+use crate::flight::{self, FlightRecord, LiveFold, NodeKind, SlaVerdict};
 use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
 use escape_netconf::message::ReplyBody;
-use escape_netem::{NodeId, Trace};
+use escape_netem::NodeId;
 use escape_sg::Sla;
 use escape_telemetry::{Registry, Sampler, SamplerConfig, Snapshot, Tracer};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// The journal, the sampler and what its observers remember between
 /// sample points.
@@ -28,27 +28,9 @@ pub(super) struct Observation {
     /// `openflow.cache_invalidations` total at the previous sample
     /// point, for storm detection.
     last_cache_invalidations: u64,
-    /// The last SLA verdicts and what they were computed from, shared by
-    /// the sample tick, the watch publisher and the `sla` verb.
-    sla_memo: RefCell<Option<SlaMemo>>,
-}
-
-/// Verdicts and the key they hold for. A verdict is a function of the
-/// trace ring's records, each deployed chain's cookie and SLA, and the
-/// node roles. The roles are fixed by `Infra::build`, so they are not
-/// part of the key.
-struct SlaMemo {
-    /// `Sim::trace_epoch`: a re-enabled recorder is a new ring whose
-    /// positions start again at zero.
-    epoch: u64,
-    /// `Trace::seq_end`: the ring only changes by appending, so within
-    /// one epoch an unchanged end means unchanged records.
-    seq_end: u64,
-    /// (name, cookie, SLA) of every deployed chain in name order: a
-    /// deploy, teardown or redeploy changes what is attributed to whom
-    /// and what it is judged against.
-    chains: Vec<(String, u64, Sla)>,
-    verdicts: Vec<SlaVerdict>,
+    /// The SLA counts over the trace ring, kept between calls and shared
+    /// by the sample tick, the watch publisher and the `sla` verb.
+    sla_fold: RefCell<LiveFold>,
 }
 
 impl Observation {
@@ -58,7 +40,7 @@ impl Observation {
             sampler: None,
             sla_last: HashMap::new(),
             last_cache_invalidations: 0,
-            sla_memo: RefCell::new(None),
+            sla_fold: RefCell::default(),
         }
     }
 }
@@ -264,53 +246,34 @@ impl Escape {
 
     /// Evaluates every deployed chain's SLA (from its service graph)
     /// against the recorded traffic, in chain-name order. Chains without
-    /// an SLA get a vacuous pass. The counts come from one
-    /// `flight::tallies` pass over the trace ring, and are reused until
-    /// the ring or the chain set changes.
+    /// an SLA get a vacuous pass. The counts come from the live fold over
+    /// the trace ring, looked up by each chain's steering cookie.
     pub fn sla_verdicts(&self) -> Vec<SlaVerdict> {
-        let mut chains: Vec<(&str, u64, Sla)> = self
+        let mut fold = self.observe.sla_fold.borrow_mut();
+        // The roles map is built only when a record names a node the fold
+        // has not met.
+        let mut roles = None;
+        let per_cookie = fold.tallies(self.sim.trace_epoch(), self.sim.trace.as_ref(), |n| {
+            roles.get_or_insert_with(|| self.node_roles())(n)
+        });
+        let mut chains: Vec<(&str, u64)> = self
             .deployed
             .iter()
-            .map(|(name, dc)| (name.as_str(), dc.cookie, self.sla_of(name)))
+            .map(|(name, dc)| (name.as_str(), dc.cookie))
             .collect();
-        chains.sort_by(|a, b| a.0.cmp(b.0));
-        // No recorder counts like an empty ring: nothing to tally.
-        let trace = self.sim.trace.as_ref();
-        let (epoch, seq_end) = (self.sim.trace_epoch(), trace.map_or(0, Trace::seq_end));
-        let mut memo = self.observe.sla_memo.borrow_mut();
-        if let Some(m) = memo.as_ref() {
-            let same_chains = m
-                .chains
-                .iter()
-                .map(|(name, cookie, sla)| (name.as_str(), *cookie, *sla))
-                .eq(chains.iter().copied());
-            if (m.epoch, m.seq_end) == (epoch, seq_end) && same_chains {
-                return m.verdicts.clone();
-            }
-        }
-        let cookies: HashMap<u64, &str> = chains
-            .iter()
-            .map(|&(name, cookie, _)| (cookie, name))
-            .collect();
-        let records = trace.into_iter().flat_map(Trace::records);
-        let tallies = flight::tallies(records, self.node_roles(), &cookies);
-        let verdicts: Vec<SlaVerdict> = chains
-            .iter()
-            .map(|(name, _, sla)| {
-                let tally = tallies.get(name).copied().unwrap_or_default();
-                flight::evaluate_sla(name, sla, tally)
+        chains.sort_unstable();
+        debug_assert_eq!(
+            chains.iter().map(|c| c.1).collect::<BTreeSet<_>>().len(),
+            chains.len(),
+            "cookies come from next_cookie, so live chains never share one"
+        );
+        chains
+            .into_iter()
+            .map(|(name, cookie)| {
+                let tally = per_cookie.get(&cookie).copied().unwrap_or_default();
+                flight::evaluate_sla(name, &self.sla_of(name), tally)
             })
-            .collect();
-        *memo = Some(SlaMemo {
-            epoch,
-            seq_end,
-            chains: chains
-                .into_iter()
-                .map(|(name, cookie, sla)| (name.to_string(), cookie, sla))
-                .collect(),
-            verdicts: verdicts.clone(),
-        });
-        verdicts
+            .collect()
     }
 
     /// A deployed chain's SLA, from the service graph it came from.
@@ -523,5 +486,32 @@ mod tests {
         assert_eq!(verdicts(&esc), fresh(&esc));
         stream(&mut esc, 64, 10);
         assert!(cut_heads > 20, "only {cut_heads} queries saw a cut journey");
+    }
+
+    /// A zero-capacity recorder is no recorder: nodes build no records
+    /// and the sample tick judges nothing, so it journals no flip.
+    #[test]
+    fn a_zero_capacity_flight_recorder_is_off() {
+        let mut esc = Escape::build(
+            builders::linear(2, 4.0),
+            Box::new(NearestNeighbor),
+            SteeringMode::Proactive,
+            7,
+        )
+        .unwrap();
+        esc.enable_sampler(SamplerConfig {
+            period_ns: 1_000_000,
+            retention: 64,
+        });
+        esc.enable_flight_recorder(0);
+        esc.deploy(&graph("a")).unwrap();
+        send(&mut esc, 128);
+        assert!(esc.sim.trace.is_none());
+        let flips = esc
+            .journal()
+            .entries()
+            .filter(|e| e.kind == JournalKind::SlaFlip);
+        assert_eq!(flips.count(), 0);
+        assert!(verdicts(&esc)[0].contains(": 0 delivered"));
     }
 }

@@ -11,12 +11,12 @@
 //! aggregation and [SLA](escape_sg::Sla) verdicts possible after a
 //! traffic run.
 
-use escape_netem::{DropReason, HopDetail, NodeId, Time, TraceDir, TraceRecord};
+use escape_netem::{DropReason, HopDetail, NodeId, Time, Trace, TraceDir, TraceRecord};
 use escape_sg::Sla;
 use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What role a visited node plays in the emulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,9 +200,9 @@ fn build_journey(
 
 // ---------------- visit rules -------------------------------------------
 //
-// `build_journey` and `tallies` both follow a packet's records through
-// these three functions, so the journeys and the SLA counts cannot
-// drift apart.
+// `build_journey` and `PacketFold::step` both follow a packet's records
+// through these three functions, so the journeys and the SLA counts
+// cannot drift apart.
 
 /// Where one record lands in its packet's visit list.
 #[derive(Clone, Copy)]
@@ -256,7 +256,7 @@ pub struct Tally {
     pub max_latency_ns: Option<u64>,
 }
 
-/// A packet's latest visit, as [`tallies`] keeps it.
+/// A packet's latest visit, as [`PacketFold`] keeps it.
 #[derive(Clone, Copy)]
 struct LastVisit {
     /// Interned node name.
@@ -267,7 +267,9 @@ struct LastVisit {
     dropped: bool,
 }
 
-/// What [`tallies`] remembers of one packet.
+/// What the SLA fold remembers of one packet: its first time and cookie,
+/// whether it dropped, and its latest visit. It is a left fold over the
+/// packet's records, so it can be continued at any record.
 #[derive(Clone, Copy)]
 struct PacketFold {
     /// The first retained record's time: where latency starts.
@@ -277,6 +279,94 @@ struct PacketFold {
     /// A drop record with a reason was seen.
     dropped: bool,
     last: Option<LastVisit>,
+}
+
+impl PacketFold {
+    /// A packet whose first record is at `started`.
+    fn new(started: Time) -> PacketFold {
+        PacketFold {
+            started,
+            cookie: None,
+            dropped: false,
+            last: None,
+        }
+    }
+
+    /// Folds in the packet's next record, at the interned `node`.
+    fn step(&mut self, r: &TraceRecord, node: u32, kind: NodeKind) {
+        let last = self.last.as_ref().map(|v| (&v.node, v.departed, v.dropped));
+        match lands(r.dir, &node, last) {
+            Landing::Opens { departed } => {
+                self.last = Some(LastVisit {
+                    node,
+                    kind,
+                    arrived: r.time,
+                    departed,
+                    dropped: false,
+                });
+            }
+            Landing::Continues { departs: true } => {
+                if let Some(v) = self.last.as_mut() {
+                    v.departed = true;
+                }
+            }
+            Landing::Continues { departs: false } => {}
+        }
+        match r.dir {
+            TraceDir::Hop if self.cookie.is_none() => {
+                self.cookie = r.hop.as_ref().and_then(flow_cookie);
+            }
+            TraceDir::Drop => {
+                if let Some(v) = self.last.as_mut() {
+                    v.dropped = r.drop.is_some();
+                }
+                self.dropped |= r.drop.is_some();
+            }
+            _ => {}
+        }
+    }
+
+    /// Counts the packet's outcome so far into its chain's tally.
+    fn count(&self, t: &mut Tally) {
+        let last = self
+            .last
+            .filter(|v| delivered(v.kind, v.departed, v.dropped));
+        if self.dropped {
+            t.dropped += 1;
+        } else if let Some(v) = last {
+            t.delivered += 1;
+            let ns = v.arrived.since(self.started);
+            t.max_latency_ns = Some(t.max_latency_ns.map_or(ns, |m| m.max(ns)));
+        } else {
+            t.in_flight += 1;
+        }
+    }
+}
+
+/// Node id -> (interned name, kind). Visits match by name, and two nodes
+/// may share one. `resolve` is asked once per node id.
+#[derive(Default)]
+struct NodeTable {
+    nodes: Vec<Option<(u32, NodeKind)>>,
+    names: HashMap<String, u32>,
+}
+
+impl NodeTable {
+    fn get<'n>(
+        &mut self,
+        id: NodeId,
+        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
+    ) -> (u32, NodeKind) {
+        let i = id.0 as usize;
+        if self.nodes.len() <= i {
+            self.nodes.resize(i + 1, None);
+        }
+        *self.nodes[i].get_or_insert_with(|| {
+            let (name, kind) = resolve(id);
+            let next = self.names.len() as u32;
+            (*self.names.entry(name.to_string()).or_insert(next), kind)
+        })
+    }
 }
 
 /// Hashes a packet id with one multiply. Ids are sequential integers
@@ -302,84 +392,157 @@ impl Hasher for PacketIdHasher {
     }
 }
 
-/// Counts, per chain, the journeys [`reconstruct`] would build from the
-/// same records, in one pass and without building them: each packet
-/// keeps only its first time and cookie, whether it dropped, and its
-/// latest visit. `resolve` is asked once per node; `cookies` maps
-/// steering cookies to chains, and a packet with no known cookie counts
-/// nowhere.
-pub(crate) fn tallies<'a, 'n, C: Copy + Eq + Hash>(
-    records: impl Iterator<Item = &'a TraceRecord>,
-    resolve: impl Fn(NodeId) -> (&'n str, NodeKind),
-    cookies: &HashMap<u64, C>,
-) -> HashMap<C, Tally> {
-    // Node id -> (interned name, kind). Visits match by name, and two
-    // nodes may share one.
-    let mut nodes: Vec<Option<(u32, NodeKind)>> = Vec::new();
-    let mut names: HashMap<&'n str, u32> = HashMap::new();
-    let mut packets: HashMap<u64, PacketFold, BuildHasherDefault<PacketIdHasher>> =
-        HashMap::default();
-    for r in records {
-        let i = r.node.0 as usize;
-        if nodes.len() <= i {
-            nodes.resize(i + 1, None);
+type PacketMap<V> = HashMap<u64, V, BuildHasherDefault<PacketIdHasher>>;
+
+/// A packet in the [`LiveFold`].
+struct Folded {
+    /// Ring position of the packet's newest folded record.
+    last: u64,
+    fold: PacketFold,
+}
+
+/// Per-cookie [`Tally`]s over the records a trace ring holds, kept
+/// between calls: each call folds only the records appended and evicted
+/// since the previous one. Appending continues a packet's fold; a packet
+/// the eviction horizon cut at the head is folded again from its oldest
+/// retained record; one the horizon passed is forgotten. The counts are
+/// exactly what one pass over the retained records counts.
+#[derive(Default)]
+pub(crate) struct LiveFold {
+    nodes: NodeTable,
+    packets: PacketMap<Folded>,
+    /// (ring position of the oldest retained record, packet id) of every
+    /// packet, in position order: the packets the horizon reaches first
+    /// are at the front.
+    by_first: VecDeque<(u64, u64)>,
+    /// `Sim::trace_epoch` of the ring folded: a re-enabled recorder is a
+    /// new ring whose positions start again at zero.
+    epoch: u64,
+    /// Ring position one past the newest folded record.
+    folded_to: u64,
+    /// The tallies by steering cookie as of `folded_to`, once asked for.
+    per_cookie: Option<BTreeMap<u64, Tally>>,
+}
+
+impl LiveFold {
+    /// Tallies by steering cookie over the records `trace` holds; no
+    /// trace counts as an empty ring. `epoch` numbers the trace, and
+    /// `resolve` must name a node id the same way on every call.
+    pub(crate) fn tallies<'n>(
+        &mut self,
+        epoch: u64,
+        trace: Option<&Trace>,
+        mut resolve: impl FnMut(NodeId) -> (&'n str, NodeKind),
+    ) -> &BTreeMap<u64, Tally> {
+        let (horizon, end) = trace.map_or((0, 0), |t| (t.evicted(), t.seq_end()));
+        if epoch != self.epoch || horizon > self.folded_to {
+            // Another ring, or one that evicted every folded record and
+            // more since the last call: nothing folded is retained.
+            self.packets.clear();
+            self.by_first.clear();
+            (self.epoch, self.folded_to, self.per_cookie) = (epoch, horizon, None);
         }
-        let (node, kind) = *nodes[i].get_or_insert_with(|| {
-            let (name, kind) = resolve(r.node);
-            let next = names.len() as u32;
-            (*names.entry(name).or_insert(next), kind)
-        });
-        let p = packets.entry(r.packet_id).or_insert(PacketFold {
-            started: r.time,
-            cookie: None,
-            dropped: false,
-            last: None,
-        });
-        let last = p.last.as_ref().map(|v| (&v.node, v.departed, v.dropped));
-        match lands(r.dir, &node, last) {
-            Landing::Opens { departed } => {
-                p.last = Some(LastVisit {
-                    node,
-                    kind,
-                    arrived: r.time,
-                    departed,
-                    dropped: false,
-                });
+        // The ring only changes by appending, and evicts only to append.
+        if let Some(trace) = trace.filter(|_| end != self.folded_to) {
+            self.per_cookie = None;
+            self.evict(trace, &mut resolve);
+            for (seq, r) in (self.folded_to..).zip(trace.since(self.folded_to)) {
+                self.push(seq, r, &mut resolve);
             }
-            Landing::Continues { departs: true } => {
-                if let Some(v) = p.last.as_mut() {
-                    v.departed = true;
+            self.folded_to = end;
+        }
+        self.per_cookie.get_or_insert_with(|| {
+            // Sums and a max only, so the map's order cannot leak into a
+            // count.
+            let mut out = BTreeMap::new();
+            for p in self.packets.values() {
+                if let Some(cookie) = p.fold.cookie {
+                    p.fold.count(out.entry(cookie).or_default());
                 }
             }
-            Landing::Continues { departs: false } => {}
-        }
-        match r.dir {
-            TraceDir::Hop if p.cookie.is_none() => p.cookie = r.hop.as_ref().and_then(flow_cookie),
-            TraceDir::Drop => {
-                if let Some(v) = p.last.as_mut() {
-                    v.dropped = r.drop.is_some();
-                }
-                p.dropped |= r.drop.is_some();
+            out
+        })
+    }
+
+    /// Forgets the packets the eviction horizon passed, and folds the
+    /// ones it cut at the head again from their oldest retained record.
+    fn evict<'n>(
+        &mut self,
+        trace: &Trace,
+        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
+    ) {
+        let horizon = trace.evicted();
+        let mut cut: HashSet<u64, BuildHasherDefault<PacketIdHasher>> = HashSet::default();
+        let mut scan_to = horizon;
+        while let Some((_, id)) = self
+            .by_first
+            .pop_front_if(|&mut (first, _)| first < horizon)
+        {
+            let p = self
+                .packets
+                .remove(&id)
+                .expect("an indexed packet is folded");
+            if p.last >= horizon {
+                cut.insert(id);
+                scan_to = scan_to.max(p.last + 1);
             }
-            _ => {}
+        }
+        // Every record of a cut packet is behind `folded_to`, so the
+        // append that follows continues these folds.
+        for (seq, r) in (horizon..scan_to).zip(trace.since(horizon)) {
+            if cut.contains(&r.packet_id) {
+                self.push(seq, r, resolve);
+            }
         }
     }
-    // Sums and a max only, so the map's order cannot leak into a count.
-    let mut out: HashMap<C, Tally> = HashMap::new();
+
+    /// Folds the record at ring position `seq` into its packet.
+    fn push<'n>(
+        &mut self,
+        seq: u64,
+        r: &TraceRecord,
+        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
+    ) {
+        let (node, kind) = self.nodes.get(r.node, resolve);
+        let by_first = &mut self.by_first;
+        let p = self.packets.entry(r.packet_id).or_insert_with(|| {
+            // Behind the back only while a cut packet is folded again.
+            let at = by_first.partition_point(|&(first, _)| first < seq);
+            by_first.insert(at, (seq, r.packet_id));
+            Folded {
+                last: seq,
+                fold: PacketFold::new(r.time),
+            }
+        });
+        p.last = seq;
+        p.fold.step(r, node, kind);
+    }
+}
+
+/// Counts, per chain, the journeys [`reconstruct`] would build from the
+/// same records, in one pass and without building them: the [`LiveFold`]
+/// without its memory, and the reference it is tested against. `cookies`
+/// maps steering cookies to chains; a packet with no known cookie counts
+/// nowhere.
+#[cfg(test)]
+pub(crate) fn tallies<'a, 'n, C: Copy + Eq + std::hash::Hash>(
+    records: impl Iterator<Item = &'a TraceRecord>,
+    mut resolve: impl FnMut(NodeId) -> (&'n str, NodeKind),
+    cookies: &HashMap<u64, C>,
+) -> HashMap<C, Tally> {
+    let mut nodes = NodeTable::default();
+    let mut packets: PacketMap<PacketFold> = HashMap::default();
+    for r in records {
+        let (node, kind) = nodes.get(r.node, &mut resolve);
+        packets
+            .entry(r.packet_id)
+            .or_insert_with(|| PacketFold::new(r.time))
+            .step(r, node, kind);
+    }
+    let mut out = HashMap::new();
     for p in packets.values() {
-        let Some(&chain) = p.cookie.and_then(|c| cookies.get(&c)) else {
-            continue;
-        };
-        let t = out.entry(chain).or_default();
-        let last = p.last.filter(|v| delivered(v.kind, v.departed, v.dropped));
-        if p.dropped {
-            t.dropped += 1;
-        } else if let Some(v) = last {
-            t.delivered += 1;
-            let ns = v.arrived.since(p.started);
-            t.max_latency_ns = Some(t.max_latency_ns.map_or(ns, |m| m.max(ns)));
-        } else {
-            t.in_flight += 1;
+        if let Some(&chain) = p.cookie.and_then(|c| cookies.get(&c)) {
+            p.count(out.entry(chain).or_default());
         }
     }
     out
@@ -841,6 +1004,40 @@ mod tests {
                     .collect();
                 let reference = journey_tallies(&reconstruct(suffix.iter(), resolve, &chains));
                 prop_assert_eq!(folded, reference, "suffix from record {}", from);
+            }
+        }
+
+        /// The live fold counts what one pass over the ring counts, at
+        /// every query, while the drawn records wrap a small ring and,
+        /// once, a new ring replaces it. Queries are drawn, so between
+        /// two of them the ring may have turned over entirely.
+        #[test]
+        fn the_live_fold_equals_the_batch_fold(
+            cap in 1usize..16,
+            steps in prop::collection::vec(
+                (0u64..3, (0u32..6, 0usize..4, 0u64..5, 0u8..3, 0u8..6), any::<bool>()),
+                0..60,
+            ),
+            new_ring_at in 0usize..60,
+        ) {
+            // Keyed per cookie: 9 and 10 are deployed chains, 11 is not.
+            let cookies: HashMap<u64, u64> = [9, 10, 11].map(|c| (c, c)).into();
+            let mut live = LiveFold::default();
+            let (mut trace, mut epoch) = (Trace::with_capacity(cap), 0);
+            prop_assert!(live.tallies(epoch, None, role).is_empty());
+            let mut time_us = 0;
+            for (i, (dt, fields, query)) in steps.into_iter().enumerate() {
+                if i == new_ring_at {
+                    (trace, epoch) = (Trace::with_capacity(cap), epoch + 1);
+                }
+                time_us += dt;
+                trace.record(drawn(time_us, fields));
+                if query {
+                    let batch: BTreeMap<u64, Tally> =
+                        tallies(trace.records(), role, &cookies).into_iter().collect();
+                    let folded = live.tallies(epoch, Some(&trace), role);
+                    prop_assert_eq!(folded, &batch, "after record {}", i);
+                }
             }
         }
     }

@@ -235,9 +235,9 @@ impl Sim {
         }
     }
 
-    /// Enables packet tracing, keeping at most `cap` records.
+    /// Enables packet tracing, keeping at most `cap` records; 0 is off.
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::with_capacity(cap));
+        self.trace = (cap > 0).then(|| Trace::with_capacity(cap));
         self.trace_epoch += 1;
     }
 

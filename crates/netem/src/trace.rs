@@ -226,6 +226,13 @@ impl Trace {
         self.records.seq_end()
     }
 
+    /// Retained records numbered `seq` and after, the way
+    /// [`Ring::since`] reads its entries: a cursor behind the eviction
+    /// horizon gets everything retained.
+    pub fn since(&self, seq: u64) -> impl Iterator<Item = &TraceRecord> {
+        self.records.since(seq)
+    }
+
     /// Records matching a node.
     pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter().filter(move |r| r.node == node)
@@ -322,6 +329,30 @@ mod tests {
         tr.record(rec(1, TraceDir::Tx));
         assert!(tr.is_empty());
         assert_eq!(tr.evicted(), 0);
+    }
+
+    /// `Sim::enable_trace(0)` leaves tracing off, so node logic builds
+    /// no hop annotation that a zero ring would throw away.
+    #[test]
+    fn a_zero_capacity_trace_is_off() {
+        use crate::sim::{NodeCtx, NodeLogic, Sim};
+        use escape_packet::Packet;
+        use std::sync::{Arc, Mutex};
+        struct Probe(Arc<Mutex<Vec<bool>>>);
+        impl NodeLogic for Probe {
+            fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: u16, _pkt: Packet) {
+                self.0.lock().unwrap().push(ctx.tracing());
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new(0);
+        let a = sim.add_node("a", 1, Box::new(Probe(Arc::clone(&seen))));
+        sim.enable_trace(0);
+        assert!(sim.trace.is_none());
+        assert_eq!(sim.trace_epoch(), 1);
+        sim.inject(a, 0, Bytes::from(vec![0u8; 60]), Time::ZERO);
+        sim.run(10);
+        assert_eq!(*seen.lock().unwrap(), [false]);
     }
 
     #[test]
