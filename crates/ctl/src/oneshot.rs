@@ -28,6 +28,46 @@ pub enum Command {
     Soak,
 }
 
+impl Command {
+    const ALL: [Command; 4] = [
+        Command::Run,
+        Command::Metrics,
+        Command::Trace,
+        Command::Soak,
+    ];
+
+    fn word(self) -> &'static str {
+        match self {
+            Command::Run => "run",
+            Command::Metrics => "metrics",
+            Command::Trace => "trace",
+            Command::Soak => "soak",
+        }
+    }
+
+    /// Whether the command reads `option`. `run`, `metrics` and `trace`
+    /// share the driver's inputs, session and flows; `soak` builds its
+    /// own run.
+    fn reads(self, option: &str) -> bool {
+        let table = match self {
+            Command::Run => {
+                "--algorithm --steering --seed --json --workload --traffic --duration-ms \
+                 --ping --monitor --faults --domains --workers"
+            }
+            Command::Metrics => {
+                "--algorithm --steering --seed --json --workload --traffic --duration-ms \
+                 --format"
+            }
+            Command::Trace => {
+                "--algorithm --steering --seed --json --workload --traffic --duration-ms \
+                 --chrome"
+            }
+            Command::Soak => "--steps --seed --json",
+        };
+        table.split(' ').any(|o| o == option)
+    }
+}
+
 /// Everything the one-shot commands accept; each reads what it needs.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
@@ -73,9 +113,12 @@ pub fn parse(cmd: Command, words: Vec<String>, explicit: bool) -> Result<RunOpti
         steps: 500,
         ..RunOptions::default()
     };
-    let mut files = Vec::new();
+    let (mut files, mut given) = (Vec::new(), Vec::new());
     let mut args = Args::new(words);
     while let Some(a) = args.next() {
+        if a.starts_with("--") {
+            given.push(a.clone());
+        }
         match a.as_str() {
             "--algorithm" => o.session.algorithm = args.value()?,
             "--steering" => o.session.steering = args::steering(&args.value()?)?,
@@ -132,31 +175,31 @@ pub fn parse(cmd: Command, words: Vec<String>, explicit: bool) -> Result<RunOpti
         0 if explicit => {}
         _ => return Err("need exactly two positional arguments".into()),
     }
-    reject_unread(cmd, &o)?;
+    reject_unread(cmd, &given, &o)?;
     Ok(o)
 }
 
-/// The multi-domain fork reads neither streams, pings, monitors nor
-/// fault plans, and only `escape run` has it; the others run one domain.
-/// An option that would be dropped silently is a usage error instead.
-fn reject_unread(cmd: Command, o: &RunOptions) -> Result<(), String> {
+/// An option `cmd` does not read would be dropped silently, so it is a
+/// usage error that names it. The multi-domain fork (`escape run` only)
+/// reads neither streams, pings, monitors nor fault plans either.
+fn reject_unread(cmd: Command, given: &[String], o: &RunOptions) -> Result<(), String> {
+    if let Some(flag) = given.iter().find(|f| !cmd.reads(f)) {
+        let with: Vec<&str> = Command::ALL
+            .into_iter()
+            .filter(|c| c.reads(flag))
+            .map(Command::word)
+            .collect();
+        return Err(format!("{flag} works with escape {} only", with.join("/")));
+    }
     if o.domains.is_none() {
         return match o.workers {
             Some(_) => Err("--workers needs --domains".into()),
             None => Ok(()),
         };
     }
-    if cmd != Command::Run {
-        return Err("--domains works with escape run only".into());
-    }
-    let unread = [
-        ("--traffic", !o.traffic.is_empty()),
-        ("--ping", !o.pings.is_empty()),
-        ("--monitor", !o.monitors.is_empty()),
-        ("--faults", o.faults.is_some()),
-    ];
-    match unread.iter().find(|(_, given)| *given) {
-        Some((flag, _)) => Err(format!("{flag} does not work with --domains")),
+    let fork_unread = ["--traffic", "--ping", "--monitor", "--faults"];
+    match given.iter().find(|f| fork_unread.contains(&f.as_str())) {
+        Some(flag) => Err(format!("{flag} does not work with --domains")),
         None => Ok(()),
     }
 }

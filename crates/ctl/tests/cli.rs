@@ -657,6 +657,26 @@ fn multi_domain_fork(c: &mut Corpus) {
     c.run("escape", &["run", "--workers", "2"]);
 }
 
+/// Each one-shot command reads its own options; any other option is a
+/// usage error that names it. None of these runs opens or writes the
+/// files its options name.
+fn options_a_command_does_not_read(c: &mut Corpus) {
+    for args in [
+        &["run", "--chrome", "no-such-dir/x.json", "--format", "json"][..],
+        &["run", "--steps", "3"],
+        &["metrics", "--ping", "sap0:sap1:3", "--faults", "nope.json"],
+        &["metrics", "--monitor", "demo:fw"],
+        &["metrics", "--chrome", "no-such-dir/y.json"],
+        &["trace", "--format", "json"],
+        &["trace", "--faults", "nope.json"],
+        &["soak", "--steps", "5", "--traffic", "sap0:sap1:3"],
+        &["soak", "--algorithm", "magic"],
+        &["soak", "--duration-ms", "5"],
+    ] {
+        c.run("escape", args);
+    }
+}
+
 #[test]
 fn command_lines_match_the_golden_corpus() {
     let mut corpus = Corpus::load();
@@ -666,5 +686,6 @@ fn command_lines_match_the_golden_corpus() {
     usage_failures(&mut corpus);
     json_files_need_no_flag(&mut corpus);
     multi_domain_fork(&mut corpus);
+    options_a_command_does_not_read(&mut corpus);
     corpus.finish();
 }
