@@ -35,15 +35,17 @@ if [ -n "$REHOMES" ]; then
     exit 1
 fi
 
-echo "== no bare unwrap on the multi-domain path =="
-# Between a --domains file and the coordinator, a panic site names the
-# invariant that makes it unreachable (expect), or input that can reach
-# it gets a typed error. Test modules are exempt.
-UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs; do
+echo "== no bare unwrap on the multi-domain and flight-recorder paths =="
+# Between a --domains file and the coordinator, and from the trace ring
+# to an SLA verdict, a panic site names the invariant that makes it
+# unreachable (expect), or input that can reach it gets a typed error.
+# Test modules are exempt.
+UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
+    crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [ -n "$UNWRAPS" ]; then
-    echo "bare unwrap on the multi-domain path:" >&2
+    echo "bare unwrap on a gated path:" >&2
     echo "$UNWRAPS" >&2
     exit 1
 fi
