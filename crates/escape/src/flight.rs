@@ -281,6 +281,29 @@ struct PacketFold {
     last: Option<LastVisit>,
 }
 
+/// Hashes a packet id with one multiply. Ids are sequential integers
+/// the emulator hands out, not adversarial input, and the lookup per
+/// record is the fold's inner loop: under SipHash the fold takes twice
+/// as long.
+#[derive(Default)]
+struct PacketIdHasher(u64);
+
+impl Hasher for PacketIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 impl PacketFold {
     /// A packet whose first record is at `started`.
     fn new(started: Time) -> PacketFold {
@@ -369,35 +392,12 @@ impl NodeTable {
     }
 }
 
-/// Hashes a packet id with one multiply. Ids are sequential integers
-/// the emulator hands out, not adversarial input, and the lookup per
-/// record is the fold's inner loop: under SipHash the fold takes twice
-/// as long.
-#[derive(Default)]
-struct PacketIdHasher(u64);
-
-impl Hasher for PacketIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 type PacketMap<V> = HashMap<u64, V, BuildHasherDefault<PacketIdHasher>>;
 
 /// A packet in the [`LiveFold`].
 struct Folded {
     /// Ring position of the packet's newest folded record.
-    last: u64,
+    last_seq: u64,
     fold: PacketFold,
 }
 
@@ -482,9 +482,9 @@ impl LiveFold {
                 .packets
                 .remove(&id)
                 .expect("an indexed packet is folded");
-            if p.last >= horizon {
+            if p.last_seq >= horizon {
                 cut.insert(id);
-                scan_to = scan_to.max(p.last + 1);
+                scan_to = scan_to.max(p.last_seq + 1);
             }
         }
         // Every record of a cut packet is behind `folded_to`, so the
@@ -510,11 +510,11 @@ impl LiveFold {
             let at = by_first.partition_point(|&(first, _)| first < seq);
             by_first.insert(at, (seq, r.packet_id));
             Folded {
-                last: seq,
+                last_seq: seq,
                 fold: PacketFold::new(r.time),
             }
         });
-        p.last = seq;
+        p.last_seq = seq;
         p.fold.step(r, node, kind);
     }
 }
