@@ -17,11 +17,6 @@ pub struct RouterOutput {
     pub external: Vec<(u16, Packet)>,
     /// CPU cost of this processing step.
     pub work_ns: u64,
-    /// Element names traversed by pushed frames, in traversal order.
-    /// Populated only when [`Router::trace_paths`] is set; pull-side
-    /// traversal (e.g. `RatedUnqueue` draining a `Queue`) is not
-    /// recorded.
-    pub path: Vec<String>,
 }
 
 /// A running Click router (one VNF instance).
@@ -44,9 +39,12 @@ pub struct Router {
     now: Time,
     /// Packets dropped because they reached an unconnected output port.
     pub dead_ends: u64,
-    /// When set, [`RouterOutput::path`] lists the elements each call
-    /// pushed frames through — the flight recorder's per-element view.
+    /// When set, [`Router::traced`] lists the elements each
+    /// [`Router::push_external`] pushed frames through — the flight
+    /// recorder's per-element view.
     pub trace_paths: bool,
+    /// Element indices of the last call's traversal, reused across calls.
+    traced: Vec<u16>,
 }
 
 /// Hard cap on effects processed per external call; a mis-configured push
@@ -73,11 +71,19 @@ impl Router {
         let mut names = Vec::new();
         let mut classes = Vec::new();
         let mut elements: Vec<Option<Box<dyn Element>>> = Vec::new();
+        // (inputs, outputs) of each element, in declaration order.
+        let mut ports = Vec::new();
         let mut name_index = HashMap::new();
         let mut from_device = HashMap::new();
         for d in &parsed.decls {
             let elem = registry.build(&d.class, &d.args, d.line)?;
             let idx = elements.len();
+            if idx > usize::from(u16::MAX) {
+                return Err(ConfigError {
+                    line: d.line,
+                    message: format!("more than {} elements", u16::MAX),
+                });
+            }
             if d.class == "FromDevice" {
                 let dev: u16 = d
                     .args
@@ -97,17 +103,14 @@ impl Router {
             name_index.insert(d.name.clone(), idx);
             names.push(d.name.clone());
             classes.push(d.class.clone());
+            ports.push(elem.ports());
             elements.push(Some(elem));
         }
 
-        let mut out_conns: Vec<Vec<Option<(usize, usize)>>> = elements
-            .iter()
-            .map(|e| vec![None; e.as_deref().unwrap().ports().1])
-            .collect();
-        let mut in_conns: Vec<Vec<Option<(usize, usize)>>> = elements
-            .iter()
-            .map(|e| vec![None; e.as_deref().unwrap().ports().0])
-            .collect();
+        let mut out_conns: Vec<Vec<Option<(usize, usize)>>> =
+            ports.iter().map(|&(_, outs)| vec![None; outs]).collect();
+        let mut in_conns: Vec<Vec<Option<(usize, usize)>>> =
+            ports.iter().map(|&(ins, _)| vec![None; ins]).collect();
 
         for c in &parsed.conns {
             let from = *name_index.get(&c.from).ok_or_else(|| ConfigError {
@@ -165,6 +168,7 @@ impl Router {
             now: Time::ZERO,
             dead_ends: 0,
             trace_paths: false,
+            traced: Vec::new(),
         })
     }
 
@@ -183,6 +187,15 @@ impl Router {
         self.name_index.get(name).map(|&i| self.classes[i].as_str())
     }
 
+    /// Indices (into [`Router::element_names`]) of the elements the last
+    /// [`Router::push_external`] pushed frames through, in traversal
+    /// order. Filled only when [`Router::trace_paths`] is set; pull-side
+    /// traversal (e.g. `RatedUnqueue` draining a `Queue`) and
+    /// [`Router::tick`] work are not recorded.
+    pub fn traced(&self) -> &[u16] {
+        &self.traced
+    }
+
     /// Devices with a `FromDevice` entry point.
     pub fn input_devices(&self) -> Vec<u16> {
         let mut v: Vec<u16> = self.from_device.keys().copied().collect();
@@ -199,6 +212,7 @@ impl Router {
     pub fn push_external(&mut self, dev: u16, pkt: Packet, now: Time) -> RouterOutput {
         self.now = now;
         self.work_acc = 0;
+        self.traced.clear();
         let mut out = RouterOutput::default();
         let Some(&entry) = self.from_device.get(&dev) else {
             // Frame to a device with no FromDevice: dropped, like a NIC
@@ -209,14 +223,14 @@ impl Router {
         // FromDevice immediately forwards out of its single output.
         self.work_acc += self.elements[entry].as_deref().map_or(0, |e| e.cost_ns());
         if self.trace_paths {
-            out.path.push(self.names[entry].clone());
+            self.traced.push(entry as u16);
         }
         self.pending.push_back(Effect::Downstream {
             from_elem: entry,
             from_port: 0,
             pkt,
         });
-        self.drain(&mut out);
+        self.drain(&mut out, self.trace_paths);
         out.work_ns = self.work_acc;
         out
     }
@@ -225,6 +239,7 @@ impl Router {
     pub fn tick(&mut self, now: Time) -> RouterOutput {
         self.now = now;
         self.work_acc = 0;
+        self.traced.clear();
         let mut out = RouterOutput::default();
         for idx in 0..self.elements.len() {
             let due = self.elements[idx]
@@ -235,7 +250,7 @@ impl Router {
                 self.with_element(idx, 0, |e, ctx| e.tick(ctx));
             }
         }
-        self.drain(&mut out);
+        self.drain(&mut out, false);
         out.work_ns = self.work_acc;
         out
     }
@@ -273,7 +288,9 @@ impl Router {
         Some(pkt)
     }
 
-    fn drain(&mut self, out: &mut RouterOutput) {
+    /// Runs pending effects; `trace` appends each element a frame is
+    /// pushed into to [`Router::traced`].
+    fn drain(&mut self, out: &mut RouterOutput, trace: bool) {
         let mut budget = MAX_EFFECTS_PER_CALL;
         while let Some(effect) = self.pending.pop_front() {
             if budget == 0 {
@@ -297,8 +314,8 @@ impl Router {
                     };
                     let cost = self.elements[dst].as_deref().map_or(0, |e| e.cost_ns());
                     self.work_acc += cost;
-                    if self.trace_paths {
-                        out.path.push(self.names[dst].clone());
+                    if trace {
+                        self.traced.push(dst as u16);
                     }
                     self.with_element(dst, 0, |e, ctx| e.push(ctx, dport, pkt));
                 }
@@ -474,18 +491,31 @@ mod tests {
         let out = r.push_external(0, pkt(60), Time::ZERO);
         // Anonymous FromDevice/ToDevice get generated names; the named
         // counters must appear in push order between them.
-        let named: Vec<&str> = out
-            .path
+        let named: Vec<&str> = r
+            .traced()
             .iter()
-            .map(|s| s.as_str())
+            .map(|&i| r.element_names()[usize::from(i)].as_str())
             .filter(|s| *s == "a" || *s == "b")
             .collect();
         assert_eq!(named, vec!["a", "b"]);
         assert_eq!(out.external.len(), 1);
         // Off by default: no path collection.
         r.trace_paths = false;
-        let out = r.push_external(0, pkt(60), Time::ZERO);
-        assert!(out.path.is_empty());
+        r.push_external(0, pkt(60), Time::ZERO);
+        assert!(r.traced().is_empty());
+    }
+
+    #[test]
+    fn tick_work_is_not_traced() {
+        let mut r = mk("FromDevice(0) -> s :: BandwidthShaper(1000) -> ToDevice(1);");
+        r.trace_paths = true;
+        let out = r.push_external(0, pkt(500), Time::ZERO);
+        assert!(out.external.is_empty(), "parked behind the shaper");
+        assert!(!r.traced().is_empty());
+        let wake = r.next_wake().expect("the shaper wakes to release it");
+        let out = r.tick(wake);
+        assert_eq!(out.external.len(), 1);
+        assert!(r.traced().is_empty(), "tick-driven work is not traced");
     }
 
     #[test]

@@ -13,10 +13,11 @@ use escape_click::{Registry, Router};
 use escape_netconf::agent::{Agent, VnfInstrumentation, VnfStatusInfo};
 use escape_netem::process::ProcId;
 use escape_netem::{
-    CpuModel, CtrlId, DropReason, HopDetail, IsolationMode, NodeCtx, NodeLogic, Time,
+    CpuModel, CtrlId, DropReason, HopDetail, IsolationMode, NodeCtx, NodeLogic, Time, VnfPath,
 };
 use escape_packet::Packet;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Handlers sampled for `getVNFInfo` (the Clicky view).
 const MONITOR_HANDLERS: &[&str] = &[
@@ -102,6 +103,13 @@ pub struct VnfHost {
     /// When set, [`VnfHost::process`] collects the Click elements each
     /// frame traverses (the flight recorder's per-element view).
     trace_paths: bool,
+    /// The (vnf slot, element index) steps of the frame `process` ran
+    /// last, reused across frames.
+    steps: Vec<(u32, u16)>,
+    /// One shared path per distinct traversal, so a traced frame costs a
+    /// lookup, not a copy of every name. A VNF's entries go when it
+    /// stops; records still in the trace ring keep their own `Arc`.
+    paths: HashMap<Box<[(u32, u16)]>, Arc<VnfPath>>,
 }
 
 impl VnfHost {
@@ -130,6 +138,8 @@ impl VnfHost {
             next_vnf: 0,
             unbound_rx: 0,
             trace_paths: false,
+            steps: Vec::new(),
+            paths: HashMap::new(),
         }
     }
 
@@ -174,24 +184,69 @@ impl VnfHost {
 
     /// Runs a frame through a VNF (following internal bindings), charging
     /// CPU. Returns frames to emit as (container port, packet), the CPU
-    /// completion time, and — when path tracing is enabled — the Click
-    /// elements the frame was pushed through (elements of chained
-    /// co-located VNFs are prefixed with their VNF id).
+    /// completion time, and — when path tracing is enabled and the frame
+    /// was pushed through any element — the Click elements it traversed
+    /// (elements of chained co-located VNFs are prefixed with their VNF
+    /// id).
     pub fn process(
         &mut self,
         vnf: usize,
         dev: u16,
         pkt: Packet,
         now: Time,
-    ) -> (Vec<(u16, Packet)>, Time, Vec<String>) {
+    ) -> (Vec<(u16, Packet)>, Time, Option<Arc<VnfPath>>) {
+        let trace = self.trace_paths;
+        let (external, done) = self.run(vnf, dev, pkt, now, trace);
+        debug_assert!(self.steps.first().is_none_or(|s| s.0 as usize == vnf));
+        let path = (trace && !self.steps.is_empty()).then(|| self.shared_path());
+        (external, done, path)
+    }
+
+    /// The shared path of the traversal in `steps`, built on first sight.
+    /// The entry VNF took the first step, so the steps alone name it.
+    fn shared_path(&mut self) -> Arc<VnfPath> {
+        if let Some(path) = self.paths.get(self.steps.as_slice()) {
+            return Arc::clone(path);
+        }
+        let entry = self.steps[0].0;
+        let elements = self
+            .steps
+            .iter()
+            .map(|&(vi, e)| {
+                let slot = &self.vnfs[vi as usize];
+                let name = &slot.router.element_names()[usize::from(e)];
+                if vi == entry {
+                    name.clone()
+                } else {
+                    format!("{}:{name}", slot.id)
+                }
+            })
+            .collect();
+        let path = Arc::new(VnfPath {
+            vnf: self.vnfs[entry as usize].id.clone(),
+            elements,
+        });
+        self.paths
+            .insert(self.steps.as_slice().into(), Arc::clone(&path));
+        path
+    }
+
+    /// [`VnfHost::process`]'s work; `trace` collects its steps.
+    fn run(
+        &mut self,
+        vnf: usize,
+        dev: u16,
+        pkt: Packet,
+        now: Time,
+        trace: bool,
+    ) -> (Vec<(u16, Packet)>, Time) {
         let mut total_work = 0u64;
         let mut external = Vec::new();
-        let mut path = Vec::new();
+        self.steps.clear();
         // (vnf, dev, pkt) work queue for internal chaining.
         let mut queue = vec![(vnf, dev, pkt)];
         let mut hops = 0;
         let entry_proc = self.vnfs[vnf].proc;
-        let trace_paths = self.trace_paths;
         while let Some((vi, d, p)) = queue.pop() {
             hops += 1;
             if hops > 32 {
@@ -202,15 +257,12 @@ impl VnfHost {
                 slot.dropped_not_running += 1;
                 continue;
             }
-            slot.router.trace_paths = trace_paths;
+            slot.router.trace_paths = trace;
             let out = slot.router.push_external(d, p, now);
             total_work += out.work_ns;
-            for elem in out.path {
-                if vi == vnf {
-                    path.push(elem);
-                } else {
-                    path.push(format!("{}:{}", slot.id, elem));
-                }
+            if trace {
+                let traced = slot.router.traced().iter();
+                self.steps.extend(traced.map(|&e| (vi as u32, e)));
             }
             for (out_dev, out_pkt) in out.external {
                 match slot.bindings.get(&out_dev) {
@@ -229,7 +281,7 @@ impl VnfHost {
         } else {
             self.cpu.run(entry_proc, now, total_work)
         };
-        (external, done, path)
+        (external, done)
     }
 
     /// Drives time-based element work (shapers, sources) of one VNF.
@@ -260,7 +312,7 @@ impl VnfHost {
         for (nv, nd, p) in internal {
             // Path attribution is not collected for tick-driven work —
             // deferred frames left the recorded journey at the shaper.
-            let (more, d2, _path) = self.process(nv, nd, p, now);
+            let (more, d2) = self.run(nv, nd, p, now, false);
             external.extend(more);
             done = done.max(d2);
         }
@@ -376,6 +428,9 @@ impl VnfInstrumentation for VnfHost {
             .vnf_index(vnf_id)
             .ok_or_else(|| format!("no vnf {vnf_id}"))?;
         self.vnfs[idx].status = VnfStatus::Stopped;
+        let slot = idx as u32;
+        self.paths
+            .retain(|steps, _| steps.iter().all(|&(vi, _)| vi != slot));
         Ok(())
     }
 
@@ -608,16 +663,8 @@ impl NodeLogic for VnfContainer {
         self.agent.instr.set_trace_paths(ctx.tracing());
         let was_running = self.agent.instr.vnfs[vnf].status == VnfStatus::Running;
         let (outputs, done, path) = self.agent.instr.process(vnf, dev, pkt, now);
-        if !path.is_empty() {
-            ctx.trace_hop(
-                pkt_id,
-                pkt_len,
-                port,
-                HopDetail::VnfPath {
-                    vnf: self.agent.instr.vnfs[vnf].id.clone(),
-                    elements: path,
-                },
-            );
+        if let Some(path) = path {
+            ctx.trace_hop(pkt_id, pkt_len, port, HopDetail::VnfPath(path));
         }
         if outputs.is_empty() {
             if !was_running {
@@ -642,7 +689,7 @@ impl NodeLogic for VnfContainer {
                     self.release_armed = None;
                 }
                 while self.pending.peek().is_some_and(|p| p.at <= now) {
-                    let p = self.pending.pop().unwrap();
+                    let p = self.pending.pop().expect("peek just saw this entry");
                     ctx.send(p.port, p.pkt);
                 }
                 if let Some(p) = self.pending.peek() {
@@ -778,6 +825,62 @@ mod tests {
         assert!(h.initiate("custom", Some("syntax error ("), &[]).is_err());
     }
 
+    #[test]
+    fn frames_on_one_path_share_it_until_the_vnf_stops() {
+        let mut h = VnfHost::new("c0", attach4(), 1);
+        let id = h.initiate("monitor", None, &[]).unwrap();
+        h.connect(&id, 0, "s0").unwrap();
+        h.connect(&id, 1, "s0").unwrap();
+        h.start(&id).unwrap();
+        h.set_trace_paths(true);
+        let first = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO);
+        let second = h.process(0, 0, Packet::from_bytes(frame(81)), Time::ZERO);
+        let (a, b) = (first.2.unwrap(), second.2.unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "one path, one allocation");
+        assert_eq!(a.vnf, id);
+        assert_eq!(h.paths.len(), 1);
+        h.stop(&id).unwrap();
+        assert!(h.paths.is_empty(), "a stopped VNF's paths are dropped");
+        assert!(
+            a.elements.iter().any(|e| e == "in_cnt"),
+            "held paths live on"
+        );
+        h.start(&id).unwrap();
+        h.set_trace_paths(false);
+        let untraced = h.process(0, 0, Packet::from_bytes(frame(82)), Time::ZERO);
+        assert!(untraced.2.is_none());
+        assert!(h.paths.is_empty());
+    }
+
+    #[test]
+    fn tick_driven_work_builds_no_path() {
+        let mut h = VnfHost::new("c0", attach4(), 1);
+        let shaper = h
+            .initiate(
+                "custom",
+                Some("FromDevice(0) -> s :: BandwidthShaper(1000) -> ToDevice(1);"),
+                &[],
+            )
+            .unwrap();
+        let mon = h.initiate("monitor", None, &[]).unwrap();
+        h.connect(&shaper, 0, "s0").unwrap();
+        h.bind_internal(&shaper, 1, &mon, 0).unwrap();
+        h.connect(&mon, 1, "s0").unwrap();
+        h.start(&shaper).unwrap();
+        h.start(&mon).unwrap();
+        h.set_trace_paths(true);
+        let (out, _, path) = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO);
+        assert!(out.is_empty(), "parked behind the shaper");
+        let path = path.expect("the frame reached the shaper");
+        assert_eq!(path.elements.last().map(String::as_str), Some("s"));
+        assert_eq!(h.paths.len(), 1);
+        let wake = h.next_wake().expect("the shaper wakes to release it");
+        let (out, _) = h.tick_vnf(0, wake);
+        assert_eq!(out.len(), 1, "released through the monitor");
+        assert!(h.vnfs.iter().all(|v| v.router.traced().is_empty()));
+        assert_eq!(h.paths.len(), 1, "tick-driven work adds no path");
+    }
+
     /// Sink node capturing frames.
     #[derive(Default)]
     struct Sink {
@@ -905,13 +1008,14 @@ mod tests {
                 .for_packet(id)
                 .find(|r| r.dir == escape_netem::TraceDir::Hop)
                 .expect("VNF hop recorded");
-            let Some(HopDetail::VnfPath { vnf, elements }) = &hop.hop else {
+            let Some(HopDetail::VnfPath(path)) = &hop.hop else {
                 panic!("expected VnfPath, got {:?}", hop.hop);
             };
-            assert_eq!(vnf, &vnf_id);
+            assert_eq!(path.vnf, vnf_id);
             assert!(
-                elements.iter().any(|e| e == "in_cnt"),
-                "monitor's counter missing from path {elements:?}"
+                path.elements.iter().any(|e| e == "in_cnt"),
+                "monitor's counter missing from path {:?}",
+                path.elements
             );
         }
         // Stopped VNF: the drop is typed and counted.

@@ -792,7 +792,9 @@ pub(crate) fn journey_tallies(fr: &FlightRecord) -> HashMap<String, Tally> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escape_netem::VnfPath;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn rec(time_us: u64, node: u32, dir: TraceDir) -> TraceRecord {
         TraceRecord::wire(Time::from_us(time_us), NodeId(node), 0, dir, 64, 7)
@@ -968,10 +970,10 @@ mod tests {
                 priority: 500,
             }),
             4 => Some(HopDetail::TableMiss { dpid: 1 }),
-            _ => Some(HopDetail::VnfPath {
+            _ => Some(HopDetail::VnfPath(Arc::new(VnfPath {
                 vnf: "fw".into(),
                 elements: vec!["in".into(), "out".into()],
-            }),
+            }))),
         };
         r
     }

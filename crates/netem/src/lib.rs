@@ -42,4 +42,4 @@ pub use process::{CpuModel, IsolationMode};
 pub use sim::{CtrlId, NodeCtx, NodeId, NodeLogic, Sim};
 pub use stats::SimStats;
 pub use time::Time;
-pub use trace::{DropReason, HopDetail, Trace, TraceDir, TraceRecord};
+pub use trace::{DropReason, HopDetail, Trace, TraceDir, TraceRecord, VnfPath};

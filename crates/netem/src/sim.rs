@@ -531,7 +531,7 @@ impl Sim {
             Event::PacketArrive { node, port, pkt } => {
                 self.counters.frames_delivered.inc();
                 if let Some(tr) = &mut self.trace {
-                    let mut rec = TraceRecord::wire(
+                    let rec = TraceRecord::wire(
                         self.clock,
                         NodeId(node),
                         port,
@@ -539,8 +539,7 @@ impl Sim {
                         pkt.len(),
                         pkt.id,
                     );
-                    rec.data = tr.capture_payloads.then(|| pkt.data.clone());
-                    tr.record(rec);
+                    tr.record_wire(rec, &pkt.data);
                 }
                 self.dispatch(node, |logic, ctx| logic.on_packet(ctx, port, pkt));
             }
@@ -589,10 +588,8 @@ impl Sim {
         };
         self.counters.frames_sent.inc();
         if let Some(tr) = &mut self.trace {
-            let mut rec =
-                TraceRecord::wire(self.clock, node, port, TraceDir::Tx, pkt.len(), pkt.id);
-            rec.data = tr.capture_payloads.then(|| pkt.data.clone());
-            tr.record(rec);
+            let rec = TraceRecord::wire(self.clock, node, port, TraceDir::Tx, pkt.len(), pkt.id);
+            tr.record_wire(rec, &pkt.data);
         }
         let now = self.clock;
         let (state, loss) = {

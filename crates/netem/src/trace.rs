@@ -12,6 +12,8 @@ use crate::sim::NodeId;
 use crate::time::Time;
 use bytes::Bytes;
 use escape_telemetry::Ring;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Direction of a traced frame relative to the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +96,24 @@ impl std::fmt::Display for DropReason {
     }
 }
 
+/// The Click elements a frame ran through inside one VNF container, in
+/// traversal order. Built once per distinct path and shared by every
+/// frame that takes it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct VnfPath {
+    /// The VNF the frame entered.
+    pub vnf: String,
+    /// Element names; those of co-located VNFs the frame was chained into
+    /// carry their VNF id as a prefix (`{id}:{name}`).
+    pub elements: Vec<String>,
+}
+
+impl std::fmt::Display for VnfPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "vnf {} [{}]", self.vnf, self.elements.join(" -> "))
+    }
+}
+
 /// What happened to a frame inside a node — recorded as `Hop` records by
 /// the node logic itself (switch, VNF container).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +130,7 @@ pub enum HopDetail {
     TableMiss { dpid: u64 },
     /// A VNF ran the frame through these Click elements, in traversal
     /// order.
-    VnfPath { vnf: String, elements: Vec<String> },
+    VnfPath(Arc<VnfPath>),
 }
 
 impl std::fmt::Display for HopDetail {
@@ -124,14 +144,14 @@ impl std::fmt::Display for HopDetail {
                 write!(f, "flow-match dpid={dpid} cookie={cookie} prio={priority}")
             }
             HopDetail::TableMiss { dpid } => write!(f, "table-miss dpid={dpid}"),
-            HopDetail::VnfPath { vnf, elements } => {
-                write!(f, "vnf {vnf} [{}]", elements.join(" -> "))
-            }
+            HopDetail::VnfPath(path) => path.fmt(f),
         }
     }
 }
 
-/// One traced event.
+/// One traced event. It owns no heap data: a VNF hop shares its path,
+/// and captured frame bytes live beside the ring (see
+/// [`Trace::record_wire`]).
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
     pub time: Time,
@@ -140,8 +160,6 @@ pub struct TraceRecord {
     pub dir: TraceDir,
     pub len: usize,
     pub packet_id: u64,
-    /// Raw frame bytes, kept only when payload capture is enabled.
-    pub data: Option<Bytes>,
     /// Why the frame was dropped (`dir == Drop`).
     pub drop: Option<DropReason>,
     /// In-node processing detail (`dir == Hop`).
@@ -159,12 +177,14 @@ impl TraceRecord {
             dir,
             len,
             packet_id: id,
-            data: None,
             drop: None,
             hop: None,
         }
     }
 }
+
+// A 65 536-slot ring is the default recorder: every byte here is 64 KiB.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 56);
 
 /// An in-memory packet trace. Recording every frame in a large run is
 /// expensive, so tracing is opt-in per [`crate::Sim`]. At capacity the
@@ -176,6 +196,10 @@ pub struct Trace {
     /// When true, frame bytes are kept so the trace can be exported as a
     /// real pcap file.
     pub capture_payloads: bool,
+    /// Captured frames as (ring sequence number, time, bytes), oldest
+    /// first, none older than the ring's eviction horizon. Empty unless
+    /// `capture_payloads` was on.
+    payloads: VecDeque<(u64, Time, Bytes)>,
 }
 
 impl Trace {
@@ -184,6 +208,7 @@ impl Trace {
         Trace {
             records: Ring::new(cap),
             capture_payloads: false,
+            payloads: VecDeque::new(),
         }
     }
 
@@ -191,7 +216,30 @@ impl Trace {
     /// reached (ring-buffer semantics).
     pub fn record(&mut self, rec: TraceRecord) {
         if self.records.capacity() > 0 {
-            self.records.push(rec);
+            self.push(rec);
+        }
+    }
+
+    /// Records a wire event (`Tx`/`Rx`) of the frame `data`. While
+    /// payload capture is on, the bytes are kept for [`Trace::to_pcap`]
+    /// for as long as the record stays in the ring.
+    pub fn record_wire(&mut self, rec: TraceRecord, data: &Bytes) {
+        if self.records.capacity() == 0 {
+            return;
+        }
+        if self.capture_payloads {
+            self.payloads
+                .push_back((self.records.seq_end(), rec.time, data.clone()));
+        }
+        self.push(rec);
+    }
+
+    /// Pushes onto the ring, and lets go of the bytes of what it evicts.
+    fn push(&mut self, rec: TraceRecord) {
+        self.records.push(rec);
+        let horizon = self.records.evicted();
+        while self.payloads.front().is_some_and(|p| p.0 < horizon) {
+            self.payloads.pop_front();
         }
     }
 
@@ -252,8 +300,8 @@ impl Trace {
 
     /// Serializes the trace as a classic libpcap file (magic 0xa1b2c3d4,
     /// microsecond timestamps, Ethernet link type) — open it in Wireshark.
-    /// Records without captured bytes (payload capture off, or drop
-    /// records) are skipped.
+    /// It holds the retained wire records whose bytes were captured
+    /// (payload capture on); drop and hop records carry none.
     pub fn to_pcap(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.records.len() * 80);
         // Global header.
@@ -264,10 +312,9 @@ impl Trace {
         out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
         out.extend_from_slice(&65_535u32.to_le_bytes()); // snaplen
         out.extend_from_slice(&1u32.to_le_bytes()); // linktype: Ethernet
-        for r in self.records.iter() {
-            let Some(data) = &r.data else { continue };
-            let secs = (r.time.as_ns() / 1_000_000_000) as u32;
-            let usecs = ((r.time.as_ns() % 1_000_000_000) / 1_000) as u32;
+        for (_, time, data) in &self.payloads {
+            let secs = (time.as_ns() / 1_000_000_000) as u32;
+            let usecs = ((time.as_ns() % 1_000_000_000) / 1_000) as u32;
             out.extend_from_slice(&secs.to_le_bytes());
             out.extend_from_slice(&usecs.to_le_bytes());
             out.extend_from_slice(&(data.len() as u32).to_le_bytes());
@@ -393,12 +440,9 @@ mod tests {
     fn pcap_export_is_well_formed() {
         let mut tr = Trace::with_capacity(10);
         tr.capture_payloads = true;
-        let mut r = rec(1_500_000, TraceDir::Rx); // t = 1.5 ms
-        r.data = Some(Bytes::from_static(&[0xaa; 60]));
-        tr.record(r);
-        let mut r2 = rec(2, TraceDir::Tx);
-        r2.data = None; // skipped in export
-        tr.record(r2);
+        let frame = Bytes::from_static(&[0xaa; 60]);
+        tr.record_wire(rec(1_500_000, TraceDir::Rx), &frame); // t = 1.5 ms
+        tr.record(rec(2, TraceDir::Drop)); // no bytes: skipped in export
         let pcap = tr.to_pcap();
         // Global header 24 B + one record header 16 B + 60 B frame.
         assert_eq!(pcap.len(), 24 + 16 + 60);
@@ -409,6 +453,28 @@ mod tests {
         assert_eq!(&pcap[28..32], &1500u32.to_le_bytes());
         // Lengths.
         assert_eq!(&pcap[32..36], &60u32.to_le_bytes());
+    }
+
+    #[test]
+    fn pcap_holds_the_frames_of_retained_records_only() {
+        let mut tr = Trace::with_capacity(2);
+        tr.capture_payloads = true;
+        for t in 1..=3u8 {
+            tr.record_wire(rec(u64::from(t), TraceDir::Rx), &Bytes::from(vec![t; 60]));
+        }
+        // Record 1 was evicted, and its bytes with it.
+        let pcap = tr.to_pcap();
+        assert_eq!(pcap.len(), 24 + 2 * (16 + 60));
+        assert_eq!(pcap[24 + 16], 2);
+        // A hop record pushes record 2 out without queueing bytes.
+        tr.record(rec(4, TraceDir::Hop));
+        let pcap = tr.to_pcap();
+        assert_eq!(pcap.len(), 24 + 16 + 60);
+        assert_eq!(pcap[24 + 16], 3);
+        // Capture off: wire records keep no bytes.
+        tr.capture_payloads = false;
+        tr.record_wire(rec(5, TraceDir::Tx), &Bytes::from(vec![5; 60]));
+        assert_eq!(tr.to_pcap().len(), 24);
     }
 
     #[test]

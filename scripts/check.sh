@@ -36,12 +36,14 @@ if [ -n "$REHOMES" ]; then
 fi
 
 echo "== no bare unwrap on the multi-domain and flight-recorder paths =="
-# Between a --domains file and the coordinator, and from the trace ring
-# to an SLA verdict, a panic site names the invariant that makes it
-# unreachable (expect), or input that can reach it gets a typed error.
-# Test modules are exempt.
+# Between a --domains file and the coordinator, and from the node logic
+# that produces trace records through the trace ring to an SLA verdict,
+# a panic site names the invariant that makes it unreachable (expect),
+# or input that can reach it gets a typed error. Test modules are exempt.
 UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
-    crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs; do
+    crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
+    crates/netem/src/sim.rs crates/openflow/src/switch.rs crates/click/src/router.rs \
+    crates/escape/src/container.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [ -n "$UNWRAPS" ]; then
