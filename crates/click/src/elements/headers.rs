@@ -7,7 +7,9 @@
 use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
-use escape_packet::{EtherType, EthernetFrame, Ipv4Packet, MacAddr, Packet};
+use escape_packet::{
+    EtherType, EthernetFrame, EthernetHeader, Ipv4Header, Ipv4Packet, MacAddr, Packet,
+};
 
 pub fn install(r: &mut Registry) {
     r.register("Strip", |a| {
@@ -133,11 +135,9 @@ impl Element for CheckIpHeader {
         (1, 1)
     }
     fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
-        let ok = EthernetFrame::decode(&pkt.data)
-            .ok()
-            .filter(|e| e.ethertype == EtherType::Ipv4)
-            .map(|e| Ipv4Packet::decode(&e.payload).is_ok())
-            .unwrap_or(false);
+        let ok = EthernetHeader::parse(&pkt.data).is_ok_and(|(eth, l3)| {
+            eth.ethertype == EtherType::Ipv4 && Ipv4Header::parse(l3).is_ok()
+        });
         if ok {
             ctx.emit(0, pkt);
         } else {

@@ -3,16 +3,19 @@
 //! Input/output 0 carry the outbound (private→public) direction: the
 //! source address is rewritten to the configured external IP and the
 //! source port to an allocated external port. Input/output 1 carry the
-//! inbound direction: destination address/port are mapped back. Checksums
-//! (IP header and UDP/TCP pseudo-header) are recomputed by re-encoding the
-//! affected layers.
+//! inbound direction: destination address/port are mapped back. Headers
+//! are read in place and the new frame is written through each format's
+//! header writer, so checksums (IP header and UDP/TCP pseudo-header) are
+//! fresh and the frame costs one allocation.
 
 use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
+use bytes::Bytes;
 use escape_packet::{
-    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, Packet, TcpSegment, UdpDatagram,
+    udp, EtherType, EthernetHeader, IpProtocol, Ipv4Header, Packet, TcpSegment, UdpHeader,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -26,6 +29,9 @@ pub fn install(r: &mut Registry) {
 
 type FlowId = (u8, Ipv4Addr, u16); // (proto, private ip, private port)
 
+/// The first external port handed out; allocation wraps back to it.
+const FIRST_PORT: u16 = 40_000;
+
 /// The NAT element. See the module docs.
 pub struct IpRewriter {
     external: Ipv4Addr,
@@ -34,6 +40,8 @@ pub struct IpRewriter {
     next_port: u16,
     rewritten: u64,
     dropped: u64,
+    /// The rewritten frame is written here, then copied out once.
+    frame: Vec<u8>,
 }
 
 impl IpRewriter {
@@ -42,62 +50,79 @@ impl IpRewriter {
             external,
             forward: HashMap::new(),
             reverse: HashMap::new(),
-            next_port: 40_000,
+            next_port: FIRST_PORT,
             rewritten: 0,
             dropped: 0,
+            frame: Vec::new(),
         }
     }
 
-    fn alloc_port(&mut self, proto: u8, key: FlowId) -> u16 {
+    /// The external port of `key`'s flow, allocated on first sight: the
+    /// next port from [`FIRST_PORT`] up, wrapping, that no live mapping
+    /// of `proto` holds. `None` when every port is held.
+    fn alloc_port(&mut self, proto: u8, key: FlowId) -> Option<u16> {
         if let Some(&p) = self.forward.get(&key) {
-            return p;
+            return Some(p);
         }
-        let p = self.next_port;
-        self.next_port = self.next_port.checked_add(1).unwrap_or(40_000);
-        self.forward.insert(key, p);
-        self.reverse.insert((proto, p), (key.1, key.2));
-        p
+        for _ in FIRST_PORT..=u16::MAX {
+            let p = self.next_port;
+            self.next_port = self.next_port.checked_add(1).unwrap_or(FIRST_PORT);
+            if let Entry::Vacant(slot) = self.reverse.entry((proto, p)) {
+                slot.insert((key.1, key.2));
+                self.forward.insert(key, p);
+                return Some(p);
+            }
+        }
+        None
     }
 
-    /// Decodes a frame down to transport, applies `f` to rewrite
-    /// addresses/ports, and re-encodes with fresh checksums. Returns `None`
-    /// when the frame is not rewritable UDP/TCP-in-IPv4.
+    /// Reads a frame in place down to transport, lets `f` rewrite the
+    /// (src, dst) addresses and (src, dst) ports, and writes the result
+    /// with fresh checksums. Returns `None` when the frame is not
+    /// rewritable UDP/TCP-in-IPv4 or `f` refuses it. The frame comes out
+    /// as `decode` → rewrite → `encode` would write it: IP options and
+    /// bytes past a length field are dropped.
     fn rewrite(
+        &mut self,
         pkt: &Packet,
-        f: impl FnOnce(&mut IpRewriter, &mut Ipv4Packet, &mut u16, &mut u16, bool) -> bool,
-        this: &mut IpRewriter,
+        f: impl FnOnce(&mut Self, &mut Ipv4Addr, &mut Ipv4Addr, &mut u16, &mut u16, bool) -> bool,
     ) -> Option<Packet> {
-        let eth = EthernetFrame::decode(&pkt.data).ok()?;
+        let (eth, l3) = EthernetHeader::parse(&pkt.data).ok()?;
         if eth.ethertype != EtherType::Ipv4 {
             return None;
         }
-        let mut ip = Ipv4Packet::decode(&eth.payload).ok()?;
+        let (mut ip, l4) = Ipv4Header::parse(l3).ok()?;
         match ip.protocol {
             IpProtocol::Udp => {
-                let mut udp = UdpDatagram::decode(&ip.payload, ip.src, ip.dst).ok()?;
-                let (mut sp, mut dp) = (udp.src_port, udp.dst_port);
-                if !f(this, &mut ip, &mut sp, &mut dp, false) {
+                let (mut hdr, payload) = UdpHeader::parse(l4, ip.src, ip.dst).ok()?;
+                let (sp, dp) = (&mut hdr.src_port, &mut hdr.dst_port);
+                if !f(self, &mut ip.src, &mut ip.dst, sp, dp, false) {
                     return None;
                 }
-                udp.src_port = sp;
-                udp.dst_port = dp;
-                ip.payload = udp.encode(ip.src, ip.dst);
+                let buf = &mut self.frame;
+                buf.clear();
+                eth.put(buf);
+                ip.put(buf, udp::HEADER_LEN + payload.len());
+                hdr.put(buf, ip.src, ip.dst, payload);
             }
             IpProtocol::Tcp => {
-                let mut tcp = TcpSegment::decode(&ip.payload, ip.src, ip.dst).ok()?;
-                let (mut sp, mut dp) = (tcp.src_port, tcp.dst_port);
-                if !f(this, &mut ip, &mut sp, &mut dp, true) {
+                // No workload sends TCP, so the owned codec serves here.
+                let mut tcp = TcpSegment::decode(l4, ip.src, ip.dst).ok()?;
+                let (sp, dp) = (&mut tcp.src_port, &mut tcp.dst_port);
+                if !f(self, &mut ip.src, &mut ip.dst, sp, dp, true) {
                     return None;
                 }
-                tcp.src_port = sp;
-                tcp.dst_port = dp;
-                ip.payload = tcp.encode(ip.src, ip.dst);
+                let segment = tcp.encode(ip.src, ip.dst);
+                let buf = &mut self.frame;
+                buf.clear();
+                eth.put(buf);
+                ip.put(buf, segment.len());
+                buf.extend_from_slice(&segment);
             }
             _ => return None,
         }
-        let frame = EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.encode());
         Some(Packet {
-            data: frame.encode(),
+            data: Bytes::copy_from_slice(&self.frame),
             id: pkt.id,
             born_ns: pkt.born_ns,
         })
@@ -113,32 +138,26 @@ impl Element for IpRewriter {
     }
     fn push(&mut self, ctx: &mut ElemCtx<'_>, port: usize, pkt: Packet) {
         let out = match port {
-            0 => Self::rewrite(
-                &pkt,
-                |nat, ip, sp, _dp, is_tcp| {
-                    let proto = if is_tcp { 6 } else { 17 };
-                    let ext_port = nat.alloc_port(proto, (proto, ip.src, *sp));
-                    ip.src = nat.external;
-                    *sp = ext_port;
-                    true
-                },
-                self,
-            ),
-            1 => Self::rewrite(
-                &pkt,
-                |nat, ip, _sp, dp, is_tcp| {
-                    let proto = if is_tcp { 6 } else { 17 };
-                    match nat.reverse.get(&(proto, *dp)) {
-                        Some(&(priv_ip, priv_port)) => {
-                            ip.dst = priv_ip;
-                            *dp = priv_port;
-                            true
-                        }
-                        None => false, // unsolicited inbound: drop
+            0 => self.rewrite(&pkt, |nat, src, _dst, sp, _dp, is_tcp| {
+                let proto = if is_tcp { 6 } else { 17 };
+                let Some(ext_port) = nat.alloc_port(proto, (proto, *src, *sp)) else {
+                    return false; // every external port is held: drop
+                };
+                *src = nat.external;
+                *sp = ext_port;
+                true
+            }),
+            1 => self.rewrite(&pkt, |nat, _src, dst, _sp, dp, is_tcp| {
+                let proto = if is_tcp { 6 } else { 17 };
+                match nat.reverse.get(&(proto, *dp)) {
+                    Some(&(priv_ip, priv_port)) => {
+                        *dst = priv_ip;
+                        *dp = priv_port;
+                        true
                     }
-                },
-                self,
-            ),
+                    None => false, // unsolicited inbound: drop
+                }
+            }),
             _ => None,
         };
         match out {
@@ -167,9 +186,8 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::router::Router;
-    use bytes::Bytes;
     use escape_netem::Time;
-    use escape_packet::{MacAddr, PacketBuilder};
+    use escape_packet::{EthernetFrame, Ipv4Packet, MacAddr, PacketBuilder, UdpDatagram};
 
     const PRIV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
     const SRV: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
@@ -287,6 +305,31 @@ mod tests {
         );
         assert!(out.external.is_empty());
         assert_eq!(r.read_handler("nat.dropped").unwrap(), "1");
+    }
+
+    #[test]
+    fn a_wrapped_port_skips_the_mappings_still_live() {
+        let mut r = mk();
+        // Ports 40 000..=65 535: one flow more than the pool holds.
+        let pool = u32::from(u16::MAX - FIRST_PORT) + 1;
+        for sport in 1..=pool + 1 {
+            r.push_external(0, outbound(sport as u16), Time::ZERO);
+        }
+        assert_eq!(r.read_handler("nat.mappings").unwrap(), pool.to_string());
+        assert_eq!(r.read_handler("nat.dropped").unwrap(), "1");
+        // The first flow's reply still reaches the first flow.
+        let reply = PacketBuilder::udp(
+            MacAddr::from_id(2),
+            MacAddr::from_id(1),
+            SRV,
+            EXT,
+            53,
+            FIRST_PORT,
+            Bytes::from_static(b"answer"),
+        );
+        let out = r.push_external(1, Packet::from_bytes(reply), Time::ZERO);
+        assert_eq!(out.external.len(), 1);
+        assert_eq!(parse_udp(&out.external[0].1), (SRV, PRIV, 53, 1));
     }
 
     #[test]

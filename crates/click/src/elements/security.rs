@@ -4,7 +4,7 @@
 use super::classify::IpExpr;
 use crate::element::{ElemCtx, Element, HandlerError};
 use crate::registry::Registry;
-use escape_packet::{EtherType, EthernetFrame, FlowKey, IpProtocol, Ipv4Packet, Packet};
+use escape_packet::{EtherType, EthernetHeader, FlowKey, IpProtocol, Ipv4Header, Packet};
 
 pub fn install(r: &mut Registry) {
     r.register("IPFilter", |a| {
@@ -134,18 +134,19 @@ pub struct StringMatcher {
 }
 
 impl StringMatcher {
-    fn payload_of(data: &[u8]) -> Option<bytes::Bytes> {
-        let eth = EthernetFrame::decode(data).ok()?;
+    /// The transport payload of `data`, read in place.
+    fn payload_of(data: &[u8]) -> Option<&[u8]> {
+        let (eth, l3) = EthernetHeader::parse(data).ok()?;
         if eth.ethertype != EtherType::Ipv4 {
             return None;
         }
-        let ip = Ipv4Packet::decode(&eth.payload).ok()?;
+        let (ip, l4) = Ipv4Header::parse(l3).ok()?;
         match ip.protocol {
             // Transport payload offset: UDP header 8, TCP header from doff.
-            IpProtocol::Udp if ip.payload.len() > 8 => Some(ip.payload.slice(8..)),
-            IpProtocol::Tcp if ip.payload.len() > 20 => {
-                let doff = ((ip.payload[12] >> 4) as usize) * 4;
-                (ip.payload.len() > doff).then(|| ip.payload.slice(doff..))
+            IpProtocol::Udp if l4.len() > 8 => Some(&l4[8..]),
+            IpProtocol::Tcp if l4.len() > 20 => {
+                let doff = ((l4[12] >> 4) as usize) * 4;
+                l4.get(doff..).filter(|p| !p.is_empty())
             }
             _ => None,
         }
@@ -165,7 +166,7 @@ impl Element for StringMatcher {
     }
     fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
         let hit = Self::payload_of(&pkt.data)
-            .map(|p| Self::contains(&p, &self.pattern))
+            .map(|p| Self::contains(p, &self.pattern))
             .unwrap_or(false);
         // DPI is expensive; charge CPU proportional to scanned bytes
         // (8 ns/byte models a naive byte-at-a-time scanner).

@@ -127,7 +127,7 @@ impl Element for DelayShaper {
     fn tick(&mut self, ctx: &mut ElemCtx<'_>) {
         while let Some((t, _)) = self.q.front() {
             if *t <= ctx.now() {
-                let (_, pkt) = self.q.pop_front().unwrap();
+                let (_, pkt) = self.q.pop_front().expect("front() just saw this entry");
                 ctx.emit(0, pkt);
             } else {
                 break;

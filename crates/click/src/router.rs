@@ -40,7 +40,7 @@ pub struct Router {
     /// Packets dropped because they reached an unconnected output port.
     pub dead_ends: u64,
     /// When set, [`Router::traced`] lists the elements each
-    /// [`Router::push_external`] pushed frames through — the flight
+    /// [`Router::push_into`] pushed frames through — the flight
     /// recorder's per-element view.
     pub trace_paths: bool,
     /// Element indices of the last call's traversal, reused across calls.
@@ -188,7 +188,7 @@ impl Router {
     }
 
     /// Indices (into [`Router::element_names`]) of the elements the last
-    /// [`Router::push_external`] pushed frames through, in traversal
+    /// [`Router::push_into`] pushed frames through, in traversal
     /// order. Filled only when [`Router::trace_paths`] is set; pull-side
     /// traversal (e.g. `RatedUnqueue` draining a `Queue`) and
     /// [`Router::tick`] work are not recorded.
@@ -210,15 +210,30 @@ impl Router {
     /// Feeds a frame that arrived on VNF device `dev` into the
     /// configuration at virtual time `now`.
     pub fn push_external(&mut self, dev: u16, pkt: Packet, now: Time) -> RouterOutput {
+        let mut out = RouterOutput::default();
+        out.work_ns = self.push_into(dev, pkt, now, &mut out.external);
+        out
+    }
+
+    /// [`Router::push_external`] into a caller's buffer: appends the
+    /// frames leaving the VNF to `external`, in emission order, and
+    /// returns the CPU nanoseconds the processing consumed. A caller that
+    /// reuses `external` pushes a frame without allocating.
+    pub fn push_into(
+        &mut self,
+        dev: u16,
+        pkt: Packet,
+        now: Time,
+        external: &mut Vec<(u16, Packet)>,
+    ) -> u64 {
         self.now = now;
         self.work_acc = 0;
         self.traced.clear();
-        let mut out = RouterOutput::default();
         let Some(&entry) = self.from_device.get(&dev) else {
             // Frame to a device with no FromDevice: dropped, like a NIC
             // with no reader.
             self.dead_ends += 1;
-            return out;
+            return 0;
         };
         // FromDevice immediately forwards out of its single output.
         self.work_acc += self.elements[entry].as_deref().map_or(0, |e| e.cost_ns());
@@ -230,9 +245,8 @@ impl Router {
             from_port: 0,
             pkt,
         });
-        self.drain(&mut out, self.trace_paths);
-        out.work_ns = self.work_acc;
-        out
+        self.drain(external, self.trace_paths);
+        self.work_acc
     }
 
     /// Advances time and runs every element whose wake time has arrived.
@@ -250,7 +264,7 @@ impl Router {
                 self.with_element(idx, 0, |e, ctx| e.tick(ctx));
             }
         }
-        self.drain(&mut out, false);
+        self.drain(&mut out.external, false);
         out.work_ns = self.work_acc;
         out
     }
@@ -288,9 +302,10 @@ impl Router {
         Some(pkt)
     }
 
-    /// Runs pending effects; `trace` appends each element a frame is
-    /// pushed into to [`Router::traced`].
-    fn drain(&mut self, out: &mut RouterOutput, trace: bool) {
+    /// Runs pending effects, appending frames that leave the VNF to
+    /// `external`; `trace` appends each element a frame is pushed into to
+    /// [`Router::traced`].
+    fn drain(&mut self, external: &mut Vec<(u16, Packet)>, trace: bool) {
         let mut budget = MAX_EFFECTS_PER_CALL;
         while let Some(effect) = self.pending.pop_front() {
             if budget == 0 {
@@ -300,7 +315,7 @@ impl Router {
             }
             budget -= 1;
             match effect {
-                Effect::External { dev, pkt } => out.external.push((dev, pkt)),
+                Effect::External { dev, pkt } => external.push((dev, pkt)),
                 Effect::Downstream {
                     from_elem,
                     from_port,

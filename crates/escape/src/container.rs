@@ -110,6 +110,10 @@ pub struct VnfHost {
     /// lookup, not a copy of every name. A VNF's entries go when it
     /// stops; records still in the trace ring keep their own `Arc`.
     paths: HashMap<Box<[(u32, u16)]>, Arc<VnfPath>>,
+    /// `run`'s (vnf, dev, frame) work queue and one router's emissions,
+    /// reused across frames.
+    queue: Vec<(usize, u16, Packet)>,
+    routed: Vec<(u16, Packet)>,
 }
 
 impl VnfHost {
@@ -140,6 +144,8 @@ impl VnfHost {
             trace_paths: false,
             steps: Vec::new(),
             paths: HashMap::new(),
+            queue: Vec::new(),
+            routed: Vec::new(),
         }
     }
 
@@ -183,23 +189,24 @@ impl VnfHost {
     }
 
     /// Runs a frame through a VNF (following internal bindings), charging
-    /// CPU. Returns frames to emit as (container port, packet), the CPU
-    /// completion time, and — when path tracing is enabled and the frame
-    /// was pushed through any element — the Click elements it traversed
-    /// (elements of chained co-located VNFs are prefixed with their VNF
-    /// id).
+    /// CPU. Appends frames to emit as (container port, packet) to `out`
+    /// and returns the CPU completion time and — when path tracing is
+    /// enabled and the frame was pushed through any element — the Click
+    /// elements it traversed (elements of chained co-located VNFs are
+    /// prefixed with their VNF id).
     pub fn process(
         &mut self,
         vnf: usize,
         dev: u16,
         pkt: Packet,
         now: Time,
-    ) -> (Vec<(u16, Packet)>, Time, Option<Arc<VnfPath>>) {
+        out: &mut Vec<(u16, Packet)>,
+    ) -> (Time, Option<Arc<VnfPath>>) {
         let trace = self.trace_paths;
-        let (external, done) = self.run(vnf, dev, pkt, now, trace);
+        let done = self.run(vnf, dev, pkt, now, trace, out);
         debug_assert!(self.steps.first().is_none_or(|s| s.0 as usize == vnf));
         let path = (trace && !self.steps.is_empty()).then(|| self.shared_path());
-        (external, done, path)
+        (done, path)
     }
 
     /// The shared path of the traversal in `steps`, built on first sight.
@@ -239,15 +246,17 @@ impl VnfHost {
         pkt: Packet,
         now: Time,
         trace: bool,
-    ) -> (Vec<(u16, Packet)>, Time) {
+        external: &mut Vec<(u16, Packet)>,
+    ) -> Time {
         let mut total_work = 0u64;
-        let mut external = Vec::new();
         self.steps.clear();
-        // (vnf, dev, pkt) work queue for internal chaining.
-        let mut queue = vec![(vnf, dev, pkt)];
+        // The loop guard below can leave work queued; it must not ride
+        // along with this frame.
+        self.queue.clear();
+        self.queue.push((vnf, dev, pkt));
         let mut hops = 0;
         let entry_proc = self.vnfs[vnf].proc;
-        while let Some((vi, d, p)) = queue.pop() {
+        while let Some((vi, d, p)) = self.queue.pop() {
             hops += 1;
             if hops > 32 {
                 break; // internal wiring loop guard
@@ -258,41 +267,40 @@ impl VnfHost {
                 continue;
             }
             slot.router.trace_paths = trace;
-            let out = slot.router.push_external(d, p, now);
-            total_work += out.work_ns;
+            total_work += slot.router.push_into(d, p, now, &mut self.routed);
             if trace {
                 let traced = slot.router.traced().iter();
                 self.steps.extend(traced.map(|&e| (vi as u32, e)));
             }
-            for (out_dev, out_pkt) in out.external {
+            for (out_dev, out_pkt) in self.routed.drain(..) {
                 match slot.bindings.get(&out_dev) {
                     Some(Binding::External { container_port, .. }) => {
                         external.push((*container_port, out_pkt));
                     }
                     Some(&Binding::Internal { vnf: nv, dev: nd }) => {
-                        queue.push((nv, nd, out_pkt));
+                        self.queue.push((nv, nd, out_pkt));
                     }
                     None => {} // unbound output: dropped on the floor
                 }
             }
         }
-        let done = if total_work == 0 {
+        if total_work == 0 {
             now
         } else {
             self.cpu.run(entry_proc, now, total_work)
-        };
-        (external, done)
+        }
     }
 
-    /// Drives time-based element work (shapers, sources) of one VNF.
-    pub fn tick_vnf(&mut self, vnf: usize, now: Time) -> (Vec<(u16, Packet)>, Time) {
+    /// Drives time-based element work (shapers, sources) of one VNF,
+    /// appending frames to emit to `external`; returns the CPU
+    /// completion time.
+    pub fn tick_vnf(&mut self, vnf: usize, now: Time, external: &mut Vec<(u16, Packet)>) -> Time {
         let slot = &mut self.vnfs[vnf];
         if slot.status != VnfStatus::Running {
-            return (Vec::new(), now);
+            return now;
         }
         let out = slot.router.tick(now);
         let work = out.work_ns;
-        let mut external = Vec::new();
         let mut internal = Vec::new();
         for (out_dev, out_pkt) in out.external {
             match slot.bindings.get(&out_dev) {
@@ -312,11 +320,9 @@ impl VnfHost {
         for (nv, nd, p) in internal {
             // Path attribution is not collected for tick-driven work —
             // deferred frames left the recorded journey at the shaper.
-            let (more, d2) = self.run(nv, nd, p, now, false);
-            external.extend(more);
-            done = done.max(d2);
+            done = done.max(self.run(nv, nd, p, now, false, external));
         }
-        (external, done)
+        done
     }
 
     /// Earliest pending element wake across running VNFs.
@@ -558,6 +564,9 @@ pub struct VnfContainer {
     /// [`VnfContainer::release_armed`]). Indexed like `vnfs`; grown on
     /// demand when replicas are added.
     tick_armed: Vec<Option<Time>>,
+    /// Frames the last `process` or `tick_vnf` emitted, reused across
+    /// frames; `schedule_outputs` drains it.
+    outputs: Vec<(u16, Packet)>,
 }
 
 impl VnfContainer {
@@ -576,6 +585,7 @@ impl VnfContainer {
             seq: 0,
             release_armed: None,
             tick_armed: Vec::new(),
+            outputs: Vec::new(),
         }
     }
 
@@ -596,14 +606,16 @@ impl VnfContainer {
         self.pending.len()
     }
 
-    fn schedule_outputs(&mut self, ctx: &mut NodeCtx<'_>, outputs: Vec<(u16, Packet)>, done: Time) {
+    /// Sends (or, until the CPU is `done`, defers) the frames in
+    /// `outputs`, leaving it empty.
+    fn schedule_outputs(&mut self, ctx: &mut NodeCtx<'_>, done: Time) {
         let now = ctx.now();
         if done <= now {
-            for (port, pkt) in outputs {
+            for (port, pkt) in self.outputs.drain(..) {
                 ctx.send(port, pkt);
             }
         } else {
-            for (port, pkt) in outputs {
+            for (port, pkt) in self.outputs.drain(..) {
                 self.seq += 1;
                 self.pending.push(PendingOut {
                     at: done,
@@ -662,11 +674,12 @@ impl NodeLogic for VnfContainer {
         let now = ctx.now();
         self.agent.instr.set_trace_paths(ctx.tracing());
         let was_running = self.agent.instr.vnfs[vnf].status == VnfStatus::Running;
-        let (outputs, done, path) = self.agent.instr.process(vnf, dev, pkt, now);
+        let host = &mut self.agent.instr;
+        let (done, path) = host.process(vnf, dev, pkt, now, &mut self.outputs);
         if let Some(path) = path {
             ctx.trace_hop(pkt_id, pkt_len, port, HopDetail::VnfPath(path));
         }
-        if outputs.is_empty() {
+        if self.outputs.is_empty() {
             if !was_running {
                 ctx.trace_drop(pkt_id, pkt_len, port, DropReason::VnfDown);
             } else if self.agent.instr.next_wake().is_none() {
@@ -676,7 +689,7 @@ impl NodeLogic for VnfContainer {
                 ctx.trace_drop(pkt_id, pkt_len, port, DropReason::Filtered);
             }
         }
-        self.schedule_outputs(ctx, outputs, done);
+        self.schedule_outputs(ctx, done);
         self.arm_ticks(ctx);
     }
 
@@ -711,8 +724,9 @@ impl NodeLogic for VnfContainer {
                         .next_wake()
                         .is_some_and(|w| w <= now);
                     if due {
-                        let (outputs, done) = self.agent.instr.tick_vnf(vnf, now);
-                        self.schedule_outputs(ctx, outputs, done);
+                        let host = &mut self.agent.instr;
+                        let done = host.tick_vnf(vnf, now, &mut self.outputs);
+                        self.schedule_outputs(ctx, done);
                     }
                     self.arm_ticks(ctx);
                 }
@@ -833,9 +847,10 @@ mod tests {
         h.connect(&id, 1, "s0").unwrap();
         h.start(&id).unwrap();
         h.set_trace_paths(true);
-        let first = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO);
-        let second = h.process(0, 0, Packet::from_bytes(frame(81)), Time::ZERO);
-        let (a, b) = (first.2.unwrap(), second.2.unwrap());
+        let mut out = Vec::new();
+        let first = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO, &mut out);
+        let second = h.process(0, 0, Packet::from_bytes(frame(81)), Time::ZERO, &mut out);
+        let (a, b) = (first.1.unwrap(), second.1.unwrap());
         assert!(Arc::ptr_eq(&a, &b), "one path, one allocation");
         assert_eq!(a.vnf, id);
         assert_eq!(h.paths.len(), 1);
@@ -847,8 +862,8 @@ mod tests {
         );
         h.start(&id).unwrap();
         h.set_trace_paths(false);
-        let untraced = h.process(0, 0, Packet::from_bytes(frame(82)), Time::ZERO);
-        assert!(untraced.2.is_none());
+        let untraced = h.process(0, 0, Packet::from_bytes(frame(82)), Time::ZERO, &mut out);
+        assert!(untraced.1.is_none());
         assert!(h.paths.is_empty());
     }
 
@@ -869,13 +884,14 @@ mod tests {
         h.start(&shaper).unwrap();
         h.start(&mon).unwrap();
         h.set_trace_paths(true);
-        let (out, _, path) = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO);
+        let mut out = Vec::new();
+        let (_, path) = h.process(0, 0, Packet::from_bytes(frame(80)), Time::ZERO, &mut out);
         assert!(out.is_empty(), "parked behind the shaper");
         let path = path.expect("the frame reached the shaper");
         assert_eq!(path.elements.last().map(String::as_str), Some("s"));
         assert_eq!(h.paths.len(), 1);
         let wake = h.next_wake().expect("the shaper wakes to release it");
-        let (out, _) = h.tick_vnf(0, wake);
+        h.tick_vnf(0, wake, &mut out);
         assert_eq!(out.len(), 1, "released through the monitor");
         assert!(h.vnfs.iter().all(|v| v.router.traced().is_empty()));
         assert_eq!(h.paths.len(), 1, "tick-driven work adds no path");

@@ -10,8 +10,8 @@ use crate::sim::{NodeCtx, NodeLogic};
 use crate::time::Time;
 use bytes::Bytes;
 use escape_packet::{
-    ArpPacket, EtherType, EthernetFrame, FramePool, IcmpPacket, IcmpType, IpProtocol, Ipv4Packet,
-    MacAddr, Packet, PacketBuilder, UdpDatagram,
+    ArpPacket, EtherType, EthernetFrame, EthernetHeader, FramePool, IcmpPacket, IcmpType,
+    IpProtocol, Ipv4Header, Ipv4Packet, MacAddr, Packet, PacketBuilder, UdpHeader,
 };
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -343,9 +343,9 @@ impl Host {
         }
     }
 
-    fn handle_arp(&mut self, ctx: &mut NodeCtx<'_>, eth: &EthernetFrame) {
+    fn handle_arp(&mut self, ctx: &mut NodeCtx<'_>, payload: &[u8]) {
         self.stats.arp_rx += 1;
-        let Ok(arp) = ArpPacket::decode(&eth.payload) else {
+        let Ok(arp) = ArpPacket::decode(payload) else {
             return;
         };
         // Learn the sender binding either way.
@@ -359,8 +359,14 @@ impl Host {
         }
     }
 
-    fn handle_ipv4(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Packet, eth: &EthernetFrame) {
-        let Ok(ip) = Ipv4Packet::decode(&eth.payload) else {
+    fn handle_ipv4(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        pkt: &Packet,
+        eth: &EthernetHeader,
+        payload: &[u8],
+    ) {
+        let Ok((ip, l4)) = Ipv4Header::parse(payload) else {
             return;
         };
         if ip.dst != self.ip {
@@ -368,7 +374,7 @@ impl Host {
         }
         match ip.protocol {
             IpProtocol::Udp => {
-                if let Ok(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) {
+                if let Ok((udp, data)) = UdpHeader::parse(l4, ip.src, ip.dst) {
                     self.stats.udp_rx += 1;
                     self.stats.bytes_rx += pkt.len() as u64;
                     if pkt.born_ns != 0 {
@@ -383,15 +389,15 @@ impl Host {
                             src: ip.src,
                             src_port: udp.src_port,
                             born_ns: pkt.born_ns,
-                            payload: udp.payload.to_vec(),
+                            payload: data.to_vec(),
                         });
                     } else if self.inbox.len() < INBOX_CAP {
-                        self.inbox.push(udp.payload.to_vec());
+                        self.inbox.push(data.to_vec());
                     }
                 }
             }
             IpProtocol::Icmp => {
-                if let Ok(icmp) = IcmpPacket::decode(&ip.payload) {
+                if let Ok(icmp) = IcmpPacket::decode(l4) {
                     match icmp.icmp_type {
                         IcmpType::EchoRequest => {
                             self.stats.icmp_echo_rx += 1;
@@ -428,15 +434,15 @@ impl Host {
 
 impl NodeLogic for Host {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, _port: u16, pkt: Packet) {
-        let Ok(eth) = EthernetFrame::decode(&pkt.data) else {
+        let Ok((eth, payload)) = EthernetHeader::parse(&pkt.data) else {
             return;
         };
         if eth.dst != self.mac && !eth.dst.is_broadcast() {
             return; // promiscuous filtering off
         }
         match eth.ethertype {
-            EtherType::Arp => self.handle_arp(ctx, &eth),
-            EtherType::Ipv4 => self.handle_ipv4(ctx, &pkt, &eth),
+            EtherType::Arp => self.handle_arp(ctx, payload),
+            EtherType::Ipv4 => self.handle_ipv4(ctx, &pkt, &eth, payload),
             _ => {}
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::mac::MacAddr;
 use crate::ParseError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Ethernet II header length.
 pub const HEADER_LEN: usize = 14;
@@ -39,6 +39,46 @@ impl EtherType {
     }
 }
 
+/// The fields of an Ethernet II header, read in place by
+/// [`EthernetHeader::parse`] and written by [`EthernetHeader::put`]: the
+/// one reader and the one writer of the format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EthernetHeader {
+    pub dst: MacAddr,
+    pub src: MacAddr,
+    pub ethertype: EtherType,
+}
+
+impl EthernetHeader {
+    /// Reads the header of `data`, returning it with the payload slice
+    /// that follows it. Nothing is copied.
+    pub fn parse(data: &[u8]) -> Result<(EthernetHeader, &[u8]), ParseError> {
+        if data.len() < HEADER_LEN {
+            return Err(ParseError::Truncated {
+                needed: HEADER_LEN,
+                got: data.len(),
+            });
+        }
+        let mut dst = [0u8; 6];
+        dst.copy_from_slice(&data[0..6]);
+        let mut src = [0u8; 6];
+        src.copy_from_slice(&data[6..12]);
+        let header = EthernetHeader {
+            dst: MacAddr(dst),
+            src: MacAddr(src),
+            ethertype: EtherType::from_u16(u16::from_be_bytes([data[12], data[13]])),
+        };
+        Ok((header, &data[HEADER_LEN..]))
+    }
+
+    /// Appends the 14 header bytes to `buf`.
+    pub fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.dst.0);
+        buf.extend_from_slice(&self.src.0);
+        buf.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
+    }
+}
+
 /// A decoded Ethernet II frame: header fields plus opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EthernetFrame {
@@ -59,35 +99,33 @@ impl EthernetFrame {
         }
     }
 
-    /// Decodes a frame from raw bytes.
+    /// Decodes a frame from raw bytes: [`EthernetHeader::parse`] plus a
+    /// copy of the payload.
     pub fn decode(data: &[u8]) -> Result<Self, ParseError> {
-        if data.len() < HEADER_LEN {
-            return Err(ParseError::Truncated {
-                needed: HEADER_LEN,
-                got: data.len(),
-            });
+        let (h, payload) = EthernetHeader::parse(data)?;
+        Ok(EthernetFrame::new(
+            h.dst,
+            h.src,
+            h.ethertype,
+            Bytes::copy_from_slice(payload),
+        ))
+    }
+
+    /// The header fields of this frame.
+    pub fn header(&self) -> EthernetHeader {
+        EthernetHeader {
+            dst: self.dst,
+            src: self.src,
+            ethertype: self.ethertype,
         }
-        let mut dst = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        let mut src = [0u8; 6];
-        src.copy_from_slice(&data[6..12]);
-        let ethertype = EtherType::from_u16(u16::from_be_bytes([data[12], data[13]]));
-        Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..]),
-        })
     }
 
     /// Encodes the frame to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype.to_u16());
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(self.wire_len());
+        self.header().put(&mut buf);
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
     }
 
     /// Total encoded length.

@@ -4,8 +4,8 @@
 //! controller's match construction and Click's `Classifier`: one parse of a
 //! frame yields every field OpenFlow 1.0 can match on.
 
-use crate::ether::{EtherType, EthernetFrame};
-use crate::ipv4::{IpProtocol, Ipv4Packet};
+use crate::ether::{EtherType, EthernetHeader};
+use crate::ipv4::{IpProtocol, Ipv4Header};
 use crate::mac::MacAddr;
 use crate::ParseError;
 use std::net::Ipv4Addr;
@@ -32,7 +32,7 @@ impl FlowKey {
     /// fields `None` (matching how a hardware switch parses what it can),
     /// but an unparseable *Ethernet* layer is an error.
     pub fn extract(frame: &[u8]) -> Result<FlowKey, ParseError> {
-        let eth = EthernetFrame::decode(frame)?;
+        let (eth, eth_payload) = EthernetHeader::parse(frame)?;
         let mut key = FlowKey {
             eth_src: eth.src,
             eth_dst: eth.dst,
@@ -46,7 +46,7 @@ impl FlowKey {
             tp_dst: None,
         };
         if eth.ethertype == EtherType::Ipv4 {
-            if let Ok(ip) = Ipv4Packet::decode(&eth.payload) {
+            if let Ok((ip, l4)) = Ipv4Header::parse(eth_payload) {
                 key.ip_src = Some(ip.src);
                 key.ip_dst = Some(ip.dst);
                 key.ip_proto = Some(ip.protocol.to_u8());
@@ -56,16 +56,16 @@ impl FlowKey {
                         // Ports sit in the same place for both protocols and
                         // matching must work even if the checksum context is
                         // unavailable, so read them positionally.
-                        if ip.payload.len() >= 4 {
-                            key.tp_src = Some(u16::from_be_bytes([ip.payload[0], ip.payload[1]]));
-                            key.tp_dst = Some(u16::from_be_bytes([ip.payload[2], ip.payload[3]]));
+                        if let [s0, s1, d0, d1, ..] = *l4 {
+                            key.tp_src = Some(u16::from_be_bytes([s0, s1]));
+                            key.tp_dst = Some(u16::from_be_bytes([d0, d1]));
                         }
                     }
                     IpProtocol::Icmp => {
                         // OpenFlow 1.0 maps ICMP type/code onto tp_src/tp_dst.
-                        if ip.payload.len() >= 2 {
-                            key.tp_src = Some(ip.payload[0] as u16);
-                            key.tp_dst = Some(ip.payload[1] as u16);
+                        if let [icmp_type, code, ..] = *l4 {
+                            key.tp_src = Some(icmp_type.into());
+                            key.tp_dst = Some(code.into());
                         }
                     }
                     IpProtocol::Other(_) => {}
@@ -107,6 +107,7 @@ impl FlowKey {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::ether::EthernetFrame;
     use bytes::Bytes;
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::checksum;
 use crate::ParseError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// Length of the option-less IPv4 header this stack emits.
@@ -40,9 +40,11 @@ impl IpProtocol {
     }
 }
 
-/// A decoded IPv4 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
+/// The fields of an IPv4 header, read in place by [`Ipv4Header::parse`]
+/// and written by [`Ipv4Header::put`]: the one reader and the one writer
+/// of the format. Options are skipped on read and never written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ipv4Header {
     pub dscp: u8,
     pub ecn: u8,
     pub identification: u16,
@@ -51,27 +53,13 @@ pub struct Ipv4Packet {
     pub protocol: IpProtocol,
     pub src: Ipv4Addr,
     pub dst: Ipv4Addr,
-    pub payload: Bytes,
 }
 
-impl Ipv4Packet {
-    /// Builds a packet with sensible defaults (TTL 64, DF set).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Self {
-        Ipv4Packet {
-            dscp: 0,
-            ecn: 0,
-            identification: 0,
-            dont_fragment: true,
-            ttl: 64,
-            protocol,
-            src,
-            dst,
-            payload,
-        }
-    }
-
-    /// Decodes an IPv4 packet, validating the header checksum.
-    pub fn decode(data: &[u8]) -> Result<Self, ParseError> {
+impl Ipv4Header {
+    /// Validates the header of `data` (version, IHL, checksum, total
+    /// length, no fragmentation) and returns it with the payload slice
+    /// `data[ihl..total_len]`. Nothing is copied.
+    pub fn parse(data: &[u8]) -> Result<(Ipv4Header, &[u8]), ParseError> {
         if data.len() < HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: HEADER_LEN,
@@ -124,7 +112,7 @@ impl Ipv4Packet {
                 value: frag_off as u64,
             });
         }
-        Ok(Ipv4Packet {
+        let header = Ipv4Header {
             dscp: data[1] >> 2,
             ecn: data[1] & 0x03,
             identification: u16::from_be_bytes([data[4], data[5]]),
@@ -133,29 +121,96 @@ impl Ipv4Packet {
             protocol: IpProtocol::from_u8(data[9]),
             src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
             dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+        };
+        Ok((header, &data[ihl..total_len]))
+    }
+
+    /// Appends the option-less 20-byte header of a packet carrying
+    /// `payload_len` bytes, with a correct header checksum.
+    pub fn put(&self, buf: &mut Vec<u8>, payload_len: usize) {
+        let start = buf.len();
+        buf.push(0x45); // version 4, IHL 5
+        buf.push((self.dscp << 2) | (self.ecn & 0x03));
+        buf.extend_from_slice(&((HEADER_LEN + payload_len) as u16).to_be_bytes());
+        buf.extend_from_slice(&self.identification.to_be_bytes());
+        buf.extend_from_slice(&(if self.dont_fragment { 0x4000u16 } else { 0 }).to_be_bytes());
+        buf.push(self.ttl);
+        buf.push(self.protocol.to_u8());
+        buf.extend_from_slice(&[0, 0]); // checksum placeholder
+        buf.extend_from_slice(&self.src.octets());
+        buf.extend_from_slice(&self.dst.octets());
+        let c = checksum::checksum(&buf[start..]);
+        buf[start + 10..start + 12].copy_from_slice(&c.to_be_bytes());
+    }
+}
+
+/// A decoded IPv4 packet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ipv4Packet {
+    pub dscp: u8,
+    pub ecn: u8,
+    pub identification: u16,
+    pub dont_fragment: bool,
+    pub ttl: u8,
+    pub protocol: IpProtocol,
+    pub src: Ipv4Addr,
+    pub dst: Ipv4Addr,
+    pub payload: Bytes,
+}
+
+impl Ipv4Packet {
+    /// Builds a packet with sensible defaults (TTL 64, DF set).
+    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Self {
+        Ipv4Packet {
+            dscp: 0,
+            ecn: 0,
+            identification: 0,
+            dont_fragment: true,
+            ttl: 64,
+            protocol,
+            src,
+            dst,
+            payload,
+        }
+    }
+
+    /// Decodes an IPv4 packet, validating the header checksum:
+    /// [`Ipv4Header::parse`] plus a copy of the payload.
+    pub fn decode(data: &[u8]) -> Result<Self, ParseError> {
+        let (h, payload) = Ipv4Header::parse(data)?;
+        Ok(Ipv4Packet {
+            dscp: h.dscp,
+            ecn: h.ecn,
+            identification: h.identification,
+            dont_fragment: h.dont_fragment,
+            ttl: h.ttl,
+            protocol: h.protocol,
+            src: h.src,
+            dst: h.dst,
+            payload: Bytes::copy_from_slice(payload),
         })
+    }
+
+    /// The header fields of this packet.
+    pub fn header(&self) -> Ipv4Header {
+        Ipv4Header {
+            dscp: self.dscp,
+            ecn: self.ecn,
+            identification: self.identification,
+            dont_fragment: self.dont_fragment,
+            ttl: self.ttl,
+            protocol: self.protocol,
+            src: self.src,
+            dst: self.dst,
+        }
     }
 
     /// Encodes to wire bytes with a correct header checksum.
     pub fn encode(&self) -> Bytes {
-        let total_len = HEADER_LEN + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total_len);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8((self.dscp << 2) | (self.ecn & 0x03));
-        buf.put_u16(total_len as u16);
-        buf.put_u16(self.identification);
-        buf.put_u16(if self.dont_fragment { 0x4000 } else { 0 });
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol.to_u8());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let c = checksum::checksum(&buf);
-        buf[10] = (c >> 8) as u8;
-        buf[11] = (c & 0xff) as u8;
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        let mut buf = Vec::with_capacity(self.wire_len());
+        self.header().put(&mut buf, self.payload.len());
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
     }
 
     /// Returns a copy with TTL decremented, or `None` when the TTL expires.

@@ -6,6 +6,11 @@
 //! network: Ethernet II, ARP, IPv4, UDP, TCP and ICMPv4. Every format has a
 //! typed, owned representation that can be decoded from and encoded to raw
 //! bytes; encode/decode are exact inverses (checked by property tests).
+//! Ethernet, IPv4 and UDP also have a header type whose `parse` reads the
+//! header in place and returns the payload as a slice, and whose `put`
+//! writes it: `decode` is `parse` plus one payload copy and `encode` is
+//! `put` plus the payload, so each format is validated and written in
+//! exactly one place, and the per-frame path need not copy to read.
 //!
 //! Design notes (following the smoltcp philosophy):
 //! * simplicity over cleverness — owned structs with explicit fields, no
@@ -32,14 +37,14 @@ pub mod udp;
 
 pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
-pub use ether::{EtherType, EthernetFrame};
+pub use ether::{EtherType, EthernetFrame, EthernetHeader};
 pub use flowkey::FlowKey;
 pub use icmp::{IcmpPacket, IcmpType};
-pub use ipv4::{IpProtocol, Ipv4Packet};
+pub use ipv4::{IpProtocol, Ipv4Header, Ipv4Packet};
 pub use mac::MacAddr;
 pub use pool::FramePool;
 pub use tcp::TcpSegment;
-pub use udp::UdpDatagram;
+pub use udp::{UdpDatagram, UdpHeader};
 
 use bytes::Bytes;
 

@@ -3,34 +3,31 @@
 use crate::checksum::pseudo_header_checksum;
 use crate::ipv4::IpProtocol;
 use crate::ParseError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
 
-/// A decoded UDP datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// The ports of a UDP header, read in place by [`UdpHeader::parse`] and
+/// written, with the datagram they head, by [`UdpHeader::put`]: the one
+/// reader and the one writer of the format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpHeader {
     pub src_port: u16,
     pub dst_port: u16,
-    pub payload: Bytes,
 }
 
-impl UdpDatagram {
-    /// Creates a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> Self {
-        UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        }
-    }
-
-    /// Decodes a datagram and validates its checksum against the
-    /// IPv4 pseudo-header (`src`/`dst` from the enclosing IP packet).
-    /// A zero checksum means "not computed" and is accepted per RFC 768.
-    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+impl UdpHeader {
+    /// Validates the datagram in `data` (length, and the checksum against
+    /// the IPv4 pseudo-header of `src`/`dst`) and returns its header with
+    /// the payload slice `data[8..length]`. Nothing is copied. A zero
+    /// checksum means "not computed" and is accepted per RFC 768.
+    pub fn parse(
+        data: &[u8],
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<(UdpHeader, &[u8]), ParseError> {
         if data.len() < HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: HEADER_LEN,
@@ -54,29 +51,73 @@ impl UdpDatagram {
                 });
             }
         }
-        Ok(UdpDatagram {
+        let header = UdpHeader {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..length]),
-        })
+        };
+        Ok((header, &data[HEADER_LEN..length]))
+    }
+
+    /// Appends the datagram this header heads, `payload` included, with a
+    /// checksum computed over the pseudo-header of `src`/`dst`.
+    pub fn put(&self, buf: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) {
+        let start = buf.len();
+        buf.extend_from_slice(&self.src_port.to_be_bytes());
+        buf.extend_from_slice(&self.dst_port.to_be_bytes());
+        buf.extend_from_slice(&((HEADER_LEN + payload.len()) as u16).to_be_bytes());
+        buf.extend_from_slice(&[0, 0]); // checksum placeholder
+        buf.extend_from_slice(payload);
+        let mut c = pseudo_header_checksum(src, dst, IpProtocol::Udp.to_u8(), &buf[start..]);
+        if c == 0 {
+            c = 0xffff; // RFC 768: transmit all-ones when the sum is zero
+        }
+        buf[start + 6..start + 8].copy_from_slice(&c.to_be_bytes());
+    }
+}
+
+/// A decoded UDP datagram.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UdpDatagram {
+    pub src_port: u16,
+    pub dst_port: u16,
+    pub payload: Bytes,
+}
+
+impl UdpDatagram {
+    /// Creates a datagram.
+    pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> Self {
+        UdpDatagram {
+            src_port,
+            dst_port,
+            payload,
+        }
+    }
+
+    /// Decodes a datagram and validates its checksum against the
+    /// IPv4 pseudo-header (`src`/`dst` from the enclosing IP packet):
+    /// [`UdpHeader::parse`] plus a copy of the payload.
+    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+        let (h, payload) = UdpHeader::parse(data, src, dst)?;
+        Ok(UdpDatagram::new(
+            h.src_port,
+            h.dst_port,
+            Bytes::copy_from_slice(payload),
+        ))
+    }
+
+    /// The header fields of this datagram.
+    pub fn header(&self) -> UdpHeader {
+        UdpHeader {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+        }
     }
 
     /// Encodes with a checksum computed over the given pseudo-header.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
-        let length = HEADER_LEN + self.payload.len();
-        let mut buf = BytesMut::with_capacity(length);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(length as u16);
-        buf.put_u16(0);
-        buf.put_slice(&self.payload);
-        let mut c = pseudo_header_checksum(src, dst, IpProtocol::Udp.to_u8(), &buf);
-        if c == 0 {
-            c = 0xffff; // RFC 768: transmit all-ones when the sum is zero
-        }
-        buf[6] = (c >> 8) as u8;
-        buf[7] = (c & 0xff) as u8;
-        buf.freeze()
+        let mut buf = Vec::with_capacity(self.wire_len());
+        self.header().put(&mut buf, src, dst, &self.payload);
+        Bytes::from(buf)
     }
 
     /// Total encoded length.

@@ -1,11 +1,14 @@
-//! The flight recorder adds no heap allocation per frame once it is warm.
+//! The dataplane, and the flight recorder on it, add no heap allocation
+//! per frame once they are warm.
 //!
 //! A counting global allocator tallies this thread's allocations. Two
 //! environments run the same chain under the same stream, one with the
 //! recorder off and one with a ring small enough to wrap; after a
 //! warm-up, both must allocate exactly as often over the same stretch of
 //! virtual time. A recorder that copies a name, a path or a payload per
-//! frame shows up as thousands of extra allocations.
+//! frame shows up as thousands of extra allocations. With the recorder
+//! off, the count itself is pinned: nothing for chains that only read
+//! headers, one new frame for each frame a NAT rewrites.
 
 use escape::env::Escape;
 use escape_orch::NearestNeighbor;
@@ -56,15 +59,22 @@ fn allocs() -> u64 {
 /// Allocations made by the second 100 ms of a fw+monitor chain carrying
 /// one frame every 20 µs, with a trace ring of `ring` records (0: off).
 fn steady_allocs(ring: usize) -> u64 {
+    chain_allocs(ring, "firewall", "monitor")
+}
+
+/// Allocations made by the second 100 ms (5 000 frames) of a chain of a
+/// `first` and a `second` VNF on `linear(3)`, with a trace ring of `ring`
+/// records (0: off).
+fn chain_allocs(ring: usize, first: &str, second: &str) -> u64 {
     let topo = builders::linear(3, 4.0);
     let mut esc =
         Escape::build(topo, Box::new(NearestNeighbor), SteeringMode::Proactive, 7).unwrap();
     let sg = ServiceGraph::new()
         .sap("sap0")
         .sap("sap1")
-        .vnf("fw", "firewall", 1.0, 256)
-        .vnf("mon", "monitor", 0.5, 64)
-        .chain("demo", &["sap0", "fw", "mon", "sap1"], 100.0, Some(50_000));
+        .vnf("v1", first, 1.0, 256)
+        .vnf("v2", second, 0.5, 64)
+        .chain("demo", &["sap0", "v1", "v2", "sap1"], 100.0, Some(50_000));
     esc.deploy(&sg).unwrap();
     esc.enable_flight_recorder(ring);
     esc.start_udp("sap0", "sap1", 128, 20, 1_000_000).unwrap();
@@ -88,5 +98,21 @@ fn the_recorder_allocates_nothing_per_frame() {
     assert_eq!(
         on, off,
         "a wrapping recorder made {on} allocations where none made {off}"
+    );
+}
+
+#[test]
+fn the_dataplane_allocates_only_the_frames_a_nat_rewrites() {
+    for (first, second) in [("firewall", "monitor"), ("dpi", "firewall")] {
+        let made = chain_allocs(0, first, second);
+        assert_eq!(
+            made, 0,
+            "{first}+{second}: {made} allocations in 5 000 frames"
+        );
+    }
+    let made = chain_allocs(0, "monitor", "nat");
+    assert_eq!(
+        made, 5_000,
+        "monitor+nat: {made} allocations in 5 000 frames"
     );
 }
