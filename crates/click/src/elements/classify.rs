@@ -375,19 +375,19 @@ mod tests {
     #[test]
     fn ip_expr_conjunctions() {
         let e = IpExpr::parse("udp and dst port 53").unwrap();
-        assert!(e.matches(&udp_frame(53).flow_key().unwrap()));
-        assert!(!e.matches(&udp_frame(80).flow_key().unwrap()));
+        assert!(e.matches(&FlowKey::extract(&udp_frame(53).data).unwrap()));
+        assert!(!e.matches(&FlowKey::extract(&udp_frame(80).data).unwrap()));
         let e = IpExpr::parse("src host 10.0.0.1").unwrap();
-        assert!(e.matches(&udp_frame(1).flow_key().unwrap()));
+        assert!(e.matches(&FlowKey::extract(&udp_frame(1).data).unwrap()));
         let e = IpExpr::parse("host 10.0.0.2 and tcp").unwrap();
-        assert!(!e.matches(&udp_frame(1).flow_key().unwrap()));
+        assert!(!e.matches(&FlowKey::extract(&udp_frame(1).data).unwrap()));
         let e = IpExpr::parse("dst net 10.0.0.0/8").unwrap();
-        assert!(e.matches(&udp_frame(1).flow_key().unwrap()));
+        assert!(e.matches(&FlowKey::extract(&udp_frame(1).data).unwrap()));
         let e = IpExpr::parse("dst net 11.0.0.0/8").unwrap();
-        assert!(!e.matches(&udp_frame(1).flow_key().unwrap()));
+        assert!(!e.matches(&FlowKey::extract(&udp_frame(1).data).unwrap()));
         assert!(IpExpr::parse("port 4444")
             .unwrap()
-            .matches(&udp_frame(1).flow_key().unwrap()));
+            .matches(&FlowKey::extract(&udp_frame(1).data).unwrap()));
     }
 
     #[test]

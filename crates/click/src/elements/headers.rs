@@ -1,14 +1,15 @@
 //! Header surgery: strip/encap, sanity checks, TTL and DSCP rewriting.
 //!
 //! These elements operate on full Ethernet frames (ESCAPE VNF ports carry
-//! Ethernet), decoding and re-encoding the affected layers so checksums
-//! stay correct.
+//! Ethernet). TTL and DSCP edits go through [`escape_packet::rewrite()`],
+//! which writes the IPv4 header back with a fresh checksum.
 
 use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
+use bytes::Bytes;
 use escape_packet::{
-    EtherType, EthernetFrame, EthernetHeader, Ipv4Header, Ipv4Packet, MacAddr, Packet,
+    rewrite, EtherType, EthernetHeader, Ipv4Header, MacAddr, Packet, PacketBuilder,
 };
 
 pub fn install(r: &mut Registry) {
@@ -19,11 +20,12 @@ pub fn install(r: &mut Registry) {
     });
     r.register("EtherEncap", |a| {
         args::max(a, 3)?;
-        let ethertype = a
+        let hex = a
             .first()
             .ok_or("missing ethertype")?
-            .trim_start_matches("0x")
-            .pipe_parse_hex()?;
+            .trim_start_matches("0x");
+        let ethertype =
+            u16::from_str_radix(hex, 16).map_err(|_| format!("bad hex ethertype {hex:?}"))?;
         let src: MacAddr = a
             .get(1)
             .ok_or("missing source MAC")?
@@ -35,7 +37,7 @@ pub fn install(r: &mut Registry) {
             .parse()
             .map_err(|_| "bad destination MAC".to_string())?;
         Ok(Box::new(EtherEncap {
-            ethertype,
+            ethertype: EtherType::from_u16(ethertype),
             src,
             dst,
         }))
@@ -46,7 +48,7 @@ pub fn install(r: &mut Registry) {
     });
     r.register("DecIPTTL", |a| {
         args::max(a, 0)?;
-        Ok(Box::new(DecIpTtl { expired: 0 }))
+        Ok(Box::new(DecIpTtl::default()))
     });
     r.register("SetIPDSCP", |a| {
         args::max(a, 1)?;
@@ -54,18 +56,11 @@ pub fn install(r: &mut Registry) {
         if dscp > 63 {
             return Err("dscp must be 0..=63".into());
         }
-        Ok(Box::new(SetIpDscp { dscp }))
+        Ok(Box::new(SetIpDscp {
+            dscp,
+            frame: Vec::new(),
+        }))
     });
-}
-
-trait HexParse {
-    fn pipe_parse_hex(&self) -> Result<u16, String>;
-}
-
-impl HexParse for str {
-    fn pipe_parse_hex(&self) -> Result<u16, String> {
-        u16::from_str_radix(self, 16).map_err(|_| format!("bad hex ethertype {self:?}"))
-    }
 }
 
 /// Removes the first `n` bytes of the packet.
@@ -94,7 +89,7 @@ impl Element for Strip {
 
 /// Prepends a fresh Ethernet header.
 pub struct EtherEncap {
-    ethertype: u16,
+    ethertype: EtherType,
     src: MacAddr,
     dst: MacAddr,
 }
@@ -107,13 +102,9 @@ impl Element for EtherEncap {
         (1, 1)
     }
     fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, mut pkt: Packet) {
-        let frame = EthernetFrame::new(
-            self.dst,
-            self.src,
-            EtherType::from_u16(self.ethertype),
-            pkt.data.clone(),
-        );
-        pkt.data = frame.encode();
+        pkt.data = PacketBuilder::ethernet(self.src, self.dst, self.ethertype, |buf| {
+            buf.extend_from_slice(&pkt.data)
+        });
         ctx.emit(0, pkt);
     }
     fn cost_ns(&self) -> u64 {
@@ -155,9 +146,37 @@ impl Element for CheckIpHeader {
     }
 }
 
+/// Runs `edit` on the IPv4 header of `pkt` through `scratch` and emits
+/// the rewritten frame when it returns true. A frame that is not IPv4
+/// passes untouched; one whose Ethernet or IPv4 header does not parse is
+/// dropped.
+fn edit_ipv4(
+    ctx: &mut ElemCtx<'_>,
+    scratch: &mut Vec<u8>,
+    mut pkt: Packet,
+    edit: impl FnOnce(&mut Ipv4Header) -> bool,
+) {
+    // `Some(true)`: rewritten into `scratch`; `Some(false)`: not IPv4.
+    let edited = rewrite(&pkt.data, scratch, |h| {
+        if h.eth.ethertype != EtherType::Ipv4 {
+            return Some(false);
+        }
+        edit(h.ip_mut()?).then_some(true)
+    });
+    match edited {
+        Ok(Some(true)) => pkt.data = Bytes::copy_from_slice(scratch),
+        Ok(Some(false)) => {}
+        _ => return,
+    }
+    ctx.emit(0, pkt);
+}
+
 /// Decrements the IPv4 TTL, dropping expired packets.
+#[derive(Default)]
 pub struct DecIpTtl {
     expired: u64,
+    /// The rewritten frame is written here, then copied out once.
+    frame: Vec<u8>,
 }
 
 impl Element for DecIpTtl {
@@ -167,25 +186,16 @@ impl Element for DecIpTtl {
     fn ports(&self) -> (usize, usize) {
         (1, 1)
     }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, mut pkt: Packet) {
-        let Ok(eth) = EthernetFrame::decode(&pkt.data) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            ctx.emit(0, pkt); // non-IP passes through untouched
-            return;
-        }
-        let Ok(ip) = Ipv4Packet::decode(&eth.payload) else {
-            return;
-        };
-        match ip.decrement_ttl() {
-            Some(newip) => {
-                let frame = EthernetFrame::new(eth.dst, eth.src, eth.ethertype, newip.encode());
-                pkt.data = frame.encode();
-                ctx.emit(0, pkt);
+    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
+        let expired = &mut self.expired;
+        edit_ipv4(ctx, &mut self.frame, pkt, |ip| {
+            if ip.ttl <= 1 {
+                *expired += 1;
+                return false;
             }
-            None => self.expired += 1,
-        }
+            ip.ttl -= 1;
+            true
+        });
     }
     fn read_handler(&self, name: &str) -> Option<String> {
         match name {
@@ -201,6 +211,8 @@ impl Element for DecIpTtl {
 /// Overwrites the IPv4 DSCP field (used by the QoS-marking catalog VNF).
 pub struct SetIpDscp {
     dscp: u8,
+    /// The rewritten frame is written here, then copied out once.
+    frame: Vec<u8>,
 }
 
 impl Element for SetIpDscp {
@@ -210,21 +222,12 @@ impl Element for SetIpDscp {
     fn ports(&self) -> (usize, usize) {
         (1, 1)
     }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, mut pkt: Packet) {
-        let Ok(eth) = EthernetFrame::decode(&pkt.data) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            ctx.emit(0, pkt);
-            return;
-        }
-        let Ok(mut ip) = Ipv4Packet::decode(&eth.payload) else {
-            return;
-        };
-        ip.dscp = self.dscp;
-        let frame = EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.encode());
-        pkt.data = frame.encode();
-        ctx.emit(0, pkt);
+    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
+        let dscp = self.dscp;
+        edit_ipv4(ctx, &mut self.frame, pkt, |ip| {
+            ip.dscp = dscp;
+            true
+        });
     }
     fn cost_ns(&self) -> u64 {
         80
@@ -236,7 +239,6 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::router::Router;
-    use bytes::Bytes;
     use escape_netem::Time;
     use escape_packet::PacketBuilder;
     use std::net::Ipv4Addr;
@@ -269,11 +271,11 @@ mod tests {
         );
         let out = r.push_external(0, udp_pkt(), Time::ZERO);
         assert_eq!(out.external.len(), 1);
-        let eth = EthernetFrame::decode(&out.external[0].1.data).unwrap();
+        let (eth, l3) = EthernetHeader::parse(&out.external[0].1.data).unwrap();
         assert_eq!(eth.src, MacAddr::from_id(9));
         assert_eq!(eth.dst, MacAddr::from_id(10));
         // IP layer is untouched and still valid.
-        Ipv4Packet::decode(&eth.payload).unwrap();
+        Ipv4Header::parse(l3).unwrap();
     }
 
     #[test]
@@ -289,37 +291,27 @@ mod tests {
         assert_eq!(r.read_handler("c.drops").unwrap(), "1");
     }
 
+    /// The IPv4 header of an emitted frame (its checksum verified).
+    fn ip_of(frame: &[u8]) -> Ipv4Header {
+        let (_, l3) = EthernetHeader::parse(frame).unwrap();
+        Ipv4Header::parse(l3).unwrap().0
+    }
+
     #[test]
     fn ttl_decrements_and_expires() {
         let mut r = mk("FromDevice(0) -> d :: DecIPTTL -> ToDevice(0);");
         let out = r.push_external(0, udp_pkt(), Time::ZERO);
-        let eth = EthernetFrame::decode(&out.external[0].1.data).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
-        assert_eq!(ip.ttl, 63);
+        assert_eq!(ip_of(&out.external[0].1.data).ttl, 63);
         // A TTL-1 packet expires.
-        let mut low = Ipv4Packet::new(
-            Ipv4Addr::new(1, 1, 1, 1),
-            Ipv4Addr::new(2, 2, 2, 2),
-            escape_packet::IpProtocol::Udp,
-            Bytes::new(),
-        );
-        low.ttl = 1;
-        let frame = EthernetFrame::new(
-            MacAddr::from_id(1),
-            MacAddr::from_id(2),
-            EtherType::Ipv4,
-            low.encode(),
-        )
-        .encode();
-        let out = r.push_external(
-            0,
-            Packet {
-                data: frame,
-                id: 0,
-                born_ns: 0,
-            },
-            Time::ZERO,
-        );
+        let mut low = udp_pkt();
+        let mut frame = low.data.to_vec();
+        frame[14 + 8] = 1;
+        frame[14 + 10..14 + 12].fill(0);
+        let sum = escape_packet::checksum::checksum(&frame[14..34]);
+        frame[14 + 10..14 + 12].copy_from_slice(&sum.to_be_bytes());
+        assert_eq!(ip_of(&frame).ttl, 1);
+        low.data = Bytes::from(frame);
+        let out = r.push_external(0, low, Time::ZERO);
         assert!(out.external.is_empty());
         assert_eq!(r.read_handler("d.expired").unwrap(), "1");
     }
@@ -328,9 +320,7 @@ mod tests {
     fn dscp_is_rewritten_with_valid_checksum() {
         let mut r = mk("FromDevice(0) -> SetIPDSCP(46) -> ToDevice(0);");
         let out = r.push_external(0, udp_pkt(), Time::ZERO);
-        let eth = EthernetFrame::decode(&out.external[0].1.data).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap(); // checksum verified inside
-        assert_eq!(ip.dscp, 46);
+        assert_eq!(ip_of(&out.external[0].1.data).dscp, 46);
     }
 
     #[test]

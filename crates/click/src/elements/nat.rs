@@ -3,18 +3,15 @@
 //! Input/output 0 carry the outbound (private→public) direction: the
 //! source address is rewritten to the configured external IP and the
 //! source port to an allocated external port. Input/output 1 carry the
-//! inbound direction: destination address/port are mapped back. Headers
-//! are read in place and the new frame is written through each format's
-//! header writer, so checksums (IP header and UDP/TCP pseudo-header) are
-//! fresh and the frame costs one allocation.
+//! inbound direction: destination address/port are mapped back. The
+//! frame is rewritten through [`escape_packet::rewrite()`], so the IP and
+//! UDP/TCP checksums are fresh and the frame costs one allocation.
 
 use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
 use bytes::Bytes;
-use escape_packet::{
-    udp, EtherType, EthernetHeader, IpProtocol, Ipv4Header, Packet, TcpSegment, UdpHeader,
-};
+use escape_packet::{rewrite, Packet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -59,73 +56,21 @@ impl IpRewriter {
 
     /// The external port of `key`'s flow, allocated on first sight: the
     /// next port from [`FIRST_PORT`] up, wrapping, that no live mapping
-    /// of `proto` holds. `None` when every port is held.
-    fn alloc_port(&mut self, proto: u8, key: FlowId) -> Option<u16> {
+    /// of `key`'s protocol holds. `None` when every port is held.
+    fn port_for(&mut self, key: FlowId) -> Option<u16> {
         if let Some(&p) = self.forward.get(&key) {
             return Some(p);
         }
         for _ in FIRST_PORT..=u16::MAX {
             let p = self.next_port;
             self.next_port = self.next_port.checked_add(1).unwrap_or(FIRST_PORT);
-            if let Entry::Vacant(slot) = self.reverse.entry((proto, p)) {
+            if let Entry::Vacant(slot) = self.reverse.entry((key.0, p)) {
                 slot.insert((key.1, key.2));
                 self.forward.insert(key, p);
                 return Some(p);
             }
         }
         None
-    }
-
-    /// Reads a frame in place down to transport, lets `f` rewrite the
-    /// (src, dst) addresses and (src, dst) ports, and writes the result
-    /// with fresh checksums. Returns `None` when the frame is not
-    /// rewritable UDP/TCP-in-IPv4 or `f` refuses it. The frame comes out
-    /// as `decode` → rewrite → `encode` would write it: IP options and
-    /// bytes past a length field are dropped.
-    fn rewrite(
-        &mut self,
-        pkt: &Packet,
-        f: impl FnOnce(&mut Self, &mut Ipv4Addr, &mut Ipv4Addr, &mut u16, &mut u16, bool) -> bool,
-    ) -> Option<Packet> {
-        let (eth, l3) = EthernetHeader::parse(&pkt.data).ok()?;
-        if eth.ethertype != EtherType::Ipv4 {
-            return None;
-        }
-        let (mut ip, l4) = Ipv4Header::parse(l3).ok()?;
-        match ip.protocol {
-            IpProtocol::Udp => {
-                let (mut hdr, payload) = UdpHeader::parse(l4, ip.src, ip.dst).ok()?;
-                let (sp, dp) = (&mut hdr.src_port, &mut hdr.dst_port);
-                if !f(self, &mut ip.src, &mut ip.dst, sp, dp, false) {
-                    return None;
-                }
-                let buf = &mut self.frame;
-                buf.clear();
-                eth.put(buf);
-                ip.put(buf, udp::HEADER_LEN + payload.len());
-                hdr.put(buf, ip.src, ip.dst, payload);
-            }
-            IpProtocol::Tcp => {
-                // No workload sends TCP, so the owned codec serves here.
-                let mut tcp = TcpSegment::decode(l4, ip.src, ip.dst).ok()?;
-                let (sp, dp) = (&mut tcp.src_port, &mut tcp.dst_port);
-                if !f(self, &mut ip.src, &mut ip.dst, sp, dp, true) {
-                    return None;
-                }
-                let segment = tcp.encode(ip.src, ip.dst);
-                let buf = &mut self.frame;
-                buf.clear();
-                eth.put(buf);
-                ip.put(buf, segment.len());
-                buf.extend_from_slice(&segment);
-            }
-            _ => return None,
-        }
-        Some(Packet {
-            data: Bytes::copy_from_slice(&self.frame),
-            id: pkt.id,
-            born_ns: pkt.born_ns,
-        })
     }
 }
 
@@ -136,37 +81,37 @@ impl Element for IpRewriter {
     fn ports(&self) -> (usize, usize) {
         (2, 2)
     }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, port: usize, pkt: Packet) {
-        let out = match port {
-            0 => self.rewrite(&pkt, |nat, src, _dst, sp, _dp, is_tcp| {
-                let proto = if is_tcp { 6 } else { 17 };
-                let Some(ext_port) = nat.alloc_port(proto, (proto, *src, *sp)) else {
-                    return false; // every external port is held: drop
-                };
-                *src = nat.external;
-                *sp = ext_port;
-                true
-            }),
-            1 => self.rewrite(&pkt, |nat, _src, dst, _sp, dp, is_tcp| {
-                let proto = if is_tcp { 6 } else { 17 };
-                match nat.reverse.get(&(proto, *dp)) {
-                    Some(&(priv_ip, priv_port)) => {
-                        *dst = priv_ip;
-                        *dp = priv_port;
-                        true
-                    }
-                    None => false, // unsolicited inbound: drop
+    fn push(&mut self, ctx: &mut ElemCtx<'_>, port: usize, mut pkt: Packet) {
+        let mut frame = std::mem::take(&mut self.frame);
+        // `None` drops the frame: not UDP/TCP-in-IPv4, every external
+        // port held, or an unsolicited inbound frame.
+        let mapped = rewrite(&pkt.data, &mut frame, |h| {
+            let (ip, (sport, dport)) = (h.ip()?, h.ports()?);
+            let proto = ip.protocol.to_u8();
+            match port {
+                0 => {
+                    let ext_port = self.port_for((proto, ip.src, sport))?;
+                    h.ip_mut()?.src = self.external;
+                    *h.ports_mut()?.0 = ext_port;
                 }
-            }),
-            _ => None,
-        };
-        match out {
-            Some(p) => {
-                self.rewritten += 1;
-                ctx.emit(port, p);
+                1 => {
+                    let &(priv_ip, priv_port) = self.reverse.get(&(proto, dport))?;
+                    h.ip_mut()?.dst = priv_ip;
+                    *h.ports_mut()?.1 = priv_port;
+                }
+                _ => return None,
             }
-            None => self.dropped += 1,
+            Some(())
+        });
+        match mapped {
+            Ok(Some(())) => {
+                self.rewritten += 1;
+                pkt.data = Bytes::copy_from_slice(&frame);
+                ctx.emit(port, pkt);
+            }
+            _ => self.dropped += 1,
         }
+        self.frame = frame;
     }
     fn read_handler(&self, name: &str) -> Option<String> {
         match name {
@@ -187,7 +132,9 @@ mod tests {
     use crate::registry::Registry;
     use crate::router::Router;
     use escape_netem::Time;
-    use escape_packet::{EthernetFrame, Ipv4Packet, MacAddr, PacketBuilder, UdpDatagram};
+    use escape_packet::{
+        tcp, EthernetHeader, Ipv4Header, MacAddr, PacketBuilder, TcpHeader, UdpHeader,
+    };
 
     const PRIV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
     const SRV: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
@@ -221,9 +168,9 @@ mod tests {
     }
 
     fn parse_udp(p: &Packet) -> (Ipv4Addr, Ipv4Addr, u16, u16) {
-        let eth = EthernetFrame::decode(&p.data).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
-        let udp = UdpDatagram::decode(&ip.payload, ip.src, ip.dst).unwrap();
+        let (_, l3) = EthernetHeader::parse(&p.data).unwrap();
+        let (ip, l4) = Ipv4Header::parse(l3).unwrap();
+        let (udp, _) = UdpHeader::parse(l4, ip.src, ip.dst).unwrap();
         (ip.src, ip.dst, udp.src_port, udp.dst_port)
     }
 
@@ -370,11 +317,11 @@ mod tests {
             Time::ZERO,
         );
         assert_eq!(out.external.len(), 1);
-        let eth = EthernetFrame::decode(&out.external[0].1.data).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
+        let (_, l3) = EthernetHeader::parse(&out.external[0].1.data).unwrap();
+        let (ip, l4) = Ipv4Header::parse(l3).unwrap();
         assert_eq!(ip.src, EXT);
-        let tcp = TcpSegment::decode(&ip.payload, ip.src, ip.dst).unwrap();
-        assert!(tcp.is_syn());
-        assert_eq!(tcp.src_port, 40_000);
+        let (seg, _) = TcpHeader::parse(l4, ip.src, ip.dst).unwrap();
+        assert_eq!(seg.flags, tcp::flags::SYN);
+        assert_eq!(seg.src_port, 40_000);
     }
 }

@@ -232,7 +232,7 @@ impl Parser<'_> {
             return Err(self.err("expected name"));
         }
         Ok(std::str::from_utf8(&self.b[start..self.pos])
-            .unwrap()
+            .expect("the name scanner accepts only ASCII bytes")
             .to_string())
     }
 

@@ -10,8 +10,8 @@ use crate::sim::{NodeCtx, NodeLogic};
 use crate::time::Time;
 use bytes::Bytes;
 use escape_packet::{
-    ArpPacket, EtherType, EthernetFrame, EthernetHeader, FramePool, IcmpPacket, IcmpType,
-    IpProtocol, Ipv4Header, Ipv4Packet, MacAddr, Packet, PacketBuilder, UdpHeader,
+    ArpPacket, EtherType, EthernetHeader, FramePool, IcmpPacket, IcmpType, IpProtocol, Ipv4Header,
+    MacAddr, Packet, PacketBuilder, UdpHeader,
 };
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -352,9 +352,8 @@ impl Host {
         self.arp_table.insert(arp.sender_ip, arp.sender_mac);
         self.flush_pending(ctx, arp.sender_ip, arp.sender_mac);
         if arp.operation == escape_packet::ArpOperation::Request && arp.target_ip == self.ip {
-            let rep = ArpPacket::reply_to(&arp, self.mac).encode();
-            let frame = EthernetFrame::new(arp.sender_mac, self.mac, EtherType::Arp, rep).encode();
-            let pkt = ctx.new_packet(frame);
+            let rep = ArpPacket::reply_to(&arp, self.mac);
+            let pkt = ctx.new_packet(PacketBuilder::arp(self.mac, arp.sender_mac, &rep));
             ctx.send(0, pkt);
         }
     }
@@ -402,10 +401,8 @@ impl Host {
                         IcmpType::EchoRequest => {
                             self.stats.icmp_echo_rx += 1;
                             let rep = IcmpPacket::echo_reply(&icmp).encode();
-                            let ipp =
-                                Ipv4Packet::new(self.ip, ip.src, IpProtocol::Icmp, rep).encode();
-                            let frame = EthernetFrame::new(eth.src, self.mac, EtherType::Ipv4, ipp)
-                                .encode();
+                            let back = Ipv4Header::new(self.ip, ip.src, IpProtocol::Icmp);
+                            let frame = PacketBuilder::ipv4(self.mac, eth.src, back, &rep);
                             let out = ctx.new_packet(frame);
                             ctx.send(0, out);
                         }

@@ -2,7 +2,7 @@
 
 use crate::port;
 use bytes::Bytes;
-use escape_packet::{EtherType, EthernetFrame, Ipv4Packet, MacAddr, TcpSegment, UdpDatagram};
+use escape_packet::{Headers, MacAddr, Packet};
 use std::net::Ipv4Addr;
 
 /// The OF 1.0 action subset ESCAPE uses. `Output` covers physical and
@@ -128,95 +128,48 @@ impl Action {
     }
 }
 
-/// Applies the header-rewrite actions (everything except `Output`) to a
-/// frame, re-encoding affected layers so checksums stay valid. Returns the
-/// rewritten frame and the list of output ports in action order.
-pub fn apply(actions: &[Action], frame: &Bytes) -> (Bytes, Vec<u16>) {
-    let mut outputs = Vec::new();
-    let mut data = frame.clone();
-    for a in actions {
-        match *a {
-            Action::Output { port, .. } => outputs.push(port),
-            Action::SetDlSrc(m) => {
-                if let Ok(mut eth) = EthernetFrame::decode(&data) {
-                    eth.src = m;
-                    data = eth.encode();
-                }
+/// Runs `actions` on `pkt` in order, as OpenFlow 1.0 does: set-field
+/// actions edit the headers, and each `Output` hands `out` its port and
+/// the packet as edited so far. The edits before an `Output` are written
+/// once, through [`escape_packet::rewrite()`] into `scratch`; an `Output`
+/// with no edit before it hands on `pkt` itself (a refcount clone).
+pub fn apply(
+    actions: &[Action],
+    pkt: &Packet,
+    scratch: &mut Vec<u8>,
+    mut out: impl FnMut(u16, &Packet),
+) {
+    let mut current = pkt.clone();
+    // The first set-field action not yet written into `current`.
+    let mut pending = 0;
+    for (i, a) in actions.iter().enumerate() {
+        if let Action::Output { port, .. } = *a {
+            let edits = &actions[pending..i];
+            let edit = |h: &mut Headers| edits.iter().for_each(|a| a.set_field(h));
+            if !edits.is_empty() && escape_packet::rewrite(&current.data, scratch, edit).is_ok() {
+                current.data = Bytes::copy_from_slice(scratch);
             }
-            Action::SetDlDst(m) => {
-                if let Ok(mut eth) = EthernetFrame::decode(&data) {
-                    eth.dst = m;
-                    data = eth.encode();
-                }
-            }
-            Action::SetNwSrc(ip) => data = rewrite_ip(&data, |p| p.src = ip),
-            Action::SetNwDst(ip) => data = rewrite_ip(&data, |p| p.dst = ip),
-            Action::SetNwTos(tos) => data = rewrite_ip(&data, |p| p.dscp = tos >> 2),
-            Action::SetTpSrc(port_) => data = rewrite_tp(&data, |sp, _| *sp = port_),
-            Action::SetTpDst(port_) => data = rewrite_tp(&data, |_, dp| *dp = port_),
+            pending = i + 1;
+            out(port, &current);
         }
     }
-    (data, outputs)
 }
 
-fn rewrite_ip(frame: &Bytes, f: impl FnOnce(&mut Ipv4Packet)) -> Bytes {
-    let Ok(eth) = EthernetFrame::decode(frame) else {
-        return frame.clone();
-    };
-    if eth.ethertype != EtherType::Ipv4 {
-        return frame.clone();
-    }
-    let Ok(mut ip) = Ipv4Packet::decode(&eth.payload) else {
-        return frame.clone();
-    };
-    // Transport checksums depend on the pseudo-header, so re-encode the
-    // transport layer when addresses change.
-    let (old_src, old_dst) = (ip.src, ip.dst);
-    f(&mut ip);
-    if (ip.src, ip.dst) != (old_src, old_dst) {
-        match ip.protocol {
-            escape_packet::IpProtocol::Udp => {
-                if let Ok(u) = UdpDatagram::decode(&ip.payload, old_src, old_dst) {
-                    ip.payload = u.encode(ip.src, ip.dst);
-                }
-            }
-            escape_packet::IpProtocol::Tcp => {
-                if let Ok(t) = TcpSegment::decode(&ip.payload, old_src, old_dst) {
-                    ip.payload = t.encode(ip.src, ip.dst);
-                }
-            }
-            _ => {}
+impl Action {
+    /// Applies a set-field action to `h`; a field whose layer the frame
+    /// lacks is left alone, and `Output` edits nothing.
+    fn set_field(&self, h: &mut Headers) {
+        match *self {
+            Action::Output { .. } => {}
+            Action::SetDlSrc(m) => h.eth.src = m,
+            Action::SetDlDst(m) => h.eth.dst = m,
+            Action::SetNwSrc(ip) => h.ip_mut().into_iter().for_each(|p| p.src = ip),
+            Action::SetNwDst(ip) => h.ip_mut().into_iter().for_each(|p| p.dst = ip),
+            Action::SetNwTos(tos) => h.ip_mut().into_iter().for_each(|p| p.dscp = tos >> 2),
+            Action::SetTpSrc(tp) => h.ports_mut().into_iter().for_each(|(s, _)| *s = tp),
+            Action::SetTpDst(tp) => h.ports_mut().into_iter().for_each(|(_, d)| *d = tp),
         }
     }
-    EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.encode()).encode()
-}
-
-fn rewrite_tp(frame: &Bytes, f: impl FnOnce(&mut u16, &mut u16)) -> Bytes {
-    let Ok(eth) = EthernetFrame::decode(frame) else {
-        return frame.clone();
-    };
-    if eth.ethertype != EtherType::Ipv4 {
-        return frame.clone();
-    }
-    let Ok(mut ip) = Ipv4Packet::decode(&eth.payload) else {
-        return frame.clone();
-    };
-    match ip.protocol {
-        escape_packet::IpProtocol::Udp => {
-            if let Ok(mut u) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) {
-                f(&mut u.src_port, &mut u.dst_port);
-                ip.payload = u.encode(ip.src, ip.dst);
-            }
-        }
-        escape_packet::IpProtocol::Tcp => {
-            if let Ok(mut t) = TcpSegment::decode(&ip.payload, ip.src, ip.dst) {
-                f(&mut t.src_port, &mut t.dst_port);
-                ip.payload = t.encode(ip.src, ip.dst);
-            }
-        }
-        _ => return frame.clone(),
-    }
-    EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.encode()).encode()
 }
 
 /// True if `p` is one of the virtual output ports.
@@ -227,7 +180,7 @@ pub fn is_virtual_port(p: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escape_packet::PacketBuilder;
+    use escape_packet::{EtherType, EthernetHeader, Ipv4Header, PacketBuilder, UdpHeader};
 
     fn frame() -> Bytes {
         PacketBuilder::udp(
@@ -271,6 +224,16 @@ mod tests {
         assert!(Action::decode_list(&[0, 0, 0, 16, 0, 0]).is_none()); // truncated
     }
 
+    /// The (port, frame) pairs `apply` hands on.
+    fn run(actions: &[Action], frame: &Bytes) -> Vec<(u16, Bytes)> {
+        let mut sent = Vec::new();
+        let pkt = Packet::from_bytes(frame.clone());
+        apply(actions, &pkt, &mut Vec::new(), |p, out| {
+            sent.push((p, out.data.clone()))
+        });
+        sent
+    }
+
     #[test]
     fn apply_rewrites_and_collects_outputs() {
         let acts = [
@@ -280,22 +243,43 @@ mod tests {
             Action::out(7),
             Action::out(9),
         ];
-        let (data, outs) = apply(&acts, &frame());
-        assert_eq!(outs, vec![7, 9]);
-        let eth = EthernetFrame::decode(&data).unwrap();
+        let sent = run(&acts, &frame());
+        let ports: Vec<u16> = sent.iter().map(|(p, _)| *p).collect();
+        assert_eq!(ports, vec![7, 9]);
+        assert_eq!(sent[0].1, sent[1].1);
+        let (eth, l3) = EthernetHeader::parse(&sent[0].1).unwrap();
         assert_eq!(eth.dst, MacAddr::from_id(42));
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap(); // checksum ok
+        let (ip, l4) = Ipv4Header::parse(l3).unwrap(); // checksum ok
         assert_eq!(ip.dst, Ipv4Addr::new(192, 168, 9, 9));
-        let udp = UdpDatagram::decode(&ip.payload, ip.src, ip.dst).unwrap(); // checksum ok
+        let (udp, payload) = UdpHeader::parse(l4, ip.src, ip.dst).unwrap(); // checksum ok
         assert_eq!(udp.dst_port, 53);
-        assert_eq!(&udp.payload[..], b"act");
+        assert_eq!(payload, b"act");
+    }
+
+    #[test]
+    fn outputs_see_only_the_edits_before_them() {
+        let f = frame();
+        let acts = [
+            Action::out(1),
+            Action::SetDlDst(MacAddr::from_id(42)),
+            Action::out(2),
+            Action::SetDlSrc(MacAddr::from_id(43)),
+        ];
+        let sent = run(&acts, &f);
+        assert_eq!(sent.len(), 2);
+        assert_eq!(sent[0], (1, f.clone()));
+        let (eth, _) = EthernetHeader::parse(&sent[1].1).unwrap();
+        assert_eq!(
+            (eth.dst, eth.src),
+            (MacAddr::from_id(42), MacAddr::from_id(1))
+        );
     }
 
     #[test]
     fn tos_rewrite_sets_dscp() {
-        let (data, _) = apply(&[Action::SetNwTos(46 << 2)], &frame());
-        let eth = EthernetFrame::decode(&data).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
+        let sent = run(&[Action::SetNwTos(46 << 2), Action::out(1)], &frame());
+        let (_, l3) = EthernetHeader::parse(&sent[0].1).unwrap();
+        let (ip, _) = Ipv4Header::parse(l3).unwrap();
         assert_eq!(ip.dscp, 46);
     }
 
@@ -306,12 +290,13 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
         );
-        let (data, outs) = apply(
+        let sent = run(
             &[Action::SetNwDst(Ipv4Addr::new(9, 9, 9, 9)), Action::out(1)],
             &arp,
         );
-        assert_eq!(data, arp);
-        assert_eq!(outs, vec![1]);
+        assert_eq!(sent, vec![(1, arp.clone())]);
+        let (eth, _) = EthernetHeader::parse(&sent[0].1).unwrap();
+        assert_eq!(eth.ethertype, EtherType::Arp);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub struct Switch {
     xid: u32,
     /// Packet-ins dropped because no controller is attached.
     pub orphan_misses: u64,
+    /// Where set-field actions write the edited frame.
+    scratch: Vec<u8>,
 }
 
 impl Switch {
@@ -71,6 +73,7 @@ impl Switch {
             miss_send_len: 0xffff,
             xid: 1,
             orphan_misses: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -163,7 +166,7 @@ impl Switch {
         ctx.send(p, pkt);
     }
 
-    /// Runs `actions` on `pkt` (from `in_port`) and transmits.
+    /// Runs `actions` on `pkt` (from `in_port`) in order and transmits.
     fn run_actions(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -171,15 +174,11 @@ impl Switch {
         in_port: u16,
         pkt: &Packet,
     ) {
-        let (data, outs) = action::apply(actions, &pkt.data);
-        let newpkt = Packet {
-            data,
-            id: pkt.id,
-            born_ns: pkt.born_ns,
-        };
-        for out in outs {
-            self.emit(ctx, out, in_port, &newpkt);
-        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        action::apply(actions, pkt, &mut scratch, |out, p| {
+            self.emit(ctx, out, in_port, p)
+        });
+        self.scratch = scratch;
     }
 
     fn arm_expiry(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -301,17 +300,7 @@ impl NodeLogic for Switch {
                     },
                 );
             }
-            if actions.iter().all(|a| matches!(a, Action::Output { .. })) {
-                // Pure-output rule: forward the original frame without
-                // the header-rewrite pass.
-                for a in &actions {
-                    if let Action::Output { port: p, .. } = a {
-                        self.emit(ctx, *p, in_port, &pkt);
-                    }
-                }
-            } else {
-                self.run_actions(ctx, &actions, in_port, &pkt);
-            }
+            self.run_actions(ctx, &actions, in_port, &pkt);
             self.table.entry_mut(idx).actions = actions;
             return;
         }
@@ -604,6 +593,28 @@ mod tests {
             "not back out ingress"
         );
         assert_eq!(sim.node_as::<Sink>(sinks[2]).unwrap().rx.len(), 1);
+    }
+
+    #[test]
+    fn actions_run_in_order() {
+        // OpenFlow 1.0 runs an action list in order: a port named before
+        // a set-field action gets the frame as it arrived.
+        let (mut sim, sw, sinks, c, conn) = rig();
+        let mac = MacAddr::from_id(42);
+        let actions = vec![Action::out(1), Action::SetDlDst(mac), Action::out(2)];
+        sim.ctrl_send_from(c, conn, flow_mod_add(Match::any(), 1, actions).encode(1));
+        sim.run(10);
+        let original = frame(80);
+        sim.inject(sw, 0, original.clone(), sim.now());
+        sim.run(100);
+        let rx = |p: usize| -> Vec<Bytes> {
+            let sink = sim.node_as::<Sink>(sinks[p]).unwrap();
+            sink.rx.iter().map(|(_, pkt)| pkt.data.clone()).collect()
+        };
+        let mut rewritten = original.to_vec();
+        rewritten[0..6].copy_from_slice(&mac.0);
+        assert_eq!(rx(1), vec![original]);
+        assert_eq!(rx(2), vec![Bytes::from(rewritten)]);
     }
 
     #[test]

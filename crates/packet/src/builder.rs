@@ -4,12 +4,12 @@
 //! Ethernet frames in one call.
 
 use crate::arp::ArpPacket;
-use crate::ether::{EtherType, EthernetFrame};
+use crate::ether::{EtherType, EthernetHeader};
 use crate::icmp::IcmpPacket;
-use crate::ipv4::{IpProtocol, Ipv4Packet};
+use crate::ipv4::{IpProtocol, Ipv4Header};
 use crate::mac::MacAddr;
-use crate::tcp::{flags, TcpSegment};
-use crate::udp::UdpDatagram;
+use crate::tcp::{self, flags, TcpHeader};
+use crate::udp::{self, UdpHeader};
 use bytes::Bytes;
 use std::net::Ipv4Addr;
 
@@ -17,6 +17,35 @@ use std::net::Ipv4Addr;
 pub struct PacketBuilder;
 
 impl PacketBuilder {
+    /// A frame from `src` to `dst` of `ethertype` around what `body`
+    /// appends: the one buffer every builder writes its headers into,
+    /// each through its format's `put`.
+    pub fn ethernet(
+        src: MacAddr,
+        dst: MacAddr,
+        ethertype: EtherType,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Bytes {
+        let mut buf = Vec::new();
+        EthernetHeader {
+            dst,
+            src,
+            ethertype,
+        }
+        .put(&mut buf);
+        body(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// An IPv4 packet with header `ip` around `payload`, in an Ethernet
+    /// frame.
+    pub fn ipv4(eth_src: MacAddr, eth_dst: MacAddr, ip: Ipv4Header, payload: &[u8]) -> Bytes {
+        Self::ethernet(eth_src, eth_dst, EtherType::Ipv4, |buf| {
+            ip.put(buf, payload.len());
+            buf.extend_from_slice(payload);
+        })
+    }
+
     /// A UDP datagram in an IPv4 packet in an Ethernet frame.
     #[allow(clippy::too_many_arguments)]
     pub fn udp(
@@ -28,9 +57,12 @@ impl PacketBuilder {
         dport: u16,
         payload: Bytes,
     ) -> Bytes {
-        let udp = UdpDatagram::new(sport, dport, payload).encode(ip_src, ip_dst);
-        let ip = Ipv4Packet::new(ip_src, ip_dst, IpProtocol::Udp, udp).encode();
-        EthernetFrame::new(eth_dst, eth_src, EtherType::Ipv4, ip).encode()
+        Self::ethernet(eth_src, eth_dst, EtherType::Ipv4, |buf| {
+            let ip = Ipv4Header::new(ip_src, ip_dst, IpProtocol::Udp);
+            ip.put(buf, udp::HEADER_LEN + payload.len());
+            let (src_port, dst_port) = (sport, dport);
+            UdpHeader { src_port, dst_port }.put(buf, ip_src, ip_dst, &payload);
+        })
     }
 
     /// A TCP segment in an IPv4 packet in an Ethernet frame.
@@ -45,9 +77,19 @@ impl PacketBuilder {
         tcp_flags: u8,
         payload: Bytes,
     ) -> Bytes {
-        let seg = TcpSegment::new(sport, dport, 0, 0, tcp_flags, payload).encode(ip_src, ip_dst);
-        let ip = Ipv4Packet::new(ip_src, ip_dst, IpProtocol::Tcp, seg).encode();
-        EthernetFrame::new(eth_dst, eth_src, EtherType::Ipv4, ip).encode()
+        let tcp = TcpHeader {
+            src_port: sport,
+            dst_port: dport,
+            seq: 0,
+            ack: 0,
+            flags: tcp_flags,
+            window: 65535,
+        };
+        Self::ethernet(eth_src, eth_dst, EtherType::Ipv4, |buf| {
+            let ip = Ipv4Header::new(ip_src, ip_dst, IpProtocol::Tcp);
+            ip.put(buf, tcp::HEADER_LEN + payload.len());
+            tcp.put(buf, ip_src, ip_dst, &payload);
+        })
     }
 
     /// A TCP SYN, the first packet of a new connection.
@@ -71,18 +113,26 @@ impl PacketBuilder {
         )
     }
 
+    /// An ARP packet in an Ethernet frame.
+    pub fn arp(eth_src: MacAddr, eth_dst: MacAddr, arp: &ArpPacket) -> Bytes {
+        let arp = arp.encode();
+        Self::ethernet(eth_src, eth_dst, EtherType::Arp, |buf| {
+            buf.extend_from_slice(&arp)
+        })
+    }
+
     /// A broadcast ARP request.
     pub fn arp_request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Bytes {
-        let arp = ArpPacket::request(sender_mac, sender_ip, target_ip).encode();
-        EthernetFrame::new(MacAddr::BROADCAST, sender_mac, EtherType::Arp, arp).encode()
+        let req = ArpPacket::request(sender_mac, sender_ip, target_ip);
+        Self::arp(sender_mac, MacAddr::BROADCAST, &req)
     }
 
     /// A unicast ARP reply.
     pub fn arp_reply(req_frame: &[u8], my_mac: MacAddr) -> Option<Bytes> {
-        let eth = EthernetFrame::decode(req_frame).ok()?;
-        let req = ArpPacket::decode(&eth.payload).ok()?;
-        let rep = ArpPacket::reply_to(&req, my_mac).encode();
-        Some(EthernetFrame::new(req.sender_mac, my_mac, EtherType::Arp, rep).encode())
+        let (_, payload) = EthernetHeader::parse(req_frame).ok()?;
+        let req = ArpPacket::decode(payload).ok()?;
+        let rep = ArpPacket::reply_to(&req, my_mac);
+        Some(Self::arp(my_mac, req.sender_mac, &rep))
     }
 
     /// An ICMP echo request frame.
@@ -94,10 +144,9 @@ impl PacketBuilder {
         ident: u16,
         seq: u16,
     ) -> Bytes {
-        let icmp =
-            IcmpPacket::echo_request(ident, seq, Bytes::from_static(b"escape-ping")).encode();
-        let ip = Ipv4Packet::new(ip_src, ip_dst, IpProtocol::Icmp, icmp).encode();
-        EthernetFrame::new(eth_dst, eth_src, EtherType::Ipv4, ip).encode()
+        let icmp = IcmpPacket::echo_request(ident, seq, Bytes::from_static(b"escape-ping"));
+        let ip = Ipv4Header::new(ip_src, ip_dst, IpProtocol::Icmp);
+        Self::ipv4(eth_src, eth_dst, ip, &icmp.encode())
     }
 
     /// A UDP frame padded with zeros so the whole Ethernet frame is exactly
@@ -143,32 +192,32 @@ mod tests {
             2222,
             Bytes::from_static(b"xyz"),
         );
-        let eth = EthernetFrame::decode(&frame).unwrap();
+        let (eth, l3) = EthernetHeader::parse(&frame).unwrap();
         assert_eq!(eth.src, A_MAC);
         assert_eq!(eth.dst, B_MAC);
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
+        let (ip, l4) = Ipv4Header::parse(l3).unwrap();
         assert_eq!(ip.protocol, IpProtocol::Udp);
-        let udp = UdpDatagram::decode(&ip.payload, ip.src, ip.dst).unwrap();
+        let (udp, payload) = UdpHeader::parse(l4, ip.src, ip.dst).unwrap();
         assert_eq!(udp.dst_port, 2222);
-        assert_eq!(&udp.payload[..], b"xyz");
+        assert_eq!(payload, b"xyz");
     }
 
     #[test]
     fn tcp_syn_is_a_syn() {
         let frame = PacketBuilder::tcp_syn(A_MAC, B_MAC, A_IP, B_IP, 5000, 80);
-        let eth = EthernetFrame::decode(&frame).unwrap();
-        let ip = Ipv4Packet::decode(&eth.payload).unwrap();
-        let seg = TcpSegment::decode(&ip.payload, ip.src, ip.dst).unwrap();
-        assert!(seg.is_syn());
+        let (_, l3) = EthernetHeader::parse(&frame).unwrap();
+        let (ip, l4) = Ipv4Header::parse(l3).unwrap();
+        let (seg, _) = TcpHeader::parse(l4, ip.src, ip.dst).unwrap();
+        assert_eq!(seg.flags, flags::SYN);
     }
 
     #[test]
     fn arp_reply_answers_request() {
         let req = PacketBuilder::arp_request(A_MAC, A_IP, B_IP);
         let rep = PacketBuilder::arp_reply(&req, B_MAC).unwrap();
-        let eth = EthernetFrame::decode(&rep).unwrap();
+        let (eth, payload) = EthernetHeader::parse(&rep).unwrap();
         assert_eq!(eth.dst, A_MAC); // unicast back to the asker
-        let arp = ArpPacket::decode(&eth.payload).unwrap();
+        let arp = ArpPacket::decode(payload).unwrap();
         assert_eq!(arp.sender_mac, B_MAC);
         assert_eq!(arp.sender_ip, B_IP);
     }
@@ -179,9 +228,9 @@ mod tests {
             let f = PacketBuilder::udp_with_len(A_MAC, B_MAC, A_IP, B_IP, 1, 2, len);
             assert_eq!(f.len(), len);
             // And still fully parseable:
-            let eth = EthernetFrame::decode(&f).unwrap();
-            let ip = Ipv4Packet::decode(&eth.payload).unwrap();
-            UdpDatagram::decode(&ip.payload, ip.src, ip.dst).unwrap();
+            let (_, l3) = EthernetHeader::parse(&f).unwrap();
+            let (ip, l4) = Ipv4Header::parse(l3).unwrap();
+            UdpHeader::parse(l4, ip.src, ip.dst).unwrap();
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::mac::MacAddr;
 use crate::ParseError;
-use bytes::Bytes;
 
 /// Ethernet II header length.
 pub const HEADER_LEN: usize = 14;
@@ -79,86 +78,32 @@ impl EthernetHeader {
     }
 }
 
-/// A decoded Ethernet II frame: header fields plus opaque payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame {
-    pub dst: MacAddr,
-    pub src: MacAddr,
-    pub ethertype: EtherType,
-    pub payload: Bytes,
-}
-
-impl EthernetFrame {
-    /// Creates a frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Bytes) -> Self {
-        EthernetFrame {
-            dst,
-            src,
-            ethertype,
-            payload,
-        }
-    }
-
-    /// Decodes a frame from raw bytes: [`EthernetHeader::parse`] plus a
-    /// copy of the payload.
-    pub fn decode(data: &[u8]) -> Result<Self, ParseError> {
-        let (h, payload) = EthernetHeader::parse(data)?;
-        Ok(EthernetFrame::new(
-            h.dst,
-            h.src,
-            h.ethertype,
-            Bytes::copy_from_slice(payload),
-        ))
-    }
-
-    /// The header fields of this frame.
-    pub fn header(&self) -> EthernetHeader {
-        EthernetHeader {
-            dst: self.dst,
-            src: self.src,
-            ethertype: self.ethertype,
-        }
-    }
-
-    /// Encodes the frame to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        self.header().put(&mut buf);
-        buf.extend_from_slice(&self.payload);
-        Bytes::from(buf)
-    }
-
-    /// Total encoded length.
-    pub fn wire_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> EthernetFrame {
-        EthernetFrame::new(
-            MacAddr::from_id(1),
-            MacAddr::from_id(2),
-            EtherType::Ipv4,
-            Bytes::from_static(b"payload-bytes"),
-        )
+    fn header() -> EthernetHeader {
+        EthernetHeader {
+            dst: MacAddr::from_id(1),
+            src: MacAddr::from_id(2),
+            ethertype: EtherType::Ipv4,
+        }
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let f = sample();
-        let wire = f.encode();
-        assert_eq!(wire.len(), f.wire_len());
-        let g = EthernetFrame::decode(&wire).unwrap();
-        assert_eq!(f, g);
+        let mut wire = Vec::new();
+        header().put(&mut wire);
+        wire.extend_from_slice(b"payload-bytes");
+        assert_eq!(wire.len(), HEADER_LEN + 13);
+        let (h, payload) = EthernetHeader::parse(&wire).unwrap();
+        assert_eq!(h, header());
+        assert_eq!(payload, b"payload-bytes");
     }
 
     #[test]
     fn decode_rejects_short_frame() {
-        let err = EthernetFrame::decode(&[0u8; 13]).unwrap_err();
+        let err = EthernetHeader::parse(&[0u8; 13]).unwrap_err();
         assert_eq!(
             err,
             ParseError::Truncated {
@@ -170,10 +115,11 @@ mod tests {
 
     #[test]
     fn empty_payload_is_allowed() {
-        let f = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Arp, Bytes::new());
-        let g = EthernetFrame::decode(&f.encode()).unwrap();
-        assert_eq!(g.payload.len(), 0);
-        assert_eq!(g.ethertype, EtherType::Arp);
+        let mut wire = Vec::new();
+        header().put(&mut wire);
+        let (h, payload) = EthernetHeader::parse(&wire).unwrap();
+        assert!(payload.is_empty());
+        assert_eq!(h.ethertype, EtherType::Ipv4);
     }
 
     #[test]

@@ -107,7 +107,6 @@ impl FlowKey {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
-    use crate::ether::EthernetFrame;
     use bytes::Bytes;
 
     #[test]
@@ -195,13 +194,15 @@ mod tests {
     #[test]
     fn garbage_ip_payload_leaves_fields_none() {
         // Valid Ethernet carrying an IPv4 ethertype but junk payload.
-        let eth = EthernetFrame::new(
-            MacAddr::from_id(9),
-            MacAddr::from_id(8),
-            EtherType::Ipv4,
-            Bytes::from_static(&[0xde, 0xad]),
-        );
-        let key = FlowKey::extract(&eth.encode()).unwrap();
+        let mut frame = Vec::new();
+        EthernetHeader {
+            dst: MacAddr::from_id(9),
+            src: MacAddr::from_id(8),
+            ethertype: EtherType::Ipv4,
+        }
+        .put(&mut frame);
+        frame.extend_from_slice(&[0xde, 0xad]);
+        let key = FlowKey::extract(&frame).unwrap();
         assert_eq!(key.eth_type, 0x0800);
         assert_eq!(key.ip_src, None);
     }

@@ -3,7 +3,6 @@
 
 use crate::checksum;
 use crate::ParseError;
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// Length of the option-less IPv4 header this stack emits.
@@ -56,6 +55,20 @@ pub struct Ipv4Header {
 }
 
 impl Ipv4Header {
+    /// A header with sensible defaults (TTL 64, DF set).
+    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol) -> Self {
+        Ipv4Header {
+            dscp: 0,
+            ecn: 0,
+            identification: 0,
+            dont_fragment: true,
+            ttl: 64,
+            protocol,
+            src,
+            dst,
+        }
+    }
+
     /// Validates the header of `data` (version, IHL, checksum, total
     /// length, no fragmentation) and returns it with the payload slice
     /// `data[ihl..total_len]`. Nothing is copied.
@@ -144,147 +157,66 @@ impl Ipv4Header {
     }
 }
 
-/// A decoded IPv4 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
-    pub dscp: u8,
-    pub ecn: u8,
-    pub identification: u16,
-    pub dont_fragment: bool,
-    pub ttl: u8,
-    pub protocol: IpProtocol,
-    pub src: Ipv4Addr,
-    pub dst: Ipv4Addr,
-    pub payload: Bytes,
-}
-
-impl Ipv4Packet {
-    /// Builds a packet with sensible defaults (TTL 64, DF set).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Self {
-        Ipv4Packet {
-            dscp: 0,
-            ecn: 0,
-            identification: 0,
-            dont_fragment: true,
-            ttl: 64,
-            protocol,
-            src,
-            dst,
-            payload,
-        }
-    }
-
-    /// Decodes an IPv4 packet, validating the header checksum:
-    /// [`Ipv4Header::parse`] plus a copy of the payload.
-    pub fn decode(data: &[u8]) -> Result<Self, ParseError> {
-        let (h, payload) = Ipv4Header::parse(data)?;
-        Ok(Ipv4Packet {
-            dscp: h.dscp,
-            ecn: h.ecn,
-            identification: h.identification,
-            dont_fragment: h.dont_fragment,
-            ttl: h.ttl,
-            protocol: h.protocol,
-            src: h.src,
-            dst: h.dst,
-            payload: Bytes::copy_from_slice(payload),
-        })
-    }
-
-    /// The header fields of this packet.
-    pub fn header(&self) -> Ipv4Header {
-        Ipv4Header {
-            dscp: self.dscp,
-            ecn: self.ecn,
-            identification: self.identification,
-            dont_fragment: self.dont_fragment,
-            ttl: self.ttl,
-            protocol: self.protocol,
-            src: self.src,
-            dst: self.dst,
-        }
-    }
-
-    /// Encodes to wire bytes with a correct header checksum.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        self.header().put(&mut buf, self.payload.len());
-        buf.extend_from_slice(&self.payload);
-        Bytes::from(buf)
-    }
-
-    /// Returns a copy with TTL decremented, or `None` when the TTL expires.
-    pub fn decrement_ttl(&self) -> Option<Ipv4Packet> {
-        if self.ttl <= 1 {
-            None
-        } else {
-            let mut p = self.clone();
-            p.ttl -= 1;
-            Some(p)
-        }
-    }
-
-    /// Total encoded length.
-    pub fn wire_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Ipv4Packet {
-        Ipv4Packet::new(
+    fn sample() -> Vec<u8> {
+        let h = Ipv4Header::new(
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),
             IpProtocol::Udp,
-            Bytes::from_static(b"data!"),
-        )
+        );
+        let mut wire = Vec::new();
+        h.put(&mut wire, 5);
+        wire.extend_from_slice(b"data!");
+        wire
+    }
+
+    /// Rewrites the header checksum after a hand edit.
+    fn fix_checksum(wire: &mut [u8]) {
+        wire[10..12].fill(0);
+        let c = checksum::checksum(&wire[..20]);
+        wire[10..12].copy_from_slice(&c.to_be_bytes());
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let p = sample();
-        let wire = p.encode();
-        assert_eq!(wire.len(), p.wire_len());
-        let q = Ipv4Packet::decode(&wire).unwrap();
-        assert_eq!(p, q);
+        let wire = sample();
+        assert_eq!(wire.len(), HEADER_LEN + 5);
+        let (h, payload) = Ipv4Header::parse(&wire).unwrap();
+        assert_eq!(h.ttl, 64);
+        assert!(h.dont_fragment);
+        assert_eq!(h.protocol, IpProtocol::Udp);
+        assert_eq!(payload, b"data!");
     }
 
     #[test]
     fn checksum_is_validated() {
-        let mut wire = sample().encode().to_vec();
+        let mut wire = sample();
         wire[8] = wire[8].wrapping_add(1); // corrupt TTL without fixing checksum
         assert!(matches!(
-            Ipv4Packet::decode(&wire),
+            Ipv4Header::parse(&wire),
             Err(ParseError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn total_length_is_honoured_with_trailing_padding() {
-        // Ethernet may pad short frames; the decoder must trim to total_len.
-        let p = sample();
-        let mut wire = p.encode().to_vec();
+        // Ethernet may pad short frames; the parser must trim to total_len.
+        let mut wire = sample();
         wire.extend_from_slice(&[0u8; 10]); // padding
-        let q = Ipv4Packet::decode(&wire).unwrap();
-        assert_eq!(q.payload, p.payload);
+        let (_, payload) = Ipv4Header::parse(&wire).unwrap();
+        assert_eq!(payload, b"data!");
     }
 
     #[test]
     fn rejects_fragments() {
-        let p = sample();
-        let mut wire = p.encode().to_vec();
+        let mut wire = sample();
         wire[6] = 0x20; // more fragments
-                        // fix checksum
-        wire[10] = 0;
-        wire[11] = 0;
-        let c = checksum::checksum(&wire[..20]);
-        wire[10] = (c >> 8) as u8;
-        wire[11] = (c & 0xff) as u8;
+        fix_checksum(&mut wire);
         assert!(matches!(
-            Ipv4Packet::decode(&wire),
+            Ipv4Header::parse(&wire),
             Err(ParseError::UnsupportedField {
                 field: "ip.fragment",
                 ..
@@ -294,10 +226,10 @@ mod tests {
 
     #[test]
     fn rejects_version_6() {
-        let mut wire = sample().encode().to_vec();
+        let mut wire = sample();
         wire[0] = 0x65;
         assert!(matches!(
-            Ipv4Packet::decode(&wire),
+            Ipv4Header::parse(&wire),
             Err(ParseError::UnsupportedField {
                 field: "ip.version",
                 ..
@@ -306,22 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn ttl_decrement_expires_at_one() {
-        let mut p = sample();
-        p.ttl = 2;
-        let q = p.decrement_ttl().unwrap();
-        assert_eq!(q.ttl, 1);
-        assert!(q.decrement_ttl().is_none());
-    }
-
-    #[test]
     fn declared_length_longer_than_buffer_is_rejected() {
-        let p = sample();
-        let wire = p.encode();
+        let wire = sample();
         let truncated = &wire[..wire.len() - 2];
         // header checksum still valid but total_len now exceeds buffer
         assert!(matches!(
-            Ipv4Packet::decode(truncated),
+            Ipv4Header::parse(truncated),
             Err(ParseError::BadLength { .. })
         ));
     }

@@ -3,21 +3,23 @@
 //! Wire formats for the ESCAPE-RS emulated dataplane.
 //!
 //! This crate implements the packet formats that flow through the emulated
-//! network: Ethernet II, ARP, IPv4, UDP, TCP and ICMPv4. Every format has a
-//! typed, owned representation that can be decoded from and encoded to raw
-//! bytes; encode/decode are exact inverses (checked by property tests).
-//! Ethernet, IPv4 and UDP also have a header type whose `parse` reads the
-//! header in place and returns the payload as a slice, and whose `put`
-//! writes it: `decode` is `parse` plus one payload copy and `encode` is
-//! `put` plus the payload, so each format is validated and written in
-//! exactly one place, and the per-frame path need not copy to read.
+//! network: Ethernet II, ARP, IPv4, UDP, TCP and ICMPv4. Ethernet, IPv4,
+//! UDP and TCP each have one header type with one reader, `parse`, which
+//! validates the header in place and returns the payload as a slice, and
+//! one writer, `put`, which appends the header (with its checksum) to a
+//! buffer. Every header edit goes through one [`rewrite()`], which parses a
+//! frame, lets the edit change the header values, and writes back only the
+//! layers it touched. So each format is read and written in one place, and
+//! the per-frame path copies nothing to read and allocates nothing to
+//! edit. ARP and ICMP, which no frame carries per hop, keep owned
+//! `decode`/`encode` pairs.
 //!
 //! Design notes (following the smoltcp philosophy):
-//! * simplicity over cleverness — owned structs with explicit fields, no
-//!   macro/type tricks;
+//! * simplicity over cleverness — plain `Copy` header structs with
+//!   explicit fields, no macro/type tricks;
 //! * strict parsing — malformed input yields a typed [`ParseError`], never a
 //!   panic;
-//! * checksums are always generated on encode and validated on decode.
+//! * checksums are always generated on write and validated on read.
 //!
 //! The high-level [`Packet`] type is what the emulator, the Click engine and
 //! the OpenFlow switch exchange: raw bytes plus a lazily computed
@@ -32,19 +34,21 @@ pub mod icmp;
 pub mod ipv4;
 pub mod mac;
 pub mod pool;
+pub mod rewrite;
 pub mod tcp;
 pub mod udp;
 
 pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
-pub use ether::{EtherType, EthernetFrame, EthernetHeader};
+pub use ether::{EtherType, EthernetHeader};
 pub use flowkey::FlowKey;
 pub use icmp::{IcmpPacket, IcmpType};
-pub use ipv4::{IpProtocol, Ipv4Header, Ipv4Packet};
+pub use ipv4::{IpProtocol, Ipv4Header};
 pub use mac::MacAddr;
 pub use pool::FramePool;
-pub use tcp::TcpSegment;
-pub use udp::{UdpDatagram, UdpHeader};
+pub use rewrite::{rewrite, Headers};
+pub use tcp::TcpHeader;
+pub use udp::UdpHeader;
 
 use bytes::Bytes;
 
@@ -119,16 +123,6 @@ impl Packet {
     /// True if the frame is empty.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Extracts the OpenFlow-style flow key from the frame headers.
-    pub fn flow_key(&self) -> Result<FlowKey, ParseError> {
-        FlowKey::extract(&self.data)
-    }
-
-    /// Decodes the Ethernet layer.
-    pub fn ethernet(&self) -> Result<EthernetFrame, ParseError> {
-        EthernetFrame::decode(&self.data)
     }
 }
 

@@ -1,13 +1,13 @@
 //! Frame reuse for the emulation hot path.
 //!
 //! A paced traffic stream builds the *same* Ethernet frame every tick:
-//! the layered encode ([`crate::PacketBuilder`]) costs four allocations
-//! and three payload copies per packet. A [`FramePool`] caches the
-//! encoded frame once per key and serves later emissions as [`Bytes`]
-//! refcount clones — zero allocation, zero copy, byte-identical output.
-//! The emulation's frames are immutable once on the wire (every mutation
-//! site re-encodes into a fresh buffer), so sharing the backing storage
-//! is safe by construction.
+//! [`crate::PacketBuilder`] writes it into a fresh buffer, an allocation
+//! and a payload copy per packet. A [`FramePool`] caches the built frame
+//! once per key and serves later emissions as [`Bytes`] refcount clones —
+//! zero allocation, zero copy, byte-identical output. The emulation's
+//! frames are immutable once on the wire (every header edit writes a new
+//! frame through [`crate::rewrite()`]), so sharing the backing storage is
+//! safe by construction.
 
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -23,7 +23,7 @@ pub struct FramePool<K: Eq + Hash> {
     map: HashMap<K, Bytes>,
     /// Emissions served from the pool.
     pub hits: u64,
-    /// Emissions that had to run the full layered encode.
+    /// Emissions that had to build the frame.
     pub builds: u64,
 }
 

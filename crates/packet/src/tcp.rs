@@ -5,7 +5,6 @@
 use crate::checksum::pseudo_header_checksum;
 use crate::ipv4::IpProtocol;
 use crate::ParseError;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Option-less TCP header length.
@@ -21,56 +20,30 @@ pub mod flags {
     pub const URG: u8 = 0x20;
 }
 
-/// A decoded TCP segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// The fields of a TCP header, read in place by [`TcpHeader::parse`] and
+/// written, with the segment it heads, by [`TcpHeader::put`]: the one
+/// reader and the one writer of the format. Options are skipped on read
+/// and never written; the urgent pointer is written as zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpHeader {
     pub src_port: u16,
     pub dst_port: u16,
     pub seq: u32,
     pub ack: u32,
     pub flags: u8,
     pub window: u16,
-    pub payload: Bytes,
 }
 
-impl TcpSegment {
-    /// Creates a segment with the given flags.
-    pub fn new(
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        ack: u32,
-        flags: u8,
-        payload: Bytes,
-    ) -> Self {
-        TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window: 65535,
-            payload,
-        }
-    }
-
-    /// True if the SYN flag is set.
-    pub fn is_syn(&self) -> bool {
-        self.flags & flags::SYN != 0
-    }
-
-    /// True if the FIN flag is set.
-    pub fn is_fin(&self) -> bool {
-        self.flags & flags::FIN != 0
-    }
-
-    /// True if the RST flag is set.
-    pub fn is_rst(&self) -> bool {
-        self.flags & flags::RST != 0
-    }
-
-    /// Decodes and validates the checksum against the IPv4 pseudo-header.
-    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
+impl TcpHeader {
+    /// Validates the segment in `data` (data offset, and the checksum
+    /// against the IPv4 pseudo-header of `src`/`dst`) and returns its
+    /// header with the payload slice that follows the options. Nothing is
+    /// copied.
+    pub fn parse(
+        data: &[u8],
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<(TcpHeader, &[u8]), ParseError> {
         if data.len() < HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: HEADER_LEN,
@@ -97,39 +70,33 @@ impl TcpSegment {
                 got: sum,
             });
         }
-        Ok(TcpSegment {
+        let header = TcpHeader {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
             seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
             ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
             flags: data[13] & 0x3f,
             window: u16::from_be_bytes([data[14], data[15]]),
-            payload: Bytes::copy_from_slice(&data[data_off..]),
-        })
+        };
+        Ok((header, &data[data_off..]))
     }
 
-    /// Encodes (without options) with a valid checksum.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.ack);
-        buf.put_u8((HEADER_LEN as u8 / 4) << 4);
-        buf.put_u8(self.flags & 0x3f);
-        buf.put_u16(self.window);
-        buf.put_u16(0); // checksum
-        buf.put_u16(0); // urgent pointer (unused)
-        buf.put_slice(&self.payload);
-        let c = pseudo_header_checksum(src, dst, IpProtocol::Tcp.to_u8(), &buf);
-        buf[16] = (c >> 8) as u8;
-        buf[17] = (c & 0xff) as u8;
-        buf.freeze()
-    }
-
-    /// Total encoded length.
-    pub fn wire_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
+    /// Appends the option-less segment this header heads, `payload`
+    /// included, with a checksum computed over the pseudo-header of
+    /// `src`/`dst`.
+    pub fn put(&self, buf: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) {
+        let start = buf.len();
+        buf.extend_from_slice(&self.src_port.to_be_bytes());
+        buf.extend_from_slice(&self.dst_port.to_be_bytes());
+        buf.extend_from_slice(&self.seq.to_be_bytes());
+        buf.extend_from_slice(&self.ack.to_be_bytes());
+        buf.push((HEADER_LEN as u8 / 4) << 4);
+        buf.push(self.flags & 0x3f);
+        buf.extend_from_slice(&self.window.to_be_bytes());
+        buf.extend_from_slice(&[0, 0, 0, 0]); // checksum placeholder, urgent pointer
+        buf.extend_from_slice(payload);
+        let c = pseudo_header_checksum(src, dst, IpProtocol::Tcp.to_u8(), &buf[start..]);
+        buf[start + 16..start + 18].copy_from_slice(&c.to_be_bytes());
     }
 }
 
@@ -140,40 +107,56 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 2);
 
+    fn header(flags: u8) -> TcpHeader {
+        TcpHeader {
+            src_port: 443,
+            dst_port: 51000,
+            seq: 1000,
+            ack: 2000,
+            flags,
+            window: 65535,
+        }
+    }
+
+    fn segment(h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        h.put(&mut buf, A, B, payload);
+        buf
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let s = TcpSegment::new(
-            443,
-            51000,
-            1000,
-            2000,
-            flags::ACK | flags::PSH,
-            Bytes::from_static(b"tls bytes"),
-        );
-        let wire = s.encode(A, B);
-        assert_eq!(wire.len(), s.wire_len());
-        let t = TcpSegment::decode(&wire, A, B).unwrap();
-        assert_eq!(s, t);
+        let h = header(flags::ACK | flags::PSH);
+        let wire = segment(&h, b"tls bytes");
+        assert_eq!(wire.len(), HEADER_LEN + 9);
+        let (back, payload) = TcpHeader::parse(&wire, A, B).unwrap();
+        assert_eq!(back, h);
+        assert_eq!(payload, b"tls bytes");
     }
 
     #[test]
     fn flag_helpers() {
-        let syn = TcpSegment::new(1, 2, 0, 0, flags::SYN, Bytes::new());
-        assert!(syn.is_syn() && !syn.is_fin() && !syn.is_rst());
-        let fin = TcpSegment::new(1, 2, 0, 0, flags::FIN | flags::ACK, Bytes::new());
-        assert!(fin.is_fin() && !fin.is_syn());
-        let rst = TcpSegment::new(1, 2, 0, 0, flags::RST, Bytes::new());
-        assert!(rst.is_rst());
+        // Every flag bit survives the round trip; bits above URG do not.
+        for f in [
+            flags::FIN,
+            flags::SYN,
+            flags::RST,
+            flags::PSH,
+            flags::ACK,
+            flags::URG,
+        ] {
+            let (h, _) = TcpHeader::parse(&segment(&header(f | 0xc0), b""), A, B).unwrap();
+            assert_eq!(h.flags, f);
+        }
     }
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let s = TcpSegment::new(80, 1234, 7, 9, flags::ACK, Bytes::from_static(b"response"));
-        let mut wire = s.encode(A, B).to_vec();
+        let mut wire = segment(&header(flags::ACK), b"response");
         let last = wire.len() - 1;
         wire[last] ^= 0xff;
         assert!(matches!(
-            TcpSegment::decode(&wire, A, B),
+            TcpHeader::parse(&wire, A, B),
             Err(ParseError::BadChecksum { .. })
         ));
     }
@@ -181,25 +164,30 @@ mod tests {
     #[test]
     fn segments_with_options_are_decoded() {
         // Hand-build a header with doff=6 (one 4-byte option of NOPs).
-        let s = TcpSegment::new(1, 2, 3, 4, flags::SYN, Bytes::new());
-        let mut wire = s.encode(A, B).to_vec();
+        let mut wire = segment(&header(flags::SYN), b"");
         wire[12] = 6 << 4;
-        wire.extend_from_slice(&[1, 1, 1, 1]); // NOP options
-                                               // Re-checksum.
-        wire[16] = 0;
-        wire[17] = 0;
+        wire.extend_from_slice(&[1, 1, 1, 1]);
+        wire[16..18].fill(0);
         let c = pseudo_header_checksum(A, B, IpProtocol::Tcp.to_u8(), &wire);
-        wire[16] = (c >> 8) as u8;
-        wire[17] = (c & 0xff) as u8;
-        let t = TcpSegment::decode(&wire, A, B).unwrap();
-        assert!(t.is_syn());
-        assert!(t.payload.is_empty());
+        wire[16..18].copy_from_slice(&c.to_be_bytes());
+        let (h, payload) = TcpHeader::parse(&wire, A, B).unwrap();
+        assert_eq!(h.flags, flags::SYN);
+        assert!(payload.is_empty());
     }
 
     #[test]
     fn truncated_is_rejected() {
+        let mut wire = segment(&header(flags::SYN), b"");
+        wire[12] = 4 << 4;
         assert!(matches!(
-            TcpSegment::decode(&[0u8; 19], A, B),
+            TcpHeader::parse(&wire, A, B),
+            Err(ParseError::UnsupportedField {
+                field: "tcp.doff",
+                ..
+            })
+        ));
+        assert!(matches!(
+            TcpHeader::parse(&[0u8; 19], A, B),
             Err(ParseError::Truncated { .. })
         ));
     }

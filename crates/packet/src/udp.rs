@@ -3,7 +3,6 @@
 use crate::checksum::pseudo_header_checksum;
 use crate::ipv4::IpProtocol;
 use crate::ParseError;
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// UDP header length.
@@ -75,57 +74,6 @@ impl UdpHeader {
     }
 }
 
-/// A decoded UDP datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
-    pub src_port: u16,
-    pub dst_port: u16,
-    pub payload: Bytes,
-}
-
-impl UdpDatagram {
-    /// Creates a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> Self {
-        UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        }
-    }
-
-    /// Decodes a datagram and validates its checksum against the
-    /// IPv4 pseudo-header (`src`/`dst` from the enclosing IP packet):
-    /// [`UdpHeader::parse`] plus a copy of the payload.
-    pub fn decode(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
-        let (h, payload) = UdpHeader::parse(data, src, dst)?;
-        Ok(UdpDatagram::new(
-            h.src_port,
-            h.dst_port,
-            Bytes::copy_from_slice(payload),
-        ))
-    }
-
-    /// The header fields of this datagram.
-    pub fn header(&self) -> UdpHeader {
-        UdpHeader {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-        }
-    }
-
-    /// Encodes with a checksum computed over the given pseudo-header.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        self.header().put(&mut buf, src, dst, &self.payload);
-        Bytes::from(buf)
-    }
-
-    /// Total encoded length.
-    pub fn wire_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,51 +81,55 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 1);
     const B: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 2);
 
+    fn datagram(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        UdpHeader { src_port, dst_port }.put(&mut buf, A, B, payload);
+        buf
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let d = UdpDatagram::new(1234, 80, Bytes::from_static(b"hello udp"));
-        let wire = d.encode(A, B);
-        assert_eq!(wire.len(), d.wire_len());
-        let e = UdpDatagram::decode(&wire, A, B).unwrap();
-        assert_eq!(d, e);
+        let wire = datagram(1234, 80, b"hello udp");
+        assert_eq!(wire.len(), HEADER_LEN + 9);
+        let (h, payload) = UdpHeader::parse(&wire, A, B).unwrap();
+        assert_eq!((h.src_port, h.dst_port), (1234, 80));
+        assert_eq!(payload, b"hello udp");
     }
 
     #[test]
     fn checksum_binds_addresses() {
-        let d = UdpDatagram::new(1, 2, Bytes::from_static(b"x"));
-        let wire = d.encode(A, B);
+        let wire = datagram(1, 2, b"x");
         // Same bytes with a different pseudo-header must fail.
         let wrong = Ipv4Addr::new(10, 9, 8, 7);
         assert!(matches!(
-            UdpDatagram::decode(&wire, A, wrong),
+            UdpHeader::parse(&wire, A, wrong),
             Err(ParseError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn zero_checksum_is_accepted() {
-        let d = UdpDatagram::new(5, 6, Bytes::from_static(b"nochk"));
-        let mut wire = d.encode(A, B).to_vec();
+        let mut wire = datagram(5, 6, b"nochk");
         wire[6] = 0;
         wire[7] = 0;
-        let e = UdpDatagram::decode(&wire, A, B).unwrap();
-        assert_eq!(e.payload, d.payload);
+        let (_, payload) = UdpHeader::parse(&wire, A, B).unwrap();
+        assert_eq!(payload, b"nochk");
     }
 
     #[test]
     fn empty_payload_roundtrips() {
-        let d = UdpDatagram::new(0, 65535, Bytes::new());
-        let e = UdpDatagram::decode(&d.encode(A, B), A, B).unwrap();
-        assert_eq!(d, e);
+        let wire = datagram(0, 65535, b"");
+        let (h, payload) = UdpHeader::parse(&wire, A, B).unwrap();
+        assert_eq!((h.src_port, h.dst_port), (0, 65535));
+        assert!(payload.is_empty());
     }
 
     #[test]
     fn bad_length_is_rejected() {
-        let d = UdpDatagram::new(1, 2, Bytes::from_static(b"abc"));
-        let mut wire = d.encode(A, B).to_vec();
+        let mut wire = datagram(1, 2, b"abc");
         wire[5] = 200; // declared length > buffer
         assert!(matches!(
-            UdpDatagram::decode(&wire, A, B),
+            UdpHeader::parse(&wire, A, B),
             Err(ParseError::BadLength { .. })
         ));
     }
@@ -185,7 +137,7 @@ mod tests {
     #[test]
     fn truncated_is_rejected() {
         assert!(matches!(
-            UdpDatagram::decode(&[0u8; 7], A, B),
+            UdpHeader::parse(&[0u8; 7], A, B),
             Err(ParseError::Truncated { .. })
         ));
     }

@@ -1,7 +1,8 @@
-//! Property tests: every wire format's encode/decode pair is an exact
-//! inverse for arbitrary field values, decoders never panic on arbitrary
-//! byte soup, and each in-place `parse` reads exactly what its `decode`
-//! reads.
+//! Property tests: every header's `put` and `parse` are exact inverses
+//! for arbitrary field values, no parser and no `rewrite` panics on
+//! arbitrary byte soup, and what `rewrite` writes parses back with the
+//! edit applied. The exact bytes every rewrite writes are pinned by the
+//! workspace's rewrite corpus (`tests/rewrites.txt`).
 
 use bytes::Bytes;
 use escape_packet::*;
@@ -20,35 +21,76 @@ fn arb_payload(max: usize) -> impl Strategy<Value = Bytes> {
     proptest::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
 }
 
+/// One header edit: an opcode (taken modulo the number of edits) and a
+/// value (truncated to the field).
+type Edit = (u8, u32);
+
+fn arb_edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec((any::<u8>(), any::<u32>()), 0..6)
+}
+
+/// Applies `edits` to `h` in order: each sets one field, or only reads.
+fn apply(edits: &[Edit], h: &mut Headers) {
+    for &(op, v) in edits {
+        match op % 9 {
+            0 => h.eth.src = MacAddr::from_id(v.into()),
+            1 => h.eth.dst = MacAddr::from_id(v.into()),
+            2 => h.ip_mut().into_iter().for_each(|ip| ip.src = v.into()),
+            3 => h.ip_mut().into_iter().for_each(|ip| ip.dst = v.into()),
+            4 => h
+                .ip_mut()
+                .into_iter()
+                .for_each(|ip| ip.dscp = (v % 64) as u8),
+            5 => h.ip_mut().into_iter().for_each(|ip| ip.ttl = v as u8),
+            6 => h.ports_mut().into_iter().for_each(|(s, _)| *s = v as u16),
+            7 => h.ports_mut().into_iter().for_each(|(_, d)| *d = v as u16),
+            _ => {
+                let _ = (h.ip(), h.ports());
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn ethernet_roundtrip(dst in arb_mac(), src in arb_mac(), et in any::<u16>(), payload in arb_payload(256)) {
-        let f = EthernetFrame::new(dst, src, EtherType::from_u16(et), payload);
-        let g = EthernetFrame::decode(&f.encode()).unwrap();
-        prop_assert_eq!(f, g);
+        let h = EthernetHeader { dst, src, ethertype: EtherType::from_u16(et) };
+        let mut wire = Vec::new();
+        h.put(&mut wire);
+        wire.extend_from_slice(&payload);
+        let (back, rest) = EthernetHeader::parse(&wire).unwrap();
+        prop_assert_eq!(back, h);
+        prop_assert_eq!(rest, &payload[..]);
     }
 
     #[test]
     fn ipv4_roundtrip(
         src in arb_ip(), dst in arb_ip(), proto in any::<u8>(),
         dscp in 0u8..64, ecn in 0u8..4, ident in any::<u16>(), df in any::<bool>(),
-        ttl in 1u8..=255, payload in arb_payload(512),
+        ttl in any::<u8>(), payload in arb_payload(512),
     ) {
-        let mut p = Ipv4Packet::new(src, dst, IpProtocol::from_u8(proto), payload);
-        p.dscp = dscp;
-        p.ecn = ecn;
-        p.identification = ident;
-        p.dont_fragment = df;
-        p.ttl = ttl;
-        let q = Ipv4Packet::decode(&p.encode()).unwrap();
-        prop_assert_eq!(p, q);
+        let mut h = Ipv4Header::new(src, dst, IpProtocol::from_u8(proto));
+        h.dscp = dscp;
+        h.ecn = ecn;
+        h.identification = ident;
+        h.dont_fragment = df;
+        h.ttl = ttl;
+        let mut wire = Vec::new();
+        h.put(&mut wire, payload.len());
+        wire.extend_from_slice(&payload);
+        let (back, rest) = Ipv4Header::parse(&wire).unwrap();
+        prop_assert_eq!(back, h);
+        prop_assert_eq!(rest, &payload[..]);
     }
 
     #[test]
     fn udp_roundtrip(src in arb_ip(), dst in arb_ip(), sp in any::<u16>(), dp in any::<u16>(), payload in arb_payload(512)) {
-        let d = UdpDatagram::new(sp, dp, payload);
-        let e = UdpDatagram::decode(&d.encode(src, dst), src, dst).unwrap();
-        prop_assert_eq!(d, e);
+        let h = UdpHeader { src_port: sp, dst_port: dp };
+        let mut wire = Vec::new();
+        h.put(&mut wire, src, dst, &payload);
+        let (back, rest) = UdpHeader::parse(&wire, src, dst).unwrap();
+        prop_assert_eq!(back, h);
+        prop_assert_eq!(rest, &payload[..]);
     }
 
     #[test]
@@ -57,10 +99,12 @@ proptest! {
         seq in any::<u32>(), ack in any::<u32>(), fl in 0u8..64, win in any::<u16>(),
         payload in arb_payload(512),
     ) {
-        let mut s = TcpSegment::new(sp, dp, seq, ack, fl, payload);
-        s.window = win;
-        let t = TcpSegment::decode(&s.encode(src, dst), src, dst).unwrap();
-        prop_assert_eq!(s, t);
+        let h = TcpHeader { src_port: sp, dst_port: dp, seq, ack, flags: fl, window: win };
+        let mut wire = Vec::new();
+        h.put(&mut wire, src, dst, &payload);
+        let (back, rest) = TcpHeader::parse(&wire, src, dst).unwrap();
+        prop_assert_eq!(back, h);
+        prop_assert_eq!(rest, &payload[..]);
     }
 
     #[test]
@@ -83,17 +127,19 @@ proptest! {
         prop_assert_eq!(p, q);
     }
 
-    // Decoders must reject or accept arbitrary bytes without panicking.
+    // Parsers and `rewrite` reject or accept arbitrary bytes without
+    // panicking.
     #[test]
-    fn decoders_never_panic(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = EthernetFrame::decode(&data);
-        let _ = Ipv4Packet::decode(&data);
+    fn decoders_never_panic(data in proptest::collection::vec(any::<u8>(), 0..128), edits in arb_edits()) {
+        let _ = EthernetHeader::parse(&data);
+        let _ = Ipv4Header::parse(&data);
         let _ = ArpPacket::decode(&data);
         let _ = IcmpPacket::decode(&data);
         let a = Ipv4Addr::new(1, 2, 3, 4);
-        let _ = UdpDatagram::decode(&data, a, a);
-        let _ = TcpSegment::decode(&data, a, a);
+        let _ = UdpHeader::parse(&data, a, a);
+        let _ = TcpHeader::parse(&data, a, a);
         let _ = FlowKey::extract(&data);
+        let _ = rewrite(&data, &mut Vec::new(), |h| apply(&edits, h));
     }
 
     // A frame built by PacketBuilder always yields a complete UDP flow key.
@@ -108,90 +154,6 @@ proptest! {
         prop_assert_eq!(key.ip_dst, Some(dip));
         prop_assert_eq!(key.tp_src, Some(sp));
         prop_assert_eq!(key.tp_dst, Some(dp));
-    }
-}
-
-/// `FlowKey::extract` as it read before the in-place parsers: every layer
-/// through its owned decoder.
-fn reference_key(frame: &[u8]) -> Result<FlowKey, ParseError> {
-    let eth = EthernetFrame::decode(frame)?;
-    let mut key = FlowKey {
-        eth_src: eth.src,
-        eth_dst: eth.dst,
-        eth_type: eth.ethertype.to_u16(),
-        vlan_id: None,
-        ip_src: None,
-        ip_dst: None,
-        ip_proto: None,
-        ip_dscp: None,
-        tp_src: None,
-        tp_dst: None,
-    };
-    if eth.ethertype == EtherType::Ipv4 {
-        if let Ok(ip) = Ipv4Packet::decode(&eth.payload) {
-            key.ip_src = Some(ip.src);
-            key.ip_dst = Some(ip.dst);
-            key.ip_proto = Some(ip.protocol.to_u8());
-            key.ip_dscp = Some(ip.dscp);
-            let p = &ip.payload;
-            match ip.protocol {
-                IpProtocol::Udp | IpProtocol::Tcp if p.len() >= 4 => {
-                    key.tp_src = Some(u16::from_be_bytes([p[0], p[1]]));
-                    key.tp_dst = Some(u16::from_be_bytes([p[2], p[3]]));
-                }
-                IpProtocol::Icmp if p.len() >= 2 => {
-                    key.tp_src = Some(p[0] as u16);
-                    key.tp_dst = Some(p[1] as u16);
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(key)
-}
-
-/// Asserts that one layer's `parse` and `decode` agree: the same header
-/// and payload, or the same error. Returns what `parse` read.
-fn agree<H: PartialEq + std::fmt::Debug>(
-    parsed: Result<(H, &[u8]), ParseError>,
-    decoded: Result<(H, Bytes), ParseError>,
-) -> Option<(H, &[u8])> {
-    match (parsed, decoded) {
-        (Ok((h, payload)), Ok((dh, dpayload))) => {
-            assert_eq!(h, dh);
-            assert_eq!(payload, &dpayload[..]);
-            Some((h, payload))
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b);
-            None
-        }
-        (a, b) => panic!("parse read {a:?} where decode read {b:?}"),
-    }
-}
-
-/// Checks every layer of `frame` as deep as it parses.
-fn frame_layers_agree(frame: &[u8]) {
-    let eth = agree(
-        EthernetHeader::parse(frame),
-        EthernetFrame::decode(frame).map(|d| (d.header(), d.payload)),
-    );
-    if let Some((_, payload)) = eth {
-        ip_layers_agree(payload);
-    }
-}
-
-/// Checks the IPv4 layer of `data` and, under it, the UDP layer.
-fn ip_layers_agree(data: &[u8]) {
-    let ip = agree(
-        Ipv4Header::parse(data),
-        Ipv4Packet::decode(data).map(|d| (d.header(), d.payload)),
-    );
-    if let Some((ip, payload)) = ip {
-        agree(
-            UdpHeader::parse(payload, ip.src, ip.dst),
-            UdpDatagram::decode(payload, ip.src, ip.dst).map(|d| (d.header(), d.payload)),
-        );
     }
 }
 
@@ -219,77 +181,74 @@ fn plausible_ipv4(mut data: Vec<u8>, ihl_words: u8, fit: bool) -> Vec<u8> {
     data
 }
 
-proptest! {
-    // Over byte soup, each in-place parser reads what its decoder reads.
-    #[test]
-    fn parse_matches_decode_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        frame_layers_agree(&data);
-        ip_layers_agree(&data);
-        let a = Ipv4Addr::new(1, 2, 3, 4);
-        agree(
-            UdpHeader::parse(&data, a, a),
-            UdpDatagram::decode(&data, a, a).map(|d| (d.header(), d.payload)),
-        );
-        prop_assert_eq!(FlowKey::extract(&data), reference_key(&data));
-    }
+/// Every layer of `frame` down to UDP or TCP, which must parse.
+fn layers(frame: &[u8]) -> (EthernetHeader, Ipv4Header, (u16, u16), Vec<u8>) {
+    let (eth, l3) = EthernetHeader::parse(frame).unwrap();
+    let (ip, l4) = Ipv4Header::parse(l3).unwrap();
+    let (ports, payload) = match ip.protocol {
+        IpProtocol::Udp => {
+            let (u, p) = UdpHeader::parse(l4, ip.src, ip.dst).unwrap();
+            ((u.src_port, u.dst_port), p)
+        }
+        IpProtocol::Tcp => {
+            let (t, p) = TcpHeader::parse(l4, ip.src, ip.dst).unwrap();
+            ((t.src_port, t.dst_port), p)
+        }
+        other => panic!("not UDP or TCP: {other:?}"),
+    };
+    (eth, ip, ports, payload.to_vec())
+}
 
+proptest! {
     // Headers that pass the version and checksum checks reach the length,
-    // fragment and transport checks, where parse and decode must agree too.
+    // fragment and transport checks: `rewrite` never panics there, and an
+    // edit that touches nothing copies the frame.
     #[test]
-    fn parse_matches_decode_on_plausible_ipv4(
+    fn rewrite_never_panics_on_plausible_ipv4(
         data in proptest::collection::vec(any::<u8>(), 0..128),
         ihl_words in 0u8..16,
         fit in any::<bool>(),
-        udp in any::<bool>(),
+        proto in prop_oneof![Just(6u8), Just(17u8), any::<u8>()],
         eth in proptest::collection::vec(any::<u8>(), 14),
+        edits in arb_edits(),
     ) {
         let mut ip = plausible_ipv4(data, ihl_words, fit);
-        if udp {
-            ip[9] = 17;
-            ip = plausible_ipv4(ip, ihl_words, fit);
-        }
-        ip_layers_agree(&ip);
+        ip[9] = proto;
+        let ip = plausible_ipv4(ip, ihl_words, fit);
         let mut frame = eth;
         frame[12..14].copy_from_slice(&[0x08, 0x00]);
         frame.extend_from_slice(&ip);
-        frame_layers_agree(&frame);
-        prop_assert_eq!(FlowKey::extract(&frame), reference_key(&frame));
+        let mut out = Vec::new();
+        rewrite(&frame, &mut out, |h| apply(&edits, h)).unwrap();
+        rewrite(&frame, &mut out, |_| {}).unwrap();
+        prop_assert_eq!(&out, &frame);
     }
 
-    // On well-formed frames, parse, decode and the reference key agree,
-    // with and without Ethernet padding past the IP total length.
+    // On well-formed frames, with and without Ethernet padding past the
+    // IP total length, what `rewrite` writes parses at every layer and
+    // carries exactly the edited header values and the old payload.
     #[test]
-    fn parse_matches_decode_on_builder_frames(
+    fn rewrite_writes_frames_that_parse(
         smac in arb_mac(), dmac in arb_mac(), sip in arb_ip(), dip in arb_ip(),
         sp in any::<u16>(), dp in any::<u16>(), payload in arb_payload(64),
-        tcp in any::<bool>(), pad in 0usize..16,
+        tcp in any::<bool>(), pad in 0usize..16, edits in arb_edits(),
     ) {
         let f = if tcp {
-            PacketBuilder::tcp(smac, dmac, sip, dip, sp, dp, 0x18, payload)
+            PacketBuilder::tcp(smac, dmac, sip, dip, sp, dp, 0x18, payload.clone())
         } else {
-            PacketBuilder::udp(smac, dmac, sip, dip, sp, dp, payload)
+            PacketBuilder::udp(smac, dmac, sip, dip, sp, dp, payload.clone())
         };
         let mut f = f.to_vec();
         f.resize(f.len() + pad, 0);
-        frame_layers_agree(&f);
-        prop_assert_eq!(FlowKey::extract(&f), reference_key(&f));
-    }
-
-    // `put` is the writer `encode` uses: one header written by hand and
-    // one encoded are the same bytes.
-    #[test]
-    fn put_writes_what_encode_writes(
-        src in arb_ip(), dst in arb_ip(), sp in any::<u16>(), dp in any::<u16>(),
-        payload in arb_payload(64), ttl in any::<u8>(), dscp in 0u8..64,
-    ) {
-        let mut ip = Ipv4Packet::new(src, dst, IpProtocol::Udp, Bytes::new());
-        ip.ttl = ttl;
-        ip.dscp = dscp;
-        let udp = UdpDatagram::new(sp, dp, payload.clone());
-        ip.payload = udp.encode(src, dst);
-        let mut buf = Vec::new();
-        ip.header().put(&mut buf, ip.payload.len());
-        udp.header().put(&mut buf, src, dst, &payload);
-        prop_assert_eq!(&buf[..], &ip.encode()[..]);
+        let mut out = Vec::new();
+        let seen = rewrite(&f, &mut out, |h| {
+            apply(&edits, h);
+            (h.eth, h.ip().unwrap(), h.ports().unwrap())
+        })
+        .unwrap();
+        let (eth, ip, ports, rest) = layers(&out);
+        prop_assert_eq!((eth, ip, ports), seen);
+        prop_assert_eq!(&rest[..], &payload[..]);
+        prop_assert_eq!(FlowKey::extract(&out).unwrap().tp_src, Some(ports.0));
     }
 }

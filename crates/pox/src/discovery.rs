@@ -9,7 +9,7 @@
 use crate::component::{Component, Ctl, PacketInEvent};
 use bytes::Bytes;
 use escape_openflow::{switch::NO_BUFFER, Action, PortDesc};
-use escape_packet::{EtherType, EthernetFrame, MacAddr};
+use escape_packet::{EtherType, EthernetHeader, MacAddr, PacketBuilder};
 use std::collections::BTreeSet;
 
 /// The ethertype probes are sent with (LLDP's 0x88cc).
@@ -60,26 +60,25 @@ impl Discovery {
     /// Encodes (dpid, port) into a probe frame. The payload carries both
     /// values; the source MAC marks the frame as ours.
     fn probe(dpid: u64, port: u16) -> Bytes {
-        let mut payload = Vec::with_capacity(10);
-        payload.extend_from_slice(&dpid.to_be_bytes());
-        payload.extend_from_slice(&port.to_be_bytes());
-        EthernetFrame::new(
-            MacAddr([0x01, 0x80, 0xc2, 0x00, 0x00, 0x0e]), // LLDP multicast
+        PacketBuilder::ethernet(
             MacAddr::from_id(0xD15C),
+            MacAddr([0x01, 0x80, 0xc2, 0x00, 0x00, 0x0e]), // LLDP multicast
             EtherType::Other(LLDP_ETHERTYPE),
-            Bytes::from(payload),
+            |buf| {
+                buf.extend_from_slice(&dpid.to_be_bytes());
+                buf.extend_from_slice(&port.to_be_bytes());
+            },
         )
-        .encode()
     }
 
     fn parse_probe(data: &[u8]) -> Option<(u64, u16)> {
-        let eth = EthernetFrame::decode(data).ok()?;
-        if eth.ethertype != EtherType::Other(LLDP_ETHERTYPE) || eth.payload.len() < 10 {
+        let (eth, payload) = EthernetHeader::parse(data).ok()?;
+        if eth.ethertype != EtherType::Other(LLDP_ETHERTYPE) || payload.len() < 10 {
             return None;
         }
         let mut d = [0u8; 8];
-        d.copy_from_slice(&eth.payload[0..8]);
-        let port = u16::from_be_bytes([eth.payload[8], eth.payload[9]]);
+        d.copy_from_slice(&payload[0..8]);
+        let port = u16::from_be_bytes([payload[8], payload[9]]);
         Some((u64::from_be_bytes(d), port))
     }
 

@@ -8,14 +8,20 @@
 //! virtual time. A recorder that copies a name, a path or a payload per
 //! frame shows up as thousands of extra allocations. With the recorder
 //! off, the count itself is pinned: nothing for chains that only read
-//! headers, one new frame for each frame a NAT rewrites.
+//! headers, one new frame for each frame a NAT, `DecIPTTL`, `SetIPDSCP`
+//! or an OpenFlow set-field action rewrites.
 
+use bytes::Bytes;
 use escape::env::Escape;
+use escape_netem::{LinkConfig, NodeCtx, NodeLogic, Sim, Time};
+use escape_openflow::{Action, FlowEntry, Match, Switch};
 use escape_orch::NearestNeighbor;
+use escape_packet::{MacAddr, Packet, PacketBuilder};
 use escape_pox::SteeringMode;
 use escape_sg::{topo::builders, ServiceGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::Ipv4Addr;
 
 struct Counting;
 
@@ -110,9 +116,64 @@ fn the_dataplane_allocates_only_the_frames_a_nat_rewrites() {
             "{first}+{second}: {made} allocations in 5 000 frames"
         );
     }
-    let made = chain_allocs(0, "monitor", "nat");
-    assert_eq!(
-        made, 5_000,
-        "monitor+nat: {made} allocations in 5 000 frames"
+    for (first, second) in [
+        ("monitor", "nat"),
+        ("ttl_guard", "monitor"),
+        ("qos_marker", "monitor"),
+    ] {
+        let made = chain_allocs(0, first, second);
+        assert_eq!(
+            made, 5_000,
+            "{first}+{second}: {made} allocations in 5 000 frames"
+        );
+    }
+}
+
+/// Counts the frames it receives, and keeps none.
+#[derive(Default)]
+struct Count(u64);
+
+impl NodeLogic for Count {
+    fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: u16, _: Packet) {
+        self.0 += 1;
+    }
+}
+
+#[test]
+fn a_set_field_rule_allocates_one_frame_per_frame() {
+    let mut sim = Sim::new(7);
+    let sw = sim.add_node("s1", 2, Box::new(Switch::new(1, 2)));
+    let sink = sim.add_node("h1", 1, Box::new(Count::default()));
+    sim.connect((sw, 1), (sink, 0), LinkConfig::ideal());
+    let actions = vec![
+        Action::SetNwSrc(Ipv4Addr::new(172, 16, 0, 1)),
+        Action::out(1),
+    ];
+    let rule = FlowEntry::new(Match::any(), 1, actions, Time::ZERO);
+    sim.node_as_mut::<Switch>(sw)
+        .expect("switch")
+        .table
+        .add(rule);
+    let frame = PacketBuilder::udp(
+        MacAddr::from_id(1),
+        MacAddr::from_id(2),
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 2),
+        1000,
+        2000,
+        Bytes::from(vec![0u8; 86]),
     );
+    let send = |sim: &mut Sim, n: u64| {
+        for _ in 0..n {
+            sim.inject(sw, 0, frame.clone(), sim.now());
+            sim.run(100);
+        }
+    };
+    send(&mut sim, 1_000);
+    let before = allocs();
+    send(&mut sim, 5_000);
+    let made = allocs() - before;
+    let received = sim.node_as::<Count>(sink).expect("sink").0;
+    assert_eq!(received, 6_000, "every frame crossed the switch");
+    assert_eq!(made, 5_000, "{made} allocations in 5 000 frames");
 }
