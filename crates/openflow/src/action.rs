@@ -132,25 +132,27 @@ impl Action {
 /// actions edit the headers, and each `Output` hands `out` its port and
 /// the packet as edited so far. The edits before an `Output` are written
 /// once, through [`escape_packet::rewrite()`] into `scratch`; an `Output`
-/// with no edit before it hands on `pkt` itself (a refcount clone).
+/// with no edit before it hands on `pkt` itself.
 pub fn apply(
     actions: &[Action],
     pkt: &Packet,
     scratch: &mut Vec<u8>,
     mut out: impl FnMut(u16, &Packet),
 ) {
-    let mut current = pkt.clone();
-    // The first set-field action not yet written into `current`.
+    let mut edited: Option<Packet> = None;
+    // The first set-field action not yet written into `edited`.
     let mut pending = 0;
     for (i, a) in actions.iter().enumerate() {
         if let Action::Output { port, .. } = *a {
             let edits = &actions[pending..i];
+            let current = edited.as_ref().unwrap_or(pkt);
             let edit = |h: &mut Headers| edits.iter().for_each(|a| a.set_field(h));
             if !edits.is_empty() && escape_packet::rewrite(&current.data, scratch, edit).is_ok() {
-                current.data = Bytes::copy_from_slice(scratch);
+                let data = Bytes::copy_from_slice(scratch);
+                edited = Some(Packet { data, ..*current });
             }
             pending = i + 1;
-            out(port, &current);
+            out(port, edited.as_ref().unwrap_or(pkt));
         }
     }
 }
