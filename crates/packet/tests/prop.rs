@@ -1,8 +1,9 @@
 //! Property tests: every header's `put` and `parse` are exact inverses
 //! for arbitrary field values, no parser and no `rewrite` panics on
-//! arbitrary byte soup, and what `rewrite` writes parses back with the
-//! edit applied. The exact bytes every rewrite writes are pinned by the
-//! workspace's rewrite corpus (`tests/rewrites.txt`).
+//! arbitrary byte soup and all of them read the same fields there, and
+//! what `rewrite` writes parses back with the edit applied. The exact
+//! bytes every rewrite writes are pinned by the workspace's rewrite
+//! corpus (`tests/rewrites.txt`).
 
 use bytes::Bytes;
 use escape_packet::*;
@@ -200,6 +201,61 @@ fn layers(frame: &[u8]) -> (EthernetHeader, Ipv4Header, (u16, u16), Vec<u8>) {
 }
 
 proptest! {
+    // Over byte soup, the layer parsers, the headers `rewrite` hands its
+    // edit and `FlowKey::extract` read the same fields or fail alike, and
+    // an edit that touches nothing copies the frame. Half the frames are
+    // marked IPv4, so the IPv4 parser sees them too.
+    #[test]
+    fn parse_matches_decode_on_arbitrary_bytes(
+        mut data in proptest::collection::vec(any::<u8>(), 0..128),
+        ipv4 in any::<bool>(),
+    ) {
+        if ipv4 && data.len() >= 14 {
+            data[12..14].copy_from_slice(&[0x08, 0x00]);
+        }
+        let mut out = Vec::new();
+        let seen = rewrite(&data, &mut out, |h| (h.eth, h.ip(), h.ports()));
+        let key = FlowKey::extract(&data);
+        match EthernetHeader::parse(&data) {
+            Err(e) => {
+                prop_assert_eq!(seen, Err(e.clone()));
+                prop_assert_eq!(key, Err(e));
+            }
+            Ok((eth, l3)) => {
+                let (seen_eth, seen_ip, seen_ports) = seen.unwrap();
+                let key = key.unwrap();
+                prop_assert_eq!(&out, &data);
+                prop_assert_eq!(seen_eth, eth);
+                prop_assert_eq!(
+                    (key.eth_src, key.eth_dst, key.eth_type),
+                    (eth.src, eth.dst, eth.ethertype.to_u16())
+                );
+                let ip = match eth.ethertype {
+                    EtherType::Ipv4 => Ipv4Header::parse(l3).ok(),
+                    _ => None,
+                };
+                prop_assert_eq!(seen_ip, ip.map(|(h, _)| h));
+                prop_assert_eq!(key.ip_src, seen_ip.map(|h| h.src));
+                prop_assert_eq!(key.ip_dst, seen_ip.map(|h| h.dst));
+                prop_assert_eq!(key.ip_proto, seen_ip.map(|h| h.protocol.to_u8()));
+                prop_assert_eq!(key.ip_dscp, seen_ip.map(|h| h.dscp));
+                let ports = ip.and_then(|(h, l4)| match h.protocol {
+                    IpProtocol::Udp => UdpHeader::parse(l4, h.src, h.dst)
+                        .ok()
+                        .map(|(u, _)| (u.src_port, u.dst_port)),
+                    IpProtocol::Tcp => TcpHeader::parse(l4, h.src, h.dst)
+                        .ok()
+                        .map(|(t, _)| (t.src_port, t.dst_port)),
+                    _ => None,
+                });
+                prop_assert_eq!(seen_ports, ports);
+                if let Some((sp, dp)) = ports {
+                    prop_assert_eq!((key.tp_src, key.tp_dst), (Some(sp), Some(dp)));
+                }
+            }
+        }
+    }
+
     // Headers that pass the version and checksum checks reach the length,
     // fragment and transport checks: `rewrite` never panics there, and an
     // edit that touches nothing copies the frame.
