@@ -12,16 +12,13 @@
 //!   rules-heavy substrate, traffic crossing three switch lookups and a
 //!   Click forward path per frame.
 //!
-//! Deterministic part (printed + `BENCH_dataplane.json` at the repo
-//! root): pps cache-off vs cache-on, speedup and cache hit rate per
-//! scenario. The snapshot records what the cache buys on the host that
-//! took it (`host_cpus` says which); it gates nothing — wall-clock
-//! dataplane speed is gated end to end by the harness's `dataplane_bare`
-//! workload (`BENCHMARK.json`).
-//! Criterion part: the cached switch_only hot loop (skipped under
-//! `ESCAPE_BENCH_TABLE_ONLY=1`).
+//! Printed and written to `BENCH_dataplane.json` at the repo root: pps
+//! cache-off vs cache-on, speedup and cache hit rate per scenario. The
+//! snapshot records what the cache buys on the host that took it
+//! (`host_cpus` says which); it gates nothing — wall-clock dataplane
+//! speed is gated end to end by the harness's `dataplane_bare` workload
+//! (`BENCHMARK.json`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use escape::env::Escape;
 use escape_netem::{Host, LinkConfig, Sim, Time};
 use escape_openflow::table::FlowEntry;
@@ -176,7 +173,7 @@ fn best_of(mut run: impl FnMut() -> RunResult) -> RunResult {
     best
 }
 
-fn print_table() {
+fn main() {
     println!("\nE0: dataplane fast path (exact-match cache vs full table walk)");
     println!(
         "{:>14} {:>7} {:>6} {:>10} {:>12} {:>9} {:>9} {:>8}",
@@ -257,32 +254,9 @@ fn print_table() {
                 .set("cache_hit_rate", hit_rate),
         )
         .set("runs", escape_json::Value::Arr(runs));
-    if let Some(path) = escape_bench::write_telemetry_artifact("BENCH_dataplane", &doc) {
-        println!("telemetry artifact: {}", path.display());
-    }
     if let Some(path) = escape_bench::write_repo_artifact("BENCH_dataplane", &doc) {
         println!("baseline snapshot: {}", path.display());
     }
     println!("(expected shape: cached pps ≥ 10x the walk at the largest table; hit");
     println!(" rate approaches 1.0 — one compulsory miss per flow per flush)\n");
 }
-
-fn bench(c: &mut Criterion) {
-    print_table();
-    if std::env::var_os("ESCAPE_BENCH_TABLE_ONLY").is_some() {
-        return;
-    }
-    let mut g = c.benchmark_group("e0_dataplane");
-    g.sample_size(10);
-    g.bench_function("switch_only_4096_rules_cached", |b| {
-        b.iter(|| {
-            let r = run_switch_only(4_096, true, 1_000);
-            assert_eq!(r.delivered, 1_000);
-            r.delivered
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,159 +1,58 @@
-//! E2 — Mapping algorithms: runtime and acceptance ratio vs topology
-//! size (the orchestrator's "different optimization algorithms").
+//! E2 — Mapping runtime: wall-clock time of one `embed_graph` of a whole
+//! workload per algorithm, on star topologies of growing size.
 //!
-//! Deterministic part (printed): acceptance ratio, mean mapped delay and
-//! path stretch per algorithm on star topologies of growing size under a
-//! fixed random workload, plus the shipped default (`nearest`) on the
-//! end-to-end harness's leaf–spine fabric. Criterion part: wall-clock
-//! embed time.
+//! The algorithms are the CLI's five (`algorithm_by_name`) in their
+//! shipped configurations; the workload is the library's default
+//! random workload with one chain per leaf. Mapping *quality* is
+//! virtual, so it is pinned by `tests/experiments.rs` instead.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use escape::session::algorithm_by_name;
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
-use escape_orch::{
-    Backtracking, BestFitCpu, ChainMapping, GreedyFirstFit, MappingAlgorithm, NearestNeighbor,
-    Orchestrator, SimulatedAnnealing,
-};
+use escape_orch::Orchestrator;
 use escape_sg::topo::builders;
-use escape_sg::{ResourceTopology, ServiceGraph};
+use std::time::{Duration, Instant};
 
-type AlgoFactory = Box<dyn Fn() -> Box<dyn MappingAlgorithm>>;
+/// Timed embeds per row; the median is printed.
+const RUNS: usize = 11;
 
-fn algos() -> Vec<(&'static str, AlgoFactory)> {
-    vec![
-        ("first_fit", Box::new(|| Box::new(GreedyFirstFit))),
-        ("best_fit", Box::new(|| Box::new(BestFitCpu))),
-        ("nearest", Box::new(|| Box::new(NearestNeighbor))),
-        (
-            "backtrack",
-            Box::new(|| {
-                Box::new(Backtracking {
-                    node_budget: 50_000,
-                })
-            }),
-        ),
-        (
-            "anneal",
-            Box::new(|| {
-                Box::new(SimulatedAnnealing {
-                    iterations: 200,
-                    seed: 9,
-                })
-            }),
-        ),
-    ]
-}
-
-fn workload(leaves: usize) -> WorkloadSpec {
-    WorkloadSpec {
-        chains: leaves,
-        vnfs_per_chain: (1, 3),
-        cpu: (0.5, 1.5),
-        bandwidth_mbps: (20.0, 80.0),
-        max_delay_us: Some(2_000),
-        seed: 42,
-    }
-}
-
-/// The end-to-end harness's substrate and load: 2 spines, 10 leaves, 80
-/// one-core containers, 120 two-VNF chains.
-fn fabric() -> (ResourceTopology, ServiceGraph) {
-    let topo = builders::leaf_spine(2, 10, 8, 4, 1.0);
-    let spec = WorkloadSpec {
-        chains: 120,
-        vnfs_per_chain: (2, 2),
-        cpu: (0.25, 0.4),
-        bandwidth_mbps: (10.0, 10.0),
-        max_delay_us: None,
-        seed: 42,
-    };
-    let sg = random_service_graph(&topo, &spec).unwrap();
-    (topo, sg)
-}
-
-fn print_row(leaves: impl std::fmt::Display, name: &str, sg: &ServiceGraph, ok: &[ChainMapping]) {
-    let n = ok.len();
-    let mean_delay = if n > 0 {
-        ok.iter().map(|m| m.total_delay_us).sum::<u64>() / n as u64
-    } else {
-        0
-    };
-    let mean_hops = if n > 0 {
-        ok.iter().map(|m| m.hop_count()).sum::<usize>() as f64 / n as f64
-    } else {
-        0.0
-    };
+fn main() {
+    println!("\nE2: mapping runtime (one embed_graph of the workload, median of {RUNS})");
     println!(
-        "{:>7} {:>11} {:>7}/{:<3} {:>10}us {:>11.1}",
-        leaves,
-        name,
-        n,
-        sg.chains.len(),
-        mean_delay,
-        mean_hops
+        "{:>7} {:>10} {:>9} {:>11}",
+        "leaves", "algorithm", "accepted", "wall_us"
     );
-}
-
-fn print_table() {
-    println!("\nE2: mapping algorithms — acceptance & quality (star topologies)");
-    println!(
-        "{:>7} {:>11} {:>10} {:>12} {:>11}",
-        "leaves", "algorithm", "accepted", "mean_delay", "mean_hops"
-    );
-    for leaves in [4usize, 8, 16, 32] {
-        let topo = builders::star(leaves, 4.0);
-        let sg = random_service_graph(&topo, &workload(leaves)).unwrap();
-        for (name, mk) in algos() {
-            // Backtracking explodes on big instances; cap it.
-            if name == "backtrack" && leaves > 8 {
-                continue;
-            }
-            let mut orch = Orchestrator::new(topo.clone(), mk()).unwrap();
-            let (ok, _rej) = orch.embed_graph(&sg);
-            print_row(leaves, name, &sg, &ok);
-        }
-    }
-    let (topo, sg) = fabric();
-    let mut orch = Orchestrator::new(topo, Box::new(NearestNeighbor)).unwrap();
-    let (ok, _rej) = orch.embed_graph(&sg);
-    print_row("fabric", "nearest", &sg, &ok);
-    println!("(expected shape: nearest/backtrack/anneal beat first-fit on delay;");
-    println!(" first-fit/best-fit accept less under bandwidth pressure)\n");
-}
-
-fn bench(c: &mut Criterion) {
-    print_table();
-    let mut g = c.benchmark_group("e2_mapping");
-    g.sample_size(10);
     for leaves in [8usize, 32] {
         let topo = builders::star(leaves, 4.0);
-        let sg = random_service_graph(&topo, &workload(leaves)).unwrap();
-        for (name, mk) in algos() {
+        let spec = WorkloadSpec {
+            chains: leaves,
+            ..WorkloadSpec::default()
+        };
+        let sg = random_service_graph(&topo, &spec).unwrap();
+        for name in ["first_fit", "best_fit", "nearest", "backtrack", "anneal"] {
+            // Backtracking is exponential: past 8 leaves it hits its budget.
             if name == "backtrack" && leaves > 8 {
                 continue;
             }
-            g.bench_with_input(
-                BenchmarkId::new(name, leaves),
-                &(topo.clone(), sg.clone()),
-                |b, (topo, sg)| {
-                    b.iter(|| {
-                        let mut orch = Orchestrator::new(topo.clone(), mk()).unwrap();
-                        let (ok, rej) = orch.embed_graph(sg);
-                        (ok.len(), rej.len())
-                    });
-                },
+            let mut walls: Vec<Duration> = Vec::new();
+            let mut accepted = 0;
+            for _ in 0..RUNS {
+                let algorithm = algorithm_by_name(name).unwrap();
+                let mut orch = Orchestrator::new(topo.clone(), algorithm).unwrap();
+                let t0 = Instant::now();
+                let (ok, _) = orch.embed_graph(&sg);
+                walls.push(t0.elapsed());
+                accepted = ok.len();
+            }
+            walls.sort_unstable();
+            println!(
+                "{:>7} {:>10} {:>5}/{:<3} {:>11.1}",
+                leaves,
+                name,
+                accepted,
+                sg.chains.len(),
+                walls[RUNS / 2].as_secs_f64() * 1e6
             );
         }
     }
-    let (topo, sg) = fabric();
-    g.bench_function(BenchmarkId::new("nearest", "fabric"), |b| {
-        b.iter(|| {
-            let mut orch = Orchestrator::new(topo.clone(), Box::new(NearestNeighbor)).unwrap();
-            let (ok, rej) = orch.embed_graph(&sg);
-            (ok.len(), rej.len())
-        });
-    });
-    g.finish();
+    println!();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

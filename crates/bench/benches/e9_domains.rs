@@ -8,18 +8,16 @@
 //! while four long chains cross half the pod line and exercise the
 //! gateway handoff path.
 //!
-//! Deterministic part (printed + `BENCH_domains.json`): per
-//! partitioning, [`PAIRS`] alternating pairs of runs — median wall-clock
-//! time for deploy + traffic at each worker count, their ratio, and in
-//! how many pairs the threaded run was faster — plus the mapping success
+//! Printed and written to `BENCH_domains.json`: per partitioning,
+//! [`PAIRS`] alternating pairs of runs — median wall-clock time for
+//! deploy + traffic at each worker count, their ratio, and in how many
+//! pairs the threaded run was faster — plus the mapping success
 //! rate of the hierarchical orchestrator and the delivered-frame count,
 //! which must not depend on partitioning or worker count. The ratio
 //! compares like with like: partitioning changes the work (gateway
 //! hand-offs, epoch barriers), so runs at different partitionings say
 //! nothing about threads.
-//! Criterion part: the 4-domain configuration end to end.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use escape::MultiDomainEscape;
 use escape_domain::DomainSpec;
 use escape_pox::SteeringMode;
@@ -182,7 +180,7 @@ fn median(v: &mut [f64]) -> f64 {
     (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
 }
 
-fn print_table() {
+fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -249,9 +247,6 @@ fn print_table() {
         .set("experiment", "e9_domains")
         .set("host_cpus", host_cpus as u64)
         .set("runs", escape_json::Value::Arr(runs));
-    if let Some(path) = escape_bench::write_telemetry_artifact("BENCH_domains", &doc) {
-        println!("telemetry artifact: {}", path.display());
-    }
     if let Some(path) = escape_bench::write_repo_artifact("BENCH_domains", &doc) {
         println!("baseline snapshot: {}", path.display());
     }
@@ -259,26 +254,3 @@ fn print_table() {
     println!(" every run; the ratio tracks the host's cores — 1.0 on one cpu, where");
     println!(" both columns run one worker)\n");
 }
-
-fn bench(c: &mut Criterion) {
-    print_table();
-    // The deterministic table (and the BENCH_domains.json snapshot it
-    // writes) is all a baseline refresh needs; the criterion loop takes
-    // minutes, so let `ESCAPE_BENCH_TABLE_ONLY=1 cargo bench` skip it.
-    if std::env::var_os("ESCAPE_BENCH_TABLE_ONLY").is_some() {
-        return;
-    }
-    let mut g = c.benchmark_group("e9_domains");
-    g.sample_size(10);
-    g.bench_function("four_domains_four_workers", |b| {
-        b.iter(|| {
-            let r = run_once(4, 4);
-            assert_eq!(r.mapped, r.total);
-            r.delivered
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,39 +1,14 @@
-//! escape-bench: benchmark harness crate. The experiments live in
-//! `benches/`; this lib holds shared plumbing.
+//! escape-bench: the wall-clock experiments. Each bench in `benches/`
+//! is a plain `fn main` that prints its table; the virtual-time tables
+//! are pinned by `tests/experiments.rs` instead. This lib holds shared
+//! plumbing.
 
 use escape_json::Value;
 use std::path::PathBuf;
 
-/// Writes a telemetry artifact (JSON) next to the timing output, under
-/// `target/telemetry/<name>.json`. Benches call this so every run leaves
-/// a machine-readable metrics snapshot alongside the printed numbers.
-/// Returns the path written, or `None` if the filesystem refused — in
-/// which case the failed path and error are reported on stderr so a
-/// bench run never drops an artifact without a trace.
-pub fn write_telemetry_artifact(name: &str, doc: &Value) -> Option<PathBuf> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/telemetry");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "escape-bench: cannot create telemetry dir {}: {e}",
-            dir.display()
-        );
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, doc.to_string_pretty()) {
-        eprintln!(
-            "escape-bench: cannot write telemetry artifact {}: {e}",
-            path.display()
-        );
-        return None;
-    }
-    Some(path)
-}
-
-/// Writes a benchmark snapshot as `<name>.json` at the repository root.
-/// Unlike the per-run files under `target/telemetry/`, root snapshots
-/// (e.g. `BENCH_domains.json`) are committed baselines future PRs diff
-/// against. Returns the path written, or `None` (with the error on
+/// Writes a benchmark snapshot as `<name>.json` at the repository root
+/// (e.g. `BENCH_domains.json`): a committed baseline that later changes
+/// diff against. Returns the path written, or `None` (with the error on
 /// stderr) if the filesystem refused.
 pub fn write_repo_artifact(name: &str, doc: &Value) -> Option<PathBuf> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}.json"));
@@ -46,20 +21,5 @@ pub fn write_repo_artifact(name: &str, doc: &Value) -> Option<PathBuf> {
             );
             None
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn artifact_round_trips() {
-        let doc = Value::obj().set("bench", "smoke").set("n", 3u64);
-        let path = write_telemetry_artifact("smoke_test", &doc).expect("writable target dir");
-        let read = std::fs::read_to_string(&path).unwrap();
-        let parsed = Value::parse(&read).unwrap();
-        assert_eq!(parsed.get("n").unwrap().as_u64(), Some(3));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -89,12 +89,6 @@ if pgrep -f "escaped --socket target/benchmark/run/" >/dev/null; then
     exit 1
 fi
 
-echo "== scaling gate (E10: 2 replicas deliver >= 1.5x one, in virtual time) =="
-# The floor is an assertion inside the bench. (Wall-clock dataplane
-# speed is gated by the end-to-end harness's dataplane_bare workload,
-# not here.)
-ESCAPE_BENCH_TABLE_ONLY=1 cargo bench -q -p escape-bench --bench e10_scale
-
 echo "== soak smoke (escape soak --steps 200 --seed 7) =="
 cargo run --release -q --bin escape -- soak --steps 200 --seed 7
 
