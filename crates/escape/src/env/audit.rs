@@ -4,7 +4,7 @@
 use super::Escape;
 use crate::container::{VnfContainer, VnfSlot, VnfStatus};
 use escape_openflow::Switch;
-use escape_pox::{Controller, TrafficSteering};
+use escape_pox::Controller;
 use std::collections::{HashMap, HashSet};
 
 impl Escape {
@@ -88,11 +88,11 @@ impl Escape {
             }
         }
 
-        // Steering component: every tracked chain id must be live.
+        // Steering: every tracked chain id must be live.
         if let Some(st) = self
             .sim
             .node_as::<Controller>(self.infra.controller)
-            .and_then(|c| c.component_as::<TrafficSteering>())
+            .map(Controller::steering)
         {
             for id in st.tracked_chains() {
                 if !live_cookies.contains_key(&id) {

@@ -379,17 +379,16 @@ impl Escape {
 
     // ---------------- primitive: flush-and-settle -------------------
 
-    /// The controller's traffic-steering component.
+    /// The controller's traffic-steering app.
     fn steering_mut(&mut self) -> &mut TrafficSteering {
         self.sim
             .node_as_mut::<Controller>(self.infra.controller)
             .expect("controller")
-            .component_as_mut::<TrafficSteering>()
-            .expect("steering component")
+            .steering_mut()
     }
 
-    /// Asks the controller to push everything the steering component
-    /// has queued (installs and deletions) to the switches, now.
+    /// Asks the controller to push everything steering has queued
+    /// (installs and deletions) to the switches, now.
     fn flush(&mut self) {
         Controller::request_flush(&mut self.sim, self.infra.controller, Time::ZERO);
     }

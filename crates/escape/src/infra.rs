@@ -6,7 +6,7 @@ use crate::error::EscapeError;
 use escape_netem::{CtrlId, Host, LinkConfig, NodeCtx, NodeId, NodeLogic, Sim, Time};
 use escape_openflow::Switch;
 use escape_packet::{MacAddr, Packet};
-use escape_pox::{Controller, SteeringMode, TrafficSteering};
+use escape_pox::{Controller, SteeringMode};
 use escape_sg::topo::TopoNodeKind;
 use escape_sg::ResourceTopology;
 use std::collections::HashMap;
@@ -209,10 +209,8 @@ impl Infra {
         }
 
         // Control network: controller <-> every switch. The controller
-        // and its steering component count into the simulation-wide
-        // registry.
-        let mut controller = Controller::with_registry(sim.telemetry());
-        controller.add_component(Box::new(TrafficSteering::new(mode, sim.telemetry())));
+        // and its steering app count into the simulation-wide registry.
+        let controller = Controller::new(mode, sim.telemetry());
         let controller_node = sim.add_node("controller", 0, Box::new(controller));
         for (name, &node) in &nodes {
             if dpid.contains_key(name) {

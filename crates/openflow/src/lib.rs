@@ -7,8 +7,7 @@
 //!
 //! * the OpenFlow 1.0 **wire protocol** ([`wire`]): binary encode/decode of
 //!   the messages the control loop needs (hello/echo/features handshake,
-//!   packet-in/out, flow-mod, flow-removed, barrier, flow/port stats,
-//!   errors), with the real on-wire layout (40-byte `ofp_match`, action
+//!   packet-in/out, flow-mod, flow-removed, barrier, errors), with the real on-wire layout (40-byte `ofp_match`, action
 //!   TLVs, 8-byte header);
 //! * the OF 1.0 **match** semantics ([`ofmatch`]): wildcard bits including
 //!   CIDR-masked `nw_src`/`nw_dst`;
@@ -34,9 +33,7 @@ pub use cache::FlowCache;
 pub use ofmatch::Match;
 pub use switch::Switch;
 pub use table::{FlowEntry, FlowTable};
-pub use wire::{
-    FlowModCommand, FlowStats, OfMessage, PacketInReason, PortDesc, PortStats, WireError,
-};
+pub use wire::{FlowModCommand, OfMessage, PacketInReason, PortDesc, WireError};
 
 /// Virtual port numbers from OpenFlow 1.0 (`ofp_port`).
 pub mod port {
@@ -48,6 +45,6 @@ pub mod port {
     pub const ALL: u16 = 0xfffc;
     /// Encapsulate and send to the controller.
     pub const CONTROLLER: u16 = 0xfffd;
-    /// Wildcard used in flow-mod `out_port` and stats requests.
+    /// Wildcard used in flow-mod `out_port`.
     pub const NONE: u16 = 0xffff;
 }

@@ -3,9 +3,7 @@
 use crate::action::{self, Action};
 use crate::port;
 use crate::table::{FlowEntry, FlowTable, RemovedReason};
-use crate::wire::{
-    FlowModCommand, OfMessage, PacketInReason, PortDesc, PortStats, OFPFF_SEND_FLOW_REM,
-};
+use crate::wire::{FlowModCommand, OfMessage, PacketInReason, PortDesc, OFPFF_SEND_FLOW_REM};
 use escape_netem::{CtrlId, DropReason, HopDetail, NodeCtx, NodeLogic, Time};
 use escape_packet::{FlowKey, MacAddr, Packet};
 use escape_telemetry::Registry;
@@ -22,8 +20,8 @@ const MAX_BUFFERS: usize = 256;
 ///
 /// Dataplane frames arrive on ports `0..n_ports`; the controller talks
 /// over a control channel attached with [`Switch::attach_controller`].
-/// Table misses are punted as packet-ins; flow-mods, packet-outs, stats
-/// and barriers behave per the 1.0 spec subset documented in DESIGN.md.
+/// Table misses are punted as packet-ins; flow-mods, packet-outs and
+/// barriers behave per the 1.0 spec subset documented in DESIGN.md.
 pub struct Switch {
     pub dpid: u64,
     n_ports: u16,
@@ -32,7 +30,6 @@ pub struct Switch {
     buffers: HashMap<u32, (u16, Packet)>,
     buffer_order: Vec<u32>,
     next_buffer: u32,
-    port_stats: Vec<PortStats>,
     /// Bytes of a missed packet sent to the controller (OF `miss_send_len`).
     pub miss_send_len: u16,
     xid: u32,
@@ -64,12 +61,6 @@ impl Switch {
             buffers: HashMap::new(),
             buffer_order: Vec::new(),
             next_buffer: 1,
-            port_stats: (0..n_ports)
-                .map(|p| PortStats {
-                    port_no: p,
-                    ..Default::default()
-                })
-                .collect(),
             miss_send_len: 0xffff,
             xid: 1,
             orphan_misses: 0,
@@ -92,11 +83,6 @@ impl Switch {
     /// Dataplane port count.
     pub fn n_ports(&self) -> u16 {
         self.n_ports
-    }
-
-    /// Port counters (for the port-stats reply and diagnostics).
-    pub fn port_stats(&self) -> &[PortStats] {
-        &self.port_stats
     }
 
     fn send_ctrl(&mut self, ctx: &mut NodeCtx<'_>, msg: OfMessage) {
@@ -135,13 +121,13 @@ impl Switch {
             port::FLOOD | port::ALL => {
                 for p in 0..self.n_ports {
                     if p != in_port {
-                        self.tx(ctx, p, pkt.clone());
+                        ctx.send(p, pkt.clone());
                     }
                 }
             }
             // A packet-out may name no ingress port (`NONE`) or any
             // other number: only a real port can send it back.
-            port::IN_PORT if in_port < self.n_ports => self.tx(ctx, in_port, pkt.clone()),
+            port::IN_PORT if in_port < self.n_ports => ctx.send(in_port, pkt.clone()),
             port::CONTROLLER => {
                 let data = pkt.data.clone();
                 let total_len = data.len() as u16;
@@ -154,16 +140,9 @@ impl Switch {
                 };
                 self.send_ctrl(ctx, msg);
             }
-            p if (p as usize) < self.n_ports as usize => self.tx(ctx, p, pkt.clone()),
+            p if (p as usize) < self.n_ports as usize => ctx.send(p, pkt.clone()),
             _ => {} // unknown port: drop
         }
-    }
-
-    fn tx(&mut self, ctx: &mut NodeCtx<'_>, p: u16, pkt: Packet) {
-        let st = &mut self.port_stats[p as usize];
-        st.tx_packets += 1;
-        st.tx_bytes += pkt.len() as u64;
-        ctx.send(p, pkt);
     }
 
     /// Runs `actions` on `pkt` (from `in_port`) in order and transmits.
@@ -270,13 +249,7 @@ impl Switch {
 
 impl NodeLogic for Switch {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, in_port: u16, pkt: Packet) {
-        {
-            let st = &mut self.port_stats[in_port as usize];
-            st.rx_packets += 1;
-            st.rx_bytes += pkt.len() as u64;
-        }
         let Ok(key) = FlowKey::extract(&pkt.data) else {
-            self.port_stats[in_port as usize].rx_dropped += 1;
             ctx.trace_drop(pkt.id, pkt.len(), in_port, DropReason::Malformed);
             return;
         };
@@ -307,7 +280,6 @@ impl NodeLogic for Switch {
         // Table miss: punt to controller.
         if self.ctrl.is_none() {
             self.orphan_misses += 1;
-            self.port_stats[in_port as usize].rx_dropped += 1;
             ctx.trace_drop(pkt.id, pkt.len(), in_port, DropReason::TableMissPolicy);
             return;
         }
@@ -341,7 +313,7 @@ impl NodeLogic for Switch {
     }
 
     fn on_ctrl(&mut self, ctx: &mut NodeCtx<'_>, _conn: CtrlId, msg: Vec<u8>) {
-        let (msg, xid) = match OfMessage::decode(&msg) {
+        let (msg, _) = match OfMessage::decode(&msg) {
             Ok(ok) => ok,
             Err(_) => {
                 self.send_ctrl(
@@ -417,28 +389,10 @@ impl NodeLogic for Switch {
                 }
             }
             OfMessage::BarrierRequest => self.send_ctrl(ctx, OfMessage::BarrierReply),
-            OfMessage::FlowStatsRequest { match_, out_port } => {
-                let stats = self.table.stats(&match_, out_port, ctx.now());
-                self.send_ctrl(ctx, OfMessage::FlowStatsReply(stats));
-            }
-            OfMessage::PortStatsRequest { port_no } => {
-                let entries = if port_no == port::NONE || port_no == 0xfffe {
-                    self.port_stats.clone()
-                } else {
-                    self.port_stats
-                        .iter()
-                        .filter(|p| p.port_no == port_no)
-                        .copied()
-                        .collect()
-                };
-                self.send_ctrl(ctx, OfMessage::PortStatsReply(entries));
-            }
-            // Replies/echoes addressed to us as if we were a controller,
-            // and messages we don't implement: error out politely.
-            other => {
-                let _ = xid;
-                let _ = other;
-            }
+            // Decodable messages a switch does not handle (replies and
+            // errors addressed to it as if it were a controller) are
+            // ignored.
+            _ => {}
         }
     }
 }
@@ -446,7 +400,7 @@ impl NodeLogic for Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Match;
+    use crate::{Match, WireError};
     use bytes::Bytes;
     use escape_netem::{LinkConfig, Sim};
     use escape_packet::PacketBuilder;
@@ -718,47 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip() {
-        let (mut sim, sw, _sinks, c, conn) = rig();
-        let fm = flow_mod_add(Match::any(), 1, vec![Action::out(1)]);
-        sim.ctrl_send_from(c, conn, fm.encode(1));
-        sim.run(10);
-        sim.inject(sw, 0, frame(80), sim.now());
-        sim.run(100);
-        sim.ctrl_send_from(
-            c,
-            conn,
-            OfMessage::FlowStatsRequest {
-                match_: Match::any(),
-                out_port: port::NONE,
-            }
-            .encode(2),
-        );
-        sim.ctrl_send_from(
-            c,
-            conn,
-            OfMessage::PortStatsRequest {
-                port_no: port::NONE,
-            }
-            .encode(3),
-        );
-        sim.run(100);
-        let stub = sim.node_as::<CtrlStub>(c).unwrap();
-        let flow = stub.inbox.iter().find_map(|m| match m {
-            OfMessage::FlowStatsReply(v) => Some(v),
-            _ => None,
-        });
-        assert_eq!(flow.unwrap()[0].packet_count, 1);
-        let ports = stub.inbox.iter().find_map(|m| match m {
-            OfMessage::PortStatsReply(v) => Some(v),
-            _ => None,
-        });
-        let ps = ports.unwrap();
-        assert_eq!(ps[0].rx_packets, 1);
-        assert_eq!(ps[1].tx_packets, 1);
-    }
-
-    #[test]
     fn no_controller_drops_misses() {
         let mut sim = Sim::new(0);
         let sw = sim.add_node("s1", 1, Box::new(Switch::new(1, 1)));
@@ -808,12 +721,26 @@ mod tests {
 
     #[test]
     fn malformed_ctrl_message_triggers_error_reply() {
-        let (mut sim, sw, _sinks, c, conn) = rig();
-        let _ = sw;
-        sim.ctrl_send_from(c, conn, vec![0xde, 0xad]);
-        sim.run(10);
-        let stub = sim.node_as::<CtrlStub>(c).unwrap();
-        assert!(matches!(stub.inbox[0], OfMessage::Error { .. }));
+        // A bare STATS_REQUEST header: the statistics exchange is not
+        // supported, so its types decode as unknown.
+        let stats_request = vec![1, 16, 0, 8, 0, 0, 0, 1];
+        let mut stats_reply = stats_request.clone();
+        stats_reply[1] = 17;
+        assert_eq!(
+            OfMessage::decode(&stats_request),
+            Err(WireError::UnknownType(16))
+        );
+        assert_eq!(
+            OfMessage::decode(&stats_reply),
+            Err(WireError::UnknownType(17))
+        );
+        for bad in [vec![0xde, 0xad], stats_request] {
+            let (mut sim, _sw, _sinks, c, conn) = rig();
+            sim.ctrl_send_from(c, conn, bad);
+            sim.run(10);
+            let stub = sim.node_as::<CtrlStub>(c).unwrap();
+            assert!(matches!(stub.inbox[0], OfMessage::Error { .. }));
+        }
     }
 
     #[test]

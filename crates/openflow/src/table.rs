@@ -7,7 +7,6 @@ use crate::action::Action;
 use crate::cache::FlowCache;
 use crate::ofmatch::Match;
 use crate::port;
-use crate::wire::FlowStats;
 use escape_netem::Time;
 use escape_packet::FlowKey;
 use escape_telemetry::Registry;
@@ -112,8 +111,8 @@ impl FlowTable {
 
     /// Core lookup returning the winning entry's index. Cache hits and
     /// table walks bump the *same* per-entry packet/byte counters and
-    /// `last_used`, so idle timeouts and flow stats cannot tell the two
-    /// paths apart.
+    /// `last_used`, so idle timeouts and flow-removed counts cannot tell
+    /// the two paths apart.
     pub fn lookup_idx(
         &mut self,
         key: &FlowKey,
@@ -282,29 +281,6 @@ impl FlowTable {
                 }
             })
             .min()
-    }
-
-    /// Flow statistics for entries matching the (non-strict) filter.
-    pub fn stats(&self, filter: &Match, out_port: u16, now: Time) -> Vec<FlowStats> {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.match_.is_subset_of(filter)
-                    && (out_port == port::NONE
-                        || e.actions
-                            .iter()
-                            .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port)))
-            })
-            .map(|e| FlowStats {
-                match_: e.match_,
-                priority: e.priority,
-                cookie: e.cookie,
-                packet_count: e.packet_count,
-                byte_count: e.byte_count,
-                duration_ns: now.since(e.installed_at),
-                actions: e.actions.clone(),
-            })
-            .collect()
     }
 
     /// Iterates entries (diagnostics).
@@ -659,22 +635,5 @@ mod tests {
         let n = t.modify(&Match::any(), 0, false, &[Action::out(5)]);
         assert_eq!(n, 1);
         assert_eq!(t.entries()[0].actions, vec![Action::out(5)]);
-    }
-
-    #[test]
-    fn stats_reports_matching_entries() {
-        let mut t = FlowTable::new();
-        t.add(FlowEntry::new(
-            Match::any().with_tp_dst(80),
-            1,
-            vec![Action::out(1)],
-            Time::ZERO,
-        ));
-        t.lookup(&key(80), 0, 64, Time::from_secs(1));
-        let stats = t.stats(&Match::any(), port::NONE, Time::from_secs(2));
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].packet_count, 1);
-        assert_eq!(stats[0].byte_count, 64);
-        assert_eq!(stats[0].duration_ns, 2_000_000_000);
     }
 }

@@ -87,30 +87,6 @@ pub struct PortDesc {
     pub name: String,
 }
 
-/// Per-flow statistics carried in a flow-stats reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowStats {
-    pub match_: Match,
-    pub priority: u16,
-    pub cookie: u64,
-    pub packet_count: u64,
-    pub byte_count: u64,
-    pub duration_ns: u64,
-    pub actions: Vec<Action>,
-}
-
-/// Per-port statistics carried in a port-stats reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PortStats {
-    pub port_no: u16,
-    pub rx_packets: u64,
-    pub tx_packets: u64,
-    pub rx_bytes: u64,
-    pub tx_bytes: u64,
-    pub rx_dropped: u64,
-    pub tx_dropped: u64,
-}
-
 /// The OpenFlow 1.0 messages ESCAPE's control loop uses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OfMessage {
@@ -165,15 +141,6 @@ pub enum OfMessage {
     },
     BarrierRequest,
     BarrierReply,
-    FlowStatsRequest {
-        match_: Match,
-        out_port: u16,
-    },
-    FlowStatsReply(Vec<FlowStats>),
-    PortStatsRequest {
-        port_no: u16,
-    },
-    PortStatsReply(Vec<PortStats>),
 }
 
 /// `ofp_type` codes.
@@ -188,14 +155,9 @@ mod ty {
     pub const FLOW_REMOVED: u8 = 11;
     pub const PACKET_OUT: u8 = 13;
     pub const FLOW_MOD: u8 = 14;
-    pub const STATS_REQUEST: u8 = 16;
-    pub const STATS_REPLY: u8 = 17;
     pub const BARRIER_REQUEST: u8 = 18;
     pub const BARRIER_REPLY: u8 = 19;
 }
-
-const OFPST_FLOW: u16 = 1;
-const OFPST_PORT: u16 = 4;
 
 impl OfMessage {
     fn type_code(&self) -> u8 {
@@ -212,10 +174,6 @@ impl OfMessage {
             OfMessage::FlowRemoved { .. } => ty::FLOW_REMOVED,
             OfMessage::BarrierRequest => ty::BARRIER_REQUEST,
             OfMessage::BarrierReply => ty::BARRIER_REPLY,
-            OfMessage::FlowStatsRequest { .. } | OfMessage::PortStatsRequest { .. } => {
-                ty::STATS_REQUEST
-            }
-            OfMessage::FlowStatsReply(_) | OfMessage::PortStatsReply(_) => ty::STATS_REPLY,
         }
     }
 
@@ -339,59 +297,6 @@ impl OfMessage {
                 b.extend_from_slice(&[0u8; 2]); // pad
                 b.extend_from_slice(&packet_count.to_be_bytes());
                 b.extend_from_slice(&byte_count.to_be_bytes());
-            }
-            OfMessage::FlowStatsRequest { match_, out_port } => {
-                b.extend_from_slice(&OFPST_FLOW.to_be_bytes());
-                b.extend_from_slice(&0u16.to_be_bytes()); // flags
-                match_.encode(&mut b);
-                b.push(0xff); // table_id: all
-                b.push(0); // pad
-                b.extend_from_slice(&out_port.to_be_bytes());
-            }
-            OfMessage::FlowStatsReply(entries) => {
-                b.extend_from_slice(&OFPST_FLOW.to_be_bytes());
-                b.extend_from_slice(&0u16.to_be_bytes());
-                for e in entries {
-                    let start = b.len();
-                    b.extend_from_slice(&0u16.to_be_bytes()); // entry length
-                    b.push(0); // table_id
-                    b.push(0); // pad
-                    e.match_.encode(&mut b);
-                    let secs = (e.duration_ns / 1_000_000_000) as u32;
-                    let nsecs = (e.duration_ns % 1_000_000_000) as u32;
-                    b.extend_from_slice(&secs.to_be_bytes());
-                    b.extend_from_slice(&nsecs.to_be_bytes());
-                    b.extend_from_slice(&e.priority.to_be_bytes());
-                    b.extend_from_slice(&0u16.to_be_bytes()); // idle
-                    b.extend_from_slice(&0u16.to_be_bytes()); // hard
-                    b.extend_from_slice(&[0u8; 6]); // pad
-                    b.extend_from_slice(&e.cookie.to_be_bytes());
-                    b.extend_from_slice(&e.packet_count.to_be_bytes());
-                    b.extend_from_slice(&e.byte_count.to_be_bytes());
-                    Action::encode_list(&e.actions, &mut b);
-                    let len = (b.len() - start) as u16;
-                    b[start..start + 2].copy_from_slice(&len.to_be_bytes());
-                }
-            }
-            OfMessage::PortStatsRequest { port_no } => {
-                b.extend_from_slice(&OFPST_PORT.to_be_bytes());
-                b.extend_from_slice(&0u16.to_be_bytes());
-                b.extend_from_slice(&port_no.to_be_bytes());
-                b.extend_from_slice(&[0u8; 6]); // pad
-            }
-            OfMessage::PortStatsReply(entries) => {
-                b.extend_from_slice(&OFPST_PORT.to_be_bytes());
-                b.extend_from_slice(&0u16.to_be_bytes());
-                for p in entries {
-                    b.extend_from_slice(&p.port_no.to_be_bytes());
-                    b.extend_from_slice(&[0u8; 6]); // pad
-                    b.extend_from_slice(&p.rx_packets.to_be_bytes());
-                    b.extend_from_slice(&p.tx_packets.to_be_bytes());
-                    b.extend_from_slice(&p.rx_bytes.to_be_bytes());
-                    b.extend_from_slice(&p.tx_bytes.to_be_bytes());
-                    b.extend_from_slice(&p.rx_dropped.to_be_bytes());
-                    b.extend_from_slice(&p.tx_dropped.to_be_bytes());
-                }
             }
         }
         let len = b.len() as u16;
@@ -541,94 +446,6 @@ impl OfMessage {
             }
             ty::BARRIER_REQUEST => OfMessage::BarrierRequest,
             ty::BARRIER_REPLY => OfMessage::BarrierReply,
-            ty::STATS_REQUEST => {
-                if body.len() < 4 {
-                    return Err(WireError::Malformed("stats request too short"));
-                }
-                match u16at(0) {
-                    OFPST_FLOW => {
-                        let (match_, used) =
-                            Match::decode(&body[4..]).ok_or(WireError::Malformed("bad match"))?;
-                        if body.len() < 4 + used + 4 {
-                            return Err(WireError::Malformed("flow stats request too short"));
-                        }
-                        OfMessage::FlowStatsRequest {
-                            match_,
-                            out_port: u16at(4 + used + 2),
-                        }
-                    }
-                    OFPST_PORT => OfMessage::PortStatsRequest { port_no: u16at(4) },
-                    _ => return Err(WireError::Malformed("unsupported stats kind")),
-                }
-            }
-            ty::STATS_REPLY => {
-                if body.len() < 4 {
-                    return Err(WireError::Malformed("stats reply too short"));
-                }
-                match u16at(0) {
-                    OFPST_FLOW => {
-                        let mut entries = Vec::new();
-                        let mut off = 4;
-                        while off + 4 <= body.len() {
-                            let elen = u16at(off) as usize;
-                            if elen < 4 || off + elen > body.len() {
-                                return Err(WireError::Malformed("bad flow stats entry"));
-                            }
-                            let e = &body[off..off + elen];
-                            let (match_, used) =
-                                Match::decode(&e[4..]).ok_or(WireError::Malformed("bad match"))?;
-                            let eb = &e[4 + used..];
-                            if eb.len() < 44 {
-                                return Err(WireError::Malformed("flow stats entry too short"));
-                            }
-                            let g64 = |o: usize| {
-                                let mut x = [0u8; 8];
-                                x.copy_from_slice(&eb[o..o + 8]);
-                                u64::from_be_bytes(x)
-                            };
-                            let secs = u32::from_be_bytes([eb[0], eb[1], eb[2], eb[3]]) as u64;
-                            let nsecs = u32::from_be_bytes([eb[4], eb[5], eb[6], eb[7]]) as u64;
-                            let actions = Action::decode_list(&eb[44..])
-                                .ok_or(WireError::Malformed("bad actions"))?;
-                            entries.push(FlowStats {
-                                match_,
-                                priority: u16::from_be_bytes([eb[8], eb[9]]),
-                                cookie: g64(20),
-                                packet_count: g64(28),
-                                byte_count: g64(36),
-                                duration_ns: secs * 1_000_000_000 + nsecs,
-                                actions,
-                            });
-                            off += elen;
-                        }
-                        OfMessage::FlowStatsReply(entries)
-                    }
-                    OFPST_PORT => {
-                        let mut entries = Vec::new();
-                        let mut off = 4;
-                        while off + 56 <= body.len() {
-                            let e = &body[off..off + 56];
-                            let g64 = |o: usize| {
-                                let mut x = [0u8; 8];
-                                x.copy_from_slice(&e[o..o + 8]);
-                                u64::from_be_bytes(x)
-                            };
-                            entries.push(PortStats {
-                                port_no: u16::from_be_bytes([e[0], e[1]]),
-                                rx_packets: g64(8),
-                                tx_packets: g64(16),
-                                rx_bytes: g64(24),
-                                tx_bytes: g64(32),
-                                rx_dropped: g64(40),
-                                tx_dropped: g64(48),
-                            });
-                            off += 56;
-                        }
-                        OfMessage::PortStatsReply(entries)
-                    }
-                    _ => return Err(WireError::Malformed("unsupported stats kind")),
-                }
-            }
             other => return Err(WireError::UnknownType(other)),
         };
         Ok((msg, xid))
@@ -732,44 +549,6 @@ mod tests {
             packet_count: 11,
             byte_count: 1111,
         });
-    }
-
-    #[test]
-    fn stats_roundtrip() {
-        roundtrip(OfMessage::FlowStatsRequest {
-            match_: Match::any(),
-            out_port: port::NONE,
-        });
-        roundtrip(OfMessage::PortStatsRequest { port_no: 0xffff });
-        roundtrip(OfMessage::FlowStatsReply(vec![
-            FlowStats {
-                match_: Match::any().with_tp_dst(80),
-                priority: 10,
-                cookie: 3,
-                packet_count: 100,
-                byte_count: 6400,
-                duration_ns: 1_000_000,
-                actions: vec![Action::out(2)],
-            },
-            FlowStats {
-                match_: Match::any(),
-                priority: 0,
-                cookie: 0,
-                packet_count: 0,
-                byte_count: 0,
-                duration_ns: 0,
-                actions: vec![],
-            },
-        ]));
-        roundtrip(OfMessage::PortStatsReply(vec![PortStats {
-            port_no: 1,
-            rx_packets: 10,
-            tx_packets: 20,
-            rx_bytes: 1000,
-            tx_bytes: 2000,
-            rx_dropped: 1,
-            tx_dropped: 2,
-        }]));
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! The controller core: connection handshake and event dispatch.
+//! The controller core: connection handshake, and the events it hands
+//! to its one app, ESCAPE's traffic steering.
 
-use crate::component::{Component, Ctl, PacketInEvent};
+use crate::component::{Ctl, PacketInEvent};
+use crate::steering::{SteeringMode, TrafficSteering};
 use escape_netem::{CtrlId, NodeCtx, NodeLogic, Time};
-use escape_openflow::{OfMessage, PortDesc};
+use escape_openflow::OfMessage;
 use escape_packet::{FlowKey, Packet};
 use escape_telemetry::{Counter, Registry};
 use std::collections::{BTreeMap, HashMap};
 
 /// Timer token: kick off handshakes on registered connections.
 const HANDSHAKE_TOKEN: u64 = 0xC0DE;
-/// Timer token: components asked to flush queued work (see
+/// Timer token: steering asked to flush queued work (see
 /// [`Controller::request_flush`]).
 pub const FLUSH_TOKEN: u64 = 0xF1;
 
@@ -28,6 +30,7 @@ pub struct ControllerStats {
 struct CoreCounters {
     packet_ins: Counter,
     flow_mods: Counter,
+    /// Registered so the series exists; nothing sends packet-outs.
     packet_outs: Counter,
     connections_up: Counter,
     unhandled_packet_ins: Counter,
@@ -50,36 +53,31 @@ struct ConnState {
     hello_sent: bool,
 }
 
-/// The POX-style controller node. Register switch control channels with
-/// [`Controller::register_switch`] and components with
-/// [`Controller::add_component`]; then arm the handshake with
-/// [`Controller::start`].
+/// The POX-style controller node running ESCAPE's traffic steering.
+/// Register switch control channels with [`Controller::register_switch`],
+/// then arm the handshake with [`Controller::start`].
 pub struct Controller {
     /// Ordered, so the handshake greets switches in connection-id order.
     conns: BTreeMap<u32, ConnState>,
     by_dpid: HashMap<u64, CtrlId>,
-    ports_by_dpid: HashMap<u64, Vec<PortDesc>>,
-    components: Vec<Option<Box<dyn Component>>>,
+    steering: TrafficSteering,
     counters: CoreCounters,
     xid: u32,
 }
 
 impl Controller {
-    /// An empty controller with a private telemetry registry.
-    pub fn new() -> Controller {
-        Controller::with_registry(&Registry::new())
-    }
-
-    /// An empty controller publishing its counters into `registry` —
-    /// the environment passes the simulation-wide registry here, and
-    /// builds its components on the same one.
-    pub fn with_registry(registry: &Registry) -> Controller {
+    /// A controller whose steering installs rules per `mode`, publishing
+    /// `pox.*` and then `pox.steering.*` counters into `registry` — the
+    /// environment passes the simulation-wide registry here.
+    pub fn new(mode: SteeringMode, registry: &Registry) -> Controller {
+        // `pox.*` registers before `pox.steering.*`: sampler series are
+        // ordered by registry slot.
+        let counters = CoreCounters::new(registry);
         Controller {
             conns: BTreeMap::new(),
             by_dpid: HashMap::new(),
-            ports_by_dpid: HashMap::new(),
-            components: Vec::new(),
-            counters: CoreCounters::new(registry),
+            steering: TrafficSteering::new(mode, registry),
+            counters,
             xid: 0,
         }
     }
@@ -95,6 +93,16 @@ impl Controller {
         }
     }
 
+    /// The traffic-steering app.
+    pub fn steering(&self) -> &TrafficSteering {
+        &self.steering
+    }
+
+    /// The traffic-steering app, for queueing, staging and removing rules.
+    pub fn steering_mut(&mut self) -> &mut TrafficSteering {
+        &mut self.steering
+    }
+
     /// Registers the control channel of one switch. Call before `start`.
     pub fn register_switch(&mut self, conn: CtrlId) {
         self.conns.insert(
@@ -106,35 +114,14 @@ impl Controller {
         );
     }
 
-    /// Adds a component at the end of the dispatch chain.
-    pub fn add_component(&mut self, c: Box<dyn Component>) {
-        self.components.push(Some(c));
-    }
-
-    /// Typed access to a registered component.
-    pub fn component_as<T: Component + 'static>(&self) -> Option<&T> {
-        self.components
-            .iter()
-            .filter_map(|c| c.as_deref())
-            .find_map(|c| c.as_any().downcast_ref::<T>())
-    }
-
-    /// Typed mutable access to a registered component.
-    pub fn component_as_mut<T: Component + 'static>(&mut self) -> Option<&mut T> {
-        self.components
-            .iter_mut()
-            .filter_map(|c| c.as_deref_mut())
-            .find_map(|c| c.as_any_mut().downcast_mut::<T>())
-    }
-
     /// Arms the handshake timer; call once after building the topology.
     pub fn start(sim: &mut escape_netem::Sim, me: escape_netem::NodeId) {
         sim.set_timer_for(me, Time::ZERO, HANDSHAKE_TOKEN);
     }
 
-    /// Asks the controller to give components a `FLUSH` timer event at
-    /// `delay` from now — used by the orchestrator after enqueueing rules
-    /// into a component from outside the event loop.
+    /// Asks the controller to flush steering at `delay` from now — used
+    /// by the orchestrator after enqueueing rules from outside the event
+    /// loop.
     pub fn request_flush(sim: &mut escape_netem::Sim, me: escape_netem::NodeId, delay: Time) {
         sim.set_timer_for(me, delay, FLUSH_TOKEN);
     }
@@ -146,47 +133,24 @@ impl Controller {
         v
     }
 
-    /// Ports reported by a datapath in its features reply.
-    pub fn ports_of(&self, dpid: u64) -> Option<&[PortDesc]> {
-        self.ports_by_dpid.get(&dpid).map(|v| v.as_slice())
-    }
-
-    /// Runs `f` over each component with a [`Ctl`], stopping early if `f`
-    /// returns true (event consumed).
-    fn dispatch(
+    /// Runs `f` over steering with a [`Ctl`] onto the connected switches.
+    fn with_steering<R>(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        mut f: impl FnMut(&mut Box<dyn Component>, &mut Ctl<'_, '_>) -> bool,
-    ) -> bool {
-        for i in 0..self.components.len() {
-            let Some(mut c) = self.components[i].take() else {
-                continue;
-            };
-            let mut ctl = Ctl {
-                ctx,
-                by_dpid: &self.by_dpid,
-                flow_mods_sent: &self.counters.flow_mods,
-                packet_outs_sent: &self.counters.packet_outs,
-                xid: &mut self.xid,
-            };
-            let consumed = f(&mut c, &mut ctl);
-            self.components[i] = Some(c);
-            if consumed {
-                return true;
-            }
-        }
-        false
+        f: impl FnOnce(&mut TrafficSteering, &mut Ctl<'_, '_>) -> R,
+    ) -> R {
+        let mut ctl = Ctl {
+            ctx,
+            by_dpid: &self.by_dpid,
+            flow_mods_sent: &self.counters.flow_mods,
+            xid: &mut self.xid,
+        };
+        f(&mut self.steering, &mut ctl)
     }
 
     fn send_on(&mut self, ctx: &mut NodeCtx<'_>, conn: CtrlId, msg: OfMessage) {
         self.xid = self.xid.wrapping_add(1);
         ctx.ctrl_send(conn, msg.encode(self.xid));
-    }
-}
-
-impl Default for Controller {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -211,16 +175,7 @@ impl NodeLogic for Controller {
                     self.send_on(ctx, CtrlId(c), OfMessage::FeaturesRequest);
                 }
             }
-            FLUSH_TOKEN => {
-                self.dispatch(ctx, |c, ctl| {
-                    // Reuse connection-up as the "re-sync your state" hook:
-                    // steering flushes queued rules for every known dpid.
-                    for dpid in ctl.dpids() {
-                        c.on_connection_up(ctl, dpid, &[]);
-                    }
-                    false
-                });
-            }
+            FLUSH_TOKEN => self.with_steering(ctx, |st, ctl| st.flush(ctl)),
             _ => {}
         }
     }
@@ -232,23 +187,17 @@ impl NodeLogic for Controller {
         match msg {
             OfMessage::Hello => {} // our hello was already sent
             OfMessage::EchoRequest(d) => self.send_on(ctx, conn, OfMessage::EchoReply(d)),
-            OfMessage::FeaturesReply {
-                datapath_id, ports, ..
-            } => {
+            OfMessage::FeaturesReply { datapath_id, .. } => {
                 if let Some(st) = self.conns.get_mut(&conn.0) {
                     st.dpid = Some(datapath_id);
                 }
                 self.by_dpid.insert(datapath_id, conn);
-                self.ports_by_dpid.insert(datapath_id, ports.clone());
                 self.counters.connections_up.inc();
-                self.dispatch(ctx, |c, ctl| {
-                    c.on_connection_up(ctl, datapath_id, &ports);
-                    false
-                });
+                // A switch coming up is a moment to sync queued rules.
+                self.with_steering(ctx, |st, ctl| st.flush(ctl));
             }
             OfMessage::PacketIn {
                 buffer_id,
-                total_len,
                 in_port,
                 data,
                 ..
@@ -261,34 +210,19 @@ impl NodeLogic for Controller {
                     dpid,
                     buffer_id,
                     in_port,
-                    total_len,
                     key: FlowKey::extract(&data).ok(),
-                    data,
                 };
-                let consumed = self.dispatch(ctx, |c, ctl| c.on_packet_in(ctl, &ev));
-                if !consumed {
+                if !self.with_steering(ctx, |st, ctl| st.on_packet_in(ctl, &ev)) {
                     self.counters.unhandled_packet_ins.inc();
                 }
             }
-            OfMessage::FlowRemoved { .. } => {
+            OfMessage::FlowRemoved {
+                match_, priority, ..
+            } => {
                 let Some(dpid) = self.conns.get(&conn.0).and_then(|s| s.dpid) else {
                     return;
                 };
-                let m = msg.clone();
-                self.dispatch(ctx, |c, ctl| {
-                    c.on_flow_removed(ctl, dpid, &m);
-                    false
-                });
-            }
-            OfMessage::FlowStatsReply(_) | OfMessage::PortStatsReply(_) => {
-                let Some(dpid) = self.conns.get(&conn.0).and_then(|s| s.dpid) else {
-                    return;
-                };
-                let m = msg.clone();
-                self.dispatch(ctx, |c, _ctl| {
-                    c.on_stats(dpid, &m);
-                    false
-                });
+                self.steering.on_flow_removed(dpid, &match_, priority);
             }
             // Barriers, errors: currently informational.
             _ => {}
@@ -302,12 +236,16 @@ mod tests {
     use escape_netem::Sim;
     use escape_openflow::Switch;
 
+    fn controller() -> Controller {
+        Controller::new(SteeringMode::Proactive, &Registry::new())
+    }
+
     #[test]
     fn handshake_brings_connections_up() {
         let mut sim = Sim::new(1);
         let s1 = sim.add_node("s1", 2, Box::new(Switch::new(11, 2)));
         let s2 = sim.add_node("s2", 2, Box::new(Switch::new(22, 2)));
-        let c = sim.add_node("c0", 0, Box::new(Controller::new()));
+        let c = sim.add_node("c0", 0, Box::new(controller()));
         let l1 = sim.ctrl_connect(s1, c, Time::from_us(50));
         let l2 = sim.ctrl_connect(s2, c, Time::from_us(50));
         sim.node_as_mut::<Switch>(s1).unwrap().attach_controller(l1);
@@ -322,7 +260,6 @@ mod tests {
         let ctl = sim.node_as::<Controller>(c).unwrap();
         assert_eq!(ctl.connected_dpids(), vec![11, 22]);
         assert_eq!(ctl.stats().connections_up, 2);
-        assert_eq!(ctl.ports_of(11).unwrap().len(), 2);
     }
 
     #[test]
@@ -330,7 +267,7 @@ mod tests {
         // A switch doesn't send echo requests by itself; simulate one.
         let mut sim = Sim::new(1);
         let s1 = sim.add_node("s1", 1, Box::new(Switch::new(1, 1)));
-        let c = sim.add_node("c0", 0, Box::new(Controller::new()));
+        let c = sim.add_node("c0", 0, Box::new(controller()));
         let l = sim.ctrl_connect(s1, c, Time::from_us(10));
         sim.node_as_mut::<Switch>(s1).unwrap().attach_controller(l);
         sim.node_as_mut::<Controller>(c).unwrap().register_switch(l);

@@ -1,41 +1,23 @@
 //! # escape-pox
 //!
-//! An event-driven OpenFlow controller platform — the POX role in
-//! ESCAPE-RS.
+//! An event-driven OpenFlow controller — the POX role in ESCAPE-RS.
 //!
-//! POX structures a controller as *components* subscribing to events
-//! (ConnectionUp, PacketIn, FlowRemoved). This crate reproduces that
-//! model:
+//! In ESCAPE, POX runs one app: traffic steering. This crate is that
+//! controller and that app:
 //!
 //! * [`core::Controller`] — an [`escape_netem::NodeLogic`] terminating one
 //!   control channel per switch, running the OpenFlow handshake
-//!   (hello → features) and dispatching events to registered components in
-//!   order until one claims the event;
-//! * [`component::Component`] — the POX-app trait, with [`component::Ctl`]
-//!   as the capability handle for sending flow-mods/packet-outs;
-//! * [`l2::L2Learning`] — the classic learning-switch app (POX's
-//!   `forwarding.l2_learning`), used for the control-network and baseline
-//!   forwarding;
-//! * [`discovery::Discovery`] — LLDP-style topology discovery (POX's
-//!   `openflow.discovery`);
-//! * [`stats::StatsCollector`] — flow/port statistics polling, feeding
-//!   the orchestration layer's global resource view;
+//!   (hello → features) and handing connection-up, packet-in and
+//!   flow-removed events to the steering app it owns;
 //! * [`steering::TrafficSteering`] — ESCAPE's traffic steering app: it
 //!   holds per-switch steering rules compiled from mapped service chains
 //!   and installs them proactively (on connection-up / on demand) or
 //!   reactively (on first packet), per the D1 design-choice ablation in
 //!   DESIGN.md.
 
-pub mod component;
+mod component;
 pub mod core;
-pub mod discovery;
-pub mod l2;
-pub mod stats;
 pub mod steering;
 
 pub use crate::core::{Controller, ControllerStats};
-pub use component::{Component, Ctl, PacketInEvent};
-pub use discovery::{DiscoveredLink, Discovery};
-pub use l2::L2Learning;
-pub use stats::StatsCollector;
 pub use steering::{SteeringMode, SteeringRule, TrafficSteering};

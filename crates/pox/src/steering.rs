@@ -1,15 +1,15 @@
-//! ESCAPE's traffic steering component.
+//! ESCAPE's traffic steering app.
 //!
 //! The orchestrator compiles a mapped service chain into per-switch
-//! steering rules (match → actions). This component owns those rules and
+//! steering rules (match → actions). This app owns those rules and
 //! installs them either **proactively** — pushed to the switches as soon
 //! as they are queued (chain deployment time) — or **reactively** — held
 //! back until the first packet of the flow misses and punts, then
 //! installed with the buffered packet released through them (design
 //! choice D1 in DESIGN.md).
 
-use crate::component::{Component, Ctl, PacketInEvent};
-use escape_openflow::{switch::NO_BUFFER, Action, Match, OfMessage, PortDesc};
+use crate::component::{Ctl, PacketInEvent};
+use escape_openflow::{switch::NO_BUFFER, Action, Match};
 use escape_telemetry::{Counter, Registry};
 use std::collections::HashMap;
 
@@ -35,7 +35,7 @@ pub struct SteeringRule {
     pub chain_id: u64,
 }
 
-/// The steering component. Queue rules with [`TrafficSteering::queue_rules`]
+/// The steering app. Queue rules with [`TrafficSteering::queue_rules`]
 /// (typically via the orchestrator), then let the controller flush them.
 pub struct TrafficSteering {
     pub mode: SteeringMode,
@@ -58,7 +58,7 @@ pub struct TrafficSteering {
 }
 
 impl TrafficSteering {
-    /// A steering component counting `pox.steering.*` into `registry`.
+    /// A steering app counting `pox.steering.*` into `registry`.
     pub fn new(mode: SteeringMode, registry: &Registry) -> TrafficSteering {
         TrafficSteering {
             mode,
@@ -146,7 +146,7 @@ impl TrafficSteering {
         self.staged.remove(&chain_id).map_or(0, |v| v.len())
     }
 
-    /// Every chain id this component holds rules for, in any state
+    /// Every chain id steering holds rules for, in any state
     /// (queued, installed, staged or awaiting removal), sorted. Leak
     /// audits compare this against the set of live chains.
     pub fn tracked_chains(&self) -> Vec<u64> {
@@ -206,45 +206,32 @@ impl TrafficSteering {
     }
 
     /// Installs every queued rule whose switch is connected (proactive
-    /// mode only) and pushes pending deletions. Returns the number
-    /// installed.
-    fn flush(&mut self, ctl: &mut Ctl<'_, '_>) -> usize {
+    /// mode only) and pushes pending deletions. The controller calls it
+    /// when a switch comes up and on its FLUSH timer.
+    pub(crate) fn flush(&mut self, ctl: &mut Ctl<'_, '_>) {
         for r in std::mem::take(&mut self.pending_removal) {
             // Cookie-scoped: only this chain's rule dies, even if another
             // chain installed an overlapping match on the same switch.
             ctl.flow_delete_with_cookie(r.dpid, r.match_, r.chain_id);
         }
         if self.mode != SteeringMode::Proactive {
-            return 0;
+            return;
         }
         let mut kept = Vec::new();
-        let mut n = 0;
         for r in self.queued.drain(..) {
             if Self::push_rule(ctl, &r, NO_BUFFER) {
                 self.proactive_ctr.inc();
-                n += 1;
                 self.installed.entry(r.chain_id).or_default().push(r);
             } else {
                 kept.push(r); // switch not up yet
             }
         }
         self.queued = kept;
-        n
-    }
-}
-
-impl Component for TrafficSteering {
-    fn name(&self) -> &'static str {
-        "traffic_steering"
     }
 
-    /// Called both on real connection-up and on the controller's FLUSH
-    /// event; both are moments to sync queued rules down to switches.
-    fn on_connection_up(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: u64, _ports: &[PortDesc]) {
-        self.flush(ctl);
-    }
-
-    fn on_packet_in(&mut self, ctl: &mut Ctl<'_, '_>, ev: &PacketInEvent) -> bool {
+    /// A packet was punted to the controller. Returns `true` if an armed
+    /// reactive rule covered it and was installed.
+    pub(crate) fn on_packet_in(&mut self, ctl: &mut Ctl<'_, '_>, ev: &PacketInEvent) -> bool {
         if self.mode != SteeringMode::Reactive {
             return false;
         }
@@ -276,28 +263,24 @@ impl Component for TrafficSteering {
         true
     }
 
-    fn on_flow_removed(&mut self, _ctl: &mut Ctl<'_, '_>, dpid: u64, msg: &OfMessage) {
-        // Re-arm reactive rules whose flow expired so the next packet
-        // re-installs them.
+    /// A flow entry expired or was deleted on a switch: re-arm the
+    /// reactive rule it came from so the next packet re-installs it.
+    pub(crate) fn on_flow_removed(&mut self, dpid: u64, match_: &Match, priority: u16) {
         if self.mode != SteeringMode::Reactive {
             return;
         }
-        if let OfMessage::FlowRemoved {
-            match_, priority, ..
-        } = msg
-        {
-            for rules in self.installed.values_mut() {
-                if let Some(pos) = rules
+        for rules in self.installed.values_mut() {
+            if let Some(pos) = rules
+                .iter()
+                .position(|r| r.dpid == dpid && r.match_ == *match_ && r.priority == priority)
+            {
+                let r = rules.remove(pos);
+                let already_armed = self
+                    .queued
                     .iter()
-                    .position(|r| r.dpid == dpid && r.match_ == *match_ && r.priority == *priority)
-                {
-                    let r = rules.remove(pos);
-                    let already_armed = self.queued.iter().any(|q| {
-                        q.dpid == r.dpid && q.match_ == r.match_ && q.priority == r.priority
-                    });
-                    if !already_armed {
-                        self.queued.push(r);
-                    }
+                    .any(|q| q.dpid == r.dpid && q.match_ == r.match_ && q.priority == r.priority);
+                if !already_armed {
+                    self.queued.push(r);
                 }
             }
         }
@@ -337,7 +320,7 @@ mod tests {
         );
         sim.connect((sw, 0), (h1, 0), LinkConfig::lan());
         sim.connect((sw, 1), (h2, 0), LinkConfig::lan());
-        let c = sim.add_node("c0", 0, Box::new(Controller::with_registry(&reg)));
+        let c = sim.add_node("c0", 0, Box::new(Controller::new(mode, &reg)));
         let conn = sim.ctrl_connect(sw, c, Time::from_us(200));
         sim.node_as_mut::<Switch>(sw)
             .unwrap()
@@ -345,7 +328,6 @@ mod tests {
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
             ctl.register_switch(conn);
-            ctl.add_component(Box::new(TrafficSteering::new(mode, &reg)));
         }
         // Static ARP both ways: steering setups pre-provision ARP.
         sim.node_as_mut::<Host>(h1)
@@ -387,15 +369,13 @@ mod tests {
         let (mut sim, h1, h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .queue_rules(rules_for_chain());
+            ctl.steering_mut().queue_rules(rules_for_chain());
         }
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
         {
             let ctl = sim.node_as::<Controller>(c).unwrap();
-            let st = ctl.component_as::<TrafficSteering>().unwrap();
+            let st = ctl.steering();
             assert_eq!(st.proactive_installs(), 2);
             assert_eq!(st.pending(), 0);
             assert_eq!(st.installed_for(1), 2);
@@ -419,9 +399,7 @@ mod tests {
         let (mut sim, h1, h2, c) = rig(SteeringMode::Reactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .queue_rules(rules_for_chain());
+            ctl.steering_mut().queue_rules(rules_for_chain());
         }
         sim.node_as_mut::<Host>(h1).unwrap().add_stream(
             Ipv4Addr::new(10, 0, 0, 2),
@@ -435,7 +413,7 @@ mod tests {
         sim.run(100_000);
         assert_eq!(sim.node_as::<Host>(h2).unwrap().stats.udp_rx, 10);
         let ctl = sim.node_as::<Controller>(c).unwrap();
-        let st = ctl.component_as::<TrafficSteering>().unwrap();
+        let st = ctl.steering();
         // Packets in flight during the control round-trip also punt; all
         // are released, and installs stop once the flow serves traffic.
         assert!(st.reactive_installs() >= 1);
@@ -448,26 +426,17 @@ mod tests {
         let (mut sim, _h1, _h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .queue_rules(rules_for_chain());
+            ctl.steering_mut().queue_rules(rules_for_chain());
         }
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
         let removed = {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .remove_chain(1)
+            ctl.steering_mut().remove_chain(1)
         };
         assert_eq!(removed.len(), 2);
         let ctl = sim.node_as::<Controller>(c).unwrap();
-        assert_eq!(
-            ctl.component_as::<TrafficSteering>()
-                .unwrap()
-                .installed_for(1),
-            0
-        );
+        assert_eq!(ctl.steering().installed_for(1), 0);
     }
 
     #[test]
@@ -487,7 +456,7 @@ mod tests {
         }];
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             st.queue_rules(rules_for_chain());
             st.queue_rules(chain2);
         }
@@ -497,9 +466,7 @@ mod tests {
         assert_eq!(sim.node_as::<Switch>(sw).unwrap().table.len(), 3);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .remove_chain(1);
+            ctl.steering_mut().remove_chain(1);
         }
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
@@ -527,9 +494,7 @@ mod tests {
         let (mut sim, h1, h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .queue_rules(rules_for_chain());
+            ctl.steering_mut().queue_rules(rules_for_chain());
         }
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
@@ -537,7 +502,7 @@ mod tests {
         // the environment does after rerouting around a failed link.
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             let stale = st.resteer_chain(1, rules_for_chain());
             assert_eq!(stale, 2);
             assert_eq!(st.resteers(), 1);
@@ -548,7 +513,7 @@ mod tests {
         sim.run(100);
         {
             let ctl = sim.node_as::<Controller>(c).unwrap();
-            let st = ctl.component_as::<TrafficSteering>().unwrap();
+            let st = ctl.steering();
             assert_eq!(st.installed_for(1), 2);
             assert_eq!(st.pending(), 0);
         }
@@ -571,7 +536,7 @@ mod tests {
         let (mut sim, h1, h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             st.stage_rules(1, rules_for_chain());
             assert_eq!(st.staged_for(1), 2);
             assert_eq!(st.pending(), 0, "staged rules are not queued");
@@ -582,7 +547,7 @@ mod tests {
         sim.run(100);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             assert_eq!(st.proactive_installs(), 0);
             assert_eq!(st.installed_for(1), 0);
             // Commit moves the whole set to the live queue atomically.
@@ -594,7 +559,7 @@ mod tests {
         sim.run(100);
         {
             let ctl = sim.node_as::<Controller>(c).unwrap();
-            let st = ctl.component_as::<TrafficSteering>().unwrap();
+            let st = ctl.steering();
             assert_eq!(st.installed_for(1), 2);
         }
         // Traffic flows through the committed rules.
@@ -616,9 +581,7 @@ mod tests {
         let (mut sim, h1, h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            ctl.component_as_mut::<TrafficSteering>()
-                .unwrap()
-                .queue_rules(rules_for_chain());
+            ctl.steering_mut().queue_rules(rules_for_chain());
         }
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
@@ -627,7 +590,7 @@ mod tests {
         // the same flush.
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             let mut next = rules_for_chain();
             next.push(SteeringRule {
                 dpid: 1,
@@ -653,7 +616,7 @@ mod tests {
         sim.run(100);
         {
             let ctl = sim.node_as::<Controller>(c).unwrap();
-            let st = ctl.component_as::<TrafficSteering>().unwrap();
+            let st = ctl.steering();
             assert_eq!(st.installed_for(1), 3);
             assert_eq!(st.pending(), 0);
         }
@@ -676,7 +639,7 @@ mod tests {
         let (mut sim, _h1, _h2, c) = rig(SteeringMode::Proactive);
         {
             let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-            let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+            let st = ctl.steering_mut();
             st.stage_rules(7, rules_for_chain());
             assert_eq!(st.discard_staged(7), 2);
             assert_eq!(st.staged_for(7), 0);
@@ -686,11 +649,11 @@ mod tests {
         Controller::request_flush(&mut sim, c, Time::ZERO);
         sim.run(100);
         let ctl = sim.node_as::<Controller>(c).unwrap();
-        let st = ctl.component_as::<TrafficSteering>().unwrap();
+        let st = ctl.steering();
         assert_eq!(st.proactive_installs(), 0);
         // remove_chain also clears any staged leftovers.
         let ctl = sim.node_as_mut::<Controller>(c).unwrap();
-        let st = ctl.component_as_mut::<TrafficSteering>().unwrap();
+        let st = ctl.steering_mut();
         st.stage_rules(8, rules_for_chain());
         st.remove_chain(8);
         assert_eq!(st.staged_for(8), 0);

@@ -9,7 +9,7 @@ use escape::env::Escape;
 use escape_catalog::Catalog;
 use escape_netconf::vnf_starter;
 use escape_orch::NearestNeighbor;
-use escape_pox::{Controller, SteeringMode, TrafficSteering};
+use escape_pox::{Controller, SteeringMode};
 use escape_sg::topo::builders;
 use escape_sg::ServiceGraph;
 
@@ -42,8 +42,7 @@ fn main() {
         .sim
         .node_as::<Controller>(esc.infra.controller)
         .unwrap()
-        .component_as::<TrafficSteering>()
-        .unwrap()
+        .steering()
         .proactive_installs();
 
     println!("┌──────────────────────────── SERVICE LAYER ────────────────────────────┐");

@@ -35,20 +35,21 @@ if [ -n "$REHOMES" ]; then
     exit 1
 fi
 
-echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame and socket/file paths =="
+echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control and socket/file paths =="
 # Between a --domains file and the coordinator, from the node logic that
 # produces trace records through the trace ring to an SLA verdict, in
 # the parsers, writers, rewrites and elements every frame passes
-# through, and in the code that reads sockets, the WAL, NETCONF
+# through, in the controller's packet-in path and every OpenFlow
+# decoder, and in the code that reads sockets, the WAL, NETCONF
 # messages and JSON, a panic site names the invariant that makes it
 # unreachable (expect), or input that can reach it gets a typed error.
 # Test modules are exempt.
 UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
     crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
-    crates/netem/src/sim.rs crates/openflow/src/{switch,action}.rs crates/click/src/router.rs \
-    crates/escape/src/container.rs \
+    crates/netem/src/sim.rs crates/openflow/src/{switch,action,wire,ofmatch,table}.rs \
+    crates/click/src/router.rs crates/escape/src/container.rs \
     crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite}.rs \
-    crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/discovery.rs \
+    crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
     crates/ctl/src/wal.rs crates/ctl/src/server/*.rs crates/netconf/src/{datastore,xml}.rs \
     crates/json/src/*.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"

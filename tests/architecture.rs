@@ -17,7 +17,7 @@ use escape::env::Escape;
 use escape_catalog::Catalog;
 use escape_netconf::vnf_starter;
 use escape_orch::NearestNeighbor;
-use escape_pox::{Controller, SteeringMode, TrafficSteering};
+use escape_pox::{Controller, SteeringMode};
 use escape_sg::topo::builders;
 use escape_sg::ServiceGraph;
 
@@ -38,9 +38,10 @@ fn figure1_all_layers_present_and_live() {
         n_switches,
         "OpenFlow switches up"
     );
-    // Steering component registered (POX role).
-    assert!(
-        ctl.component_as::<TrafficSteering>().is_some(),
+    // The controller runs the traffic steering app (POX role).
+    assert_eq!(
+        ctl.steering().mode,
+        SteeringMode::Proactive,
         "traffic steering app"
     );
     // Containers expose NETCONF agents speaking vnf_starter (OpenYuma role).

@@ -8,7 +8,8 @@
 //! on the virtual clock, so it is exact per seed; the wall-clock tables
 //! live in `crates/bench`. Each test first asserts the shape its table
 //! claims, then compares its own `## E…` section with the file byte for
-//! byte.
+//! byte. One more test holds EXPERIMENTS.md to the file: the numbers of
+//! each experiment's Markdown tables must be its corpus rows, in order.
 //!
 //! A model change re-records the file in one reviewed diff: on a
 //! mismatch the corpus, with every section that differed replaced, is
@@ -574,4 +575,108 @@ fn e10_cutovers_under_live_traffic() {
         "from to cutover_us",
         &rows,
     ));
+}
+
+/// Experiments whose Markdown section ends in wall-clock tables that
+/// have no corpus rows.
+const WALL_CLOCK_TAIL: [&str; 2] = ["E2", "E4"];
+
+/// The numeric value of a cell or corpus token — `**` and a trailing
+/// `×`/`x` stripped, digit-group spaces joined, `a/b` one token — or
+/// `None` for a label.
+fn numeric(cell: &str) -> Option<String> {
+    let cell = cell.replace("**", "");
+    let cell = cell.trim().trim_end_matches(['×', 'x']);
+    let mut groups = cell.split(' ');
+    let mut token = groups.next()?.to_string();
+    for g in groups {
+        let digits = g.bytes().take_while(u8::is_ascii_digit).count();
+        if digits != 3 {
+            return None;
+        }
+        token.push_str(g);
+    }
+    let number = |s: &str| {
+        let (int, frac) = s.split_once('.').unwrap_or((s, "0"));
+        [int, frac]
+            .iter()
+            .all(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()))
+    };
+    let (a, b) = token.split_once('/').unwrap_or((&token, "0"));
+    (number(a) && number(b)).then_some(token)
+}
+
+/// `(experiment id, data rows)` per experiment of the corpus, its
+/// sections' rows concatenated in file order; a row is its numeric
+/// tokens.
+fn corpus_rows() -> Vec<(String, Vec<Vec<String>>)> {
+    let mut out: Vec<(String, Vec<Vec<String>>)> = Vec::new();
+    for block in CORPUS.split("\n## ").skip(1) {
+        let mut lines = block.lines().filter(|l| !l.trim().is_empty());
+        let id = lines.next().and_then(|t| t.split(' ').next());
+        let id = id.expect("a section has a title").to_string();
+        let rows = lines
+            .skip(1) // column names
+            .map(|l| l.split_whitespace().filter_map(numeric).collect());
+        match out.last_mut() {
+            Some((last, acc)) if *last == id => acc.extend(rows),
+            _ => out.push((id, rows.collect())),
+        }
+    }
+    out
+}
+
+/// The Markdown tables under EXPERIMENTS.md's `## {id} —` heading, each
+/// as its data rows of numeric cells.
+fn doc_tables(doc: &str, id: &str) -> Vec<Vec<Vec<String>>> {
+    let heading = format!("## {id} —");
+    let start = doc
+        .find(&heading)
+        .unwrap_or_else(|| panic!("no `{heading}`"));
+    let body = &doc[start + heading.len()..];
+    let body = &body[..body.find("\n## ").unwrap_or(body.len())];
+    let mut tables: Vec<Vec<Vec<String>>> = Vec::new();
+    let mut in_table = false;
+    for line in body.lines() {
+        let Some(cells) = line.trim().strip_prefix('|') else {
+            in_table = false;
+            continue;
+        };
+        if !in_table {
+            // The header row opens a table; the `|---|` rule follows.
+            tables.push(Vec::new());
+            in_table = true;
+            continue;
+        }
+        if cells.starts_with("---") {
+            continue;
+        }
+        let row = cells.split('|').filter_map(numeric).collect();
+        tables.last_mut().expect("a table is open").push(row);
+    }
+    tables
+}
+
+#[test]
+fn experiments_md_tables_match_the_corpus() {
+    const DOC: &str = include_str!("../EXPERIMENTS.md");
+    for (id, corpus) in corpus_rows() {
+        let tables = doc_tables(DOC, &id);
+        // Whole tables, in order, until the corpus rows run out.
+        let mut doc = Vec::new();
+        let mut used = 0;
+        while doc.len() < corpus.len() && used < tables.len() {
+            doc.extend(tables[used].iter().cloned());
+            used += 1;
+        }
+        assert_eq!(
+            doc, corpus,
+            "EXPERIMENTS.md's {id} tables drift from the corpus"
+        );
+        assert!(
+            used == tables.len() || WALL_CLOCK_TAIL.contains(&id.as_str()),
+            "{id} has {} tables past the corpus rows",
+            tables.len() - used
+        );
+    }
 }

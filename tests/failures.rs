@@ -8,7 +8,7 @@ use escape_netconf::VnfInstrumentation;
 use escape_netem::LinkState;
 use escape_openflow::Match;
 use escape_orch::{GreedyFirstFit, NearestNeighbor};
-use escape_pox::{Controller, SteeringMode, SteeringRule, TrafficSteering};
+use escape_pox::{Controller, SteeringMode, SteeringRule};
 use escape_sg::topo::builders;
 use escape_sg::ServiceGraph;
 
@@ -27,8 +27,7 @@ fn jam_steering(esc: &mut Escape) {
     esc.sim
         .node_as_mut::<Controller>(esc.infra.controller)
         .unwrap()
-        .component_as_mut::<TrafficSteering>()
-        .unwrap()
+        .steering_mut()
         .queue_rules(vec![SteeringRule {
             dpid: 0xdead,
             match_: Match::any(),

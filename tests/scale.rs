@@ -21,7 +21,7 @@ use escape::{EscapeError, RollbackReport};
 use escape_netem::{FaultKind, FaultPlan};
 use escape_openflow::Match;
 use escape_orch::NearestNeighbor;
-use escape_pox::{Controller, SteeringMode, SteeringRule, TrafficSteering};
+use escape_pox::{Controller, SteeringMode, SteeringRule};
 use escape_scale::{AutoscalerConfig, MigrationPhase};
 use escape_sg::{topo::builders, ServiceGraph, Sla};
 use escape_telemetry::SamplerConfig;
@@ -234,8 +234,7 @@ fn scale_out_failing_after_promote_restores_rules_then_retires_the_new_replica()
     esc.sim
         .node_as_mut::<Controller>(esc.infra.controller)
         .unwrap()
-        .component_as_mut::<TrafficSteering>()
-        .unwrap()
+        .steering_mut()
         .queue_rules(vec![SteeringRule {
             dpid: 0xdead,
             match_: Match::any(),
