@@ -11,9 +11,8 @@ use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
 use bytes::Bytes;
-use escape_packet::{rewrite, Packet};
+use escape_packet::{rewrite, LookupMap, Packet};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 pub fn install(r: &mut Registry) {
@@ -32,8 +31,8 @@ const FIRST_PORT: u16 = 40_000;
 /// The NAT element. See the module docs.
 pub struct IpRewriter {
     external: Ipv4Addr,
-    forward: HashMap<FlowId, u16>,
-    reverse: HashMap<(u8, u16), (Ipv4Addr, u16)>,
+    forward: LookupMap<FlowId, u16>,
+    reverse: LookupMap<(u8, u16), (Ipv4Addr, u16)>,
     next_port: u16,
     rewritten: u64,
     dropped: u64,
@@ -45,8 +44,8 @@ impl IpRewriter {
     fn new(external: Ipv4Addr) -> Self {
         IpRewriter {
             external,
-            forward: HashMap::new(),
-            reverse: HashMap::new(),
+            forward: LookupMap::new(),
+            reverse: LookupMap::new(),
             next_port: FIRST_PORT,
             rewritten: 0,
             dropped: 0,

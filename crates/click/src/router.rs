@@ -4,10 +4,10 @@ use crate::element::{Effect, ElemCtx, Element};
 use crate::lang::{parse_config, ConfigError, ParsedConfig};
 use crate::registry::Registry;
 use escape_netem::Time;
-use escape_packet::Packet;
+use escape_packet::{LookupMap, Packet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Result of feeding work into a router: frames leaving the VNF and the
 /// CPU nanoseconds the processing consumed.
@@ -31,8 +31,8 @@ pub struct Router {
     /// element `e` (for pull resolution; last connection wins).
     in_conns: Vec<Vec<Option<(usize, usize)>>>,
     /// Device number -> FromDevice element index.
-    from_device: HashMap<u16, usize>,
-    name_index: HashMap<String, usize>,
+    from_device: BTreeMap<u16, usize>,
+    name_index: LookupMap<String, usize>,
     pub(crate) pending: VecDeque<Effect>,
     pub(crate) rng: SmallRng,
     pub(crate) work_acc: u64,
@@ -73,8 +73,8 @@ impl Router {
         let mut elements: Vec<Option<Box<dyn Element>>> = Vec::new();
         // (inputs, outputs) of each element, in declaration order.
         let mut ports = Vec::new();
-        let mut name_index = HashMap::new();
-        let mut from_device = HashMap::new();
+        let mut name_index = LookupMap::new();
+        let mut from_device = BTreeMap::new();
         for d in &parsed.decls {
             let elem = registry.build(&d.class, &d.args, d.line)?;
             let idx = elements.len();
@@ -198,9 +198,7 @@ impl Router {
 
     /// Devices with a `FromDevice` entry point.
     pub fn input_devices(&self) -> Vec<u16> {
-        let mut v: Vec<u16> = self.from_device.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.from_device.keys().copied().collect()
     }
 
     pub(crate) fn upstream_of(&self, elem: usize, in_port: usize) -> Option<(usize, usize)> {

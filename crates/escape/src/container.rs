@@ -15,8 +15,8 @@ use escape_netem::process::ProcId;
 use escape_netem::{
     CpuModel, CtrlId, DropReason, HopDetail, IsolationMode, NodeCtx, NodeLogic, Time, VnfPath,
 };
-use escape_packet::Packet;
-use std::collections::{BinaryHeap, HashMap};
+use escape_packet::{LookupMap, Packet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// Handlers sampled for `getVNFInfo` (the Clicky view).
@@ -75,7 +75,7 @@ pub struct VnfSlot {
     pub router: Router,
     pub status: VnfStatus,
     pub proc: ProcId,
-    pub bindings: HashMap<u16, Binding>,
+    pub bindings: BTreeMap<u16, Binding>,
     /// Frames dropped because the VNF was not running.
     pub dropped_not_running: u64,
 }
@@ -87,15 +87,15 @@ pub struct VnfSlot {
 pub struct VnfHost {
     pub name: String,
     pub vnfs: Vec<VnfSlot>,
-    by_id: HashMap<String, usize>,
+    by_id: LookupMap<String, usize>,
     pub cpu: CpuModel,
     catalog: Catalog,
     registry: Registry,
     /// Free attachment points: switch name -> (container port, switch
     /// port) pairs pre-provisioned at build time.
-    attach_free: HashMap<String, Vec<(u16, u16)>>,
+    attach_free: LookupMap<String, Vec<(u16, u16)>>,
     /// Ingress dispatch: container port -> (vnf index, device).
-    port_bindings: HashMap<u16, (usize, u16)>,
+    port_bindings: LookupMap<u16, (usize, u16)>,
     seed: u64,
     next_vnf: u32,
     /// Frames that arrived on an unbound port.
@@ -109,7 +109,7 @@ pub struct VnfHost {
     /// One shared path per distinct traversal, so a traced frame costs a
     /// lookup, not a copy of every name. A VNF's entries go when it
     /// stops; records still in the trace ring keep their own `Arc`.
-    paths: HashMap<Box<[(u32, u16)]>, Arc<VnfPath>>,
+    paths: LookupMap<Box<[(u32, u16)]>, Arc<VnfPath>>,
     /// `run`'s (vnf, dev, frame) work queue and one router's emissions,
     /// reused across frames.
     queue: Vec<(usize, u16, Packet)>,
@@ -119,31 +119,28 @@ pub struct VnfHost {
 impl VnfHost {
     /// Creates the host. `attach` lists pre-provisioned attachment points
     /// as (switch name, container port, switch port).
-    pub fn new(name: impl Into<String>, attach: Vec<(String, u16, u16)>, seed: u64) -> VnfHost {
-        let mut attach_free: HashMap<String, Vec<(u16, u16)>> = HashMap::new();
+    pub fn new(name: impl Into<String>, mut attach: Vec<(String, u16, u16)>, seed: u64) -> VnfHost {
+        // Deterministic allocation order: pop() takes the lowest pair.
+        attach.sort_unstable_by(|a, b| b.cmp(a));
+        let mut attach_free: LookupMap<String, Vec<(u16, u16)>> = LookupMap::new();
         for (sw, cport, sport) in attach {
             attach_free.entry(sw).or_default().push((cport, sport));
-        }
-        // Deterministic allocation order.
-        for v in attach_free.values_mut() {
-            v.sort_unstable();
-            v.reverse(); // pop() takes the lowest pair
         }
         VnfHost {
             name: name.into(),
             vnfs: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: LookupMap::new(),
             cpu: CpuModel::new(),
             catalog: Catalog::standard(),
             registry: Registry::standard(),
             attach_free,
-            port_bindings: HashMap::new(),
+            port_bindings: LookupMap::new(),
             seed,
             next_vnf: 0,
             unbound_rx: 0,
             trace_paths: false,
             steps: Vec::new(),
-            paths: HashMap::new(),
+            paths: LookupMap::new(),
             queue: Vec::new(),
             routed: Vec::new(),
         }
@@ -415,7 +412,7 @@ impl VnfInstrumentation for VnfHost {
             router,
             status: VnfStatus::Initiated,
             proc: proc_,
-            bindings: HashMap::new(),
+            bindings: BTreeMap::new(),
             dropped_not_running: 0,
         });
         Ok(id)
@@ -470,7 +467,13 @@ impl VnfInstrumentation for VnfHost {
         let idx = self
             .vnf_index(vnf_id)
             .ok_or_else(|| format!("no vnf {vnf_id}"))?;
-        match self.vnfs[idx].bindings.remove(&vnf_port) {
+        let slot = &mut self.vnfs[idx];
+        let binding = slot.bindings.remove(&vnf_port);
+        if slot.bindings.is_empty() {
+            // A torn-down VNF's slot stays, and an emptied BTreeMap keeps its node.
+            slot.bindings = BTreeMap::new();
+        }
+        match binding {
             Some(Binding::External {
                 container_port,
                 switch_port,
@@ -794,6 +797,16 @@ mod tests {
         // The attachment point is recycled.
         let sp = h.connect(&id, 0, "s0").unwrap();
         assert_eq!(sp, 10);
+        // getVNFInfo lists ports in ascending order, whatever the connect order.
+        let mut h = VnfHost::new("c0", (0..64).map(|i| ("s0".into(), i, i)).collect(), 1);
+        for _ in 0..16 {
+            let id = h.initiate("monitor", None, &[]).unwrap();
+            for port in [3, 1, 2, 0] {
+                h.connect(&id, port, "s0").unwrap();
+            }
+        }
+        let want: Vec<(u16, String)> = (0..4).map(|p| (p, "s0".into())).collect();
+        assert!(h.info(None).iter().all(|v| v.ports == want));
     }
 
     #[test]

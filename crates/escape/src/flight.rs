@@ -12,11 +12,11 @@
 //! traffic run.
 
 use escape_netem::{DropReason, HopDetail, NodeId, Time, Trace, TraceDir, TraceRecord};
+use escape_packet::FxBuildHasher;
 use escape_sg::Sla;
 use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// What role a visited node plays in the emulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,29 +281,6 @@ struct PacketFold {
     last: Option<LastVisit>,
 }
 
-/// Hashes a packet id with one multiply. Ids are sequential integers
-/// the emulator hands out, not adversarial input, and the lookup per
-/// record is the fold's inner loop: under SipHash the fold takes twice
-/// as long.
-#[derive(Default)]
-struct PacketIdHasher(u64);
-
-impl Hasher for PacketIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 impl PacketFold {
     /// A packet whose first record is at `started`.
     fn new(started: Time) -> PacketFold {
@@ -392,7 +369,10 @@ impl NodeTable {
     }
 }
 
-type PacketMap<V> = HashMap<u64, V, BuildHasherDefault<PacketIdHasher>>;
+/// Packets by id. The lookup per record is the fold's inner loop, so it
+/// hashes with the dataplane's fixed hasher; the one walk over it is a
+/// sum, so its order cannot leak.
+type PacketMap<V> = HashMap<u64, V, FxBuildHasher>;
 
 /// A packet in the [`LiveFold`].
 struct Folded {
@@ -472,7 +452,7 @@ impl LiveFold {
         resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
     ) {
         let horizon = trace.evicted();
-        let mut cut: HashSet<u64, BuildHasherDefault<PacketIdHasher>> = HashSet::default();
+        let mut cut: HashSet<u64, FxBuildHasher> = HashSet::default();
         let mut scan_to = horizon;
         while let Some((_, id)) = self
             .by_first

@@ -11,9 +11,8 @@ use crate::time::Time;
 use bytes::Bytes;
 use escape_packet::{
     ArpPacket, EtherType, EthernetHeader, FramePool, IcmpPacket, IcmpType, IpProtocol, Ipv4Header,
-    MacAddr, Packet, PacketBuilder, UdpHeader,
+    LookupMap, MacAddr, Packet, PacketBuilder, UdpHeader,
 };
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Receive/transmit statistics of a host.
@@ -108,9 +107,9 @@ pub struct Host {
     pub mac: MacAddr,
     pub ip: Ipv4Addr,
     pub stats: HostStats,
-    arp_table: HashMap<Ipv4Addr, MacAddr>,
+    arp_table: LookupMap<Ipv4Addr, MacAddr>,
     /// Packets waiting for ARP resolution, keyed by next-hop IP.
-    pending: HashMap<Ipv4Addr, Vec<Bytes>>,
+    pending: LookupMap<Ipv4Addr, Vec<Bytes>>,
     streams: Vec<Stream>,
     pings: Vec<PingJob>,
     /// Last payloads received, newest last (bounded, for demo inspection).
@@ -144,8 +143,8 @@ impl Host {
             mac,
             ip,
             stats: HostStats::default(),
-            arp_table: HashMap::new(),
-            pending: HashMap::new(),
+            arp_table: LookupMap::new(),
+            pending: LookupMap::new(),
             streams: Vec::new(),
             pings: Vec::new(),
             inbox: Vec::new(),

@@ -30,6 +30,7 @@ pub mod fault;
 pub mod host;
 pub mod link;
 pub mod process;
+mod queue;
 pub mod sim;
 pub mod stats;
 pub mod time;

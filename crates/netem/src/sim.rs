@@ -9,6 +9,7 @@
 //! (link loss) comes from one seeded RNG.
 
 use crate::link::{Link, LinkConfig, LinkId, LinkState};
+use crate::queue::{Event, EventQueue};
 use crate::stats::SimStats;
 use crate::time::Time;
 use crate::trace::{DropReason, HopDetail, Trace, TraceDir, TraceRecord};
@@ -18,8 +19,6 @@ use escape_telemetry::{Counter, Gauge, Registry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Cached handles into the telemetry [`Registry`] for the kernel's hot
 /// paths — one atomic increment per event, no lookups.
@@ -100,51 +99,6 @@ pub trait NodeLogic: AsAny + Send {
     fn on_ctrl(&mut self, _ctx: &mut NodeCtx<'_>, _conn: CtrlId, _msg: Vec<u8>) {}
 }
 
-enum Event {
-    PacketArrive {
-        node: u32,
-        port: u16,
-        pkt: Packet,
-    },
-    TxComplete {
-        link: u32,
-        dir: u8,
-    },
-    Timer {
-        node: u32,
-        token: u64,
-    },
-    CtrlDeliver {
-        conn: u32,
-        to_node: u32,
-        msg: Vec<u8>,
-    },
-}
-
-struct Scheduled {
-    at: Time,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 struct NodeSlot {
     name: String,
     logic: Option<Box<dyn NodeLogic>>,
@@ -163,8 +117,7 @@ struct Ctrl {
 /// The simulation kernel. See the module docs.
 pub struct Sim {
     clock: Time,
-    seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    queue: EventQueue,
     nodes: Vec<NodeSlot>,
     links: Vec<Link>,
     ctrls: Vec<Ctrl>,
@@ -198,8 +151,7 @@ impl Sim {
         let counters = SimCounters::new(&telemetry);
         Sim {
             clock: Time::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             nodes: Vec::new(),
             links: Vec::new(),
             ctrls: Vec::new(),
@@ -435,7 +387,7 @@ impl Sim {
             panic!("node {} is not an endpoint of ctrl {}", from.0, conn.0)
         };
         let at = self.clock + c.latency;
-        self.schedule(
+        self.queue.push(
             at,
             Event::CtrlDeliver {
                 conn: conn.0,
@@ -456,7 +408,7 @@ impl Sim {
             id,
             born_ns: at.as_ns(),
         };
-        self.schedule(
+        self.queue.push(
             at,
             Event::PacketArrive {
                 node: node.0,
@@ -471,7 +423,7 @@ impl Sim {
     /// dispatch use [`NodeCtx::set_timer`]).
     pub fn set_timer_for(&mut self, node: NodeId, delay: Time, token: u64) {
         let at = self.clock + delay;
-        self.schedule(
+        self.queue.push(
             at,
             Event::Timer {
                 node: node.0,
@@ -480,15 +432,9 @@ impl Sim {
         );
     }
 
-    fn schedule(&mut self, at: Time, ev: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, ev });
-    }
-
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.queue.peek().map(|s| s.at)
+        self.queue.peek_time()
     }
 
     /// Runs until the queue drains or `limit` events have been dispatched.
@@ -521,13 +467,13 @@ impl Sim {
 
     /// Dispatches one event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(s) = self.queue.pop() else {
+        let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(s.at >= self.clock, "time went backwards");
-        self.clock = s.at;
+        debug_assert!(at >= self.clock, "time went backwards");
+        self.clock = at;
         self.counters.events.inc();
-        match s.ev {
+        match ev {
             Event::PacketArrive { node, port, pkt } => {
                 self.counters.frames_delivered.inc();
                 if let Some(tr) = &mut self.trace {
@@ -628,14 +574,14 @@ impl Sim {
         tx.next_free = done;
         let (peer_node, peer_port) = link.ends[1 - dir as usize];
         let arrive = done + link.cfg.delay;
-        self.schedule(
+        self.queue.push(
             done,
             Event::TxComplete {
                 link: link_idx,
                 dir,
             },
         );
-        self.schedule(
+        self.queue.push(
             arrive,
             Event::PacketArrive {
                 node: peer_node,

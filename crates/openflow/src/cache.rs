@@ -11,13 +11,15 @@
 //! property suite in `tests/prop.rs` holds the two paths equal under
 //! randomized rule churn.
 //!
-//! Determinism: the map is only ever *probed* per packet (no iteration),
-//! eviction is FIFO by insertion order, and flushes are total — so runs
-//! with the cache on and off produce byte-identical event traces.
+//! Determinism: the map is a [`LookupMap`], so it can only be probed,
+//! never iterated; eviction is FIFO by insertion order, and flushes are
+//! total — so runs with the cache on and off produce byte-identical
+//! event traces. Its fixed [`escape_packet::lookup::FxHasher`] folds the
+//! key a word at a time: the lookup hashes it on every frame.
 
-use escape_packet::FlowKey;
+use escape_packet::{FlowKey, LookupMap};
 use escape_telemetry::{Counter, Registry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default bound on cached microflows per switch.
 pub const DEFAULT_CACHE_CAP: usize = 8192;
@@ -38,7 +40,7 @@ pub type CacheKey = (FlowKey, u16);
 /// series.
 #[derive(Debug)]
 pub struct FlowCache {
-    map: HashMap<CacheKey, usize>,
+    map: LookupMap<CacheKey, usize>,
     /// Insertion order for deterministic FIFO eviction.
     order: VecDeque<CacheKey>,
     cap: usize,
@@ -58,7 +60,7 @@ impl FlowCache {
     /// `registry`.
     pub fn new(registry: &Registry) -> FlowCache {
         FlowCache {
-            map: HashMap::new(),
+            map: LookupMap::new(),
             order: VecDeque::new(),
             cap: DEFAULT_CACHE_CAP,
             enabled: true,

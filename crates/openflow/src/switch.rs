@@ -5,9 +5,8 @@ use crate::port;
 use crate::table::{FlowEntry, FlowTable, RemovedReason};
 use crate::wire::{FlowModCommand, OfMessage, PacketInReason, PortDesc, OFPFF_SEND_FLOW_REM};
 use escape_netem::{CtrlId, DropReason, HopDetail, NodeCtx, NodeLogic, Time};
-use escape_packet::{FlowKey, MacAddr, Packet};
+use escape_packet::{FlowKey, LookupMap, MacAddr, Packet};
 use escape_telemetry::Registry;
-use std::collections::HashMap;
 
 /// `buffer_id` meaning "packet not buffered, full frame attached".
 pub const NO_BUFFER: u32 = 0xffff_ffff;
@@ -27,7 +26,7 @@ pub struct Switch {
     n_ports: u16,
     pub table: FlowTable,
     ctrl: Option<CtrlId>,
-    buffers: HashMap<u32, (u16, Packet)>,
+    buffers: LookupMap<u32, (u16, Packet)>,
     buffer_order: Vec<u32>,
     next_buffer: u32,
     /// Bytes of a missed packet sent to the controller (OF `miss_send_len`).
@@ -58,7 +57,7 @@ impl Switch {
             n_ports,
             table,
             ctrl: None,
-            buffers: HashMap::new(),
+            buffers: LookupMap::new(),
             buffer_order: Vec::new(),
             next_buffer: 1,
             miss_send_len: 0xffff,

@@ -32,6 +32,7 @@ pub mod ether;
 pub mod flowkey;
 pub mod icmp;
 pub mod ipv4;
+pub mod lookup;
 pub mod mac;
 pub mod pool;
 pub mod rewrite;
@@ -44,6 +45,7 @@ pub use ether::{EtherType, EthernetHeader};
 pub use flowkey::FlowKey;
 pub use icmp::{IcmpPacket, IcmpType};
 pub use ipv4::{IpProtocol, Ipv4Header};
+pub use lookup::{FxBuildHasher, LookupMap};
 pub use mac::MacAddr;
 pub use pool::FramePool;
 pub use rewrite::{rewrite, Headers};

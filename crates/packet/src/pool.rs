@@ -9,8 +9,8 @@
 //! frame through [`crate::rewrite()`]), so sharing the backing storage is
 //! safe by construction.
 
+use crate::LookupMap;
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A keyed cache of prebuilt immutable frames.
@@ -20,7 +20,7 @@ use std::hash::Hash;
 /// stale frame can never be served — a changed input is a different key.
 #[derive(Debug, Clone, Default)]
 pub struct FramePool<K: Eq + Hash> {
-    map: HashMap<K, Bytes>,
+    map: LookupMap<K, Bytes>,
     /// Emissions served from the pool.
     pub hits: u64,
     /// Emissions that had to build the frame.
@@ -31,7 +31,7 @@ impl<K: Eq + Hash> FramePool<K> {
     /// An empty pool.
     pub fn new() -> Self {
         FramePool {
-            map: HashMap::new(),
+            map: LookupMap::new(),
             hits: 0,
             builds: 0,
         }

@@ -46,9 +46,9 @@ echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control
 # Test modules are exempt.
 UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
     crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
-    crates/netem/src/sim.rs crates/openflow/src/{switch,action,wire,ofmatch,table}.rs \
+    crates/netem/src/{sim,queue}.rs crates/openflow/src/{switch,action,wire,ofmatch,table,cache}.rs \
     crates/click/src/router.rs crates/escape/src/container.rs \
-    crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite}.rs \
+    crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite,pool,lookup,checksum}.rs \
     crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
     crates/ctl/src/wal.rs crates/ctl/src/server/*.rs crates/netconf/src/{datastore,xml}.rs \
     crates/json/src/*.rs; do
@@ -57,6 +57,23 @@ done)"
 if [ -n "$UNWRAPS" ]; then
     echo "bare unwrap on a gated path:" >&2
     echo "$UNWRAPS" >&2
+    exit 1
+fi
+
+echo "== no std hash map in the per-frame files =="
+# A frame is looked up in these files' maps: they hash with the fixed
+# FxHasher behind escape_packet::LookupMap, which cannot iterate, and a
+# map that must be walked is a BTreeMap. std's SipHash costs more per
+# frame, and its per-process keys reach any output that iterates it.
+# Test modules are exempt.
+HASHMAPS="$(for f in crates/openflow/src/{cache,switch}.rs crates/click/src/router.rs \
+    crates/click/src/elements/nat.rs crates/packet/src/pool.rs \
+    crates/netem/src/{sim,queue,host}.rs crates/escape/src/container.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /Hash(Map|Set)([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$HASHMAPS" ]; then
+    echo "std hash map in a per-frame file:" >&2
+    echo "$HASHMAPS" >&2
     exit 1
 fi
 
