@@ -1,6 +1,7 @@
 //! Emulated links: bandwidth, propagation delay, loss, drop-tail queues.
 
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// Identifies a link within a [`crate::Sim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,13 +94,29 @@ impl Default for LinkConfig {
 }
 
 /// Per-direction transmit state of a link: when the transmitter frees up
-/// and how many frames are queued behind it.
-#[derive(Debug, Clone, Copy, Default)]
+/// and which frames are queued behind it.
+#[derive(Debug, Default)]
 pub(crate) struct TxState {
     /// Virtual time at which the transmitter finishes its current backlog.
     pub next_free: Time,
-    /// Frames currently queued or in transmission.
-    pub queued: usize,
+    /// The (serialisation end, sequence number) key of every frame queued
+    /// or in transmission, oldest first: the queue depth is its length.
+    /// Both halves rise along the queue, so it is sorted.
+    pub pending: VecDeque<(Time, u64)>,
+}
+
+impl TxState {
+    /// Retires the frames whose transmission completes before `bound`
+    /// in the kernel's (time, sequence number) order, and returns how
+    /// many left the queue.
+    pub fn retire(&mut self, bound: (Time, u64)) -> usize {
+        let mut due = 0;
+        while self.pending.front().is_some_and(|&key| key < bound) {
+            self.pending.pop_front();
+            due += 1;
+        }
+        due
+    }
 }
 
 /// A link instance inside the simulator.

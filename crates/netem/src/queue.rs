@@ -6,6 +6,11 @@
 //! 24-byte (time, sequence, slot) keys; the events themselves, frames
 //! included, stay put in a slab whose freed slots are reused, so a sift
 //! moves keys and never a frame.
+//!
+//! A frame's transmit completion is not an event here: its link direction
+//! keeps the completion's key (see `crate::link::TxState`), numbered by
+//! [`EventQueue::reserve`] so the events after it keep their numbers, and
+//! the kernel retires it at the point in this order where it is due.
 
 use crate::time::Time;
 use escape_packet::Packet;
@@ -18,10 +23,6 @@ pub(crate) enum Event {
         node: u32,
         port: u16,
         pkt: Packet,
-    },
-    TxComplete {
-        link: u32,
-        dir: u8,
     },
     Timer {
         node: u32,
@@ -68,6 +69,14 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
+    /// Takes the next sequence number without queueing an event: the key
+    /// of something ordered among the events but kept outside the heap.
+    pub(crate) fn reserve(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Queues `ev` to dispatch at `at`, after everything already queued
     /// for the same time.
     pub(crate) fn push(&mut self, at: Time, ev: Event) {
@@ -81,19 +90,19 @@ impl EventQueue {
                 u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued events")
             }
         };
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve();
         self.heap.push(Key { at, seq, slot });
     }
 
-    /// Takes the earliest event out of the queue.
-    pub(crate) fn pop(&mut self) -> Option<(Time, Event)> {
-        let Key { at, slot, .. } = self.heap.pop()?;
+    /// Takes the earliest event out of the queue, with its (time,
+    /// sequence number) key.
+    pub(crate) fn pop(&mut self) -> Option<((Time, u64), Event)> {
+        let Key { at, seq, slot } = self.heap.pop()?;
         let ev = self.slab[slot as usize]
             .take()
             .expect("a queued key owns its slot");
         self.free.push(slot);
-        Some((at, ev))
+        Some(((at, seq), ev))
     }
 
     /// Time of the earliest queued event.
@@ -113,14 +122,13 @@ mod tests {
     fn tag(ev: &Event) -> (u8, u64) {
         match ev {
             Event::PacketArrive { pkt, .. } => (0, pkt.id),
-            Event::TxComplete { link, .. } => (1, u64::from(*link)),
-            Event::Timer { token, .. } => (2, *token),
-            Event::CtrlDeliver { conn, .. } => (3, u64::from(*conn)),
+            Event::Timer { token, .. } => (1, *token),
+            Event::CtrlDeliver { conn, .. } => (2, u64::from(*conn)),
         }
     }
 
     fn event(kind: u8, n: u64) -> Event {
-        match kind % 4 {
+        match kind % 3 {
             0 => Event::PacketArrive {
                 node: 0,
                 port: 0,
@@ -130,11 +138,7 @@ mod tests {
                     born_ns: 0,
                 },
             },
-            1 => Event::TxComplete {
-                link: n as u32,
-                dir: 0,
-            },
-            2 => Event::Timer { node: 0, token: n },
+            1 => Event::Timer { node: 0, token: n },
             _ => Event::CtrlDeliver {
                 conn: n as u32,
                 to_node: 0,
@@ -150,12 +154,12 @@ mod tests {
         let mut want = Vec::new();
         let mut got = Vec::new();
         for n in 0..12 {
-            let kind = (n % 4) as u8;
+            let kind = (n % 3) as u8;
             q.push(t, event(kind, n));
             want.push((kind, n));
             // Every third push frees a slot the next push takes back.
             if n % 3 == 2 {
-                let (at, ev) = q.pop().expect("queued");
+                let ((at, _), ev) = q.pop().expect("queued");
                 assert_eq!(at, t);
                 got.push(tag(&ev));
             }
@@ -168,34 +172,53 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
+    #[test]
+    fn a_reserved_number_keeps_its_place_in_the_tie_order() {
+        let mut q = EventQueue::default();
+        let t = Time::from_us(5);
+        q.push(t, event(0, 1));
+        let reserved = q.reserve();
+        q.push(t, event(1, 2));
+        let (first, _) = q.pop().expect("queued");
+        let (second, _) = q.pop().expect("queued");
+        assert!(first < (t, reserved) && (t, reserved) < second);
+        assert_eq!((first.1, reserved, second.1), (0, 1, 2));
+    }
+
     proptest! {
-        /// Random pushes (few distinct times, so ties are common) and pops
-        /// come out as a reference list sorted by (time, push order) does.
+        /// Random pushes (few distinct times, so ties are common),
+        /// reserved numbers and pops come out as a reference list sorted
+        /// by (time, sequence number) does, each with its own key.
         #[test]
         fn pops_follow_time_then_push_order(
             ops in prop::collection::vec(prop::option::of((0u64..4, 0u8..4)), 0..200)
         ) {
             let mut q = EventQueue::default();
-            let mut reference: Vec<(Time, u64, (u8, u64))> = Vec::new();
+            let mut seq = 0;
+            let mut reference: Vec<((Time, u64), (u8, u64))> = Vec::new();
             for (n, op) in (0u64..).zip(ops) {
                 match op {
+                    Some((_, 3)) => {
+                        prop_assert_eq!(q.reserve(), seq);
+                        seq += 1;
+                    }
                     Some((at, kind)) => {
                         let at = Time::from_ns(at);
                         q.push(at, event(kind, n));
-                        reference.push((at, n, (kind, n)));
-                        reference.sort_by_key(|&(at, seq, _)| (at, seq));
+                        reference.push(((at, seq), (kind, n)));
+                        reference.sort_by_key(|&(key, _)| key);
+                        seq += 1;
                     }
                     None => {
                         let want = (!reference.is_empty()).then(|| reference.remove(0));
-                        prop_assert_eq!(q.peek_time(), want.map(|w| w.0));
-                        let got = q.pop().map(|(at, ev)| (at, tag(&ev)));
-                        prop_assert_eq!(got, want.map(|(at, _, tag)| (at, tag)));
+                        prop_assert_eq!(q.peek_time(), want.map(|w| w.0 .0));
+                        let got = q.pop().map(|(key, ev)| (key, tag(&ev)));
+                        prop_assert_eq!(got, want);
                     }
                 }
             }
-            while let Some((at, ev)) = q.pop() {
-                let (want_at, _, want_tag) = reference.remove(0);
-                prop_assert_eq!((at, tag(&ev)), (want_at, want_tag));
+            while let Some((key, ev)) = q.pop() {
+                prop_assert_eq!((key, tag(&ev)), reference.remove(0));
             }
             prop_assert!(reference.is_empty());
         }

@@ -131,6 +131,11 @@ pub struct Sim {
     /// `netem.drops{reason=...}` by `DropReason as usize`, each looked up
     /// at its first drop so an unseen reason has no series.
     drops_by_reason: Vec<Option<Counter>>,
+    /// Link directions (link index, direction) holding queued frames.
+    busy: Vec<(u32, u8)>,
+    /// Key of the event being (or last) dispatched: transmit completions
+    /// keyed before it are due.
+    cursor: (Time, u64),
     /// Optional packet trace (pcap stand-in).
     pub trace: Option<Trace>,
     /// Traces started by [`Sim::enable_trace`] so far.
@@ -161,6 +166,8 @@ impl Sim {
             counters,
             link_drops: Vec::new(),
             drops_by_reason: vec![None; DropReason::all().len()],
+            busy: Vec::new(),
+            cursor: (Time::ZERO, 0),
             trace: None,
             trace_epoch: 0,
         }
@@ -437,8 +444,10 @@ impl Sim {
         self.queue.peek_time()
     }
 
-    /// Runs until the queue drains or `limit` events have been dispatched.
-    /// Returns the number of events dispatched.
+    /// Runs until the queue drains or `limit` events have been dispatched
+    /// from the heap. Returns that number of heap dispatches, which leaves
+    /// out transmit completions (retired, not dispatched; `netem.events`
+    /// counts both). Callers pass a limit only as a bound on a drain.
     pub fn run(&mut self, limit: u64) -> u64 {
         let mut n = 0;
         while n < limit && self.step() {
@@ -447,9 +456,10 @@ impl Sim {
         n
     }
 
-    /// Runs while events are scheduled at or before `deadline`. Events
-    /// scheduled later stay queued; the clock advances to at most
-    /// `deadline`.
+    /// Runs while events are scheduled at or before `deadline`, then
+    /// retires every transmit completion due by then. Events scheduled
+    /// later stay queued; the clock advances to at most `deadline`.
+    /// Returns the number of heap dispatches, as [`Sim::run`] does.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
         let mut n = 0;
         while let Some(t) = self.peek_time() {
@@ -459,19 +469,25 @@ impl Sim {
             self.step();
             n += 1;
         }
+        self.retire((deadline, u64::MAX));
         if self.clock < deadline {
             self.clock = deadline;
         }
         n
     }
 
-    /// Dispatches one event. Returns false when the queue is empty.
+    /// Dispatches one event. Returns false when the queue is empty, having
+    /// retired every transmit completion: each frame's arrival comes
+    /// after its completion, so with no arrival left all are due.
     pub fn step(&mut self) -> bool {
-        let Some((at, ev)) = self.queue.pop() else {
+        let Some((key, ev)) = self.queue.pop() else {
+            self.retire((Time::MAX, u64::MAX));
             return false;
         };
+        let at = key.0;
         debug_assert!(at >= self.clock, "time went backwards");
         self.clock = at;
+        self.cursor = key;
         self.counters.events.inc();
         match ev {
             Event::PacketArrive { node, port, pkt } => {
@@ -488,13 +504,6 @@ impl Sim {
                     tr.record_wire(rec, &pkt.data);
                 }
                 self.dispatch(node, |logic, ctx| logic.on_packet(ctx, port, pkt));
-            }
-            Event::TxComplete { link, dir } => {
-                let tx = &mut self.links[link as usize].tx[dir as usize];
-                if tx.queued > 0 {
-                    self.counters.queued_frames.sub(1);
-                }
-                tx.queued = tx.queued.saturating_sub(1);
             }
             Event::Timer { node, token } => {
                 self.counters.timers.inc();
@@ -552,9 +561,12 @@ impl Sim {
             self.record_drop(node, port, &pkt, DropReason::RandomLoss, Some(link_idx));
             return;
         }
+        // Every queue sheds the frames the old completion events would
+        // have dispatched by now, so the depth and the gauges are exact.
+        self.retire(self.cursor);
         let full = {
             let l = &self.links[link_idx as usize];
-            l.tx[dir as usize].queued >= l.cfg.queue_capacity
+            l.tx[dir as usize].pending.len() >= l.cfg.queue_capacity
         };
         if full {
             self.counters.drops_queue.inc();
@@ -563,8 +575,6 @@ impl Sim {
         }
         let link = &mut self.links[link_idx as usize];
         let tx = &mut link.tx[dir as usize];
-        tx.queued += 1;
-        self.counters.enqueue();
         let start = if tx.next_free > now {
             tx.next_free
         } else {
@@ -572,15 +582,13 @@ impl Sim {
         };
         let done = start.add_ns(link.cfg.serialize_ns(pkt.len()));
         tx.next_free = done;
+        if tx.pending.is_empty() {
+            self.busy.push((link_idx, dir));
+        }
+        tx.pending.push_back((done, self.queue.reserve()));
+        self.counters.enqueue();
         let (peer_node, peer_port) = link.ends[1 - dir as usize];
         let arrive = done + link.cfg.delay;
-        self.queue.push(
-            done,
-            Event::TxComplete {
-                link: link_idx,
-                dir,
-            },
-        );
         self.queue.push(
             arrive,
             Event::PacketArrive {
@@ -589,6 +597,27 @@ impl Sim {
                 pkt,
             },
         );
+    }
+
+    /// Retires every queued frame whose transmission completes before
+    /// `bound` in (time, sequence number) order, exactly where the
+    /// completion would sit among the dispatched events: the frame leaves
+    /// its queue and the gauge, and counts as one model event.
+    fn retire(&mut self, bound: (Time, u64)) {
+        let mut i = 0;
+        while let Some(&(link, dir)) = self.busy.get(i) {
+            let tx = &mut self.links[link as usize].tx[dir as usize];
+            let due = tx.retire(bound);
+            if due > 0 {
+                self.counters.events.add(due as u64);
+                self.counters.queued_frames.sub(due as i64);
+            }
+            if tx.pending.is_empty() {
+                self.busy.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Counts a drop under `netem.drops{reason=...}` (plus the per-link

@@ -46,7 +46,7 @@ echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control
 # Test modules are exempt.
 UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
     crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
-    crates/netem/src/{sim,queue}.rs crates/openflow/src/{switch,action,wire,ofmatch,table,cache}.rs \
+    crates/netem/src/{sim,queue,link}.rs crates/openflow/src/{switch,action,wire,ofmatch,table,cache}.rs \
     crates/click/src/router.rs crates/escape/src/container.rs \
     crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite,pool,lookup,checksum}.rs \
     crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
@@ -68,7 +68,7 @@ echo "== no std hash map in the per-frame files =="
 # Test modules are exempt.
 HASHMAPS="$(for f in crates/openflow/src/{cache,switch}.rs crates/click/src/router.rs \
     crates/click/src/elements/nat.rs crates/packet/src/pool.rs \
-    crates/netem/src/{sim,queue,host}.rs crates/escape/src/container.rs; do
+    crates/netem/src/{sim,queue,host,link}.rs crates/escape/src/container.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /Hash(Map|Set)([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [ -n "$HASHMAPS" ]; then
