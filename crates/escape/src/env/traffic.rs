@@ -8,6 +8,12 @@ use bytes::Bytes;
 use escape_netem::{GatewayRx, Host, HostStats, NodeId, Time};
 use escape_openflow::Switch;
 use escape_packet::PacketBuilder;
+use std::ops::RangeInclusive;
+
+/// Lengths a UDP stream's frames can have: at least the Ethernet, IPv4
+/// and UDP headers (14 + 20 + 8 bytes), and at most what IPv4's 16-bit
+/// total-length field can count behind the Ethernet header.
+const UDP_FRAME_LEN: RangeInclusive<usize> = 42..=14 + 65_535;
 
 impl Escape {
     /// The emulator node of a SAP.
@@ -58,7 +64,9 @@ impl Escape {
 
     /// [`Escape::start_udp`] with an explicit UDP source port. The
     /// multi-domain coordinator stamps each chain's wire-identity port
-    /// here so gateways can tell co-located chains apart.
+    /// here so gateways can tell co-located chains apart. A `frame_len`
+    /// no Ethernet/IPv4/UDP frame can have is rejected before anything
+    /// is registered.
     pub fn start_udp_with_sport(
         &mut self,
         from: &str,
@@ -68,6 +76,13 @@ impl Escape {
         count: u64,
         sport: u16,
     ) -> Result<(), EscapeError> {
+        if !UDP_FRAME_LEN.contains(&frame_len) {
+            return Err(EscapeError::Invalid(format!(
+                "frame length {frame_len} outside {}..={} bytes",
+                UDP_FRAME_LEN.start(),
+                UDP_FRAME_LEN.end()
+            )));
+        }
         let (_, dst_ip) = self.infra.sap(to)?;
         self.provision_arp(from, to)?;
         let (node, host) = self.sap_host_mut(from)?;

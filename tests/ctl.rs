@@ -412,6 +412,157 @@ fn typed_errors_keep_the_connection_open() {
     daemon.join().unwrap();
 }
 
+fn traffic(len: u64, frames: u64) -> CtlRequest {
+    CtlRequest::Traffic {
+        from: "sap0".into(),
+        to: "sap1".into(),
+        frames,
+        len,
+        interval_us: 200,
+    }
+}
+
+fn deploy_demo(c: &mut CtlClient) {
+    let resp = call(
+        c,
+        CtlRequest::Deploy {
+            sg: DEMO_SG.into(),
+            format: SgFormat::Dsl,
+        },
+    );
+    assert!(matches!(resp, CtlResponse::Deployed(_)), "{resp:?}");
+}
+
+fn run_for(c: &mut CtlClient, ms: u64) {
+    let resp = call(c, CtlRequest::RunFor { ms });
+    assert!(matches!(resp, CtlResponse::Advanced { .. }), "{resp:?}");
+}
+
+/// Frames the demo chain has delivered so far.
+fn delivered(c: &mut CtlClient) -> u64 {
+    match call(c, CtlRequest::Sla) {
+        CtlResponse::Sla(v) => v.iter().map(|v| v.delivered).sum(),
+        other => panic!("sla: {other:?}"),
+    }
+}
+
+#[test]
+fn traffic_rejects_frame_lengths_no_udp_frame_can_have() {
+    let socket = temp_socket("frame-len");
+    let daemon = spawn_daemon(default_session(7), &socket);
+    let mut c = connect(&socket);
+    deploy_demo(&mut c);
+
+    // Below the 42 header bytes, and past what IPv4's total length counts.
+    for len in [20, 65_550] {
+        let resp = call(&mut c, traffic(len, 5));
+        assert!(
+            matches!(&resp, CtlResponse::Error(CtlError::Invalid { reason }) if reason.contains("frame length")),
+            "len {len}: {resp:?}"
+        );
+        // Nothing was registered: the clock still advances and the daemon
+        // still answers.
+        run_for(&mut c, 5);
+        assert!(matches!(
+            call(&mut c, CtlRequest::Status),
+            CtlResponse::Status(_)
+        ));
+    }
+
+    // Both ends of the range are delivered.
+    for len in [42, 65_549] {
+        let before = delivered(&mut c);
+        assert_eq!(call(&mut c, traffic(len, 5)), CtlResponse::TrafficStarted);
+        run_for(&mut c, 50);
+        assert_eq!(delivered(&mut c) - before, 5, "len {len}");
+    }
+
+    call(&mut c, CtlRequest::Shutdown);
+    daemon.join().unwrap();
+}
+
+/// An `escaped` subprocess, SIGKILLed on drop unless it already exited,
+/// so a failed assertion leaves no daemon behind.
+struct Escaped(std::process::Child);
+
+impl Drop for Escaped {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+#[test]
+fn a_rejected_traffic_request_replays_as_the_same_rejection_after_kill_9() {
+    let seed = 13;
+    let state_dir =
+        std::env::temp_dir().join(format!("escape-ctl-len-state-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let spawn = |socket: &Path| {
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_escaped"))
+            .args(["--socket"])
+            .arg(socket)
+            .args(["--state-dir"])
+            .arg(&state_dir)
+            .args(["--seed", &seed.to_string()])
+            .spawn()
+            .unwrap();
+        Escaped(child)
+    };
+    // Deploy, a rejected stream (intent-logged, committed as the
+    // rejection) and a clock advance past where its first frame would go.
+    let script = |c: &mut CtlClient| {
+        deploy_demo(c);
+        let rejected = c.call_with_id(&traffic(20, 5), "short-frames").unwrap();
+        assert!(
+            matches!(rejected, CtlResponse::Error(CtlError::Invalid { .. })),
+            "{rejected:?}"
+        );
+        run_for(c, 5);
+        rejected
+    };
+
+    let socket1 = temp_socket("len-kill-1");
+    let first = spawn(&socket1);
+    let mut c = connect(&socket1);
+    let rejected = script(&mut c);
+    drop(c);
+    drop(first); // SIGKILL
+    let _ = std::fs::remove_file(&socket1);
+
+    // The restart replays the log, the rejected request included, and
+    // comes up in the state of a daemon that never crashed.
+    let socket2 = temp_socket("len-kill-2");
+    let mut second = spawn(&socket2);
+    let mut c = connect(&socket2);
+    let CtlResponse::Status(s) = call(&mut c, CtlRequest::Status) else {
+        panic!("status")
+    };
+    assert!(s.restarted);
+    assert_eq!(s.chains.len(), 1);
+    let retried = c.call_with_id(&traffic(20, 5), "short-frames").unwrap();
+    assert_eq!(retried, rejected, "the log holds the rejection");
+    let recovered = call(&mut c, CtlRequest::Fingerprint);
+
+    let control_socket = temp_socket("len-control");
+    let control = spawn_daemon(default_session(seed), &control_socket);
+    let mut cc = connect(&control_socket);
+    script(&mut cc);
+    assert_eq!(recovered, call(&mut cc, CtlRequest::Fingerprint));
+    call(&mut cc, CtlRequest::Shutdown);
+    control.join().unwrap();
+
+    run_for(&mut c, 5);
+    assert_eq!(
+        call(&mut c, CtlRequest::Shutdown),
+        CtlResponse::ShuttingDown
+    );
+    assert!(second.0.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn hard_watermark_rejection_surfaces_as_typed_error() {
     let socket = temp_socket("admission");
