@@ -561,8 +561,9 @@ impl Sim {
             self.record_drop(node, port, &pkt, DropReason::RandomLoss, Some(link_idx));
             return;
         }
-        // Every queue sheds the frames the old completion events would
-        // have dispatched by now, so the depth and the gauges are exact.
+        // Every queue first sheds the frames whose transmission completed
+        // before this event, so the depth that decides a tail drop and the
+        // gauges are exact.
         self.retire(self.cursor);
         let full = {
             let l = &self.links[link_idx as usize];
