@@ -14,7 +14,7 @@ use escape::env::Escape;
 use escape::monitor::format_handler_table;
 use escape::session::demo_topology;
 use escape::{ChainInfo, MultiDomainEscape, Session, SessionConfig};
-use escape_json::Value;
+use escape_json::wire::Wire;
 use escape_netem::{FaultPlan, HostStats};
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
 use escape_sg::{ResourceTopology, ServiceGraph, Sla};
@@ -498,18 +498,7 @@ fn soak(o: &RunOptions) -> Result<(), String> {
     });
     println!("{}", report.summary());
     if o.json {
-        let doc = Value::obj()
-            .set("steps", report.steps)
-            .set("deploys", report.deploys)
-            .set("rollbacks", report.rollbacks)
-            .set("teardowns", report.teardowns)
-            .set("teardown_retries", report.teardown_retries)
-            .set("faults", report.faults)
-            .set("queued", report.admission_queued)
-            .set("rejected", report.admission_rejected)
-            .set("live_at_end", report.live_at_end)
-            .set("violations", report.violations.len());
-        println!("{doc}");
+        println!("{}", report.to_value());
     }
     if !report.clean() {
         for v in &report.violations {

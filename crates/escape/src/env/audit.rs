@@ -61,6 +61,9 @@ impl Escape {
     /// * **resource conservation** — per container and per link,
     ///   effective free capacity plus the sum of live-chain reservations
     ///   equals the topology capacity ([`escape_orch::Orchestrator::audit`]);
+    /// * **no orphan reservations** — the orchestrator holds a
+    ///   reservation for exactly the deployed chains (the sum above
+    ///   balances for a reservation left behind, so it cannot see one);
     /// * **no orphan flow rules** — every cookie on every switch, and
     ///   every cookie tracked by the steering component, belongs to a
     ///   live chain;
@@ -70,6 +73,22 @@ impl Escape {
     ///   at an existing container.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = self.orch.audit();
+
+        // Reservations: one per deployed chain, none for anything else.
+        let embedded = self.orch.embedded_chains();
+        for chain in &embedded {
+            if !self.deployed.contains_key(*chain) {
+                violations.push(format!(
+                    "orchestrator: reservation for chain {chain} but no live chain"
+                ));
+            }
+        }
+        for chain in self.deployed_chains() {
+            if embedded.binary_search(&chain.as_str()).is_err() {
+                violations.push(format!("chain {chain}: live but holds no reservation"));
+            }
+        }
+
         let live_cookies: HashMap<u64, &str> = self
             .deployed
             .iter()

@@ -51,6 +51,7 @@ pub mod flight;
 pub mod infra;
 pub mod journal;
 pub mod monitor;
+pub mod ops;
 pub mod session;
 pub mod soak;
 

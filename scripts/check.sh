@@ -93,6 +93,11 @@ if [ -n "$LEAKED" ]; then
     exit 1
 fi
 
+echo "== invariant soak (escape soak --steps 2000 --seed 7) =="
+# The op mix through a Session, every conservation invariant checked
+# after every step; exits non-zero on the first leak.
+cargo run --release -q --bin escape -- soak --steps 2000 --seed 7 --json
+
 echo "== end-to-end harness: unit tests and full-script replays (benchmark/) =="
 # The replays on seeds 7 and 11 fail on any mapping that stops fitting.
 (cd benchmark && cargo test -q --offline)
@@ -106,9 +111,6 @@ if pgrep -f "escaped --socket target/benchmark/run/" >/dev/null; then
     pgrep -af "escaped --socket target/benchmark/run/" >&2
     exit 1
 fi
-
-echo "== soak smoke (escape soak --steps 200 --seed 7) =="
-cargo run --release -q --bin escape -- soak --steps 200 --seed 7
 
 # The three smokes below run one daemon at a time. start_daemon spawns
 # it and waits for its socket; stop_daemon shuts it down through the

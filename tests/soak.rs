@@ -1,12 +1,15 @@
 //! Leak-hunting soak runs and admission-control behavior.
 //!
-//! The soak harness ([`escape::soak::run_soak`]) drives one environment
-//! through hundreds of seeded random deploy / teardown / fault / heal
-//! steps with admission control on, asserting the conservation
-//! invariants after every single step:
+//! The soak harness ([`escape::soak::run_soak`]) drives one `Session`
+//! through hundreds of steps of the seeded op mix ([`escape::ops`], the
+//! one the behaviour corpus pins): deploy, teardown, scale, traffic,
+//! fault, heal and idle steps with admission control, the flight
+//! recorder, the sampler and the autoscaler on. It asserts the
+//! conservation invariants after every single step:
 //!
 //! * reserved CPU and bandwidth equal the sum over live chains
 //!   (orchestrator audit);
+//! * the orchestrator holds a reservation for exactly the live chains;
 //! * no flow rule carries a cookie without a live chain;
 //! * no VNF runs outside the current embedding;
 //! * no ready NETCONF session dangles.
@@ -228,6 +231,26 @@ fn queued_deploy_that_no_longer_maps_is_journaled_as_dropped() {
         "{dropped:?}"
     );
     assert!(esc.check_invariants().is_empty());
+}
+
+#[test]
+fn reservation_without_a_live_chain_is_a_violation() {
+    // The orchestrator's own audit balances a reservation against the
+    // capacity it took, so a chain reserved but never deployed is
+    // invisible to it; the environment's audit names the chain.
+    let topo = builders::star(2, 1.0);
+    let mut esc =
+        Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Proactive, 95).unwrap();
+    esc.deploy(&graph("a", 0.5)).unwrap();
+    assert!(esc.check_invariants().is_empty());
+    let (mapped, rejected) = esc.orchestrator_mut().embed_graph(&graph("ghost", 0.5));
+    assert_eq!((mapped.len(), rejected.len()), (1, 0), "capacity for ghost");
+    assert!(esc.orchestrator().audit().is_empty(), "ledger balances");
+    let violations = esc.check_invariants();
+    assert_eq!(
+        violations,
+        ["orchestrator: reservation for chain ghost but no live chain"],
+    );
 }
 
 #[test]
