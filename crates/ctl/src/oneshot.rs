@@ -2,7 +2,7 @@
 //! and the one driver the first three share.
 //!
 //! A one-shot run is: load the inputs, build a [`Session`], deploy, start
-//! the flows, advance the clock, report. [`drive`] is that sequence;
+//! the flows, advance the clock, report. `drive` is that sequence;
 //! the commands differ only in what they arm between deploy and the
 //! clock and in what they print afterwards, so `escape metrics` renders
 //! the very environment `escape ctl metrics` would. (`--domains` is the
@@ -490,15 +490,19 @@ fn run_domains(o: &RunOptions, spec_file: &str) -> Result<(), String> {
 }
 
 /// `escape soak`: run the leak-hunting soak harness and print its
-/// report. Fails if any step violated a conservation invariant.
+/// report. Fails if any step violated a conservation invariant. Under
+/// `--json` stdout is the report document alone and the summary line
+/// goes to stderr.
 fn soak(o: &RunOptions) -> Result<(), String> {
     let report = escape::soak::run_soak(escape::soak::SoakConfig {
         steps: o.steps,
         seed: o.session.seed,
     });
-    println!("{}", report.summary());
     if o.json {
+        eprintln!("{}", report.summary());
         println!("{}", report.to_value());
+    } else {
+        println!("{}", report.summary());
     }
     if !report.clean() {
         for v in &report.violations {

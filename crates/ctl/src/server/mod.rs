@@ -16,10 +16,10 @@
 //! synthetic `run-for` so tick-driven progress survives a crash.
 //!
 //! This file is the loop and its configuration. Each concern around it
-//! owns its state in its own module: [`socket`] (signals, listener,
-//! connection threads), [`watch`] (subscribers and the demand-driven
-//! publisher), [`durable`] (idempotency window, write-ahead dispatch,
-//! compaction, recovery) and [`exec`] (verb → session call → response).
+//! owns its state in its own module: `socket` (signals, listener,
+//! connection threads), `watch` (subscribers and the demand-driven
+//! publisher), `durable` (idempotency window, write-ahead dispatch,
+//! compaction, recovery) and `exec` (verb → session call → response).
 
 mod durable;
 mod exec;

@@ -342,10 +342,12 @@ fn one_shot_runs(c: &mut Corpus) {
     Value::parse(&doc).expect("chrome trace is JSON");
     let _ = fs::remove_file(&chrome);
 
-    c.run(
-        "escape",
-        &["soak", "--steps", "50", "--seed", "7", "--json"],
-    );
+    // Under --json, stdout is one JSON document and nothing else.
+    let soak = ["soak", "--steps", "50", "--seed", "7", "--json"];
+    let out = command("escape", &soak).output().expect("binary runs");
+    Value::parse(&String::from_utf8_lossy(&out.stdout))
+        .expect("soak --json stdout is exactly one JSON document");
+    c.record("escape", &soak, &out, Stderr::FirstLine, Filter::None);
 
     // Runtime failures: exit 1, no usage text.
     c.run("escape", &["metrics", "--algorithm", "magic"]);

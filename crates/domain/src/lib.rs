@@ -11,10 +11,11 @@
 //!
 //! * [`spec`] — [`spec::DomainSpec`]: a JSON-serializable assignment of
 //!   topology nodes to named domains;
-//! * [`partition`] — carving a [`ResourceTopology`](escape_sg::ResourceTopology)
-//!   into per-domain local topologies joined by [`partition::GatewayLink`]s,
-//!   where each cross-domain link materializes as a *gateway SAP* on both
-//!   sides (the stitching points for cross-domain chains);
+//! * [`partition`](mod@partition) — carving a
+//!   [`ResourceTopology`](escape_sg::ResourceTopology) into per-domain
+//!   local topologies joined by [`partition::GatewayLink`]s, where each
+//!   cross-domain link materializes as a *gateway SAP* on both sides (the
+//!   stitching points for cross-domain chains);
 //! * [`global`] — [`global::GlobalOrchestrator`]: domain-path selection
 //!   (Dijkstra over the domain graph by inter-domain delay), VNF
 //!   distribution along the path against aggregate capacity, and the

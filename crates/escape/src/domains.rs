@@ -4,7 +4,7 @@
 //! This is the runtime half of the hierarchical orchestration the paper
 //! sketches for multi-operator deployments:
 //!
-//! * [`escape_domain::partition`] carves the shared topology into local
+//! * [`escape_domain::partition()`] carves the shared topology into local
 //!   domains joined by gateway links;
 //! * each domain gets its own simulator, POX controller, NETCONF agents
 //!   and local orchestrator — a complete single-domain ESCAPE;

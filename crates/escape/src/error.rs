@@ -184,15 +184,6 @@ pub enum EscapeError {
         cause: Box<EscapeError>,
         rollback: RollbackReport,
     },
-    /// A durable state artifact (write-ahead log or checkpoint) is
-    /// truncated or garbled beyond the tolerated torn final record.
-    /// Recovery refuses to proceed rather than restore a silent partial
-    /// state; `offset` is the byte position of the bad record.
-    CorruptState {
-        path: String,
-        offset: u64,
-        cause: String,
-    },
 }
 
 impl std::fmt::Display for EscapeError {
@@ -236,11 +227,6 @@ impl std::fmt::Display for EscapeError {
                 f,
                 "scale of {chain}/{vnf} failed in {phase}: {cause} ({rollback})"
             ),
-            EscapeError::CorruptState {
-                path,
-                offset,
-                cause,
-            } => write!(f, "corrupt state in {path} at byte {offset}: {cause}"),
         }
     }
 }
@@ -266,15 +252,6 @@ mod tests {
         };
         assert!(t.to_string().contains("c0"));
         assert!(t.to_string().contains("5 attempt"));
-        let c = EscapeError::CorruptState {
-            path: "/var/escaped/wal.log".into(),
-            offset: 1024,
-            cause: "record is not valid JSON".into(),
-        };
-        let s = c.to_string();
-        assert!(s.contains("wal.log"), "{s}");
-        assert!(s.contains("byte 1024"), "{s}");
-        assert!(s.contains("not valid JSON"), "{s}");
     }
 
     #[test]

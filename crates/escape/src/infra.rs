@@ -74,8 +74,9 @@ impl Infra {
     ///   [`ATTACH_POINTS_PER_LINK`] parallel links per switch adjacency
     ///   and an embedded NETCONF agent wired to the manager relay;
     /// * each SAP becomes a [`Host`] with deterministic MAC/IP;
-    /// * a controller node runs [`TrafficSteering`] in the given mode over
-    ///   a dedicated control channel per switch.
+    /// * a controller node runs
+    ///   [`TrafficSteering`](escape_pox::TrafficSteering) in the given mode
+    ///   over a dedicated control channel per switch.
     ///
     /// Constraints checked here: SAPs and containers attach only to
     /// switches, and each SAP has exactly one uplink.

@@ -1,11 +1,11 @@
 //! The NETCONF agent: a sans-IO server session (the OpenYuma role).
 //!
-//! Bytes in, bytes out. The agent owns the running/candidate datastores
-//! and dispatches the `vnf_starter` RPCs into a [`VnfInstrumentation`] —
-//! the low-level glue the paper says is the only part needing adaptation
-//! when moving to a real platform.
+//! Bytes in, bytes out. After the hello exchange the agent serves
+//! `close-session` and the six `vnf_starter` RPCs, dispatching the latter
+//! into a [`VnfInstrumentation`] — the low-level glue the paper says is
+//! the only part needing adaptation when moving to a real platform. Any
+//! other operation gets an `operation-not-supported` rpc-error.
 
-use crate::datastore::{Datastore, EditOperation};
 use crate::framing::Framer;
 use crate::message::{self, NetconfError, ReplyBody, Rpc, RpcReply};
 use crate::vnf_starter::{
@@ -71,7 +71,6 @@ enum Phase {
 pub struct AgentStats {
     pub rpcs: u64,
     pub errors: u64,
-    pub edits: u64,
 }
 
 /// A NETCONF agent session. See the module docs.
@@ -79,13 +78,9 @@ pub struct Agent<I> {
     session_id: u32,
     phase: Phase,
     framer: Framer,
-    running: Datastore,
-    candidate: Datastore,
     module: Module,
     pub instr: I,
     pub stats: AgentStats,
-    /// Capabilities announced by the peer's hello.
-    pub peer_caps: Vec<String>,
 }
 
 impl<I: VnfInstrumentation> Agent<I> {
@@ -95,12 +90,9 @@ impl<I: VnfInstrumentation> Agent<I> {
             session_id,
             phase: Phase::AwaitHello,
             framer: Framer::new(),
-            running: Datastore::new(),
-            candidate: Datastore::new(),
             module: vnf_starter::module(),
             instr,
             stats: AgentStats::default(),
-            peer_caps: Vec::new(),
         }
     }
 
@@ -116,11 +108,6 @@ impl<I: VnfInstrumentation> Agent<I> {
     /// True once the session is closed.
     pub fn is_closed(&self) -> bool {
         self.phase == Phase::Closed
-    }
-
-    /// The running datastore (diagnostics).
-    pub fn running(&self) -> &Datastore {
-        &self.running
     }
 
     /// Feeds stream bytes; returns framed response bytes to transmit.
@@ -146,8 +133,7 @@ impl<I: VnfInstrumentation> Agent<I> {
         match self.phase {
             Phase::Closed => None,
             Phase::AwaitHello => {
-                if let Some((caps, _)) = message::parse_hello(&el) {
-                    self.peer_caps = caps;
+                if message::parse_hello(&el).is_some() {
                     self.phase = Phase::Ready;
                 }
                 None
@@ -174,88 +160,6 @@ impl<I: VnfInstrumentation> Agent<I> {
             "close-session" => {
                 self.phase = Phase::Closed;
                 RpcReply::ok(id)
-            }
-            "get" => {
-                // State + config: datastore tree plus live VNF state.
-                let mut data = self.running.get(op.find("filter")).clone();
-                data.children.push(self.vnfs_state_tree(None));
-                data.name = "data".into();
-                RpcReply::data(id, vec![data])
-            }
-            "get-config" => {
-                let store = match source_name(op, "source") {
-                    Some("running") | None => &self.running,
-                    Some("candidate") => &self.candidate,
-                    Some(other) => {
-                        return RpcReply::error(
-                            id,
-                            NetconfError::not_supported(format!("datastore {other}")),
-                        )
-                    }
-                };
-                RpcReply::data(id, vec![store.get(op.find("filter"))])
-            }
-            "edit-config" => {
-                let target = source_name(op, "target").unwrap_or("running");
-                let default_op = match op.child_text("default-operation") {
-                    Some("replace") => EditOperation::Replace,
-                    Some("none") | Some("merge") | None => EditOperation::Merge,
-                    Some(other) => {
-                        return RpcReply::error(
-                            id,
-                            NetconfError::not_supported(format!("default-operation {other}")),
-                        )
-                    }
-                };
-                let Some(config) = op.find("config") else {
-                    return RpcReply::error(id, NetconfError::missing_element("config"));
-                };
-                let store = match target {
-                    "running" => &mut self.running,
-                    "candidate" => &mut self.candidate,
-                    other => {
-                        return RpcReply::error(
-                            id,
-                            NetconfError::not_supported(format!("datastore {other}")),
-                        )
-                    }
-                };
-                if store.locked_against(self.session_id) {
-                    return RpcReply::error(id, NetconfError::operation_failed("datastore locked"));
-                }
-                match store.edit(config, default_op) {
-                    Ok(()) => {
-                        self.stats.edits += 1;
-                        RpcReply::ok(id)
-                    }
-                    Err(e) => RpcReply::error(id, NetconfError::operation_failed(e)),
-                }
-            }
-            "commit" => {
-                self.running = self.candidate.clone();
-                RpcReply::ok(id)
-            }
-            "lock" | "unlock" => {
-                let target = source_name(op, "target").unwrap_or("running");
-                let store = match target {
-                    "running" => &mut self.running,
-                    "candidate" => &mut self.candidate,
-                    other => {
-                        return RpcReply::error(
-                            id,
-                            NetconfError::not_supported(format!("datastore {other}")),
-                        )
-                    }
-                };
-                let r = if op.name == "lock" {
-                    store.lock(self.session_id)
-                } else {
-                    store.unlock(self.session_id)
-                };
-                match r {
-                    Ok(()) => RpcReply::ok(id),
-                    Err(e) => RpcReply::error(id, NetconfError::operation_failed(e)),
-                }
             }
             name @ (RPC_INITIATE | RPC_START | RPC_STOP | RPC_CONNECT | RPC_DISCONNECT
             | RPC_GET_INFO) => {
@@ -357,13 +261,6 @@ impl<I: VnfInstrumentation> Agent<I> {
         }
         vnfs
     }
-}
-
-fn source_name<'a>(op: &'a XmlElement, container: &str) -> Option<&'a str> {
-    op.find(container)?
-        .children
-        .first()
-        .map(|c| c.name.as_str())
 }
 
 #[cfg(test)]
@@ -486,7 +383,7 @@ mod tests {
     #[test]
     fn hello_exchange_then_rpc() {
         let mut a = ready_agent();
-        let reply = send(&mut a, 1, XmlElement::new("get"));
+        let reply = send(&mut a, 1, XmlElement::new(RPC_GET_INFO));
         assert_eq!(reply.message_id, 1);
         assert!(matches!(reply.body, ReplyBody::Data(_)));
         assert_eq!(a.stats.rpcs, 1);
@@ -495,7 +392,7 @@ mod tests {
     #[test]
     fn rpc_before_hello_is_dropped() {
         let mut a = Agent::new(1, MockInstr::default());
-        let rpc = Rpc::new(1, XmlElement::new("get"));
+        let rpc = Rpc::new(1, XmlElement::new(RPC_GET_INFO));
         let out = a.on_bytes(&Framer::frame(rpc.to_xml().to_xml().as_bytes()));
         assert!(out.is_empty());
         assert_eq!(a.stats.rpcs, 0);
@@ -595,68 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn edit_config_and_get_config() {
-        let mut a = ready_agent();
-        let r = send(
-            &mut a,
-            1,
-            xml("<edit-config><target><running/></target><config><policy><name>gold</name></policy></config></edit-config>"),
-        );
-        assert_eq!(r.body, ReplyBody::Ok);
-        let r = send(
-            &mut a,
-            2,
-            xml("<get-config><source><running/></source></get-config>"),
-        );
-        let ReplyBody::Data(d) = &r.body else {
-            panic!()
-        };
-        assert_eq!(
-            d[0].find("policy").unwrap().child_text("name"),
-            Some("gold")
-        );
-        assert_eq!(a.stats.edits, 1);
-    }
-
-    #[test]
-    fn candidate_commit_flow() {
-        let mut a = ready_agent();
-        send(
-            &mut a,
-            1,
-            xml(
-                "<edit-config><target><candidate/></target><config><x>1</x></config></edit-config>",
-            ),
-        );
-        // Running unaffected before commit.
-        let r = send(
-            &mut a,
-            2,
-            xml("<get-config><source><running/></source></get-config>"),
-        );
-        let ReplyBody::Data(d) = &r.body else {
-            panic!()
-        };
-        assert!(d[0].find("x").is_none());
-        send(&mut a, 3, xml("<commit/>"));
-        let r = send(
-            &mut a,
-            4,
-            xml("<get-config><source><running/></source></get-config>"),
-        );
-        let ReplyBody::Data(d) = &r.body else {
-            panic!()
-        };
-        assert!(d[0].find("x").is_some());
-    }
-
-    #[test]
     fn close_session_ends_dialogue() {
         let mut a = ready_agent();
         let r = send(&mut a, 1, xml("<close-session/>"));
         assert_eq!(r.body, ReplyBody::Ok);
         assert!(a.is_closed());
-        let rpc = Rpc::new(2, XmlElement::new("get"));
+        let rpc = Rpc::new(2, XmlElement::new(RPC_GET_INFO));
         let out = a.on_bytes(&Framer::frame(rpc.to_xml().to_xml().as_bytes()));
         assert!(out.is_empty());
     }
@@ -679,11 +520,38 @@ mod tests {
             1,
             xml("<initiateVNF><vnf-type>dpi</vnf-type></initiateVNF>"),
         );
-        let r = send(&mut a, 2, XmlElement::new("get"));
+        let r = send(&mut a, 2, XmlElement::new(RPC_GET_INFO));
         let ReplyBody::Data(d) = &r.body else {
             panic!()
         };
-        let vnfs = d[0].find("vnfs").unwrap();
-        assert_eq!(vnfs.find("vnf").unwrap().child_text("type"), Some("dpi"));
+        assert_eq!(d[0].name, "vnfs");
+        assert_eq!(d[0].find("vnf").unwrap().child_text("type"), Some("dpi"));
+    }
+
+    #[test]
+    fn config_operations_are_not_supported() {
+        let mut a = ready_agent();
+        for (i, op) in [
+            "get",
+            "get-config",
+            "edit-config",
+            "commit",
+            "lock",
+            "unlock",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let r = send(&mut a, i as u64 + 1, XmlElement::new(op));
+            let ReplyBody::Errors(e) = &r.body else {
+                panic!("{op}: expected rpc-error, got {r:?}")
+            };
+            assert_eq!(e[0].tag, "operation-not-supported", "{op}");
+        }
+        assert_eq!(a.stats.errors, 6);
+        // The session survives every rejection.
+        let r = send(&mut a, 7, XmlElement::new(RPC_GET_INFO));
+        assert!(matches!(r.body, ReplyBody::Data(_)), "{r:?}");
+        assert!(!a.is_closed());
     }
 }

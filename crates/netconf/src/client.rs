@@ -221,17 +221,6 @@ impl Client {
         self.rpc(op)
     }
 
-    /// `get` with an optional subtree filter.
-    pub fn get(&mut self, filter: Option<XmlElement>) -> (u64, Vec<u8>) {
-        let mut op = XmlElement::new("get");
-        if let Some(f) = filter {
-            let mut wrap = XmlElement::new("filter");
-            wrap.children.push(f);
-            op.children.push(wrap);
-        }
-        self.rpc(op)
-    }
-
     /// `close-session`.
     pub fn close(&mut self) -> (u64, Vec<u8>) {
         self.rpc(XmlElement::new("close-session"))
@@ -354,8 +343,8 @@ mod tests {
     #[test]
     fn outstanding_tracking() {
         let mut l = Loop::new();
-        let (id1, req1) = l.client.get(None);
-        let (id2, _req2) = l.client.get(None);
+        let (id1, req1) = l.client.get_vnf_info(None);
+        let (id2, _req2) = l.client.get_vnf_info(None);
         assert_eq!(l.client.outstanding, vec![id1, id2]);
         l.call(req1);
         assert_eq!(l.client.outstanding, vec![id2]);
@@ -374,7 +363,7 @@ mod tests {
     #[test]
     fn malformed_replies_surface_typed_events() {
         let mut l = Loop::new();
-        let (id, req) = l.client.get(None);
+        let (id, req) = l.client.get_vnf_info(None);
 
         // Truncated XML: the document ends mid-element.
         let ev = l
@@ -403,19 +392,5 @@ mod tests {
         let reply = l.call(req);
         assert_eq!(reply.message_id, id);
         assert!(l.client.outstanding.is_empty());
-    }
-
-    #[test]
-    fn get_with_filter_round_trip() {
-        let mut l = Loop::new();
-        let (_, req) = l.client.initiate_vnf("dpi", None, &[]);
-        l.call(req);
-        let (_, req) = l.client.get(Some(XmlElement::new("vnfs")));
-        let reply = l.call(req);
-        let ReplyBody::Data(d) = &reply.body else {
-            panic!()
-        };
-        // Live state tree appears under <data>.
-        assert!(d[0].find("vnfs").is_some());
     }
 }

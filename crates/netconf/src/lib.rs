@@ -13,16 +13,17 @@
 //! * [`framing`] — NETCONF 1.0 end-of-message framing (`]]>]]>`);
 //! * [`message`] — `<hello>`, `<rpc>`, `<rpc-reply>`, `<rpc-error>`
 //!   envelopes;
-//! * [`yang`] — a YANG-lite schema model with validation, plus the
-//!   `vnf_starter` module both as a programmatic schema and rendered YANG
-//!   text;
-//! * [`datastore`] — running/candidate datastores with subtree `get`,
-//!   `edit-config` (merge/replace/delete), `commit` and locking;
+//! * [`yang`] — a YANG-lite schema model that validates RPC input;
+//! * [`vnf_starter`] — the `vnf_starter` module: its six RPC names and
+//!   their input schema;
 //! * [`agent`] — the server side: a **sans-IO** session state machine
-//!   (bytes in → bytes out) dispatching standard operations and the
-//!   `vnf_starter` RPCs into a pluggable [`agent::VnfInstrumentation`] —
-//!   mirroring the paper's note that porting to real platforms only
-//!   requires swapping the instrumentation;
+//!   (bytes in → bytes out) serving the hello exchange, `close-session`
+//!   and the `vnf_starter` RPCs, which it dispatches into a pluggable
+//!   [`agent::VnfInstrumentation`] — mirroring the paper's note that
+//!   porting to real platforms only requires swapping the
+//!   instrumentation. Every other operation is answered
+//!   `operation-not-supported`: the orchestrator manages a container
+//!   through `vnf_starter` alone, so there is no configuration datastore;
 //! * [`client`] — the orchestrator-side client with typed wrappers for
 //!   every `vnf_starter` RPC;
 //! * [`retry`] — deterministic exponential-backoff schedules (with cap
@@ -30,7 +31,6 @@
 
 pub mod agent;
 pub mod client;
-pub mod datastore;
 pub mod framing;
 pub mod message;
 pub mod retry;
@@ -40,7 +40,6 @@ pub mod yang;
 
 pub use agent::{Agent, VnfInstrumentation};
 pub use client::{Client, ClientEvent};
-pub use datastore::{Datastore, EditOperation};
 pub use framing::Framer;
 pub use message::{NetconfError, Rpc, RpcReply};
 pub use retry::RetryPolicy;

@@ -36,15 +36,6 @@ impl NetconfError {
         }
     }
 
-    /// A `missing-element` protocol error.
-    pub fn missing_element(name: &str) -> NetconfError {
-        NetconfError {
-            error_type: "protocol".into(),
-            tag: "missing-element".into(),
-            message: format!("missing element: {name}"),
-        }
-    }
-
     fn to_xml(&self) -> XmlElement {
         XmlElement::new("rpc-error")
             .child(XmlElement::text_node("error-type", &self.error_type))
@@ -232,7 +223,7 @@ mod tests {
 
     #[test]
     fn rpc_roundtrip() {
-        let rpc = Rpc::new(42, XmlElement::new("get"));
+        let rpc = Rpc::new(42, XmlElement::new("getVNFInfo"));
         let back = Rpc::from_xml(&XmlElement::parse(&rpc.to_xml().to_xml()).unwrap()).unwrap();
         assert_eq!(back, rpc);
     }
@@ -252,10 +243,6 @@ mod tests {
 
     #[test]
     fn error_constructors() {
-        assert_eq!(
-            NetconfError::missing_element("vnf-id").tag,
-            "missing-element"
-        );
         assert_eq!(
             NetconfError::not_supported("x").tag,
             "operation-not-supported"

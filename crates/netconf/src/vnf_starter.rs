@@ -4,9 +4,8 @@
 //! and assigned switch(es). More specifically, the agent is able to
 //! start/stop VNFs and connect/disconnect VNFs to/from switches. The
 //! operation of the agent is described by the YANG data modeling
-//! language..."* — this module is that description, as both a
-//! programmatic schema (used for validation by agent and client) and
-//! rendered YANG text.
+//! language..."* — this module is that description, as the schema the
+//! agent checks every RPC's input against.
 
 use crate::yang::{Module, RpcSchema, SchemaNode, YangType};
 
@@ -20,42 +19,8 @@ pub const RPC_GET_INFO: &str = "getVNFInfo";
 
 /// Builds the `vnf_starter` module schema.
 pub fn module() -> Module {
-    let status_type = YangType::Enumeration(vec![
-        "initiated".into(),
-        "running".into(),
-        "stopped".into(),
-        "failed".into(),
-    ]);
-    let vnf_list = SchemaNode::list(
-        "vnf",
-        "id",
-        vec![
-            SchemaNode::leaf("id", YangType::String, true),
-            SchemaNode::leaf("type", YangType::String, false),
-            SchemaNode::leaf("status", status_type.clone(), false),
-            SchemaNode::list(
-                "port",
-                "number",
-                vec![
-                    SchemaNode::leaf("number", YangType::Uint16, true),
-                    SchemaNode::leaf("switch", YangType::String, false),
-                ],
-            ),
-            SchemaNode::list(
-                "handler",
-                "name",
-                vec![
-                    SchemaNode::leaf("name", YangType::String, true),
-                    SchemaNode::leaf("value", YangType::String, false),
-                ],
-            ),
-        ],
-    );
     Module {
         name: "vnf_starter".into(),
-        namespace: crate::message::VNF_STARTER_CAP.into(),
-        prefix: "vnf".into(),
-        data: vec![SchemaNode::container("vnfs", vec![vnf_list.clone()])],
         rpcs: vec![
             RpcSchema {
                 name: RPC_INITIATE.into(),
@@ -74,17 +39,14 @@ pub fn module() -> Module {
                         )],
                     ),
                 ],
-                output: vec![SchemaNode::leaf("vnf-id", YangType::String, true)],
             },
             RpcSchema {
                 name: RPC_START.into(),
                 input: vec![SchemaNode::leaf("vnf-id", YangType::String, true)],
-                output: vec![],
             },
             RpcSchema {
                 name: RPC_STOP.into(),
                 input: vec![SchemaNode::leaf("vnf-id", YangType::String, true)],
-                output: vec![],
             },
             RpcSchema {
                 name: RPC_CONNECT.into(),
@@ -93,7 +55,6 @@ pub fn module() -> Module {
                     SchemaNode::leaf("vnf-port", YangType::Uint16, true),
                     SchemaNode::leaf("switch-id", YangType::String, true),
                 ],
-                output: vec![SchemaNode::leaf("switch-port", YangType::Uint16, true)],
             },
             RpcSchema {
                 name: RPC_DISCONNECT.into(),
@@ -101,12 +62,10 @@ pub fn module() -> Module {
                     SchemaNode::leaf("vnf-id", YangType::String, true),
                     SchemaNode::leaf("vnf-port", YangType::Uint16, true),
                 ],
-                output: vec![],
             },
             RpcSchema {
                 name: RPC_GET_INFO.into(),
                 input: vec![SchemaNode::leaf("vnf-id", YangType::String, false)],
-                output: vec![SchemaNode::container("vnfs", vec![vnf_list])],
             },
         ],
     }
@@ -129,21 +88,6 @@ mod tests {
             RPC_GET_INFO,
         ] {
             assert!(m.rpc(r).is_some(), "missing rpc {r}");
-        }
-    }
-
-    #[test]
-    fn yang_text_mentions_the_paper_operations() {
-        let y = module().to_yang();
-        assert!(y.contains("module vnf_starter"));
-        for r in [
-            "initiateVNF",
-            "startVNF",
-            "stopVNF",
-            "connectVNF",
-            "disconnectVNF",
-        ] {
-            assert!(y.contains(r), "yang text missing {r}");
         }
     }
 

@@ -1,9 +1,9 @@
-//! YANG-lite: a schema model with validation and YANG text rendering.
+//! YANG-lite: a schema model for validating RPC input.
 //!
 //! The paper describes agent operations "by the YANG data modeling
 //! language". This module gives ESCAPE-RS enough of YANG to express and
-//! enforce the `vnf_starter` module: containers, lists with a key, typed
-//! leaves, and RPC input/output definitions.
+//! enforce the input of the `vnf_starter` RPCs: containers, lists with a
+//! key and typed leaves.
 
 use crate::xml::XmlElement;
 
@@ -40,23 +40,6 @@ impl YangType {
                 } else {
                     Err(format!("{value:?} not in enumeration {vals:?}"))
                 }
-            }
-        }
-    }
-
-    fn yang_name(&self) -> String {
-        match self {
-            YangType::String => "string".into(),
-            YangType::Uint16 => "uint16".into(),
-            YangType::Uint32 => "uint32".into(),
-            YangType::Boolean => "boolean".into(),
-            YangType::Enumeration(vals) => {
-                let mut s = String::from("enumeration {");
-                for v in vals {
-                    s.push_str(&format!(" enum {v};"));
-                }
-                s.push_str(" }");
-                s
             }
         }
     }
@@ -114,22 +97,18 @@ impl SchemaNode {
     }
 }
 
-/// An RPC definition.
+/// An RPC definition: the input the agent checks on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RpcSchema {
     pub name: String,
     pub input: Vec<SchemaNode>,
-    pub output: Vec<SchemaNode>,
 }
 
-/// A YANG module.
+/// A YANG module: its RPCs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     pub name: String,
-    pub namespace: String,
-    pub prefix: String,
     pub rpcs: Vec<RpcSchema>,
-    pub data: Vec<SchemaNode>,
 }
 
 impl Module {
@@ -145,73 +124,6 @@ impl Module {
             .rpc(name)
             .ok_or_else(|| format!("unknown rpc {name}"))?;
         validate_children(op, &rpc.input)
-    }
-
-    /// Renders the module as YANG text (for documentation and the
-    /// capability exchange).
-    pub fn to_yang(&self) -> String {
-        let mut s = format!(
-            "module {} {{\n  namespace \"{}\";\n  prefix {};\n\n",
-            self.name, self.namespace, self.prefix
-        );
-        for n in &self.data {
-            render_node(n, 1, &mut s);
-        }
-        for r in &self.rpcs {
-            s.push_str(&format!("  rpc {} {{\n", r.name));
-            if !r.input.is_empty() {
-                s.push_str("    input {\n");
-                for n in &r.input {
-                    render_node(n, 3, &mut s);
-                }
-                s.push_str("    }\n");
-            }
-            if !r.output.is_empty() {
-                s.push_str("    output {\n");
-                for n in &r.output {
-                    render_node(n, 3, &mut s);
-                }
-                s.push_str("    }\n");
-            }
-            s.push_str("  }\n");
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn render_node(n: &SchemaNode, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    match n {
-        SchemaNode::Leaf {
-            name,
-            ty,
-            mandatory,
-        } => {
-            out.push_str(&format!("{pad}leaf {name} {{ type {};", ty.yang_name()));
-            if *mandatory {
-                out.push_str(" mandatory true;");
-            }
-            out.push_str(" }\n");
-        }
-        SchemaNode::Container { name, children } => {
-            out.push_str(&format!("{pad}container {name} {{\n"));
-            for c in children {
-                render_node(c, depth + 1, out);
-            }
-            out.push_str(&format!("{pad}}}\n"));
-        }
-        SchemaNode::List {
-            name,
-            key,
-            children,
-        } => {
-            out.push_str(&format!("{pad}list {name} {{\n{pad}  key \"{key}\";\n"));
-            for c in children {
-                render_node(c, depth + 1, out);
-            }
-            out.push_str(&format!("{pad}}}\n"));
-        }
     }
 }
 
@@ -337,26 +249,5 @@ mod tests {
         YangType::Boolean.check("true").unwrap();
         assert!(YangType::Boolean.check("yes").is_err());
         YangType::String.check("anything").unwrap();
-    }
-
-    #[test]
-    fn module_renders_yang_text() {
-        let m = Module {
-            name: "demo".into(),
-            namespace: "urn:demo".into(),
-            prefix: "d".into(),
-            rpcs: vec![RpcSchema {
-                name: "poke".into(),
-                input: vec![SchemaNode::leaf("who", YangType::String, true)],
-                output: vec![SchemaNode::leaf("ack", YangType::Boolean, false)],
-            }],
-            data: schema(),
-        };
-        let y = m.to_yang();
-        assert!(y.contains("module demo"));
-        assert!(y.contains("rpc poke"));
-        assert!(y.contains("mandatory true"));
-        assert!(y.contains("key \"name\""));
-        assert!(y.contains("enumeration"));
     }
 }

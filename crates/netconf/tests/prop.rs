@@ -1,12 +1,10 @@
 //! Property tests for NETCONF: XML round trips, framing reassembly under
-//! arbitrary splits, envelope round trips, datastore edit laws, backoff
-//! schedule invariants, and `never_panics` for the parser and both
-//! session ends under arbitrary bytes and single-token damage of a valid
-//! dialogue.
+//! arbitrary splits, envelope round trips, backoff schedule invariants,
+//! and `never_panics` for the parser and both session ends under
+//! arbitrary bytes and single-token damage of a valid dialogue.
 
 use escape_netconf::agent::{Agent, VnfInstrumentation, VnfStatusInfo};
 use escape_netconf::client::Client;
-use escape_netconf::datastore::{Datastore, EditOperation};
 use escape_netconf::framing::Framer;
 use escape_netconf::message::{Rpc, RpcReply};
 use escape_netconf::retry::RetryPolicy;
@@ -132,34 +130,6 @@ proptest! {
         let text = reply.to_xml().to_xml();
         let back = RpcReply::from_xml(&XmlElement::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(back, reply);
-    }
-
-    /// Datastore law: merge then delete restores the original absence;
-    /// failed edits never mutate.
-    #[test]
-    fn datastore_edit_laws(names in proptest::collection::vec(arb_name(), 1..6)) {
-        let mut ds = Datastore::new();
-        for n in &names {
-            let cfg = XmlElement::parse(&format!("<config><{n}>1</{n}></config>")).unwrap();
-            ds.edit(&cfg, EditOperation::Merge).unwrap();
-        }
-        // All present.
-        let unique: std::collections::HashSet<&String> = names.iter().collect();
-        for n in &unique {
-            prop_assert!(ds.get(None).find(n).is_some());
-        }
-        // Delete all; each unique name disappears.
-        for n in &unique {
-            let cfg = XmlElement::parse(&format!("<config><{n} operation=\"delete\"/></config>")).unwrap();
-            ds.edit(&cfg, EditOperation::Merge).unwrap();
-            prop_assert!(ds.get(None).find(n).is_none());
-        }
-        // Second delete fails and leaves the store unchanged.
-        let before = ds.get(None);
-        let n = names.first().unwrap();
-        let cfg = XmlElement::parse(&format!("<config><{n} operation=\"delete\"/></config>")).unwrap();
-        prop_assert!(ds.edit(&cfg, EditOperation::Merge).is_err());
-        prop_assert_eq!(ds.get(None), before);
     }
 
     /// Backoff schedules are monotone non-decreasing: later retries never

@@ -15,7 +15,7 @@
 use escape::container::VnfContainer;
 use escape::env::Escape;
 use escape_catalog::Catalog;
-use escape_netconf::vnf_starter;
+use escape_netconf::{vnf_starter, XmlElement};
 use escape_orch::NearestNeighbor;
 use escape_pox::{Controller, SteeringMode};
 use escape_sg::topo::builders;
@@ -58,8 +58,10 @@ fn figure1_all_layers_present_and_live() {
         assert!(module.rpc(rpc).is_some(), "vnf_starter rpc {rpc}");
     }
     assert!(
-        module.to_yang().contains("module vnf_starter"),
-        "YANG data model"
+        module
+            .validate_rpc_input("startVNF", &XmlElement::new("startVNF"))
+            .is_err(),
+        "YANG data model checks RPC input"
     );
     assert_eq!(esc.infra.sap_addr.len(), n_saps, "SAPs addressable");
 
