@@ -308,11 +308,17 @@ mod tests {
         assert_eq!(c.names().len(), 11);
     }
 
+    /// Every template compiles, and the classes they use plus `Tee` are
+    /// the 15 `Registry::standard()` holds (its own test pins the names).
     #[test]
     fn every_default_config_compiles() {
         let c = Catalog::standard();
         let reg = Registry::standard();
+        let mut classes = std::collections::BTreeSet::from(["Tee".to_string()]);
         for name in c.names() {
+            let cfg = c.render(name, &[]).unwrap();
+            let decls = escape_click::parse_config(&cfg).unwrap().decls;
+            classes.extend(decls.into_iter().map(|d| d.class));
             let router = c.build_router(name, &[], &reg, 0);
             assert!(router.is_ok(), "{name} failed: {:?}", router.err());
             // The rendered config must expose the declared ports.
@@ -324,6 +330,19 @@ mod tests {
                 "{name}: FromDevice count != declared ports"
             );
         }
+        assert!(classes.iter().all(|class| reg.contains(class)));
+        assert_eq!(classes.len(), 15, "{classes:?}");
+    }
+
+    #[test]
+    fn a_delay_that_does_not_fit_in_virtual_time_is_an_error() {
+        let c = Catalog::standard();
+        let delay = [("delay_us".to_string(), u64::MAX.to_string())];
+        let err = c
+            .build_router("delay", &delay, &Registry::standard(), 0)
+            .err()
+            .expect("a delay of u64::MAX microseconds overflows nanoseconds");
+        assert!(err.contains("DelayShaper"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The element model: Click's processing unit.
+//! The element model: Click's processing unit, with push ports only.
 
 use crate::router::Router;
 use escape_netem::Time;
 use escape_packet::Packet;
 use rand::Rng;
-use std::any::Any;
 
 /// Error from a handler invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,31 +25,14 @@ impl std::fmt::Display for HandlerError {
 
 impl std::error::Error for HandlerError {}
 
-/// `Any` plumbing so routers can hand out typed element references.
-pub trait AsAnyElement {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<T: Any> AsAnyElement for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// A Click element: a packet-processing unit with numbered input and
 /// output ports.
 ///
-/// Push packets arrive via [`Element::push`]; the element forwards them
-/// downstream with [`ElemCtx::emit`]. Pull outputs (e.g. `Queue`) hand out
-/// packets when downstream calls [`ElemCtx::pull_from`] → [`Element::pull`].
-/// Elements with time-driven behaviour (sources, shapers) report their next
-/// wake-up through [`Element::next_wake`] and get [`Element::tick`] calls
-/// from the router at that time.
-pub trait Element: AsAnyElement + Send {
+/// Packets arrive via [`Element::push`]; the element forwards them
+/// downstream with [`ElemCtx::emit`]. Elements that hold packets back
+/// (the shapers) report their next wake-up through [`Element::next_wake`]
+/// and get [`Element::tick`] calls from the router at that time.
+pub trait Element: Send {
     /// The Click class name, e.g. `"Counter"`.
     fn class_name(&self) -> &'static str;
 
@@ -60,19 +42,8 @@ pub trait Element: AsAnyElement + Send {
     /// Handles a packet pushed into `port`. Default: drop.
     fn push(&mut self, _ctx: &mut ElemCtx<'_>, _port: usize, _pkt: Packet) {}
 
-    /// Supplies a packet from pull output `port`. Default: none.
-    fn pull(&mut self, _ctx: &mut ElemCtx<'_>, _port: usize) -> Option<Packet> {
-        None
-    }
-
     /// Called when the element's scheduled wake time arrives.
     fn tick(&mut self, _ctx: &mut ElemCtx<'_>) {}
-
-    /// Upstream notification: the element feeding this element's input
-    /// `port` (typically a `Queue`) went from empty to non-empty. Pull
-    /// schedulers use this to come out of dormancy — Click's "notifier"
-    /// mechanism.
-    fn notify(&mut self, _ctx: &mut ElemCtx<'_>, _port: usize) {}
 
     /// The next virtual time this element wants a [`Element::tick`], if any.
     fn next_wake(&self) -> Option<Time> {
@@ -106,24 +77,17 @@ pub(crate) enum Effect {
     },
     /// Emit `pkt` out of the VNF on device `dev`.
     External { dev: u16, pkt: Packet },
-    /// Wake whatever is connected downstream of `(from_elem, from_port)`.
-    Notify { from_elem: usize, from_port: usize },
 }
 
 /// The capability surface an element sees while it runs.
 ///
 /// While an element executes it is temporarily removed from the router, so
 /// the ctx can hold the router mutably: emissions go to the router's
-/// pending-effect queue, and pulls recurse into upstream elements.
+/// pending-effect queue.
 pub struct ElemCtx<'a> {
     pub(crate) router: &'a mut Router,
     pub(crate) elem_idx: usize,
-    pub(crate) depth: usize,
 }
-
-/// Maximum pull-chain length; deeper chains yield `None` (a config with a
-/// pull cycle would otherwise hang).
-pub(crate) const MAX_PULL_DEPTH: usize = 16;
 
 impl ElemCtx<'_> {
     /// Current virtual time.
@@ -144,25 +108,6 @@ impl ElemCtx<'_> {
     /// `ToDevice` calls this.
     pub fn emit_external(&mut self, dev: u16, pkt: Packet) {
         self.router.pending.push_back(Effect::External { dev, pkt });
-    }
-
-    /// Notifies the element connected downstream of this element's output
-    /// `port` that data became available (see [`Element::notify`]).
-    pub fn kick(&mut self, port: usize) {
-        self.router.pending.push_back(Effect::Notify {
-            from_elem: self.elem_idx,
-            from_port: port,
-        });
-    }
-
-    /// Pulls a packet from the upstream element connected to this
-    /// element's input `port`.
-    pub fn pull_from(&mut self, port: usize) -> Option<Packet> {
-        if self.depth >= MAX_PULL_DEPTH {
-            return None;
-        }
-        let (src, sport) = self.router.upstream_of(self.elem_idx, port)?;
-        self.router.pull_at(src, sport, self.depth + 1)
     }
 
     /// A uniform random value in [0, 1) from the router's seeded RNG.

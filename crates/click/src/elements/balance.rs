@@ -1,4 +1,4 @@
-//! Load spreading: round-robin and flow-hash switches.
+//! Load spreading: the flow-hash switch.
 
 use super::args;
 use crate::element::{ElemCtx, Element};
@@ -6,18 +6,6 @@ use crate::registry::Registry;
 use escape_packet::{FlowKey, Packet};
 
 pub fn install(r: &mut Registry) {
-    r.register("RoundRobinSwitch", |a| {
-        args::max(a, 1)?;
-        let n = args::req::<usize>(a, 0, "output count")?;
-        if n == 0 {
-            return Err("needs at least one output".into());
-        }
-        Ok(Box::new(RoundRobinSwitch {
-            n,
-            next: 0,
-            count: 0,
-        }))
-    });
     r.register("HashSwitch", |a| {
         args::max(a, 1)?;
         let n = args::req::<usize>(a, 0, "output count")?;
@@ -26,37 +14,6 @@ pub fn install(r: &mut Registry) {
         }
         Ok(Box::new(HashSwitch { n, count: 0 }))
     });
-}
-
-/// Spreads packets over `n` outputs in rotation.
-pub struct RoundRobinSwitch {
-    n: usize,
-    next: usize,
-    count: u64,
-}
-
-impl Element for RoundRobinSwitch {
-    fn class_name(&self) -> &'static str {
-        "RoundRobinSwitch"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, self.n)
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
-        let out = self.next;
-        self.next = (self.next + 1) % self.n;
-        self.count += 1;
-        ctx.emit(out, pkt);
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "count" => Some(self.count.to_string()),
-            _ => None,
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        25
-    }
 }
 
 /// Spreads packets over `n` outputs by a hash of the 5-tuple, keeping each
@@ -145,20 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates() {
-        let mut r = Router::from_config(
-            "FromDevice(0) -> rr :: RoundRobinSwitch(3); rr [0] -> ToDevice(0); rr [1] -> ToDevice(1); rr [2] -> ToDevice(2);",
-            &Registry::standard(),
-            0,
-        )
-        .unwrap();
-        let devs: Vec<u16> = (0..6)
-            .map(|i| r.push_external(0, udp(i), Time::ZERO).external[0].0)
-            .collect();
-        assert_eq!(devs, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn hash_switch_keeps_flows_together() {
         let mut r = Router::from_config(
             "FromDevice(0) -> h :: HashSwitch(4); h [0] -> ToDevice(0); h [1] -> ToDevice(1); h [2] -> ToDevice(2); h [3] -> ToDevice(3);",
@@ -185,7 +128,6 @@ mod tests {
     #[test]
     fn factories_reject_zero_outputs() {
         let reg = Registry::standard();
-        assert!(Router::from_config("x :: RoundRobinSwitch(0);", &reg, 0).is_err());
         assert!(Router::from_config("x :: HashSwitch(0);", &reg, 0).is_err());
     }
 }

@@ -1,11 +1,10 @@
-//! Device endpoints, counters, queues, tees, discard.
+//! Device endpoints, counters, tees, discard.
 
 use super::args;
 use crate::element::{ElemCtx, Element, HandlerError};
 use crate::registry::Registry;
 use escape_netem::Time;
 use escape_packet::Packet;
-use std::collections::VecDeque;
 
 pub fn install(r: &mut Registry) {
     r.register("FromDevice", |a| {
@@ -33,31 +32,6 @@ pub fn install(r: &mut Registry) {
             return Err("Tee needs at least one output".into());
         }
         Ok(Box::new(Tee { n }))
-    });
-    r.register("Queue", |a| {
-        args::max(a, 1)?;
-        let cap = args::opt::<usize>(a, 0, 1000)?;
-        if cap == 0 {
-            return Err("capacity must be positive".into());
-        }
-        Ok(Box::new(Queue::new(cap)))
-    });
-    r.register("Unqueue", |a| {
-        args::max(a, 1)?;
-        let burst = args::opt::<usize>(a, 0, usize::MAX)?;
-        Ok(Box::new(Unqueue { burst, moved: 0 }))
-    });
-    r.register("RatedUnqueue", |a| {
-        args::max(a, 1)?;
-        let rate: u64 = args::req(a, 0, "rate in packets/s")?;
-        if rate == 0 {
-            return Err("rate must be positive".into());
-        }
-        Ok(Box::new(RatedUnqueue {
-            interval_ns: 1_000_000_000 / rate,
-            next: None,
-            moved: 0,
-        }))
     });
 }
 
@@ -228,161 +202,6 @@ impl Element for Tee {
     }
 }
 
-/// A FIFO with a pull output and drop-tail semantics.
-pub struct Queue {
-    q: VecDeque<Packet>,
-    cap: usize,
-    drops: u64,
-    highwater: usize,
-}
-
-impl Queue {
-    fn new(cap: usize) -> Self {
-        Queue {
-            q: VecDeque::new(),
-            cap,
-            drops: 0,
-            highwater: 0,
-        }
-    }
-}
-
-impl Element for Queue {
-    fn class_name(&self) -> &'static str {
-        "Queue"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, 1)
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
-        if self.q.len() >= self.cap {
-            self.drops += 1;
-            return;
-        }
-        let was_empty = self.q.is_empty();
-        self.q.push_back(pkt);
-        self.highwater = self.highwater.max(self.q.len());
-        if was_empty {
-            ctx.kick(0); // wake a dormant puller downstream
-        }
-    }
-    fn pull(&mut self, _ctx: &mut ElemCtx<'_>, _port: usize) -> Option<Packet> {
-        self.q.pop_front()
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "length" => Some(self.q.len().to_string()),
-            "capacity" => Some(self.cap.to_string()),
-            "drops" => Some(self.drops.to_string()),
-            "highwater" => Some(self.highwater.to_string()),
-            _ => None,
-        }
-    }
-    fn write_handler(&mut self, name: &str, _value: &str) -> Result<(), HandlerError> {
-        match name {
-            "reset" => {
-                self.q.clear();
-                self.drops = 0;
-                self.highwater = 0;
-                Ok(())
-            }
-            other => Err(HandlerError::NoSuchHandler(other.to_string())),
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        25
-    }
-}
-
-/// Moves packets from its pull input to its push output as soon as data is
-/// available (woken by the upstream queue's notifier), up to `burst` per
-/// wake.
-pub struct Unqueue {
-    burst: usize,
-    moved: u64,
-}
-
-impl Unqueue {
-    fn drain(&mut self, ctx: &mut ElemCtx<'_>) {
-        for _ in 0..self.burst {
-            match ctx.pull_from(0) {
-                Some(pkt) => {
-                    self.moved += 1;
-                    ctx.emit(0, pkt);
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-impl Element for Unqueue {
-    fn class_name(&self) -> &'static str {
-        "Unqueue"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, 1)
-    }
-    fn notify(&mut self, ctx: &mut ElemCtx<'_>, _port: usize) {
-        self.drain(ctx);
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "count" => Some(self.moved.to_string()),
-            _ => None,
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        20
-    }
-}
-
-/// Pulls one packet every `1/rate` seconds while the upstream has data;
-/// goes dormant when a pull comes back empty and is re-armed by the
-/// upstream queue's notifier.
-pub struct RatedUnqueue {
-    interval_ns: u64,
-    next: Option<Time>,
-    moved: u64,
-}
-
-impl Element for RatedUnqueue {
-    fn class_name(&self) -> &'static str {
-        "RatedUnqueue"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, 1)
-    }
-    fn notify(&mut self, ctx: &mut ElemCtx<'_>, _port: usize) {
-        if self.next.is_none() {
-            self.next = Some(ctx.now().add_ns(self.interval_ns));
-        }
-    }
-    fn tick(&mut self, ctx: &mut ElemCtx<'_>) {
-        match ctx.pull_from(0) {
-            Some(pkt) => {
-                self.moved += 1;
-                ctx.emit(0, pkt);
-                self.next = Some(ctx.now().add_ns(self.interval_ns));
-            }
-            None => self.next = None, // dormant until the queue kicks us
-        }
-    }
-    fn next_wake(&self) -> Option<Time> {
-        self.next
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "count" => Some(self.moved.to_string()),
-            "rate" => Some((1_000_000_000 / self.interval_ns).to_string()),
-            _ => None,
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        30
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::registry::Registry;
@@ -415,47 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_drops_when_full_and_reports() {
-        let mut r = mk("FromDevice(0) -> q :: Queue(2); q -> Unqueue -> ToDevice(0);");
-        // Unqueue drains immediately on each kick, so block it by pushing
-        // before... Unqueue is eager: each push is drained at once.
-        let out = r.push_external(0, pkt(10), Time::ZERO);
-        assert_eq!(out.external.len(), 1, "eager unqueue forwards immediately");
-    }
-
-    #[test]
-    fn queue_without_drainer_overflows() {
-        // Queue pull output must be connected; use RatedUnqueue with a very
-        // slow rate so nothing drains at t=0.
-        let mut r = mk("FromDevice(0) -> q :: Queue(2); q -> RatedUnqueue(1) -> ToDevice(0);");
-        for _ in 0..5 {
-            r.push_external(0, pkt(10), Time::ZERO);
-        }
-        assert_eq!(r.read_handler("q.length").unwrap(), "2");
-        assert_eq!(r.read_handler("q.drops").unwrap(), "3");
-        assert_eq!(r.read_handler("q.highwater").unwrap(), "2");
-    }
-
-    #[test]
-    fn rated_unqueue_paces_and_goes_dormant() {
-        let mut r =
-            mk("FromDevice(0) -> q :: Queue(10); q -> u :: RatedUnqueue(1000) -> ToDevice(0);");
-        for _ in 0..3 {
-            r.push_external(0, pkt(10), Time::ZERO);
-        }
-        // Drain: wakes at 1 ms, 2 ms, 3 ms; dormant check at 4 ms.
-        let mut emitted = 0;
-        while let Some(w) = r.next_wake() {
-            emitted += r.tick(w).external.len();
-        }
-        assert_eq!(emitted, 3);
-        assert!(r.next_wake().is_none(), "dormant after drain");
-        // New arrival re-arms via the queue notifier.
-        r.push_external(0, pkt(10), Time::from_ms(10));
-        assert_eq!(r.next_wake(), Some(Time::from_ms(11)));
-    }
-
-    #[test]
     fn tee_clones_preserve_content() {
         let mut r = mk(
             "FromDevice(0) -> t :: Tee(3); t [0] -> ToDevice(0); t [1] -> ToDevice(1); t [2] -> d :: Discard;",
@@ -475,27 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn unqueue_burst_limits_per_wake() {
-        let mut r = mk("FromDevice(0) -> q :: Queue(10); q -> u :: Unqueue(1) -> ToDevice(0);");
-        // Each push kicks only on empty->nonempty; with burst 1 the queue
-        // retains the backlog.
-        let o1 = r.push_external(0, pkt(10), Time::ZERO);
-        assert_eq!(o1.external.len(), 1);
-        let o2 = r.push_external(0, pkt(10), Time::ZERO);
-        // Queue was empty again (drained), so this also forwards.
-        assert_eq!(o2.external.len(), 1);
-    }
-
-    #[test]
     fn bad_factory_args_are_errors() {
         let reg = Registry::standard();
-        assert!(Router::from_config(
-            "q :: Queue(0); FromDevice(0) -> q; q -> Unqueue -> ToDevice(0);",
-            &reg,
-            0
-        )
-        .is_err());
-        assert!(Router::from_config("u :: RatedUnqueue(0);", &reg, 0).is_err());
         assert!(Router::from_config("t :: Tee(0);", &reg, 0).is_err());
         assert!(Router::from_config("f :: FromDevice(notanumber);", &reg, 0).is_err());
     }

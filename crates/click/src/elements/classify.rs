@@ -1,131 +1,7 @@
-//! Packet classification: raw byte patterns and IP header expressions.
+//! `IPFilter`'s rule language: conjunctions of IP header predicates.
 
-use crate::element::{ElemCtx, Element};
-use crate::registry::Registry;
-use escape_packet::{FlowKey, Packet};
+use escape_packet::FlowKey;
 use std::net::Ipv4Addr;
-
-pub fn install(r: &mut Registry) {
-    r.register("Classifier", |a| {
-        if a.is_empty() {
-            return Err("needs at least one pattern".into());
-        }
-        let patterns = a
-            .iter()
-            .map(|p| BytePattern::parse(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Box::new(Classifier { patterns, drops: 0 }))
-    });
-    r.register("IPClassifier", |a| {
-        if a.is_empty() {
-            return Err("needs at least one expression".into());
-        }
-        let exprs = a
-            .iter()
-            .map(|e| IpExpr::parse(e))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Box::new(IpClassifier { exprs, drops: 0 }))
-    });
-}
-
-/// One Click classifier pattern: a conjunction of `offset/value[%mask]`
-/// clauses in hex. `-` matches everything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BytePattern {
-    clauses: Vec<(usize, Vec<u8>, Vec<u8>)>, // (offset, value, mask)
-}
-
-impl BytePattern {
-    /// Parses e.g. `"12/0800 23/11"` or `"-"`.
-    pub fn parse(s: &str) -> Result<BytePattern, String> {
-        let s = s.trim();
-        if s == "-" {
-            return Ok(BytePattern {
-                clauses: Vec::new(),
-            });
-        }
-        let mut clauses = Vec::new();
-        for part in s.split_whitespace() {
-            let (off, rest) = part
-                .split_once('/')
-                .ok_or_else(|| format!("pattern clause {part:?} missing '/'"))?;
-            let offset: usize = off.parse().map_err(|_| format!("bad offset {off:?}"))?;
-            let (val_hex, mask_hex) = match rest.split_once('%') {
-                Some((v, m)) => (v, Some(m)),
-                None => (rest, None),
-            };
-            let value = hex_bytes(val_hex)?;
-            let mask = match mask_hex {
-                Some(m) => {
-                    let mk = hex_bytes(m)?;
-                    if mk.len() != value.len() {
-                        return Err(format!("mask length mismatch in {part:?}"));
-                    }
-                    mk
-                }
-                None => vec![0xff; value.len()],
-            };
-            clauses.push((offset, value, mask));
-        }
-        Ok(BytePattern { clauses })
-    }
-
-    /// True if `data` satisfies every clause.
-    pub fn matches(&self, data: &[u8]) -> bool {
-        self.clauses.iter().all(|(off, val, mask)| {
-            data.len() >= off + val.len()
-                && val
-                    .iter()
-                    .zip(mask)
-                    .zip(&data[*off..off + val.len()])
-                    .all(|((v, m), d)| d & m == v & m)
-        })
-    }
-}
-
-fn hex_bytes(s: &str) -> Result<Vec<u8>, String> {
-    if s.is_empty() || !s.len().is_multiple_of(2) {
-        return Err(format!("hex string {s:?} must have even length"));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex {s:?}")))
-        .collect()
-}
-
-/// Click's `Classifier`: the packet goes to the first output whose byte
-/// pattern matches; unmatched packets are dropped.
-pub struct Classifier {
-    patterns: Vec<BytePattern>,
-    drops: u64,
-}
-
-impl Element for Classifier {
-    fn class_name(&self) -> &'static str {
-        "Classifier"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, self.patterns.len())
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
-        for (i, p) in self.patterns.iter().enumerate() {
-            if p.matches(&pkt.data) {
-                ctx.emit(i, pkt);
-                return;
-            }
-        }
-        self.drops += 1;
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "drops" => Some(self.drops.to_string()),
-            _ => None,
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        60
-    }
-}
 
 /// A primitive predicate over a [`FlowKey`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,8 +53,8 @@ impl IpTerm {
 }
 
 /// A conjunction of primitive predicates — the expression language of
-/// `IPClassifier` and `IPFilter` (a practical subset of Click's: terms
-/// joined by `and`; no `or`, no negation).
+/// `IPFilter` (a practical subset of Click's: terms joined by `and`; no
+/// `or`, no negation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpExpr {
     terms: Vec<IpTerm>,
@@ -249,50 +125,11 @@ fn parse_net(s: &str) -> Result<(Ipv4Addr, u8), String> {
     Ok((parse_ip(a)?, len))
 }
 
-/// Click's `IPClassifier`: first matching expression wins; unmatched
-/// packets (including non-IP frames against IP expressions) are dropped.
-pub struct IpClassifier {
-    exprs: Vec<IpExpr>,
-    drops: u64,
-}
-
-impl Element for IpClassifier {
-    fn class_name(&self) -> &'static str {
-        "IPClassifier"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, self.exprs.len())
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, pkt: Packet) {
-        if let Ok(key) = FlowKey::extract(&pkt.data) {
-            for (i, e) in self.exprs.iter().enumerate() {
-                if e.matches(&key) {
-                    ctx.emit(i, pkt);
-                    return;
-                }
-            }
-        }
-        self.drops += 1;
-    }
-    fn read_handler(&self, name: &str) -> Option<String> {
-        match name {
-            "drops" => Some(self.drops.to_string()),
-            _ => None,
-        }
-    }
-    fn cost_ns(&self) -> u64 {
-        90
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
-    use crate::router::Router;
     use bytes::Bytes;
-    use escape_netem::Time;
-    use escape_packet::{MacAddr, PacketBuilder};
+    use escape_packet::{MacAddr, Packet, PacketBuilder};
 
     fn udp_frame(dport: u16) -> Packet {
         let data = PacketBuilder::udp(
@@ -309,67 +146,6 @@ mod tests {
             id: 0,
             born_ns: 0,
         }
-    }
-
-    fn arp_frame() -> Packet {
-        let data = PacketBuilder::arp_request(
-            MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-        );
-        Packet {
-            data,
-            id: 0,
-            born_ns: 0,
-        }
-    }
-
-    #[test]
-    fn byte_pattern_parsing_and_matching() {
-        let p = BytePattern::parse("12/0800").unwrap();
-        assert!(p.matches(&udp_frame(53).data));
-        assert!(!p.matches(&arp_frame().data));
-        let any = BytePattern::parse("-").unwrap();
-        assert!(any.matches(&[]));
-        // Mask: match on high nibble only.
-        let m = BytePattern::parse("0/a0%f0").unwrap();
-        assert!(m.matches(&[0xab]));
-        assert!(!m.matches(&[0xbb]));
-    }
-
-    #[test]
-    fn byte_pattern_errors() {
-        assert!(BytePattern::parse("12").is_err());
-        assert!(BytePattern::parse("x/08").is_err());
-        assert!(BytePattern::parse("0/123").is_err()); // odd hex
-        assert!(BytePattern::parse("0/aa%ffff").is_err()); // mask len
-    }
-
-    #[test]
-    fn classifier_routes_by_ethertype() {
-        let mut r = Router::from_config(
-            "FromDevice(0) -> c :: Classifier(12/0800, 12/0806); c [0] -> ToDevice(0); c [1] -> ToDevice(1);",
-            &Registry::standard(),
-            0,
-        )
-        .unwrap();
-        let out = r.push_external(0, udp_frame(53), Time::ZERO);
-        assert_eq!(out.external[0].0, 0);
-        let out = r.push_external(0, arp_frame(), Time::ZERO);
-        assert_eq!(out.external[0].0, 1);
-    }
-
-    #[test]
-    fn classifier_drops_unmatched() {
-        let mut r = Router::from_config(
-            "FromDevice(0) -> c :: Classifier(12/86dd); c -> ToDevice(0);",
-            &Registry::standard(),
-            0,
-        )
-        .unwrap();
-        let out = r.push_external(0, udp_frame(53), Time::ZERO);
-        assert!(out.external.is_empty());
-        assert_eq!(r.read_handler("c.drops").unwrap(), "1");
     }
 
     #[test]
@@ -396,25 +172,5 @@ mod tests {
         assert!(IpExpr::parse("src host nothost").is_err());
         assert!(IpExpr::parse("dst net 10.0.0.0/40").is_err());
         assert!(IpExpr::parse("port many").is_err());
-    }
-
-    #[test]
-    fn ip_classifier_routes_and_drops() {
-        let mut r = Router::from_config(
-            "FromDevice(0) -> c :: IPClassifier(udp and dst port 53, -); c [0] -> ToDevice(0); c [1] -> ToDevice(1);",
-            &Registry::standard(),
-            0,
-        )
-        .unwrap();
-        assert_eq!(
-            r.push_external(0, udp_frame(53), Time::ZERO).external[0].0,
-            0
-        );
-        assert_eq!(
-            r.push_external(0, udp_frame(80), Time::ZERO).external[0].0,
-            1
-        );
-        assert_eq!(r.push_external(0, arp_frame(), Time::ZERO).external[0].0, 1);
-        // catch-all
     }
 }

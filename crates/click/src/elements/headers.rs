@@ -1,4 +1,4 @@
-//! Header surgery: strip/encap, sanity checks, TTL and DSCP rewriting.
+//! Header surgery: sanity checks, TTL and DSCP rewriting.
 //!
 //! These elements operate on full Ethernet frames (ESCAPE VNF ports carry
 //! Ethernet). TTL and DSCP edits go through [`escape_packet::rewrite()`],
@@ -8,40 +8,9 @@ use super::args;
 use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
 use bytes::Bytes;
-use escape_packet::{
-    rewrite, EtherType, EthernetHeader, Ipv4Header, MacAddr, Packet, PacketBuilder,
-};
+use escape_packet::{rewrite, EtherType, EthernetHeader, Ipv4Header, Packet};
 
 pub fn install(r: &mut Registry) {
-    r.register("Strip", |a| {
-        args::max(a, 1)?;
-        let n = args::req::<usize>(a, 0, "byte count")?;
-        Ok(Box::new(Strip { n }))
-    });
-    r.register("EtherEncap", |a| {
-        args::max(a, 3)?;
-        let hex = a
-            .first()
-            .ok_or("missing ethertype")?
-            .trim_start_matches("0x");
-        let ethertype =
-            u16::from_str_radix(hex, 16).map_err(|_| format!("bad hex ethertype {hex:?}"))?;
-        let src: MacAddr = a
-            .get(1)
-            .ok_or("missing source MAC")?
-            .parse()
-            .map_err(|_| "bad source MAC".to_string())?;
-        let dst: MacAddr = a
-            .get(2)
-            .ok_or("missing destination MAC")?
-            .parse()
-            .map_err(|_| "bad destination MAC".to_string())?;
-        Ok(Box::new(EtherEncap {
-            ethertype: EtherType::from_u16(ethertype),
-            src,
-            dst,
-        }))
-    });
     r.register("CheckIPHeader", |a| {
         args::max(a, 0)?;
         Ok(Box::new(CheckIpHeader { bad: 0 }))
@@ -61,55 +30,6 @@ pub fn install(r: &mut Registry) {
             frame: Vec::new(),
         }))
     });
-}
-
-/// Removes the first `n` bytes of the packet.
-pub struct Strip {
-    n: usize,
-}
-
-impl Element for Strip {
-    fn class_name(&self) -> &'static str {
-        "Strip"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, 1)
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, mut pkt: Packet) {
-        if pkt.data.len() >= self.n {
-            pkt.data = pkt.data.slice(self.n..);
-            ctx.emit(0, pkt);
-        }
-        // Shorter packets are dropped (cannot strip).
-    }
-    fn cost_ns(&self) -> u64 {
-        20
-    }
-}
-
-/// Prepends a fresh Ethernet header.
-pub struct EtherEncap {
-    ethertype: EtherType,
-    src: MacAddr,
-    dst: MacAddr,
-}
-
-impl Element for EtherEncap {
-    fn class_name(&self) -> &'static str {
-        "EtherEncap"
-    }
-    fn ports(&self) -> (usize, usize) {
-        (1, 1)
-    }
-    fn push(&mut self, ctx: &mut ElemCtx<'_>, _port: usize, mut pkt: Packet) {
-        pkt.data = PacketBuilder::ethernet(self.src, self.dst, self.ethertype, |buf| {
-            buf.extend_from_slice(&pkt.data)
-        });
-        ctx.emit(0, pkt);
-    }
-    fn cost_ns(&self) -> u64 {
-        45
-    }
 }
 
 /// Validates the IPv4 layer of an Ethernet frame: bad frames (non-IP,
@@ -240,7 +160,7 @@ mod tests {
     use crate::registry::Registry;
     use crate::router::Router;
     use escape_netem::Time;
-    use escape_packet::PacketBuilder;
+    use escape_packet::{MacAddr, PacketBuilder};
     use std::net::Ipv4Addr;
 
     fn udp_pkt() -> Packet {
@@ -262,20 +182,6 @@ mod tests {
 
     fn mk(cfg: &str) -> Router {
         Router::from_config(cfg, &Registry::standard(), 0).unwrap()
-    }
-
-    #[test]
-    fn strip_then_encap_restores_a_valid_frame() {
-        let mut r = mk(
-            "FromDevice(0) -> Strip(14) -> EtherEncap(0800, 02:00:00:00:00:09, 02:00:00:00:00:0a) -> ToDevice(0);",
-        );
-        let out = r.push_external(0, udp_pkt(), Time::ZERO);
-        assert_eq!(out.external.len(), 1);
-        let (eth, l3) = EthernetHeader::parse(&out.external[0].1.data).unwrap();
-        assert_eq!(eth.src, MacAddr::from_id(9));
-        assert_eq!(eth.dst, MacAddr::from_id(10));
-        // IP layer is untouched and still valid.
-        Ipv4Header::parse(l3).unwrap();
     }
 
     #[test]
@@ -348,10 +254,5 @@ mod tests {
     fn factory_validation() {
         let reg = Registry::standard();
         assert!(Router::from_config("s :: SetIPDSCP(64);", &reg, 0).is_err());
-        assert!(
-            Router::from_config("e :: EtherEncap(zzzz, 0:0:0:0:0:1, 0:0:0:0:0:2);", &reg, 0)
-                .is_err()
-        );
-        assert!(Router::from_config("e :: EtherEncap(0800);", &reg, 0).is_err());
     }
 }

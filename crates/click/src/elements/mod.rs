@@ -1,15 +1,14 @@
-//! The standard element library.
+//! The standard element library: the push elements the VNF catalog's
+//! templates are built from, plus `Tee`.
 //!
 //! Organized by concern:
-//! * [`basic`] — device endpoints, counters, queues, tees, discard
-//! * [`classify`] — `Classifier` (raw byte patterns) and `IPClassifier`
-//!   (header expressions)
-//! * [`headers`] — header surgery: strip/encap, TTL, DSCP, header checks
+//! * [`basic`] — device endpoints, counters, tees, discard
+//! * [`classify`] — the IP header expressions `IPFilter` rules match on
+//! * [`headers`] — header surgery: TTL, DSCP, header checks
 //! * [`security`] — `IPFilter` (firewall) and `StringMatcher` (DPI)
 //! * [`nat`] — the stateful `IPRewriter`
 //! * [`shaping`] — bandwidth/delay shapers and random sampling
-//! * [`balance`] — round-robin and hash load spreading
-//! * [`source`] — synthetic traffic generation
+//! * [`balance`] — flow-hash load spreading
 
 pub mod balance;
 pub mod basic;
@@ -18,20 +17,17 @@ pub mod headers;
 pub mod nat;
 pub mod security;
 pub mod shaping;
-pub mod source;
 
 use crate::registry::Registry;
 
 /// Registers every standard element class.
 pub fn install_standard(r: &mut Registry) {
     basic::install(r);
-    classify::install(r);
     headers::install(r);
     security::install(r);
     nat::install(r);
     shaping::install(r);
     balance::install(r);
-    source::install(r);
 }
 
 /// Shared argument parsing helpers for element factories.

@@ -27,8 +27,11 @@ pub fn install(r: &mut Registry) {
     r.register("DelayShaper", |a| {
         args::max(a, 1)?;
         let delay_us: u64 = args::req(a, 0, "delay in microseconds")?;
+        let delay_ns = delay_us
+            .checked_mul(1_000)
+            .ok_or("delay does not fit in virtual time")?;
         Ok(Box::new(DelayShaper {
-            delay: Time::from_us(delay_us),
+            delay: Time::from_ns(delay_ns),
             q: VecDeque::new(),
         }))
     });
@@ -274,5 +277,6 @@ mod tests {
         assert!(Router::from_config("s :: BandwidthShaper(0);", &reg, 0).is_err());
         assert!(Router::from_config("s :: RandomSample(1.5);", &reg, 0).is_err());
         assert!(Router::from_config("s :: DelayShaper(abc);", &reg, 0).is_err());
+        assert!(Router::from_config("s :: DelayShaper(18446744073709552);", &reg, 0).is_err());
     }
 }

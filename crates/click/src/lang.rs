@@ -464,15 +464,19 @@ mod tests {
     #[test]
     fn explicit_ports() {
         let cfg = parse_config(
-            "c :: Classifier(12/0800, 12/0806, -);\n\
+            "c :: IPFilter(allow dst net 10.0.0.0/8, deny udp, -);\n\
+             h :: HashSwitch(3);\n\
              a :: Discard; b :: Discard; d :: Discard;\n\
-             c [0] -> a; c [1] -> b; c [2] -> d;\n",
+             h [0] -> a; h [1] -> b; h [2] -> d;\n",
         )
         .unwrap();
         assert_eq!(cfg.conns[1].from_port, 1);
         assert_eq!(cfg.conns[2].from_port, 2);
         // Args with '/' content survive as raw strings.
-        assert_eq!(cfg.decls[0].args, vec!["12/0800", "12/0806", "-"]);
+        assert_eq!(
+            cfg.decls[0].args,
+            vec!["allow dst net 10.0.0.0/8", "deny udp", "-"]
+        );
     }
 
     #[test]
@@ -485,12 +489,13 @@ mod tests {
     #[test]
     fn inline_declaration_in_chain() {
         let cfg =
-            parse_config("FromDevice(0) -> q :: Queue(100) -> Unqueue -> ToDevice(0);").unwrap();
+            parse_config("FromDevice(0) -> s :: BandwidthShaper(100) -> Counter -> ToDevice(0);")
+                .unwrap();
         assert!(cfg
             .decls
             .iter()
-            .any(|d| d.name == "q" && d.class == "Queue"));
-        assert!(cfg.decls.iter().any(|d| d.class == "Unqueue"));
+            .any(|d| d.name == "s" && d.class == "BandwidthShaper"));
+        assert!(cfg.decls.iter().any(|d| d.class == "Counter"));
         assert_eq!(cfg.conns.len(), 3);
     }
 

@@ -38,13 +38,6 @@ impl Registry {
         self.factories.contains_key(class)
     }
 
-    /// Known class names, sorted (for error messages and docs).
-    pub fn class_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.factories.keys().map(|s| s.as_str()).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Instantiates `class` with `args`; `line` contextualizes errors.
     pub fn build(
         &self,
@@ -116,23 +109,32 @@ mod tests {
         assert!(err.message.starts_with("Dummy:"));
     }
 
+    /// The standard library is exactly the classes the VNF catalog's
+    /// templates use, plus `Tee` (the one element that copies frames).
     #[test]
     fn standard_registry_is_well_stocked() {
         let r = Registry::standard();
-        for class in [
-            "FromDevice",
-            "ToDevice",
-            "Counter",
-            "Queue",
-            "Unqueue",
-            "Discard",
-            "Tee",
-            "Classifier",
-            "IPClassifier",
-            "IPFilter",
-        ] {
-            assert!(r.contains(class), "missing standard element {class}");
-        }
-        assert!(r.class_names().len() >= 20);
+        let mut classes: Vec<&str> = r.factories.keys().map(String::as_str).collect();
+        classes.sort_unstable();
+        assert_eq!(
+            classes,
+            [
+                "BandwidthShaper",
+                "CheckIPHeader",
+                "Counter",
+                "DecIPTTL",
+                "DelayShaper",
+                "Discard",
+                "FromDevice",
+                "HashSwitch",
+                "IPFilter",
+                "IPRewriter",
+                "RandomSample",
+                "SetIPDSCP",
+                "StringMatcher",
+                "Tee",
+                "ToDevice",
+            ]
+        );
     }
 }

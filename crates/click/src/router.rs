@@ -1,7 +1,7 @@
 //! The compiled router: elements wired per a parsed configuration.
 
 use crate::element::{Effect, ElemCtx, Element};
-use crate::lang::{parse_config, ConfigError, ParsedConfig};
+use crate::lang::{parse_config, ConfigError};
 use crate::registry::Registry;
 use escape_netem::Time;
 use escape_packet::{LookupMap, Packet};
@@ -22,14 +22,10 @@ pub struct RouterOutput {
 /// A running Click router (one VNF instance).
 pub struct Router {
     names: Vec<String>,
-    classes: Vec<String>,
     pub(crate) elements: Vec<Option<Box<dyn Element>>>,
     /// `out_conns[e][p]` = the (element, input port) that output `p` of
     /// element `e` feeds.
     out_conns: Vec<Vec<Option<(usize, usize)>>>,
-    /// `in_conns[e][p]` = the (element, output port) feeding input `p` of
-    /// element `e` (for pull resolution; last connection wins).
-    in_conns: Vec<Vec<Option<(usize, usize)>>>,
     /// Device number -> FromDevice element index.
     from_device: BTreeMap<u16, usize>,
     name_index: LookupMap<String, usize>,
@@ -59,17 +55,7 @@ impl Router {
         seed: u64,
     ) -> Result<Router, ConfigError> {
         let parsed = parse_config(config)?;
-        Self::from_parsed(&parsed, registry, seed)
-    }
-
-    /// Compiles an already-parsed configuration.
-    pub fn from_parsed(
-        parsed: &ParsedConfig,
-        registry: &Registry,
-        seed: u64,
-    ) -> Result<Router, ConfigError> {
         let mut names = Vec::new();
-        let mut classes = Vec::new();
         let mut elements: Vec<Option<Box<dyn Element>>> = Vec::new();
         // (inputs, outputs) of each element, in declaration order.
         let mut ports = Vec::new();
@@ -100,17 +86,31 @@ impl Router {
                     });
                 }
             }
+            // Each output is connected exactly once, so an element with
+            // more outputs than the config has connections can never
+            // compile; rejecting it here keeps a huge fan-out count from
+            // sizing the port table below.
+            let (ins, outs) = elem.ports();
+            if outs > parsed.conns.len() {
+                return Err(ConfigError {
+                    line: d.line,
+                    message: format!(
+                        "{} :: {} has {outs} outputs, more than the config's {} \
+                         connections, so one is unconnected",
+                        d.name,
+                        d.class,
+                        parsed.conns.len()
+                    ),
+                });
+            }
             name_index.insert(d.name.clone(), idx);
             names.push(d.name.clone());
-            classes.push(d.class.clone());
-            ports.push(elem.ports());
+            ports.push((ins, outs));
             elements.push(Some(elem));
         }
 
         let mut out_conns: Vec<Vec<Option<(usize, usize)>>> =
             ports.iter().map(|&(_, outs)| vec![None; outs]).collect();
-        let mut in_conns: Vec<Vec<Option<(usize, usize)>>> =
-            ports.iter().map(|&(ins, _)| vec![None; ins]).collect();
 
         for c in &parsed.conns {
             let from = *name_index.get(&c.from).ok_or_else(|| ConfigError {
@@ -133,12 +133,13 @@ impl Router {
                     message: format!("output port {}[{}] connected twice", c.from, c.from_port),
                 });
             }
+            if c.to_port >= ports[to].0 {
+                return Err(ConfigError {
+                    line: c.line,
+                    message: format!("'{}' has no input port {}", c.to, c.to_port),
+                });
+            }
             *out_slot = Some((to, c.to_port));
-            let in_slot = in_conns[to].get_mut(c.to_port).ok_or_else(|| ConfigError {
-                line: c.line,
-                message: format!("'{}' has no input port {}", c.to, c.to_port),
-            })?;
-            *in_slot = Some((from, c.from_port));
         }
 
         // Every output port must be wired — Click errors on dangling
@@ -156,10 +157,8 @@ impl Router {
 
         Ok(Router {
             names,
-            classes,
             elements,
             out_conns,
-            in_conns,
             from_device,
             name_index,
             pending: VecDeque::new(),
@@ -182,16 +181,10 @@ impl Router {
         &self.names
     }
 
-    /// Class of a named element.
-    pub fn class_of(&self, name: &str) -> Option<&str> {
-        self.name_index.get(name).map(|&i| self.classes[i].as_str())
-    }
-
     /// Indices (into [`Router::element_names`]) of the elements the last
     /// [`Router::push_into`] pushed frames through, in traversal
-    /// order. Filled only when [`Router::trace_paths`] is set; pull-side
-    /// traversal (e.g. `RatedUnqueue` draining a `Queue`) and
-    /// [`Router::tick`] work are not recorded.
+    /// order. Filled only when [`Router::trace_paths`] is set; frames a
+    /// [`Router::tick`] releases are not recorded.
     pub fn traced(&self) -> &[u16] {
         &self.traced
     }
@@ -199,10 +192,6 @@ impl Router {
     /// Devices with a `FromDevice` entry point.
     pub fn input_devices(&self) -> Vec<u16> {
         self.from_device.keys().copied().collect()
-    }
-
-    pub(crate) fn upstream_of(&self, elem: usize, in_port: usize) -> Option<(usize, usize)> {
-        self.in_conns.get(elem)?.get(in_port).copied().flatten()
     }
 
     /// Feeds a frame that arrived on VNF device `dev` into the
@@ -259,7 +248,7 @@ impl Router {
                 .and_then(|e| e.next_wake())
                 .is_some_and(|t| t <= now);
             if due {
-                self.with_element(idx, 0, |e, ctx| e.tick(ctx));
+                self.with_element(idx, |e, ctx| e.tick(ctx));
             }
         }
         self.drain(&mut out.external, false);
@@ -276,28 +265,20 @@ impl Router {
     }
 
     /// Runs one element via the take-out pattern.
-    fn with_element<R>(
+    fn with_element(
         &mut self,
         idx: usize,
-        depth: usize,
-        f: impl FnOnce(&mut Box<dyn Element>, &mut ElemCtx<'_>) -> R,
-    ) -> Option<R> {
-        let mut e = self.elements[idx].take()?;
+        f: impl FnOnce(&mut Box<dyn Element>, &mut ElemCtx<'_>),
+    ) {
+        let Some(mut e) = self.elements[idx].take() else {
+            return;
+        };
         let mut ctx = ElemCtx {
             router: self,
             elem_idx: idx,
-            depth,
         };
-        let r = f(&mut e, &mut ctx);
+        f(&mut e, &mut ctx);
         self.elements[idx] = Some(e);
-        Some(r)
-    }
-
-    pub(crate) fn pull_at(&mut self, elem: usize, out_port: usize, depth: usize) -> Option<Packet> {
-        let cost = self.elements[elem].as_deref().map_or(0, |e| e.cost_ns());
-        let pkt = self.with_element(elem, depth, |e, ctx| e.pull(ctx, out_port))??;
-        self.work_acc += cost;
-        Some(pkt)
     }
 
     /// Runs pending effects, appending frames that leave the VNF to
@@ -330,18 +311,7 @@ impl Router {
                     if trace {
                         self.traced.push(dst as u16);
                     }
-                    self.with_element(dst, 0, |e, ctx| e.push(ctx, dport, pkt));
-                }
-                Effect::Notify {
-                    from_elem,
-                    from_port,
-                } => {
-                    let Some(&Some((dst, dport))) =
-                        self.out_conns.get(from_elem).and_then(|c| c.get(from_port))
-                    else {
-                        continue;
-                    };
-                    self.with_element(dst, 0, |e, ctx| e.notify(ctx, dport));
+                    self.with_element(dst, |e, ctx| e.push(ctx, dport, pkt));
                 }
             }
         }
@@ -383,12 +353,6 @@ impl Router {
             }
         }
         v
-    }
-
-    /// Typed access to a named element (e.g. for tests).
-    pub fn element_as<T: Element + 'static>(&self, name: &str) -> Option<&T> {
-        let &idx = self.name_index.get(name)?;
-        self.elements[idx].as_deref()?.as_any().downcast_ref::<T>()
     }
 }
 
@@ -456,27 +420,26 @@ mod tests {
     }
 
     #[test]
+    fn a_fan_out_larger_than_the_config_is_a_config_error() {
+        for cfg in [
+            "FromDevice(0) -> h :: HashSwitch(18446744073709551615); h [0] -> ToDevice(0);",
+            "FromDevice(0) -> t :: Tee(1000000000); t [0] -> ToDevice(0);",
+        ] {
+            let err = Router::from_config(cfg, &Registry::standard(), 0)
+                .err()
+                .unwrap();
+            assert_eq!(err.line, 1, "{cfg}");
+            assert!(err.message.contains("unconnected"), "{}", err.message);
+        }
+    }
+
+    #[test]
     fn tee_duplicates_to_both_devices() {
         let mut r = mk("FromDevice(0) -> t :: Tee(2); t [0] -> ToDevice(0); t [1] -> ToDevice(1);");
         let out = r.push_external(0, pkt(60), Time::ZERO);
         let mut devs: Vec<u16> = out.external.iter().map(|(d, _)| *d).collect();
         devs.sort_unstable();
         assert_eq!(devs, vec![0, 1]);
-    }
-
-    #[test]
-    fn queue_holds_until_unqueue_ticks() {
-        let mut r =
-            mk("FromDevice(0) -> q :: Queue(10); q -> u :: RatedUnqueue(1000); u -> ToDevice(0);");
-        let out = r.push_external(0, pkt(60), Time::ZERO);
-        assert!(out.external.is_empty(), "queued, not forwarded");
-        assert_eq!(r.read_handler("q.length").unwrap(), "1");
-        // RatedUnqueue at 1000 pps wakes every 1 ms.
-        let wake = r.next_wake().unwrap();
-        assert_eq!(wake, Time::from_ms(1));
-        let out = r.tick(wake);
-        assert_eq!(out.external.len(), 1);
-        assert_eq!(r.read_handler("q.length").unwrap(), "0");
     }
 
     #[test]

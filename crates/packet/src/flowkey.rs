@@ -1,8 +1,9 @@
 //! The OpenFlow 1.0 12-tuple flow key extracted from a frame.
 //!
 //! This is the shared language between the switch's flow table, the POX
-//! controller's match construction and Click's `Classifier`: one parse of a
-//! frame yields every field OpenFlow 1.0 can match on.
+//! controller's match construction and the Click elements that look at
+//! headers (`IPFilter`, `HashSwitch`): one parse of a frame yields every
+//! field OpenFlow 1.0 can match on.
 
 use crate::ether::{EtherType, EthernetHeader};
 use crate::ipv4::{IpProtocol, Ipv4Header};

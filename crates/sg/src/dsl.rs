@@ -202,7 +202,10 @@ pub fn parse_service_graph(src: &str) -> Result<ServiceGraph, DslError> {
             }
             "chain" => {
                 // chain NAME = a -> b -> c bw=X delay=Y
-                let rest = text.strip_prefix("chain").unwrap().trim();
+                let rest = text
+                    .strip_prefix("chain")
+                    .expect("the trimmed line's first token is \"chain\"")
+                    .trim();
                 let (name, spec) = rest
                     .split_once('=')
                     .ok_or_else(|| err(line, "chain needs 'chain NAME = a -> b ...'"))?;

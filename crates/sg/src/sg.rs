@@ -219,15 +219,13 @@ impl ServiceGraph {
             if !chain_names.insert(c.name.as_str()) {
                 return Err(format!("duplicate chain name {:?}", c.name));
             }
-            if c.hops.len() < 2 {
+            let [first, mids @ .., last] = c.hops.as_slice() else {
                 return Err(format!("chain {:?} needs at least two hops", c.name));
-            }
-            let first = c.hops.first().unwrap().as_str();
-            let last = c.hops.last().unwrap().as_str();
-            if !saps.contains(first) || !saps.contains(last) {
+            };
+            if !saps.contains(first.as_str()) || !saps.contains(last.as_str()) {
                 return Err(format!("chain {:?} must start and end at SAPs", c.name));
             }
-            for mid in &c.hops[1..c.hops.len() - 1] {
+            for mid in mids {
                 if !vnfs.contains(mid.as_str()) {
                     return Err(format!(
                         "chain {:?} hop {:?} is not a declared VNF",

@@ -40,18 +40,19 @@ echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control
 # produces trace records through the trace ring to an SLA verdict, in
 # the parsers, writers, rewrites and elements every frame passes
 # through, in the controller's packet-in path and every OpenFlow
-# decoder, and in the code that reads sockets, the WAL, NETCONF
-# messages and JSON, a panic site names the invariant that makes it
+# decoder, in the code that reads sockets, the WAL, NETCONF messages and
+# JSON, and in the parsers of the Click text, service graphs and
+# topologies that arrive over the socket, a panic site names the invariant that makes it
 # unreachable (expect), or input that can reach it gets a typed error.
 # Test modules are exempt.
 UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
     crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
     crates/netem/src/{sim,queue,link}.rs crates/openflow/src/{switch,action,wire,ofmatch,table,cache}.rs \
-    crates/click/src/router.rs crates/escape/src/container.rs \
+    crates/click/src/{router,lang,registry,element}.rs crates/escape/src/container.rs \
     crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite,pool,lookup,checksum}.rs \
     crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
     crates/ctl/src/wal.rs crates/ctl/src/server/*.rs crates/netconf/src/*.rs \
-    crates/json/src/*.rs; do
+    crates/json/src/*.rs crates/sg/src/*.rs crates/catalog/src/lib.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
 done)"
 if [ -n "$UNWRAPS" ]; then

@@ -412,6 +412,44 @@ fn typed_errors_keep_the_connection_open() {
     daemon.join().unwrap();
 }
 
+/// A service graph whose raw Click text declares a `HashSwitch` with
+/// `u64::MAX` outputs: the compiler must refuse it before sizing a port
+/// table that large.
+const HUGE_FAN_OUT_SG: &str = r#"{
+  "saps": ["sap0", "sap1"],
+  "vnfs": [{
+    "name": "lb", "vnf_type": "custom", "cpu": 0.5, "mem_mb": 64,
+    "click_config": "FromDevice(0) -> h :: HashSwitch(18446744073709551615); h [0] -> ToDevice(1); FromDevice(1) -> ToDevice(0);"
+  }],
+  "chains": [{"name": "c1", "hops": ["sap0", "lb", "sap1"], "bandwidth_mbps": 10.0, "max_delay_us": null}]
+}"#;
+
+#[test]
+fn a_huge_fan_out_in_shipped_click_text_is_a_typed_error() {
+    let socket = temp_socket("fan-out");
+    let daemon = spawn_daemon(default_session(3), &socket);
+    let mut c = connect(&socket);
+
+    let resp = call(
+        &mut c,
+        CtlRequest::Deploy {
+            sg: HUGE_FAN_OUT_SG.into(),
+            format: SgFormat::Json,
+        },
+    );
+    assert!(
+        matches!(&resp, CtlResponse::Error(CtlError::DeployFailed { cause, .. }) if cause.contains("HashSwitch")),
+        "{resp:?}"
+    );
+    assert!(matches!(
+        call(&mut c, CtlRequest::Status),
+        CtlResponse::Status(_)
+    ));
+
+    call(&mut c, CtlRequest::Shutdown);
+    daemon.join().unwrap();
+}
+
 fn traffic(len: u64, frames: u64) -> CtlRequest {
     CtlRequest::Traffic {
         from: "sap0".into(),
