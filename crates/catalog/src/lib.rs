@@ -346,6 +346,20 @@ mod tests {
     }
 
     #[test]
+    fn a_rate_limiter_without_queue_room_is_an_error() {
+        let c = Catalog::standard();
+        let queue = |n: &str| [("queue".to_string(), n.to_string())];
+        let err = c
+            .build_router("rate_limiter", &queue("0"), &Registry::standard(), 0)
+            .err()
+            .expect("a queue of 0 frames would drop every frame");
+        assert!(err.contains("BandwidthShaper"), "{err}");
+        assert!(c
+            .build_router("rate_limiter", &queue("1"), &Registry::standard(), 0)
+            .is_ok());
+    }
+
+    #[test]
     fn overrides_are_substituted() {
         let c = Catalog::standard();
         let cfg = c

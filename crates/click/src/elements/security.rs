@@ -1,6 +1,7 @@
 //! Security VNF building blocks: the `IPFilter` firewall and the
 //! `StringMatcher` DPI element.
 
+use super::args;
 use super::classify::IpExpr;
 use crate::element::{ElemCtx, Element, HandlerError};
 use crate::registry::Registry;
@@ -22,6 +23,7 @@ pub fn install(r: &mut Registry) {
         }))
     });
     r.register("StringMatcher", |a| {
+        args::max(a, 1)?;
         let pat = a.first().ok_or("needs a pattern argument")?;
         let pat = pat.trim_matches('"').as_bytes().to_vec();
         if pat.is_empty() {
@@ -231,6 +233,29 @@ mod tests {
 
     fn mk(cfg: &str) -> Router {
         Router::from_config(cfg, &Registry::standard(), 0).unwrap()
+    }
+
+    #[test]
+    fn factory_validation() {
+        let reg = Registry::standard();
+        let dpi = |args: &str| {
+            let cfg = format!(
+                "FromDevice(0) -> m :: StringMatcher({args}); m [0] -> ToDevice(1); m [1] -> ToDevice(0);"
+            );
+            Router::from_config(&cfg, &reg, 0).map(|_| ())
+        };
+        assert!(dpi(r#""x""#).is_ok());
+        assert!(dpi("").is_err());
+        assert!(dpi(r#""""#).is_err());
+        // A second argument is refused, not silently dropped.
+        assert!(dpi("x, 0").is_err());
+        assert!(dpi("18446744073709551615, 1").is_err());
+        let firewall = |args: &str| {
+            let cfg = format!("FromDevice(0) -> IPFilter({args}) -> ToDevice(0);");
+            Router::from_config(&cfg, &reg, 0).map(|_| ())
+        };
+        assert!(firewall("deny udp, allow all").is_ok());
+        assert!(firewall("").is_err());
     }
 
     #[test]

@@ -15,6 +15,10 @@ pub fn install(r: &mut Registry) {
             return Err("rate must be positive".into());
         }
         let cap = args::opt::<usize>(a, 1, 1000)?;
+        if cap == 0 {
+            // A queue with no room tail-drops every frame.
+            return Err("queue capacity must be positive".into());
+        }
         Ok(Box::new(BandwidthShaper {
             rate_bps,
             cap,
@@ -275,6 +279,13 @@ mod tests {
     fn factory_validation() {
         let reg = Registry::standard();
         assert!(Router::from_config("s :: BandwidthShaper(0);", &reg, 0).is_err());
+        let shaper = |args: &str| {
+            let cfg = format!("FromDevice(0) -> BandwidthShaper({args}) -> ToDevice(0);");
+            Router::from_config(&cfg, &reg, 0).map(|_| ())
+        };
+        assert!(shaper("1000, 1").is_ok());
+        // A queue with no room would drop every frame.
+        assert!(shaper("1000, 0").is_err());
         assert!(Router::from_config("s :: RandomSample(1.5);", &reg, 0).is_err());
         assert!(Router::from_config("s :: DelayShaper(abc);", &reg, 0).is_err());
         assert!(Router::from_config("s :: DelayShaper(18446744073709552);", &reg, 0).is_err());

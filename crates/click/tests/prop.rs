@@ -42,10 +42,11 @@ const ADVERSARIAL_ARGS: [&str; 9] = [
     "10.0.0.1",
 ];
 
-/// One wiring of an element `e :: Class(args)`, for every standard class:
+/// One wiring of an element `e :: Class(args)`, for every standard class
+/// in `STANDARD_CLASSES` order, together with the arguments:
 /// `FromDevice(0)` feeds input `in_port` of `e` (or a `Discard` when
 /// `feed` is false), and outputs `0..outs` of `e` go to `ToDevice`s.
-fn arb_adversarial_wiring() -> impl Strategy<Value = Vec<String>> {
+fn arb_adversarial_wiring() -> impl Strategy<Value = (Vec<&'static str>, Vec<String>)> {
     (
         proptest::collection::vec(0usize..ADVERSARIAL_ARGS.len(), 0..3),
         any::<bool>(),
@@ -54,11 +55,11 @@ fn arb_adversarial_wiring() -> impl Strategy<Value = Vec<String>> {
     )
         .prop_map(|(args, feed, in_port, outs)| {
             let args: Vec<&str> = args.iter().map(|&i| ADVERSARIAL_ARGS[i]).collect();
-            let args = args.join(", ");
-            STANDARD_CLASSES
+            let joined = args.join(", ");
+            let cfgs = STANDARD_CLASSES
                 .iter()
                 .map(|class| {
-                    let mut cfg = format!("src :: FromDevice(0); e :: {class}({args});\n");
+                    let mut cfg = format!("src :: FromDevice(0); e :: {class}({joined});\n");
                     if feed {
                         cfg.push_str(&format!("src -> [{in_port}] e;\n"));
                     } else {
@@ -69,7 +70,8 @@ fn arb_adversarial_wiring() -> impl Strategy<Value = Vec<String>> {
                     }
                     cfg
                 })
-                .collect()
+                .collect();
+            (args, cfgs)
         })
 }
 
@@ -178,13 +180,20 @@ proptest! {
 
     /// Every standard class, under adversarial arguments and any wiring,
     /// either compiles or returns a `ConfigError`; a router that compiles
-    /// survives a pushed frame and three rounds of its own wake-ups.
+    /// survives a pushed frame and three rounds of its own wake-ups. What
+    /// compiles used every argument it was given: a `StringMatcher` takes
+    /// one, and a `BandwidthShaper` has room for a frame.
     #[test]
-    fn every_standard_class_compiles_or_errors(cfgs in arb_adversarial_wiring()) {
-        for cfg in &cfgs {
+    fn every_standard_class_compiles_or_errors((args, cfgs) in arb_adversarial_wiring()) {
+        for (class, cfg) in STANDARD_CLASSES.iter().zip(&cfgs) {
             let Ok(mut r) = Router::from_config(cfg, &Registry::standard(), 1) else {
                 continue;
             };
+            match *class {
+                "StringMatcher" => prop_assert_eq!(args.len(), 1, "{}", cfg),
+                "BandwidthShaper" => prop_assert_ne!(args.get(1), Some(&"0"), "{}", cfg),
+                _ => {}
+            }
             r.push_external(0, udp_packet(), Time::ZERO);
             for _ in 0..3 {
                 if let Some(w) = r.next_wake() {

@@ -14,7 +14,7 @@ use escape::env::Escape;
 use escape::monitor::format_handler_table;
 use escape::session::demo_topology;
 use escape::{ChainInfo, MultiDomainEscape, Session, SessionConfig};
-use escape_json::wire::Wire;
+use escape_json::wire::to_json;
 use escape_netem::{FaultPlan, HostStats};
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
 use escape_sg::{ResourceTopology, ServiceGraph, Sla};
@@ -500,7 +500,7 @@ fn soak(o: &RunOptions) -> Result<(), String> {
     });
     if o.json {
         eprintln!("{}", report.summary());
-        println!("{}", report.to_value());
+        println!("{}", to_json(&report));
     } else {
         println!("{}", report.summary());
     }

@@ -10,7 +10,7 @@
 //! the declaration below *is* the wire format — labels, key names and
 //! key order — and encode and decode are both read off it.
 
-use escape_json::wire::{Flat, Omit, Pairs, Wire, WireError};
+use escape_json::wire::{to_json, Flat, Omit, Pairs, Wire, WireError};
 use escape_json::{wire_enum, wire_struct, wire_tagged, Value};
 
 /// Text format of a shipped service-graph document.
@@ -352,7 +352,7 @@ wire_struct! {
 
 impl CtlRequest {
     pub fn encode(&self) -> String {
-        self.to_value().to_string()
+        to_json(self)
     }
 
     /// [`CtlRequest::encode`] with an idempotency token.
@@ -361,7 +361,7 @@ impl CtlRequest {
             req: self.clone(),
             request_id: Some(request_id.to_string()),
         };
-        enveloped.to_value().to_string()
+        to_json(&enveloped)
     }
 
     pub fn decode(src: &str) -> Result<CtlRequest, CtlError> {
@@ -386,7 +386,7 @@ impl CtlRequest {
 
 impl CtlResponse {
     pub fn encode(&self) -> String {
-        self.to_value().to_string()
+        to_json(self)
     }
 
     pub fn decode(src: &str) -> Result<CtlResponse, CtlError> {
@@ -396,7 +396,7 @@ impl CtlResponse {
 
 impl CtlEvent {
     pub fn encode(&self) -> String {
-        self.to_value().to_string()
+        to_json(self)
     }
 
     pub fn decode(src: &str) -> Result<CtlEvent, CtlError> {
@@ -475,7 +475,9 @@ mod tests {
     #[test]
     fn request_id_envelope_round_trips() {
         // A stamped request decodes to the verb plus its id.
-        let v = CtlRequest::Status.to_value().set("request_id", "cli-7");
+        let v = Value::parse(&CtlRequest::Status.encode())
+            .unwrap()
+            .set("request_id", "cli-7");
         let (req, id) = CtlRequest::decode_enveloped(&v.to_string()).unwrap();
         assert_eq!(req, CtlRequest::Status);
         assert_eq!(id.as_deref(), Some("cli-7"));

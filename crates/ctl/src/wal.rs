@@ -37,7 +37,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use escape_json::wire::{Omit, Wire};
+use escape_json::wire::{to_json, to_json_pretty, Omit, Wire};
 use escape_json::{wire_tagged, Value};
 
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
@@ -358,7 +358,7 @@ impl Wal {
     }
 
     fn write_record(&mut self, rec: &WalRecord) -> Result<(), CtlError> {
-        let payload = rec.to_value().to_string().into_bytes();
+        let payload = to_json(rec).into_bytes();
         if payload.len() > MAX_WAL_RECORD {
             // Written, it would be refused as corruption at the next start.
             return Err(CtlError::Invalid {
@@ -423,7 +423,7 @@ impl Wal {
         {
             let mut tmp =
                 File::create(&tmp_path).map_err(|e| io_internal("create snapshot.tmp", e))?;
-            let mut text = snap.to_value().to_string_pretty();
+            let mut text = to_json_pretty(snap);
             text.push('\n');
             tmp.write_all(text.as_bytes())
                 .map_err(|e| io_internal("write snapshot.tmp", e))?;
@@ -731,7 +731,9 @@ mod tests {
         }
         // Wrong version is also refused, with a readable cause.
         let snap = sample_snapshot();
-        let doc = snap.to_value().set("version", 999u64);
+        let doc = Value::parse(&to_json(&snap))
+            .unwrap()
+            .set("version", 999u64);
         fs::write(dir.join(SNAPSHOT_FILE), doc.to_string()).unwrap();
         let err = Wal::open(&dir, SEED).unwrap_err();
         match err {

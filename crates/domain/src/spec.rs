@@ -16,7 +16,7 @@
 //! one domain; links whose endpoints land in different domains become
 //! gateway links during [`crate::partition::partition`].
 
-use escape_json::wire::{from_json, Wire};
+use escape_json::wire::{from_json, to_json_pretty};
 use escape_json::wire_struct;
 use escape_sg::{ResourceTopology, TopoNodeKind};
 
@@ -67,7 +67,7 @@ impl DomainSpec {
 
     /// Renders the spec back to its JSON form.
     pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
+        to_json_pretty(self)
     }
 
     /// Checks the topology itself, then the spec against it: at least

@@ -111,13 +111,8 @@ impl Escape {
     /// reports an empty window.
     pub fn sampler_series_json(&self) -> String {
         match &self.observe.sampler {
-            Some(s) => s.series_json().to_string_pretty(),
-            None => escape_json::Value::obj()
-                .set("period_ns", 0u64)
-                .set("evicted", 0u64)
-                .set("at_ns", Vec::<u64>::new())
-                .set("series", escape_json::Value::Arr(Vec::new()))
-                .to_string_pretty(),
+            Some(s) => s.series_json(),
+            None => Sampler::empty_series_json(),
         }
     }
 

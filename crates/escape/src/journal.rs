@@ -12,7 +12,7 @@
 //! journal deterministic: two same-seed runs export byte-identical
 //! JSON-lines documents.
 
-use escape_json::Value;
+use escape_json::Writer;
 use escape_telemetry::{Counter, Registry, Ring};
 
 /// How loud an event is. `Warn` marks degraded-but-handled situations
@@ -123,17 +123,16 @@ pub struct JournalEvent {
 }
 
 impl JournalEvent {
-    pub fn json_value(&self) -> Value {
-        Value::obj()
-            .set("at_ns", self.at_ns)
-            .set("severity", self.severity.label())
-            .set("kind", self.kind.label())
-            .set("detail", self.detail.as_str())
-    }
-
     /// One compact JSON line (no trailing newline).
     pub fn json_line(&self) -> String {
-        self.json_value().to_string()
+        let mut w = Writer::compact();
+        w.begin_object();
+        w.key("at_ns").uint(self.at_ns);
+        w.key("severity").str(self.severity.label());
+        w.key("kind").str(self.kind.label());
+        w.key("detail").str(&self.detail);
+        w.end_object();
+        w.finish()
     }
 }
 

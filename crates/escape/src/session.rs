@@ -14,7 +14,7 @@ use crate::env::{AdmissionConfig, DeployedChain, DeploymentReport, Escape, Scale
 use crate::error::EscapeError;
 use crate::flight::SlaVerdict;
 use escape_json::wire::Pairs;
-use escape_json::{wire_enum, wire_struct, Value};
+use escape_json::{wire_enum, wire_struct, Writer};
 use escape_netem::FaultPlan;
 use escape_orch::{
     Backtracking, BestFitCpu, GreedyFirstFit, MappingAlgorithm, NearestNeighbor, SimulatedAnnealing,
@@ -347,10 +347,12 @@ impl Session {
     /// drift.
     pub fn metrics_exposition(&self, json: bool) -> String {
         if json {
-            let doc = Value::obj()
-                .set("metrics", self.esc.metrics().json_value())
-                .set("trace", self.esc.tracer().json_value());
-            let mut s = doc.to_string_pretty();
+            let mut w = Writer::pretty();
+            w.begin_object();
+            self.esc.metrics().write_json(w.key("metrics"));
+            self.esc.tracer().write_json(w.key("trace"));
+            w.end_object();
+            let mut s = w.finish();
             s.push('\n');
             s
         } else {
@@ -459,7 +461,7 @@ mod tests {
         let sg = demo_sg();
         let exposition = |s: &Session| {
             let text = s.metrics_exposition(true);
-            let doc = Value::parse(&text).unwrap();
+            let doc = escape_json::Value::parse(&text).unwrap();
             let spans = doc.get("trace").unwrap().get("spans").unwrap();
             (spans.as_arr().unwrap().len(), text.len())
         };

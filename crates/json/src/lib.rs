@@ -3,18 +3,22 @@
 //! The workspace builds in a container without crates.io access, so the
 //! machine interchange formats (service graphs, topologies, telemetry
 //! snapshots) run on this small hand-rolled JSON library instead of
-//! serde. It provides a [`Value`] model, a strict parser and a pretty
-//! printer whose output matches the shapes the previous serde-based
-//! format produced (objects keep insertion order; floats always carry a
-//! decimal point, integers never do).
+//! serde. It provides a [`Value`] model, a strict parser and one
+//! streaming printer, [`Writer`], whose output matches the shapes the
+//! previous serde-based format produced (objects keep insertion order;
+//! floats always carry a decimal point, integers never do).
 //!
-//! The parser accepts any RFC 8259 document; the printer emits 2-space
-//! indented output like `serde_json::to_string_pretty`.
+//! The parser accepts any RFC 8259 document; the printer emits compact
+//! or 2-space indented output like `serde_json::to_string_pretty`.
 //!
-//! Typed documents sit on top of [`Value`] through the [`wire`] layer:
-//! each message declares its fields once and both directions follow.
+//! Typed documents sit on top through the [`wire`] layer: each message
+//! declares its fields once; it is written straight into a [`Writer`]
+//! and read back from a parsed [`Value`].
 
 pub mod wire;
+mod write;
+
+pub use write::Writer;
 
 /// A parse failure with the byte offset it occurred at. The offset is
 /// into the raw input handed to [`Value::parse_detailed`] — control
@@ -159,89 +163,10 @@ impl Value {
 
     /// 2-space indented rendering.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = Writer::pretty();
+        self.write(&mut w);
+        w.finish()
     }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::Float(f) => {
-                if f.is_finite() {
-                    // {:?} prints the shortest representation that
-                    // round-trips, always with a decimal point or exponent.
-                    out.push_str(&format!("{f:?}"));
-                } else {
-                    out.push_str("null"); // JSON has no NaN/Inf
-                }
-            }
-            Value::Str(s) => write_escaped(out, s),
-            Value::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1)
-            }),
-            Value::Obj(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    write_escaped(out, &fields[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    fields[i].1.write(out, indent, depth + 1)
-                })
-            }
-        }
-    }
-}
-
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    n: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if n == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..n {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-    out.push(close);
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl From<bool> for Value {
@@ -442,18 +367,14 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .src
-                                .as_bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            if self.src.len() < self.pos + 5 {
+                                return Err(self.err("truncated \\u escape"));
+                            }
+                            let code = self
+                                .hex4(self.pos + 1)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
+                            out.push(self.scalar_of(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -470,6 +391,30 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits at `at`, if that is what is there.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let hex = self.src.as_bytes().get(at..at + 4)?;
+        hex.iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+    }
+
+    /// The scalar a `\uXXXX` escape ending at `self.pos` stands for. A
+    /// high surrogate directly followed by an escaped low one is half of
+    /// a UTF-16 pair: both escapes make one scalar, and `self.pos` moves
+    /// to the end of the second. A surrogate without its partner is not
+    /// a scalar.
+    fn scalar_of(&mut self, code: u32) -> Option<char> {
+        if (0xd800..0xdc00).contains(&code)
+            && self.src.as_bytes().get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..])
+        {
+            if let Some(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                return char::from_u32(0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00));
+            }
+        }
+        char::from_u32(code)
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -518,9 +463,9 @@ impl Parser<'_> {
 /// Compact single-line rendering (`value.to_string()`).
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        let mut w = Writer::compact();
+        self.write(&mut w);
+        f.write_str(&w.finish())
     }
 }
 
@@ -579,6 +524,34 @@ mod tests {
         let v = Value::Str("a\"b\\c\nd\té\u{1}".to_string());
         let back = Value::parse(&v.to_string()).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn utf16_surrogate_pairs_make_one_scalar() {
+        let parse = |text: &str| Value::parse(text).unwrap();
+        assert_eq!(parse(r#""\ud83d\ude00""#), Value::from("\u{1f600}"));
+        assert_eq!(parse(r#""a\uD800\uDC00b""#), Value::from("a\u{10000}b"));
+        assert_eq!(parse(r#""\udbff\udfff""#), Value::from("\u{10ffff}"));
+        // A surrogate without its partner stays a replacement character.
+        assert_eq!(parse(r#""\ud83d""#), Value::from("\u{fffd}"));
+        assert_eq!(parse(r#""\ude00\ud83d""#), Value::from("\u{fffd}\u{fffd}"));
+        assert_eq!(
+            parse(r#""\ud83dx\ude00""#),
+            Value::from("\u{fffd}x\u{fffd}")
+        );
+        assert_eq!(parse(r#""\ud83d\u0041""#), Value::from("\u{fffd}A"));
+        assert_eq!(
+            parse(r#""\ud83d\ud83d\ude00""#),
+            Value::from("\u{fffd}\u{1f600}")
+        );
+        // A broken second escape is still an error, at its own offset.
+        let e = Value::parse_detailed(r#""\ud83d\uzzzz""#).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (8, "bad \\u escape"));
+        let e = Value::parse_detailed(r#""\ud83d\ude0"#).unwrap_err();
+        assert_eq!(e.message, "truncated \\u escape");
+        // Four hex digits, nothing else: no sign.
+        let e = Value::parse_detailed(r#""\u+041""#).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (2, "bad \\u escape"));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! its shape once, and encode and decode are both read off that one
 //! declaration.
 //!
-//! A type that travels as JSON implements [`Wire`]. The scalar and
+//! A type that travels as JSON implements [`Wire`]: it writes itself
+//! straight into a [`Writer`] (no [`Value`] is built on the way out)
+//! and reads itself back from a parsed [`Value`]. The scalar and
 //! container impls live here; message types get theirs from one of
 //! three declaration macros, each of which *defines* the type and its
 //! codec from the same field list, so a wire key is written once:
@@ -18,10 +20,7 @@
 //! fails with a [`WireError`] that carries the path to the offending
 //! value: `events[3].loss: expected a number`.
 
-use crate::Value;
-
-/// The fields of a JSON object under construction, in wire order.
-pub type Obj = Vec<(String, Value)>;
+use crate::{Value, Writer};
 
 /// A document of the wrong shape: what is wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +80,7 @@ impl From<WireError> for String {
 
 /// A type with one JSON form.
 pub trait Wire: Sized {
-    fn to_value(&self) -> Value;
+    fn write(&self, w: &mut Writer);
 
     fn from_value(v: &Value) -> Result<Self, WireError>;
 
@@ -96,16 +95,17 @@ pub trait Wire: Sized {
 /// implement this; [`Wire`] follows from it, and so does flattening one
 /// object's keys into another's ([`Flat`]).
 pub trait Fields: Sized {
-    fn put_fields(&self, out: &mut Obj);
+    /// Writes the keys and values, inside an object the caller opened.
+    fn put_fields(&self, w: &mut Writer);
 
     fn take_fields(obj: &Value) -> Result<Self, WireError>;
 }
 
 impl<T: Fields> Wire for T {
-    fn to_value(&self) -> Value {
-        let mut out = Vec::new();
-        self.put_fields(&mut out);
-        Value::Obj(out)
+    fn write(&self, w: &mut Writer) {
+        w.begin_object();
+        self.put_fields(w);
+        w.end_object();
     }
 
     fn from_value(v: &Value) -> Result<T, WireError> {
@@ -117,8 +117,8 @@ impl<T: Fields> Wire for T {
 }
 
 impl Wire for u64 {
-    fn to_value(&self) -> Value {
-        Value::from(*self)
+    fn write(&self, w: &mut Writer) {
+        w.uint(*self);
     }
 
     fn from_value(v: &Value) -> Result<u64, WireError> {
@@ -132,8 +132,8 @@ impl Wire for u64 {
 macro_rules! wire_narrow_uint {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
-            fn to_value(&self) -> Value {
-                Value::from(*self as u64)
+            fn write(&self, w: &mut Writer) {
+                w.uint(*self as u64);
             }
 
             fn from_value(v: &Value) -> Result<$ty, WireError> {
@@ -146,8 +146,8 @@ macro_rules! wire_narrow_uint {
 wire_narrow_uint!(u32, usize);
 
 impl Wire for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn write(&self, w: &mut Writer) {
+        w.float(*self);
     }
 
     fn from_value(v: &Value) -> Result<f64, WireError> {
@@ -157,8 +157,8 @@ impl Wire for f64 {
 }
 
 impl Wire for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 
     fn from_value(v: &Value) -> Result<bool, WireError> {
@@ -168,8 +168,8 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write(&self, w: &mut Writer) {
+        w.str(self);
     }
 
     fn from_value(v: &Value) -> Result<String, WireError> {
@@ -180,8 +180,12 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(T::to_value).collect())
+    fn write(&self, w: &mut Writer) {
+        w.begin_array();
+        for x in self {
+            x.write(w);
+        }
+        w.end_array();
     }
 
     fn from_value(v: &Value) -> Result<Vec<T>, WireError> {
@@ -191,8 +195,11 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// `None` is `null`; an absent key also reads as `None`.
 impl<T: Wire> Wire for Option<T> {
-    fn to_value(&self) -> Value {
-        self.as_ref().map_or(Value::Null, T::to_value)
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Some(x) => x.write(w),
+            None => w.null(),
+        }
     }
 
     fn from_value(v: &Value) -> Result<Option<T>, WireError> {
@@ -206,6 +213,20 @@ impl<T: Wire> Wire for Option<T> {
     fn absent() -> Option<Option<T>> {
         Some(None)
     }
+}
+
+/// `x` as one line of compact JSON.
+pub fn to_json<T: Wire>(x: &T) -> String {
+    let mut w = Writer::compact();
+    x.write(&mut w);
+    w.finish()
+}
+
+/// `x` as 2-space indented JSON.
+pub fn to_json_pretty<T: Wire>(x: &T) -> String {
+    let mut w = Writer::pretty();
+    x.write(&mut w);
+    w.finish()
 }
 
 /// Decodes every element of an array, naming the index of the first
@@ -247,7 +268,9 @@ pub fn unknown_label(key: Option<&str>, label: &str, known: &[&str]) -> WireErro
 /// How one field of a table sits in its object. A table names a codec
 /// per field (`=> codec`); without one the field is [`Plain`].
 pub trait Codec<T> {
-    fn put(&self, key: &str, field: &T, out: &mut Obj);
+    /// Writes the field into the open object: usually `key` and the
+    /// field's value, possibly nothing, or several keys of its own.
+    fn put(&self, key: &str, field: &T, w: &mut Writer);
 
     fn take(&self, key: &str, obj: &Value) -> Result<T, WireError>;
 }
@@ -257,8 +280,8 @@ pub trait Codec<T> {
 pub struct Plain;
 
 impl<T: Wire> Codec<T> for Plain {
-    fn put(&self, key: &str, field: &T, out: &mut Obj) {
-        out.push((key.to_string(), field.to_value()));
+    fn put(&self, key: &str, field: &T, w: &mut Writer) {
+        field.write(w.key(key));
     }
 
     fn take(&self, key: &str, obj: &Value) -> Result<T, WireError> {
@@ -275,9 +298,9 @@ impl<T: Wire> Codec<T> for Plain {
 pub struct Omit;
 
 impl<T: Wire> Codec<Option<T>> for Omit {
-    fn put(&self, key: &str, field: &Option<T>, out: &mut Obj) {
+    fn put(&self, key: &str, field: &Option<T>, w: &mut Writer) {
         if let Some(x) = field {
-            out.push((key.to_string(), x.to_value()));
+            x.write(w.key(key));
         }
     }
 
@@ -292,17 +315,15 @@ impl<T: Wire> Codec<Option<T>> for Omit {
 pub struct Pairs(pub &'static str, pub &'static str);
 
 impl<A: Wire, B: Wire> Codec<Vec<(A, B)>> for Pairs {
-    fn put(&self, key: &str, field: &Vec<(A, B)>, out: &mut Obj) {
-        let items = field
-            .iter()
-            .map(|(a, b)| {
-                Value::Obj(vec![
-                    (self.0.to_string(), a.to_value()),
-                    (self.1.to_string(), b.to_value()),
-                ])
-            })
-            .collect();
-        out.push((key.to_string(), Value::Arr(items)));
+    fn put(&self, key: &str, field: &Vec<(A, B)>, w: &mut Writer) {
+        w.key(key).begin_array();
+        for (a, b) in field {
+            w.begin_object();
+            a.write(w.key(self.0));
+            b.write(w.key(self.1));
+            w.end_object();
+        }
+        w.end_array();
     }
 
     fn take(&self, key: &str, obj: &Value) -> Result<Vec<(A, B)>, WireError> {
@@ -318,8 +339,8 @@ impl<A: Wire, B: Wire> Codec<Vec<(A, B)>> for Pairs {
 pub struct Flat;
 
 impl<T: Fields> Codec<T> for Flat {
-    fn put(&self, _key: &str, field: &T, out: &mut Obj) {
-        field.put_fields(out);
+    fn put(&self, _key: &str, field: &T, w: &mut Writer) {
+        field.put_fields(w);
     }
 
     fn take(&self, _key: &str, obj: &Value) -> Result<T, WireError> {
@@ -377,9 +398,9 @@ macro_rules! __wire_bind {
 ///         pub note: Option<String> => escape_json::wire::Omit,
 ///     }
 /// }
-/// use escape_json::wire::Wire;
+/// use escape_json::wire::to_json;
 /// let hop = Hop { node: "s0".into(), delay_us: 50, note: None };
-/// assert_eq!(hop.to_value().to_string(), r#"{"node":"s0","delay":50}"#);
+/// assert_eq!(to_json(&hop), r#"{"node":"s0","delay":50}"#);
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
@@ -398,13 +419,13 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Fields for $name {
-            fn put_fields(&self, out: &mut $crate::wire::Obj) {
+            fn put_fields(&self, w: &mut $crate::Writer) {
                 $(
                     <_ as $crate::wire::Codec<$ty>>::put(
                         &$crate::__wire_codec!($($codec)?),
                         $crate::__wire_key!(stringify!($field) $(, $key)?),
                         &self.$field,
-                        out,
+                        w,
                     );
                 )*
             }
@@ -475,8 +496,8 @@ macro_rules! wire_enum {
         }
 
         impl $crate::wire::Wire for $name {
-            fn to_value(&self) -> $crate::Value {
-                $crate::Value::Str(self.label().to_string())
+            fn write(&self, w: &mut $crate::Writer) {
+                w.str(self.label());
             }
 
             fn from_value(
@@ -508,10 +529,10 @@ macro_rules! wire_enum {
 ///         "path" => Path(Vec<u64> as "points"),
 ///     }
 /// }
-/// use escape_json::wire::Wire;
-/// assert_eq!(Shape::Dot.to_value().to_string(), r#"{"kind":"dot"}"#);
+/// use escape_json::wire::to_json;
+/// assert_eq!(to_json(&Shape::Dot), r#"{"kind":"dot"}"#);
 /// assert_eq!(
-///     Shape::Path(vec![1, 2]).to_value().to_string(),
+///     to_json(&Shape::Path(vec![1, 2])),
 ///     r#"{"kind":"path","points":[1,2]}"#
 /// );
 /// assert_eq!(Shape::LABELS, ["dot", "box", "path"]);
@@ -560,11 +581,8 @@ macro_rules! wire_tagged {
         }
 
         impl $crate::wire::Fields for $name {
-            fn put_fields(&self, out: &mut $crate::wire::Obj) {
-                out.push((
-                    $label_key.to_string(),
-                    $crate::Value::Str(self.label().to_string()),
-                ));
+            fn put_fields(&self, w: &mut $crate::Writer) {
+                w.key($label_key).str(self.label());
                 match self {
                     $(
                         $name::$variant
@@ -576,7 +594,7 @@ macro_rules! wire_tagged {
                                     &$crate::__wire_codec!($($codec)?),
                                     $crate::__wire_key!(stringify!($field) $(, $key)?),
                                     $field,
-                                    out,
+                                    w,
                                 );
                             )*)?
                             $(
@@ -584,7 +602,7 @@ macro_rules! wire_tagged {
                                     &$crate::__wire_codec!($($pcodec)?),
                                     $crate::__wire_key!($label $(, $pkey)?),
                                     payload,
-                                    out,
+                                    w,
                                 );
                             )?
                         }
@@ -711,14 +729,14 @@ mod tests {
             ),
         ];
         for (value, text) in cases {
-            assert_eq!(value.to_value().to_string(), text);
+            assert_eq!(to_json(&value), text);
             assert_eq!(from_json::<Doc>(text), Ok(value));
         }
         let noted = Doc {
             note: Some("n".into()),
             ..doc(Shape::Dot)
         };
-        let text = noted.to_value().to_string();
+        let text = to_json(&noted);
         assert!(text.contains(r#""offset":3,"note":"n","labels""#), "{text}");
         assert_eq!(from_json::<Doc>(&text), Ok(noted));
     }

@@ -1,6 +1,7 @@
-//! Property tests for the JSON codec: strings survive encode → parse
-//! whatever they contain, the parser never panics, and string parsing
-//! is linear in the length of the string.
+//! Property tests for the JSON codec: strings and whole documents
+//! survive encode → parse whatever they contain, in compact and pretty
+//! output, the parser never panics, and string parsing is linear in the
+//! length of the string.
 
 use escape_json::Value;
 use proptest::prelude::*;
@@ -25,6 +26,59 @@ fn arb_string() -> impl Strategy<Value = String> {
     prop::collection::vec(arb_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
 }
 
+/// Floats the printer treats specially — both zeros, the extremes, the
+/// non-finite ones it writes as `null` — and arbitrary bit patterns.
+fn arb_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(1e300),
+        Just(-1e-300),
+        Just(5e-324),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        -1e6f64..1e6,
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// Any document: every scalar kind (`u64` above `i64::MAX` among them)
+/// under arrays and objects nested four deep, empty ones included.
+fn arb_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        ((1u64 << 63)..=u64::MAX).prop_map(Value::UInt),
+        arb_float().prop_map(Value::Float),
+        arb_string().prop_map(Value::Str),
+    ];
+    leaf.prop_recursive(4, 64, 6, |inner| {
+        prop_oneof![
+            inner.clone(),
+            prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Arr),
+            prop::collection::vec((arb_string(), inner), 0..6).prop_map(Value::Obj),
+        ]
+    })
+}
+
+/// What `v` reads back as: JSON has no NaN or infinity, so non-finite
+/// floats are written, and read, as `null`.
+fn printable(v: &Value) -> Value {
+    match v {
+        Value::Float(f) if !f.is_finite() => Value::Null,
+        Value::Arr(items) => Value::Arr(items.iter().map(printable).collect()),
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), printable(v)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
 /// Bytes that look enough like JSON to get past the first token.
 fn arb_jsonish_byte() -> impl Strategy<Value = u8> {
     const STRUCTURAL: &[u8] = b"{}[]\",:\\u0123456789abcdeftrnl-+.E \n";
@@ -47,20 +101,36 @@ proptest! {
         prop_assert_eq!(Value::parse(&doc.to_string_pretty()), Ok(doc));
     }
 
-    /// Every BMP scalar written as a `\uXXXX` escape parses to itself,
-    /// alone and between literal runs.
+    /// Every scalar written as UTF-16 `\uXXXX` escapes (a surrogate
+    /// pair above the BMP) parses to itself, alone and between literal
+    /// runs, in either case of hex digit.
     #[test]
     fn unicode_escapes_decode(s in arb_string()) {
-        let bmp: String = s.chars().filter(|c| (*c as u32) < 0x1_0000).collect();
-        let escaped: String = bmp.chars().map(|c| format!("\\u{:04x}", c as u32)).collect();
-        prop_assert_eq!(
-            Value::parse(&format!("\"{escaped}\"")),
-            Ok(Value::Str(bmp.clone()))
-        );
-        prop_assert_eq!(
-            Value::parse(&format!("\"é{escaped}→\"")),
-            Ok(Value::Str(format!("é{bmp}→")))
-        );
+        let lower: String = s.encode_utf16().map(|u| format!("\\u{u:04x}")).collect();
+        let upper: String = s.encode_utf16().map(|u| format!("\\u{u:04X}")).collect();
+        for escaped in [lower, upper] {
+            prop_assert_eq!(
+                Value::parse(&format!("\"{escaped}\"")),
+                Ok(Value::Str(s.clone()))
+            );
+            prop_assert_eq!(
+                Value::parse(&format!("\"é{escaped}→\"")),
+                Ok(Value::Str(format!("é{s}→")))
+            );
+        }
+    }
+
+    /// Any document re-parses from both renderings, and the two
+    /// renderings differ only in whitespace outside strings.
+    #[test]
+    fn documents_round_trip_compact_and_pretty(v in arb_value()) {
+        let expected = printable(&v);
+        let compact = v.to_string();
+        let pretty = v.to_string_pretty();
+        prop_assert!(!compact.contains('\n'), "{}", compact);
+        prop_assert_eq!(Value::parse(&compact), Ok(expected.clone()));
+        prop_assert_eq!(Value::parse(&pretty), Ok(expected.clone()));
+        prop_assert_eq!(Value::parse(&pretty).map(|p| p.to_string()), Ok(compact));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::link::{LinkId, LinkState};
 use crate::sim::{NodeCtx, NodeId, NodeLogic, Sim};
 use crate::time::Time;
-use escape_json::wire::{from_json, Flat, Wire};
+use escape_json::wire::{from_json, to_json_pretty, Flat};
 use escape_json::{wire_struct, wire_tagged};
 use std::collections::HashMap;
 
@@ -124,7 +124,7 @@ impl FaultPlan {
 
     /// Serializes the plan to pretty JSON.
     pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
+        to_json_pretty(self)
     }
 
     /// Parses a plan from JSON. Errors name the offending field.

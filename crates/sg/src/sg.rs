@@ -1,7 +1,7 @@
 //! The abstract service graph: VNF requests and chains.
 
-use escape_json::wire::{decode_items, from_json, Codec, Obj, Omit, Wire, WireError};
-use escape_json::{wire_struct, Value};
+use escape_json::wire::{decode_items, from_json, to_json_pretty, Codec, Omit, WireError};
+use escape_json::{wire_struct, Value, Writer};
 use std::collections::HashSet;
 
 wire_struct! {
@@ -33,13 +33,16 @@ wire_struct! {
 struct ParamList;
 
 impl Codec<Vec<(String, String)>> for ParamList {
-    fn put(&self, key: &str, field: &Vec<(String, String)>, out: &mut Obj) {
+    fn put(&self, key: &str, field: &Vec<(String, String)>, w: &mut Writer) {
         if !field.is_empty() {
-            let pairs = field
-                .iter()
-                .map(|(k, w)| Value::Arr(vec![k.as_str().into(), w.as_str().into()]))
-                .collect();
-            out.push((key.to_string(), Value::Arr(pairs)));
+            w.key(key).begin_array();
+            for (k, v) in field {
+                w.begin_array();
+                w.str(k);
+                w.str(v);
+                w.end_array();
+            }
+            w.end_array();
         }
     }
 
@@ -259,7 +262,7 @@ impl ServiceGraph {
 
     /// JSON serialization (the SG editor's save format).
     pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
+        to_json_pretty(self)
     }
 
     /// JSON deserialization.

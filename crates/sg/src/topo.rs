@@ -1,6 +1,6 @@
 //! The resource topology: the orchestrator's view of the infrastructure.
 
-use escape_json::wire::{from_json, Flat, Wire};
+use escape_json::wire::{from_json, to_json_pretty, Flat};
 use escape_json::{wire_struct, wire_tagged};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -237,7 +237,7 @@ impl ResourceTopology {
 
     /// JSON serialization (the MiniEdit-substitute file format).
     pub fn to_json(&self) -> String {
-        self.to_value().to_string_pretty()
+        to_json_pretty(self)
     }
 
     /// JSON deserialization.

@@ -7,7 +7,7 @@
 //! clock, the rendered document is byte-identical across same-seed runs
 //! as long as the caller supplies events in a stable order.
 
-use escape_json::Value;
+use escape_json::Writer;
 
 /// One trace event. `dur_us` present ⇒ a complete event (`ph: "X"`),
 /// absent ⇒ an instant event (`ph: "I"`).
@@ -25,45 +25,58 @@ pub struct ChromeEvent {
     pub pid: u64,
     /// Thread id lane (one row per tid within a pid).
     pub tid: u64,
-    /// Free-form arguments shown in the detail pane.
+    /// Free-form arguments shown in the detail pane. A repeated key is
+    /// rendered once, at its first position, with its last value.
     pub args: Vec<(String, String)>,
 }
 
 impl ChromeEvent {
-    fn to_value(&self) -> Value {
-        let mut v = Value::obj()
-            .set("name", self.name.as_str())
-            .set("cat", self.cat.as_str())
-            .set("ph", if self.dur_us.is_some() { "X" } else { "I" })
-            .set("ts", self.ts_us);
-        if let Some(d) = self.dur_us {
-            v = v.set("dur", d);
-        } else {
+    fn write(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("name").str(&self.name);
+        w.key("cat").str(&self.cat);
+        w.key("ph")
+            .str(if self.dur_us.is_some() { "X" } else { "I" });
+        w.key("ts").uint(self.ts_us);
+        match self.dur_us {
+            Some(d) => w.key("dur").uint(d),
             // Instant events need a scope; "t" = thread-scoped tick.
-            v = v.set("s", "t");
+            None => w.key("s").str("t"),
         }
-        v = v.set("pid", self.pid).set("tid", self.tid);
-        let mut args = Value::obj();
-        for (k, val) in &self.args {
-            args = args.set(k, val.as_str());
+        w.key("pid").uint(self.pid);
+        w.key("tid").uint(self.tid);
+        w.key("args").begin_object();
+        for (i, (k, first)) in self.args.iter().enumerate() {
+            if self.args[..i].iter().any(|(seen, _)| seen == k) {
+                continue;
+            }
+            let later = self.args[i + 1..].iter().rfind(|(key, _)| key == k);
+            w.key(k).str(later.map_or(first, |(_, v)| v));
         }
-        v.set("args", args)
+        w.end_object();
+        w.end_object();
     }
 }
 
 /// Renders events as a Trace Event Format document. The caller is
 /// responsible for a deterministic event order.
 pub fn render(events: &[ChromeEvent]) -> String {
-    let arr = Value::Arr(events.iter().map(|e| e.to_value()).collect());
-    Value::obj()
-        .set("traceEvents", arr)
-        .set("displayTimeUnit", "ms")
-        .to_string_pretty()
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.key("traceEvents").begin_array();
+    for e in events {
+        e.write(&mut w);
+    }
+    w.end_array();
+    w.key("displayTimeUnit").str("ms");
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escape_json::Value;
 
     fn ev(ts: u64, dur: Option<u64>) -> ChromeEvent {
         ChromeEvent {
@@ -90,6 +103,21 @@ mod tests {
         assert_eq!(
             events[0].get("args").unwrap().get("node").unwrap().as_str(),
             Some("s0")
+        );
+    }
+
+    #[test]
+    fn a_repeated_arg_keeps_its_first_place_and_last_value() {
+        let mut e = ev(10, None);
+        e.args = [("detail", "a"), ("node", "s0"), ("detail", "b")]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .to_vec();
+        let doc = render(&[e]);
+        assert!(
+            doc.contains(
+                "\"args\": {\n        \"detail\": \"b\",\n        \"node\": \"s0\"\n      }"
+            ),
+            "{doc}"
         );
     }
 

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use escape_json::Value;
+use escape_json::Writer;
 
 pub mod chrome;
 mod ring;
@@ -500,13 +500,12 @@ fn prom_name(name: &str) -> String {
 }
 
 /// A label set as a JSON object.
-pub(crate) fn labels_json(labels: &Labels) -> Value {
-    Value::Obj(
-        labels
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-            .collect(),
-    )
+pub(crate) fn write_labels(w: &mut Writer, labels: &Labels) {
+    w.begin_object();
+    for (k, v) in labels {
+        w.key(k).str(v);
+    }
+    w.end_object();
 }
 
 impl MetricValue {
@@ -602,32 +601,45 @@ impl Snapshot {
         out
     }
 
-    /// JSON exposition via `escape-json`.
-    pub fn json_value(&self) -> Value {
-        let mut arr = Vec::new();
+    /// JSON exposition: `{"metrics": [...]}`, one object per series.
+    pub fn write_json(&self, w: &mut Writer) {
+        let uints = |w: &mut Writer, key: &str, xs: &[u64]| {
+            w.key(key).begin_array();
+            for &x in xs {
+                w.uint(x);
+            }
+            w.end_array();
+        };
+        w.begin_object();
+        w.key("metrics").begin_array();
         for e in &self.entries {
-            let v = Value::obj()
-                .set("name", e.name.as_str())
-                .set("type", e.value.kind())
-                .set("labels", labels_json(&e.labels));
-            arr.push(match &e.value {
-                MetricValue::Counter(c) => v.set("value", *c),
-                MetricValue::Gauge(g) => v.set("value", *g as f64),
-                MetricValue::Histogram(h) => v
-                    .set("count", h.count)
-                    .set("sum", h.sum)
-                    .set("mean", h.mean())
-                    .set("p50", h.quantile(0.50))
-                    .set("p99", h.quantile(0.99))
-                    .set("bounds", h.bounds.clone())
-                    .set("buckets", h.counts.clone()),
-            });
+            w.begin_object();
+            w.key("name").str(&e.name);
+            w.key("type").str(e.value.kind());
+            write_labels(w.key("labels"), &e.labels);
+            match &e.value {
+                MetricValue::Counter(c) => w.key("value").uint(*c),
+                MetricValue::Gauge(g) => w.key("value").float(*g as f64),
+                MetricValue::Histogram(h) => {
+                    w.key("count").uint(h.count);
+                    w.key("sum").uint(h.sum);
+                    w.key("mean").float(h.mean());
+                    w.key("p50").uint(h.quantile(0.50));
+                    w.key("p99").uint(h.quantile(0.99));
+                    uints(w, "bounds", &h.bounds);
+                    uints(w, "buckets", &h.counts);
+                }
+            }
+            w.end_object();
         }
-        Value::obj().set("metrics", Value::Arr(arr))
+        w.end_array();
+        w.end_object();
     }
 
     pub fn to_json(&self) -> String {
-        self.json_value().to_string_pretty()
+        let mut w = Writer::pretty();
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 

@@ -16,9 +16,9 @@
 //! top`) or a plotting pipeline wants, and it compresses long idle
 //! stretches to runs of zeros.
 
-use escape_json::Value;
+use escape_json::Writer;
 
-use crate::{labels_json, Counter, Registry, Ring, Scalar};
+use crate::{write_labels, Counter, Registry, Ring, Scalar};
 
 /// Sampling cadence and ring capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +36,29 @@ impl Default for SamplerConfig {
             retention: 120,
         }
     }
+}
+
+/// The series document around its `series` array, which `series` writes.
+fn document(
+    period_ns: u64,
+    evicted: u64,
+    at_ns: impl Iterator<Item = u64>,
+    series: impl FnOnce(&mut Writer),
+) -> String {
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.key("period_ns").uint(period_ns);
+    w.key("evicted").uint(evicted);
+    w.key("at_ns").begin_array();
+    for t in at_ns {
+        w.uint(t);
+    }
+    w.end_array();
+    w.key("series").begin_array();
+    series(&mut w);
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 /// Bounded ring of periodic registry samples.
@@ -109,47 +132,54 @@ impl Sampler {
     /// move over the whole window are omitted; a series that registered
     /// inside the window reads 0 before it existed (older samples are
     /// shorter vectors). Series come in name-then-labels order.
-    pub fn series_json(&self) -> Value {
-        let at_ns: Vec<u64> = self.samples.iter().map(|s| s.0).collect();
+    ///
+    /// The document is streamed: each moving series is written as its
+    /// points are computed, and nothing but the moving slots' keys is
+    /// held on the way.
+    pub fn series_json(&self) -> String {
         let newest = self.samples.iter().next_back().map_or(&[][..], |s| &s.1);
-        let mut moving = Vec::new();
-        let mut column: Vec<Option<Scalar>> = Vec::new();
-        for (slot, last) in newest.iter().enumerate() {
-            column.clear();
-            column.extend(self.samples.iter().map(|s| s.1.get(slot).copied()));
-            let mut moved = false;
-            let points: Vec<f64> = column
-                .windows(2)
-                .map(|w| match (w[1], w[1].and_then(|now| now.since(w[0]))) {
-                    (_, Some(point)) => {
-                        moved = true;
-                        point
-                    }
-                    // Flat: a gauge holds its level, activity is none.
-                    (Some(Scalar::Gauge(level)), None) => level as f64,
-                    _ => 0.0,
-                })
-                .collect();
-            if moved {
-                moving.push((self.registry.key(slot), last.kind(), points));
-            }
-        }
-        moving.sort_by(|a, b| a.0.cmp(&b.0));
-        let series = moving
-            .into_iter()
-            .map(|((name, labels), kind, points)| {
-                Value::obj()
-                    .set("name", name)
-                    .set("labels", labels_json(&labels))
-                    .set("kind", kind)
-                    .set("points", points)
-            })
+        let mut moving: Vec<_> = newest
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| self.points(slot).any(|(_, moved)| moved))
+            .map(|(slot, last)| (self.registry.key(slot), last.kind(), slot))
             .collect();
-        Value::obj()
-            .set("period_ns", self.period_ns)
-            .set("evicted", self.samples.evicted())
-            .set("at_ns", at_ns)
-            .set("series", Value::Arr(series))
+        moving.sort_by(|a, b| a.0.cmp(&b.0));
+        let at_ns = self.samples.iter().map(|s| s.0);
+        document(self.period_ns, self.samples.evicted(), at_ns, |w| {
+            for ((name, labels), kind, slot) in &moving {
+                w.begin_object();
+                w.key("name").str(name);
+                write_labels(w.key("labels"), labels);
+                w.key("kind").str(kind);
+                w.key("points").begin_array();
+                for (point, _) in self.points(*slot) {
+                    w.float(point);
+                }
+                w.end_array();
+                w.end_object();
+            }
+        })
+    }
+
+    /// [`Sampler::series_json`] of a window with no samples, for an
+    /// environment that samples nothing.
+    pub fn empty_series_json() -> String {
+        document(0, 0, std::iter::empty(), |_| {})
+    }
+
+    /// One slot's point per interval between consecutive samples, and
+    /// whether the slot moved over that interval.
+    fn points(&self, slot: usize) -> impl Iterator<Item = (f64, bool)> + '_ {
+        let column = move || self.samples.iter().map(move |s| s.1.get(slot).copied());
+        column().zip(column().skip(1)).map(|(was, now)| {
+            match (now, now.and_then(|now| now.since(was))) {
+                (_, Some(point)) => (point, true),
+                // Flat: a gauge holds its level, activity is none.
+                (Some(Scalar::Gauge(level)), None) => (level as f64, false),
+                _ => (0.0, false),
+            }
+        })
     }
 
     /// The retained value vectors, oldest first.
@@ -162,6 +192,7 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escape_json::Value;
 
     #[test]
     fn ring_evicts_oldest_and_counts_it() {
@@ -180,7 +211,7 @@ mod tests {
         assert!(s.retained().all(|values| values.len() == 300));
         assert_eq!(r.counter_total("telemetry.samples_evicted"), 880);
         // The surviving window starts at sample 880.
-        let doc = s.series_json();
+        let doc = Value::parse(&s.series_json()).unwrap();
         assert_eq!(doc.get("evicted").unwrap().as_u64(), Some(880));
         let at = doc.get("at_ns").unwrap().as_arr().unwrap();
         assert_eq!((at.len(), at[0].as_u64()), (120, Some(880 * 5_000_000)));
@@ -229,7 +260,7 @@ mod tests {
         g.set(1);
         s.record(2_000);
 
-        let doc = s.series_json();
+        let doc = Value::parse(&s.series_json()).unwrap();
         let at = doc.get("at_ns").unwrap().as_arr().unwrap();
         assert_eq!(at.len(), 3);
         let series = doc.get("series").unwrap().as_arr().unwrap();

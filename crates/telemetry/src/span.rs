@@ -16,7 +16,7 @@
 //! a span evicted while open still feeds the two metrics when it exits.
 
 use crate::{Counter, Histogram, Registry, Ring, DURATION_BOUNDS_NS};
-use escape_json::Value;
+use escape_json::Writer;
 use std::collections::HashMap;
 
 /// One span in a [`Tracer`]'s trace buffer.
@@ -135,21 +135,26 @@ impl Tracer {
         self.stack.len()
     }
 
-    /// JSON dump of the retained trace: one object per span with name,
-    /// parent index, timestamps and duration.
-    pub fn json_value(&self) -> Value {
-        let spans: Vec<Value> = self
-            .records()
-            .map(|r| {
-                Value::obj()
-                    .set("name", r.name.as_str())
-                    .set("parent", r.parent)
-                    .set("start_ns", r.start_ns)
-                    .set("end_ns", r.end_ns)
-                    .set("duration_ns", r.duration_ns())
-            })
-            .collect();
-        Value::obj().set("spans", Value::Arr(spans))
+    /// JSON dump of the retained trace, `{"spans": [...]}`: one object
+    /// per span with name, parent index, timestamps and duration.
+    pub fn write_json(&self, w: &mut Writer) {
+        let opt = |w: &mut Writer, key: &str, x: Option<u64>| match x {
+            Some(x) => w.key(key).uint(x),
+            None => w.key(key).null(),
+        };
+        w.begin_object();
+        w.key("spans").begin_array();
+        for r in self.records() {
+            w.begin_object();
+            w.key("name").str(&r.name);
+            opt(w, "parent", r.parent.map(|p| p as u64));
+            w.key("start_ns").uint(r.start_ns);
+            opt(w, "end_ns", r.end_ns);
+            opt(w, "duration_ns", r.duration_ns());
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -209,7 +214,9 @@ mod tests {
         let b = t.enter("rpc", 200);
         t.exit(b, 300);
         t.exit(a, 400);
-        let v = t.json_value();
+        let mut w = Writer::compact();
+        t.write_json(&mut w);
+        let v = escape_json::Value::parse(&w.finish()).unwrap();
         let spans = v.get("spans").unwrap().as_arr().unwrap();
         assert_eq!(spans.len(), 2);
         assert!(spans[0].get("parent").unwrap().is_null());

@@ -42,7 +42,7 @@ impl Sut {
     }
 
     fn series(&self) -> String {
-        self.sampler.series_json().to_string_pretty()
+        self.sampler.series_json()
     }
 
     /// What a `metrics-deltas` subscriber is sent for everything since

@@ -41,7 +41,8 @@ echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control
 # the parsers, writers, rewrites and elements every frame passes
 # through, in the controller's packet-in path and every OpenFlow
 # decoder, in the code that reads sockets, the WAL, NETCONF messages and
-# JSON, and in the parsers of the Click text, service graphs and
+# JSON, in the code that renders telemetry and the control protocol's
+# frames, and in the parsers of the Click text, service graphs and
 # topologies that arrive over the socket, a panic site names the invariant that makes it
 # unreachable (expect), or input that can reach it gets a typed error.
 # Test modules are exempt.
@@ -52,6 +53,7 @@ UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
     crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite,pool,lookup,checksum}.rs \
     crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
     crates/ctl/src/wal.rs crates/ctl/src/server/*.rs crates/netconf/src/*.rs \
+    crates/ctl/src/{proto,frame,client,remote}.rs crates/telemetry/src/*.rs \
     crates/json/src/*.rs crates/sg/src/*.rs crates/catalog/src/lib.rs; do
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
 done)"

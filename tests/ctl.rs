@@ -450,6 +450,44 @@ fn a_huge_fan_out_in_shipped_click_text_is_a_typed_error() {
     daemon.join().unwrap();
 }
 
+/// A catalog rate limiter whose queue has no room: it would drop every
+/// frame of its chain.
+const ZERO_QUEUE_SG: &str = r#"{
+  "saps": ["sap0", "sap1"],
+  "vnfs": [{
+    "name": "rl", "vnf_type": "rate_limiter", "cpu": 0.5, "mem_mb": 64,
+    "params": [["queue", "0"]]
+  }],
+  "chains": [{"name": "c1", "hops": ["sap0", "rl", "sap1"], "bandwidth_mbps": 10.0, "max_delay_us": null}]
+}"#;
+
+#[test]
+fn a_rate_limiter_with_a_zero_queue_is_a_typed_error() {
+    let socket = temp_socket("zero-queue");
+    let daemon = spawn_daemon(default_session(3), &socket);
+    let mut c = connect(&socket);
+
+    let resp = call(
+        &mut c,
+        CtlRequest::Deploy {
+            sg: ZERO_QUEUE_SG.into(),
+            format: SgFormat::Json,
+        },
+    );
+    assert!(
+        matches!(&resp, CtlResponse::Error(CtlError::DeployFailed { cause, .. }) if cause.contains("BandwidthShaper")),
+        "{resp:?}"
+    );
+    // Nothing of the failed chain stays behind.
+    match call(&mut c, CtlRequest::Status) {
+        CtlResponse::Status(s) => assert!(s.chains.is_empty(), "{s:?}"),
+        other => panic!("{other:?}"),
+    }
+
+    call(&mut c, CtlRequest::Shutdown);
+    daemon.join().unwrap();
+}
+
 fn traffic(len: u64, frames: u64) -> CtlRequest {
     CtlRequest::Traffic {
         from: "sap0".into(),

@@ -401,7 +401,7 @@ fn telemetry_spans_all_layers() {
             "prometheus text has {prefix}* series"
         );
     }
-    let json = snap.json_value().to_string();
+    let json = snap.to_json();
     assert!(json.contains("pox.flow_mods") && json.contains("orch.mapping_attempts"));
 
     // Further activity moves the counters on.
