@@ -306,8 +306,9 @@ impl Escape {
         // Provision static ARP on the SAP endpoints of each chain.
         for dc in chains {
             let hops = &dc.mapping.chain.hops;
-            let (src, dst) = (hops.first().unwrap().clone(), hops.last().unwrap().clone());
-            self.provision_arp(&src, &dst)?;
+            let src = hops.first().expect("a validated chain starts at a SAP");
+            let dst = hops.last().expect("a validated chain ends at a SAP");
+            self.provision_arp(src, dst)?;
         }
         Ok(())
     }
@@ -445,8 +446,14 @@ pub(super) fn compile_rules(
     dc: &DeployedChain,
 ) -> Result<Vec<SteeringRule>, EscapeError> {
     let hops = &dc.mapping.chain.hops;
-    let (_, src_ip) = infra.sap(hops.first().unwrap())?;
-    let (_, dst_ip) = infra.sap(hops.last().unwrap())?;
+    let [src, .., dst] = hops.as_slice() else {
+        return Err(EscapeError::Invalid(format!(
+            "chain {:?} needs at least two hops",
+            dc.mapping.chain.name
+        )));
+    };
+    let (_, src_ip) = infra.sap(src)?;
+    let (_, dst_ip) = infra.sap(dst)?;
     let port = |from: &String, to: &String| {
         infra
             .switch_port
@@ -544,8 +551,6 @@ pub(super) fn compile_rules(
                         match_: m,
                         priority: 500,
                         actions: vec![Action::out(out_port)],
-                        idle_timeout: 0,
-                        hard_timeout: 0,
                         chain_id: dc.cookie,
                     });
                 }

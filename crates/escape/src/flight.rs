@@ -628,8 +628,11 @@ impl FlightRecord {
                     ("packet".to_string(), j.packet_id.to_string()),
                     ("kind".to_string(), h.kind.label().to_string()),
                 ];
-                for d in &h.details {
-                    args.push(("detail".to_string(), d.to_string()));
+                // One arg: the export keeps only the last value of a
+                // repeated key.
+                if !h.details.is_empty() {
+                    let details: Vec<String> = h.details.iter().map(|d| d.to_string()).collect();
+                    args.push(("detail".to_string(), details.join("; ")));
                 }
                 events.push(ChromeEvent {
                     name: format!("{} #{}", h.node, j.packet_id),
@@ -918,6 +921,40 @@ mod tests {
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 5); // one complete event per hop
         assert_eq!(fr.chrome_json(), doc); // deterministic
+    }
+
+    #[test]
+    fn chrome_export_names_every_detail_of_a_hop() {
+        let details = vec![
+            HopDetail::FlowMatch {
+                dpid: 1,
+                cookie: 9,
+                priority: 500,
+            },
+            HopDetail::TableMiss { dpid: 1 },
+        ];
+        let fr = FlightRecord {
+            journeys: vec![Journey {
+                packet_id: 7,
+                chain: None,
+                cookie: None,
+                hops: vec![Hop {
+                    node: "s0".into(),
+                    kind: NodeKind::Switch,
+                    arrived: Time::from_us(1),
+                    departed: Some(Time::from_us(2)),
+                    details: details.clone(),
+                    drop: None,
+                }],
+                outcome: Outcome::InFlight,
+            }],
+        };
+        let doc = fr.chrome_json();
+        let v = escape_json::Value::parse(&doc).unwrap();
+        let events = v.get("traceEvents").unwrap().as_arr().unwrap();
+        let args = events[0].get("args").unwrap();
+        let joined = format!("{}; {}", details[0], details[1]);
+        assert_eq!(args.get("detail").unwrap().as_str(), Some(joined.as_str()));
     }
 
     const DIRS: [TraceDir; 4] = [TraceDir::Tx, TraceDir::Rx, TraceDir::Hop, TraceDir::Drop];

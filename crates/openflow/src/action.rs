@@ -1,12 +1,10 @@
 //! OpenFlow 1.0 actions and their application to frames.
 
-use crate::port;
 use bytes::Bytes;
 use escape_packet::{Headers, MacAddr, Packet};
 use std::net::Ipv4Addr;
 
-/// The OF 1.0 action subset ESCAPE uses. `Output` covers physical and
-/// virtual ports (see [`crate::port`]).
+/// The OF 1.0 action subset ESCAPE uses. `Output` names a physical port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     Output { port: u16, max_len: u16 },
@@ -174,11 +172,6 @@ impl Action {
     }
 }
 
-/// True if `p` is one of the virtual output ports.
-pub fn is_virtual_port(p: u16) -> bool {
-    p >= port::IN_PORT
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +194,7 @@ mod tests {
         let actions = vec![
             Action::out(3),
             Action::Output {
-                port: port::CONTROLLER,
+                port: 7,
                 max_len: 128,
             },
             Action::SetDlSrc(MacAddr::from_id(9)),
@@ -299,12 +292,5 @@ mod tests {
         assert_eq!(sent, vec![(1, arp.clone())]);
         let (eth, _) = EthernetHeader::parse(&sent[0].1).unwrap();
         assert_eq!(eth.ethertype, EtherType::Arp);
-    }
-
-    #[test]
-    fn virtual_port_predicate() {
-        assert!(is_virtual_port(port::FLOOD));
-        assert!(is_virtual_port(port::CONTROLLER));
-        assert!(!is_virtual_port(52));
     }
 }

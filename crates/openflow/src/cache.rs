@@ -4,8 +4,8 @@
 //! [`crate::table::FlowTable`]: the first packet of a flow pays the full
 //! walk and deposits `(flow key, in_port) → winning entry index`; every
 //! later packet of the same microflow resolves in one hash probe. The
-//! cache is **strictly invalidated** — any table mutation (flow-mod
-//! add/modify/delete, timeout expiry) flushes it wholesale, so a cached
+//! cache is **strictly invalidated** — any table mutation (a flow-mod
+//! add or delete) flushes it wholesale, so a cached
 //! lookup can never disagree with the table walk. Correctness therefore
 //! never depends on partial-invalidation bookkeeping; the differential
 //! property suite in `tests/prop.rs` holds the two paths equal under
@@ -32,8 +32,8 @@ pub type CacheKey = (FlowKey, u16);
 ///
 /// Stores indices into the owning table's entry vector. Indices stay
 /// valid between mutations because the only operations that reorder or
-/// remove entries ([`crate::table::FlowTable::add`] / `modify` /
-/// `delete` / `expire`) flush the cache first.
+/// remove entries ([`crate::table::FlowTable::add`] /
+/// [`crate::table::FlowTable::delete`]) flush the cache first.
 ///
 /// The cache's three counters are the only count of each fact: every
 /// switch built on one registry adds into the same `openflow.cache_*`

@@ -6,20 +6,23 @@
 //! vSwitch) steered by a POX controller. This crate provides:
 //!
 //! * the OpenFlow 1.0 **wire protocol** ([`wire`]): binary encode/decode of
-//!   the messages the control loop needs (hello/echo/features handshake,
-//!   packet-in/out, flow-mod, flow-removed, barrier, errors), with the real on-wire layout (40-byte `ofp_match`, action
-//!   TLVs, 8-byte header);
+//!   exactly the messages ESCAPE's steering exchanges (hello/features
+//!   handshake, packet-in/out, flow-mod add/delete/delete-strict with
+//!   cookies, barrier, errors), with the real on-wire layout (40-byte
+//!   `ofp_match`, action TLVs, 8-byte header);
 //! * the OF 1.0 **match** semantics ([`ofmatch`]): wildcard bits including
 //!   CIDR-masked `nw_src`/`nw_dst`;
-//! * **actions** ([`action`]): output (physical and virtual ports) and the
+//! * **actions** ([`action`]): output to a physical port and the
 //!   header-rewrite set, applied to real frames;
-//! * a **flow table** ([`table`]): priority lookup, overlap checks,
-//!   idle/hard timeouts, per-entry counters, fronted by an exact-match
+//! * a **flow table** ([`table`]) of permanent entries: priority lookup,
+//!   cookie-scoped deletes, per-entry counters, fronted by an exact-match
 //!   **flow cache** ([`cache`], the OvS EMC role) with strict
 //!   invalidation on every mutation;
 //! * a **switch** ([`switch::Switch`]): an [`escape_netem::NodeLogic`] that
 //!   forwards frames per its flow table, punts misses to the controller
-//!   over a control channel, and executes controller commands.
+//!   over a control channel, and executes controller commands. A
+//!   flow-mod it does not implement (modify, a timeout, a flag) gets an
+//!   `OFPT_ERROR` reply, as any undecodable message does.
 
 pub mod action;
 pub mod cache;
@@ -33,18 +36,11 @@ pub use cache::FlowCache;
 pub use ofmatch::Match;
 pub use switch::Switch;
 pub use table::{FlowEntry, FlowTable};
-pub use wire::{FlowModCommand, OfMessage, PacketInReason, PortDesc, WireError};
+pub use wire::{FlowModCommand, OfMessage, PortDesc, WireError};
 
-/// Virtual port numbers from OpenFlow 1.0 (`ofp_port`).
+/// Port numbers from OpenFlow 1.0 (`ofp_port`). An output to any port
+/// the switch does not have, a virtual one included, drops the frame.
 pub mod port {
-    /// Send the packet out the port it came in on.
-    pub const IN_PORT: u16 = 0xfff8;
-    /// All physical ports except input and those disabled.
-    pub const FLOOD: u16 = 0xfffb;
-    /// All physical ports except input.
-    pub const ALL: u16 = 0xfffc;
-    /// Encapsulate and send to the controller.
-    pub const CONTROLLER: u16 = 0xfffd;
     /// Wildcard used in flow-mod `out_port`.
     pub const NONE: u16 = 0xffff;
 }

@@ -35,19 +35,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Why a packet was punted to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketInReason {
-    NoMatch,
-    Action,
-}
-
-/// `ofp_flow_mod` commands.
+/// The `ofp_flow_mod` commands steering sends. The two modify
+/// commands (1 and 2) do not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowModCommand {
     Add,
-    Modify,
-    ModifyStrict,
     Delete,
     DeleteStrict,
 }
@@ -56,8 +48,6 @@ impl FlowModCommand {
     fn to_u16(self) -> u16 {
         match self {
             FlowModCommand::Add => 0,
-            FlowModCommand::Modify => 1,
-            FlowModCommand::ModifyStrict => 2,
             FlowModCommand::Delete => 3,
             FlowModCommand::DeleteStrict => 4,
         }
@@ -66,17 +56,12 @@ impl FlowModCommand {
     fn from_u16(v: u16) -> Option<Self> {
         Some(match v {
             0 => FlowModCommand::Add,
-            1 => FlowModCommand::Modify,
-            2 => FlowModCommand::ModifyStrict,
             3 => FlowModCommand::Delete,
             4 => FlowModCommand::DeleteStrict,
             _ => return None,
         })
     }
 }
-
-/// Flow-mod flag: send a FlowRemoved when the entry expires.
-pub const OFPFF_SEND_FLOW_REM: u16 = 1;
 
 /// A physical port description inside FeaturesReply (trimmed
 /// `ofp_phy_port`: number, MAC, name; config/state/features zeroed).
@@ -87,7 +72,9 @@ pub struct PortDesc {
     pub name: String,
 }
 
-/// The OpenFlow 1.0 messages ESCAPE's control loop uses.
+/// The OpenFlow 1.0 messages ESCAPE's control loop uses. Every flow
+/// entry is permanent: a flow-mod carries no timeouts and no flags, and
+/// one whose wire form has any does not decode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OfMessage {
     Hello,
@@ -96,8 +83,6 @@ pub enum OfMessage {
         code: u16,
         data: Vec<u8>,
     },
-    EchoRequest(Vec<u8>),
-    EchoReply(Vec<u8>),
     FeaturesRequest,
     FeaturesReply {
         datapath_id: u64,
@@ -105,11 +90,11 @@ pub enum OfMessage {
         n_tables: u8,
         ports: Vec<PortDesc>,
     },
+    /// A table miss (`OFPR_NO_MATCH`, the only reason a switch punts).
     PacketIn {
         buffer_id: u32,
         total_len: u16,
         in_port: u16,
-        reason: PacketInReason,
         data: Bytes,
     },
     PacketOut {
@@ -122,22 +107,10 @@ pub enum OfMessage {
         match_: Match,
         cookie: u64,
         command: FlowModCommand,
-        idle_timeout: u16,
-        hard_timeout: u16,
         priority: u16,
         buffer_id: u32,
         out_port: u16,
-        flags: u16,
         actions: Vec<Action>,
-    },
-    FlowRemoved {
-        match_: Match,
-        cookie: u64,
-        priority: u16,
-        reason: u8,
-        duration_ns: u64,
-        packet_count: u64,
-        byte_count: u64,
     },
     BarrierRequest,
     BarrierReply,
@@ -147,12 +120,9 @@ pub enum OfMessage {
 mod ty {
     pub const HELLO: u8 = 0;
     pub const ERROR: u8 = 1;
-    pub const ECHO_REQUEST: u8 = 2;
-    pub const ECHO_REPLY: u8 = 3;
     pub const FEATURES_REQUEST: u8 = 5;
     pub const FEATURES_REPLY: u8 = 6;
     pub const PACKET_IN: u8 = 10;
-    pub const FLOW_REMOVED: u8 = 11;
     pub const PACKET_OUT: u8 = 13;
     pub const FLOW_MOD: u8 = 14;
     pub const BARRIER_REQUEST: u8 = 18;
@@ -164,14 +134,11 @@ impl OfMessage {
         match self {
             OfMessage::Hello => ty::HELLO,
             OfMessage::Error { .. } => ty::ERROR,
-            OfMessage::EchoRequest(_) => ty::ECHO_REQUEST,
-            OfMessage::EchoReply(_) => ty::ECHO_REPLY,
             OfMessage::FeaturesRequest => ty::FEATURES_REQUEST,
             OfMessage::FeaturesReply { .. } => ty::FEATURES_REPLY,
             OfMessage::PacketIn { .. } => ty::PACKET_IN,
             OfMessage::PacketOut { .. } => ty::PACKET_OUT,
             OfMessage::FlowMod { .. } => ty::FLOW_MOD,
-            OfMessage::FlowRemoved { .. } => ty::FLOW_REMOVED,
             OfMessage::BarrierRequest => ty::BARRIER_REQUEST,
             OfMessage::BarrierReply => ty::BARRIER_REPLY,
         }
@@ -198,7 +165,6 @@ impl OfMessage {
                 b.extend_from_slice(&code.to_be_bytes());
                 b.extend_from_slice(data);
             }
-            OfMessage::EchoRequest(d) | OfMessage::EchoReply(d) => b.extend_from_slice(d),
             OfMessage::FeaturesReply {
                 datapath_id,
                 n_buffers,
@@ -225,17 +191,12 @@ impl OfMessage {
                 buffer_id,
                 total_len,
                 in_port,
-                reason,
                 data,
             } => {
                 b.extend_from_slice(&buffer_id.to_be_bytes());
                 b.extend_from_slice(&total_len.to_be_bytes());
                 b.extend_from_slice(&in_port.to_be_bytes());
-                b.push(match reason {
-                    PacketInReason::NoMatch => 0,
-                    PacketInReason::Action => 1,
-                });
-                b.push(0); // pad
+                b.extend_from_slice(&[0, 0]); // reason OFPR_NO_MATCH, pad
                 b.extend_from_slice(data);
             }
             OfMessage::PacketOut {
@@ -256,47 +217,20 @@ impl OfMessage {
                 match_,
                 cookie,
                 command,
-                idle_timeout,
-                hard_timeout,
                 priority,
                 buffer_id,
                 out_port,
-                flags,
                 actions,
             } => {
                 match_.encode(&mut b);
                 b.extend_from_slice(&cookie.to_be_bytes());
                 b.extend_from_slice(&command.to_u16().to_be_bytes());
-                b.extend_from_slice(&idle_timeout.to_be_bytes());
-                b.extend_from_slice(&hard_timeout.to_be_bytes());
+                b.extend_from_slice(&[0u8; 4]); // idle and hard timeout
                 b.extend_from_slice(&priority.to_be_bytes());
                 b.extend_from_slice(&buffer_id.to_be_bytes());
                 b.extend_from_slice(&out_port.to_be_bytes());
-                b.extend_from_slice(&flags.to_be_bytes());
+                b.extend_from_slice(&[0u8; 2]); // flags
                 Action::encode_list(actions, &mut b);
-            }
-            OfMessage::FlowRemoved {
-                match_,
-                cookie,
-                priority,
-                reason,
-                duration_ns,
-                packet_count,
-                byte_count,
-            } => {
-                match_.encode(&mut b);
-                b.extend_from_slice(&cookie.to_be_bytes());
-                b.extend_from_slice(&priority.to_be_bytes());
-                b.push(*reason);
-                b.push(0); // pad
-                let secs = (duration_ns / 1_000_000_000) as u32;
-                let nsecs = (duration_ns % 1_000_000_000) as u32;
-                b.extend_from_slice(&secs.to_be_bytes());
-                b.extend_from_slice(&nsecs.to_be_bytes());
-                b.extend_from_slice(&0u16.to_be_bytes()); // idle_timeout
-                b.extend_from_slice(&[0u8; 2]); // pad
-                b.extend_from_slice(&packet_count.to_be_bytes());
-                b.extend_from_slice(&byte_count.to_be_bytes());
             }
         }
         let len = b.len() as u16;
@@ -338,8 +272,6 @@ impl OfMessage {
                     data: body[4..].to_vec(),
                 }
             }
-            ty::ECHO_REQUEST => OfMessage::EchoRequest(body.to_vec()),
-            ty::ECHO_REPLY => OfMessage::EchoReply(body.to_vec()),
             ty::FEATURES_REQUEST => OfMessage::FeaturesRequest,
             ty::FEATURES_REPLY => {
                 if body.len() < 24 {
@@ -379,11 +311,6 @@ impl OfMessage {
                     buffer_id: u32at(0),
                     total_len: u16at(4),
                     in_port: u16at(6),
-                    reason: if body[8] == 0 {
-                        PacketInReason::NoMatch
-                    } else {
-                        PacketInReason::Action
-                    },
                     data: Bytes::copy_from_slice(&body[10..]),
                 }
             }
@@ -411,6 +338,9 @@ impl OfMessage {
                     return Err(WireError::Malformed("flow-mod too short"));
                 }
                 let o = used;
+                if u32at(o + 10) != 0 || u16at(o + 22) != 0 {
+                    return Err(WireError::Malformed("flow-mod timeouts or flags"));
+                }
                 let actions = Action::decode_list(&body[o + 24..])
                     .ok_or(WireError::Malformed("bad actions"))?;
                 OfMessage::FlowMod {
@@ -418,30 +348,10 @@ impl OfMessage {
                     cookie: u64at(o),
                     command: FlowModCommand::from_u16(u16at(o + 8))
                         .ok_or(WireError::Malformed("bad flow-mod command"))?,
-                    idle_timeout: u16at(o + 10),
-                    hard_timeout: u16at(o + 12),
                     priority: u16at(o + 14),
                     buffer_id: u32at(o + 16),
                     out_port: u16at(o + 20),
-                    flags: u16at(o + 22),
                     actions,
-                }
-            }
-            ty::FLOW_REMOVED => {
-                let (match_, used) =
-                    Match::decode(body).ok_or(WireError::Malformed("bad match"))?;
-                if body.len() < used + 40 {
-                    return Err(WireError::Malformed("flow-removed too short"));
-                }
-                let o = used;
-                OfMessage::FlowRemoved {
-                    match_,
-                    cookie: u64at(o),
-                    priority: u16at(o + 8),
-                    reason: body[o + 10],
-                    duration_ns: u32at(o + 12) as u64 * 1_000_000_000 + u32at(o + 16) as u64,
-                    packet_count: u64at(o + 24),
-                    byte_count: u64at(o + 32),
                 }
             }
             ty::BARRIER_REQUEST => OfMessage::BarrierRequest,
@@ -470,8 +380,6 @@ mod tests {
     fn handshake_messages_roundtrip() {
         roundtrip(OfMessage::Hello);
         roundtrip(OfMessage::FeaturesRequest);
-        roundtrip(OfMessage::EchoRequest(vec![1, 2, 3]));
-        roundtrip(OfMessage::EchoReply(vec![]));
         roundtrip(OfMessage::BarrierRequest);
         roundtrip(OfMessage::BarrierReply);
         roundtrip(OfMessage::Error {
@@ -508,13 +416,12 @@ mod tests {
             buffer_id: 42,
             total_len: 60,
             in_port: 3,
-            reason: PacketInReason::NoMatch,
             data: Bytes::from_static(b"frame-bytes"),
         });
         roundtrip(OfMessage::PacketOut {
             buffer_id: 0xffff_ffff,
             in_port: port::NONE,
-            actions: vec![Action::out(port::FLOOD)],
+            actions: vec![Action::out(2)],
             data: Bytes::from_static(b"frame-bytes"),
         });
     }
@@ -528,26 +435,10 @@ mod tests {
                 .with_tp_dst(80),
             cookie: 7,
             command: FlowModCommand::Add,
-            idle_timeout: 10,
-            hard_timeout: 30,
             priority: 1000,
             buffer_id: 0xffff_ffff,
             out_port: port::NONE,
-            flags: OFPFF_SEND_FLOW_REM,
             actions: vec![Action::SetDlDst(MacAddr::from_id(5)), Action::out(2)],
-        });
-    }
-
-    #[test]
-    fn flow_removed_roundtrip() {
-        roundtrip(OfMessage::FlowRemoved {
-            match_: Match::any().with_dl_type(0x0800),
-            cookie: 1,
-            priority: 5,
-            reason: 0,
-            duration_ns: 3_500_000_000,
-            packet_count: 11,
-            byte_count: 1111,
         });
     }
 

@@ -376,7 +376,11 @@ impl MappingAlgorithm for SimulatedAnnealing {
             for ((vnf, host), (_, cpu, mem)) in proposal.iter().zip(&vnfs) {
                 debug_assert_eq!(
                     vnf,
-                    vnfs[proposal.iter().position(|(v, _)| v == vnf).unwrap()].0
+                    vnfs[proposal
+                        .iter()
+                        .position(|(v, _)| v == vnf)
+                        .expect("the vnf comes from this proposal")]
+                    .0
                 );
                 if scratch.reserve_compute(host, *cpu, *mem).is_err() {
                     feasible = false;

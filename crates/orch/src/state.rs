@@ -134,8 +134,14 @@ impl ResourceState {
                 "container {container:?} cannot fit cpu={cpu} mem={mem_mb}"
             ));
         }
-        *self.cpu.get_mut(container).unwrap() -= cpu;
-        *self.mem.get_mut(container).unwrap() -= mem_mb;
+        // A zero demand fits a container the view does not know: there
+        // is nothing to take from it.
+        if let Some(c) = self.cpu.get_mut(container) {
+            *c -= cpu;
+        }
+        if let Some(m) = self.mem.get_mut(container) {
+            *m -= mem_mb;
+        }
         Ok(())
     }
 
@@ -163,8 +169,12 @@ impl ResourceState {
                 return Err(format!("link {}-{} lacks {mbps} Mbit/s", w[0], w[1]));
             }
         }
+        // A zero demand passes a link the view does not know: there is
+        // nothing to take from it.
         for w in path.windows(2) {
-            *self.bw.get_mut(&link_key(&w[0], &w[1])).unwrap() -= mbps;
+            if let Some(bw) = self.bw.get_mut(&link_key(&w[0], &w[1])) {
+                *bw -= mbps;
+            }
         }
         Ok(())
     }

@@ -81,7 +81,7 @@ pub fn random_service_graph(
     let types: Vec<&str> = catalog
         .names()
         .into_iter()
-        .filter(|n| catalog.get(n).unwrap().ports == 2)
+        .filter(|n| catalog.get(n).expect("names() lists catalog entries").ports == 2)
         .collect();
     let mut rng = SmallRng::seed_from_u64(spec.seed);
     let mut g = ServiceGraph::new();

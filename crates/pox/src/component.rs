@@ -39,20 +39,16 @@ impl Ctl<'_, '_> {
         true
     }
 
-    /// Installs a flow: `OFPFC_ADD` with the given parameters and an
-    /// opaque cookie (the flight recorder reads it back from flow-match
-    /// trace records to attribute packets to chains).
-    #[allow(clippy::too_many_arguments)]
+    /// Installs a permanent flow: `OFPFC_ADD` with the given parameters
+    /// and an opaque cookie (the flight recorder reads it back from
+    /// flow-match trace records to attribute packets to chains).
     pub fn flow_add_with_cookie(
         &mut self,
         dpid: u64,
         match_: Match,
         priority: u16,
         actions: Vec<Action>,
-        idle_timeout: u16,
-        hard_timeout: u16,
         buffer_id: u32,
-        flags: u16,
         cookie: u64,
     ) -> bool {
         self.flow_mod(
@@ -61,12 +57,9 @@ impl Ctl<'_, '_> {
                 match_,
                 cookie,
                 command: FlowModCommand::Add,
-                idle_timeout,
-                hard_timeout,
                 priority,
                 buffer_id,
                 out_port: port::NONE,
-                flags,
                 actions,
             },
         )
@@ -83,12 +76,9 @@ impl Ctl<'_, '_> {
                 match_,
                 cookie,
                 command: FlowModCommand::Delete,
-                idle_timeout: 0,
-                hard_timeout: 0,
                 priority: 0,
                 buffer_id: escape_openflow::switch::NO_BUFFER,
                 out_port: port::NONE,
-                flags: 0,
                 actions: vec![],
             },
         )

@@ -186,7 +186,6 @@ impl NodeLogic for Controller {
         };
         match msg {
             OfMessage::Hello => {} // our hello was already sent
-            OfMessage::EchoRequest(d) => self.send_on(ctx, conn, OfMessage::EchoReply(d)),
             OfMessage::FeaturesReply { datapath_id, .. } => {
                 if let Some(st) = self.conns.get_mut(&conn.0) {
                     st.dpid = Some(datapath_id);
@@ -215,14 +214,6 @@ impl NodeLogic for Controller {
                 if !self.with_steering(ctx, |st, ctl| st.on_packet_in(ctl, &ev)) {
                     self.counters.unhandled_packet_ins.inc();
                 }
-            }
-            OfMessage::FlowRemoved {
-                match_, priority, ..
-            } => {
-                let Some(dpid) = self.conns.get(&conn.0).and_then(|s| s.dpid) else {
-                    return;
-                };
-                self.steering.on_flow_removed(dpid, &match_, priority);
             }
             // Barriers, errors: currently informational.
             _ => {}
@@ -260,23 +251,5 @@ mod tests {
         let ctl = sim.node_as::<Controller>(c).unwrap();
         assert_eq!(ctl.connected_dpids(), vec![11, 22]);
         assert_eq!(ctl.stats().connections_up, 2);
-    }
-
-    #[test]
-    fn echo_requests_are_answered() {
-        // A switch doesn't send echo requests by itself; simulate one.
-        let mut sim = Sim::new(1);
-        let s1 = sim.add_node("s1", 1, Box::new(Switch::new(1, 1)));
-        let c = sim.add_node("c0", 0, Box::new(controller()));
-        let l = sim.ctrl_connect(s1, c, Time::from_us(10));
-        sim.node_as_mut::<Switch>(s1).unwrap().attach_controller(l);
-        sim.node_as_mut::<Controller>(c).unwrap().register_switch(l);
-        Controller::start(&mut sim, c);
-        sim.run(50);
-        // Now fire an echo from the switch side.
-        sim.ctrl_send_from(s1, l, OfMessage::EchoRequest(vec![7]).encode(99));
-        let before = sim.stats().ctrl_messages;
-        sim.run(50);
-        assert!(sim.stats().ctrl_messages > before, "echo reply flowed");
     }
 }

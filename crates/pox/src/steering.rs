@@ -20,17 +20,13 @@ pub enum SteeringMode {
     Reactive,
 }
 
-/// One steering rule on one switch.
+/// One steering rule on one switch, installed as a permanent flow entry.
 #[derive(Debug, Clone)]
 pub struct SteeringRule {
     pub dpid: u64,
     pub match_: Match,
     pub priority: u16,
     pub actions: Vec<Action>,
-    /// Seconds; 0 = permanent.
-    pub idle_timeout: u16,
-    /// Seconds; 0 = permanent.
-    pub hard_timeout: u16,
     /// Chain identifier, so a chain can be torn down as a unit.
     pub chain_id: u64,
 }
@@ -197,10 +193,7 @@ impl TrafficSteering {
             r.match_,
             r.priority,
             r.actions.clone(),
-            r.idle_timeout,
-            r.hard_timeout,
             buffer_id,
-            0,
             r.chain_id,
         )
     }
@@ -261,29 +254,6 @@ impl TrafficSteering {
             chain.push(r);
         }
         true
-    }
-
-    /// A flow entry expired or was deleted on a switch: re-arm the
-    /// reactive rule it came from so the next packet re-installs it.
-    pub(crate) fn on_flow_removed(&mut self, dpid: u64, match_: &Match, priority: u16) {
-        if self.mode != SteeringMode::Reactive {
-            return;
-        }
-        for rules in self.installed.values_mut() {
-            if let Some(pos) = rules
-                .iter()
-                .position(|r| r.dpid == dpid && r.match_ == *match_ && r.priority == priority)
-            {
-                let r = rules.remove(pos);
-                let already_armed = self
-                    .queued
-                    .iter()
-                    .any(|q| q.dpid == r.dpid && q.match_ == r.match_ && q.priority == r.priority);
-                if !already_armed {
-                    self.queued.push(r);
-                }
-            }
-        }
     }
 }
 
@@ -348,8 +318,6 @@ mod tests {
                 match_: Match::any().with_nw_dst(Ipv4Addr::new(10, 0, 0, 2), 32),
                 priority: 500,
                 actions: vec![Action::out(1)],
-                idle_timeout: 0,
-                hard_timeout: 0,
                 chain_id: 1,
             },
             SteeringRule {
@@ -357,8 +325,6 @@ mod tests {
                 match_: Match::any().with_nw_dst(Ipv4Addr::new(10, 0, 0, 1), 32),
                 priority: 500,
                 actions: vec![Action::out(0)],
-                idle_timeout: 0,
-                hard_timeout: 0,
                 chain_id: 1,
             },
         ]
@@ -450,8 +416,6 @@ mod tests {
             match_: Match::any().with_nw_dst(Ipv4Addr::new(10, 0, 0, 2), 32),
             priority: 400,
             actions: vec![Action::out(1)],
-            idle_timeout: 0,
-            hard_timeout: 0,
             chain_id: 2,
         }];
         {
@@ -599,8 +563,6 @@ mod tests {
                     .with_bucket(2, 1),
                 priority: 510,
                 actions: vec![Action::out(1)],
-                idle_timeout: 0,
-                hard_timeout: 0,
                 chain_id: 1,
             });
             st.stage_rules(1, next);

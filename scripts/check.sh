@@ -35,30 +35,34 @@ if [ -n "$REHOMES" ]; then
     exit 1
 fi
 
-echo "== no bare unwrap on the multi-domain, flight-recorder, per-frame, control and socket/file paths =="
-# Between a --domains file and the coordinator, from the node logic that
-# produces trace records through the trace ring to an SLA verdict, in
-# the parsers, writers, rewrites and elements every frame passes
-# through, in the controller's packet-in path and every OpenFlow
-# decoder, in the code that reads sockets, the WAL, NETCONF messages and
-# JSON, in the code that renders telemetry and the control protocol's
-# frames, and in the parsers of the Click text, service graphs and
-# topologies that arrive over the socket, a panic site names the invariant that makes it
-# unreachable (expect), or input that can reach it gets a typed error.
-# Test modules are exempt.
-UNWRAPS="$(for f in crates/escape/src/domains.rs crates/domain/src/*.rs \
-    crates/escape/src/flight.rs crates/escape/src/env/observe.rs crates/netem/src/trace.rs \
-    crates/netem/src/{sim,queue,link}.rs crates/openflow/src/{switch,action,wire,ofmatch,table,cache}.rs \
-    crates/click/src/{router,lang,registry,element}.rs crates/escape/src/container.rs \
-    crates/packet/src/{ether,ipv4,udp,tcp,flowkey,builder,rewrite,pool,lookup,checksum}.rs \
-    crates/netem/src/host.rs crates/click/src/elements/*.rs crates/pox/src/{core,steering,component}.rs \
-    crates/ctl/src/wal.rs crates/ctl/src/server/*.rs crates/netconf/src/*.rs \
-    crates/ctl/src/{proto,frame,client,remote}.rs crates/telemetry/src/*.rs \
-    crates/json/src/*.rs crates/sg/src/*.rs crates/catalog/src/lib.rs; do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.unwrap\(\)/ { print f ":" FNR ": " $0 }' "$f"
-done)"
+# outside_tests PATTERN SKIP_DOCS FILE...: prints the lines of each FILE
+# that match the awk regex PATTERN and lie before its test module. The
+# scan ends at a #[cfg(test)] whose next line opens a `mod`; a
+# #[cfg(test)] item above production code does not end it. With
+# SKIP_DOCS=1, doc-comment lines are exempt: doctests compile as tests.
+outside_tests() {
+    local pattern="$1" skip_docs="$2"
+    shift 2
+    for f in "$@"; do
+        awk -v f="$f" -v pat="$pattern" -v docs="$skip_docs" '
+            armed && /^(pub(\([a-z]+\))? )?mod / { exit }
+            { armed = /^#\[cfg\(test\)\]/ }
+            docs && /^[[:space:]]*\/\/[\/!]/ { next }
+            $0 ~ pat { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+
+echo "== no bare unwrap in any crate's source =="
+# From a --domains file, a socket, the WAL, a NETCONF message, a JSON
+# document or an OpenFlow message to every frame's parsers, rewrites and
+# elements, the trace ring and the SLA verdicts: a panic site names the
+# invariant that makes it unreachable (expect), or input that can reach
+# it gets a typed error. Every source file under crates/*/src is
+# scanned; test modules and doc comments are exempt.
+mapfile -t SOURCES < <(find crates/*/src -name '*.rs' | sort)
+UNWRAPS="$(outside_tests '[.]unwrap[(][)]' 1 "${SOURCES[@]}")"
 if [ -n "$UNWRAPS" ]; then
-    echo "bare unwrap on a gated path:" >&2
+    echo "bare unwrap outside a test module:" >&2
     echo "$UNWRAPS" >&2
     exit 1
 fi
@@ -69,11 +73,10 @@ echo "== no std hash map in the per-frame files =="
 # map that must be walked is a BTreeMap. std's SipHash costs more per
 # frame, and its per-process keys reach any output that iterates it.
 # Test modules are exempt.
-HASHMAPS="$(for f in crates/openflow/src/{cache,switch}.rs crates/click/src/router.rs \
+HASHMAPS="$(outside_tests 'Hash(Map|Set)([^A-Za-z0-9_]|$)' 0 \
+    crates/openflow/src/{cache,switch}.rs crates/click/src/router.rs \
     crates/click/src/elements/nat.rs crates/packet/src/pool.rs \
-    crates/netem/src/{sim,queue,host,link}.rs crates/escape/src/container.rs; do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /Hash(Map|Set)([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }' "$f"
-done)"
+    crates/netem/src/{sim,queue,host,link}.rs crates/escape/src/container.rs)"
 if [ -n "$HASHMAPS" ]; then
     echo "std hash map in a per-frame file:" >&2
     echo "$HASHMAPS" >&2

@@ -33,8 +33,6 @@ fn jam_steering(esc: &mut Escape) {
             match_: Match::any(),
             priority: 1,
             actions: Vec::new(),
-            idle_timeout: 0,
-            hard_timeout: 0,
             chain_id: 0,
         }]);
 }

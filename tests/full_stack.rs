@@ -105,6 +105,17 @@ fn reactive_steering_also_delivers() {
 }
 
 #[test]
+fn the_longest_frame_misses_into_one_counted_packet_in() {
+    // 14 + 65 535 bytes: the packet-in carries as much of it as its
+    // 16-bit length field allows, so the controller decodes and counts it.
+    let topo = builders::linear(2, 4.0);
+    let mut esc = Escape::build(topo, Box::new(GreedyFirstFit), SteeringMode::Reactive, 4).unwrap();
+    esc.start_udp("sap0", "sap1", 65_549, 500, 1).unwrap();
+    esc.run_for_ms(100);
+    assert_eq!(esc.metrics().counter("pox.packet_ins", &[]), Some(1));
+}
+
+#[test]
 fn two_chains_share_the_infrastructure() {
     let topo = builders::star(4, 4.0);
     let mut esc =

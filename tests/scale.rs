@@ -240,8 +240,6 @@ fn scale_out_failing_after_promote_restores_rules_then_retires_the_new_replica()
             match_: Match::any(),
             priority: 1,
             actions: Vec::new(),
-            idle_timeout: 0,
-            hard_timeout: 0,
             chain_id: 0,
         }]);
     let err = esc.scale_chain("demo", "fw", 2).unwrap_err();
