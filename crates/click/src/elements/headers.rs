@@ -232,10 +232,11 @@ mod tests {
     #[test]
     fn non_ip_passes_through_ttl_and_dscp() {
         let mut r = mk("FromDevice(0) -> DecIPTTL -> SetIPDSCP(10) -> ToDevice(0);");
-        let arp = PacketBuilder::arp_request(
+        let arp = PacketBuilder::ethernet(
             MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
         );
         let before = arp.clone();
         let out = r.push_external(

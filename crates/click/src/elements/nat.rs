@@ -132,7 +132,7 @@ mod tests {
     use crate::router::Router;
     use escape_netem::Time;
     use escape_packet::{
-        tcp, EthernetHeader, Ipv4Header, MacAddr, PacketBuilder, TcpHeader, UdpHeader,
+        tcp, EtherType, EthernetHeader, Ipv4Header, MacAddr, PacketBuilder, TcpHeader, UdpHeader,
     };
 
     const PRIV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
@@ -281,7 +281,12 @@ mod tests {
     #[test]
     fn non_rewritable_frames_are_dropped() {
         let mut r = mk();
-        let arp = PacketBuilder::arp_request(MacAddr::from_id(1), PRIV, SRV);
+        let arp = PacketBuilder::ethernet(
+            MacAddr::from_id(1),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
+        );
         let out = r.push_external(
             0,
             Packet {

@@ -285,10 +285,11 @@ mod tests {
             0
         );
         // Unmatched (non-UDP e.g. ARP) -> default deny.
-        let arp = PacketBuilder::arp_request(
+        let arp = PacketBuilder::ethernet(
             MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
         );
         assert_eq!(
             r.push_external(
@@ -352,10 +353,11 @@ mod tests {
         let mut r = mk(
             r#"FromDevice(0) -> m :: StringMatcher("x"); m [0] -> ToDevice(1); m [1] -> ToDevice(0);"#,
         );
-        let arp = PacketBuilder::arp_request(
+        let arp = PacketBuilder::ethernet(
             MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
         );
         let out = r.push_external(
             0,

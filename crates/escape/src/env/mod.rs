@@ -303,7 +303,7 @@ impl Escape {
 
     // ---------------- chain registry --------------------------------
 
-    /// The orchestrator (resource view, algorithm swapping).
+    /// The orchestrator (resource view, mapping algorithm).
     pub fn orchestrator(&self) -> &Orchestrator {
         &self.orch
     }

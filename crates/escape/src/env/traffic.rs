@@ -15,6 +15,14 @@ use std::ops::RangeInclusive;
 /// total-length field can count behind the Ethernet header.
 const UDP_FRAME_LEN: RangeInclusive<usize> = 42..=14 + 65_535;
 
+/// The error for a stream or ping whose source host holds no static
+/// entry for its destination: [`Escape::provision_arp`] installs one
+/// before every registration, so this names a bug in the environment,
+/// not a network event.
+fn no_entry(from: &str, to: &str) -> EscapeError {
+    EscapeError::NotFound(format!("static neighbour entry for {to} on {from}"))
+}
+
 impl Escape {
     /// The emulator node of a SAP.
     fn sap_node(&self, sap: &str) -> Result<NodeId, EscapeError> {
@@ -93,14 +101,17 @@ impl Escape {
             frame_len,
             Time::from_us(interval_us),
             count,
-        );
+        )
+        .ok_or_else(|| no_entry(from, to))?;
         Host::start_streams(&mut self.sim, node, Time::from_us(1));
         Ok(())
     }
 
     /// Starts a paced ICMP ping from one SAP to another: `count` echo
     /// requests, one every `interval_us`. The echo *replies* need a
-    /// return path, so deploy a chain in each direction first.
+    /// return path, so deploy a chain in each direction first; they are
+    /// addressed to the request's Ethernet source, so `to` needs no
+    /// entry for `from`.
     pub fn start_ping(
         &mut self,
         from: &str,
@@ -110,9 +121,9 @@ impl Escape {
     ) -> Result<(), EscapeError> {
         let (_, dst_ip) = self.infra.sap(to)?;
         self.provision_arp(from, to)?;
-        self.provision_arp(to, from)?;
         let (node, host) = self.sap_host_mut(from)?;
-        host.add_ping(dst_ip, Time::from_us(interval_us), count);
+        host.add_ping(dst_ip, Time::from_us(interval_us), count)
+            .ok_or_else(|| no_entry(from, to))?;
         Host::start_streams(&mut self.sim, node, Time::from_us(1));
         Ok(())
     }

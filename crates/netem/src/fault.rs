@@ -68,19 +68,6 @@ impl FaultKind {
             | FaultKind::VnfResume { node } => node.clone(),
         }
     }
-
-    /// The link endpoints this fault targets, if it targets a link.
-    pub fn link_endpoints(&self) -> Option<(&str, &str)> {
-        match self {
-            FaultKind::LinkDown { a, b }
-            | FaultKind::LinkUp { a, b }
-            | FaultKind::LossSpike { a, b, .. }
-            | FaultKind::LossClear { a, b }
-            | FaultKind::DelaySpike { a, b, .. }
-            | FaultKind::DelayClear { a, b } => Some((a, b)),
-            _ => None,
-        }
-    }
 }
 
 wire_struct! {

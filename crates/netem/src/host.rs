@@ -1,17 +1,23 @@
-//! A simple end host: ARP, ICMP echo responder, UDP traffic source/sink.
+//! A simple end host: ICMP echo responder, UDP traffic source/sink.
 //!
 //! Hosts play the role of Mininet's `h1`, `h2`, ... — the endpoints the
 //! demo's step (4) uses to "send and inspect live traffic". A host owns one
-//! interface (port 0), answers ARP and ping, can originate paced UDP
-//! streams, and keeps receive-side statistics including end-to-end latency
+//! interface (port 0), answers ping, can originate paced UDP streams and
+//! pings, and keeps receive-side statistics including end-to-end latency
 //! (computed from each packet's birth timestamp).
+//!
+//! Like the paper's hosts under Mininet's `--arp`, a host resolves
+//! addresses only from static neighbour entries ([`Host::static_arp`]).
+//! A stream or ping reads its peer's MAC once, when it is registered, and
+//! a stream builds its frame then too: every tick sends a refcount clone
+//! of that frame.
 
 use crate::sim::{NodeCtx, NodeLogic};
 use crate::time::Time;
 use bytes::Bytes;
 use escape_packet::{
-    ArpPacket, EtherType, EthernetHeader, FramePool, IcmpPacket, IcmpType, IpProtocol, Ipv4Header,
-    LookupMap, MacAddr, Packet, PacketBuilder, UdpHeader,
+    EtherType, EthernetHeader, IcmpPacket, IcmpType, IpProtocol, Ipv4Header, LookupMap, MacAddr,
+    Packet, PacketBuilder, UdpHeader,
 };
 use std::net::Ipv4Addr;
 
@@ -23,7 +29,6 @@ pub struct HostStats {
     pub bytes_rx: u64,
     pub icmp_echo_rx: u64,
     pub icmp_reply_rx: u64,
-    pub arp_rx: u64,
     /// Sum of end-to-end latencies (ns) of received UDP packets with a
     /// birth timestamp.
     pub latency_sum_ns: u64,
@@ -43,12 +48,12 @@ impl HostStats {
 }
 
 /// An active outgoing UDP stream.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Stream {
-    dst_ip: Ipv4Addr,
-    sport: u16,
-    dport: u16,
-    frame_len: usize,
+    /// The frame every tick sends, built at registration. A stream's
+    /// inputs are fixed for its life, so the frame cannot go stale; a
+    /// tick costs a refcount clone, not a layered encode.
+    frame: Bytes,
     interval: Time,
     remaining: u64,
     /// Whether [`Host::start_streams`] has armed this stream's timer
@@ -64,9 +69,10 @@ struct Stream {
 }
 
 /// An active ping schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PingJob {
     dst_ip: Ipv4Addr,
+    dst_mac: MacAddr,
     interval: Time,
     remaining: u64,
     seq: u16,
@@ -107,9 +113,8 @@ pub struct Host {
     pub mac: MacAddr,
     pub ip: Ipv4Addr,
     pub stats: HostStats,
+    /// Static neighbour entries: the MAC each peer IP is reached at.
     arp_table: LookupMap<Ipv4Addr, MacAddr>,
-    /// Packets waiting for ARP resolution, keyed by next-hop IP.
-    pending: LookupMap<Ipv4Addr, Vec<Bytes>>,
     streams: Vec<Stream>,
     pings: Vec<PingJob>,
     /// Last payloads received, newest last (bounded, for demo inspection).
@@ -125,12 +130,6 @@ pub struct Host {
     /// next [`Host::flush_queued`] timer, with an optional birth
     /// timestamp override.
     queued_tx: Vec<(Bytes, u64)>,
-    /// Prebuilt stream frames, keyed by stream index and the resolved
-    /// destination MAC (a re-learned MAC is a different key, so a stale
-    /// frame is never served). A paced stream emits the same bytes every
-    /// tick; pooling turns the per-packet layered encode into a refcount
-    /// clone.
-    tx_pool: FramePool<(usize, MacAddr)>,
 }
 
 /// Timer token namespace: stream k fires with token k.
@@ -144,14 +143,12 @@ impl Host {
             ip,
             stats: HostStats::default(),
             arp_table: LookupMap::new(),
-            pending: LookupMap::new(),
             streams: Vec::new(),
             pings: Vec::new(),
             inbox: Vec::new(),
             gateway: false,
             gw_rx: Vec::new(),
             queued_tx: Vec::new(),
-            tx_pool: FramePool::new(),
         }
     }
 
@@ -175,14 +172,17 @@ impl Host {
         sim.set_timer_for(me, delay, FLUSH_TOKEN);
     }
 
-    /// Pre-populates the ARP table (like Mininet's `--arp` static mode).
+    /// Adds a static neighbour entry: `ip` is reached at `mac` (like
+    /// Mininet's `--arp` static mode). Streams and pings registered
+    /// afterwards toward `ip` address their frames to `mac`.
     pub fn static_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         self.arp_table.insert(ip, mac);
     }
 
     /// Registers a paced UDP stream: `count` frames of `frame_len` bytes,
     /// one every `interval`, to `dst_ip`, and returns its slot. Kick it
-    /// off with [`Host::start_streams`].
+    /// off with [`Host::start_streams`]. Returns `None`, registering
+    /// nothing, when `dst_ip` has no static entry.
     pub fn add_stream(
         &mut self,
         dst_ip: Ipv4Addr,
@@ -191,24 +191,22 @@ impl Host {
         frame_len: usize,
         interval: Time,
         count: u64,
-    ) -> usize {
+    ) -> Option<usize> {
+        let &dst_mac = self.arp_table.get(&dst_ip)?;
+        let frame = PacketBuilder::udp_with_len(
+            self.mac, dst_mac, self.ip, dst_ip, sport, dport, frame_len,
+        );
         let stream = Stream {
-            dst_ip,
-            sport,
-            dport,
-            frame_len,
+            frame,
             interval,
             remaining: count,
             started: false,
             finished: false,
         };
-        // A finished stream leaves only its slot and its pooled frame
-        // behind. Reuse the slot so a long-lived host does not grow with
-        // every stream it ever sent, and drop the frame with it: the pool
-        // is keyed by slot, so the old stream's bytes would be served.
-        match self.streams.iter().position(|s| s.finished) {
+        // A finished stream leaves only its slot behind. Reuse the slot so
+        // a long-lived host does not grow with every stream it ever sent.
+        Some(match self.streams.iter().position(|s| s.finished) {
             Some(k) => {
-                self.tx_pool.retain(|&(slot, _)| slot != k);
                 self.streams[k] = stream;
                 k
             }
@@ -216,21 +214,23 @@ impl Host {
                 self.streams.push(stream);
                 self.streams.len() - 1
             }
-        }
+        })
     }
 
     /// Registers a paced ping schedule: `count` echo requests to
-    /// `dst_ip`, one every `interval`. Needs an ARP entry (static or
-    /// learned) for the destination at fire time.
-    pub fn add_ping(&mut self, dst_ip: Ipv4Addr, interval: Time, count: u64) -> usize {
+    /// `dst_ip`, one every `interval`, and returns its slot. Returns
+    /// `None`, registering nothing, when `dst_ip` has no static entry.
+    pub fn add_ping(&mut self, dst_ip: Ipv4Addr, interval: Time, count: u64) -> Option<usize> {
+        let &dst_mac = self.arp_table.get(&dst_ip)?;
         self.pings.push(PingJob {
             dst_ip,
+            dst_mac,
             interval,
             remaining: count,
             seq: 0,
             started: false,
         });
-        self.pings.len() - 1
+        Some(self.pings.len() - 1)
     }
 
     /// Arms the first timer of every registered stream and ping job that
@@ -270,90 +270,41 @@ impl Host {
     }
 
     fn emit_ping(&mut self, ctx: &mut NodeCtx<'_>, k: usize) {
-        let job = self.pings[k].clone();
+        let job = &mut self.pings[k];
         if job.remaining == 0 {
             return;
         }
-        self.pings[k].remaining -= 1;
-        self.pings[k].seq = self.pings[k].seq.wrapping_add(1);
-        let seq = self.pings[k].seq;
-        self.ping(ctx, job.dst_ip, seq);
-        if self.pings[k].remaining > 0 {
+        job.remaining -= 1;
+        job.seq = job.seq.wrapping_add(1);
+        let frame = PacketBuilder::icmp_echo_request(
+            self.mac,
+            job.dst_mac,
+            self.ip,
+            job.dst_ip,
+            1,
+            job.seq,
+        );
+        let pkt = ctx.new_packet(frame);
+        ctx.send(0, pkt);
+        if job.remaining > 0 {
             ctx.set_timer(job.interval, PING_TOKEN_BASE + k as u64);
         }
     }
 
     fn emit_udp(&mut self, ctx: &mut NodeCtx<'_>, k: usize) {
-        let s = self.streams[k].clone();
+        let s = &mut self.streams[k];
         if s.remaining == 0 {
-            self.streams[k].finished = true;
+            s.finished = true;
             return;
         }
-        self.streams[k].remaining -= 1;
-        if let Some(&dst_mac) = self.arp_table.get(&s.dst_ip) {
-            let (mac, ip) = (self.mac, self.ip);
-            let frame = self.tx_pool.get_or_build((k, dst_mac), || {
-                PacketBuilder::udp_with_len(
-                    mac,
-                    dst_mac,
-                    ip,
-                    s.dst_ip,
-                    s.sport,
-                    s.dport,
-                    s.frame_len,
-                )
-            });
-            let pkt = ctx.new_packet(frame);
-            self.stats.udp_tx += 1;
-            ctx.send(0, pkt);
-        } else {
-            // Resolve first; queue the frame against the resolution.
-            let frame = PacketBuilder::udp_with_len(
-                self.mac,
-                MacAddr::ZERO, // fixed up on resolution
-                self.ip,
-                s.dst_ip,
-                s.sport,
-                s.dport,
-                s.frame_len,
-            );
-            self.pending.entry(s.dst_ip).or_default().push(frame);
-            let req = PacketBuilder::arp_request(self.mac, self.ip, s.dst_ip);
-            let pkt = ctx.new_packet(req);
-            ctx.send(0, pkt);
-        }
-        if self.streams[k].remaining > 0 {
+        s.remaining -= 1;
+        let pkt = ctx.new_packet(s.frame.clone());
+        self.stats.udp_tx += 1;
+        ctx.send(0, pkt);
+        if s.remaining > 0 {
             ctx.set_timer(s.interval, k as u64);
         } else {
-            self.streams[k].finished = true;
-        }
-    }
-
-    fn flush_pending(&mut self, ctx: &mut NodeCtx<'_>, ip: Ipv4Addr, mac: MacAddr) {
-        if let Some(frames) = self.pending.remove(&ip) {
-            for frame in frames {
-                // Patch the destination MAC (first 6 bytes of the frame).
-                let mut v = frame.to_vec();
-                v[0..6].copy_from_slice(&mac.0);
-                let pkt = ctx.new_packet(Bytes::from(v));
-                self.stats.udp_tx += 1;
-                ctx.send(0, pkt);
-            }
-        }
-    }
-
-    fn handle_arp(&mut self, ctx: &mut NodeCtx<'_>, payload: &[u8]) {
-        self.stats.arp_rx += 1;
-        let Ok(arp) = ArpPacket::decode(payload) else {
-            return;
-        };
-        // Learn the sender binding either way.
-        self.arp_table.insert(arp.sender_ip, arp.sender_mac);
-        self.flush_pending(ctx, arp.sender_ip, arp.sender_mac);
-        if arp.operation == escape_packet::ArpOperation::Request && arp.target_ip == self.ip {
-            let rep = ArpPacket::reply_to(&arp, self.mac);
-            let pkt = ctx.new_packet(PacketBuilder::arp(self.mac, arp.sender_mac, &rep));
-            ctx.send(0, pkt);
+            s.finished = true;
         }
     }
 
@@ -415,17 +366,6 @@ impl Host {
             _ => {}
         }
     }
-
-    /// Sends one ICMP echo request (needs an ARP entry for `dst_ip`).
-    pub fn ping(&mut self, ctx: &mut NodeCtx<'_>, dst_ip: Ipv4Addr, seq: u16) -> bool {
-        let Some(&mac) = self.arp_table.get(&dst_ip) else {
-            return false;
-        };
-        let frame = PacketBuilder::icmp_echo_request(self.mac, mac, self.ip, dst_ip, 1, seq);
-        let pkt = ctx.new_packet(frame);
-        ctx.send(0, pkt);
-        true
-    }
 }
 
 impl NodeLogic for Host {
@@ -436,10 +376,8 @@ impl NodeLogic for Host {
         if eth.dst != self.mac && !eth.dst.is_broadcast() {
             return; // promiscuous filtering off
         }
-        match eth.ethertype {
-            EtherType::Arp => self.handle_arp(ctx, payload),
-            EtherType::Ipv4 => self.handle_ipv4(ctx, &pkt, &eth, payload),
-            _ => {}
+        if eth.ethertype == EtherType::Ipv4 {
+            self.handle_ipv4(ctx, &pkt, &eth, payload);
         }
     }
 
@@ -486,23 +424,31 @@ mod tests {
     }
 
     #[test]
-    fn udp_stream_with_arp_resolution_delivers_everything() {
+    fn streams_and_pings_need_a_static_entry() {
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
         let (mut sim, na, nb) = hosts_back_to_back();
-        sim.node_as_mut::<Host>(na).unwrap().add_stream(
-            Ipv4Addr::new(10, 0, 0, 2),
-            5000,
-            9000,
-            100,
-            Time::from_us(100),
-            50,
-        );
+        let register = |sim: &mut Sim| {
+            let ha = sim.node_as_mut::<Host>(na).unwrap();
+            let stream = ha.add_stream(dst, 5000, 9000, 100, Time::from_us(100), 50);
+            (stream, ha.add_ping(dst, Time::from_us(100), 5))
+        };
+        assert_eq!(register(&mut sim), (None, None));
         Host::start_streams(&mut sim, na, Time::ZERO);
         sim.run(100_000);
+        assert_eq!(sim.stats().frames_sent, 0, "nothing was armed");
+
+        sim.node_as_mut::<Host>(na)
+            .unwrap()
+            .static_arp(dst, MacAddr::from_id(2));
+        assert_eq!(register(&mut sim), (Some(0), Some(0)));
+        let now = sim.now();
+        Host::start_streams(&mut sim, na, now);
+        sim.run(100_000);
         let hb = sim.node_as::<Host>(nb).unwrap();
-        assert_eq!(hb.stats.udp_rx, 50);
+        assert_eq!((hb.stats.udp_rx, hb.stats.icmp_echo_rx), (50, 5));
         assert!(hb.stats.mean_latency().unwrap() >= Time::from_us(50)); // at least propagation
         let ha = sim.node_as::<Host>(na).unwrap();
-        assert_eq!(ha.stats.udp_tx, 50);
+        assert_eq!((ha.stats.udp_tx, ha.stats.icmp_reply_rx), (50, 5));
     }
 
     #[test]
@@ -522,17 +468,21 @@ mod tests {
                 100,
                 Time::from_us(100),
                 1_000,
-            );
+            )
+            .unwrap();
         }
         Host::start_streams(&mut sim, na, Time::ZERO);
-        sim.node_as_mut::<Host>(na).unwrap().add_stream(
-            Ipv4Addr::new(10, 0, 0, 2),
-            5001,
-            9000,
-            100,
-            Time::from_us(100),
-            1_000,
-        );
+        sim.node_as_mut::<Host>(na)
+            .unwrap()
+            .add_stream(
+                Ipv4Addr::new(10, 0, 0, 2),
+                5001,
+                9000,
+                100,
+                Time::from_us(100),
+                1_000,
+            )
+            .unwrap();
         Host::start_streams(&mut sim, na, Time::ZERO);
         // 1 ms = 10 intervals: ~10 frames per stream (+1 initial each),
         // far below the 1000 registered — a forked chain for A would
@@ -555,35 +505,46 @@ mod tests {
         }
         Host::start_streams(&mut sim, na, Time::ZERO);
         sim.run(10_000);
-        assert_eq!(sim.node_as::<Host>(nb).unwrap().stats.arp_rx, 0);
+        // The stream's three frames are all that crosses the link.
+        assert_eq!(sim.stats().frames_sent, 3);
         assert_eq!(sim.node_as::<Host>(nb).unwrap().stats.udp_rx, 3);
     }
 
     #[test]
     fn stream_frames_are_pooled_after_first_build() {
-        let (mut sim, na, nb) = hosts_back_to_back();
-        {
-            let ha = sim.node_as_mut::<Host>(na).unwrap();
-            ha.static_arp(Ipv4Addr::new(10, 0, 0, 2), MacAddr::from_id(2));
-            ha.add_stream(Ipv4Addr::new(10, 0, 0, 2), 1, 2, 64, Time::from_us(10), 20);
+        // Keeps every frame it receives.
+        #[derive(Default)]
+        struct Sink(Vec<Bytes>);
+        impl NodeLogic for Sink {
+            fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: u16, pkt: Packet) {
+                self.0.push(pkt.data);
+            }
         }
+        let mut sim = Sim::new(7);
+        let mut a = Host::new(MacAddr::from_id(1), Ipv4Addr::new(10, 0, 0, 1));
+        a.static_arp(Ipv4Addr::new(10, 0, 0, 2), MacAddr::from_id(2));
+        a.add_stream(Ipv4Addr::new(10, 0, 0, 2), 1, 2, 64, Time::from_us(10), 20);
+        let na = sim.add_node("h1", 1, Box::new(a));
+        let nb = sim.add_node("sink", 1, Box::new(Sink::default()));
+        sim.connect((na, 0), (nb, 0), LinkConfig::lan());
         Host::start_streams(&mut sim, na, Time::ZERO);
         sim.run(100_000);
-        let ha = sim.node_as::<Host>(na).unwrap();
-        assert_eq!(
-            (ha.tx_pool.builds, ha.tx_pool.hits),
-            (1, 19),
-            "one layered encode, nineteen refcount clones"
+        let built = sim.node_as::<Host>(na).unwrap().streams[0].frame.as_ptr();
+        let rx = &sim.node_as::<Sink>(nb).unwrap().0;
+        assert_eq!(rx.len(), 20);
+        assert!(
+            rx.iter().all(|f| f.as_ptr() == built),
+            "one layered encode, every frame a refcount clone of it"
         );
-        assert_eq!(sim.node_as::<Host>(nb).unwrap().stats.udp_rx, 20);
     }
 
     #[test]
     fn finished_stream_slot_is_reused_with_its_own_frame() {
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         // Sends `streams` (source port, frame length, count) one after
-        // the other from one host; returns the slot each took, the frames
-        // left pooled, and [udp_tx, udp_rx, bytes_rx].
+        // the other from one host; returns the slot each took, the length
+        // of each frame the host still holds, and [udp_tx, udp_rx,
+        // bytes_rx].
         let run = |streams: &[(u16, usize, u64)]| {
             let (mut sim, na, nb) = hosts_back_to_back();
             let ha = sim.node_as_mut::<Host>(na).unwrap();
@@ -600,15 +561,20 @@ mod tests {
                 sim.node_as::<Host>(nb).unwrap(),
             );
             let counts = [ha.stats.udp_tx, hb.stats.udp_rx, hb.stats.bytes_rx];
-            (slots, ha.tx_pool.len(), counts)
+            let frames: Vec<usize> = ha.streams.iter().map(|s| s.frame.len()).collect();
+            (slots, frames, counts)
         };
         let (first, second) = ((5000, 100, 5), (6000, 300, 7));
-        let (slots, pooled, both) = run(&[first, second]);
-        assert_eq!(slots, [0, 0], "the finished stream's slot is reused");
-        assert_eq!(pooled, 1, "the old stream's frame went with it");
-        // The second stream sent its own bytes, not the frame pooled
-        // under its slot: counts and bytes match each stream alone on a
-        // fresh host.
+        let (slots, frames, both) = run(&[first, second]);
+        assert_eq!(
+            slots,
+            [Some(0), Some(0)],
+            "the finished stream's slot is reused"
+        );
+        assert_eq!(frames, [300], "the old stream's frame went with it");
+        // The second stream sent its own bytes, not the frame built for
+        // its slot's last owner: counts and bytes match each stream alone
+        // on a fresh host.
         let (one, two) = (run(&[first]).2, run(&[second]).2);
         assert_eq!(both, [one[0] + two[0], one[1] + two[1], one[2] + two[2]]);
 
@@ -616,22 +582,19 @@ mod tests {
         let (mut sim, na, _) = hosts_back_to_back();
         let add = |sim: &mut Sim| {
             let ha = sim.node_as_mut::<Host>(na).unwrap();
+            ha.static_arp(dst, MacAddr::from_id(2));
             ha.add_stream(dst, 1, 2, 64, Time::from_us(10), 0)
         };
-        assert_eq!(add(&mut sim), 0);
+        assert_eq!(add(&mut sim), Some(0));
         Host::start_streams(&mut sim, na, Time::ZERO);
-        assert_eq!(add(&mut sim), 1, "slot 0's timer is still in flight");
+        assert_eq!(add(&mut sim), Some(1), "slot 0's timer is still in flight");
         sim.run(100);
-        assert_eq!(add(&mut sim), 0);
+        assert_eq!(add(&mut sim), Some(0));
     }
 
     #[test]
     fn ping_round_trip() {
         let (mut sim, na, nb) = hosts_back_to_back();
-        // Resolve b's MAC first via a 1-packet stream... simpler: static.
-        sim.node_as_mut::<Host>(na)
-            .unwrap()
-            .static_arp(Ipv4Addr::new(10, 0, 0, 2), MacAddr::from_id(2));
         // Drive the ping from a timer-like injection: build the echo frame
         // directly and inject it at b-side port of a's interface.
         let frame = PacketBuilder::icmp_echo_request(

@@ -364,11 +364,6 @@ impl Sim {
         self.links[link.0 as usize].cfg.delay
     }
 
-    /// A link's current administrative state.
-    pub fn link_state(&self, link: LinkId) -> LinkState {
-        self.links[link.0 as usize].state
-    }
-
     /// Creates a control channel between two nodes: reliable, ordered,
     /// fixed-latency message delivery in both directions. This models the
     /// paper's dedicated control network (NETCONF sessions, the OpenFlow
@@ -694,11 +689,6 @@ impl Sim {
             None => false,
         }
     }
-
-    /// True if the node currently has live logic (not killed or paused).
-    pub fn node_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].logic.is_some()
-    }
 }
 
 /// The capability surface a node sees while handling an event.
@@ -711,11 +701,6 @@ impl NodeCtx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.sim.clock
-    }
-
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Transmits a frame out of `port`.

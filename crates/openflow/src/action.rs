@@ -280,10 +280,11 @@ mod tests {
 
     #[test]
     fn rewrites_on_non_ip_are_noops() {
-        let arp = PacketBuilder::arp_request(
+        let arp = PacketBuilder::ethernet(
             MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
         );
         let sent = run(
             &[Action::SetNwDst(Ipv4Addr::new(9, 9, 9, 9)), Action::out(1)],

@@ -254,14 +254,6 @@ impl Match {
         self.dl_type = Some(t);
         self
     }
-    pub fn with_dl_src(mut self, m: MacAddr) -> Self {
-        self.dl_src = Some(m);
-        self
-    }
-    pub fn with_dl_dst(mut self, m: MacAddr) -> Self {
-        self.dl_dst = Some(m);
-        self
-    }
     pub fn with_nw_proto(mut self, p: u8) -> Self {
         self.nw_proto = Some(p);
         // nw fields require dl_type ip
@@ -286,10 +278,6 @@ impl Match {
     }
     pub fn with_tp_dst(mut self, p: u16) -> Self {
         self.tp_dst = Some(p);
-        self
-    }
-    pub fn with_tp_src(mut self, p: u16) -> Self {
-        self.tp_src = Some(p);
         self
     }
     /// Restricts the match to flows whose steering hash lands in `bucket`

@@ -15,6 +15,9 @@ const MAX_BUFFERS: usize = 256;
 /// as many as fit behind the header and the 10 fixed packet-in bytes
 /// without the message outgrowing its 16-bit length field.
 const MISS_SEND_LEN: usize = u16::MAX as usize - HEADER_LEN - 10;
+/// Bytes of an undecodable message an `OFPT_ERROR` reply echoes: the 64
+/// OpenFlow asks for, so the reply's 16-bit length cannot wrap.
+const ERROR_DATA_LEN: usize = 64;
 
 /// An OpenFlow 1.0 switch as an emulator node.
 ///
@@ -104,7 +107,12 @@ impl Switch {
             }
         }
         let id = self.next_buffer;
-        self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
+        // Ids run 1..NO_BUFFER: 0 is never handed out, and NO_BUFFER
+        // would read as "no buffer", parking the packet for good.
+        self.next_buffer = match id.wrapping_add(1) {
+            0 | NO_BUFFER => 1,
+            next => next,
+        };
         self.buffers.insert(id, (in_port, pkt));
         self.buffer_order.push(id);
         id
@@ -187,10 +195,11 @@ impl NodeLogic for Switch {
         self.send_ctrl(ctx, msg);
     }
 
-    fn on_ctrl(&mut self, ctx: &mut NodeCtx<'_>, _conn: CtrlId, msg: Vec<u8>) {
+    fn on_ctrl(&mut self, ctx: &mut NodeCtx<'_>, _conn: CtrlId, mut msg: Vec<u8>) {
         let (msg, _) = match OfMessage::decode(&msg) {
             Ok(ok) => ok,
             Err(_) => {
+                msg.truncate(ERROR_DATA_LEN);
                 self.send_ctrl(
                     ctx,
                     OfMessage::Error {
@@ -610,6 +619,53 @@ mod tests {
             let stub = sim.node_as::<CtrlStub>(c).unwrap();
             assert!(matches!(stub.inbox[0], OfMessage::Error { .. }));
         }
+    }
+
+    #[test]
+    fn error_reply_echoes_the_first_64_bytes() {
+        // Long enough that echoing all of it would wrap the reply's
+        // 16-bit length: 65 524 + 12 header and error bytes > 65 535.
+        let mut bad: Vec<u8> = (0..65_524u32).map(|i| i as u8).collect();
+        bad[0] = 0xde; // not OpenFlow 1.0
+        let (mut sim, _sw, _sinks, c, conn) = rig();
+        sim.ctrl_send_from(c, conn, bad.clone());
+        sim.run(10);
+        match &sim.node_as::<CtrlStub>(c).unwrap().inbox[..] {
+            [OfMessage::Error { data, .. }] => assert_eq!(data[..], bad[..64]),
+            other => panic!("expected one error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn buffer_ids_skip_no_buffer_when_they_wrap() {
+        let (mut sim, sw, sinks, c, conn) = rig();
+        sim.node_as_mut::<Switch>(sw).unwrap().next_buffer = 0xffff_fffe;
+        for dport in [80, 81] {
+            sim.inject(sw, 0, frame(dport), sim.now());
+            sim.run(100);
+        }
+        let ids: Vec<u32> = sim
+            .node_as::<CtrlStub>(c)
+            .unwrap()
+            .inbox
+            .iter()
+            .map(|m| match m {
+                OfMessage::PacketIn { buffer_id, .. } => *buffer_id,
+                other => panic!("expected packet-in, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, [0xffff_fffe, 1]);
+        let po = OfMessage::PacketOut {
+            buffer_id: 1,
+            in_port: 0,
+            actions: vec![Action::out(1)],
+            data: Bytes::new(),
+        };
+        sim.ctrl_send_from(c, conn, po.encode(2));
+        sim.run(100);
+        let rx = &sim.node_as::<Sink>(sinks[1]).unwrap().rx;
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx[0].1.data, frame(81), "the packet parked under id 1");
     }
 
     #[test]

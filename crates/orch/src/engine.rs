@@ -165,11 +165,6 @@ impl Orchestrator {
         self.algorithm.name()
     }
 
-    /// Swaps the mapping algorithm ("easily changed or customized").
-    pub fn set_algorithm(&mut self, algorithm: Box<dyn MappingAlgorithm>) {
-        self.algorithm = algorithm;
-    }
-
     /// The current residual view.
     pub fn state(&self) -> &ResourceState {
         &self.state

@@ -3,7 +3,6 @@
 //! Workload generators, tests and examples use these to mint complete
 //! Ethernet frames in one call.
 
-use crate::arp::ArpPacket;
 use crate::ether::{EtherType, EthernetHeader};
 use crate::icmp::IcmpPacket;
 use crate::ipv4::{IpProtocol, Ipv4Header};
@@ -113,28 +112,6 @@ impl PacketBuilder {
         )
     }
 
-    /// An ARP packet in an Ethernet frame.
-    pub fn arp(eth_src: MacAddr, eth_dst: MacAddr, arp: &ArpPacket) -> Bytes {
-        let arp = arp.encode();
-        Self::ethernet(eth_src, eth_dst, EtherType::Arp, |buf| {
-            buf.extend_from_slice(&arp)
-        })
-    }
-
-    /// A broadcast ARP request.
-    pub fn arp_request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Bytes {
-        let req = ArpPacket::request(sender_mac, sender_ip, target_ip);
-        Self::arp(sender_mac, MacAddr::BROADCAST, &req)
-    }
-
-    /// A unicast ARP reply.
-    pub fn arp_reply(req_frame: &[u8], my_mac: MacAddr) -> Option<Bytes> {
-        let (_, payload) = EthernetHeader::parse(req_frame).ok()?;
-        let req = ArpPacket::decode(payload).ok()?;
-        let rep = ArpPacket::reply_to(&req, my_mac);
-        Some(Self::arp(my_mac, req.sender_mac, &rep))
-    }
-
     /// An ICMP echo request frame.
     pub fn icmp_echo_request(
         eth_src: MacAddr,
@@ -209,17 +186,6 @@ mod tests {
         let (ip, l4) = Ipv4Header::parse(l3).unwrap();
         let (seg, _) = TcpHeader::parse(l4, ip.src, ip.dst).unwrap();
         assert_eq!(seg.flags, flags::SYN);
-    }
-
-    #[test]
-    fn arp_reply_answers_request() {
-        let req = PacketBuilder::arp_request(A_MAC, A_IP, B_IP);
-        let rep = PacketBuilder::arp_reply(&req, B_MAC).unwrap();
-        let (eth, payload) = EthernetHeader::parse(&rep).unwrap();
-        assert_eq!(eth.dst, A_MAC); // unicast back to the asker
-        let arp = ArpPacket::decode(payload).unwrap();
-        assert_eq!(arp.sender_mac, B_MAC);
-        assert_eq!(arp.sender_ip, B_IP);
     }
 
     #[test]

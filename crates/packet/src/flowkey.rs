@@ -132,10 +132,11 @@ mod tests {
 
     #[test]
     fn arp_key_has_no_ip_fields() {
-        let frame = PacketBuilder::arp_request(
+        let frame = PacketBuilder::ethernet(
             MacAddr::from_id(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
         );
         let key = FlowKey::extract(&frame).unwrap();
         assert_eq!(key.eth_type, 0x0806);

@@ -3,7 +3,7 @@
 //! Wire formats for the ESCAPE-RS emulated dataplane.
 //!
 //! This crate implements the packet formats that flow through the emulated
-//! network: Ethernet II, ARP, IPv4, UDP, TCP and ICMPv4. Ethernet, IPv4,
+//! network: Ethernet II, IPv4, UDP, TCP and ICMPv4. Ethernet, IPv4,
 //! UDP and TCP each have one header type with one reader, `parse`, which
 //! validates the header in place and returns the payload as a slice, and
 //! one writer, `put`, which appends the header (with its checksum) to a
@@ -11,8 +11,8 @@
 //! frame, lets the edit change the header values, and writes back only the
 //! layers it touched. So each format is read and written in one place, and
 //! the per-frame path copies nothing to read and allocates nothing to
-//! edit. ARP and ICMP, which no frame carries per hop, keep owned
-//! `decode`/`encode` pairs.
+//! edit. ICMP, which no frame carries per hop, keeps an owned
+//! `decode`/`encode` pair.
 //!
 //! Design notes (following the smoltcp philosophy):
 //! * simplicity over cleverness — plain `Copy` header structs with
@@ -25,7 +25,6 @@
 //! the OpenFlow switch exchange: raw bytes plus a lazily computed
 //! [`FlowKey`] describing the header fields OpenFlow 1.0 can match on.
 
-pub mod arp;
 pub mod builder;
 pub mod checksum;
 pub mod ether;
@@ -34,12 +33,10 @@ pub mod icmp;
 pub mod ipv4;
 pub mod lookup;
 pub mod mac;
-pub mod pool;
 pub mod rewrite;
 pub mod tcp;
 pub mod udp;
 
-pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
 pub use ether::{EtherType, EthernetHeader};
 pub use flowkey::FlowKey;
@@ -47,7 +44,6 @@ pub use icmp::{IcmpPacket, IcmpType};
 pub use ipv4::{IpProtocol, Ipv4Header};
 pub use lookup::{FxBuildHasher, LookupMap};
 pub use mac::MacAddr;
-pub use pool::FramePool;
 pub use rewrite::{rewrite, Headers};
 pub use tcp::TcpHeader;
 pub use udp::UdpHeader;

@@ -151,11 +151,6 @@ impl<K: Eq + Hash, V> LookupMap<K, V> {
         self.0.retain(keep);
     }
 
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.0.clear();
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -218,8 +213,6 @@ mod tests {
         m.retain(|_, v| *v > 2);
         assert!(!m.contains_key("a"));
         assert_eq!(m.remove("b"), Some(6));
-        m.insert("c".into(), 0);
-        m.clear();
         assert!(m.is_empty());
         assert_eq!(format!("{m:?}"), "LookupMap { len: 0 }");
     }

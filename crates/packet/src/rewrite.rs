@@ -201,7 +201,12 @@ mod tests {
     #[test]
     fn short_frames_fail_and_non_ip_has_no_ip_layer() {
         assert!(rewrite(&[0u8; 13], &mut Vec::new(), |_| {}).is_err());
-        let arp = PacketBuilder::arp_request(MacAddr::from_id(1), A, B);
+        let arp = PacketBuilder::ethernet(
+            MacAddr::from_id(1),
+            MacAddr::BROADCAST,
+            EtherType::Arp,
+            |b| b.extend_from_slice(&[0; 28]),
+        );
         let out = edited(&arp, |h| {
             assert!(h.ip_mut().is_none() && h.ports_mut().is_none());
         });

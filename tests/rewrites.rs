@@ -21,7 +21,7 @@ use escape_click::{Registry, Router};
 use escape_netem::{CtrlId, LinkConfig, NodeCtx, NodeId, NodeLogic, Sim, Time};
 use escape_openflow::switch::{Switch, NO_BUFFER};
 use escape_openflow::{port, Action, OfMessage};
-use escape_packet::{checksum, FlowKey, MacAddr, Packet, PacketBuilder};
+use escape_packet::{checksum, EtherType, FlowKey, MacAddr, Packet, PacketBuilder};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -156,7 +156,15 @@ fn inputs() -> Vec<(String, Vec<u8>)> {
     )
     .to_vec();
     let icmp = PacketBuilder::icmp_echo_request(MAC_A, MAC_B, IP_A, IP_B, 7, 1).to_vec();
-    let arp = PacketBuilder::arp_request(MAC_A, IP_A, IP_B).to_vec();
+    // An ARP request from A for B's address.
+    let arp = PacketBuilder::ethernet(MAC_A, MacAddr::BROADCAST, EtherType::Arp, |b| {
+        b.extend_from_slice(&[0, 1, 8, 0, 6, 4, 0, 1]);
+        b.extend_from_slice(&MAC_A.0);
+        b.extend_from_slice(&IP_A.octets());
+        b.extend_from_slice(&[0; 6]);
+        b.extend_from_slice(&IP_B.octets());
+    })
+    .to_vec();
     let builder = [
         ("udp", &udp),
         ("tcp_syn", &syn),
@@ -518,10 +526,6 @@ fn builder_lines(out: &mut String) {
         let _ = writeln!(out, "build.tcp_syn {i} {}", hex(&f));
         let f = PacketBuilder::icmp_echo_request(em, dm, si, di, s.port(), s.port());
         let _ = writeln!(out, "build.icmp_echo_request {i} {}", hex(&f));
-        let req = PacketBuilder::arp_request(em, si, di);
-        let _ = writeln!(out, "build.arp_request {i} {}", hex(&req));
-        let rep = PacketBuilder::arp_reply(&req, dm).map(|r| r.to_vec());
-        let _ = writeln!(out, "build.arp_reply {i} {}", render(&[], rep.as_deref()));
         let len = 42 + s.below(100);
         let f = PacketBuilder::udp_with_len(em, dm, si, di, sp, dp, len);
         let _ = writeln!(out, "build.udp_with_len {i} {}", hex(&f));
