@@ -1,12 +1,12 @@
 //! E2 — Mapping runtime: wall-clock time of one `embed_graph` of a whole
 //! workload per algorithm, on star topologies of growing size.
 //!
-//! The algorithms are the CLI's five (`algorithm_by_name`) in their
+//! The algorithms are the CLI's three (`ALGORITHMS`) in their
 //! shipped configurations; the workload is the library's default
 //! random workload with one chain per leaf. Mapping *quality* is
 //! virtual, so it is pinned by `tests/experiments.rs` instead.
 
-use escape::session::algorithm_by_name;
+use escape::session::{algorithm_by_name, ALGORITHMS};
 use escape_orch::workload::{random_service_graph, WorkloadSpec};
 use escape_orch::Orchestrator;
 use escape_sg::topo::builders;
@@ -28,7 +28,7 @@ fn main() {
             ..WorkloadSpec::default()
         };
         let sg = random_service_graph(&topo, &spec).unwrap();
-        for name in ["first_fit", "best_fit", "nearest", "backtrack", "anneal"] {
+        for name in ALGORITHMS {
             // Backtracking is exponential: past 8 leaves it hits its budget.
             if name == "backtrack" && leaves > 8 {
                 continue;

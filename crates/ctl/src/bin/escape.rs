@@ -12,7 +12,7 @@
 //! escape top [--socket PATH] [--json]  (sparkline view of daemon time series)
 //!
 //! options:
-//!   --algorithm first_fit|best_fit|nearest|backtrack|anneal   (default nearest)
+//!   --algorithm first_fit|nearest|backtrack                   (default nearest)
 //!   --steering  proactive|reactive                            (default proactive)
 //!   --traffic   FROM:TO:COUNT[:LEN[:INTERVAL_US]]             (repeatable)
 //!   --ping      FROM:TO:COUNT                                 (repeatable)

@@ -16,9 +16,7 @@ use crate::flight::SlaVerdict;
 use escape_json::wire::Pairs;
 use escape_json::{wire_enum, wire_struct, Writer};
 use escape_netem::FaultPlan;
-use escape_orch::{
-    Backtracking, BestFitCpu, GreedyFirstFit, MappingAlgorithm, NearestNeighbor, SimulatedAnnealing,
-};
+use escape_orch::{Backtracking, GreedyFirstFit, MappingAlgorithm, NearestNeighbor};
 use escape_pox::SteeringMode;
 use escape_sg::{parse_service_graph, parse_topology, ResourceTopology, ServiceGraph};
 use escape_telemetry::SamplerConfig;
@@ -46,15 +44,22 @@ impl InputFormat {
     }
 }
 
+/// The CLI names of the mapping algorithms, in [`algorithm_by_name`]'s
+/// order.
+pub const ALGORITHMS: [&str; 3] = ["first_fit", "nearest", "backtrack"];
+
 /// Resolves a mapping algorithm by its CLI name.
 pub fn algorithm_by_name(name: &str) -> Result<Box<dyn MappingAlgorithm>, String> {
     Ok(match name {
         "first_fit" => Box::new(GreedyFirstFit),
-        "best_fit" => Box::new(BestFitCpu),
         "nearest" => Box::new(NearestNeighbor),
         "backtrack" => Box::new(Backtracking::default()),
-        "anneal" => Box::new(SimulatedAnnealing::default()),
-        other => return Err(format!("unknown algorithm {other:?}")),
+        other => {
+            let [a, b, c] = ALGORITHMS;
+            return Err(format!(
+                "unknown algorithm {other:?} (expected {a}, {b} or {c})"
+            ));
+        }
     })
 }
 
@@ -498,17 +503,24 @@ mod tests {
 
     #[test]
     fn unknown_algorithm_is_typed() {
-        let err = match Session::new(
-            demo_topology(),
-            SessionConfig {
-                algorithm: "magic".into(),
-                ..SessionConfig::default()
-            },
-        ) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown algorithm accepted"),
-        };
-        assert!(matches!(err, EscapeError::Invalid(_)), "{err}");
+        // The two retired algorithms are refused like any other name.
+        for name in ["magic", "best_fit", "anneal"] {
+            let err = match Session::new(
+                demo_topology(),
+                SessionConfig {
+                    algorithm: name.into(),
+                    ..SessionConfig::default()
+                },
+            ) {
+                Err(e) => e,
+                Ok(_) => panic!("unknown algorithm {name} accepted"),
+            };
+            assert!(matches!(err, EscapeError::Invalid(_)), "{err}");
+            let text = err.to_string();
+            for known in ALGORITHMS {
+                assert!(text.contains(known), "{text}");
+            }
+        }
     }
 
     #[test]

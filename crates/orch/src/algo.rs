@@ -4,8 +4,6 @@ use crate::engine::{route_chain, ChainMapping};
 use crate::path::PathSearch;
 use crate::state::ResourceState;
 use escape_sg::{Chain, ServiceGraph};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Why a chain could not be mapped.
@@ -125,45 +123,6 @@ impl MappingAlgorithm for GreedyFirstFit {
                 .containers_sorted()
                 .into_iter()
                 .find(|c| scratch.fits(c, cpu, mem))
-                .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
-            scratch
-                .reserve_compute(&host, cpu, mem)
-                .expect("fits was checked");
-            placement.push((vnf.to_string(), host));
-        }
-        finish(paths, chain, placement)
-    }
-}
-
-/// Best-fit on CPU: take the fitting container with the least residual
-/// CPU (classic bin-packing best-fit, consolidates load).
-pub struct BestFitCpu;
-
-impl MappingAlgorithm for BestFitCpu {
-    fn name(&self) -> &'static str {
-        "best_fit_cpu"
-    }
-
-    fn map_chain(
-        &mut self,
-        paths: &mut PathSearch<'_>,
-        sg: &ServiceGraph,
-        chain: &Chain,
-        state: &ResourceState,
-    ) -> Result<ChainMapping, MapError> {
-        let mut scratch = state.clone();
-        let mut placement = Vec::new();
-        for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
-            let host = scratch
-                .containers_sorted()
-                .into_iter()
-                .filter(|c| scratch.fits(c, cpu, mem))
-                .min_by(|a, b| {
-                    scratch
-                        .cpu_of(a)
-                        .partial_cmp(&scratch.cpu_of(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
                 .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
             scratch
                 .reserve_compute(&host, cpu, mem)
@@ -323,89 +282,6 @@ impl MappingAlgorithm for Backtracking {
     }
 }
 
-/// Simulated annealing over placements, minimizing total delay. Starts
-/// from first-fit, proposes single-VNF relocations, accepts worse moves
-/// with a temperature-decayed probability. Deterministic per seed.
-pub struct SimulatedAnnealing {
-    pub iterations: u32,
-    pub seed: u64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            iterations: 500,
-            seed: 42,
-        }
-    }
-}
-
-impl MappingAlgorithm for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "simulated_annealing"
-    }
-
-    fn map_chain(
-        &mut self,
-        paths: &mut PathSearch<'_>,
-        sg: &ServiceGraph,
-        chain: &Chain,
-        state: &ResourceState,
-    ) -> Result<ChainMapping, MapError> {
-        let vnfs = chain_vnfs(sg, chain)?;
-        let mut current = GreedyFirstFit.map_chain(paths, sg, chain, state)?;
-        if vnfs.is_empty() {
-            return Ok(current);
-        }
-        let containers = state.containers_sorted();
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut best = current.clone();
-        for it in 0..self.iterations {
-            let temp = 1.0 - (it as f64 / self.iterations as f64);
-            // Propose: move one VNF to a random other container.
-            let k = rng.gen_range(0..current.placement.len());
-            let new_host = containers[rng.gen_range(0..containers.len())].clone();
-            if current.placement[k].1 == new_host {
-                continue;
-            }
-            let mut proposal = current.placement.clone();
-            proposal[k].1 = new_host;
-            // Feasibility: aggregate demands per container must fit.
-            let mut scratch = state.clone();
-            let mut feasible = true;
-            for ((vnf, host), (_, cpu, mem)) in proposal.iter().zip(&vnfs) {
-                debug_assert_eq!(
-                    vnf,
-                    vnfs[proposal
-                        .iter()
-                        .position(|(v, _)| v == vnf)
-                        .expect("the vnf comes from this proposal")]
-                    .0
-                );
-                if scratch.reserve_compute(host, *cpu, *mem).is_err() {
-                    feasible = false;
-                    break;
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            let Ok(candidate) = finish(paths, chain, proposal) else {
-                continue;
-            };
-            let delta = candidate.total_delay_us as f64 - current.total_delay_us as f64;
-            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / (1.0 + 5_000.0 * temp)).exp();
-            if accept {
-                current = candidate;
-                if current.total_delay_us < best.total_delay_us {
-                    best = current.clone();
-                }
-            }
-        }
-        Ok(best)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,10 +316,8 @@ mod tests {
         let topo = builders::linear(4, 2.0);
         let algos: Vec<Box<dyn MappingAlgorithm>> = vec![
             Box::new(GreedyFirstFit),
-            Box::new(BestFitCpu),
             Box::new(NearestNeighbor),
             Box::new(Backtracking::default()),
-            Box::new(SimulatedAnnealing::default()),
         ];
         for mut a in algos {
             let m = map(a.as_mut(), &topo, &two_vnf_sg()).unwrap();
@@ -522,49 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_consolidates() {
-        // c0 has little CPU left (small), c1 is big: best-fit picks the
-        // tighter c0 for a small VNF.
-        let mut topo = builders::linear(2, 4.0);
-        // Shrink c0 to 1 CPU.
-        for n in &mut topo.nodes {
-            if n.name == "c0" {
-                n.kind = escape_sg::TopoNodeKind::Container {
-                    cpu: 1.0,
-                    mem_mb: 2048,
-                };
-            }
-        }
-        let sg = ServiceGraph::new()
-            .sap("sap0")
-            .sap("sap1")
-            .vnf("small", "monitor", 0.5, 64)
-            .chain("c", &["sap0", "small", "sap1"], 10.0, None);
-        let m = map(&mut BestFitCpu, &topo, &sg).unwrap();
-        assert_eq!(m.container_of("small"), Some("c0"));
-    }
-
-    #[test]
-    fn annealing_is_deterministic_per_seed() {
-        let topo = builders::star(8, 2.0);
-        let sg = two_vnf_sg();
-        let anneal = || SimulatedAnnealing {
-            iterations: 300,
-            seed: 7,
-        };
-        let m1 = map(&mut anneal(), &topo, &sg).unwrap();
-        let m2 = map(&mut anneal(), &topo, &sg).unwrap();
-        assert_eq!(m1.placement, m2.placement);
-        assert_eq!(m1.total_delay_us, m2.total_delay_us);
-    }
-
-    #[test]
     fn no_capacity_error_names_the_vnf() {
         let topo = builders::linear(2, 0.5);
         let sg = two_vnf_sg(); // wants 1.0 CPU per VNF
         for mut a in [
             Box::new(GreedyFirstFit) as Box<dyn MappingAlgorithm>,
-            Box::new(BestFitCpu),
             Box::new(NearestNeighbor),
         ] {
             let e = map(a.as_mut(), &topo, &sg).unwrap_err();
@@ -586,19 +422,5 @@ mod tests {
         let m = map(&mut GreedyFirstFit, &topo, &sg).unwrap();
         assert!(m.placement.is_empty());
         assert_eq!(m.segments.len(), 1);
-    }
-
-    #[test]
-    fn map_error_display() {
-        assert!(MapError::NoCapacity("x".into()).to_string().contains("x"));
-        assert!(MapError::NoPath {
-            from: "a".into(),
-            to: "b".into()
-        }
-        .to_string()
-        .contains("a"));
-        assert!(MapError::DelayExceeded { got: 10, budget: 5 }
-            .to_string()
-            .contains("10"));
     }
 }

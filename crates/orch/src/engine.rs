@@ -6,7 +6,7 @@ use crate::state::{sum_in_name_order, ResourceState};
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
 use escape_telemetry::{Counter, Histogram, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// One routed leg of a chain: the full node path (SAP/container/switch
@@ -116,11 +116,11 @@ impl OrchCounters {
     }
 }
 
-/// The orchestrator: owns the resource view and a pluggable algorithm.
 /// Per-chain commit record: the mapping plus the (container, cpu, mem)
 /// reservations to release on teardown.
 type CommitRecord = (ChainMapping, Vec<(String, f64, u64)>);
 
+/// The orchestrator: owns the resource view and a pluggable algorithm.
 pub struct Orchestrator {
     topo: ResourceTopology,
     /// `topo` compiled for path search. The topology never changes after
@@ -128,7 +128,9 @@ pub struct Orchestrator {
     paths: PathIndex,
     state: ResourceState,
     algorithm: Box<dyn MappingAlgorithm>,
-    committed: HashMap<String, CommitRecord>,
+    /// Keyed by chain name; walked in name order, so every sum and list
+    /// built from it is the same in every process.
+    committed: BTreeMap<String, CommitRecord>,
     counters: OrchCounters,
 }
 
@@ -155,7 +157,7 @@ impl Orchestrator {
             topo,
             state,
             algorithm,
-            committed: HashMap::new(),
+            committed: BTreeMap::new(),
             counters: OrchCounters::new(registry),
         })
     }
@@ -396,17 +398,11 @@ impl Orchestrator {
         self.state.recover_link(a, b)
     }
 
-    /// The committed mapping of an embedded chain, if any.
-    pub fn chain_mapping(&self, chain_name: &str) -> Option<&ChainMapping> {
-        self.committed.get(chain_name).map(|(m, _)| m)
-    }
-
     /// Embedded chains whose routed segments traverse the `a`-`b` link,
-    /// sorted for deterministic recovery order.
+    /// in name order (the recovery order).
     pub fn chains_using_link(&self, a: &str, b: &str) -> Vec<String> {
         let key = link_key(a, b);
-        let mut v: Vec<String> = self
-            .committed
+        self.committed
             .iter()
             .filter(|(_, (m, _))| {
                 m.segments
@@ -414,22 +410,17 @@ impl Orchestrator {
                     .any(|s| s.nodes.windows(2).any(|w| link_key(&w[0], &w[1]) == key))
             })
             .map(|(name, _)| name.clone())
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
-    /// Embedded chains with at least one VNF placed on `container`,
-    /// sorted for deterministic recovery order.
+    /// Embedded chains with at least one VNF placed on `container`, in
+    /// name order (the recovery order).
     pub fn chains_on_container(&self, container: &str) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .committed
+        self.committed
             .iter()
             .filter(|(_, (m, _))| m.placement.iter().any(|(_, c)| c == container))
             .map(|(name, _)| name.clone())
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     /// Fully re-embeds a chain (new placement and routes), e.g. after the
@@ -594,11 +585,9 @@ impl Orchestrator {
         violations
     }
 
-    /// Names of currently embedded chains.
+    /// Names of currently embedded chains, in name order.
     pub fn embedded_chains(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.committed.keys().map(|s| s.as_str()).collect();
-        v.sort_unstable();
-        v
+        self.committed.keys().map(|s| s.as_str()).collect()
     }
 
     /// Fraction of total container CPU currently reserved.
@@ -993,12 +982,52 @@ mod tests {
         assert!(orch.chain_reservations("c1").is_none());
 
         // A double release is exactly the class of leak audit must catch.
-        orch.embed_chain(&g, &g.chains[0]).unwrap();
-        let m = orch.chain_mapping("c1").unwrap().clone();
+        let m = orch.embed_chain(&g, &g.chains[0]).unwrap();
         orch.state.release_path(&m.segments[0].nodes, 100.0);
         let v = orch.audit();
         assert!(!v.is_empty(), "double release must be flagged");
         assert!(v[0].contains("link"), "{v:?}");
+    }
+
+    /// The `reserved` figure of a violation sums `f64` reservations, and
+    /// float addition is not associative: it must be summed in an order
+    /// that depends on neither the embed order nor the process.
+    #[test]
+    fn audit_violation_text_does_not_depend_on_embed_order() {
+        let graphs: Vec<ServiceGraph> = (0..8)
+            .map(|i| {
+                ServiceGraph::new()
+                    .sap("sap0")
+                    .sap("sap1")
+                    .vnf("v", "monitor", 0.1 * (i + 1) as f64, 64)
+                    .chain(&format!("c{i}"), &["sap0", "v", "sap1"], 10.0, None)
+            })
+            .collect();
+        let orders: [[usize; 8]; 4] = [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [7, 6, 5, 4, 3, 2, 1, 0],
+            [3, 0, 6, 1, 7, 4, 2, 5],
+            [5, 2, 7, 0, 4, 1, 6, 3],
+        ];
+        let texts: Vec<Vec<String>> = orders
+            .iter()
+            .map(|order| {
+                let topo = builders::linear(2, 4.0);
+                let mut orch = Orchestrator::new(topo, Box::new(GreedyFirstFit)).unwrap();
+                for &i in order {
+                    let m = orch.embed_chain(&graphs[i], &graphs[i].chains[0]).unwrap();
+                    assert_eq!(m.container_of("v"), Some("c0"));
+                }
+                // A leak: c0's residual no longer matches its ledger.
+                orch.state.cpu.insert("c0".into(), 0.25);
+                orch.audit()
+            })
+            .collect();
+        assert_eq!(texts[0].len(), 1, "{:?}", texts[0]);
+        assert!(texts[0][0].starts_with("container c0: free 0.25 + reserved"));
+        for t in &texts[1..] {
+            assert_eq!(t, &texts[0]);
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! * [`state::ResourceState`] — residual CPU per container and bandwidth
 //!   per link, kept consistent as chains are embedded and released;
-//! * [`algo::MappingAlgorithm`] — the pluggable algorithm trait, with five
-//!   implementations: [`algo::GreedyFirstFit`], [`algo::BestFitCpu`],
-//!   [`algo::NearestNeighbor`], [`algo::Backtracking`] (optimal on small
-//!   instances) and [`algo::SimulatedAnnealing`];
+//! * [`algo::MappingAlgorithm`] — the pluggable algorithm trait, with three
+//!   implementations: [`algo::GreedyFirstFit`], [`algo::NearestNeighbor`]
+//!   and [`algo::Backtracking`] (exhaustive, so optimal on small
+//!   instances: the reference the two heuristics are checked against);
 //! * [`path::PathIndex`] / [`path::PathSearch`] — the path-search layer:
 //!   the topology compiled to integer adjacency once per orchestrator,
 //!   and one shortest-path tree per chain hop that serves both candidate
@@ -30,10 +30,7 @@ pub mod path;
 pub mod state;
 pub mod workload;
 
-pub use algo::{
-    Backtracking, BestFitCpu, GreedyFirstFit, MapError, MappingAlgorithm, NearestNeighbor,
-    SimulatedAnnealing,
-};
+pub use algo::{Backtracking, GreedyFirstFit, MapError, MappingAlgorithm, NearestNeighbor};
 pub use engine::{ChainMapping, Orchestrator, PathSegment};
 pub use path::{PathIndex, PathSearch};
 pub use state::ResourceState;

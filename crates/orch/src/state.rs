@@ -116,11 +116,6 @@ impl ResourceState {
         true
     }
 
-    /// True if the link is currently marked failed.
-    pub fn link_failed(&self, a: &str, b: &str) -> bool {
-        self.failed_links.contains_key(&link_key(a, b))
-    }
-
     /// Reserves compute on a container. Fails without mutating if it
     /// doesn't fit.
     pub fn reserve_compute(
@@ -320,7 +315,7 @@ mod tests {
         let path: Vec<String> = ["s0", "s1", "s2"].map(String::from).to_vec();
         s.reserve_path(&path, 300.0).unwrap();
         assert!(s.fail_link("s1", "s0"), "order-insensitive");
-        assert!(s.link_failed("s0", "s1"));
+        assert!(!s.fail_link("s0", "s1"), "already failed");
         assert_eq!(s.bw_of("s0", "s1"), 0.0);
         assert!(s.reserve_path(&path, 1.0).is_err());
         // Release of the old path goes to the stash, not the live view.
@@ -329,7 +324,7 @@ mod tests {
         assert_eq!(s.bw_of("s1", "s2"), 1000.0, "healthy links release live");
         assert!(s.recover_link("s0", "s1"));
         assert_eq!(s.bw_of("s0", "s1"), 1000.0);
-        assert!(!s.link_failed("s0", "s1"));
+        assert!(!s.recover_link("s0", "s1"), "already recovered");
     }
 
     #[test]

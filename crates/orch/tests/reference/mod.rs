@@ -7,19 +7,15 @@
 use escape_orch::algo::MapError;
 use escape_orch::{ChainMapping, PathSegment, ResourceState};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// The five shipped algorithms, with the search budgets the properties
-/// run them at.
+/// The three shipped algorithms, with the search budget the properties
+/// run backtracking at.
 #[derive(Debug, Clone, Copy)]
 pub enum Algo {
     FirstFit,
-    BestFit,
     Nearest,
     Backtracking { node_budget: u64 },
-    Annealing { iterations: u32, seed: u64 },
 }
 
 pub fn map_chain(
@@ -31,10 +27,8 @@ pub fn map_chain(
 ) -> Result<ChainMapping, MapError> {
     match algo {
         Algo::FirstFit => first_fit(topo, sg, chain, state),
-        Algo::BestFit => best_fit(topo, sg, chain, state),
         Algo::Nearest => nearest(topo, sg, chain, state),
         Algo::Backtracking { node_budget } => backtracking(node_budget, topo, sg, chain, state),
-        Algo::Annealing { iterations, seed } => annealing(iterations, seed, topo, sg, chain, state),
     }
 }
 
@@ -130,34 +124,6 @@ fn first_fit(
             .containers_sorted()
             .into_iter()
             .find(|c| scratch.fits(c, cpu, mem))
-            .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
-        scratch
-            .reserve_compute(&host, cpu, mem)
-            .expect("fits was checked");
-        placement.push((vnf.to_string(), host));
-    }
-    finish(topo, chain, placement, state)
-}
-
-fn best_fit(
-    topo: &ResourceTopology,
-    sg: &ServiceGraph,
-    chain: &Chain,
-    state: &ResourceState,
-) -> Result<ChainMapping, MapError> {
-    let mut scratch = state.clone();
-    let mut placement = Vec::new();
-    for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
-        let host = scratch
-            .containers_sorted()
-            .into_iter()
-            .filter(|c| scratch.fits(c, cpu, mem))
-            .min_by(|a, b| {
-                scratch
-                    .cpu_of(a)
-                    .partial_cmp(&scratch.cpu_of(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
             .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
         scratch
             .reserve_compute(&host, cpu, mem)
@@ -289,52 +255,4 @@ fn backtracking(
             MapError::Infeasible(format!("no feasible embedding for chain {:?}", chain.name))
         }
     })
-}
-
-fn annealing(
-    iterations: u32,
-    seed: u64,
-    topo: &ResourceTopology,
-    sg: &ServiceGraph,
-    chain: &Chain,
-    state: &ResourceState,
-) -> Result<ChainMapping, MapError> {
-    let vnfs = chain_vnfs(sg, chain)?;
-    let mut current = first_fit(topo, sg, chain, state)?;
-    if vnfs.is_empty() {
-        return Ok(current);
-    }
-    let containers = state.containers_sorted();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut best = current.clone();
-    for it in 0..iterations {
-        let temp = 1.0 - (it as f64 / iterations as f64);
-        let k = rng.gen_range(0..current.placement.len());
-        let new_host = containers[rng.gen_range(0..containers.len())].clone();
-        if current.placement[k].1 == new_host {
-            continue;
-        }
-        let mut proposal = current.placement.clone();
-        proposal[k].1 = new_host;
-        let mut scratch = state.clone();
-        let feasible = proposal
-            .iter()
-            .zip(&vnfs)
-            .all(|((_, host), (_, cpu, mem))| scratch.reserve_compute(host, *cpu, *mem).is_ok());
-        if !feasible {
-            continue;
-        }
-        let Ok(candidate) = finish(topo, chain, proposal, state) else {
-            continue;
-        };
-        let delta = candidate.total_delay_us as f64 - current.total_delay_us as f64;
-        let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / (1.0 + 5_000.0 * temp)).exp();
-        if accept {
-            current = candidate;
-            if current.total_delay_us < best.total_delay_us {
-                best = current.clone();
-            }
-        }
-    }
-    Ok(best)
 }

@@ -115,15 +115,6 @@ impl<K: Eq + Hash, V> LookupMap<K, V> {
         self.0.get_mut(k)
     }
 
-    /// True when `k` has a value.
-    #[inline]
-    pub fn contains_key<Q: ?Sized + Hash + Eq>(&self, k: &Q) -> bool
-    where
-        K: Borrow<Q>,
-    {
-        self.0.contains_key(k)
-    }
-
     /// Stores `v` under `k`, returning the value it replaces.
     #[inline]
     pub fn insert(&mut self, k: K, v: V) -> Option<V> {
@@ -211,7 +202,7 @@ mod tests {
         *m.get_mut("b").expect("just inserted") += 1;
         assert_eq!((m.get("a"), m.get("b"), m.len()), (Some(&2), Some(&6), 2));
         m.retain(|_, v| *v > 2);
-        assert!(!m.contains_key("a"));
+        assert_eq!(m.get("a"), None);
         assert_eq!(m.remove("b"), Some(6));
         assert!(m.is_empty());
         assert_eq!(format!("{m:?}"), "LookupMap { len: 0 }");

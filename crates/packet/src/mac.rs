@@ -37,21 +37,6 @@ impl MacAddr {
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
-
-    /// True if the group bit (I/G) is set and the address is not broadcast.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0 && !self.is_broadcast()
-    }
-
-    /// True for ordinary unicast addresses.
-    pub fn is_unicast(&self) -> bool {
-        self.0[0] & 0x01 == 0
-    }
-
-    /// Raw octets.
-    pub fn octets(&self) -> [u8; 6] {
-        self.0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -123,14 +108,9 @@ mod tests {
     #[test]
     fn broadcast_and_multicast_flags() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::BROADCAST.is_unicast());
         let mcast = MacAddr::new([0x01, 0x00, 0x5e, 0, 0, 1]);
-        assert!(mcast.is_multicast());
-        assert!(!mcast.is_unicast());
-        let ucast = MacAddr::from_id(7);
-        assert!(ucast.is_unicast());
-        assert!(!ucast.is_multicast());
+        assert!(!mcast.is_broadcast());
+        assert!(!MacAddr::from_id(7).is_broadcast());
     }
 
     #[test]
@@ -146,7 +126,6 @@ mod tests {
         for id in [0u64, 1, 255, 65_536, u32::MAX as u64] {
             let m = MacAddr::from_id(id);
             assert_eq!(m.0[0], 0x02);
-            assert!(m.is_unicast());
         }
     }
 }

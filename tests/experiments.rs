@@ -19,7 +19,7 @@
 use escape::env::Escape;
 use escape::flight::Outcome;
 use escape::infra::CTRL_LATENCY;
-use escape::session::algorithm_by_name;
+use escape::session::{algorithm_by_name, ALGORITHMS};
 use escape_catalog::Catalog;
 use escape_click::Registry;
 use escape_netem::Time;
@@ -34,9 +34,6 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 const CORPUS: &str = include_str!("experiments.txt");
-
-/// The CLI's mapping algorithms, in their shipped configurations.
-const ALGORITHMS: [&str; 5] = ["first_fit", "best_fit", "nearest", "backtrack", "anneal"];
 
 /// Stringifies each cell of a table row.
 macro_rules! row {
