@@ -93,6 +93,20 @@ pub fn field<T: FromStr>(spec: &str, i: usize, default: T, what: &str) -> Result
     parsed.map_err(|_| format!("bad {what} in {spec:?}"))
 }
 
+/// The most milliseconds the virtual clock can advance by in one step:
+/// one more overflows its nanoseconds.
+const MAX_CLOCK_MS: u64 = u64::MAX / 1_000_000;
+
+/// `ms`, if the virtual clock can advance by that many milliseconds;
+/// otherwise the error naming `what` (a flag or a wire field) and the
+/// bound.
+pub(crate) fn clock_ms(what: &str, ms: u64) -> Result<u64, String> {
+    if ms > MAX_CLOCK_MS {
+        return Err(format!("{what} must be at most {MAX_CLOCK_MS}"));
+    }
+    Ok(ms)
+}
+
 /// One UDP stream: `(from, to, frames, frame length, interval in µs)`.
 pub type Flow = (String, String, u64, u64, u64);
 

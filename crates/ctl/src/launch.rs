@@ -66,7 +66,7 @@ pub fn parse_daemon_args(words: Vec<String>) -> Result<Launch, String> {
             "--algorithm" => l.session.algorithm = args.value()?,
             "--steering" => l.session.steering = args::steering(&args.value()?)?,
             "--seed" => l.session.seed = args.parsed("seed")?,
-            "--tick-ms" => l.daemon.tick_ms = args.parsed("tick-ms")?,
+            "--tick-ms" => l.daemon.tick_ms = args::clock_ms("--tick-ms", args.parsed("tick-ms")?)?,
             "--artifacts" => l.daemon.artifacts = Some(PathBuf::from(args.value()?)),
             "--admission" => l.session.admission = Some(admission(&args.value()?)?),
             // Ring capacity; 0 disables the recorder (and with it `sla`).
@@ -171,5 +171,16 @@ mod tests {
         assert!(parse("--seed").is_err());
         assert!(parse("--wal-compact many").is_err());
         assert!(parse("--state-dir").is_err());
+    }
+
+    #[test]
+    fn a_tick_that_overflows_the_clock_is_a_usage_error() {
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(
+            parse(&format!("--tick-ms {max}")).unwrap().daemon.tick_ms,
+            max
+        );
+        let e = parse(&format!("--tick-ms {}", max + 1)).err();
+        assert_eq!(e, Some(format!("--tick-ms must be at most {max}")));
     }
 }

@@ -132,7 +132,9 @@ pub fn parse(cmd: Command, words: Vec<String>, explicit: bool) -> Result<RunOpti
                 let count = args::field(&v, 2, 0, "count")?;
                 o.pings.push((ends[0].into(), ends[1].into(), count));
             }
-            "--duration-ms" => o.duration_ms = args.parsed("duration")?,
+            "--duration-ms" => {
+                o.duration_ms = args::clock_ms("--duration-ms", args.parsed("duration")?)?;
+            }
             "--monitor" => {
                 let v = args.value()?;
                 let (chain, vnf) = v

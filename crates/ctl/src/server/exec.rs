@@ -27,6 +27,9 @@ pub fn execute(session: &mut Session, req: &CtlRequest) -> CtlResponse {
             Err(e) => escape_error_response(e),
         },
         CtlRequest::RunFor { ms } => {
+            if let Err(reason) = crate::args::clock_ms("field \"ms\"", *ms) {
+                return CtlResponse::Error(CtlError::Invalid { reason });
+            }
             session.run_for_ms(*ms);
             CtlResponse::Advanced {
                 now_ns: session.escape().now().as_ns(),

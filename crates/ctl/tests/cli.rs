@@ -398,6 +398,13 @@ fn daemon_verbs(c: &mut Corpus) {
     // The shorthand, with the option after the words.
     c.run("escape", &["scale", "demo", "mon", "1", "--socket", &sock]);
     ctl(c, &["scale", "demo", "mon", "99"], Filter::None);
+    // Spans one unit past what the clock's nanoseconds can count.
+    ctl(c, &["run-for", "18446744073710"], Filter::None);
+    ctl(
+        c,
+        &["traffic", "sap0:sap1:1:128:18446744073709552"],
+        Filter::None,
+    );
     ctl(c, &["--request-id", "cli-1", "run-for", "1"], Filter::None);
     ctl(c, &["deploy", "--json", &sg], Filter::None);
     ctl(c, &["status", "--prom"], Filter::None);
@@ -498,6 +505,7 @@ fn usage_failures(c: &mut Corpus) {
         &["run", "--ping", "sap0:sap1:x"],
         &["run", "--monitor", "demo"],
         &["run", "--duration-ms", "x"],
+        &["run", "--duration-ms", "18446744073710"],
         &["run", "--steering", "sideways"],
         &["metrics", "--format", "xml"],
         &["run", "--workers", "0"],
@@ -567,6 +575,7 @@ fn usage_failures(c: &mut Corpus) {
         &["--seed", "x"],
         &["--steering", "sideways"],
         &["--tick-ms", "x"],
+        &["--tick-ms", "18446744073710"],
         &["--flight-recorder", "x"],
         &["--sample-ms", "x"],
         &["--sample-retention", "x"],

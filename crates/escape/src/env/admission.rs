@@ -93,8 +93,10 @@ impl Admission {
 impl Escape {
     /// Enables the admission controller with the given watermarks. Every
     /// subsequent [`Escape::deploy`] is gated on compute utilization;
-    /// queued deploys retry while time advances through
-    /// [`Escape::run_for_ms`] / [`Escape::run_with_recovery`].
+    /// queued deploys retry between the 1 ms slices of
+    /// [`Escape::run_for_ms`] / [`Escape::run_with_recovery`]. No other
+    /// clock move pumps the queue: not [`Escape::run_until`], and not the
+    /// waits inside a verb.
     pub fn set_admission(&mut self, cfg: AdmissionConfig) {
         self.admission.retry = queue_retry(cfg.max_retries, self.admission.retry.seed);
         self.admission.cfg = Some(cfg);

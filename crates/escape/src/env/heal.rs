@@ -50,8 +50,10 @@ impl Escape {
 
     /// Runs one healing pass right now: drains the injected-fault
     /// records and reacts to each in the order the faults were applied.
-    /// The multi-domain coordinator calls this at every epoch barrier
-    /// instead of using [`Escape::run_with_recovery`]'s internal slicing.
+    /// Besides a direct call (the `heal` verb), [`Escape::run_with_recovery`]
+    /// calls it after every 1 ms slice and the multi-domain coordinator at
+    /// every epoch barrier. No wait inside a verb heals: a fault that
+    /// lands during one is handled at the next of these calls.
     pub fn heal_now(&mut self) {
         let records = self
             .healing

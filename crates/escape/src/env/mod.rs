@@ -11,7 +11,8 @@
 //!
 //! # Shape
 //!
-//! This file is the core: the [`Escape`] type, its build, its clock, the
+//! This file is the core: the [`Escape`] type, its build, its clock (one
+//! door, `advance`, that every move of virtual time goes through), the
 //! chain registry, and the five primitives every operation is written
 //! in — the poll-wait (`poll_until`), the flush-and-settle
 //! (`flush_and_settle`), the VNF bring-up (`bring_up_vnf`), the VNF
@@ -93,6 +94,30 @@ enum Retire {
     /// `stopVNF` only: the chain's rules are about to be replaced or
     /// deleted, and its container may host the replacements.
     StopOnly,
+}
+
+/// Where a move of the virtual clock ends.
+enum Stop<'a> {
+    /// At this instant.
+    At(Time, Pace),
+    /// Once the predicate holds, probed every 50 µs of virtual time, or
+    /// at the first probe that finds the clock past this deadline. Only
+    /// a verb polls, so these moves run at [`Pace::InVerb`].
+    Polled(Time, &'a mut dyn FnMut(&mut Escape) -> bool),
+}
+
+/// Whether a move of the virtual clock pauses at sampler boundaries.
+enum Pace {
+    /// Pauses at every boundary to take the sample and run its observers
+    /// at the boundary's virtual instant.
+    Sampled,
+    /// Runs straight past every boundary: a wait inside a verb. The
+    /// observers run the autoscaler, whose RPCs wait here, so sampling
+    /// inside a verb would re-enter it. A boundary crossed here is
+    /// skipped, and the next sample lands off the grid. ROADMAP item
+    /// 18(b) deletes this bypass: the door samples every boundary and
+    /// defers the observers to the end of the verb.
+    InVerb,
 }
 
 /// The inverse of one completed forward step of a deploy, restore,
@@ -216,7 +241,7 @@ impl Escape {
             telemetry,
         };
         // Let the OpenFlow handshake and hello exchanges settle.
-        esc.sim.run_until(esc.sim.now() + Time::from_ms(5));
+        esc.advance(Stop::At(esc.sim.now() + Time::from_ms(5), Pace::Sampled));
         Ok(esc)
     }
 
@@ -234,10 +259,10 @@ impl Escape {
         let deadline = self.sim.now() + Time::from_ms(ms);
         while self.pending_admissions() > 0 && self.sim.now() < deadline {
             let slice = (self.sim.now() + Time::from_ms(1)).min(deadline);
-            self.run_until(slice);
+            self.advance(Stop::At(slice, Pace::Sampled));
             self.pump_admission();
         }
-        self.run_until(deadline);
+        self.advance(Stop::At(deadline, Pace::Sampled));
     }
 
     /// Advances virtual time to an absolute instant (no-op if the clock
@@ -245,7 +270,7 @@ impl Escape {
     /// environment's clock up to the checkpointed one.
     pub fn run_until_ns(&mut self, ns: u64) {
         if ns > self.sim.now().as_ns() {
-            self.run_until(Time::from_ns(ns));
+            self.advance(Stop::At(Time::from_ns(ns), Pace::Sampled));
         }
     }
 
@@ -257,7 +282,7 @@ impl Escape {
         let deadline = self.sim.now() + Time::from_ms(ms);
         while self.sim.now() < deadline {
             let slice = (self.sim.now() + Time::from_ms(1)).min(deadline);
-            self.run_until(slice);
+            self.advance(Stop::At(slice, Pace::Sampled));
             self.heal_now();
             self.pump_admission();
         }
@@ -265,39 +290,52 @@ impl Escape {
 
     /// Advances virtual time to an absolute deadline, pausing at every
     /// sampler boundary on the way to take a snapshot (and run the
-    /// sample-point observers: SLA flip detection, cache-storm detection)
-    /// at its scheduled virtual instant. Every other way of advancing the
-    /// clock goes through here; the multi-domain coordinator calls it
-    /// directly to march every domain simulator to the same epoch
-    /// barrier. The clock lands exactly on `deadline` even when the
-    /// event queue drains early.
+    /// sample-point observers: SLA flip detection, cache-storm detection,
+    /// the autoscaler) at its scheduled virtual instant. The clock lands
+    /// exactly on `deadline` even when the event queue drains early. The
+    /// multi-domain coordinator calls this directly to march every domain
+    /// simulator to the same epoch barrier.
+    ///
+    /// This and the other public clock calls pause at sampler boundaries.
+    /// The waits inside a verb (an RPC, a settle, a steering wait) do not
+    /// yet: a boundary that a deploy, scale or teardown crosses is
+    /// skipped, and the next sample lands off the grid (ROADMAP item
+    /// 18(b)). Both kinds move the clock through the same private door.
     pub fn run_until(&mut self, deadline: Time) {
-        if self.observe.sampler.is_none() {
-            self.sim.run_until(deadline);
-            return;
-        }
-        loop {
-            let due = self
-                .observe
-                .sampler
-                .as_ref()
-                .expect("sampler")
-                .next_due_ns();
-            let stop = Time::from_ns(due).min(deadline);
-            if stop > self.sim.now() {
-                self.sim.run_until(stop);
-            }
-            if self
-                .observe
-                .sampler
-                .as_ref()
-                .is_some_and(|s| s.due(self.sim.now().as_ns()))
-            {
-                self.observe_tick();
-            }
-            if self.sim.now() >= deadline {
-                return;
-            }
+        self.advance(Stop::At(deadline, Pace::Sampled));
+    }
+
+    /// The one door to the virtual clock: nothing else in this crate runs
+    /// the simulator. Moves the clock to `stop` and returns whether it
+    /// got there: a [`Stop::At`] always does, a [`Stop::Polled`] only if
+    /// its predicate held before the deadline ran out. A move at
+    /// [`Pace::InVerb`] is the sampler bypass the waits inside a verb
+    /// keep until ROADMAP item 18(b) deletes it.
+    fn advance(&mut self, stop: Stop<'_>) -> bool {
+        match stop {
+            Stop::At(deadline, pace) => loop {
+                let sampler = self.observe.sampler.as_ref();
+                let sampler = sampler.filter(|_| matches!(pace, Pace::Sampled));
+                let due = sampler.map(|s| Time::from_ns(s.next_due_ns()));
+                let stop = due.map_or(deadline, |due| due.min(deadline));
+                if due.is_none() || stop > self.sim.now() {
+                    self.sim.run_until(stop);
+                }
+                let Some(due) = due else { return true };
+                if self.sim.now() >= due {
+                    self.observe_tick();
+                }
+                if self.sim.now() >= deadline {
+                    return true;
+                }
+            },
+            Stop::Polled(deadline, done) => loop {
+                self.advance(Stop::At(self.sim.now().add_ns(50_000), Pace::InVerb));
+                let held = done(self);
+                if held || self.sim.now() > deadline {
+                    return held;
+                }
+            },
         }
     }
 
@@ -365,16 +403,7 @@ impl Escape {
     /// (checked after each probe, so the last probe runs one step past
     /// it). Returns whether `done` was satisfied.
     fn poll_until(&mut self, done: &mut dyn FnMut(&mut Escape) -> bool) -> bool {
-        let deadline = self.sim.now() + rpc::RPC_TIMEOUT;
-        loop {
-            self.sim.run_until(self.sim.now().add_ns(50_000));
-            if done(self) {
-                return true;
-            }
-            if self.sim.now() > deadline {
-                return false;
-            }
-        }
+        self.advance(Stop::Polled(self.sim.now() + rpc::RPC_TIMEOUT, done))
     }
 
     // ---------------- primitive: flush-and-settle -------------------
@@ -397,8 +426,8 @@ impl Escape {
     /// flow-mods already on the wire to land and for frames in flight to
     /// clear what they are about to lose.
     fn settle(&mut self) {
-        self.sim
-            .run_until(self.sim.now() + CTRL_LATENCY + Time::from_ms(1));
+        let at = self.sim.now() + CTRL_LATENCY + Time::from_ms(1);
+        self.advance(Stop::At(at, Pace::InVerb));
     }
 
     /// Flushes queued rule deletions and waits for them to land.
@@ -411,7 +440,7 @@ impl Escape {
     /// switches (proactive), or gives reactive arming a settle beat.
     fn await_steering(&mut self) -> Result<(), EscapeError> {
         if self.mode != SteeringMode::Proactive {
-            self.sim.run_until(self.sim.now().add_ns(100_000));
+            self.advance(Stop::At(self.sim.now().add_ns(100_000), Pace::InVerb));
             return Ok(());
         }
         // Wait for the rules to reach the switches.
@@ -425,8 +454,8 @@ impl Escape {
             )));
         }
         // One more control-latency beat for in-flight flow-mods.
-        self.sim
-            .run_until(self.sim.now() + CTRL_LATENCY + Time::from_us(10));
+        let at = self.sim.now() + CTRL_LATENCY + Time::from_us(10);
+        self.advance(Stop::At(at, Pace::InVerb));
         Ok(())
     }
 

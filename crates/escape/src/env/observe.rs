@@ -101,7 +101,10 @@ impl Escape {
     /// Turns on the periodic metric sampler. Samples are taken at
     /// period boundaries of the *virtual* clock while time advances
     /// through [`Escape::run_for_ms`] / [`Escape::run_with_recovery`] /
-    /// [`Escape::run_until`].
+    /// [`Escape::run_until`] / [`Escape::run_until_ns`]. The waits inside
+    /// a verb run past the boundaries without a sample, so after a
+    /// deploy, scale or teardown the next sample lands off the grid
+    /// (ROADMAP item 18(b)).
     pub fn enable_sampler(&mut self, cfg: SamplerConfig) {
         self.observe.sampler = Some(Sampler::new(&self.telemetry, cfg));
     }

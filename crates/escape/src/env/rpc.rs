@@ -2,7 +2,7 @@
 //! matching over the manager relay, and retry on a seeded backoff
 //! schedule — all in virtual time.
 
-use super::Escape;
+use super::{Escape, Pace, Stop};
 use crate::error::EscapeError;
 use crate::infra::ManagerRelay;
 use crate::journal::{JournalKind, Severity};
@@ -196,7 +196,7 @@ impl Escape {
                     }
                     self.rpcs.retries.inc();
                     let wait = policy.delay_ns(attempt);
-                    self.sim.run_until(self.sim.now().add_ns(wait));
+                    self.advance(Stop::At(self.sim.now().add_ns(wait), Pace::InVerb));
                     attempt += 1;
                 }
             }

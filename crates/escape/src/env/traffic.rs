@@ -23,6 +23,14 @@ fn no_entry(from: &str, to: &str) -> EscapeError {
     EscapeError::NotFound(format!("static neighbour entry for {to} on {from}"))
 }
 
+/// `us` microseconds as a span of virtual time, or the typed error
+/// naming `field` when its nanoseconds overflow the clock.
+fn span_us(field: &str, us: u64) -> Result<Time, EscapeError> {
+    let max = u64::MAX / 1_000;
+    let err = || EscapeError::Invalid(format!("field \"{field}\" must be at most {max}"));
+    us.checked_mul(1_000).map(Time::from_ns).ok_or_else(err)
+}
+
 impl Escape {
     /// The emulator node of a SAP.
     fn sap_node(&self, sap: &str) -> Result<NodeId, EscapeError> {
@@ -73,8 +81,8 @@ impl Escape {
     /// [`Escape::start_udp`] with an explicit UDP source port. The
     /// multi-domain coordinator stamps each chain's wire-identity port
     /// here so gateways can tell co-located chains apart. A `frame_len`
-    /// no Ethernet/IPv4/UDP frame can have is rejected before anything
-    /// is registered.
+    /// no Ethernet/IPv4/UDP frame can have, or an interval that overflows
+    /// the virtual clock, is rejected before anything is registered.
     pub fn start_udp_with_sport(
         &mut self,
         from: &str,
@@ -91,18 +99,12 @@ impl Escape {
                 UDP_FRAME_LEN.end()
             )));
         }
+        let interval = span_us("interval_us", interval_us)?;
         let (_, dst_ip) = self.infra.sap(to)?;
         self.provision_arp(from, to)?;
         let (node, host) = self.sap_host_mut(from)?;
-        host.add_stream(
-            dst_ip,
-            sport,
-            9_000,
-            frame_len,
-            Time::from_us(interval_us),
-            count,
-        )
-        .ok_or_else(|| no_entry(from, to))?;
+        host.add_stream(dst_ip, sport, 9_000, frame_len, interval, count)
+            .ok_or_else(|| no_entry(from, to))?;
         Host::start_streams(&mut self.sim, node, Time::from_us(1));
         Ok(())
     }
@@ -119,10 +121,11 @@ impl Escape {
         interval_us: u64,
         count: u64,
     ) -> Result<(), EscapeError> {
+        let interval = span_us("interval_us", interval_us)?;
         let (_, dst_ip) = self.infra.sap(to)?;
         self.provision_arp(from, to)?;
         let (node, host) = self.sap_host_mut(from)?;
-        host.add_ping(dst_ip, Time::from_us(interval_us), count)
+        host.add_ping(dst_ip, interval, count)
             .ok_or_else(|| no_entry(from, to))?;
         Host::start_streams(&mut self.sim, node, Time::from_us(1));
         Ok(())

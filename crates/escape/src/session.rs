@@ -461,6 +461,28 @@ mod tests {
     }
 
     #[test]
+    fn intervals_that_overflow_the_clock_are_typed_errors() {
+        let mut s = Session::new(demo_topology(), SessionConfig::default()).unwrap();
+        s.deploy(&demo_sg()).unwrap();
+        let max = u64::MAX / 1_000;
+        let want = format!("field \"interval_us\" must be at most {max}");
+        let err = s.start_udp("sap0", "sap1", 64, max + 1, 1).unwrap_err();
+        assert!(
+            matches!(&err, EscapeError::Invalid(r) if *r == want),
+            "{err}"
+        );
+        let err = s.escape_mut().start_ping("sap0", "sap1", max + 1, 1);
+        assert!(
+            matches!(&err, Err(EscapeError::Invalid(r)) if *r == want),
+            "{err:?}"
+        );
+        // Nothing was registered: the clock advances without a frame.
+        s.run_for_ms(5);
+        let rx = s.escape().sap_stats("sap1").unwrap();
+        assert_eq!((rx.udp_rx, rx.icmp_echo_rx), (0, 0));
+    }
+
+    #[test]
     fn span_history_is_bounded_so_the_json_exposition_stops_growing() {
         let mut s = Session::new(demo_topology(), SessionConfig::default()).unwrap();
         let sg = demo_sg();

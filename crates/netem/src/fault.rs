@@ -114,13 +114,26 @@ impl FaultPlan {
         to_json_pretty(self)
     }
 
-    /// Parses a plan from JSON. Errors name the offending field.
+    /// Parses a plan from JSON. Errors name the offending field: a loss
+    /// outside 0..=1, or a span in microseconds whose nanoseconds
+    /// overflow the virtual clock.
     pub fn from_json(src: &str) -> Result<FaultPlan, String> {
         let plan: FaultPlan = from_json(src)?;
+        let max_us = u64::MAX / 1_000;
         for (i, ev) in plan.events.iter().enumerate() {
-            if let FaultKind::LossSpike { loss, .. } = ev.kind {
-                if !(0.0..=1.0).contains(&loss) {
+            let span = match ev.kind {
+                FaultKind::LossSpike { loss, .. } if !(0.0..=1.0).contains(&loss) => {
                     return Err(format!("events[{i}]: field \"loss\" must be within 0..=1"));
+                }
+                FaultKind::DelaySpike { delay_us, .. } => Some(("delay_us", delay_us)),
+                FaultKind::VnfStall { for_us, .. } => Some(("for_us", for_us)),
+                _ => None,
+            };
+            for (field, us) in [("at_us", ev.at_us)].into_iter().chain(span) {
+                if us > max_us {
+                    return Err(format!(
+                        "events[{i}]: field \"{field}\" must be at most {max_us}"
+                    ));
                 }
             }
         }
@@ -600,5 +613,29 @@ mod tests {
             (log.join("\n"), sim.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn spans_that_overflow_the_clock_are_rejected_naming_the_field() {
+        let max = u64::MAX / 1_000;
+        let plan = |at_us: u64, kind: &str| {
+            format!(r#"{{"name": "p", "events": [{{"at_us": {at_us}, {kind}}}]}}"#)
+        };
+        let down = r#""kind": "link_down", "a": "s1", "b": "s2""#;
+        let delay =
+            |us: u64| format!(r#""kind": "delay_spike", "a": "s1", "b": "s2", "delay_us": {us}"#);
+        let stall = |us: u64| format!(r#""kind": "vnf_stall", "node": "c1", "for_us": {us}"#);
+        for (src, field) in [
+            (plan(max + 1, down), "at_us"),
+            (plan(0, &delay(max + 1)), "delay_us"),
+            (plan(0, &stall(max + 1)), "for_us"),
+        ] {
+            let want = format!("events[0]: field \"{field}\" must be at most {max}");
+            assert_eq!(FaultPlan::from_json(&src), Err(want));
+        }
+        // The bound itself still fits in the clock.
+        for src in [plan(max, down), plan(0, &delay(max)), plan(0, &stall(max))] {
+            assert!(FaultPlan::from_json(&src).is_ok(), "{src}");
+        }
     }
 }

@@ -19,7 +19,9 @@ impl Time {
         Time(ns)
     }
 
-    /// Constructs from microseconds.
+    /// Constructs from microseconds. Like [`Time::from_ms`], it does not
+    /// check for overflow past `u64::MAX` ns (about 584 years): a span
+    /// read from outside the program is checked where it enters.
     pub const fn from_us(us: u64) -> Time {
         Time(us * 1_000)
     }

@@ -89,6 +89,22 @@ if [ -n "$HASHMAPS" ]; then
     exit 1
 fi
 
+echo "== one door to the virtual clock in crates/escape/src =="
+# Every move of the clock goes through Escape::advance (env/mod.rs), the
+# one place that decides whether a move pauses at sampler boundaries. A
+# second caller of the simulator is a clock move the door never sees.
+# A call rustfmt wrapped onto its own line counts too. Test modules are
+# exempt.
+mapfile -t ESCAPE_SOURCES < <(find crates/escape/src -name '*.rs' | sort)
+CLOCK="$(outside_tests '(sim|^[[:space:]]*)[.](run_until[(]|run[(]|step[(][)])' 1 \
+    "${ESCAPE_SOURCES[@]}")"
+if [ "$(grep -c . <<<"$CLOCK")" -ne 1 ] \
+    || ! grep -q '^crates/escape/src/env/mod.rs:' <<<"$CLOCK"; then
+    echo "the simulator runs outside Escape::advance (want one line, in env/mod.rs):" >&2
+    echo "$CLOCK" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

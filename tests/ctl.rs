@@ -557,6 +557,47 @@ fn traffic_rejects_frame_lengths_no_udp_frame_can_have() {
     daemon.join().unwrap();
 }
 
+#[test]
+fn spans_that_overflow_the_virtual_clock_are_typed_errors() {
+    let socket = temp_socket("clock-span");
+    let daemon = spawn_daemon(default_session(7), &socket);
+    let mut c = connect(&socket);
+    deploy_demo(&mut c);
+    let now = |c: &mut CtlClient| match call(c, CtlRequest::Status) {
+        CtlResponse::Status(s) => s.now_ns,
+        other => panic!("status: {other:?}"),
+    };
+    let before = now(&mut c);
+
+    // One millisecond more than the clock's nanoseconds can count.
+    let ms = u64::MAX / 1_000_000 + 1;
+    let resp = call(&mut c, CtlRequest::RunFor { ms });
+    let want = format!("field \"ms\" must be at most {}", ms - 1);
+    assert!(
+        matches!(&resp, CtlResponse::Error(CtlError::Invalid { reason }) if *reason == want),
+        "{resp:?}"
+    );
+    // The same for a stream's interval, in microseconds.
+    let mut req = traffic(128, 5);
+    let CtlRequest::Traffic { interval_us, .. } = &mut req else {
+        unreachable!("traffic builds a traffic request")
+    };
+    *interval_us = u64::MAX / 1_000 + 1;
+    let resp = call(&mut c, req);
+    let want = format!("field \"interval_us\" must be at most {}", u64::MAX / 1_000);
+    assert!(
+        matches!(&resp, CtlResponse::Error(CtlError::Invalid { reason }) if *reason == want),
+        "{resp:?}"
+    );
+    // Neither moved the clock, and the daemon still answers.
+    assert_eq!(now(&mut c), before);
+    run_for(&mut c, 5);
+    assert_eq!(now(&mut c), before + 5_000_000);
+
+    call(&mut c, CtlRequest::Shutdown);
+    daemon.join().unwrap();
+}
+
 /// An `escaped` subprocess, SIGKILLed on drop unless it already exited,
 /// so a failed assertion leaves no daemon behind.
 struct Escaped(std::process::Child);
