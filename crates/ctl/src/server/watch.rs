@@ -17,7 +17,7 @@ use crate::frame::{read_frame, write_frame};
 use crate::proto::{CtlError, CtlEvent, CtlResponse, MetricDelta, WatchTopic};
 use escape::{JournalEvent, Session};
 use escape_telemetry::{delta, Scalar};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -83,7 +83,10 @@ pub(super) struct Publisher {
     journal_seq: u64,
     /// The registry's value vector at the previous publish.
     last_values: Vec<Scalar>,
-    sla_last: HashMap<String, bool>,
+    sla_last: BTreeMap<String, bool>,
+    /// The verdict stamp at the last publish that read the verdicts: only
+    /// a chain whose verdict changed since can have flipped.
+    sla_seen: u64,
 }
 
 impl Publisher {
@@ -170,10 +173,11 @@ impl Publisher {
             }
             self.last_values = values;
         }
-        // The verdict scan walks the flight-recorder trace.
+        // Only the verdicts that changed since the last look are read.
         if self.held(WatchTopic::Sla) {
-            let verdicts: Vec<_> = session
-                .sla_verdicts()
+            let (changed, seen) = session.sla_verdicts_since(self.sla_seen);
+            self.sla_seen = seen;
+            let verdicts: Vec<_> = changed
                 .iter()
                 .filter(|v| self.sla_last.insert(v.chain.clone(), v.pass) != Some(v.pass))
                 .map(sla_info)
@@ -314,6 +318,7 @@ mod tests {
         assert_eq!(publisher.journal_seq, 0);
         assert!(publisher.last_values.is_empty());
         assert!(publisher.sla_last.is_empty());
+        assert_eq!(publisher.sla_seen, 0);
     }
 
     fn lag_frame() -> CtlEvent {

@@ -359,6 +359,14 @@ fn one_shot_runs(c: &mut Corpus) {
     c.run("escape", &["run", topo, sg, "--domains", "no-such.json"]);
     c.run("escape", &["run", topo, sg, "--monitor", "demo:nope"]);
     c.run("escape", &["run", "--traffic", "sap0:nowhere:1"]);
+    // A link delay the virtual clock cannot hold: the line and the bound.
+    let far = temp_path("far.topo");
+    let demo = fs::read_to_string(Path::new(ROOT).join(topo)).unwrap();
+    fs::write(&far, demo.replace("delay=100us", "delay=1e30s")).unwrap();
+    let far_arg = far.display().to_string();
+    c.aliases.push((far_arg.clone(), "$FAR"));
+    c.run("escape", &["run", &far_arg, sg]);
+    let _ = fs::remove_file(&far);
 }
 
 fn daemon_verbs(c: &mut Corpus) {

@@ -192,11 +192,10 @@ impl Escape {
                     dc.rules
                 ),
             );
-            self.deployed
-                .insert(dc.mapping.chain.name.clone(), dc.clone());
             // Remember the source graph so a crash can re-map the chain.
             self.graphs
                 .insert(dc.mapping.chain.name.clone(), sg.clone());
+            self.go_live(dc.mapping.chain.name.clone(), dc.clone());
         }
         Ok(DeploymentReport {
             chains,
@@ -245,8 +244,8 @@ impl Escape {
                 dc.rules
             ),
         );
-        self.deployed.insert(name.clone(), dc);
-        self.graphs.insert(name, sg.clone());
+        self.graphs.insert(name.clone(), sg.clone());
+        self.go_live(name, dc);
         self.set_next_cookie(cookie + 1);
         Ok(())
     }
@@ -388,7 +387,7 @@ impl Escape {
         for v in &dc.vnfs {
             self.retire_vnf(v, Retire::Full)?;
         }
-        self.deployed.remove(chain);
+        self.forget_chain(chain);
         self.steering_mut().remove_chain(dc.cookie);
         self.flush_and_settle();
         self.orch.release_chain(chain);

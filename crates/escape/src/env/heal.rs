@@ -129,7 +129,7 @@ impl Escape {
         let sp = self.tracer.enter("recovery", start.as_ns());
         let result = replan(self, chain).and_then(|mut dc| {
             self.resteer(&mut dc)?;
-            self.deployed.insert(chain.to_string(), dc);
+            self.go_live(chain.to_string(), dc);
             Ok(())
         });
         self.tracer.exit(sp, self.sim.now().as_ns());
@@ -228,7 +228,7 @@ impl Escape {
     /// release any reservation still held and forget it. Its service
     /// graph stays cached for a later manual redeploy.
     fn abandon_chain(&mut self, chain: &str) {
-        let Some(dc) = self.deployed.remove(chain) else {
+        let Some(dc) = self.forget_chain(chain) else {
             return;
         };
         // Nothing may keep running for a dead chain (leak audit).

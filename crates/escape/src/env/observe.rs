@@ -2,16 +2,16 @@
 //! sample-point observers, the packet flight recorder with per-chain
 //! SLA verdicts, and live VNF state over NETCONF.
 
-use super::Escape;
+use super::{DeployedChain, Escape};
 use crate::error::EscapeError;
-use crate::flight::{self, FlightRecord, LiveFold, NodeKind, SlaVerdict};
+use crate::flight::{self, FlightRecord, LiveFold, NodeKind, SlaVerdict, Tally};
 use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
 use escape_netconf::message::ReplyBody;
-use escape_netem::NodeId;
+use escape_netem::{NodeId, Trace};
 use escape_sg::Sla;
 use escape_telemetry::{Registry, Sampler, SamplerConfig, Snapshot, Tracer};
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::cell::{RefCell, RefMut};
+use std::collections::BTreeMap;
 
 /// The journal, the sampler and what its observers remember between
 /// sample points.
@@ -24,13 +24,19 @@ pub(super) struct Observation {
     pub(super) sampler: Option<Sampler>,
     /// Last observed SLA pass flag per chain, for flip detection at
     /// sample points.
-    pub(super) sla_last: HashMap<String, bool>,
+    pub(super) sla_last: BTreeMap<String, bool>,
+    /// The verdict book's stamp at the sample point that last read it.
+    sla_seen: u64,
     /// `openflow.cache_invalidations` total at the previous sample
     /// point, for storm detection.
     last_cache_invalidations: u64,
-    /// The SLA counts over the trace ring, kept between calls and shared
-    /// by the sample tick, the watch publisher and the `sla` verb.
-    sla_fold: RefCell<LiveFold>,
+    /// Every live chain's SLA verdict, kept between calls and shared by
+    /// the sample tick, the watch publisher and the `sla` verb.
+    book: RefCell<VerdictBook>,
+    /// The sample tick judges every chain afresh instead: the reference
+    /// the book's flips are tested against.
+    #[cfg(test)]
+    judge_every_chain: bool,
 }
 
 impl Observation {
@@ -38,10 +44,135 @@ impl Observation {
         Observation {
             journal: Journal::new(telemetry, DEFAULT_JOURNAL_CAP),
             sampler: None,
-            sla_last: HashMap::new(),
+            sla_last: BTreeMap::new(),
+            sla_seen: 0,
             last_cache_invalidations: 0,
-            sla_fold: RefCell::default(),
+            book: RefCell::default(),
+            #[cfg(test)]
+            judge_every_chain: false,
         }
+    }
+}
+
+/// One live chain in the [`VerdictBook`].
+struct Judged {
+    sla: Sla,
+    /// The tally `verdict` was judged on.
+    tally: Tally,
+    verdict: SlaVerdict,
+    /// When `verdict` last changed.
+    stamp: u64,
+}
+
+/// Every live chain's SLA verdict on the traffic the trace ring holds.
+/// A chain is judged again only when the [`LiveFold`] moved its cookie's
+/// tally, when it is deployed (again), or when the fold starts over on a
+/// new ring or past a horizon it never saw. Each change of a verdict
+/// takes the next stamp, so a reader that keeps the last stamp it saw
+/// finds what changed since without looking at the other chains.
+#[derive(Default)]
+pub(super) struct VerdictBook {
+    fold: LiveFold,
+    /// Live chains by steering cookie: live chains never share one.
+    by_cookie: BTreeMap<u64, Judged>,
+    /// Chain name -> cookie, in the order verdicts are listed.
+    by_name: BTreeMap<String, u64>,
+    /// Stamp -> cookie, one per live chain: the stamp of its verdict.
+    by_stamp: BTreeMap<u64, u64>,
+    /// The newest stamp handed out; 0 before the first.
+    stamp: u64,
+    /// Chains judged so far, counted for the tests of the work a call
+    /// does.
+    judged: u64,
+}
+
+impl VerdictBook {
+    /// Enters `chain`, steered by `cookie`, judged against `sla` on the
+    /// tally the fold holds for its cookie; a chain already in the book
+    /// is replaced.
+    fn deployed(&mut self, chain: &str, cookie: u64, sla: Sla) {
+        self.removed(chain);
+        debug_assert!(
+            !self.by_cookie.contains_key(&cookie),
+            "cookies come from next_cookie, so live chains never share one"
+        );
+        let tally = self.fold.tally(cookie);
+        self.judged += 1;
+        self.stamp += 1;
+        self.by_name.insert(chain.to_string(), cookie);
+        self.by_stamp.insert(self.stamp, cookie);
+        let entry = Judged {
+            sla,
+            tally,
+            verdict: flight::evaluate_sla(chain, &sla, tally),
+            stamp: self.stamp,
+        };
+        self.by_cookie.insert(cookie, entry);
+    }
+
+    /// Takes `chain` out of the book, if it is there.
+    fn removed(&mut self, chain: &str) {
+        if let Some(cookie) = self.by_name.remove(chain) {
+            let judged = self
+                .by_cookie
+                .remove(&cookie)
+                .expect("a named chain is booked");
+            self.by_stamp.remove(&judged.stamp);
+        }
+    }
+
+    /// Folds what the ring did since the last call and judges again the
+    /// chains whose tally it moved: every chain when the fold started
+    /// over.
+    fn refresh<'n>(
+        &mut self,
+        epoch: u64,
+        trace: Option<&Trace>,
+        resolve: impl FnMut(NodeId) -> (&'n str, NodeKind),
+    ) {
+        let cookies = match self.fold.fold(epoch, trace, resolve) {
+            Some(moved) => moved,
+            None => self.by_cookie.keys().copied().collect(),
+        };
+        for cookie in cookies {
+            self.judge(cookie);
+        }
+    }
+
+    /// Judges the chain steered by `cookie` again, if one is; a verdict
+    /// that changes takes the next stamp.
+    fn judge(&mut self, cookie: u64) {
+        let Some(j) = self.by_cookie.get_mut(&cookie) else {
+            return;
+        };
+        self.judged += 1;
+        let tally = self.fold.tally(cookie);
+        if tally == j.tally {
+            return;
+        }
+        j.tally = tally;
+        j.verdict = flight::evaluate_sla(&j.verdict.chain, &j.sla, tally);
+        self.stamp += 1;
+        self.by_stamp.remove(&j.stamp);
+        self.by_stamp.insert(self.stamp, cookie);
+        j.stamp = self.stamp;
+    }
+
+    /// Every live chain's verdict, in chain-name order.
+    fn verdicts(&self) -> impl Iterator<Item = &SlaVerdict> {
+        self.by_name.values().map(|c| &self.by_cookie[c].verdict)
+    }
+
+    /// The verdicts that changed after stamp `since`, in chain-name
+    /// order.
+    fn since(&self, since: u64) -> Vec<&SlaVerdict> {
+        let mut changed: Vec<&SlaVerdict> = self
+            .by_stamp
+            .range(since + 1..)
+            .map(|(_, c)| &self.by_cookie[c].verdict)
+            .collect();
+        changed.sort_unstable_by(|a, b| a.chain.cmp(&b.chain));
+        changed
     }
 }
 
@@ -57,8 +188,18 @@ impl Escape {
     pub(super) fn observe_tick(&mut self) {
         let now_ns = self.sim.now().as_ns();
         // SLA flips are only observable while the flight recorder runs.
+        // A chain whose verdict did not change since the last sample
+        // point cannot have flipped.
         if self.sim.trace.is_some() {
-            for v in self.sla_verdicts() {
+            let (changed, seen) = self.sla_verdicts_since(self.observe.sla_seen);
+            self.observe.sla_seen = seen;
+            #[cfg(test)]
+            let changed = if self.observe.judge_every_chain {
+                self.fresh_verdicts()
+            } else {
+                changed
+            };
+            for v in changed {
                 let was = self.observe.sla_last.insert(v.chain.clone(), v.pass);
                 if was == Some(v.pass) {
                     continue;
@@ -189,7 +330,7 @@ impl Escape {
         let Some(trace) = &self.sim.trace else {
             return FlightRecord::default();
         };
-        let cookies: HashMap<u64, String> = self
+        let cookies: BTreeMap<u64, String> = self
             .deployed
             .iter()
             .map(|(name, dc)| (dc.cookie, name.clone()))
@@ -209,27 +350,29 @@ impl Escape {
     /// switch, a SAP address a host, a NETCONF connection a container.
     /// A node the topology does not name keeps its emulator name.
     fn node_roles<'a>(&'a self) -> impl Fn(NodeId) -> (&'a str, NodeKind) + 'a {
-        let roles: HashMap<NodeId, (&str, NodeKind)> = self
-            .infra
-            .nodes
-            .iter()
-            .map(|(name, &node)| {
-                let kind = if self.infra.dpid.contains_key(name) {
-                    NodeKind::Switch
-                } else if self.infra.sap_addr.contains_key(name) {
-                    NodeKind::Host
-                } else if self.infra.netconf_conn.contains_key(name) {
-                    NodeKind::Container
-                } else {
-                    NodeKind::Other
-                };
-                (node, (name.as_str(), kind))
-            })
-            .collect();
+        // Indexed by node id.
+        let mut roles: Vec<Option<(&str, NodeKind)>> = Vec::new();
+        for (name, &node) in &self.infra.nodes {
+            let kind = if self.infra.dpid.contains_key(name) {
+                NodeKind::Switch
+            } else if self.infra.sap_addr.contains_key(name) {
+                NodeKind::Host
+            } else if self.infra.netconf_conn.contains_key(name) {
+                NodeKind::Container
+            } else {
+                NodeKind::Other
+            };
+            let i = node.0 as usize;
+            if roles.len() <= i {
+                roles.resize(i + 1, None);
+            }
+            roles[i] = Some((name.as_str(), kind));
+        }
         move |n| {
             roles
-                .get(&n)
+                .get(n.0 as usize)
                 .copied()
+                .flatten()
                 .unwrap_or_else(|| (self.sim.node_name(n), NodeKind::Other))
         }
     }
@@ -244,34 +387,62 @@ impl Escape {
 
     /// Evaluates every deployed chain's SLA (from its service graph)
     /// against the recorded traffic, in chain-name order. Chains without
-    /// an SLA get a vacuous pass. The counts come from the live fold over
-    /// the trace ring, looked up by each chain's steering cookie.
+    /// an SLA get a vacuous pass. The verdicts come from the verdict
+    /// book, which judges a chain again only when the traffic its
+    /// steering cookie marks moved in the trace ring.
     pub fn sla_verdicts(&self) -> Vec<SlaVerdict> {
-        let mut fold = self.observe.sla_fold.borrow_mut();
+        self.verdict_book().verdicts().cloned().collect()
+    }
+
+    /// The verdicts that changed since `since`, in chain-name order, and
+    /// the stamp to pass next time to see only what changes after this
+    /// call. `since` 0 names every deployed chain. A chain deployed again
+    /// counts as changed.
+    pub fn sla_verdicts_since(&self, since: u64) -> (Vec<SlaVerdict>, u64) {
+        let book = self.verdict_book();
+        let changed = book.since(since).into_iter().cloned().collect();
+        (changed, book.stamp)
+    }
+
+    /// Every deployed chain's verdict judged afresh, in chain-name order:
+    /// [`flight::reconstruct`], then the journey fold.
+    #[cfg(test)]
+    fn fresh_verdicts(&self) -> Vec<SlaVerdict> {
+        let tallies = flight::journey_tallies(&self.flight_record());
+        self.deployed_chains()
+            .iter()
+            .map(|c| {
+                let tally = tallies.get(c).copied().unwrap_or_default();
+                flight::evaluate_sla(c, &self.sla_of(c), tally)
+            })
+            .collect()
+    }
+
+    /// The verdict book, brought up to the trace ring as it stands.
+    fn verdict_book(&self) -> RefMut<'_, VerdictBook> {
+        let mut book = self.observe.book.borrow_mut();
         // The roles map is built only when a record names a node the fold
         // has not met.
         let mut roles = None;
-        let per_cookie = fold.tallies(self.sim.trace_epoch(), self.sim.trace.as_ref(), |n| {
+        book.refresh(self.sim.trace_epoch(), self.sim.trace.as_ref(), |n| {
             roles.get_or_insert_with(|| self.node_roles())(n)
         });
-        let mut chains: Vec<(&str, u64)> = self
-            .deployed
-            .iter()
-            .map(|(name, dc)| (name.as_str(), dc.cookie))
-            .collect();
-        chains.sort_unstable();
-        debug_assert_eq!(
-            chains.iter().map(|c| c.1).collect::<BTreeSet<_>>().len(),
-            chains.len(),
-            "cookies come from next_cookie, so live chains never share one"
-        );
-        chains
-            .into_iter()
-            .map(|(name, cookie)| {
-                let tally = per_cookie.get(&cookie).copied().unwrap_or_default();
-                flight::evaluate_sla(name, &self.sla_of(name), tally)
-            })
-            .collect()
+        book
+    }
+
+    /// Makes `dc` the live record of `chain` and enters the chain in the
+    /// verdict book. The chain's service graph must be cached already:
+    /// the book takes the chain's SLA from it.
+    pub(super) fn go_live(&mut self, chain: String, dc: DeployedChain) {
+        let sla = self.sla_of(&chain);
+        self.observe.book.get_mut().deployed(&chain, dc.cookie, sla);
+        self.deployed.insert(chain, dc);
+    }
+
+    /// Takes `chain` out of the live set and the verdict book.
+    pub(super) fn forget_chain(&mut self, chain: &str) -> Option<DeployedChain> {
+        self.observe.book.get_mut().removed(chain);
+        self.deployed.remove(chain)
     }
 
     /// A deployed chain's SLA, from the service graph it came from.
@@ -331,6 +502,7 @@ impl Escape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::OpMix;
     use escape_netem::Time;
     use escape_orch::NearestNeighbor;
     use escape_pox::SteeringMode;
@@ -339,12 +511,17 @@ mod tests {
     /// A one-VNF chain from `sap0` to `sap1` with an SLA no delivered
     /// packet meets, so every verdict prints its worst latency.
     fn graph(chain: &str) -> ServiceGraph {
+        graph_between(chain, "sap0", "sap1")
+    }
+
+    /// [`graph`]'s chain between two other SAPs.
+    fn graph_between(chain: &str, from: &str, to: &str) -> ServiceGraph {
         let fw = format!("{chain}-fw");
         ServiceGraph::new()
-            .sap("sap0")
-            .sap("sap1")
+            .sap(from)
+            .sap(to)
             .vnf(&fw, "firewall", 0.5, 64)
-            .chain(chain, &["sap0", &fw, "sap1"], 10.0, None)
+            .chain(chain, &[from, &fw, to], 10.0, None)
             .with_sla(Sla {
                 max_latency_us: Some(1),
                 max_loss: Some(0.0),
@@ -357,15 +534,9 @@ mod tests {
 
     /// The verdicts computed afresh: `reconstruct`, then the journey fold.
     fn fresh(esc: &Escape) -> Vec<String> {
-        let tallies = flight::journey_tallies(&esc.flight_record());
-        let mut chains = esc.deployed_chains();
-        chains.sort();
-        chains
+        esc.fresh_verdicts()
             .iter()
-            .map(|c| {
-                let tally = tallies.get(c).copied().unwrap_or_default();
-                flight::evaluate_sla(c, &esc.sla_of(c), tally).to_string()
-            })
+            .map(ToString::to_string)
             .collect()
     }
 
@@ -511,5 +682,97 @@ mod tests {
             .filter(|e| e.kind == JournalKind::SlaFlip);
         assert_eq!(flips.count(), 0);
         assert!(verdicts(&esc)[0].contains(": 0 delivered"));
+    }
+
+    /// The sample-point flip notes journaled after `seq`.
+    fn flips_since(esc: &Escape, seq: u64) -> impl Iterator<Item = String> + '_ {
+        esc.journal()
+            .events_since(seq)
+            .filter(|e| e.kind == JournalKind::SlaFlip)
+            .map(ToString::to_string)
+    }
+
+    /// Over the op mix (recorder 1 024, sampler on), the book holds the
+    /// verdicts judged afresh after every step, and the sample ticks
+    /// journal the flips that a tick judging every chain afresh does.
+    #[test]
+    fn the_book_follows_the_op_mix() {
+        let mut s = crate::ops::session(7, SteeringMode::Proactive);
+        let mut reference = crate::ops::session(7, SteeringMode::Proactive);
+        reference.escape_mut().observe.judge_every_chain = true;
+        let (mut mix, mut reference_mix) = (OpMix::new(7), OpMix::new(7));
+        let (mut flips, mut reference_flips) = (Vec::new(), Vec::new());
+        let (mut seq, mut reference_seq) = (0, 0);
+        for step in 0..320 {
+            let op = mix.step(&mut s).text;
+            assert_eq!(reference_mix.step(&mut reference).text, op);
+            let (esc, reference) = (s.escape(), reference.escape());
+            assert_eq!(verdicts(esc), fresh(esc), "step {step}: {op}");
+            flips.extend(flips_since(esc, seq));
+            reference_flips.extend(flips_since(reference, reference_seq));
+            assert_eq!(flips, reference_flips, "step {step}: {op}");
+            (seq, reference_seq) = (esc.journal().seq_end(), reference.journal().seq_end());
+        }
+        let fails = flips.iter().filter(|f| f.contains(": fail")).count();
+        assert!(
+            flips.len() >= 50 && fails >= 3,
+            "{fails} of {} flips fail",
+            flips.len()
+        );
+    }
+
+    /// A tick judges a chain again only when the ring moved its
+    /// cookie's tally, or when the chain was deployed again.
+    #[test]
+    fn a_tick_judges_only_the_chains_whose_traffic_moved() {
+        let mut esc = Escape::build(
+            builders::star(4, 4.0),
+            Box::new(NearestNeighbor),
+            SteeringMode::Proactive,
+            7,
+        )
+        .unwrap();
+        esc.deploy(&graph_between("a", "sap0", "sap1")).unwrap();
+        esc.deploy(&graph_between("b", "sap2", "sap3")).unwrap();
+        esc.enable_flight_recorder(4096);
+        let judged = |esc: &Escape| esc.observe.book.borrow().judged;
+        // A new ring: the fold starts over and both chains are judged.
+        let before = judged(&esc);
+        esc.observe_tick();
+        assert_eq!(judged(&esc) - before, 2);
+
+        let before = judged(&esc);
+        esc.observe_tick();
+        assert_eq!(
+            judged(&esc),
+            before,
+            "a tick on an unmoved ring judges nothing"
+        );
+
+        let stamp = esc.sla_verdicts_since(0).1;
+        send(&mut esc, 128);
+        let (before, seq) = (judged(&esc), esc.journal().seq_end());
+        esc.observe_tick();
+        assert_eq!(judged(&esc) - before, 1, "only a carried traffic");
+        let changed = esc.sla_verdicts_since(stamp).0;
+        assert_eq!(changed.len(), 1);
+        assert_eq!(changed[0].chain, "a");
+        assert!(!changed[0].pass);
+        let flipped: Vec<String> = flips_since(&esc, seq).collect();
+        assert_eq!(flipped.len(), 1);
+        assert!(flipped[0].contains("chain a: fail"), "{flipped:?}");
+
+        // Deployed again on a ring that stands still: a new cookie with
+        // no traffic passes, and the next tick says so.
+        esc.teardown("a").unwrap();
+        esc.deploy(&graph_between("a", "sap0", "sap1")).unwrap();
+        let seq = esc.journal().seq_end();
+        let before = judged(&esc);
+        esc.observe_tick();
+        assert_eq!(judged(&esc), before, "the deploy judged it already");
+        let flipped: Vec<String> = flips_since(&esc, seq).collect();
+        assert_eq!(flipped.len(), 1);
+        assert!(flipped[0].contains("chain a: pass"), "{flipped:?}");
+        assert_eq!(verdicts(&esc), fresh(&esc));
     }
 }

@@ -11,11 +11,10 @@
 //! aggregation and [SLA](escape_sg::Sla) verdicts possible after a
 //! traffic run.
 
-use escape_netem::{DropReason, HopDetail, NodeId, Time, Trace, TraceDir, TraceRecord};
-use escape_packet::FxBuildHasher;
+use escape_netem::{DropReason, HopDetail, NodeId, Time, TraceDir, TraceRecord};
 use escape_sg::Sla;
 use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// What role a visited node plays in the emulated network.
@@ -122,7 +121,7 @@ pub struct FlightRecord {
 pub fn reconstruct<'a>(
     records: impl Iterator<Item = &'a TraceRecord>,
     resolve: impl Fn(NodeId) -> (String, NodeKind),
-    chains: &HashMap<u64, String>,
+    chains: &BTreeMap<u64, String>,
 ) -> FlightRecord {
     // Group by packet id; BTreeMap keeps journey order deterministic.
     let mut by_packet: BTreeMap<u64, Vec<&TraceRecord>> = BTreeMap::new();
@@ -140,7 +139,7 @@ fn build_journey(
     packet_id: u64,
     recs: &[&TraceRecord],
     resolve: &impl Fn(NodeId) -> (String, NodeKind),
-    chains: &HashMap<u64, String>,
+    chains: &BTreeMap<u64, String>,
 ) -> Journey {
     let mut hops: Vec<Hop> = Vec::new();
     let mut outcome = Outcome::InFlight;
@@ -256,277 +255,11 @@ pub struct Tally {
     pub max_latency_ns: Option<u64>,
 }
 
-/// A packet's latest visit, as [`PacketFold`] keeps it.
-#[derive(Clone, Copy)]
-struct LastVisit {
-    /// Interned node name.
-    node: u32,
-    kind: NodeKind,
-    arrived: Time,
-    departed: bool,
-    dropped: bool,
-}
+mod live;
 
-/// What the SLA fold remembers of one packet: its first time and cookie,
-/// whether it dropped, and its latest visit. It is a left fold over the
-/// packet's records, so it can be continued at any record.
-#[derive(Clone, Copy)]
-struct PacketFold {
-    /// The first retained record's time: where latency starts.
-    started: Time,
-    /// The first steering cookie seen.
-    cookie: Option<u64>,
-    /// A drop record with a reason was seen.
-    dropped: bool,
-    last: Option<LastVisit>,
-}
-
-impl PacketFold {
-    /// A packet whose first record is at `started`.
-    fn new(started: Time) -> PacketFold {
-        PacketFold {
-            started,
-            cookie: None,
-            dropped: false,
-            last: None,
-        }
-    }
-
-    /// Folds in the packet's next record, at the interned `node`.
-    fn step(&mut self, r: &TraceRecord, node: u32, kind: NodeKind) {
-        let last = self.last.as_ref().map(|v| (&v.node, v.departed, v.dropped));
-        match lands(r.dir, &node, last) {
-            Landing::Opens { departed } => {
-                self.last = Some(LastVisit {
-                    node,
-                    kind,
-                    arrived: r.time,
-                    departed,
-                    dropped: false,
-                });
-            }
-            Landing::Continues { departs: true } => {
-                if let Some(v) = self.last.as_mut() {
-                    v.departed = true;
-                }
-            }
-            Landing::Continues { departs: false } => {}
-        }
-        match r.dir {
-            TraceDir::Hop if self.cookie.is_none() => {
-                self.cookie = r.hop.as_ref().and_then(flow_cookie);
-            }
-            TraceDir::Drop => {
-                if let Some(v) = self.last.as_mut() {
-                    v.dropped = r.drop.is_some();
-                }
-                self.dropped |= r.drop.is_some();
-            }
-            _ => {}
-        }
-    }
-
-    /// Counts the packet's outcome so far into its chain's tally.
-    fn count(&self, t: &mut Tally) {
-        let last = self
-            .last
-            .filter(|v| delivered(v.kind, v.departed, v.dropped));
-        if self.dropped {
-            t.dropped += 1;
-        } else if let Some(v) = last {
-            t.delivered += 1;
-            let ns = v.arrived.since(self.started);
-            t.max_latency_ns = Some(t.max_latency_ns.map_or(ns, |m| m.max(ns)));
-        } else {
-            t.in_flight += 1;
-        }
-    }
-}
-
-/// Node id -> (interned name, kind). Visits match by name, and two nodes
-/// may share one. `resolve` is asked once per node id.
-#[derive(Default)]
-struct NodeTable {
-    nodes: Vec<Option<(u32, NodeKind)>>,
-    names: HashMap<String, u32>,
-}
-
-impl NodeTable {
-    fn get<'n>(
-        &mut self,
-        id: NodeId,
-        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
-    ) -> (u32, NodeKind) {
-        let i = id.0 as usize;
-        if self.nodes.len() <= i {
-            self.nodes.resize(i + 1, None);
-        }
-        *self.nodes[i].get_or_insert_with(|| {
-            let (name, kind) = resolve(id);
-            let next = self.names.len() as u32;
-            (*self.names.entry(name.to_string()).or_insert(next), kind)
-        })
-    }
-}
-
-/// Packets by id. The lookup per record is the fold's inner loop, so it
-/// hashes with the dataplane's fixed hasher; the one walk over it is a
-/// sum, so its order cannot leak.
-type PacketMap<V> = HashMap<u64, V, FxBuildHasher>;
-
-/// A packet in the [`LiveFold`].
-struct Folded {
-    /// Ring position of the packet's newest folded record.
-    last_seq: u64,
-    fold: PacketFold,
-}
-
-/// Per-cookie [`Tally`]s over the records a trace ring holds, kept
-/// between calls: each call folds only the records appended and evicted
-/// since the previous one. Appending continues a packet's fold; a packet
-/// the eviction horizon cut at the head is folded again from its oldest
-/// retained record; one the horizon passed is forgotten. The counts are
-/// exactly what one pass over the retained records counts.
-#[derive(Default)]
-pub(crate) struct LiveFold {
-    nodes: NodeTable,
-    packets: PacketMap<Folded>,
-    /// (ring position of the oldest retained record, packet id) of every
-    /// packet, in position order: the packets the horizon reaches first
-    /// are at the front.
-    by_first: VecDeque<(u64, u64)>,
-    /// `Sim::trace_epoch` of the ring folded: a re-enabled recorder is a
-    /// new ring whose positions start again at zero.
-    epoch: u64,
-    /// Ring position one past the newest folded record.
-    folded_to: u64,
-    /// The tallies by steering cookie as of `folded_to`, once asked for.
-    per_cookie: Option<BTreeMap<u64, Tally>>,
-}
-
-impl LiveFold {
-    /// Tallies by steering cookie over the records `trace` holds; no
-    /// trace counts as an empty ring. `epoch` numbers the trace, and
-    /// `resolve` must name a node id the same way on every call.
-    pub(crate) fn tallies<'n>(
-        &mut self,
-        epoch: u64,
-        trace: Option<&Trace>,
-        mut resolve: impl FnMut(NodeId) -> (&'n str, NodeKind),
-    ) -> &BTreeMap<u64, Tally> {
-        let (horizon, end) = trace.map_or((0, 0), |t| (t.evicted(), t.seq_end()));
-        if epoch != self.epoch || horizon > self.folded_to {
-            // Another ring, or one that evicted every folded record and
-            // more since the last call: nothing folded is retained.
-            self.packets.clear();
-            self.by_first.clear();
-            (self.epoch, self.folded_to, self.per_cookie) = (epoch, horizon, None);
-        }
-        // The ring only changes by appending, and evicts only to append.
-        if let Some(trace) = trace.filter(|_| end != self.folded_to) {
-            self.per_cookie = None;
-            self.evict(trace, &mut resolve);
-            for (seq, r) in (self.folded_to..).zip(trace.since(self.folded_to)) {
-                self.push(seq, r, &mut resolve);
-            }
-            self.folded_to = end;
-        }
-        self.per_cookie.get_or_insert_with(|| {
-            // Sums and a max only, so the map's order cannot leak into a
-            // count.
-            let mut out = BTreeMap::new();
-            for p in self.packets.values() {
-                if let Some(cookie) = p.fold.cookie {
-                    p.fold.count(out.entry(cookie).or_default());
-                }
-            }
-            out
-        })
-    }
-
-    /// Forgets the packets the eviction horizon passed, and folds the
-    /// ones it cut at the head again from their oldest retained record.
-    fn evict<'n>(
-        &mut self,
-        trace: &Trace,
-        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
-    ) {
-        let horizon = trace.evicted();
-        let mut cut: HashSet<u64, FxBuildHasher> = HashSet::default();
-        let mut scan_to = horizon;
-        while let Some((_, id)) = self
-            .by_first
-            .pop_front_if(|&mut (first, _)| first < horizon)
-        {
-            let p = self
-                .packets
-                .remove(&id)
-                .expect("an indexed packet is folded");
-            if p.last_seq >= horizon {
-                cut.insert(id);
-                scan_to = scan_to.max(p.last_seq + 1);
-            }
-        }
-        // Every record of a cut packet is behind `folded_to`, so the
-        // append that follows continues these folds.
-        for (seq, r) in (horizon..scan_to).zip(trace.since(horizon)) {
-            if cut.contains(&r.packet_id) {
-                self.push(seq, r, resolve);
-            }
-        }
-    }
-
-    /// Folds the record at ring position `seq` into its packet.
-    fn push<'n>(
-        &mut self,
-        seq: u64,
-        r: &TraceRecord,
-        resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
-    ) {
-        let (node, kind) = self.nodes.get(r.node, resolve);
-        let by_first = &mut self.by_first;
-        let p = self.packets.entry(r.packet_id).or_insert_with(|| {
-            // Behind the back only while a cut packet is folded again.
-            let at = by_first.partition_point(|&(first, _)| first < seq);
-            by_first.insert(at, (seq, r.packet_id));
-            Folded {
-                last_seq: seq,
-                fold: PacketFold::new(r.time),
-            }
-        });
-        p.last_seq = seq;
-        p.fold.step(r, node, kind);
-    }
-}
-
-/// Counts, per chain, the journeys [`reconstruct`] would build from the
-/// same records, in one pass and without building them: the [`LiveFold`]
-/// without its memory, and the reference it is tested against. `cookies`
-/// maps steering cookies to chains; a packet with no known cookie counts
-/// nowhere.
 #[cfg(test)]
-pub(crate) fn tallies<'a, 'n, C: Copy + Eq + std::hash::Hash>(
-    records: impl Iterator<Item = &'a TraceRecord>,
-    mut resolve: impl FnMut(NodeId) -> (&'n str, NodeKind),
-    cookies: &HashMap<u64, C>,
-) -> HashMap<C, Tally> {
-    let mut nodes = NodeTable::default();
-    let mut packets: PacketMap<PacketFold> = HashMap::default();
-    for r in records {
-        let (node, kind) = nodes.get(r.node, &mut resolve);
-        packets
-            .entry(r.packet_id)
-            .or_insert_with(|| PacketFold::new(r.time))
-            .step(r, node, kind);
-    }
-    let mut out = HashMap::new();
-    for p in packets.values() {
-        if let Some(&chain) = p.cookie.and_then(|c| cookies.get(&c)) {
-            p.count(out.entry(chain).or_default());
-        }
-    }
-    out
-}
+pub(crate) use live::tallies;
+pub(crate) use live::LiveFold;
 
 impl FlightRecord {
     /// The journey of one packet.
@@ -753,8 +486,8 @@ pub fn evaluate_sla(chain: &str, sla: &Sla, tally: Tally) -> SlaVerdict {
 /// The journey fold `evaluate_sla` ran before [`tallies`] existed: the
 /// reference `tallies` is tested against.
 #[cfg(test)]
-pub(crate) fn journey_tallies(fr: &FlightRecord) -> HashMap<String, Tally> {
-    let mut out: HashMap<String, Tally> = HashMap::new();
+pub(crate) fn journey_tallies(fr: &FlightRecord) -> BTreeMap<String, Tally> {
+    let mut out: BTreeMap<String, Tally> = BTreeMap::new();
     for j in &fr.journeys {
         let Some(chain) = &j.chain else { continue };
         let t = out.entry(chain.clone()).or_default();
@@ -775,7 +508,7 @@ pub(crate) fn journey_tallies(fr: &FlightRecord) -> HashMap<String, Tally> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escape_netem::VnfPath;
+    use escape_netem::{Trace, VnfPath};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -801,8 +534,8 @@ mod tests {
         (name.to_string(), kind)
     }
 
-    fn chains() -> HashMap<u64, String> {
-        HashMap::from([(9, "demo".to_string())])
+    fn chains() -> BTreeMap<u64, String> {
+        BTreeMap::from([(9, "demo".to_string())])
     }
 
     fn delivered_trace() -> Vec<TraceRecord> {
@@ -896,7 +629,7 @@ mod tests {
             max_latency_us: Some(1_000),
             max_loss: Some(0.5),
         };
-        let tally = tallies(trace.iter(), role, &HashMap::from([(9, "demo")]))["demo"];
+        let tally = tallies(trace.iter(), role, &BTreeMap::from([(9, "demo")]))["demo"];
         let v = evaluate_sla("demo", &loose, tally);
         assert!(v.pass, "loose sla should pass: {v}");
         let tight = Sla {
@@ -1013,11 +746,11 @@ mod tests {
                     drawn(time_us, fields)
                 })
                 .collect();
-            let chains = HashMap::from([(9, "demo".to_string()), (10, "other".to_string())]);
-            let cookies: HashMap<u64, &str> = chains.iter().map(|(&c, n)| (c, n.as_str())).collect();
+            let chains = BTreeMap::from([(9, "demo".to_string()), (10, "other".to_string())]);
+            let cookies: BTreeMap<u64, &str> = chains.iter().map(|(&c, n)| (c, n.as_str())).collect();
             for from in 0..=records.len() {
                 let suffix = &records[from..];
-                let folded: HashMap<String, Tally> = tallies(suffix.iter(), role, &cookies)
+                let folded: BTreeMap<String, Tally> = tallies(suffix.iter(), role, &cookies)
                     .into_iter()
                     .map(|(chain, t)| (chain.to_string(), t))
                     .collect();
@@ -1028,8 +761,9 @@ mod tests {
 
         /// The live fold counts what one pass over the ring counts, at
         /// every query, while the drawn records wrap a small ring and,
-        /// once, a new ring replaces it. Queries are drawn, so between
-        /// two of them the ring may have turned over entirely.
+        /// once, a new ring replaces it, and a query names every cookie
+        /// whose tally moved since the previous one. Queries are drawn,
+        /// so between two of them the ring may have turned over entirely.
         #[test]
         fn the_live_fold_equals_the_batch_fold(
             cap in 1usize..16,
@@ -1040,10 +774,12 @@ mod tests {
             new_ring_at in 0usize..60,
         ) {
             // Keyed per cookie: 9 and 10 are deployed chains, 11 is not.
-            let cookies: HashMap<u64, u64> = [9, 10, 11].map(|c| (c, c)).into();
+            let cookies: BTreeMap<u64, u64> = [9, 10, 11].map(|c| (c, c)).into();
             let mut live = LiveFold::default();
             let (mut trace, mut epoch) = (Trace::with_capacity(cap), 0);
-            prop_assert!(live.tallies(epoch, None, role).is_empty());
+            prop_assert_eq!(live.fold(epoch, None, role), Some(Vec::new()));
+            // The tallies at the previous query.
+            let mut answered: BTreeMap<u64, Tally> = BTreeMap::new();
             let mut time_us = 0;
             for (i, (dt, fields, query)) in steps.into_iter().enumerate() {
                 if i == new_ring_at {
@@ -1052,10 +788,18 @@ mod tests {
                 time_us += dt;
                 trace.record(drawn(time_us, fields));
                 if query {
-                    let batch: BTreeMap<u64, Tally> =
-                        tallies(trace.records(), role, &cookies).into_iter().collect();
-                    let folded = live.tallies(epoch, Some(&trace), role);
-                    prop_assert_eq!(folded, &batch, "after record {}", i);
+                    let batch = tallies(trace.records(), role, &cookies);
+                    let moved = live.fold(epoch, Some(&trace), role);
+                    for cookie in [9, 10, 11] {
+                        let tally = live.tally(cookie);
+                        let want = batch.get(&cookie).copied().unwrap_or_default();
+                        prop_assert_eq!(tally, want, "cookie {} after record {}", cookie, i);
+                        if moved.as_ref().is_some_and(|m| !m.contains(&cookie)) {
+                            let before = answered.get(&cookie).copied().unwrap_or_default();
+                            prop_assert_eq!(tally, before, "unnamed cookie {} moved at {}", cookie, i);
+                        }
+                        answered.insert(cookie, tally);
+                    }
                 }
             }
         }

@@ -335,6 +335,12 @@ impl Session {
         self.esc.sla_verdicts()
     }
 
+    /// The verdicts that changed since stamp `since`, and the stamp to
+    /// pass next time (see [`Escape::sla_verdicts_since`]).
+    pub fn sla_verdicts_since(&self, since: u64) -> (Vec<SlaVerdict>, u64) {
+        self.esc.sla_verdicts_since(since)
+    }
+
     /// Delta-encoded sampler series as a JSON document (empty document
     /// when no sampler was configured).
     pub fn series_json(&self) -> String {

@@ -120,14 +120,24 @@ impl Writer {
     /// A float with a decimal point or exponent; JSON has no NaN or
     /// infinity, so those are `null`.
     pub fn float(&mut self, f: f64) {
-        if f.is_finite() {
-            self.item();
+        if !f.is_finite() {
+            self.null();
+            return;
+        }
+        self.item();
+        if f.fract() == 0.0 && f.abs() < 1e16 {
+            // What `{:?}` writes for an integral value it gives no
+            // exponent (below 1e16), without the general formatter.
+            if f.is_sign_negative() {
+                self.out.push('-');
+            }
+            self.digits(f.abs() as u64);
+            self.out.push_str(".0");
+        } else {
             // Writing into a `String` cannot fail.
             let _ = write!(self.out, "{f:?}");
-            self.more = true;
-        } else {
-            self.null();
         }
+        self.more = true;
     }
 
     pub fn str(&mut self, s: &str) {

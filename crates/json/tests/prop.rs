@@ -3,7 +3,7 @@
 //! output, the parser never panics, and string parsing is linear in the
 //! length of the string.
 
-use escape_json::Value;
+use escape_json::{Value, Writer};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -41,6 +41,25 @@ fn arb_float() -> impl Strategy<Value = f64> {
         -1e6f64..1e6,
         any::<u64>().prop_map(f64::from_bits),
     ]
+}
+
+/// Floats around the edges of `Writer::float`'s integral fast path:
+/// integers near ±2^53 (where `f64` stops holding every integer) and
+/// near ±10^16 (where `{:?}` turns to exponents), any integer that
+/// fits, subnormals, both zeros and arbitrary bit patterns.
+fn arb_float_edge() -> impl Strategy<Value = f64> {
+    let magnitude = prop_oneof![
+        Just(0.0),
+        Just(9_999_999_999_999_998.0),
+        Just(1e16),
+        ((1u64 << 53) - 4_096..(1u64 << 53) + 4_096).prop_map(|u| u as f64),
+        (9_999_999_999_990_000u64..10_000_000_000_010_000).prop_map(|u| u as f64),
+        any::<u64>().prop_map(|u| u as f64),
+        any::<u32>().prop_map(f64::from),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        any::<u64>().prop_map(f64::from_bits),
+    ];
+    (magnitude, any::<bool>()).prop_map(|(f, negative)| if negative { -f } else { f })
 }
 
 /// Any document: every scalar kind (`u64` above `i64::MAX` among them)
@@ -131,6 +150,15 @@ proptest! {
         prop_assert_eq!(Value::parse(&compact), Ok(expected.clone()));
         prop_assert_eq!(Value::parse(&pretty), Ok(expected.clone()));
         prop_assert_eq!(Value::parse(&pretty).map(|p| p.to_string()), Ok(compact));
+    }
+
+    /// The writer prints a float exactly as `{:?}` does.
+    #[test]
+    fn floats_print_as_debug_does(f in arb_float_edge()) {
+        let mut w = Writer::compact();
+        w.float(f);
+        let want = if f.is_finite() { format!("{f:?}") } else { "null".into() };
+        prop_assert_eq!(w.finish(), want, "bits {:#x}", f.to_bits());
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub fn route_chain(
             from: from.clone(),
             to: to.clone(),
         })?;
-        total += delay;
+        // Saturates: a total past the clock exceeds every budget.
+        total = total.saturating_add(delay);
         segments.push(PathSegment {
             nodes,
             delay_us: delay,

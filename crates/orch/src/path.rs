@@ -128,7 +128,10 @@ impl PathIndex {
                 if !usable[arc.link] {
                     continue;
                 }
-                let nd = d + arc.delay_us;
+                // A path longer than the clock can count is no path.
+                let Some(nd) = d.checked_add(arc.delay_us) else {
+                    continue;
+                };
                 if dist[arc.to].is_none_or(|best| nd < best) {
                     dist[arc.to] = Some(nd);
                     prev[arc.to] = u;

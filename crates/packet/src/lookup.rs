@@ -142,6 +142,11 @@ impl<K: Eq + Hash, V> LookupMap<K, V> {
         self.0.retain(keep);
     }
 
+    /// Removes every entry, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.0.len()

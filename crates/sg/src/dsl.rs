@@ -22,7 +22,7 @@
 //! Delays accept `us`, `ms` or `s` suffixes (default µs).
 
 use crate::sg::ServiceGraph;
-use crate::topo::ResourceTopology;
+use crate::topo::{ResourceTopology, MAX_DELAY_US};
 
 /// A DSL parse error with its 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,8 +87,10 @@ fn parse_u64(
     }
 }
 
-/// Parses a delay value with optional unit suffix into microseconds.
-fn parse_delay_us(line: usize, v: &str) -> Result<u64, DslError> {
+/// Parses the delay `key=v`, with an optional unit suffix, into
+/// microseconds. A delay must be finite, not negative and at most
+/// [`MAX_DELAY_US`].
+fn parse_delay_us(line: usize, key: &str, v: &str) -> Result<u64, DslError> {
     let (num, mult) = if let Some(n) = v.strip_suffix("us") {
         (n, 1)
     } else if let Some(n) = v.strip_suffix("ms") {
@@ -98,10 +100,23 @@ fn parse_delay_us(line: usize, v: &str) -> Result<u64, DslError> {
     } else {
         (v, 1)
     };
-    let base: f64 = num
-        .parse()
-        .map_err(|_| err(line, format!("bad delay {v:?}")))?;
-    Ok((base * mult as f64) as u64)
+    let us = match num.parse::<u64>() {
+        Ok(n) => n.checked_mul(mult),
+        Err(_) => {
+            let base: f64 = num
+                .parse()
+                .map_err(|_| err(line, format!("bad {key}={v:?}")))?;
+            let us = base * mult as f64;
+            // The cast saturates, so the bound is checked on the integer.
+            (us >= 0.0).then_some(us as u64)
+        }
+    };
+    us.filter(|&us| us <= MAX_DELAY_US).ok_or_else(|| {
+        err(
+            line,
+            format!("{key}={v:?} must be from 0 to {MAX_DELAY_US} us"),
+        )
+    })
 }
 
 /// Parses a topology description.
@@ -146,7 +161,7 @@ pub fn parse_topology(src: &str) -> Result<ResourceTopology, DslError> {
                 }
                 let bw = parse_f64(line, &kv, "bw", 1000.0)?;
                 let delay = match get_opt(&kv, "delay") {
-                    Some(v) => parse_delay_us(line, v)?,
+                    Some(v) => parse_delay_us(line, "delay", v)?,
                     None => 50,
                 };
                 t.add_link(plain[0].clone(), plain[1].clone(), bw, delay);
@@ -239,11 +254,11 @@ pub fn parse_service_graph(src: &str) -> Result<ServiceGraph, DslError> {
                 }
                 let bw = parse_f64(line, &kv, "bw", 10.0)?;
                 let delay = match get_opt(&kv, "delay") {
-                    Some(v) => Some(parse_delay_us(line, v)?),
+                    Some(v) => Some(parse_delay_us(line, "delay", v)?),
                     None => None,
                 };
                 let sla_delay = match get_opt(&kv, "sla_delay") {
-                    Some(v) => Some(parse_delay_us(line, v)?),
+                    Some(v) => Some(parse_delay_us(line, "sla_delay", v)?),
                     None => None,
                 };
                 let sla_loss = match get_opt(&kv, "sla_loss") {
@@ -345,6 +360,35 @@ chain back = sap1 -> sap0 bw=10
         assert_eq!(g.chains[1].sla, None);
         let e = parse_service_graph("sap a b\nchain c = a -> b sla_loss=bogus\n").unwrap_err();
         assert!(e.message.contains("sla_loss"));
+    }
+
+    #[test]
+    fn delays_the_clock_cannot_hold_are_rejected() {
+        for bad in [
+            "1e30s",
+            "-5ms",
+            "nan",
+            "inf",
+            "18446744073709552",
+            "18446744073710ms",
+        ] {
+            let e = parse_topology(&format!("switch a b\nlink a b delay={bad}\n")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert_eq!(
+                e.to_string(),
+                format!("line 2: delay={bad:?} must be from 0 to 18446744073709551 us")
+            );
+            let sg = format!("sap a b\nchain c = a -> b sla_delay={bad}\n");
+            let e = parse_service_graph(&sg).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("line 2: sla_delay={bad:?} must be from 0 to 18446744073709551 us")
+            );
+        }
+        let t = parse_topology("switch a b\nlink a b delay=18446744073709551\n").unwrap();
+        assert_eq!(t.links[0].delay_us, MAX_DELAY_US);
+        let t = parse_topology("switch a b\nlink a b delay=-0.0\n").unwrap();
+        assert_eq!(t.links[0].delay_us, 0);
     }
 
     #[test]

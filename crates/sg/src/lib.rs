@@ -22,4 +22,4 @@ pub mod topo;
 
 pub use dsl::{parse_service_graph, parse_topology, DslError};
 pub use sg::{Chain, ServiceGraph, Sla, VnfReq};
-pub use topo::{ResourceTopology, TopoLink, TopoNode, TopoNodeKind};
+pub use topo::{ResourceTopology, TopoLink, TopoNode, TopoNodeKind, MAX_DELAY_US};

@@ -1,5 +1,6 @@
 //! The abstract service graph: VNF requests and chains.
 
+use crate::topo::MAX_DELAY_US;
 use escape_json::wire::{decode_items, from_json, to_json_pretty, Codec, Omit, WireError};
 use escape_json::{wire_struct, Value, Writer};
 use std::collections::HashSet;
@@ -239,6 +240,18 @@ impl ServiceGraph {
             if c.bandwidth_mbps <= 0.0 {
                 return Err(format!("chain {:?} has non-positive bandwidth", c.name));
             }
+            let delays = [
+                ("max_delay_us", c.max_delay_us),
+                ("sla max_latency_us", c.sla.and_then(|s| s.max_latency_us)),
+            ];
+            for (field, us) in delays {
+                if us.is_some_and(|us| us > MAX_DELAY_US) {
+                    return Err(format!(
+                        "chain {:?} {field} must be at most {MAX_DELAY_US}",
+                        c.name
+                    ));
+                }
+            }
             if let Some(sla) = &c.sla {
                 if let Some(loss) = sla.max_loss {
                     if !(0.0..=1.0).contains(&loss) {
@@ -349,6 +362,28 @@ mod tests {
             .vnf("v", "t", 1.0, 1)
             .chain("c", &["a", "v", "b"], 0.0, None);
         assert!(g.validate().unwrap_err().contains("bandwidth"));
+    }
+
+    #[test]
+    fn delays_the_clock_cannot_hold_do_not_validate() {
+        let budget = demo().chain("c2", &["sap0", "fw", "sap1"], 1.0, Some(u64::MAX));
+        assert_eq!(
+            budget.validate().unwrap_err(),
+            "chain \"c2\" max_delay_us must be at most 18446744073709551"
+        );
+        let sla = demo().with_sla(Sla {
+            max_latency_us: Some(MAX_DELAY_US + 1),
+            max_loss: None,
+        });
+        assert_eq!(
+            sla.validate().unwrap_err(),
+            "chain \"c1\" sla max_latency_us must be at most 18446744073709551"
+        );
+        let at_the_bound = demo().with_sla(Sla {
+            max_latency_us: Some(MAX_DELAY_US),
+            max_loss: None,
+        });
+        at_the_bound.validate().unwrap();
     }
 
     #[test]

@@ -4,6 +4,11 @@ use escape_json::wire::{from_json, to_json_pretty, Flat};
 use escape_json::{wire_struct, wire_tagged};
 use std::collections::{BinaryHeap, HashMap};
 
+/// The longest delay a link, a chain budget or an SLA may name, in µs:
+/// the virtual clock counts nanoseconds in a `u64`, so a longer delay
+/// could not be scheduled.
+pub const MAX_DELAY_US: u64 = u64::MAX / 1_000;
+
 wire_tagged! {
     /// What a topology node is. In the JSON form this is a `"kind"` tag
     /// with the container capacity fields inlined next to it.
@@ -158,7 +163,7 @@ impl ResourceTopology {
     }
 
     /// Structural validation: link endpoints exist, no duplicate names,
-    /// positive capacities.
+    /// positive capacities, delays the clock can hold.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = HashMap::new();
         for n in &self.nodes {
@@ -179,6 +184,12 @@ impl ResourceTopology {
             }
             if l.bandwidth_mbps <= 0.0 {
                 return Err(format!("link {}-{} has non-positive bandwidth", l.a, l.b));
+            }
+            if l.delay_us > MAX_DELAY_US {
+                return Err(format!(
+                    "link {}-{} delay_us {} must be at most {MAX_DELAY_US}",
+                    l.a, l.b, l.delay_us
+                ));
             }
         }
         Ok(())
@@ -216,7 +227,10 @@ impl ResourceTopology {
                 if available < min_bw_mbps {
                     continue;
                 }
-                let nd = d + link.delay_us;
+                // A path longer than the clock can count is no path.
+                let Some(nd) = d.checked_add(link.delay_us) else {
+                    continue;
+                };
                 if dist.get(v).is_none_or(|&best| nd < best) {
                     dist.insert(v, nd);
                     prev.insert(v, u);
@@ -362,6 +376,33 @@ pub mod builders {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_json_delay_the_clock_cannot_hold_does_not_validate() {
+        let mut t = builders::linear(2, 4.0);
+        t.links[0].delay_us = u64::MAX;
+        let t = ResourceTopology::from_json(&t.to_json()).unwrap();
+        assert_eq!(t.links[0].delay_us, u64::MAX);
+        let (a, b) = (&t.links[0].a, &t.links[0].b);
+        assert_eq!(
+            t.validate().unwrap_err(),
+            format!("link {a}-{b} delay_us 18446744073709551615 must be at most 18446744073709551")
+        );
+    }
+
+    /// The search sums delays with a check, so a path whose delay a
+    /// `u64` cannot count is no path, even on a topology that was never
+    /// validated.
+    #[test]
+    fn a_path_whose_delay_overflows_is_no_path() {
+        let half = u64::MAX / 2 + 1;
+        let mut t = ResourceTopology::new();
+        t.add_switch("a").add_switch("b").add_switch("c");
+        t.add_link("a", "b", 1000.0, half);
+        t.add_link("b", "c", 1000.0, half);
+        assert_eq!(t.shortest_path("a", "b", 0.0, None).unwrap().1, half);
+        assert!(t.shortest_path("a", "c", 0.0, None).is_none());
+    }
 
     #[test]
     fn builder_shapes_validate() {
