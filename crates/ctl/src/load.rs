@@ -10,7 +10,8 @@ use escape_domain::DomainSpec;
 use escape_netem::FaultPlan;
 use escape_sg::{ResourceTopology, ServiceGraph};
 
-/// A file's text, or `<path>: <why not>`.
+/// A file's text, or `<path>: <why not>`. Every loader below words its
+/// parse errors the same way, so an error names the file it came from.
 pub fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -25,11 +26,11 @@ pub fn format(path: &str, json: bool) -> InputFormat {
 }
 
 pub fn topology(path: &str, json: bool) -> Result<ResourceTopology, String> {
-    parse_topology_text(&read(path)?, format(path, json))
+    parse_topology_text(&read(path)?, format(path, json)).map_err(|e| format!("{path}: {e}"))
 }
 
 pub fn service_graph(path: &str, json: bool) -> Result<ServiceGraph, String> {
-    parse_service_graph_text(&read(path)?, format(path, json))
+    parse_service_graph_text(&read(path)?, format(path, json)).map_err(|e| format!("{path}: {e}"))
 }
 
 pub fn fault_plan(path: &str) -> Result<FaultPlan, String> {
@@ -37,5 +38,5 @@ pub fn fault_plan(path: &str) -> Result<FaultPlan, String> {
 }
 
 pub fn domain_spec(path: &str) -> Result<DomainSpec, String> {
-    DomainSpec::from_json(&read(path)?)
+    DomainSpec::from_json(&read(path)?).map_err(|e| format!("{path}: {e}"))
 }

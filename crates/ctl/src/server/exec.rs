@@ -52,7 +52,13 @@ pub fn execute(session: &mut Session, req: &CtlRequest) -> CtlResponse {
             format: *format,
             body: session.metrics_exposition(matches!(format, MetricsFormat::Json)),
         },
-        CtlRequest::Sla => CtlResponse::Sla(session.sla_verdicts().iter().map(sla_info).collect()),
+        CtlRequest::Sla => CtlResponse::Sla(
+            session
+                .sla_verdicts()
+                .into_iter()
+                .map(SlaInfo::from)
+                .collect(),
+        ),
         CtlRequest::Series => CtlResponse::Series {
             body: session.series_json(),
         },
@@ -172,15 +178,18 @@ fn deploy_info(report: &DeploymentReport) -> DeployInfo {
     }
 }
 
-pub(super) fn sla_info(v: &SlaVerdict) -> SlaInfo {
-    SlaInfo {
-        chain: v.chain.clone(),
-        pass: v.pass,
-        delivered: v.delivered,
-        dropped: v.dropped,
-        loss: v.loss,
-        max_latency_ns: v.max_latency_ns,
-        violations: v.violations.clone(),
+/// A verdict on the wire, moved rather than copied.
+impl From<SlaVerdict> for SlaInfo {
+    fn from(v: SlaVerdict) -> SlaInfo {
+        SlaInfo {
+            chain: v.chain,
+            pass: v.pass,
+            delivered: v.delivered,
+            dropped: v.dropped,
+            loss: v.loss,
+            max_latency_ns: v.max_latency_ns,
+            violations: v.violations,
+        }
     }
 }
 

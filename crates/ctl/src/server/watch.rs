@@ -10,11 +10,10 @@
 //! nothing, so the state at registration *is* the state at the previous
 //! publish.
 
-use super::exec::sla_info;
 use super::socket::reply;
 use super::Command;
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{CtlError, CtlEvent, CtlResponse, MetricDelta, WatchTopic};
+use crate::proto::{CtlError, CtlEvent, CtlResponse, MetricDelta, SlaInfo, WatchTopic};
 use escape::{JournalEvent, Session};
 use escape_telemetry::{delta, Scalar};
 use std::collections::BTreeMap;
@@ -178,9 +177,9 @@ impl Publisher {
             let (changed, seen) = session.sla_verdicts_since(self.sla_seen);
             self.sla_seen = seen;
             let verdicts: Vec<_> = changed
-                .iter()
+                .into_iter()
                 .filter(|v| self.sla_last.insert(v.chain.clone(), v.pass) != Some(v.pass))
-                .map(sla_info)
+                .map(SlaInfo::from)
                 .collect();
             if !verdicts.is_empty() {
                 frames.push((

@@ -357,6 +357,7 @@ fn one_shot_runs(c: &mut Corpus) {
     c.run("escape", &["run", "--faults", "no-such.fault"]);
     c.run("escape", &["run", "--faults", sg]);
     c.run("escape", &["run", topo, sg, "--domains", "no-such.json"]);
+    c.run("escape", &["run", topo, sg, "--domains", sg]);
     c.run("escape", &["run", topo, sg, "--monitor", "demo:nope"]);
     c.run("escape", &["run", "--traffic", "sap0:nowhere:1"]);
     // A link delay the virtual clock cannot hold: the line and the bound.

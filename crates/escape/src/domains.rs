@@ -25,9 +25,26 @@
 //! only ever advance *disjoint* simulators between barriers, so the
 //! merged event and flight traces are byte-identical for any worker
 //! count and across repeated runs with the same seed.
+//!
+//! # Removal
+//!
+//! One rule decides when the coordinator lets go of a chain. Its plan
+//! enters `plans`, with its global CPU committed, before its first leg
+//! deploys; it leaves, its handoffs dropped and its CPU released, only
+//! once every leg it names is down. A deploy's rollback, a teardown and a
+//! re-stitch all take legs down through one helper, which tries every
+//! leg and reports those still up, so a stalled agent keeps the plan:
+//!
+//! * a re-stitch keeps the chain's graph too, and the next epoch's
+//!   lost-chain sweep retries it;
+//! * a rollback or a teardown leaves the plan without a graph (the chain
+//!   is being removed), and the next [`MultiDomainEscape::teardown`]
+//!   finishes it.
+
+#![deny(clippy::let_underscore_must_use)]
 
 use crate::env::Escape;
-use crate::error::EscapeError;
+use crate::error::{DeployPhase, EscapeError, RollbackReport, RollbackStep};
 use crate::journal::{Journal, JournalKind, Severity, DEFAULT_JOURNAL_CAP};
 use crate::session::algorithm_by_name;
 use escape_domain::{ChainLeg, ChainPlan, DomainSpec, GlobalOrchestrator, Partition};
@@ -36,7 +53,7 @@ use escape_orch::MapError;
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
 use escape_telemetry::{Counter, Registry, Snapshot};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
@@ -97,13 +114,15 @@ pub struct MultiDomainEscape {
     global: GlobalOrchestrator,
     /// Gateway SAPs to drain, in deterministic (domain, gateway) order.
     gw_saps: Vec<(usize, String)>,
-    plans: HashMap<String, ChainPlan>,
-    /// Originating service graph per chain, for global re-stitching.
-    graphs: HashMap<String, ServiceGraph>,
-    handoffs: HashMap<HandoffKey, Handoff>,
+    /// Every chain with a leg that may be up (see the module docs).
+    plans: BTreeMap<String, ChainPlan>,
+    /// Originating service graph per chain, for global re-stitching. A
+    /// planned chain without one is being removed.
+    graphs: BTreeMap<String, ServiceGraph>,
+    handoffs: BTreeMap<HandoffKey, Handoff>,
     /// Chain → wire-identity port. Assigned in deploy order, never
     /// reused, so identical deploy sequences get identical ports.
-    ports: HashMap<String, u16>,
+    ports: BTreeMap<String, u16>,
     next_port: u16,
     workers: usize,
     /// Coordinator-level typed event journal (stitches, escalations,
@@ -170,10 +189,10 @@ impl MultiDomainEscape {
             global: GlobalOrchestrator::new(partition),
             parts,
             gw_saps,
-            plans: HashMap::new(),
-            graphs: HashMap::new(),
-            handoffs: HashMap::new(),
-            ports: HashMap::new(),
+            plans: BTreeMap::new(),
+            graphs: BTreeMap::new(),
+            handoffs: BTreeMap::new(),
+            ports: BTreeMap::new(),
             next_port: CHAIN_PORT_BASE,
             workers: workers.max(1),
             journal: Journal::new(&registry, DEFAULT_JOURNAL_CAP),
@@ -245,7 +264,6 @@ impl MultiDomainEscape {
                 )])
             })?;
             self.deploy_plan(sg, &plan)?;
-            self.global.commit(sg, &plan);
             self.journal_event(
                 Severity::Info,
                 JournalKind::DeployCommitted,
@@ -256,32 +274,70 @@ impl MultiDomainEscape {
                     plan.legs.len()
                 ),
             );
-            self.plans.insert(plan.chain.clone(), plan);
             self.graphs.insert(chain.name.clone(), sg.clone());
         }
         self.align();
         Ok(())
     }
 
-    /// Deploys all legs of one plan; on a partial failure tears down the
-    /// legs already placed so no half-stitched chain lingers.
+    /// Commits `plan` and enters it in `plans`, then deploys its legs and
+    /// wires its handoffs. On a failure the legs come down again; if one
+    /// stays up, the plan stays for [`MultiDomainEscape::teardown`] to
+    /// finish, and the error's rollback report names the legs left up.
     fn deploy_plan(&mut self, sg: &ServiceGraph, plan: &ChainPlan) -> Result<(), EscapeError> {
-        let mut placed: Vec<usize> = Vec::new();
-        for leg in &plan.legs {
+        let chain = &plan.chain;
+        if self.plans.contains_key(chain) {
+            return Err(EscapeError::Invalid(format!("chain {chain} is deployed")));
+        }
+        self.global.commit(sg, plan);
+        self.plans.insert(chain.clone(), plan.clone());
+        let placed = plan.legs.iter().try_for_each(|leg| {
             let di = self.domain_index(&leg.domain);
             let leg_sg = leg_service_graph(sg, leg);
-            match self.parts[di].esc.deploy(&leg_sg) {
-                Ok(_) => placed.push(di),
-                Err(e) => {
-                    for di in placed {
-                        let _ = self.parts[di].esc.teardown(&plan.chain);
-                    }
-                    return Err(e);
-                }
-            }
+            self.parts[di].esc.deploy(&leg_sg).map(drop)
+        });
+        let Err(cause) = placed.and_then(|()| self.register_handoffs(plan)) else {
+            return Ok(());
+        };
+        let up = self.take_down(chain);
+        if up.is_empty() {
+            self.forget(chain);
+            return Err(cause);
         }
-        self.register_handoffs(plan)?;
-        Ok(())
+        let steps = up.iter().map(|&(di, _)| RollbackStep {
+            action: "teardown-leg",
+            target: format!("{chain} in {}", self.parts[di].name),
+            ok: false,
+        });
+        let rollback = RollbackReport {
+            steps: steps.collect(),
+        };
+        Err(EscapeError::DeployFailed {
+            phase: DeployPhase::Prepare,
+            cause: Box::new(cause),
+            rollback,
+        })
+    }
+
+    /// Takes `chain` down in every domain that still holds it and
+    /// returns the domains where it stays up, each with the error that
+    /// kept it there.
+    fn take_down(&mut self, chain: &str) -> Vec<(usize, EscapeError)> {
+        (0..self.parts.len())
+            .filter_map(|di| {
+                let esc = &mut self.parts[di].esc;
+                esc.deployed(chain)?;
+                esc.teardown(chain).err().map(|e| (di, e))
+            })
+            .collect()
+    }
+
+    /// Forgets a chain whose legs are all down: its plan and handoffs go,
+    /// and its global CPU comes back.
+    fn forget(&mut self, chain: &str) {
+        self.plans.remove(chain);
+        self.handoffs.retain(|_, h| h.chain != chain);
+        self.global.release(chain);
     }
 
     /// Wires the egress-gateway routing table for one plan.
@@ -290,7 +346,12 @@ impl MultiDomainEscape {
             Some(&p) => p,
             None => {
                 let p = self.next_port;
-                self.next_port += 1;
+                self.next_port = p.checked_add(1).ok_or_else(|| {
+                    EscapeError::Invalid(format!(
+                        "no chain port left for {}: ports {CHAIN_PORT_BASE}..={p} are taken",
+                        plan.chain
+                    ))
+                })?;
                 self.ports.insert(plan.chain.clone(), p);
                 p
             }
@@ -343,25 +404,14 @@ impl MultiDomainEscape {
     /// legs whose domain no longer holds the chain. Dropping the chain's
     /// graph first keeps the coordinator from re-stitching it meanwhile.
     pub fn teardown(&mut self, chain: &str) -> Result<(), EscapeError> {
-        let plan = self
-            .plans
-            .get(chain)
-            .ok_or_else(|| EscapeError::NotFound(format!("chain {chain}")))?;
-        let legs: Vec<usize> = plan
-            .legs
-            .iter()
-            .map(|l| self.domain_index(&l.domain))
-            .collect();
-        self.graphs.remove(chain);
-        for di in legs {
-            let esc = &mut self.parts[di].esc;
-            if esc.deployed(chain).is_some() {
-                esc.teardown(chain)?;
-            }
+        if !self.plans.contains_key(chain) {
+            return Err(EscapeError::NotFound(format!("chain {chain}")));
         }
-        self.plans.remove(chain);
-        self.handoffs.retain(|_, h| h.chain != chain);
-        self.global.release(chain);
+        self.graphs.remove(chain);
+        if let Some((_, e)) = self.take_down(chain).into_iter().next() {
+            return Err(e);
+        }
+        self.forget(chain);
         self.journal_event(
             Severity::Info,
             JournalKind::Teardown,
@@ -505,8 +555,8 @@ impl MultiDomainEscape {
         }
         let mut broken: Vec<String> = Vec::new();
         for (chain, plan) in &self.plans {
-            // A chain whose teardown failed part-way has no graph: the
-            // teardown's retry finishes it, not a re-stitch.
+            // A chain being removed has no graph: its teardown's retry
+            // finishes it, not a re-stitch.
             let lost = self.graphs.contains_key(chain)
                 && plan.legs.iter().any(|leg| {
                     let di = self.domain_index(&leg.domain);
@@ -516,7 +566,6 @@ impl MultiDomainEscape {
                 broken.push(chain.clone());
             }
         }
-        broken.sort();
         for chain in broken {
             self.journal_event(
                 Severity::Warn,
@@ -529,22 +578,20 @@ impl MultiDomainEscape {
 
     /// Global re-stitch of one chain: tear down surviving legs, re-plan
     /// over the current domain graph (failed gateways excluded, shifted
-    /// aggregate capacity), redeploy. Abandons the chain if the global
-    /// layer cannot place it either.
+    /// aggregate capacity), redeploy. A leg that stays up keeps the plan
+    /// and the graph, and the next epoch's sweep tries again. Abandons
+    /// the chain if the global layer cannot place it.
     fn restitch(&mut self, chain: &str) {
         // No graph: a teardown is under way and owns the plan.
         let Some(sg) = self.graphs.get(chain).cloned() else {
             return;
         };
-        let Some(old) = self.plans.remove(chain) else {
+        if let Some((_, e)) = self.take_down(chain).into_iter().next() {
+            let detail = format!("chain {chain}: {e}; re-stitch waits");
+            self.journal_event(Severity::Warn, JournalKind::HealFailed, detail);
             return;
-        };
-        for leg in &old.legs {
-            let di = self.domain_index(&leg.domain);
-            let _ = self.parts[di].esc.teardown(chain);
         }
-        self.handoffs.retain(|_, h| h.chain != chain);
-        self.global.release(chain);
+        self.forget(chain);
         let Some(c) = sg.chains.iter().find(|c| c.name == chain) else {
             return;
         };
@@ -552,20 +599,15 @@ impl MultiDomainEscape {
             .global
             .plan_chain(&sg, c)
             .map_err(|e| EscapeError::Invalid(e.to_string()))
-            .and_then(|plan| {
-                self.deploy_plan(&sg, &plan)?;
-                Ok(plan)
-            });
+            .and_then(|plan| self.deploy_plan(&sg, &plan).map(|()| plan));
         match outcome {
             Ok(plan) => {
-                self.global.commit(&sg, &plan);
                 self.registry.counter("domains.restitches").inc();
                 self.journal_event(
                     Severity::Info,
                     JournalKind::ChainRestitched,
                     format!("chain {chain} across {:?}", plan.domain_path),
                 );
-                self.plans.insert(chain.to_string(), plan);
             }
             Err(e) => {
                 self.registry.counter("domains.restitch_failures").inc();
@@ -586,28 +628,15 @@ impl MultiDomainEscape {
     /// simulators, the global orchestrator excludes the gateway, and
     /// every chain riding it is re-stitched over the remaining graph.
     pub fn fail_gateway(&mut self, id: usize) -> Result<(), EscapeError> {
-        let g = self
-            .global
-            .partition()
-            .gateways
-            .get(id)
-            .cloned()
-            .ok_or_else(|| EscapeError::NotFound(format!("gateway {id}")))?;
+        let gateway = self.set_gateway_links(id, LinkState::Down)?;
         self.global.mark_gateway_failed(id);
-        self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Down);
-        self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Down);
-        self.journal_event(
-            Severity::Warn,
-            JournalKind::GatewayDown,
-            format!("gateway {id} ({}--{})", g.a_switch, g.b_switch),
-        );
-        let mut affected: Vec<String> = self
+        self.journal_event(Severity::Warn, JournalKind::GatewayDown, gateway);
+        let affected: Vec<String> = self
             .plans
             .iter()
             .filter(|(_, p)| p.gateways().contains(&id))
             .map(|(c, _)| c.clone())
             .collect();
-        affected.sort();
         for chain in affected {
             self.restitch(&chain);
         }
@@ -617,6 +646,15 @@ impl MultiDomainEscape {
     /// Brings a failed gateway back; future plans may use it again
     /// (already re-stitched chains stay on their new paths).
     pub fn restore_gateway(&mut self, id: usize) -> Result<(), EscapeError> {
+        let gateway = self.set_gateway_links(id, LinkState::Up)?;
+        self.global.mark_gateway_recovered(id);
+        self.journal_event(Severity::Info, JournalKind::GatewayRestored, gateway);
+        Ok(())
+    }
+
+    /// Sets both half-links of gateway `id` in their simulators and
+    /// names the gateway as the journal does.
+    fn set_gateway_links(&mut self, id: usize, state: LinkState) -> Result<String, EscapeError> {
         let g = self
             .global
             .partition()
@@ -624,23 +662,17 @@ impl MultiDomainEscape {
             .get(id)
             .cloned()
             .ok_or_else(|| EscapeError::NotFound(format!("gateway {id}")))?;
-        self.global.mark_gateway_recovered(id);
-        self.set_gateway_links(&g.a_domain, &g.a_sap, &g.a_switch, LinkState::Up);
-        self.set_gateway_links(&g.b_domain, &g.b_sap, &g.b_switch, LinkState::Up);
-        self.journal_event(
-            Severity::Info,
-            JournalKind::GatewayRestored,
-            format!("gateway {id} ({}--{})", g.a_switch, g.b_switch),
-        );
-        Ok(())
-    }
-
-    fn set_gateway_links(&mut self, domain: &str, sap: &str, switch: &str, state: LinkState) {
-        let di = self.domain_index(domain);
-        let esc = &mut self.parts[di].esc;
-        for l in esc.sim.find_links(sap, switch) {
-            esc.sim.set_link_state(l, state);
+        for (domain, sap, switch) in [
+            (&g.a_domain, &g.a_sap, &g.a_switch),
+            (&g.b_domain, &g.b_sap, &g.b_switch),
+        ] {
+            let di = self.domain_index(domain);
+            let sim = &mut self.parts[di].esc.sim;
+            for l in sim.find_links(sap, switch) {
+                sim.set_link_state(l, state);
+            }
         }
+        Ok(format!("gateway {id} ({}--{})", g.a_switch, g.b_switch))
     }
 
     // ---------------- observation -----------------------------------
@@ -733,24 +765,23 @@ impl MultiDomainEscape {
     /// domain path, per-leg hops, placements and path delay. Two runs
     /// with the same seed must produce identical output.
     pub fn embedding_trace(&self) -> String {
-        let mut chains: Vec<&String> = self.plans.keys().collect();
-        chains.sort();
         let mut out = String::new();
-        for c in chains {
-            let plan = &self.plans[c];
-            let _ = writeln!(
+        for (c, plan) in &self.plans {
+            writeln!(
                 out,
                 "chain {c}: path {:?} inter-domain {}us",
                 plan.domain_path, plan.inter_domain_us
-            );
+            )
+            .expect("writing to a String cannot fail");
             for leg in &plan.legs {
                 let di = self.domain_index(&leg.domain);
                 if let Some(dc) = self.parts[di].esc.deployed(c) {
-                    let _ = writeln!(
+                    writeln!(
                         out,
                         "  leg {}: hops {:?} placement {:?} delay {}us",
                         leg.domain, leg.chain.hops, dc.mapping.placement, dc.mapping.total_delay_us
-                    );
+                    )
+                    .expect("writing to a String cannot fail");
                 }
             }
         }
@@ -782,5 +813,69 @@ fn leg_service_graph(sg: &ServiceGraph, leg: &ChainLeg) -> ServiceGraph {
             .filter_map(|v| sg.vnf_named(v).cloned())
             .collect(),
         chains: vec![leg.chain.clone()],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two domains in a line: `sap0 - s0(c0) -[300us]- s1(c1) - sap1`.
+    fn line2() -> MultiDomainEscape {
+        let mut t = ResourceTopology::new();
+        t.add_sap("sap0")
+            .add_switch("s0")
+            .add_container("c0", 4.0, 2048)
+            .add_switch("s1")
+            .add_container("c1", 4.0, 2048)
+            .add_sap("sap1")
+            .add_link("sap0", "s0", 1000.0, 10)
+            .add_link("c0", "s0", 1000.0, 20)
+            .add_link("s0", "s1", 1000.0, 300)
+            .add_link("c1", "s1", 1000.0, 20)
+            .add_link("sap1", "s1", 1000.0, 10);
+        let spec = DomainSpec::new()
+            .domain("d0", &["sap0", "s0", "c0"])
+            .domain("d1", &["s1", "c1", "sap1"]);
+        MultiDomainEscape::build(&t, &spec, "first_fit", SteeringMode::Proactive, 3, 1)
+            .expect("the two-domain line builds")
+    }
+
+    #[test]
+    fn running_out_of_chain_ports_rolls_every_leg_back() {
+        let mut md = line2();
+        // f0 fills three of d0's four CPUs, so f1 spills into d1.
+        let sg = ServiceGraph::new()
+            .sap("sap0")
+            .sap("sap1")
+            .vnf("f0", "firewall", 3.0, 256)
+            .vnf("f1", "monitor", 3.0, 256)
+            .chain("c", &["sap0", "f0", "f1", "sap1"], 20.0, None);
+        md.next_port = u16::MAX;
+        let err = md.deploy(&sg).expect_err("no chain port is left");
+        assert!(
+            matches!(&err, EscapeError::Invalid(m) if m.starts_with("no chain port left for c")),
+            "{err}"
+        );
+        assert!(md.plan("c").is_none(), "every leg came down");
+        assert!(md.handoffs.is_empty() && md.ports.is_empty());
+        for rt in &md.parts {
+            assert!(rt.esc.deployed("c").is_none(), "{} still holds c", rt.name);
+            assert_eq!(
+                rt.esc.check_invariants(),
+                Vec::<String>::new(),
+                "{}",
+                rt.name
+            );
+        }
+        // The global CPU came back: the same split fits again.
+        md.next_port = CHAIN_PORT_BASE;
+        md.deploy(&sg).expect("the chain fits once ports are free");
+        let plan = md.plan("c").expect("the chain is planned");
+        assert_eq!(
+            (&plan.legs[0].vnfs, &plan.legs[1].vnfs),
+            (&vec!["f0".to_string()], &vec!["f1".to_string()])
+        );
+        assert_eq!(md.ports.get("c"), Some(&CHAIN_PORT_BASE));
     }
 }

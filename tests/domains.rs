@@ -477,3 +477,275 @@ fn teardown_keeps_the_plan_until_every_leg_is_down() {
     md.deploy(&spill_sg()).unwrap();
     assert_eq!(md.plan("c1").unwrap().legs[0].vnfs, vec!["f1", "f2"]);
 }
+
+/// The state a removal that met a stalled agent must end in once the
+/// stall is over: every domain's invariants hold, and a domain holds
+/// `chain` only where its plan (if any) puts a leg.
+fn assert_settled(md: &MultiDomainEscape, chain: &str) {
+    let path = md
+        .plan(chain)
+        .map_or_else(Vec::new, |p| p.domain_path.clone());
+    for d in &md.partition().domains {
+        let esc = md.domain_escape(&d.name).unwrap();
+        assert_eq!(esc.check_invariants(), Vec::<String>::new(), "{}", d.name);
+        assert!(
+            esc.deployed(chain).is_none() || path.contains(&d.name),
+            "{} holds {chain} outside its plan",
+            d.name
+        );
+    }
+}
+
+/// The spill chain with `f3` asking for `f3_mem` MB: the global view
+/// counts CPU only, so d1's own orchestrator is the one to refuse f3
+/// when its container (2 048 MB) is too small.
+fn spill_sg_with_f3_mem(f3_mem: u64) -> ServiceGraph {
+    ServiceGraph::new()
+        .sap("sap0")
+        .sap("sap2")
+        .vnf("f1", "firewall", 1.5, 256)
+        .vnf("f2", "monitor", 1.5, 256)
+        .vnf("f3", "firewall", 1.5, f3_mem)
+        .chain("c1", &["sap0", "f1", "f2", "f3", "sap2"], 50.0, None)
+}
+
+#[test]
+fn a_restitch_keeps_the_plan_while_a_leg_is_stalled() {
+    use escape_netem::{FaultKind, FaultPlan};
+    let (topo, spec) = diamond();
+    let mut md =
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 11, 1)
+            .unwrap();
+    // f1 fills d0, so f2 spills into d1 on the cheap route.
+    let sg = ServiceGraph::new()
+        .sap("sap0")
+        .sap("sap3")
+        .vnf("f1", "firewall", 3.5, 256)
+        .vnf("f2", "monitor", 3.5, 256)
+        .chain("c1", &["sap0", "f1", "f2", "sap3"], 20.0, None);
+    md.deploy(&sg).unwrap();
+    let plan = md.plan("c1").unwrap();
+    assert_eq!(plan.domain_path, vec!["d0", "d1", "d3"]);
+    assert_eq!(plan.legs[1].vnfs, vec!["f2"]);
+    // Stall d1's container, which hosts f2, past the RPC retry budget.
+    let stall = FaultPlan::new("stall").at_ms(
+        0,
+        FaultKind::VnfStall {
+            node: "c1".into(),
+            for_us: 900_000,
+        },
+    );
+    md.domain_escape_mut("d1")
+        .unwrap()
+        .load_fault_plan(&stall)
+        .unwrap();
+    md.run_for_ms(1);
+
+    // The re-stitch takes d0's and d3's legs down, d1's stays up: the
+    // plan stays on its old route, and so does the chain's graph.
+    md.fail_gateway(0).unwrap();
+    assert_eq!(md.plan("c1").unwrap().domain_path, vec!["d0", "d1", "d3"]);
+    assert!(md.domain_escape("d1").unwrap().deployed("c1").is_some());
+    assert!(md.domain_escape("d0").unwrap().deployed("c1").is_none());
+    assert_eq!(
+        md.metrics()
+            .counter("domains.restitches", &[("domain", "global")]),
+        None
+    );
+
+    // The heal sweep retries every epoch; once the stall is over, d1's
+    // leg comes down and the chain is re-stitched around the gateway.
+    md.run_for_ms(1000);
+    assert_eq!(md.plan("c1").unwrap().domain_path, vec!["d0", "d2", "d3"]);
+    assert_settled(&md, "c1");
+    assert!(md.domain_escape("d1").unwrap().deployed("c1").is_none());
+    assert_eq!(
+        md.metrics()
+            .counter("domains.restitches", &[("domain", "global")]),
+        Some(1)
+    );
+    md.start_chain_udp("c1", 128, 200, BURST).unwrap();
+    md.run_for_ms(60);
+    assert_eq!(md.sap_stats("sap3").unwrap().udp_rx, BURST);
+
+    // The global view gave d1's CPU back: with the gateway restored, a
+    // VNF that no longer fits in d0 lands in d1 again, not in d3.
+    md.restore_gateway(0).unwrap();
+    md.deploy(&diamond_sg("c2", "g")).unwrap();
+    let plan = md.plan("c2").unwrap();
+    assert_eq!(plan.domain_path, vec!["d0", "d1", "d3"]);
+    assert_eq!(plan.legs[1].vnfs, vec!["g"]);
+}
+
+#[test]
+fn a_rollback_that_meets_a_stalled_leg_leaves_the_plan_to_teardown() {
+    use escape_netem::{FaultEvent, FaultKind, FaultPlan};
+    let (topo, spec) = linear3();
+    let build = || {
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 42, 1).unwrap()
+    };
+    // The instant d0's leg is up, read from a run whose d1 accepts f3.
+    let mut probe = build();
+    probe.deploy(&spill_sg()).unwrap();
+    let up_at_ns = probe
+        .domain_escape("d0")
+        .unwrap()
+        .journal()
+        .entries()
+        .find(|e| e.kind == JournalKind::DeployCommitted)
+        .unwrap()
+        .at_ns;
+
+    // Stall d0's container, which hosts f1 and f2, from that instant
+    // (a plan's times count from its loading): the leg deploys, and the
+    // rollback's teardown meets the stall.
+    let mut md = build();
+    let loaded_at_ns = md.domain_escape("d0").unwrap().now().as_ns();
+    let stall = FaultPlan {
+        name: "stall".into(),
+        events: vec![FaultEvent {
+            at_us: (up_at_ns - loaded_at_ns).div_ceil(1000),
+            kind: FaultKind::VnfStall {
+                node: "c0".into(),
+                for_us: 900_000,
+            },
+        }],
+    };
+    md.domain_escape_mut("d0")
+        .unwrap()
+        .load_fault_plan(&stall)
+        .unwrap();
+    let err = md.deploy(&spill_sg_with_f3_mem(4096)).unwrap_err();
+    let EscapeError::DeployFailed {
+        cause, rollback, ..
+    } = &err
+    else {
+        panic!("a rollback that left a leg up is a failed deploy: {err}");
+    };
+    assert!(matches!(**cause, EscapeError::MappingFailed(_)), "{err}");
+    assert!(!rollback.complete(), "{err}");
+    assert_eq!(rollback.steps.len(), 1, "{err}");
+    assert_eq!(rollback.steps[0].target, "c1 in d0", "{err}");
+
+    // The plan stays, without a graph: the heal sweep leaves the chain
+    // to the teardown that finishes it.
+    assert!(md.plan("c1").is_some(), "the plan outlives a stalled leg");
+    assert!(md.domain_escape("d0").unwrap().deployed("c1").is_some());
+    md.run_for_ms(900);
+    assert!(
+        !md.journal()
+            .entries()
+            .any(|e| e.kind == JournalKind::HealEscalated),
+        "the heal sweep escalated a chain being removed"
+    );
+    md.teardown("c1").unwrap();
+    assert!(md.plan("c1").is_none());
+    assert_settled(&md, "c1");
+    // The global view gave d0's CPU back: f1 and f2 fit there again.
+    md.deploy(&spill_sg()).unwrap();
+    assert_eq!(md.plan("c1").unwrap().legs[0].vnfs, vec!["f1", "f2"]);
+}
+
+/// Pods on E9's line, cut from eight.
+const PODS: usize = 4;
+
+/// E9's substrate cut to [`PODS`] pods: pod i is
+/// `sap{i}/xsap{i} - s{i} - c{i}`, and the `s{i}-s{i+1}` trunks become
+/// gateway links once the line is partitioned.
+fn pod_line() -> ResourceTopology {
+    let mut topo = ResourceTopology::new();
+    for i in 0..PODS {
+        topo.add_switch(format!("s{i}"))
+            .add_container(format!("c{i}"), 4.0, 2048)
+            .add_sap(format!("sap{i}"))
+            .add_sap(format!("xsap{i}"))
+            .add_link(format!("sap{i}"), format!("s{i}"), 1000.0, 10)
+            .add_link(format!("xsap{i}"), format!("s{i}"), 1000.0, 10)
+            .add_link(format!("c{i}"), format!("s{i}"), 1000.0, 20);
+        if i > 0 {
+            topo.add_link(format!("s{}", i - 1), format!("s{i}"), 1000.0, 200);
+        }
+    }
+    topo
+}
+
+/// Groups the pods into `n` equal contiguous domains.
+fn pod_domains(n: usize) -> DomainSpec {
+    let per = PODS / n;
+    (0..n).fold(DomainSpec::new(), |spec, d| {
+        let nodes: Vec<String> = (d * per..(d + 1) * per)
+            .flat_map(|i| {
+                [
+                    format!("sap{i}"),
+                    format!("xsap{i}"),
+                    format!("s{i}"),
+                    format!("c{i}"),
+                ]
+            })
+            .collect();
+        let refs: Vec<&str> = nodes.iter().map(String::as_str).collect();
+        spec.domain(&format!("d{d}"), &refs)
+    })
+}
+
+/// E9's workload, cut down: a local chain inside every pod plus a chain
+/// from each odd pod to the pod half the line away. Each entry is the
+/// graph, its chain, the sink SAP, the frame count and the interval.
+fn pod_workload() -> Vec<(ServiceGraph, String, String, u64, u64)> {
+    let mut jobs = Vec::new();
+    for k in 0..PODS {
+        let (from, to, v) = (format!("sap{k}"), format!("xsap{k}"), format!("v{k}"));
+        let name = format!("local_{k}");
+        let sg = ServiceGraph::new()
+            .sap(&from)
+            .sap(&to)
+            .vnf(&v, "monitor", 1.0, 64)
+            .chain(&name, &[&from, &v, &to], 50.0, None);
+        jobs.push((sg, name, to, 200, 20));
+    }
+    for k in (1..PODS).step_by(2) {
+        let (from, to) = (format!("sap{k}"), format!("sap{}", (k + PODS / 2) % PODS));
+        let (a, b, name) = (format!("x{k}a"), format!("x{k}b"), format!("cross_{k}"));
+        let sg = ServiceGraph::new()
+            .sap(&from)
+            .sap(&to)
+            .vnf(&a, "monitor", 1.0, 64)
+            .vnf(&b, "firewall", 1.0, 64)
+            .chain(&name, &[&from, &a, &b, &to], 20.0, None);
+        jobs.push((sg, name, to, 100, 50));
+    }
+    jobs
+}
+
+#[test]
+fn delivery_depends_on_neither_partitioning_nor_workers() {
+    let jobs = pod_workload();
+    let sent: u64 = jobs.iter().map(|job| job.3).sum();
+    for domains in [2, 4] {
+        for workers in [1, 2] {
+            let mut md = MultiDomainEscape::build(
+                &pod_line(),
+                &pod_domains(domains),
+                "nearest",
+                SteeringMode::Proactive,
+                7,
+                workers,
+            )
+            .unwrap();
+            for (sg, name, ..) in &jobs {
+                md.deploy(sg)
+                    .unwrap_or_else(|e| panic!("{name} maps at {domains} domains: {e}"));
+            }
+            for (_, name, _, frames, interval_us) in &jobs {
+                md.start_chain_udp(name, 128, *interval_us, *frames)
+                    .unwrap();
+            }
+            md.run_for_ms(20);
+            let delivered: u64 = jobs
+                .iter()
+                .map(|(_, _, sink, ..)| md.sap_stats(sink).unwrap().udp_rx)
+                .sum();
+            assert_eq!(delivered, sent, "{domains} domains, {workers} workers");
+        }
+    }
+}
