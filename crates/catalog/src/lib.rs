@@ -15,7 +15,7 @@
 //! adds devices 2.. for its extra backends.
 
 use escape_click::{Registry, Router};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One catalog entry.
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ impl Catalog {
         let entry = self
             .get(name)
             .ok_or_else(|| CatalogError::UnknownType(name.to_string()))?;
-        let mut values: HashMap<&str, String> = entry
+        let mut values: BTreeMap<&str, String> = entry
             .params
             .iter()
             .map(|(k, v)| (*k, v.to_string()))

@@ -118,7 +118,7 @@ mod tests {
             );
         }
         // Many flows spread over more than one output.
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for sp in 0..64 {
             used.insert(r.push_external(0, udp(sp), Time::ZERO).external[0].0);
         }

@@ -2,7 +2,7 @@
 
 use crate::element::Element;
 use crate::lang::ConfigError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A factory building an element instance from its textual arguments.
 pub type Factory = fn(&[String]) -> Result<Box<dyn Element>, String>;
@@ -12,7 +12,7 @@ pub type Factory = fn(&[String]) -> Result<Box<dyn Element>, String>;
 /// (see the `custom_vnf` example in the workspace).
 #[derive(Default)]
 pub struct Registry {
-    factories: HashMap<String, Factory>,
+    factories: BTreeMap<String, Factory>,
 }
 
 impl Registry {
@@ -114,8 +114,7 @@ mod tests {
     #[test]
     fn standard_registry_is_well_stocked() {
         let r = Registry::standard();
-        let mut classes: Vec<&str> = r.factories.keys().map(String::as_str).collect();
-        classes.sort_unstable();
+        let classes: Vec<&str> = r.factories.keys().map(String::as_str).collect();
         assert_eq!(
             classes,
             [

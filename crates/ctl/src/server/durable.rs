@@ -10,7 +10,7 @@ use crate::wal::{
     SNAPSHOT_VERSION,
 };
 use escape::{JournalKind, Session, Severity};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
 /// Bound on the idempotency window (distinct request ids remembered).
@@ -22,7 +22,7 @@ const DEDUP_WINDOW: usize = 256;
 /// original outcome instead of re-executing the mutation.
 struct DedupWindow {
     order: VecDeque<String>,
-    map: HashMap<String, CtlResponse>,
+    map: BTreeMap<String, CtlResponse>,
     cap: usize,
 }
 
@@ -30,7 +30,7 @@ impl DedupWindow {
     fn new(cap: usize) -> DedupWindow {
         DedupWindow {
             order: VecDeque::new(),
-            map: HashMap::new(),
+            map: BTreeMap::new(),
             cap,
         }
     }

@@ -21,7 +21,7 @@
 
 use crate::partition::Partition;
 use escape_sg::{Chain, ServiceGraph};
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 
 /// Why the global layer could not plan a chain.
@@ -107,9 +107,9 @@ impl ChainPlan {
 #[derive(Debug, Clone)]
 pub struct GlobalOrchestrator {
     partition: Partition,
-    free_cpu: HashMap<String, f64>,
+    free_cpu: BTreeMap<String, f64>,
     /// chain -> (domain, cpu) commitments, released on teardown.
-    committed: HashMap<String, Vec<(String, f64)>>,
+    committed: BTreeMap<String, Vec<(String, f64)>>,
     failed_gateways: BTreeSet<usize>,
 }
 
@@ -123,7 +123,7 @@ impl GlobalOrchestrator {
         GlobalOrchestrator {
             partition,
             free_cpu,
-            committed: HashMap::new(),
+            committed: BTreeMap::new(),
             failed_gateways: BTreeSet::new(),
         }
     }
@@ -143,6 +143,11 @@ impl GlobalOrchestrator {
 
     pub fn mark_gateway_recovered(&mut self, id: usize) {
         self.failed_gateways.remove(&id);
+    }
+
+    /// True while gateway `id` is marked failed.
+    pub fn gateway_failed(&self, id: usize) -> bool {
+        self.failed_gateways.contains(&id)
     }
 
     /// Which user-SAP domain a name belongs to (gateway SAPs excluded —
@@ -176,8 +181,8 @@ impl GlobalOrchestrator {
                 Some(self.cmp(other))
             }
         }
-        let mut best: HashMap<String, u64> = HashMap::new();
-        let mut prev: HashMap<String, (String, usize)> = HashMap::new();
+        let mut best: BTreeMap<String, u64> = BTreeMap::new();
+        let mut prev: BTreeMap<String, (String, usize)> = BTreeMap::new();
         let mut heap = BinaryHeap::new();
         best.insert(from.to_string(), 0);
         heap.push(Entry(0, from.to_string()));

@@ -19,6 +19,7 @@
 use escape_json::wire::{from_json, to_json_pretty};
 use escape_json::wire_struct;
 use escape_sg::{ResourceTopology, TopoNodeKind};
+use std::collections::BTreeMap;
 
 wire_struct! {
     /// One named domain: a set of topology node names.
@@ -81,7 +82,7 @@ impl DomainSpec {
         if self.domains.is_empty() {
             return Err("domain spec: no domains defined".into());
         }
-        let mut owner: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
+        let mut owner: BTreeMap<&str, &str> = BTreeMap::new();
         for d in &self.domains {
             if d.name.is_empty() {
                 return Err("domain spec: empty domain name".into());

@@ -547,8 +547,9 @@ impl MultiDomainEscape {
     }
 
     /// Per-epoch healing: local recovery first in every domain, then a
-    /// global sweep for chains whose legs the local layer had to abandon
-    /// — those escalate to a full re-stitch.
+    /// global sweep for chains whose legs the local layer had to abandon,
+    /// or whose plan still crosses a failed gateway (a re-stitch that a
+    /// stalled leg held up) — those escalate to a full re-stitch.
     fn heal_epoch(&mut self) {
         for rt in &mut self.parts {
             rt.esc.heal_now();
@@ -561,6 +562,7 @@ impl MultiDomainEscape {
                 && plan.legs.iter().any(|leg| {
                     let di = self.domain_index(&leg.domain);
                     self.parts[di].esc.deployed(chain).is_none()
+                        || leg.egress_gw.is_some_and(|g| self.global.gateway_failed(g))
                 });
             if lost {
                 broken.push(chain.clone());

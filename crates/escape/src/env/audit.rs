@@ -5,31 +5,23 @@ use super::Escape;
 use crate::container::{VnfContainer, VnfSlot, VnfStatus};
 use escape_openflow::Switch;
 use escape_pox::Controller;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 impl Escape {
     /// Every switch, in name order.
-    fn switches(&self) -> Vec<(&String, &Switch)> {
-        let mut switches: Vec<(&String, &Switch)> = self
-            .infra
-            .dpid
-            .keys()
-            .filter_map(|name| {
-                let sw = self.sim.peek_node_as::<Switch>(self.infra.node(name)?)?;
-                Some((name, sw))
-            })
-            .collect();
-        switches.sort_by_key(|(name, _)| *name);
-        switches
+    fn switches(&self) -> impl Iterator<Item = (&String, &Switch)> {
+        self.infra.dpid.keys().filter_map(|name| {
+            let sw = self.sim.peek_node_as::<Switch>(self.infra.node(name)?)?;
+            Some((name, sw))
+        })
     }
 
     /// Every running VNF with its container's name, in container-name
     /// order. A crashed container's husk is unreachable and left out.
-    fn running_vnfs(&self) -> Vec<(&String, &VnfSlot)> {
-        let mut containers: Vec<&String> = self.infra.netconf_conn.keys().collect();
-        containers.sort();
-        containers
-            .into_iter()
+    fn running_vnfs(&self) -> impl Iterator<Item = (&String, &VnfSlot)> {
+        self.infra
+            .netconf_conn
+            .keys()
             .filter(|name| !self.orch.state().container_failed(name))
             .filter_map(|name| {
                 let c = self
@@ -39,20 +31,15 @@ impl Escape {
             })
             .flatten()
             .filter(|(_, slot)| slot.status == VnfStatus::Running)
-            .collect()
     }
 
-    /// Containers with a ready NETCONF session, sorted.
-    fn ready_sessions(&self) -> Vec<&String> {
-        let mut sessions: Vec<&String> = self
-            .rpcs
+    /// Containers with a ready NETCONF session, in name order.
+    fn ready_sessions(&self) -> impl Iterator<Item = &String> {
+        self.rpcs
             .clients
             .iter()
             .filter(|(_, c)| c.ready())
             .map(|(n, _)| n)
-            .collect();
-        sessions.sort();
-        sessions
     }
 
     /// Audits the whole environment for leaks and returns every
@@ -83,13 +70,13 @@ impl Escape {
                 ));
             }
         }
-        for chain in self.deployed_chains() {
+        for chain in self.deployed.keys() {
             if embedded.binary_search(&chain.as_str()).is_err() {
                 violations.push(format!("chain {chain}: live but holds no reservation"));
             }
         }
 
-        let live_cookies: HashMap<u64, &str> = self
+        let live_cookies: BTreeMap<u64, &str> = self
             .deployed
             .iter()
             .map(|(name, dc)| (dc.cookie, name.as_str()))
@@ -123,7 +110,7 @@ impl Escape {
         }
 
         // Containers: every running VNF belongs to a deployed chain.
-        let expected: HashSet<(&str, &str)> = self
+        let expected: BTreeSet<(&str, &str)> = self
             .deployed
             .values()
             .flat_map(|dc| dc.vnfs.iter())
@@ -157,16 +144,14 @@ impl Escape {
     pub fn state_fingerprint(&self) -> String {
         let mut out = String::new();
         let st = self.orch.state();
-        for c in st.containers_sorted() {
+        for c in st.cpu.keys() {
             out.push_str(&format!(
                 "cpu {c} {:.6} mem {}\n",
-                st.effective_cpu_of(&c),
-                st.effective_mem_of(&c)
+                st.effective_cpu_of(c),
+                st.effective_mem_of(c)
             ));
         }
-        let mut links: Vec<&(String, String)> = st.bw.keys().collect();
-        links.sort();
-        for l in links {
+        for l in st.bw.keys() {
             out.push_str(&format!(
                 "bw {}-{} {:.6}\n",
                 l.0,

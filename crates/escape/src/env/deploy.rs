@@ -12,7 +12,7 @@ use escape_pox::SteeringRule;
 use escape_scale::bucket_plan;
 use escape_sg::ServiceGraph;
 use escape_telemetry::{Counter, Registry};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One deployed VNF instance.
 #[derive(Debug, Clone)]
@@ -23,7 +23,7 @@ pub struct DeployedVnf {
     pub vnf_id: String,
     /// VNF device -> switch port it is attached to (as reported by
     /// `connectVNF`).
-    pub switch_ports: HashMap<u16, u16>,
+    pub switch_ports: BTreeMap<u16, u16>,
 }
 
 /// A deployed chain: mapping plus live instance handles.
@@ -468,7 +468,7 @@ pub(super) fn compile_rules(
     };
 
     // Replica sets keyed by hop (base) name, primary first.
-    let mut sets: HashMap<&str, Vec<&DeployedVnf>> = HashMap::new();
+    let mut sets: BTreeMap<&str, Vec<&DeployedVnf>> = BTreeMap::new();
     for v in &dc.vnfs {
         sets.entry(replica_base(&v.vnf_name)).or_default().push(v);
     }

@@ -51,7 +51,7 @@ use escape_orch::{MappingAlgorithm, Orchestrator};
 use escape_pox::{Controller, SteeringMode, TrafficSteering};
 use escape_sg::{ResourceTopology, ServiceGraph, VnfReq};
 use escape_telemetry::{Registry, Tracer};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The prototyping environment. See the crate docs for a quickstart.
 pub struct Escape {
@@ -60,9 +60,9 @@ pub struct Escape {
     orch: Orchestrator,
     topo: ResourceTopology,
     mode: SteeringMode,
-    deployed: HashMap<String, DeployedChain>,
+    deployed: BTreeMap<String, DeployedChain>,
     /// Service graph each deployed chain came from, for crash re-mapping.
-    graphs: HashMap<String, ServiceGraph>,
+    graphs: BTreeMap<String, ServiceGraph>,
     next_cookie: u64,
     /// Simulation-wide metric registry, shared by every subsystem.
     telemetry: Registry,
@@ -228,8 +228,8 @@ impl Escape {
             orch,
             topo,
             mode,
-            deployed: HashMap::new(),
-            graphs: HashMap::new(),
+            deployed: BTreeMap::new(),
+            graphs: BTreeMap::new(),
             next_cookie: 1,
             tracer: Tracer::new(telemetry.clone(), DEFAULT_JOURNAL_CAP),
             rpcs: rpc::RpcPlane::new(&telemetry, seed),
@@ -358,9 +358,7 @@ impl Escape {
 
     /// Names of all live (fully committed) chains, sorted.
     pub fn deployed_chains(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.deployed.keys().cloned().collect();
-        v.sort_unstable();
-        v
+        self.deployed.keys().cloned().collect()
     }
 
     /// The deployment record for a live chain, if any.
@@ -487,7 +485,7 @@ impl Escape {
             vnf_type: req.vnf_type.clone(),
             container: container.to_string(),
             vnf_id,
-            switch_ports: HashMap::new(),
+            switch_ports: BTreeMap::new(),
         };
         let fabric = match ingress {
             Ingress::Switch(sw) => [Some((0u16, sw)), egress.map(|sw| (1, sw))],
@@ -551,9 +549,7 @@ impl Escape {
         };
         done(self.stop(&v.container, &v.vnf_id))?;
         if how == Retire::Full {
-            let mut devs: Vec<u16> = v.switch_ports.keys().copied().collect();
-            devs.sort_unstable();
-            for dev in devs {
+            for &dev in v.switch_ports.keys() {
                 done(self.disconnect(&v.container, &v.vnf_id, dev))?;
             }
         }

@@ -10,7 +10,7 @@ use escape_netconf::message::ReplyBody;
 use escape_netconf::{Client, ClientEvent, RetryPolicy, RpcReply};
 use escape_netem::{CtrlId, Time};
 use escape_telemetry::{Counter, Histogram, Registry};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Virtual-time budget for a single NETCONF round trip before we declare
 /// the agent dead.
@@ -18,7 +18,7 @@ pub(super) const RPC_TIMEOUT: Time = Time::from_ms(100);
 
 /// Sessions, retry schedule and metric handles of the RPC plane.
 pub(super) struct RpcPlane {
-    pub(super) clients: HashMap<String, Client>,
+    pub(super) clients: BTreeMap<String, Client>,
     /// Backoff schedule for NETCONF RPC retries.
     retry: RetryPolicy,
     /// Malformed NETCONF replies noted by containers
@@ -33,7 +33,7 @@ pub(super) struct RpcPlane {
 impl RpcPlane {
     pub(super) fn new(telemetry: &Registry, seed: u64) -> RpcPlane {
         RpcPlane {
-            clients: HashMap::new(),
+            clients: BTreeMap::new(),
             retry: RetryPolicy::standard(seed),
             malformed_seen: Vec::new(),
             latency: telemetry.histogram("netconf.rpc_latency_ns"),

@@ -7,10 +7,11 @@ use crate::container::VnfContainer;
 use crate::error::{AdmissionVerdict, EscapeError, RollbackReport};
 use crate::journal::{JournalKind, Severity};
 use escape_netem::Time;
+use escape_packet::LookupMap;
 use escape_scale::{Autoscaler, AutoscalerConfig, MigrationPhase};
 use escape_sg::VnfReq;
 use escape_telemetry::{Counter, Gauge, Registry};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Most replicas a single chain VNF may scale to. Replica fan-out is
 /// bounded by the 8 pre-provisioned attachment points per
@@ -55,7 +56,7 @@ pub(super) struct Scaling {
     last_autoscale_ns: u64,
     /// Per-replica cumulative CPU usage (virtual ns) at the previous
     /// autoscaler tick, keyed (container, vnf id).
-    replica_usage_last: HashMap<(String, String), u64>,
+    replica_usage_last: LookupMap<(String, String), u64>,
     /// Committed scale-out transactions (`escape.scale_outs`).
     scale_outs: Counter,
     /// Committed scale-in transactions (`escape.scale_ins`).
@@ -70,7 +71,7 @@ impl Scaling {
         Scaling {
             autoscaler: None,
             last_autoscale_ns: 0,
-            replica_usage_last: HashMap::new(),
+            replica_usage_last: LookupMap::new(),
             scale_outs: telemetry.counter("escape.scale_outs"),
             scale_ins: telemetry.counter("escape.scale_ins"),
             migration_rollbacks: telemetry.counter("escape.migration_rollbacks"),
@@ -385,7 +386,7 @@ impl Escape {
         to: u32,
         undo: &mut Vec<Undo>,
     ) -> Result<Vec<DeployedVnf>, EscapeError> {
-        let retired_ids: HashSet<&str> = retired.iter().map(|v| v.vnf_id.as_str()).collect();
+        let retired_ids: BTreeSet<&str> = retired.iter().map(|v| v.vnf_id.as_str()).collect();
         let mut candidate = txn.old.clone();
         candidate
             .vnfs

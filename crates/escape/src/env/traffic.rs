@@ -196,9 +196,7 @@ impl Escape {
     /// lookup walks the priority table — the reference path the
     /// differential tests and the dataplane bench compare against.
     pub fn set_flow_cache(&mut self, enabled: bool) {
-        let mut names: Vec<&String> = self.infra.dpid.keys().collect();
-        names.sort();
-        for name in names {
+        for name in self.infra.dpid.keys() {
             let Some(node) = self.infra.nodes.get(name).copied() else {
                 continue;
             };

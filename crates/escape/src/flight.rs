@@ -12,9 +12,10 @@
 //! traffic run.
 
 use escape_netem::{DropReason, HopDetail, NodeId, Time, TraceDir, TraceRecord};
+use escape_packet::LookupMap;
 use escape_sg::Sla;
 use escape_telemetry::{ChromeEvent, Counter, Histogram, Registry, DURATION_BOUNDS_NS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// What role a visited node plays in the emulated network.
@@ -274,8 +275,8 @@ impl FlightRecord {
     /// `chain="unattributed"`.
     pub fn aggregate(&self, registry: &Registry) {
         // A series is looked up at its first journey, not at every one.
-        let mut counters: HashMap<(&str, &str, Option<DropReason>), Counter> = HashMap::new();
-        let mut latencies: HashMap<&str, Histogram> = HashMap::new();
+        let mut counters: LookupMap<(&str, &str, Option<DropReason>), Counter> = LookupMap::new();
+        let mut latencies: LookupMap<&str, Histogram> = LookupMap::new();
         for j in &self.journeys {
             let chain = j.chain.as_deref().unwrap_or("unattributed");
             let (name, reason) = match &j.outcome {
@@ -348,7 +349,7 @@ impl FlightRecord {
             .iter()
             .flat_map(|j| j.hops.iter().map(|h| h.node.as_str()))
             .collect();
-        let tid_of: HashMap<&str, u64> = nodes
+        let tid_of: BTreeMap<&str, u64> = nodes
             .into_iter()
             .enumerate()
             .map(|(i, n)| (n, i as u64 + 1))

@@ -4,10 +4,10 @@
 
 use super::{delivered, flow_cookie, lands, Landing, NodeKind, Tally};
 use escape_netem::{NodeId, Time, Trace, TraceDir, TraceRecord};
-use escape_packet::{FxBuildHasher, LookupMap};
+use escape_packet::LookupMap;
 #[cfg(test)]
 use std::collections::BTreeMap;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A packet's latest visit, as [`PacketFold`] keeps it.
 #[derive(Clone, Copy)]
@@ -114,8 +114,8 @@ struct LiveTally {
     in_flight: u64,
     delivered: u64,
     /// Delivered packets by end-to-end latency (virtual ns). Only its
-    /// largest key is ever read, so its order cannot leak.
-    latencies: HashMap<u64, u64, FxBuildHasher>,
+    /// largest key is ever read.
+    latencies: LookupMap<u64, u64>,
     /// The largest key of `latencies`.
     max_latency_ns: Option<u64>,
     /// The cookie is on [`CookieTallies::touched`].
@@ -150,7 +150,7 @@ impl LiveTally {
                     if self.max_latency_ns == Some(ns) {
                         // The worst packet left: the next worst is among
                         // the latencies still counted.
-                        self.max_latency_ns = self.latencies.keys().max().copied();
+                        self.max_latency_ns = self.latencies.max_key().copied();
                     }
                 }
             }
@@ -178,7 +178,7 @@ impl LiveTally {
 #[derive(Default)]
 struct NodeTable {
     nodes: Vec<Option<(u32, NodeKind)>>,
-    names: HashMap<String, u32>,
+    names: LookupMap<String, u32>,
 }
 
 impl NodeTable {
@@ -348,7 +348,7 @@ impl LiveFold {
         resolve: &mut impl FnMut(NodeId) -> (&'n str, NodeKind),
     ) {
         let horizon = trace.evicted();
-        let mut cut: HashSet<u64, FxBuildHasher> = HashSet::default();
+        let mut cut: LookupMap<u64, ()> = LookupMap::new();
         let mut scan_to = horizon;
         while let Some((_, id)) = self
             .by_first
@@ -360,14 +360,14 @@ impl LiveFold {
                 .expect("an indexed packet is folded");
             self.tallies.shift(p.fold.counted(), None);
             if p.last_seq >= horizon {
-                cut.insert(id);
+                cut.insert(id, ());
                 scan_to = scan_to.max(p.last_seq + 1);
             }
         }
         // Every record of a cut packet is behind `folded_to`, so the
         // append that follows continues these folds.
         for (seq, r) in (horizon..scan_to).zip(trace.since(horizon)) {
-            if cut.contains(&r.packet_id) {
+            if cut.get(&r.packet_id).is_some() {
                 self.push(seq, r, resolve);
             }
         }

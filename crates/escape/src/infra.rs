@@ -4,12 +4,12 @@
 use crate::container::VnfContainer;
 use crate::error::EscapeError;
 use escape_netem::{CtrlId, Host, LinkConfig, NodeCtx, NodeId, NodeLogic, Sim, Time};
-use escape_openflow::Switch;
-use escape_packet::{MacAddr, Packet};
+use escape_openflow::{port, Switch};
+use escape_packet::{LookupMap, MacAddr, Packet};
 use escape_pox::{Controller, SteeringMode};
 use escape_sg::topo::TopoNodeKind;
 use escape_sg::ResourceTopology;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Attachment points pre-provisioned per container-switch adjacency
@@ -41,17 +41,17 @@ impl NodeLogic for ManagerRelay {
 /// Everything the environment needs to address the emulated network.
 pub struct Infra {
     /// Topology node name -> emulator node.
-    pub nodes: HashMap<String, NodeId>,
+    pub nodes: BTreeMap<String, NodeId>,
     /// Switch name -> datapath id.
-    pub dpid: HashMap<String, u64>,
+    pub dpid: BTreeMap<String, u64>,
     /// (switch name, adjacent non-container node name) -> switch port.
-    pub switch_port: HashMap<(String, String), u16>,
+    pub switch_port: LookupMap<(String, String), u16>,
     /// SAP name -> (MAC, IP).
-    pub sap_addr: HashMap<String, (MacAddr, Ipv4Addr)>,
+    pub sap_addr: BTreeMap<String, (MacAddr, Ipv4Addr)>,
     /// Container name -> NETCONF control channel (manager side).
-    pub netconf_conn: HashMap<String, CtrlId>,
+    pub netconf_conn: BTreeMap<String, CtrlId>,
     /// Control channel id -> container name (for inbox routing).
-    pub conn_owner: HashMap<u32, String>,
+    pub conn_owner: LookupMap<u32, String>,
     /// The POX controller node.
     pub controller: NodeId,
     /// The manager relay node.
@@ -78,8 +78,10 @@ impl Infra {
     ///   [`TrafficSteering`](escape_pox::TrafficSteering) in the given mode
     ///   over a dedicated control channel per switch.
     ///
-    /// Constraints checked here: SAPs and containers attach only to
-    /// switches, and each SAP has exactly one uplink.
+    /// Constraints checked here, before any node is added: SAPs and
+    /// containers attach only to switches, each SAP has exactly one
+    /// uplink, no node needs more than [`MAX_PORTS`] ports and there are
+    /// at most [`MAX_SAPS`] SAPs.
     pub fn build(
         sim: &mut Sim,
         topo: &ResourceTopology,
@@ -87,28 +89,29 @@ impl Infra {
         seed: u64,
     ) -> Result<Infra, String> {
         topo.validate()?;
+        if let Some(sap) = topo.saps().nth(MAX_SAPS) {
+            return Err(format!(
+                "SAP {:?}: a topology holds at most {MAX_SAPS} SAPs",
+                sap.name
+            ));
+        }
         let kind_of = |name: &str| topo.node(name).map(|n| &n.kind);
         let is_switch = |name: &str| matches!(kind_of(name), Some(TopoNodeKind::Switch));
         let is_container =
             |name: &str| matches!(kind_of(name), Some(TopoNodeKind::Container { .. }));
 
         // Plan ports and links.
-        let mut next_port: HashMap<String, u16> = HashMap::new();
+        let mut next_port: LookupMap<&str, u16> = LookupMap::new();
         let mut planned: Vec<PlannedLink> = Vec::new();
-        let mut switch_port: HashMap<(String, String), u16> = HashMap::new();
-        let mut container_attach: HashMap<String, Vec<(String, u16, u16)>> = HashMap::new();
-        let mut sap_links: HashMap<String, u32> = HashMap::new();
+        let mut switch_port: LookupMap<(String, String), u16> = LookupMap::new();
+        let mut container_attach: LookupMap<&str, Vec<(String, u16, u16)>> = LookupMap::new();
+        let mut sap_links: LookupMap<&str, u32> = LookupMap::new();
 
         for l in &topo.links {
             let cfg = LinkConfig::lan()
                 .with_bandwidth((l.bandwidth_mbps * 1_000_000.0) as u64)
                 .with_delay(Time::from_us(l.delay_us));
-            let endpoints_ok = match (is_switch(&l.a), is_switch(&l.b)) {
-                (true, true) => true,
-                (true, false) | (false, true) => true,
-                (false, false) => false,
-            };
-            if !endpoints_ok {
+            if !is_switch(&l.a) && !is_switch(&l.b) {
                 return Err(format!(
                     "link {}-{}: SAPs and containers must attach to switches",
                     l.a, l.b
@@ -122,8 +125,8 @@ impl Infra {
             };
             if is_container(peer) {
                 for _ in 0..ATTACH_POINTS_PER_LINK {
-                    let sp = alloc_port(&mut next_port, sw);
-                    let cp = alloc_port(&mut next_port, peer);
+                    let sp = alloc_port(&mut next_port, sw)?;
+                    let cp = alloc_port(&mut next_port, peer)?;
                     planned.push(PlannedLink {
                         a: sw.clone(),
                         a_port: sp,
@@ -132,13 +135,13 @@ impl Infra {
                         cfg,
                     });
                     container_attach
-                        .entry(peer.clone())
+                        .entry(peer)
                         .or_default()
                         .push((sw.clone(), cp, sp));
                 }
             } else {
-                let sp = alloc_port(&mut next_port, sw);
-                let pp = alloc_port(&mut next_port, peer);
+                let sp = alloc_port(&mut next_port, sw)?;
+                let pp = alloc_port(&mut next_port, peer)?;
                 planned.push(PlannedLink {
                     a: sw.clone(),
                     a_port: sp,
@@ -151,25 +154,25 @@ impl Infra {
                     // Switch-switch: record both directions.
                     switch_port.insert((peer.clone(), sw.clone()), pp);
                 } else {
-                    *sap_links.entry(peer.clone()).or_insert(0) += 1;
+                    *sap_links.entry(peer).or_insert(0) += 1;
                 }
             }
         }
         for sap in topo.saps() {
-            if sap_links.get(&sap.name).copied().unwrap_or(0) != 1 {
+            if sap_links.get(sap.name.as_str()).copied().unwrap_or(0) != 1 {
                 return Err(format!("SAP {:?} must have exactly one uplink", sap.name));
             }
         }
 
         // Create nodes.
-        let mut nodes = HashMap::new();
-        let mut dpid = HashMap::new();
-        let mut sap_addr = HashMap::new();
+        let mut nodes = BTreeMap::new();
+        let mut dpid = BTreeMap::new();
+        let mut sap_addr = BTreeMap::new();
         let mut next_dpid = 1u64;
         let mut sap_idx = 0u32;
         let mut container_idx = 0u32;
         for n in &topo.nodes {
-            let ports = next_port.get(&n.name).copied().unwrap_or(0).max(1);
+            let ports = next_port.get(n.name.as_str()).copied().unwrap_or(0).max(1);
             let id = match &n.kind {
                 TopoNodeKind::Switch => {
                     let d = next_dpid;
@@ -181,7 +184,7 @@ impl Infra {
                 }
                 TopoNodeKind::Container { .. } => {
                     container_idx += 1;
-                    let attach = container_attach.remove(&n.name).unwrap_or_default();
+                    let attach = container_attach.remove(n.name.as_str()).unwrap_or_default();
                     sim.add_node(
                         n.name.clone(),
                         ports,
@@ -228,8 +231,8 @@ impl Infra {
 
         // Management network: manager relay <-> every container agent.
         let manager = sim.add_node("manager", 0, Box::new(ManagerRelay::default()));
-        let mut netconf_conn = HashMap::new();
-        let mut conn_owner = HashMap::new();
+        let mut netconf_conn = BTreeMap::new();
+        let mut conn_owner = LookupMap::new();
         for n in topo.containers() {
             let conn = sim.ctrl_connect(manager, nodes[&n.name], CTRL_LATENCY);
             netconf_conn.insert(n.name.clone(), conn);
@@ -262,11 +265,23 @@ impl Infra {
     }
 }
 
-fn alloc_port(next: &mut HashMap<String, u16>, name: &str) -> u16 {
-    let e = next.entry(name.to_string()).or_insert(0);
-    let p = *e;
+/// Most ports one node may have: a port number is below
+/// [`port::NONE`], which means "no port" on the OpenFlow wire.
+pub const MAX_PORTS: u16 = port::NONE;
+
+/// Most SAPs one topology may have: up to here `sap_ip` gives each
+/// its own `10.0.x.y` address without wrapping `x`.
+pub const MAX_SAPS: usize = 63_999;
+
+/// The next free port of `name`, or an error once it has
+/// [`MAX_PORTS`].
+fn alloc_port<'t>(next: &mut LookupMap<&'t str, u16>, name: &'t str) -> Result<u16, String> {
+    let e = next.entry(name).or_insert(0);
+    if *e == MAX_PORTS {
+        return Err(format!("node {name:?} needs more than {MAX_PORTS} ports"));
+    }
     *e += 1;
-    p
+    Ok(*e - 1)
 }
 
 fn sap_ip(i: u32) -> Ipv4Addr {
@@ -316,13 +331,12 @@ mod tests {
         let mut sim = Sim::new(1);
         let infra = Infra::build(&mut sim, &topo, SteeringMode::Proactive, 7).unwrap();
         // s0 connects to: c0 (8 attach ports), s1, sap0.
-        assert!(infra.switch_port.contains_key(&("s0".into(), "s1".into())));
-        assert!(infra.switch_port.contains_key(&("s1".into(), "s0".into())));
-        assert!(infra
-            .switch_port
-            .contains_key(&("s0".into(), "sap0".into())));
+        let port = |sw: &str, peer: &str| infra.switch_port.get(&(sw.into(), peer.into()));
+        assert!(port("s0", "s1").is_some());
+        assert!(port("s1", "s0").is_some());
+        assert!(port("s0", "sap0").is_some());
         // Container adjacency is not in switch_port (allocated per VNF).
-        assert!(!infra.switch_port.contains_key(&("s0".into(), "c0".into())));
+        assert!(port("s0", "c0").is_none());
     }
 
     #[test]
@@ -342,6 +356,38 @@ mod tests {
             host.connect(&id, 100, "s0").is_err(),
             "attach points exhausted"
         );
+    }
+
+    #[test]
+    fn a_topology_too_large_to_number_is_an_error() {
+        // Each s0-c0 link is 8 attach points, a port on either end for
+        // each: 8 192 links need one port more than a node can number.
+        let mut topo = ResourceTopology::new();
+        topo.add_switch("s0").add_container("c0", 1.0, 64);
+        for _ in 0..8192 {
+            topo.add_link("s0", "c0", 100.0, 10);
+        }
+        let mut sim = Sim::new(1);
+        let err = Infra::build(&mut sim, &topo, SteeringMode::Proactive, 7)
+            .err()
+            .expect("too many ports");
+        assert_eq!(err, "node \"s0\" needs more than 65535 ports");
+        assert_eq!(sim.node_count(), 0, "no node is added");
+        // One link fewer numbers every port.
+        topo.links.pop();
+        assert!(Infra::build(&mut sim, &topo, SteeringMode::Proactive, 7).is_ok());
+
+        // Past the bound the third octet of `sap_ip` wraps, and SAP
+        // 64 001 would get SAP 1's address.
+        let mut topo = ResourceTopology::new();
+        for i in 0..=MAX_SAPS {
+            topo.add_sap(format!("sap{i}"));
+        }
+        let err = Infra::build(&mut sim, &topo, SteeringMode::Proactive, 7)
+            .err()
+            .expect("too many SAPs");
+        assert_eq!(err, "SAP \"sap63999\": a topology holds at most 63999 SAPs");
+        assert_eq!(sap_ip(MAX_SAPS as u32), Ipv4Addr::new(10, 0, 255, 250));
     }
 
     #[test]

@@ -266,13 +266,13 @@ impl<I: VnfInstrumentation> Agent<I> {
 #[cfg(test)]
 pub(crate) mod test_instr {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// A scripted instrumentation for tests: records calls, assigns ids.
     #[derive(Default)]
     pub struct MockInstr {
         pub next: u32,
-        pub vnfs: HashMap<String, VnfStatusInfo>,
+        pub vnfs: BTreeMap<String, VnfStatusInfo>,
         pub calls: Vec<String>,
         pub fail_start: bool,
     }
@@ -335,14 +335,11 @@ pub(crate) mod test_instr {
         }
 
         fn info(&self, vnf_id: Option<&str>) -> Vec<VnfStatusInfo> {
-            let mut v: Vec<VnfStatusInfo> = self
-                .vnfs
+            self.vnfs
                 .values()
                 .filter(|i| vnf_id.is_none_or(|id| i.id == id))
                 .cloned()
-                .collect();
-            v.sort_by(|a, b| a.id.cmp(&b.id));
-            v
+                .collect()
         }
     }
 }

@@ -29,7 +29,7 @@ fn arb_xml() -> impl Strategy<Value = XmlElement> {
         .prop_map(|(name, text, attrs)| {
             let mut el = XmlElement::text_node(name, text);
             // Attribute keys must be unique for round-trip equality.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for (k, v) in attrs {
                 if seen.insert(k.clone()) {
                     el.attrs.push((k, v));

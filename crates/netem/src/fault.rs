@@ -23,7 +23,7 @@ use crate::sim::{NodeCtx, NodeId, NodeLogic, Sim};
 use crate::time::Time;
 use escape_json::wire::{from_json, to_json_pretty, Flat};
 use escape_json::{wire_struct, wire_tagged};
-use std::collections::HashMap;
+use escape_packet::LookupMap;
 
 wire_tagged! {
     /// One kind of fault, addressed by node names (resolved at install
@@ -218,7 +218,7 @@ enum ResolvedOp {
 #[derive(Default)]
 pub struct FaultInjector {
     /// Faults scheduled and not yet applied, by timer token.
-    ops: HashMap<u64, (FaultKind, ResolvedOp)>,
+    ops: LookupMap<u64, (FaultKind, ResolvedOp)>,
     next_token: u64,
     records: Vec<FaultRecord>,
 }

@@ -4,7 +4,7 @@ use crate::engine::{route_chain, ChainMapping};
 use crate::path::PathSearch;
 use crate::state::ResourceState;
 use escape_sg::{Chain, ServiceGraph};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Why a chain could not be mapped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +80,7 @@ fn finish(
     chain: &Chain,
     placement: Vec<(String, String)>,
 ) -> Result<ChainMapping, MapError> {
-    let by_vnf: HashMap<&str, &str> = placement
+    let by_vnf: BTreeMap<&str, &str> = placement
         .iter()
         .map(|(v, c)| (v.as_str(), c.as_str()))
         .collect();
@@ -120,9 +120,10 @@ impl MappingAlgorithm for GreedyFirstFit {
         let mut placement = Vec::new();
         for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
             let host = scratch
-                .containers_sorted()
-                .into_iter()
+                .cpu
+                .keys()
                 .find(|c| scratch.fits(c, cpu, mem))
+                .cloned()
                 .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
             scratch
                 .reserve_compute(&host, cpu, mem)
@@ -159,15 +160,15 @@ impl MappingAlgorithm for NearestNeighbor {
             .ok_or_else(|| MapError::Infeasible("empty chain".into()))?;
         for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
             let mut best: Option<(u64, String)> = None;
-            for c in scratch.containers_sorted() {
-                if !scratch.fits(&c, cpu, mem) {
+            for c in scratch.cpu.keys() {
+                if !scratch.fits(c, cpu, mem) {
                     continue;
                 }
-                let Some(d) = paths.distance(&location, &c) else {
+                let Some(d) = paths.distance(&location, c) else {
                     continue;
                 };
                 if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                    best = Some((d, c));
+                    best = Some((d, c.clone()));
                 }
             }
             let (_, host) = best.ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
@@ -211,7 +212,7 @@ impl MappingAlgorithm for Backtracking {
         state: &ResourceState,
     ) -> Result<ChainMapping, MapError> {
         let vnfs = chain_vnfs(sg, chain)?;
-        let containers = state.containers_sorted();
+        let containers: Vec<String> = state.cpu.keys().cloned().collect();
         let mut best: Option<ChainMapping> = None;
         let mut budget = self.node_budget;
         let mut stack: Vec<(String, String)> = Vec::new();

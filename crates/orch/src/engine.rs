@@ -6,7 +6,7 @@ use crate::state::{sum_in_name_order, ResourceState};
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
 use escape_telemetry::{Counter, Histogram, Registry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// One routed leg of a chain: the full node path (SAP/container/switch
@@ -536,9 +536,9 @@ impl Orchestrator {
         let capacity = ResourceState::from_topology(&self.topo);
 
         // Sum committed reservations per container and per link.
-        let mut cpu_reserved: HashMap<&str, f64> = HashMap::new();
-        let mut mem_reserved: HashMap<&str, u64> = HashMap::new();
-        let mut bw_reserved: HashMap<(String, String), f64> = HashMap::new();
+        let mut cpu_reserved: BTreeMap<&str, f64> = BTreeMap::new();
+        let mut mem_reserved: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut bw_reserved: BTreeMap<(String, String), f64> = BTreeMap::new();
         for (mapping, compute) in self.committed.values() {
             for (c, cpu, mem) in compute {
                 *cpu_reserved.entry(c.as_str()).or_insert(0.0) += cpu;
@@ -552,30 +552,26 @@ impl Orchestrator {
             }
         }
 
-        for name in capacity.containers_sorted() {
-            let free = self.state.effective_cpu_of(&name);
+        for (name, &cap) in &capacity.cpu {
+            let free = self.state.effective_cpu_of(name);
             let reserved = cpu_reserved.get(name.as_str()).copied().unwrap_or(0.0);
-            let cap = capacity.cpu_of(&name);
             if (free + reserved - cap).abs() > EPS {
                 violations.push(format!(
                     "container {name}: free {free} + reserved {reserved} != capacity {cap} cpu"
                 ));
             }
-            let free_mem = self.state.effective_mem_of(&name);
+            let free_mem = self.state.effective_mem_of(name);
             let reserved_mem = mem_reserved.get(name.as_str()).copied().unwrap_or(0);
-            let cap_mem = capacity.mem.get(&name).copied().unwrap_or(0);
+            let cap_mem = capacity.mem.get(name).copied().unwrap_or(0);
             if free_mem + reserved_mem != cap_mem {
                 violations.push(format!(
                     "container {name}: free {free_mem} + reserved {reserved_mem} != capacity {cap_mem} mem"
                 ));
             }
         }
-        let mut links: Vec<&(String, String)> = capacity.bw.keys().collect();
-        links.sort();
-        for key in links {
+        for (key, &cap) in &capacity.bw {
             let free = self.state.effective_bw_of(&key.0, &key.1);
             let reserved = bw_reserved.get(key).copied().unwrap_or(0.0);
-            let cap = capacity.bw[key];
             if (free + reserved - cap).abs() > EPS {
                 violations.push(format!(
                     "link {}-{}: free {free} + reserved {reserved} != capacity {cap} mbps",

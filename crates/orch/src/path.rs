@@ -20,7 +20,16 @@ use crate::state::ResourceState;
 use escape_sg::topo::link_key;
 use escape_sg::ResourceTopology;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+
+/// The first 8 bytes of `name`, zero-padded, as a big-endian integer: it
+/// orders as the names do, ties aside.
+fn prefix(name: &str) -> u64 {
+    let mut word = [0; 8];
+    let n = name.len().min(8);
+    word[..n].copy_from_slice(&name.as_bytes()[..n]);
+    u64::from_be_bytes(word)
+}
 
 /// One direction of a topology link, seen from the node whose list holds it.
 struct Arc {
@@ -35,7 +44,9 @@ struct Arc {
 pub struct PathIndex {
     /// Node names, sorted; a node's id is its position.
     names: Vec<String>,
-    ids: HashMap<String, usize>,
+    /// Each name's [`prefix`], so sorted too: a name is found by integer
+    /// compares, and its bytes are compared only within equal prefixes.
+    prefixes: Vec<u64>,
     /// Arcs leaving each node, in `topo.links` order.
     arcs: Vec<Vec<Arc>>,
     /// Per topology link: its key in the residual-bandwidth map and its
@@ -55,37 +66,40 @@ impl PathIndex {
             .collect();
         names.sort_unstable();
         names.dedup();
-        let ids: HashMap<String, usize> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-        let mut arcs: Vec<Vec<Arc>> = names.iter().map(|_| Vec::new()).collect();
-        let mut links = Vec::with_capacity(topo.links.len());
+        let mut index = PathIndex {
+            prefixes: names.iter().map(|n| prefix(n)).collect(),
+            arcs: names.iter().map(|_| Vec::new()).collect(),
+            links: Vec::with_capacity(topo.links.len()),
+            names,
+        };
         for (i, l) in topo.links.iter().enumerate() {
-            let (a, b) = (ids[&l.a], ids[&l.b]);
+            let id = |name| index.id(name).expect("every link end is among the names");
+            let (a, b) = (id(&l.a), id(&l.b));
             let arc = |to| Arc {
                 to,
                 link: i,
                 delay_us: l.delay_us,
             };
-            arcs[a].push(arc(b));
+            index.arcs[a].push(arc(b));
             if a != b {
-                arcs[b].push(arc(a));
+                index.arcs[b].push(arc(a));
             }
-            links.push((link_key(&l.a, &l.b), l.bandwidth_mbps));
+            index.links.push((link_key(&l.a, &l.b), l.bandwidth_mbps));
         }
-        PathIndex {
-            names,
-            ids,
-            arcs,
-            links,
-        }
+        index
+    }
+
+    /// The id of `name`, if it is a node of the compiled topology.
+    fn id(&self, name: &str) -> Option<usize> {
+        let p = prefix(name);
+        let lo = self.prefixes.partition_point(|&q| q < p);
+        let hi = self.prefixes.partition_point(|&q| q <= p);
+        (lo..hi).find(|&i| self.names[i] == name)
     }
 
     /// True if `name` is a node of the compiled topology.
     pub fn has_node(&self, name: &str) -> bool {
-        self.ids.contains_key(name)
+        self.id(name).is_some()
     }
 
     /// Starts a search session over `state`'s residual bandwidth: links
@@ -179,7 +193,7 @@ impl<'a> PathSearch<'a> {
     /// Delay of the shortest usable path, `None` if there is none or
     /// either node is unknown.
     pub fn distance(&mut self, from: &str, to: &str) -> Option<u64> {
-        let (src, dst) = (*self.index.ids.get(from)?, *self.index.ids.get(to)?);
+        let (src, dst) = (self.index.id(from)?, self.index.id(to)?);
         self.tree(src).dist[dst]
     }
 
@@ -187,7 +201,7 @@ impl<'a> PathSearch<'a> {
     /// delay — what `ResourceTopology::shortest_path` returns.
     pub fn path(&mut self, from: &str, to: &str) -> Option<(Vec<String>, u64)> {
         let names = &self.index.names;
-        let (src, dst) = (*self.index.ids.get(from)?, *self.index.ids.get(to)?);
+        let (src, dst) = (self.index.id(from)?, self.index.id(to)?);
         let tree = self.tree(src);
         let total = tree.dist[dst]?;
         let mut path = vec![names[dst].clone()];
@@ -203,5 +217,33 @@ impl<'a> PathSearch<'a> {
     fn tree(&mut self, src: usize) -> &Tree {
         let (index, usable) = (self.index, &self.usable);
         self.trees[src].get_or_insert_with(|| index.grow(src, usable))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_that_share_a_prefix_resolve_to_their_own_ids() {
+        let names = [
+            "container_b",
+            "container_a",
+            "container",
+            "c",
+            "containe",
+            "container_a2",
+        ];
+        let mut t = ResourceTopology::new();
+        for n in names {
+            t.add_switch(n);
+        }
+        let index = PathIndex::new(&t);
+        for n in names {
+            assert_eq!(index.names[index.id(n).expect("a node")], n);
+        }
+        for missing in ["container_c", "containers", "", "b"] {
+            assert_eq!(index.id(missing), None, "{missing:?}");
+        }
     }
 }

@@ -2,24 +2,24 @@
 
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::ResourceTopology;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Residual CPU per container and bandwidth per link. The orchestrator's
 /// "global network and resource view".
 #[derive(Debug, Clone, Default)]
 pub struct ResourceState {
     /// Residual CPU cores per container.
-    pub cpu: HashMap<String, f64>,
+    pub cpu: BTreeMap<String, f64>,
     /// Residual memory MB per container.
-    pub mem: HashMap<String, u64>,
+    pub mem: BTreeMap<String, u64>,
     /// Residual bandwidth (Mbit/s) per canonical link key.
-    pub bw: HashMap<(String, String), f64>,
+    pub bw: BTreeMap<(String, String), f64>,
     /// Residuals stashed away for failed containers: while a container is
     /// in here its live cpu/mem read zero, and releases route into the
     /// stash so recovery restores an exact view.
-    failed_compute: HashMap<String, (f64, u64)>,
+    failed_compute: BTreeMap<String, (f64, u64)>,
     /// Same for failed links (stashed residual bandwidth).
-    failed_links: HashMap<(String, String), f64>,
+    failed_links: BTreeMap<(String, String), f64>,
 }
 
 impl ResourceState {
@@ -212,24 +212,15 @@ impl ResourceState {
                 .unwrap_or(0.0)
     }
 
-    /// Containers sorted by name (deterministic iteration for the
-    /// algorithms).
-    pub fn containers_sorted(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.cpu.keys().cloned().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Total CPU still free.
+    /// Total CPU still free, summed in container-name order.
     pub fn total_free_cpu(&self) -> f64 {
-        sum_in_name_order(self.cpu.iter().map(|(name, cpu)| (name.as_str(), *cpu)))
+        self.cpu.values().sum()
     }
 }
 
-/// Sums per-container amounts in container-name order. `f64` addition
-/// is not associative and a `HashMap` walks in a different order in
-/// every process, so a sum in map order differs in its last bit from
-/// one same-seed run to the next.
+/// Sums per-container amounts in container-name order, so a total over
+/// the topology's nodes has the same bits as [`ResourceState::total_free_cpu`]'s
+/// (`f64` addition is not associative).
 pub(crate) fn sum_in_name_order<'a>(amounts: impl Iterator<Item = (&'a str, f64)>) -> f64 {
     let mut amounts: Vec<(&str, f64)> = amounts.collect();
     amounts.sort_unstable_by_key(|(name, _)| *name);
@@ -355,7 +346,7 @@ mod tests {
     fn containers_sorted_is_deterministic() {
         let t = builders::star(4, 1.0);
         let s = ResourceState::from_topology(&t);
-        assert_eq!(s.containers_sorted(), vec!["c0", "c1", "c2", "c3"]);
+        assert_eq!(s.cpu.keys().collect::<Vec<_>>(), ["c0", "c1", "c2", "c3"]);
         assert_eq!(s.total_free_cpu(), 4.0);
     }
 }

@@ -7,7 +7,7 @@
 use escape_orch::algo::MapError;
 use escape_orch::{ChainMapping, PathSegment, ResourceState};
 use escape_sg::{Chain, ResourceTopology, ServiceGraph};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The three shipped algorithms, with the search budget the properties
 /// run backtracking at.
@@ -92,7 +92,7 @@ fn finish(
     placement: Vec<(String, String)>,
     state: &ResourceState,
 ) -> Result<ChainMapping, MapError> {
-    let by_vnf: HashMap<&str, &str> = placement
+    let by_vnf: BTreeMap<&str, &str> = placement
         .iter()
         .map(|(v, c)| (v.as_str(), c.as_str()))
         .collect();
@@ -121,9 +121,10 @@ fn first_fit(
     let mut placement = Vec::new();
     for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
         let host = scratch
-            .containers_sorted()
-            .into_iter()
+            .cpu
+            .keys()
             .find(|c| scratch.fits(c, cpu, mem))
+            .cloned()
             .ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
         scratch
             .reserve_compute(&host, cpu, mem)
@@ -150,20 +151,20 @@ fn nearest(
         .ok_or_else(|| MapError::Infeasible("empty chain".into()))?;
     for (vnf, cpu, mem) in chain_vnfs(sg, chain)? {
         let mut best: Option<(u64, String)> = None;
-        for c in scratch.containers_sorted() {
-            if !scratch.fits(&c, cpu, mem) {
+        for c in scratch.cpu.keys() {
+            if !scratch.fits(c, cpu, mem) {
                 continue;
             }
-            let d = if c == location {
+            let d = if *c == location {
                 0
             } else {
-                match topo.shortest_path(&location, &c, chain.bandwidth_mbps, Some(&scratch.bw)) {
+                match topo.shortest_path(&location, c, chain.bandwidth_mbps, Some(&scratch.bw)) {
                     Some((_, d)) => d,
                     None => continue,
                 }
             };
             if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, c));
+                best = Some((d, c.clone()));
             }
         }
         let (_, host) = best.ok_or_else(|| MapError::NoCapacity(vnf.to_string()))?;
@@ -184,7 +185,7 @@ fn backtracking(
     state: &ResourceState,
 ) -> Result<ChainMapping, MapError> {
     let vnfs = chain_vnfs(sg, chain)?;
-    let containers = state.containers_sorted();
+    let containers: Vec<String> = state.cpu.keys().cloned().collect();
     let mut best: Option<ChainMapping> = None;
     let mut budget = node_budget;
     let mut stack: Vec<(String, String)> = Vec::new();

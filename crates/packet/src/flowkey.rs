@@ -177,7 +177,7 @@ mod tests {
         let k2 = FlowKey::extract(&frame(40_000)).unwrap();
         assert_eq!(k1.steering_hash(), k2.steering_hash());
         // Distinct flows land in more than one of 4 buckets.
-        let buckets: std::collections::HashSet<u64> = (0..32u16)
+        let buckets: std::collections::BTreeSet<u64> = (0..32u16)
             .map(|i| {
                 FlowKey::extract(&frame(40_000 + i))
                     .unwrap()

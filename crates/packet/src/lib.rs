@@ -42,7 +42,7 @@ pub use ether::{EtherType, EthernetHeader};
 pub use flowkey::FlowKey;
 pub use icmp::{IcmpPacket, IcmpType};
 pub use ipv4::{IpProtocol, Ipv4Header};
-pub use lookup::{FxBuildHasher, LookupMap};
+pub use lookup::LookupMap;
 pub use mac::MacAddr;
 pub use rewrite::{rewrite, Headers};
 pub use tcp::TcpHeader;

@@ -8,8 +8,14 @@
 //!
 //! A fixed hasher makes a map's iteration order a function of its hash
 //! values, and a random one makes it differ per process; neither may
-//! reach an output. So the per-frame maps are [`LookupMap`]s, which have
-//! no iteration at all: a map that must be walked is a `BTreeMap`.
+//! reach an output. So the maps that are only probed are [`LookupMap`]s,
+//! which have no iteration at all: a map that must be walked is a
+//! `BTreeMap`. This module is the one place a std hash map appears;
+//! `clippy.toml` disallows it everywhere else.
+#![expect(
+    clippy::disallowed_types,
+    reason = "LookupMap wraps the one std HashMap, and exposes no storage order"
+)]
 
 use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap};
@@ -81,15 +87,11 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Builds [`FxHasher`]s, for a std `HashMap` whose iteration order
-/// cannot leak (a sum over its values, say).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 /// A hash map with [`FxHasher`] and no iteration: keys go in, values
 /// come out by key, and nothing reveals the order they are stored in.
 /// Its `Debug` prints the length only, for the same reason.
 #[derive(Clone)]
-pub struct LookupMap<K, V>(HashMap<K, V, FxBuildHasher>);
+pub struct LookupMap<K, V>(HashMap<K, V, BuildHasherDefault<FxHasher>>);
 
 impl<K: Eq + Hash, V> LookupMap<K, V> {
     /// An empty map.
@@ -142,6 +144,15 @@ impl<K: Eq + Hash, V> LookupMap<K, V> {
         self.0.retain(keep);
     }
 
+    /// The largest key: a maximum does not depend on storage order.
+    /// Walks every entry.
+    pub fn max_key(&self) -> Option<&K>
+    where
+        K: Ord,
+    {
+        self.0.keys().max()
+    }
+
     /// Removes every entry, keeping the allocated capacity.
     pub fn clear(&mut self) {
         self.0.clear();
@@ -181,7 +192,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn hash<T: Hash>(v: &T) -> u64 {
-        FxBuildHasher::default().hash_one(v)
+        BuildHasherDefault::<FxHasher>::default().hash_one(v)
     }
 
     #[test]
@@ -195,6 +206,41 @@ mod tests {
         let mut mac = FxHasher::default();
         mac.write(&[0xaa; 6]);
         assert_eq!(mac.finish(), 0x0000_aaaa_aaaa_aaaa_u64.wrapping_mul(K));
+    }
+
+    #[test]
+    fn max_key_is_the_largest_key_left() {
+        let mut m: LookupMap<u64, ()> = LookupMap::new();
+        assert_eq!(m.max_key(), None);
+        let mut left = std::collections::BTreeSet::new();
+        // A seeded walk of inserts and removals; every fifth step takes
+        // out the current maximum itself.
+        let mut x = 0x9e37_79b9_u64;
+        for step in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (x >> 33) % 97;
+            if step % 5 == 4 {
+                if let Some(&max) = left.iter().next_back() {
+                    assert_eq!(m.remove(&max), Some(()));
+                    left.remove(&max);
+                }
+            } else if x & 1 == 0 {
+                m.insert(k, ());
+                left.insert(k);
+            } else {
+                m.remove(&k);
+                left.remove(&k);
+            }
+            assert_eq!(m.max_key(), left.iter().next_back(), "step {step}");
+        }
+        while let Some(&max) = left.iter().next_back() {
+            m.remove(&max);
+            left.remove(&max);
+            assert_eq!(m.max_key(), left.iter().next_back());
+        }
+        assert_eq!(m.max_key(), None);
     }
 
     #[test]

@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn from_id_is_injective_for_small_ids() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in 0..10_000u64 {
             assert!(seen.insert(MacAddr::from_id(id)), "collision at {id}");
         }

@@ -5,7 +5,7 @@ use escape_netem::{CtrlId, NodeCtx};
 use escape_openflow::{port, Action, FlowModCommand, Match, OfMessage};
 use escape_packet::FlowKey;
 use escape_telemetry::Counter;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A packet-in event as delivered to steering.
 #[derive(Debug, Clone)]
@@ -20,7 +20,7 @@ pub struct PacketInEvent {
 /// The capability handle steering uses to talk to switches.
 pub struct Ctl<'a, 'b> {
     pub(crate) ctx: &'a mut NodeCtx<'b>,
-    pub(crate) by_dpid: &'a HashMap<u64, CtrlId>,
+    pub(crate) by_dpid: &'a BTreeMap<u64, CtrlId>,
     pub(crate) flow_mods_sent: &'a Counter,
     pub(crate) xid: &'a mut u32,
 }

@@ -7,7 +7,7 @@ use escape_netem::{CtrlId, NodeCtx, NodeLogic, Time};
 use escape_openflow::OfMessage;
 use escape_packet::{FlowKey, Packet};
 use escape_telemetry::{Counter, Registry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Timer token: kick off handshakes on registered connections.
 const HANDSHAKE_TOKEN: u64 = 0xC0DE;
@@ -59,7 +59,7 @@ struct ConnState {
 pub struct Controller {
     /// Ordered, so the handshake greets switches in connection-id order.
     conns: BTreeMap<u32, ConnState>,
-    by_dpid: HashMap<u64, CtrlId>,
+    by_dpid: BTreeMap<u64, CtrlId>,
     steering: TrafficSteering,
     counters: CoreCounters,
     xid: u32,
@@ -75,7 +75,7 @@ impl Controller {
         let counters = CoreCounters::new(registry);
         Controller {
             conns: BTreeMap::new(),
-            by_dpid: HashMap::new(),
+            by_dpid: BTreeMap::new(),
             steering: TrafficSteering::new(mode, registry),
             counters,
             xid: 0,
@@ -126,11 +126,9 @@ impl Controller {
         sim.set_timer_for(me, delay, FLUSH_TOKEN);
     }
 
-    /// Datapaths that completed the handshake.
+    /// Datapaths that completed the handshake, in dpid order.
     pub fn connected_dpids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.by_dpid.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.by_dpid.keys().copied().collect()
     }
 
     /// Runs `f` over steering with a [`Ctl`] onto the connected switches.

@@ -11,7 +11,7 @@
 use crate::component::{Ctl, PacketInEvent};
 use escape_openflow::{switch::NO_BUFFER, Action, Match};
 use escape_telemetry::{Counter, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Install strategy for steering rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,10 +39,10 @@ pub struct TrafficSteering {
     /// (reactive keeps them here permanently).
     queued: Vec<SteeringRule>,
     /// Rules already pushed, by chain id (for teardown).
-    installed: HashMap<u64, Vec<SteeringRule>>,
+    installed: BTreeMap<u64, Vec<SteeringRule>>,
     /// Shadow sets: rules staged by a deployment transaction, invisible
     /// to flushes until committed (or thrown away by a rollback).
-    staged: HashMap<u64, Vec<SteeringRule>>,
+    staged: BTreeMap<u64, Vec<SteeringRule>>,
     /// Rules awaiting deletion from switches at the next flush.
     pending_removal: Vec<SteeringRule>,
     /// Rules installed reactively on a miss (`pox.steering.reactive_installs`).
@@ -59,8 +59,8 @@ impl TrafficSteering {
         TrafficSteering {
             mode,
             queued: Vec::new(),
-            installed: HashMap::new(),
-            staged: HashMap::new(),
+            installed: BTreeMap::new(),
+            staged: BTreeMap::new(),
             pending_removal: Vec::new(),
             reactive_ctr: registry.counter("pox.steering.reactive_installs"),
             proactive_ctr: registry.counter("pox.steering.proactive_installs"),
@@ -146,16 +146,14 @@ impl TrafficSteering {
     /// (queued, installed, staged or awaiting removal), sorted. Leak
     /// audits compare this against the set of live chains.
     pub fn tracked_chains(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
+        let ids: BTreeSet<u64> = self
             .installed
             .keys()
             .chain(self.staged.keys())
             .copied()
             .chain(self.queued.iter().map(|r| r.chain_id))
             .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        ids.into_iter().collect()
     }
 
     /// Queues a teardown: installed rules of `chain_id` are deleted from

@@ -3,7 +3,7 @@
 use crate::topo::MAX_DELAY_US;
 use escape_json::wire::{decode_items, from_json, to_json_pretty, Codec, Omit, WireError};
 use escape_json::{wire_struct, Value, Writer};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 wire_struct! {
     /// A requested VNF instance: which catalog type, how much resource.
@@ -202,7 +202,7 @@ impl ServiceGraph {
     /// Structural validation: unique names; chains start/end at declared
     /// SAPs and traverse declared VNFs; positive requirements.
     pub fn validate(&self) -> Result<(), String> {
-        let mut names = HashSet::new();
+        let mut names = BTreeSet::new();
         for s in &self.saps {
             if !names.insert(s.as_str()) {
                 return Err(format!("duplicate name {s:?}"));
@@ -216,9 +216,9 @@ impl ServiceGraph {
                 return Err(format!("vnf {:?} requests non-positive cpu", v.name));
             }
         }
-        let saps: HashSet<&str> = self.saps.iter().map(|s| s.as_str()).collect();
-        let vnfs: HashSet<&str> = self.vnfs.iter().map(|v| v.name.as_str()).collect();
-        let mut chain_names = HashSet::new();
+        let saps: BTreeSet<&str> = self.saps.iter().map(|s| s.as_str()).collect();
+        let vnfs: BTreeSet<&str> = self.vnfs.iter().map(|v| v.name.as_str()).collect();
+        let mut chain_names = BTreeSet::new();
         for c in &self.chains {
             if !chain_names.insert(c.name.as_str()) {
                 return Err(format!("duplicate chain name {:?}", c.name));

@@ -2,7 +2,7 @@
 
 use escape_json::wire::{from_json, to_json_pretty, Flat};
 use escape_json::{wire_struct, wire_tagged};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// The longest delay a link, a chain budget or an SLA may name, in µs:
 /// the virtual clock counts nanoseconds in a `u64`, so a longer delay
@@ -145,7 +145,7 @@ impl ResourceTopology {
     /// order) plus every link with both endpoints in the set. Used by the
     /// multi-domain partitioner to carve per-domain local topologies.
     pub fn induced<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> ResourceTopology {
-        let keep: std::collections::HashSet<&str> = names.into_iter().collect();
+        let keep: BTreeSet<&str> = names.into_iter().collect();
         ResourceTopology {
             nodes: self
                 .nodes
@@ -165,9 +165,9 @@ impl ResourceTopology {
     /// Structural validation: link endpoints exist, no duplicate names,
     /// positive capacities, delays the clock can hold.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = HashMap::new();
+        let mut seen = BTreeSet::new();
         for n in &self.nodes {
-            if seen.insert(n.name.clone(), ()).is_some() {
+            if !seen.insert(n.name.as_str()) {
                 return Err(format!("duplicate node name {:?}", n.name));
             }
             if let TopoNodeKind::Container { cpu, .. } = n.kind {
@@ -178,7 +178,7 @@ impl ResourceTopology {
         }
         for l in &self.links {
             for end in [&l.a, &l.b] {
-                if !seen.contains_key(end) {
+                if !seen.contains(end.as_str()) {
                     return Err(format!("link references unknown node {end:?}"));
                 }
             }
@@ -203,10 +203,10 @@ impl ResourceTopology {
         from: &str,
         to: &str,
         min_bw_mbps: f64,
-        residual_bw: Option<&HashMap<(String, String), f64>>,
+        residual_bw: Option<&BTreeMap<(String, String), f64>>,
     ) -> Option<(Vec<String>, u64)> {
-        let mut dist: HashMap<&str, u64> = HashMap::new();
-        let mut prev: HashMap<&str, &str> = HashMap::new();
+        let mut dist: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
         let mut heap = BinaryHeap::new();
         dist.insert(from, 0);
         heap.push(std::cmp::Reverse((0u64, from)));
@@ -473,7 +473,7 @@ mod tests {
         let mut t = ResourceTopology::new();
         t.add_switch("a").add_switch("b");
         t.add_link("a", "b", 100.0, 10);
-        let mut residual = HashMap::new();
+        let mut residual = BTreeMap::new();
         residual.insert(link_key("a", "b"), 5.0);
         assert!(t.shortest_path("a", "b", 50.0, Some(&residual)).is_none());
         assert!(t.shortest_path("a", "b", 5.0, Some(&residual)).is_some());

@@ -23,7 +23,7 @@
 //! * [`Ring`] — the bounded history under the sampler, the span trace,
 //!   the event journal and the packet trace.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -290,10 +290,11 @@ fn type_mismatch(name: &str) -> ! {
 
 /// The series table: a series' slot is its index in `slots`, assigned
 /// at registration and kept for the registry's life (nothing
-/// unregisters). The index and the slot share one copy of each key.
+/// unregisters). The index and the slot share one copy of each key;
+/// the index walks the keys in (name, labels) order.
 #[derive(Default)]
 struct Table {
-    index: HashMap<Arc<MetricKey>, usize>,
+    index: BTreeMap<Arc<MetricKey>, usize>,
     slots: Vec<(Arc<MetricKey>, Metric)>,
 }
 
@@ -397,20 +398,19 @@ impl Registry {
     /// then labels.
     pub fn snapshot(&self) -> Snapshot {
         let t = self.lock();
-        let mut entries: Vec<MetricSnapshot> = t
-            .slots
+        let entries = t
+            .index
             .iter()
-            .map(|(key, metric)| MetricSnapshot {
+            .map(|(key, &slot)| MetricSnapshot {
                 name: key.name.clone(),
                 labels: key.labels.clone(),
-                value: match metric {
+                value: match &t.slots[slot].1 {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Histogram(h) => MetricValue::Histogram(h.data()),
                 },
             })
             .collect();
-        entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         Snapshot { entries }
     }
 

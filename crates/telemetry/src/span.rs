@@ -17,7 +17,7 @@
 
 use crate::{Counter, Histogram, Registry, Ring, DURATION_BOUNDS_NS};
 use escape_json::Writer;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One span in a [`Tracer`]'s trace buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ pub struct Tracer {
     /// Per span name, the metric pair its exits feed — looked up once,
     /// on the name's first exit, so a span that never finished has no
     /// series.
-    metrics: HashMap<String, (Histogram, Counter)>,
+    metrics: BTreeMap<String, (Histogram, Counter)>,
     evicted_ctr: Option<Counter>,
 }
 
@@ -67,7 +67,7 @@ impl Tracer {
             registry,
             records: Ring::new(cap),
             stack: Vec::new(),
-            metrics: HashMap::new(),
+            metrics: BTreeMap::new(),
             evicted_ctr: None,
         }
     }

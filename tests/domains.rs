@@ -578,6 +578,57 @@ fn a_restitch_keeps_the_plan_while_a_leg_is_stalled() {
 }
 
 #[test]
+fn a_restitch_with_every_leg_stalled_is_retried_off_the_failed_gateway() {
+    use escape_netem::{FaultKind, FaultPlan};
+    let (topo, spec) = diamond();
+    let mut md =
+        MultiDomainEscape::build(&topo, &spec, "first_fit", SteeringMode::Proactive, 11, 1)
+            .unwrap();
+    // Each VNF fills its domain, so the cheap route puts one in each of
+    // d0, d1 and d3.
+    let sg = ServiceGraph::new()
+        .sap("sap0")
+        .sap("sap3")
+        .vnf("f1", "firewall", 3.5, 256)
+        .vnf("f2", "monitor", 3.5, 256)
+        .vnf("f3", "firewall", 3.5, 256)
+        .chain("c1", &["sap0", "f1", "f2", "f3", "sap3"], 20.0, None);
+    md.deploy(&sg).unwrap();
+    let plan = md.plan("c1").unwrap();
+    assert_eq!(plan.domain_path, vec!["d0", "d1", "d3"]);
+    assert!(plan.gateways().contains(&0));
+    // Stall every container that hosts a VNF past the RPC retry budget.
+    for (domain, node) in [("d0", "c0"), ("d1", "c1"), ("d3", "c3")] {
+        let stall = FaultPlan::new("stall").at_ms(
+            0,
+            FaultKind::VnfStall {
+                node: node.into(),
+                for_us: 900_000,
+            },
+        );
+        md.domain_escape_mut(domain)
+            .unwrap()
+            .load_fault_plan(&stall)
+            .unwrap();
+    }
+    md.run_for_ms(1);
+
+    // The re-stitch takes no leg down: every leg stays up, and so does
+    // the plan over the failed gateway.
+    md.fail_gateway(0).unwrap();
+    assert_eq!(md.plan("c1").unwrap().domain_path, vec!["d0", "d1", "d3"]);
+
+    // The sweep retries a plan that crosses a failed gateway, so once
+    // the stalls are over the chain is re-stitched around it.
+    md.run_for_ms(1500);
+    let plan = md.plan("c1").unwrap();
+    assert_eq!(plan.domain_path, vec!["d0", "d2", "d3"]);
+    assert!(!plan.gateways().contains(&0));
+    assert_settled(&md, "c1");
+    assert!(md.domain_escape("d1").unwrap().deployed("c1").is_none());
+}
+
+#[test]
 fn a_rollback_that_meets_a_stalled_leg_leaves_the_plan_to_teardown() {
     use escape_netem::{FaultEvent, FaultKind, FaultPlan};
     let (topo, spec) = linear3();

@@ -14,7 +14,7 @@ use escape_ctl::proto::{CtlRequest, CtlResponse, MetricsFormat, SgFormat};
 use escape_ctl::server::{Daemon, DaemonConfig};
 use escape_ctl::{CtlClient, CtlEvent, CtlWatch, WatchTopic};
 use escape_json::Value;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -237,7 +237,7 @@ enum Polled {
     Hist(u64),
 }
 
-fn poll_metrics(client: &mut CtlClient) -> HashMap<String, Polled> {
+fn poll_metrics(client: &mut CtlClient) -> BTreeMap<String, Polled> {
     let CtlResponse::Metrics { body, .. } = call(
         client,
         CtlRequest::Metrics {
@@ -252,7 +252,7 @@ fn poll_metrics(client: &mut CtlClient) -> HashMap<String, Polled> {
         .and_then(|m| m.get("metrics"))
         .and_then(Value::as_arr)
         .expect("metrics array");
-    let mut out = HashMap::new();
+    let mut out = BTreeMap::new();
     for e in entries {
         let name = e.get("name").and_then(Value::as_str).unwrap();
         let labels: Vec<(String, String)> = match e.get("labels") {
@@ -321,9 +321,9 @@ fn metric_deltas_reconcile_with_polled_exposition() {
 
     // Accumulate every delta frame: counters/histograms sum their
     // per-frame movement, gauges keep the last absolute value.
-    let mut counter_acc: HashMap<String, u64> = HashMap::new();
-    let mut hist_acc: HashMap<String, u64> = HashMap::new();
-    let mut gauge_last: HashMap<String, f64> = HashMap::new();
+    let mut counter_acc: BTreeMap<String, u64> = BTreeMap::new();
+    let mut hist_acc: BTreeMap<String, u64> = BTreeMap::new();
+    let mut gauge_last: BTreeMap<String, f64> = BTreeMap::new();
     let mut frames = 0usize;
     for ev in &events {
         let CtlEvent::MetricsDelta { deltas, .. } = ev else {
@@ -552,12 +552,12 @@ fn same_seed_runs_export_byte_identical_journals() {
 /// Sums a `metrics-deltas` stream per metric and checks `baseline` plus
 /// the streamed movement equals `fin` (gauges: the last streamed value).
 fn assert_deltas_reconcile(
-    baseline: &HashMap<String, Polled>,
-    fin: &HashMap<String, Polled>,
+    baseline: &BTreeMap<String, Polled>,
+    fin: &BTreeMap<String, Polled>,
     events: &[CtlEvent],
 ) {
-    let mut moved: HashMap<String, u64> = HashMap::new();
-    let mut gauge_last: HashMap<String, f64> = HashMap::new();
+    let mut moved: BTreeMap<String, u64> = BTreeMap::new();
+    let mut gauge_last: BTreeMap<String, f64> = BTreeMap::new();
     for ev in events {
         let CtlEvent::MetricsDelta { deltas, .. } = ev else {
             panic!("metrics-deltas subscriber got an off-topic frame: {ev:?}")
