@@ -26,7 +26,7 @@ pub struct Launch {
 pub const DAEMON_USAGE: &str = "usage: escaped [--socket PATH] [--topo FILE] [--json] \
      [--algorithm A] [--steering proactive|reactive] [--seed N] [--tick-ms N] \
      [--artifacts DIR] [--admission SOFT:HARD[:QUEUE[:RETRIES]]] [--flight-recorder N] \
-     [--sample-ms N] [--sample-retention N] [--state-dir DIR] [--wal-compact N]";
+     [--sample-ms N] [--sample-retention N] [--state-dir DIR]";
 
 /// `--admission SOFT:HARD[:QUEUE[:RETRIES]]`.
 fn admission(v: &str) -> Result<AdmissionConfig, String> {
@@ -77,7 +77,6 @@ pub fn parse_daemon_args(words: Vec<String>) -> Result<Launch, String> {
             "--sample-ms" => sample_ms = args.parsed("sample period")?,
             "--sample-retention" => sample_retention = args.parsed("sample retention")?,
             "--state-dir" => l.daemon.state_dir = Some(PathBuf::from(args.value()?)),
-            "--wal-compact" => l.daemon.wal_compact_every = args.parsed("wal-compact interval")?,
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -123,7 +122,6 @@ pub fn main(words: Vec<String>) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::DEFAULT_WAL_COMPACT_EVERY;
 
     fn parse(line: &str) -> Result<Launch, String> {
         parse_daemon_args(line.split_whitespace().map(String::from).collect())
@@ -136,15 +134,13 @@ mod tests {
         assert_eq!(l.daemon.tick_ms, 0);
         assert!(l.session.admission.is_none());
         assert!(l.daemon.state_dir.is_none());
-        assert_eq!(l.daemon.wal_compact_every, DEFAULT_WAL_COMPACT_EVERY);
         assert_eq!(l.session.flight_recorder, Some(65_536));
         let sampler = l.session.sampler.unwrap();
         assert_eq!((sampler.period_ns, sampler.retention), (5_000_000, 120));
 
         let l = parse(
             "--socket /tmp/e.sock --seed 9 --tick-ms 5 --admission 0.5:0.8:4:2 \
-             --flight-recorder 0 --sample-retention 0 --state-dir /tmp/escaped-state \
-             --wal-compact 8",
+             --flight-recorder 0 --sample-retention 0 --state-dir /tmp/escaped-state",
         )
         .unwrap();
         assert_eq!(l.daemon.socket, PathBuf::from("/tmp/e.sock"));
@@ -161,7 +157,6 @@ mod tests {
             l.daemon.state_dir,
             Some(PathBuf::from("/tmp/escaped-state"))
         );
-        assert_eq!(l.daemon.wal_compact_every, 8);
     }
 
     #[test]
@@ -169,7 +164,6 @@ mod tests {
         assert!(parse("--admission 0.5").is_err());
         assert!(parse("--frobnicate").is_err());
         assert!(parse("--seed").is_err());
-        assert!(parse("--wal-compact many").is_err());
         assert!(parse("--state-dir").is_err());
     }
 

@@ -2,6 +2,10 @@
 //! dispatch (intent → execute → commit), compaction into a snapshot and
 //! the recovery pass that reconciles a restarted daemon.
 
+// Snapshot input is untrusted: a narrowing `as` would restore a wrapped
+// number instead of refusing it.
+#![deny(clippy::cast_possible_truncation)]
+
 use super::exec::execute;
 use super::DaemonConfig;
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
@@ -81,9 +85,11 @@ pub(super) struct Durability {
     wal: Option<Wal>,
     dedup: DedupWindow,
     commits_since_compact: u64,
-    /// Compact every this many committed mutations; `0` never compacts.
-    compact_every: u64,
 }
+
+/// Committed mutations between two compactions of the log into a
+/// snapshot.
+const COMPACT_EVERY: u64 = 64;
 
 impl Durability {
     /// Opens `cfg.state_dir` (if any) and reconciles `session` with what
@@ -93,7 +99,6 @@ impl Durability {
             wal: None,
             dedup: DedupWindow::new(DEDUP_WINDOW),
             commits_since_compact: 0,
-            compact_every: cfg.wal_compact_every,
         };
         if let Some(dir) = &cfg.state_dir {
             let (wal, recovered) = Wal::open(dir, session.config().seed)?;
@@ -159,7 +164,7 @@ impl Durability {
     /// produced them, so compacting midway would forget them.
     pub(super) fn maybe_compact(&mut self, session: &Session) {
         let Some(wal) = self.wal.as_mut() else { return };
-        if self.compact_every == 0 || self.commits_since_compact < self.compact_every {
+        if self.commits_since_compact < COMPACT_EVERY {
             return;
         }
         if session.escape().pending_admissions() > 0 {
@@ -253,7 +258,7 @@ fn recover(
             for (vnf, count) in &c.replicas {
                 session
                     .escape_mut()
-                    .scale_chain(&c.name, vnf, *count as u32)
+                    .scale_chain(&c.name, vnf, *count)
                     .map_err(|e| CtlError::Internal {
                         reason: format!("restore of {} replicas for {}/{vnf}: {e}", count, c.name),
                     })?;

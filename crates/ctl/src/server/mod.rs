@@ -61,13 +61,7 @@ pub struct DaemonConfig {
     /// state-mutating verb is journaled and a restart on the same
     /// directory reconciles back to the pre-crash state.
     pub state_dir: Option<PathBuf>,
-    /// Compact the WAL into a snapshot every this many committed
-    /// mutations; `0` never compacts.
-    pub wal_compact_every: u64,
 }
-
-/// Default WAL compaction interval (committed mutations per snapshot).
-pub const DEFAULT_WAL_COMPACT_EVERY: u64 = 64;
 
 impl DaemonConfig {
     pub fn new(socket: impl Into<PathBuf>) -> DaemonConfig {
@@ -77,7 +71,6 @@ impl DaemonConfig {
             artifacts: None,
             handle_signals: false,
             state_dir: None,
-            wal_compact_every: DEFAULT_WAL_COMPACT_EVERY,
         }
     }
 }

@@ -32,6 +32,10 @@
 //! is below the snapshot's `next_seq` horizon — they are already
 //! folded into the snapshot.
 
+// Snapshot and log input is untrusted: a narrowing `as` would restore a
+// wrapped number instead of refusing it.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -369,7 +373,8 @@ impl Wal {
             });
         }
         let mut buf = Vec::with_capacity(4 + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        let len = u32::try_from(payload.len()).expect("MAX_WAL_RECORD fits a u32 length prefix");
+        buf.extend_from_slice(&len.to_be_bytes());
         buf.extend_from_slice(&payload);
         self.file
             .write_all(&buf)
@@ -741,6 +746,30 @@ mod tests {
                 assert!(cause.contains("version 999"), "{cause}")
             }
             other => panic!("expected CorruptState, got {other:?}"),
+        }
+        cleanup(&dir);
+    }
+
+    /// A snapshot number too wide for its field is corruption: it never
+    /// restores as the wrapped value (4 294 967 299 as 3, 2^32 + 2
+    /// replicas as 2).
+    #[test]
+    fn an_out_of_range_snapshot_number_is_hard_corruption() {
+        let dir = temp_dir("wide-snap");
+        fs::create_dir_all(&dir).unwrap();
+        let json = to_json(&sample_snapshot());
+        for (field, wide) in [
+            ("\"cooldown_ticks\":3", "\"cooldown_ticks\":4294967299"),
+            ("\"count\":2", "\"count\":4294967298"),
+        ] {
+            assert_eq!(json.matches(field).count(), 1, "{json}");
+            fs::write(dir.join(SNAPSHOT_FILE), json.replace(field, wide)).unwrap();
+            match Wal::open(&dir, SEED) {
+                Err(CtlError::CorruptState { path, .. }) => {
+                    assert!(path.ends_with(SNAPSHOT_FILE), "{path}")
+                }
+                other => panic!("{wide}: expected CorruptState, got {other:?}"),
+            }
         }
         cleanup(&dir);
     }

@@ -28,7 +28,7 @@ wire_struct! {
         pub segments: Vec<(Vec<String>, u64)> => Pairs("nodes", "delay_us"),
         pub total_delay_us: u64,
         /// `(vnf_name, replica_count)` for every VNF scaled past 1.
-        pub replicas: Vec<(String, u64)> => Pairs("vnf", "count"),
+        pub replicas: Vec<(String, u32)> => Pairs("vnf", "count"),
     }
 }
 
@@ -56,7 +56,7 @@ impl ChainRecord {
                 .placement
                 .iter()
                 .filter_map(|(vnf, _)| {
-                    let n = esc.replica_count(name, vnf) as u64;
+                    let n = esc.replica_count(name, vnf);
                     (n > 1).then(|| (vnf.clone(), n))
                 })
                 .collect(),
@@ -98,10 +98,10 @@ wire_struct! {
         pub high_watermark: f64,
         pub low_watermark: f64,
         pub queue_high: u64,
-        pub cooldown_ticks: u64,
-        pub min_replicas: u64,
-        pub max_replicas: u64,
-        pub max_actions_per_tick: u64,
+        pub cooldown_ticks: u32,
+        pub min_replicas: u32,
+        pub max_replicas: u32,
+        pub max_actions_per_tick: usize,
     }
 }
 
@@ -111,10 +111,10 @@ impl From<&AutoscalerConfig> for AutoscalerRecord {
             high_watermark: c.high_watermark,
             low_watermark: c.low_watermark,
             queue_high: c.queue_high,
-            cooldown_ticks: c.cooldown_ticks as u64,
-            min_replicas: c.min_replicas as u64,
-            max_replicas: c.max_replicas as u64,
-            max_actions_per_tick: c.max_actions_per_tick as u64,
+            cooldown_ticks: c.cooldown_ticks,
+            min_replicas: c.min_replicas,
+            max_replicas: c.max_replicas,
+            max_actions_per_tick: c.max_actions_per_tick,
         }
     }
 }
@@ -125,10 +125,10 @@ impl From<&AutoscalerRecord> for AutoscalerConfig {
             high_watermark: a.high_watermark,
             low_watermark: a.low_watermark,
             queue_high: a.queue_high,
-            cooldown_ticks: a.cooldown_ticks as u32,
-            min_replicas: a.min_replicas as u32,
-            max_replicas: a.max_replicas as u32,
-            max_actions_per_tick: a.max_actions_per_tick as usize,
+            cooldown_ticks: a.cooldown_ticks,
+            min_replicas: a.min_replicas,
+            max_replicas: a.max_replicas,
+            max_actions_per_tick: a.max_actions_per_tick,
         }
     }
 }

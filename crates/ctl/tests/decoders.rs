@@ -328,7 +328,6 @@ const WORDS: &[&str] = &[
     "--sample-ms",
     "--sample-retention",
     "--state-dir",
-    "--wal-compact",
     "--prom",
     "--topics",
     "--since",

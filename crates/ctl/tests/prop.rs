@@ -2,10 +2,11 @@
 //! histories round-trip exactly through append/reopen, and cutting the
 //! log at *any* byte (the torn-write model of `kill -9` mid-append)
 //! yields a clean prefix recovery — never a panic, never silent loss
-//! of a committed operation.
+//! of a committed operation — and a damaged snapshot is refused with a
+//! typed error, never a panic.
 
-use escape_ctl::proto::{CtlRequest, CtlResponse, SgFormat};
-use escape_ctl::Wal;
+use escape_ctl::proto::{CtlError, CtlRequest, CtlResponse, SgFormat};
+use escape_ctl::{AutoscalerRecord, ChainRecord, Snapshot, Wal, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -98,6 +99,45 @@ fn write_log(dir: &Path, entries: &[(CtlRequest, Option<String>, Option<CtlRespo
     }
 }
 
+/// The `snapshot.json` bytes `Wal::compact` writes for a snapshot that
+/// fills every table: a chain with replicas, the autoscaler, the
+/// idempotency window.
+fn compacted_snapshot() -> Vec<u8> {
+    let snap = Snapshot {
+        version: SNAPSHOT_VERSION,
+        seed: SEED,
+        now_ns: 5_000_000,
+        next_cookie: 3,
+        next_seq: 2,
+        journal_base: 21,
+        chains: vec![ChainRecord {
+            name: "demo".into(),
+            cookie: 1,
+            sg_json: "{\"saps\": []}".into(),
+            placement: vec![("fw".into(), "c1".into())],
+            segments: vec![(vec!["sap0".into(), "s0".into(), "c1".into()], 150)],
+            total_delay_us: 300,
+            replicas: vec![("fw".into(), 2)],
+        }],
+        dedup: vec![("cli-1".into(), CtlResponse::TrafficStarted)],
+        autoscaler: Some(AutoscalerRecord {
+            high_watermark: 0.75,
+            low_watermark: 0.2,
+            queue_high: 4,
+            cooldown_ticks: 3,
+            min_replicas: 1,
+            max_replicas: 8,
+            max_actions_per_tick: 2,
+        }),
+    };
+    let dir = temp_dir("snap-src");
+    let (mut wal, _) = Wal::open(&dir, SEED).unwrap();
+    wal.compact(&snap).unwrap();
+    let bytes = fs::read(dir.join("snapshot.json")).unwrap();
+    cleanup(&dir);
+    bytes
+}
+
 proptest! {
     // Every history of intents and commit markers — arbitrary verbs,
     // arbitrary unicode payloads, arbitrary dangling suffix — reads
@@ -179,5 +219,25 @@ proptest! {
         prop_assert_eq!(rec2.committed, rec.committed);
         prop_assert_eq!(rec2.rolled_back, rec.rolled_back);
         cleanup(&dir2);
+    }
+
+    // A snapshot with any one byte replaced — a digit widened past its
+    // field, a quote or brace broken, invalid UTF-8 — opens or is
+    // refused as corrupt state; it never panics.
+    #[test]
+    fn a_damaged_snapshot_opens_or_is_corrupt_state(at in any::<usize>(), byte in any::<u8>()) {
+        let mut snapshot = compacted_snapshot();
+        let at = at % snapshot.len();
+        snapshot[at] = byte;
+        let dir = temp_dir("snap-byte");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("snapshot.json"), &snapshot).unwrap();
+        let opened = Wal::open(&dir, SEED);
+        cleanup(&dir);
+        prop_assert!(
+            matches!(opened, Ok(_) | Err(CtlError::CorruptState { .. })),
+            "{:?}",
+            opened.err()
+        );
     }
 }

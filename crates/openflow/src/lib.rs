@@ -7,13 +7,14 @@
 //!
 //! * the OpenFlow 1.0 **wire protocol** ([`wire`]): binary encode/decode of
 //!   exactly the messages ESCAPE's steering exchanges (hello/features
-//!   handshake, packet-in/out, flow-mod add/delete/delete-strict with
+//!   handshake, packet-in, flow-mod add/delete/delete-strict with
 //!   cookies, barrier, errors), with the real on-wire layout (40-byte
 //!   `ofp_match`, action TLVs, 8-byte header);
 //! * the OF 1.0 **match** semantics ([`ofmatch`]): wildcard bits including
 //!   CIDR-masked `nw_src`/`nw_dst`;
-//! * **actions** ([`action`]): output to a physical port and the
-//!   header-rewrite set, applied to real frames;
+//! * **actions** ([`action`]): output to a physical port, the only one;
+//!   header edits are the Click VNFs' work, so a switch forwards frames
+//!   unchanged;
 //! * a **flow table** ([`table`]) of permanent entries: priority lookup,
 //!   cookie-scoped deletes, per-entry counters, fronted by an exact-match
 //!   **flow cache** ([`cache`], the OvS EMC role) with strict
@@ -21,8 +22,10 @@
 //! * a **switch** ([`switch::Switch`]): an [`escape_netem::NodeLogic`] that
 //!   forwards frames per its flow table, punts misses to the controller
 //!   over a control channel, and executes controller commands. A
-//!   flow-mod it does not implement (modify, a timeout, a flag) gets an
-//!   `OFPT_ERROR` reply, as any undecodable message does.
+//!   message it does not implement (packet-out, a flow-mod that
+//!   modifies, carries a timeout or a flag, or names an action other
+//!   than output) gets an `OFPT_ERROR` reply naming what failed, as any
+//!   undecodable message does.
 
 pub mod action;
 pub mod cache;

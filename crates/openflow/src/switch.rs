@@ -1,6 +1,6 @@
 //! The software OpenFlow switch (the Open vSwitch role).
 
-use crate::action::{self, Action};
+use crate::action::Action;
 use crate::table::{FlowEntry, FlowTable};
 use crate::wire::{FlowModCommand, OfMessage, PortDesc, HEADER_LEN};
 use escape_netem::{CtrlId, DropReason, HopDetail, NodeCtx, NodeLogic};
@@ -23,9 +23,9 @@ const ERROR_DATA_LEN: usize = 64;
 ///
 /// Dataplane frames arrive on ports `0..n_ports`; the controller talks
 /// over a control channel attached with [`Switch::attach_controller`].
-/// Table misses are punted as packet-ins; flow-mods, packet-outs and
-/// barriers behave per the 1.0 spec subset documented in DESIGN.md. A
-/// message outside that subset gets an `OFPT_ERROR` reply.
+/// Table misses are punted as packet-ins; flow-mods and barriers behave
+/// per the 1.0 spec subset documented in DESIGN.md. A message outside
+/// that subset gets an `OFPT_ERROR` reply naming what failed.
 pub struct Switch {
     pub dpid: u64,
     n_ports: u16,
@@ -35,8 +35,6 @@ pub struct Switch {
     buffer_order: Vec<u32>,
     next_buffer: u32,
     xid: u32,
-    /// Where set-field actions write the edited frame.
-    scratch: Vec<u8>,
 }
 
 impl Switch {
@@ -62,7 +60,6 @@ impl Switch {
             buffer_order: Vec::new(),
             next_buffer: 1,
             xid: 1,
-            scratch: Vec::new(),
         }
     }
 
@@ -127,16 +124,13 @@ impl Switch {
         self.buffer_order.retain(|&b| b != buffer_id);
         self.buffers.remove(&buffer_id)
     }
+}
 
-    /// Runs `actions` on `pkt` in order and transmits on every output
-    /// that names one of the switch's ports; any other port drops.
-    fn run_actions(&mut self, ctx: &mut NodeCtx<'_>, actions: &[Action], pkt: &Packet) {
-        let n_ports = self.n_ports;
-        action::apply(actions, pkt, &mut self.scratch, |out, p| {
-            if out < n_ports {
-                ctx.send(out, p.clone());
-            }
-        });
+/// Sends `pkt`, unchanged, out of every port `actions` names, in order.
+/// A port the switch lacks is the kernel's to drop, as `no_route`.
+fn forward(ctx: &mut NodeCtx<'_>, actions: &[Action], pkt: &Packet) {
+    for &Action::Output { port, .. } in actions {
+        ctx.send(port, pkt.clone());
     }
 }
 
@@ -148,12 +142,7 @@ impl NodeLogic for Switch {
         };
         let now = ctx.now();
         if let Some(idx) = self.table.lookup_idx(&key, in_port, pkt.len(), now) {
-            // Borrow the winning entry's action list for the dispatch
-            // instead of cloning it per packet; nothing below touches the
-            // table, so the slot is restored intact afterwards.
-            let e = self.table.entry_mut(idx);
-            let (cookie, priority) = (e.cookie, e.priority);
-            let actions = std::mem::take(&mut e.actions);
+            let e = &self.table.entries()[idx];
             if ctx.tracing() {
                 ctx.trace_hop(
                     pkt.id,
@@ -161,13 +150,12 @@ impl NodeLogic for Switch {
                     in_port,
                     HopDetail::FlowMatch {
                         dpid: self.dpid,
-                        cookie,
-                        priority,
+                        cookie: e.cookie,
+                        priority: e.priority,
                     },
                 );
             }
-            self.run_actions(ctx, &actions, &pkt);
-            self.table.entry_mut(idx).actions = actions;
+            forward(ctx, &e.actions, &pkt);
             return;
         }
         // Table miss: punt to controller.
@@ -198,13 +186,14 @@ impl NodeLogic for Switch {
     fn on_ctrl(&mut self, ctx: &mut NodeCtx<'_>, _conn: CtrlId, mut msg: Vec<u8>) {
         let (msg, _) = match OfMessage::decode(&msg) {
             Ok(ok) => ok,
-            Err(_) => {
+            Err(e) => {
+                let (err_type, code) = e.error_code();
                 msg.truncate(ERROR_DATA_LEN);
                 self.send_ctrl(
                     ctx,
                     OfMessage::Error {
-                        err_type: 0,
-                        code: 0,
+                        err_type,
+                        code,
                         data: msg,
                     },
                 );
@@ -240,7 +229,7 @@ impl NodeLogic for Switch {
             } => {
                 // Release the buffered packet that triggered this, if any.
                 if let Some((_, pkt)) = self.take_buffered(buffer_id) {
-                    self.run_actions(ctx, &actions, &pkt);
+                    forward(ctx, &actions, &pkt);
                 }
                 let mut e = FlowEntry::new(match_, priority, actions, ctx.now());
                 e.cookie = cookie;
@@ -257,21 +246,6 @@ impl NodeLogic for Switch {
                 let strict = command == FlowModCommand::DeleteStrict;
                 self.table
                     .delete(&match_, priority, strict, out_port, cookie);
-            }
-            OfMessage::PacketOut {
-                buffer_id,
-                actions,
-                data,
-                ..
-            } => {
-                let pkt = if buffer_id != NO_BUFFER {
-                    self.take_buffered(buffer_id).map(|(_, p)| p)
-                } else {
-                    Some(Packet::from_bytes(data))
-                };
-                if let Some(pkt) = pkt {
-                    self.run_actions(ctx, &actions, &pkt);
-                }
             }
             OfMessage::BarrierRequest => self.send_ctrl(ctx, OfMessage::BarrierReply),
             // Decodable messages a switch does not handle (replies and
@@ -412,44 +386,29 @@ mod tests {
 
     #[test]
     fn actions_run_in_order() {
-        // OpenFlow 1.0 runs an action list in order: a port named before
-        // a set-field action gets the frame as it arrived.
+        // Each `Output` sends the frame as it arrived, in list order.
         let (mut sim, sw, sinks, c, conn) = rig();
-        let mac = MacAddr::from_id(42);
-        let actions = vec![Action::out(1), Action::SetDlDst(mac), Action::out(2)];
+        sim.enable_trace(100);
+        let actions = vec![Action::out(2), Action::out(1)];
         sim.ctrl_send_from(c, conn, flow_mod_add(Match::any(), 1, actions).encode(1));
         sim.run(10);
         let original = frame(80);
-        sim.inject(sw, 0, original.clone(), sim.now());
+        let id = sim.inject(sw, 0, original.clone(), sim.now());
         sim.run(100);
-        let rx = |p: usize| -> Vec<Bytes> {
+        for p in [1, 2] {
             let sink = sim.node_as::<Sink>(sinks[p]).unwrap();
-            sink.rx.iter().map(|(_, pkt)| pkt.data.clone()).collect()
-        };
-        let mut rewritten = original.to_vec();
-        rewritten[0..6].copy_from_slice(&mac.0);
-        assert_eq!(rx(1), vec![original]);
-        assert_eq!(rx(2), vec![Bytes::from(rewritten)]);
-    }
-
-    #[test]
-    fn packet_out_with_buffer_releases_parked_packet() {
-        let (mut sim, sw, sinks, c, conn) = rig();
-        sim.inject(sw, 0, frame(80), escape_netem::Time::ZERO);
-        sim.run(100);
-        let buffer_id = match sim.node_as::<CtrlStub>(c).unwrap().inbox[0] {
-            OfMessage::PacketIn { buffer_id, .. } => buffer_id,
-            _ => unreachable!(),
-        };
-        let po = OfMessage::PacketOut {
-            buffer_id,
-            in_port: 0,
-            actions: vec![Action::out(1)],
-            data: Bytes::new(),
-        };
-        sim.ctrl_send_from(c, conn, po.encode(2));
-        sim.run(100);
-        assert_eq!(sim.node_as::<Sink>(sinks[1]).unwrap().rx.len(), 1);
+            let rx: Vec<&Bytes> = sink.rx.iter().map(|(_, pkt)| &pkt.data).collect();
+            assert_eq!(rx, [&original]);
+        }
+        let sent: Vec<u16> = sim
+            .trace
+            .as_ref()
+            .unwrap()
+            .for_packet(id)
+            .filter(|r| r.node == sw && r.dir == escape_netem::TraceDir::Tx)
+            .map(|r| r.port)
+            .collect();
+        assert_eq!(sent, [2, 1]);
     }
 
     #[test]
@@ -498,6 +457,81 @@ mod tests {
                 assert_eq!(ports[2].name, "s1-eth2");
             }
             other => panic!("expected features reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_output_to_a_port_the_switch_lacks_is_a_no_route_drop() {
+        let (mut sim, sw, sinks, c, conn) = rig();
+        sim.enable_trace(100);
+        let fm = flow_mod_add(Match::any(), 1, vec![Action::out(5)]);
+        sim.ctrl_send_from(c, conn, fm.encode(1));
+        sim.run(10);
+        let id = sim.inject(sw, 0, frame(80), sim.now());
+        sim.run(100);
+        for h in sinks {
+            assert!(sim.node_as::<Sink>(h).unwrap().rx.is_empty());
+        }
+        let snap = sim.telemetry().snapshot();
+        assert_eq!(
+            snap.counter("netem.drops", &[("reason", "no_route")]),
+            Some(1)
+        );
+        let drops: Vec<_> = sim
+            .trace
+            .as_ref()
+            .unwrap()
+            .for_packet(id)
+            .filter(|r| r.dir == escape_netem::TraceDir::Drop)
+            .map(|r| (r.node, r.port, r.drop))
+            .collect();
+        assert_eq!(drops, [(sw, 5, Some(DropReason::NoRoute))]);
+    }
+
+    #[test]
+    fn error_replies_name_what_failed() {
+        let add = flow_mod_add(Match::any(), 1, vec![Action::out(1)]).encode(1);
+        // The first action sits behind the header, the 40-byte match and
+        // the 24 flow-mod bytes; command at 8 behind the match, idle
+        // timeout at 10, flags at 22.
+        let at = |off: usize, bytes: &[u8]| {
+            let mut m = add.clone();
+            m[off..off + bytes.len()].copy_from_slice(bytes);
+            m
+        };
+        let action = HEADER_LEN + 40 + 24;
+        let mut packet_out = OfMessage::BarrierRequest.encode(1);
+        packet_out[1] = 13;
+        let cases = [
+            ("bad version", at(0, &[4]), (1, 0)),
+            ("unknown type", at(1, &[16]), (1, 1)),
+            ("packet-out", packet_out, (1, 1)),
+            ("truncated", add[..HEADER_LEN + 20].to_vec(), (1, 6)),
+            ("action length", at(action + 2, &[0, 12]), (1, 6)),
+            ("set-field action", at(action, &[0, 5]), (2, 0)),
+            ("modify command", at(HEADER_LEN + 40 + 8, &[0, 1]), (3, 4)),
+            ("idle timeout", at(HEADER_LEN + 40 + 10, &[0, 5]), (3, 5)),
+            ("flags", at(HEADER_LEN + 40 + 22, &[0, 1]), (3, 5)),
+        ];
+        for (what, msg, code) in cases {
+            let (mut sim, sw, _sinks, c, conn) = rig();
+            sim.ctrl_send_from(c, conn, msg.clone());
+            sim.run(10);
+            match &sim.node_as::<CtrlStub>(c).unwrap().inbox[..] {
+                [OfMessage::Error {
+                    err_type,
+                    code: got,
+                    data,
+                }] => {
+                    assert_eq!((*err_type, *got), code, "{what}");
+                    assert_eq!(data[..], msg[..msg.len().min(ERROR_DATA_LEN)], "{what}");
+                }
+                other => panic!("{what}: expected one error, got {other:?}"),
+            }
+            assert!(
+                sim.node_as::<Switch>(sw).unwrap().table.is_empty(),
+                "{what}"
+            );
         }
     }
 
@@ -655,36 +689,19 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, [0xffff_fffe, 1]);
-        let po = OfMessage::PacketOut {
+        let release = OfMessage::FlowMod {
+            match_: Match::any(),
+            cookie: 0,
+            command: FlowModCommand::Add,
+            priority: 1,
             buffer_id: 1,
-            in_port: 0,
+            out_port: port::NONE,
             actions: vec![Action::out(1)],
-            data: Bytes::new(),
         };
-        sim.ctrl_send_from(c, conn, po.encode(2));
+        sim.ctrl_send_from(c, conn, release.encode(2));
         sim.run(100);
         let rx = &sim.node_as::<Sink>(sinks[1]).unwrap().rx;
         assert_eq!(rx.len(), 1);
         assert_eq!(rx[0].1.data, frame(81), "the packet parked under id 1");
-    }
-
-    #[test]
-    fn packet_out_back_through_no_ingress_port_is_dropped() {
-        let (mut sim, _sw, sinks, c, conn) = rig();
-        // 0xfff8 is OpenFlow's OFPP_IN_PORT, which the switch does not
-        // implement: like any port it lacks, the output drops.
-        for in_port in [port::NONE, 3] {
-            let out = OfMessage::PacketOut {
-                buffer_id: NO_BUFFER,
-                in_port,
-                actions: vec![Action::out(0xfff8)],
-                data: frame(80),
-            };
-            sim.ctrl_send_from(c, conn, out.encode(1));
-        }
-        sim.run(100);
-        for h in sinks {
-            assert!(sim.node_as::<Sink>(h).unwrap().rx.is_empty());
-        }
     }
 }

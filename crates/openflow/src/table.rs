@@ -134,11 +134,6 @@ impl FlowTable {
         best
     }
 
-    /// Mutable access to an entry by index (from [`FlowTable::lookup_idx`]).
-    pub fn entry_mut(&mut self, idx: usize) -> &mut FlowEntry {
-        &mut self.entries[idx]
-    }
-
     /// `OFPFC_ADD`: install, replacing an entry with identical match and
     /// priority (per spec).
     pub fn add(&mut self, entry: FlowEntry) {
@@ -179,7 +174,7 @@ impl FlowTable {
             let port_ok = out_port == port::NONE
                 || e.actions
                     .iter()
-                    .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port));
+                    .any(|&Action::Output { port, .. }| port == out_port);
             let cookie_ok = cookie == 0 || e.cookie == cookie;
             !(m && port_ok && cookie_ok)
         });

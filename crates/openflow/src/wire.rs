@@ -18,8 +18,33 @@ pub const HEADER_LEN: usize = 8;
 pub enum WireError {
     Truncated,
     BadVersion(u8),
+    /// A message type outside the subset, packet-out's 13 included.
     UnknownType(u8),
     Malformed(&'static str),
+    /// A well-formed action other than `Output`, by its type code.
+    BadAction(u16),
+    /// A flow-mod command other than add, delete and delete-strict.
+    BadCommand(u16),
+    /// A flow-mod with a timeout or a flag: every entry is permanent.
+    TimeoutsOrFlags,
+}
+
+impl WireError {
+    /// The OpenFlow 1.0 `(type, code)` an `OFPT_ERROR` reply carries for
+    /// this error.
+    pub fn error_code(&self) -> (u16, u16) {
+        match self {
+            // OFPET_BAD_REQUEST: OFPBRC_BAD_VERSION, _BAD_TYPE, _BAD_LEN.
+            WireError::BadVersion(_) => (1, 0),
+            WireError::UnknownType(_) => (1, 1),
+            WireError::Truncated | WireError::Malformed(_) => (1, 6),
+            // OFPET_BAD_ACTION: OFPBAC_BAD_TYPE.
+            WireError::BadAction(_) => (2, 0),
+            // OFPET_FLOW_MOD_FAILED: OFPFMFC_BAD_COMMAND, _UNSUPPORTED.
+            WireError::BadCommand(_) => (3, 4),
+            WireError::TimeoutsOrFlags => (3, 5),
+        }
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -29,6 +54,9 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported OpenFlow version {v:#x}"),
             WireError::UnknownType(t) => write!(f, "unknown OpenFlow message type {t}"),
             WireError::Malformed(w) => write!(f, "malformed OpenFlow message: {w}"),
+            WireError::BadAction(t) => write!(f, "unsupported OpenFlow action type {t}"),
+            WireError::BadCommand(c) => write!(f, "unsupported flow-mod command {c}"),
+            WireError::TimeoutsOrFlags => write!(f, "flow-mod with timeouts or flags"),
         }
     }
 }
@@ -97,12 +125,6 @@ pub enum OfMessage {
         in_port: u16,
         data: Bytes,
     },
-    PacketOut {
-        buffer_id: u32,
-        in_port: u16,
-        actions: Vec<Action>,
-        data: Bytes,
-    },
     FlowMod {
         match_: Match,
         cookie: u64,
@@ -123,7 +145,6 @@ mod ty {
     pub const FEATURES_REQUEST: u8 = 5;
     pub const FEATURES_REPLY: u8 = 6;
     pub const PACKET_IN: u8 = 10;
-    pub const PACKET_OUT: u8 = 13;
     pub const FLOW_MOD: u8 = 14;
     pub const BARRIER_REQUEST: u8 = 18;
     pub const BARRIER_REPLY: u8 = 19;
@@ -137,7 +158,6 @@ impl OfMessage {
             OfMessage::FeaturesRequest => ty::FEATURES_REQUEST,
             OfMessage::FeaturesReply { .. } => ty::FEATURES_REPLY,
             OfMessage::PacketIn { .. } => ty::PACKET_IN,
-            OfMessage::PacketOut { .. } => ty::PACKET_OUT,
             OfMessage::FlowMod { .. } => ty::FLOW_MOD,
             OfMessage::BarrierRequest => ty::BARRIER_REQUEST,
             OfMessage::BarrierReply => ty::BARRIER_REPLY,
@@ -197,20 +217,6 @@ impl OfMessage {
                 b.extend_from_slice(&total_len.to_be_bytes());
                 b.extend_from_slice(&in_port.to_be_bytes());
                 b.extend_from_slice(&[0, 0]); // reason OFPR_NO_MATCH, pad
-                b.extend_from_slice(data);
-            }
-            OfMessage::PacketOut {
-                buffer_id,
-                in_port,
-                actions,
-                data,
-            } => {
-                b.extend_from_slice(&buffer_id.to_be_bytes());
-                b.extend_from_slice(&in_port.to_be_bytes());
-                let mut ab = Vec::new();
-                Action::encode_list(actions, &mut ab);
-                b.extend_from_slice(&(ab.len() as u16).to_be_bytes());
-                b.extend_from_slice(&ab);
                 b.extend_from_slice(data);
             }
             OfMessage::FlowMod {
@@ -314,23 +320,6 @@ impl OfMessage {
                     data: Bytes::copy_from_slice(&body[10..]),
                 }
             }
-            ty::PACKET_OUT => {
-                if body.len() < 8 {
-                    return Err(WireError::Malformed("packet-out too short"));
-                }
-                let actions_len = u16at(6) as usize;
-                if body.len() < 8 + actions_len {
-                    return Err(WireError::Malformed("packet-out actions overflow"));
-                }
-                let actions = Action::decode_list(&body[8..8 + actions_len])
-                    .ok_or(WireError::Malformed("bad actions"))?;
-                OfMessage::PacketOut {
-                    buffer_id: u32at(0),
-                    in_port: u16at(4),
-                    actions,
-                    data: Bytes::copy_from_slice(&body[8 + actions_len..]),
-                }
-            }
             ty::FLOW_MOD => {
                 let (match_, used) =
                     Match::decode(body).ok_or(WireError::Malformed("bad match"))?;
@@ -339,19 +328,19 @@ impl OfMessage {
                 }
                 let o = used;
                 if u32at(o + 10) != 0 || u16at(o + 22) != 0 {
-                    return Err(WireError::Malformed("flow-mod timeouts or flags"));
+                    return Err(WireError::TimeoutsOrFlags);
                 }
-                let actions = Action::decode_list(&body[o + 24..])
-                    .ok_or(WireError::Malformed("bad actions"))?;
+                let command = u16at(o + 8);
+                let command =
+                    FlowModCommand::from_u16(command).ok_or(WireError::BadCommand(command))?;
                 OfMessage::FlowMod {
                     match_,
                     cookie: u64at(o),
-                    command: FlowModCommand::from_u16(u16at(o + 8))
-                        .ok_or(WireError::Malformed("bad flow-mod command"))?,
+                    command,
                     priority: u16at(o + 14),
                     buffer_id: u32at(o + 16),
                     out_port: u16at(o + 20),
-                    actions,
+                    actions: Action::decode_list(&body[o + 24..])?,
                 }
             }
             ty::BARRIER_REQUEST => OfMessage::BarrierRequest,
@@ -418,12 +407,14 @@ mod tests {
             in_port: 3,
             data: Bytes::from_static(b"frame-bytes"),
         });
-        roundtrip(OfMessage::PacketOut {
-            buffer_id: 0xffff_ffff,
-            in_port: port::NONE,
-            actions: vec![Action::out(2)],
-            data: Bytes::from_static(b"frame-bytes"),
-        });
+        // The switch only punts: a packet-out (`OFPT_PACKET_OUT`, 13)
+        // does not decode, whatever it carries.
+        let mut packet_out = OfMessage::BarrierRequest.encode(1);
+        packet_out[1] = 13;
+        assert_eq!(
+            OfMessage::decode(&packet_out),
+            Err(WireError::UnknownType(13))
+        );
     }
 
     #[test]
@@ -438,7 +429,7 @@ mod tests {
             priority: 1000,
             buffer_id: 0xffff_ffff,
             out_port: port::NONE,
-            actions: vec![Action::SetDlDst(MacAddr::from_id(5)), Action::out(2)],
+            actions: vec![Action::out(1), Action::out(2)],
         });
     }
 

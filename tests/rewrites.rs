@@ -6,11 +6,11 @@
 //! zero or bad transport checksum, TCP and IP options, Ethernet padding,
 //! TTL 0–2, a fragment, IP version 6, truncations, a non-IP ethertype),
 //! seeded single-byte mutations with the IP header checksum re-fixed, and
-//! seeded byte soup. Every OpenFlow set-field action runs on each through
-//! a switch's packet-out, each action list with its one `Output` last;
-//! so do `DecIPTTL`, `SetIPDSCP(46)`, `IPRewriter` in both directions and
-//! `FlowKey::extract`. Each line is one op on one input: the output
-//! frame in hex, `=` when it is the input unchanged, or `drop`.
+//! seeded byte soup. `DecIPTTL`, `SetIPDSCP(46)`, `IPRewriter` in both
+//! directions and `FlowKey::extract` run on each; the OpenFlow switch
+//! edits no header, so it has no ops here. Each line is one op on one
+//! input: the output frame in hex, `=` when it is the input unchanged,
+//! or `drop`.
 //!
 //! A change meant to be invisible leaves the file untouched. On a
 //! mismatch the current corpus is written to the target tmp dir as
@@ -18,9 +18,7 @@
 
 use bytes::Bytes;
 use escape_click::{Registry, Router};
-use escape_netem::{CtrlId, LinkConfig, NodeCtx, NodeId, NodeLogic, Sim, Time};
-use escape_openflow::switch::{Switch, NO_BUFFER};
-use escape_openflow::{port, Action, OfMessage};
+use escape_netem::Time;
 use escape_packet::{checksum, EtherType, FlowKey, MacAddr, Packet, PacketBuilder};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -305,117 +303,6 @@ fn render(input: &[u8], out: Option<&[u8]>) -> String {
     }
 }
 
-/// Records every frame it receives.
-#[derive(Default)]
-struct Sink {
-    rx: Vec<Bytes>,
-}
-
-impl NodeLogic for Sink {
-    fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: u16, pkt: Packet) {
-        self.rx.push(pkt.data);
-    }
-}
-
-/// Answers nothing: the far end of the switch's control channel.
-struct Quiet;
-
-impl NodeLogic for Quiet {
-    fn on_packet(&mut self, _: &mut NodeCtx<'_>, _: u16, _: Packet) {}
-}
-
-/// A switch with a sink on port 1, driven by packet-outs.
-struct SwitchRig {
-    sim: Sim,
-    ctrl: NodeId,
-    conn: CtrlId,
-    sink: NodeId,
-    xid: u32,
-}
-
-impl SwitchRig {
-    fn new() -> SwitchRig {
-        let mut sim = Sim::new(1);
-        let sw = sim.add_node("s1", 2, Box::new(Switch::new(1, 2)));
-        let sink = sim.add_node("h1", 1, Box::new(Sink::default()));
-        sim.connect((sw, 1), (sink, 0), LinkConfig::ideal());
-        let ctrl = sim.add_node("c0", 0, Box::new(Quiet));
-        let conn = sim.ctrl_connect(sw, ctrl, Time::from_us(10));
-        SwitchRig {
-            sim,
-            ctrl,
-            conn,
-            sink,
-            xid: 0,
-        }
-    }
-
-    /// The frames port 1 sends after `actions` run on `frame`.
-    fn run(&mut self, actions: &[Action], frame: &[u8]) -> Vec<Bytes> {
-        self.xid += 1;
-        let po = OfMessage::PacketOut {
-            buffer_id: NO_BUFFER,
-            in_port: port::NONE,
-            actions: actions.to_vec(),
-            data: Bytes::copy_from_slice(frame),
-        };
-        self.sim
-            .ctrl_send_from(self.ctrl, self.conn, po.encode(self.xid));
-        self.sim.run(1_000);
-        let sink = self.sim.node_as_mut::<Sink>(self.sink).expect("sink");
-        std::mem::take(&mut sink.rx)
-    }
-}
-
-/// The OpenFlow ops: every set-field action alone, then three lists of
-/// several, each followed by one `Output` to port 1.
-fn of_ops() -> Vec<(&'static str, Vec<Action>)> {
-    let mac = MacAddr([0x0a, 0xbb, 0xcc, 0xdd, 0xee, 0x0f]);
-    let nw = Ipv4Addr::new(172, 16, 0, 9);
-    let lists = vec![
-        ("of.set_dl_src", vec![Action::SetDlSrc(mac)]),
-        ("of.set_dl_dst", vec![Action::SetDlDst(mac)]),
-        ("of.set_nw_src", vec![Action::SetNwSrc(nw)]),
-        ("of.set_nw_dst", vec![Action::SetNwDst(nw)]),
-        ("of.set_nw_tos", vec![Action::SetNwTos(46 << 2)]),
-        ("of.set_tp_src", vec![Action::SetTpSrc(7777)]),
-        ("of.set_tp_dst", vec![Action::SetTpDst(53)]),
-        (
-            "of.dl_nw_tp_dst",
-            vec![
-                Action::SetDlDst(mac),
-                Action::SetNwDst(nw),
-                Action::SetTpDst(53),
-            ],
-        ),
-        (
-            "of.nw_src_tos_tp",
-            vec![
-                Action::SetNwSrc(nw),
-                Action::SetNwTos(0x28),
-                Action::SetTpSrc(7777),
-                Action::SetTpDst(8888),
-            ],
-        ),
-        (
-            "of.tp_before_nw",
-            vec![
-                Action::SetTpSrc(1),
-                Action::SetNwSrc(nw),
-                Action::SetDlSrc(mac),
-                Action::SetNwDst(Ipv4Addr::new(10, 9, 8, 7)),
-            ],
-        ),
-    ];
-    lists
-        .into_iter()
-        .map(|(name, mut acts)| {
-            acts.push(Action::out(1));
-            (name, acts)
-        })
-        .collect()
-}
-
 /// The one frame a one-element pipeline lets through, if any.
 fn click(config: &str, frame: &[u8]) -> Option<Vec<u8>> {
     let mut r = Router::from_config(config, &Registry::standard(), 0).expect("config compiles");
@@ -537,14 +424,6 @@ fn corpus() -> String {
     let mut out = String::new();
     for (i, (name, f)) in inputs.iter().enumerate() {
         let _ = writeln!(out, "in {i} {name} {}", hex(f));
-    }
-    let mut rig = SwitchRig::new();
-    for (op, actions) in of_ops() {
-        for (i, (_, f)) in inputs.iter().enumerate() {
-            let sent = rig.run(&actions, f);
-            assert!(sent.len() <= 1, "{op} sent {} frames", sent.len());
-            let _ = writeln!(out, "{op} {i} {}", render(f, sent.first().map(|b| &b[..])));
-        }
     }
     let elements = [
         (
