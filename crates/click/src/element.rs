@@ -5,26 +5,6 @@ use escape_netem::Time;
 use escape_packet::Packet;
 use rand::Rng;
 
-/// Error from a handler invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HandlerError {
-    /// No such handler on this element.
-    NoSuchHandler(String),
-    /// The handler exists but rejected the value.
-    BadValue(String),
-}
-
-impl std::fmt::Display for HandlerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HandlerError::NoSuchHandler(h) => write!(f, "no such handler: {h}"),
-            HandlerError::BadValue(v) => write!(f, "bad handler value: {v}"),
-        }
-    }
-}
-
-impl std::error::Error for HandlerError {}
-
 /// A Click element: a packet-processing unit with numbered input and
 /// output ports.
 ///
@@ -53,11 +33,6 @@ pub trait Element: Send {
     /// Reads a named handler, returning its textual value.
     fn read_handler(&self, _name: &str) -> Option<String> {
         None
-    }
-
-    /// Writes a named handler.
-    fn write_handler(&mut self, name: &str, _value: &str) -> Result<(), HandlerError> {
-        Err(HandlerError::NoSuchHandler(name.to_string()))
     }
 
     /// CPU nanoseconds this element charges per processed packet (fed to
@@ -137,22 +112,10 @@ mod tests {
 
     #[test]
     fn default_trait_methods() {
-        let mut n = Nop;
+        let n = Nop;
         assert_eq!(n.class_name(), "Nop");
         assert!(n.next_wake().is_none());
         assert!(n.read_handler("count").is_none());
-        assert!(matches!(
-            n.write_handler("reset", ""),
-            Err(HandlerError::NoSuchHandler(_))
-        ));
         assert_eq!(n.cost_ns(), 50);
-    }
-
-    #[test]
-    fn handler_error_display() {
-        assert!(HandlerError::NoSuchHandler("x".into())
-            .to_string()
-            .contains("x"));
-        assert!(HandlerError::BadValue("y".into()).to_string().contains("y"));
     }
 }

@@ -1,7 +1,7 @@
 //! Device endpoints, counters, tees, discard.
 
 use super::args;
-use crate::element::{ElemCtx, Element, HandlerError};
+use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
 use escape_netem::Time;
 use escape_packet::Packet;
@@ -137,15 +137,6 @@ impl Element for Counter {
                 }
             }
             _ => None,
-        }
-    }
-    fn write_handler(&mut self, name: &str, _value: &str) -> Result<(), HandlerError> {
-        match name {
-            "reset" => {
-                *self = Counter::default();
-                Ok(())
-            }
-            other => Err(HandlerError::NoSuchHandler(other.to_string())),
         }
     }
     fn cost_ns(&self) -> u64 {

@@ -3,7 +3,7 @@
 
 use super::args;
 use super::classify::IpExpr;
-use crate::element::{ElemCtx, Element, HandlerError};
+use crate::element::{ElemCtx, Element};
 use crate::registry::Registry;
 use escape_packet::{EtherType, EthernetHeader, FlowKey, IpProtocol, Ipv4Header, Packet};
 
@@ -100,28 +100,6 @@ impl Element for IpFilter {
             _ => None,
         }
     }
-    fn write_handler(&mut self, name: &str, value: &str) -> Result<(), HandlerError> {
-        match name {
-            // Live reconfiguration: replace the whole rule set; rules are
-            // newline-separated. This is how the NETCONF agent updates a
-            // running firewall VNF.
-            "rules" => {
-                let rules = value
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty())
-                    .map(FilterRule::parse)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(HandlerError::BadValue)?;
-                if rules.is_empty() {
-                    return Err(HandlerError::BadValue("empty rule set".into()));
-                }
-                self.rules = rules;
-                Ok(())
-            }
-            other => Err(HandlerError::NoSuchHandler(other.to_string())),
-        }
-    }
     fn cost_ns(&self) -> u64 {
         // Linear in rules: a bigger ruleset costs more CPU.
         100 + 20 * self.rules.len() as u64
@@ -185,18 +163,6 @@ impl Element for StringMatcher {
             "matches" => Some(self.matches.to_string()),
             "pattern" => Some(String::from_utf8_lossy(&self.pattern).into_owned()),
             _ => None,
-        }
-    }
-    fn write_handler(&mut self, name: &str, value: &str) -> Result<(), HandlerError> {
-        match name {
-            "pattern" => {
-                if value.is_empty() {
-                    return Err(HandlerError::BadValue("pattern must be non-empty".into()));
-                }
-                self.pattern = value.as_bytes().to_vec();
-                Ok(())
-            }
-            other => Err(HandlerError::NoSuchHandler(other.to_string())),
         }
     }
     fn cost_ns(&self) -> u64 {
@@ -310,22 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn firewall_rules_can_be_rewritten_live() {
-        let mut r = mk("FromDevice(0) -> f :: IPFilter(deny all) -> ToDevice(0);");
-        assert_eq!(
-            r.push_external(0, udp(80, b"x"), Time::ZERO).external.len(),
-            0
-        );
-        r.write_handler("f.rules", "allow udp\ndeny all").unwrap();
-        assert_eq!(
-            r.push_external(0, udp(80, b"x"), Time::ZERO).external.len(),
-            1
-        );
-        assert!(r.write_handler("f.rules", "garbage here").is_err());
-        assert!(r.write_handler("f.rules", "").is_err());
-    }
-
-    #[test]
     fn dpi_splits_on_payload_pattern() {
         let mut r = mk(
             r#"FromDevice(0) -> m :: StringMatcher("attack"); m [0] -> ToDevice(1); m [1] -> ToDevice(0);"#,
@@ -335,17 +285,6 @@ mod tests {
         let out = r.push_external(0, udp(80, b"benign chatter"), Time::ZERO);
         assert_eq!(out.external[0].0, 0);
         assert_eq!(r.read_handler("m.matches").unwrap(), "1");
-    }
-
-    #[test]
-    fn dpi_pattern_is_retunable() {
-        let mut r = mk(
-            r#"FromDevice(0) -> m :: StringMatcher("old"); m [0] -> ToDevice(1); m [1] -> ToDevice(0);"#,
-        );
-        r.write_handler("m.pattern", "fresh").unwrap();
-        assert_eq!(r.read_handler("m.pattern").unwrap(), "fresh");
-        let out = r.push_external(0, udp(80, b"very fresh bytes"), Time::ZERO);
-        assert_eq!(out.external[0].0, 1);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   catalog uses — device endpoints, counters, firewall filters, DPI
 //!   string matching, NAT, flow-hash load spreading, shapers, sampling,
 //!   IP header checks and rewrites — plus `Tee`, which copies frames;
-//! * read/write handlers addressed as `element.handler` — the mechanism
-//!   behind the paper's "monitor the VNFs with Clicky" demo step.
+//! * read handlers addressed as `element.handler` — the mechanism behind
+//!   the paper's "monitor the VNFs with Clicky" demo step.
 //!
 //! Packets enter a router through `FromDevice(N)` elements and leave
 //! through `ToDevice(N)` elements; the integer `N` is the VNF container
@@ -31,7 +31,7 @@ pub mod lang;
 pub mod registry;
 pub mod router;
 
-pub use element::{ElemCtx, Element, HandlerError};
+pub use element::{ElemCtx, Element};
 pub use lang::{parse_config, ConfigError, ParsedConfig};
 pub use registry::Registry;
 pub use router::Router;

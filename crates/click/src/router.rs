@@ -324,22 +324,6 @@ impl Router {
         self.elements[idx].as_deref()?.read_handler(handler)
     }
 
-    /// Writes handler `spec` of the form `element.handler`.
-    pub fn write_handler(&mut self, spec: &str, value: &str) -> Result<(), String> {
-        let (name, handler) = spec
-            .split_once('.')
-            .ok_or("handler spec must be element.handler")?;
-        let &idx = self
-            .name_index
-            .get(name)
-            .ok_or_else(|| format!("no element '{name}'"))?;
-        self.elements[idx]
-            .as_deref_mut()
-            .ok_or("element busy")?
-            .write_handler(handler, value)
-            .map_err(|e| e.to_string())
-    }
-
     /// Lists `element.handler` pairs that currently read as non-None, with
     /// their values — the "Clicky" live view of a VNF.
     pub fn snapshot_handlers(&self, handlers: &[&str]) -> Vec<(String, String)> {
@@ -449,15 +433,6 @@ mod tests {
         let snap = r.snapshot_handlers(&["count"]);
         assert!(snap.contains(&("a.count".to_string(), "1".to_string())));
         assert!(snap.contains(&("b.count".to_string(), "1".to_string())));
-    }
-
-    #[test]
-    fn write_handler_resets_counter() {
-        let mut r = mk("FromDevice(0) -> c :: Counter -> ToDevice(0);");
-        r.push_external(0, pkt(60), Time::ZERO);
-        assert_eq!(r.read_handler("c.count").unwrap(), "1");
-        r.write_handler("c.reset", "").unwrap();
-        assert_eq!(r.read_handler("c.count").unwrap(), "0");
     }
 
     #[test]

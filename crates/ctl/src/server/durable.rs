@@ -14,7 +14,7 @@ use crate::wal::{
     SNAPSHOT_VERSION,
 };
 use escape::{JournalKind, Session, Severity};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 
 /// Bound on the idempotency window (distinct request ids remembered).
@@ -235,6 +235,24 @@ fn recover(
                 snap.seed
             )));
         }
+        // Every chain cookie was minted below `next_cookie`, and no two
+        // chains share one: a restored chain files its cookie in the
+        // verdict book and advances the allocator past it.
+        let mut cookies = BTreeSet::new();
+        for c in &snap.chains {
+            if !(1..snap.next_cookie).contains(&c.cookie) {
+                return Err(bad_snapshot(format!(
+                    "chain {} has cookie {}, outside 1..{}",
+                    c.name, c.cookie, snap.next_cookie
+                )));
+            }
+            if !cookies.insert(c.cookie) {
+                return Err(bad_snapshot(format!(
+                    "chain {} shares cookie {} with another chain",
+                    c.name, c.cookie
+                )));
+            }
+        }
         session.escape_mut().restore_journal_base(snap.journal_base);
     }
     if rec.truncated {
@@ -305,4 +323,59 @@ fn recover(
     );
     session.set_recovery(recovered_chains, rec.rolled_back.len() as u64);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use escape::session::{demo_topology, InputFormat};
+    use escape::SessionConfig;
+
+    fn session() -> Session {
+        Session::new(demo_topology(), SessionConfig::default()).unwrap()
+    }
+
+    /// What a restarted daemon reads back after checkpointing two chains.
+    fn restart_with_two_chains() -> Recovered {
+        let mut s = session();
+        for sg in [
+            "sap sap0 sap1\nvnf fw type=firewall cpu=1\nchain a = sap0 -> fw -> sap1 bw=50",
+            "sap sap0 sap1\nvnf mon type=monitor cpu=1\nchain b = sap0 -> mon -> sap1 bw=50",
+        ] {
+            s.deploy_text(sg, InputFormat::Dsl).unwrap();
+        }
+        Recovered {
+            snapshot: Some(capture_snapshot(&s, 1, &DedupWindow::new(DEDUP_WINDOW))),
+            restarted: true,
+            ..Recovered::default()
+        }
+    }
+
+    #[test]
+    fn a_snapshot_with_a_shared_or_unminted_cookie_is_corrupt_state() {
+        let honest = restart_with_two_chains();
+        let mut restored = session();
+        recover(&mut restored, &honest, &mut DedupWindow::new(DEDUP_WINDOW)).unwrap();
+        assert_eq!(restored.escape().deployed_chains().len(), 2);
+
+        type Damage = fn(&mut Snapshot);
+        let cases: [(&str, Damage); 2] = [
+            ("a shared cookie", |s| {
+                s.chains[1].cookie = s.chains[0].cookie
+            }),
+            ("cookie u64::MAX", |s| s.chains[1].cookie = u64::MAX),
+        ];
+        for (what, damage) in cases {
+            let mut rec = honest.clone();
+            damage(rec.snapshot.as_mut().unwrap());
+            let mut fresh = session();
+            let err =
+                recover(&mut fresh, &rec, &mut DedupWindow::new(DEDUP_WINDOW)).expect_err(what);
+            assert!(
+                matches!(&err, CtlError::CorruptState { path, .. } if path == SNAPSHOT_FILE),
+                "{what}: {err}"
+            );
+            assert!(fresh.escape().deployed_chains().is_empty(), "{what}");
+        }
+    }
 }

@@ -98,8 +98,6 @@ pub struct VnfHost {
     port_bindings: LookupMap<u16, (usize, u16)>,
     seed: u64,
     next_vnf: u32,
-    /// Frames that arrived on an unbound port.
-    pub unbound_rx: u64,
     /// When set, [`VnfHost::process`] collects the Click elements each
     /// frame traverses (the flight recorder's per-element view).
     trace_paths: bool,
@@ -137,7 +135,6 @@ impl VnfHost {
             port_bindings: LookupMap::new(),
             seed,
             next_vnf: 0,
-            unbound_rx: 0,
             trace_paths: false,
             steps: Vec::new(),
             paths: LookupMap::new(),
@@ -365,14 +362,6 @@ impl VnfHost {
     pub fn read_handler(&self, vnf_id: &str, spec: &str) -> Option<String> {
         let idx = self.vnf_index(vnf_id)?;
         self.vnfs[idx].router.read_handler(spec)
-    }
-
-    /// Writes one handler of one VNF (live reconfiguration).
-    pub fn write_handler(&mut self, vnf_id: &str, spec: &str, value: &str) -> Result<(), String> {
-        let idx = self
-            .vnf_index(vnf_id)
-            .ok_or_else(|| format!("no vnf {vnf_id}"))?;
-        self.vnfs[idx].router.write_handler(spec, value)
     }
 }
 
@@ -670,7 +659,6 @@ impl NodeLogic for VnfContainer {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: u16, pkt: Packet) {
         let (pkt_id, pkt_len) = (pkt.id, pkt.len());
         let Some((vnf, dev)) = self.agent.instr.binding_at(port) else {
-            self.agent.instr.unbound_rx += 1;
             ctx.trace_drop(pkt_id, pkt_len, port, DropReason::NoRoute);
             return;
         };
@@ -1020,9 +1008,21 @@ mod tests {
     fn unbound_port_counts() {
         let mut sim = Sim::new(0);
         let c = sim.add_node("c0", 1, Box::new(VnfContainer::new("c0", 1, vec![], 0)));
-        sim.inject(c, 0, frame(80), Time::ZERO);
+        sim.enable_trace(100);
+        let id = sim.inject(c, 0, frame(80), Time::ZERO);
         sim.run(100);
-        assert_eq!(sim.node_as::<VnfContainer>(c).unwrap().host().unbound_rx, 1);
+        let snap = sim.telemetry().snapshot();
+        assert_eq!(
+            snap.counter("netem.drops", &[("reason", "no_route")]),
+            Some(1)
+        );
+        let tr = sim.trace.as_ref().unwrap();
+        let drop = tr
+            .for_packet(id)
+            .find(|r| r.dir == escape_netem::TraceDir::Drop)
+            .expect("an unbound port leaves a drop record");
+        assert_eq!(drop.drop, Some(DropReason::NoRoute));
+        assert_eq!(drop.port, 0);
     }
 
     #[test]

@@ -26,15 +26,6 @@ impl SimStats {
     pub fn drops_total(&self) -> u64 {
         self.drops_queue + self.drops_loss + self.drops_link_down
     }
-
-    /// Delivery ratio in [0, 1]; 1.0 when nothing was sent.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.frames_sent == 0 {
-            1.0
-        } else {
-            self.frames_delivered as f64 / self.frames_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -50,16 +41,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.drops_total(), 6);
-    }
-
-    #[test]
-    fn delivery_ratio_handles_zero_sent() {
-        assert_eq!(SimStats::default().delivery_ratio(), 1.0);
-        let s = SimStats {
-            frames_sent: 4,
-            frames_delivered: 3,
-            ..Default::default()
-        };
-        assert!((s.delivery_ratio() - 0.75).abs() < 1e-12);
     }
 }

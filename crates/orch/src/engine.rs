@@ -85,6 +85,19 @@ pub fn route_chain(
     Ok((segments, total))
 }
 
+/// The (container, cpu, mem) each placed VNF reserves, in placement
+/// order, or the name of a VNF `sg` does not declare.
+fn demands(sg: &ServiceGraph, mapping: &ChainMapping) -> Result<Vec<(String, f64, u64)>, String> {
+    mapping
+        .placement
+        .iter()
+        .map(|(vnf, container)| {
+            let req = sg.vnf_named(vnf).ok_or_else(|| vnf.clone())?;
+            Ok((container.clone(), req.cpu, req.mem_mb))
+        })
+        .collect()
+}
+
 /// Cached registry handles for the mapping path.
 struct OrchCounters {
     attempts: Counter,
@@ -233,35 +246,9 @@ impl Orchestrator {
         let mapping = self
             .algorithm
             .map_chain(&mut paths, sg, chain, &self.state)?;
-        // Commit: compute then bandwidth, rolling back on failure.
-        let mut reserved_compute: Vec<(String, f64, u64)> = Vec::new();
-        for (vnf, container) in &mapping.placement {
-            let req = sg
-                .vnf_named(vnf)
-                .ok_or_else(|| MapError::UnknownNode(vnf.clone()))?;
-            if let Err(e) = self.state.reserve_compute(container, req.cpu, req.mem_mb) {
-                for (c, cpu, mem) in &reserved_compute {
-                    self.state.release_compute(c, *cpu, *mem);
-                }
-                return Err(MapError::Infeasible(e));
-            }
-            reserved_compute.push((container.clone(), req.cpu, req.mem_mb));
-        }
-        let mut reserved_paths: Vec<&PathSegment> = Vec::new();
-        for seg in &mapping.segments {
-            if let Err(e) = self.state.reserve_path(&seg.nodes, chain.bandwidth_mbps) {
-                for s in reserved_paths {
-                    self.state.release_path(&s.nodes, chain.bandwidth_mbps);
-                }
-                for (c, cpu, mem) in &reserved_compute {
-                    self.state.release_compute(c, *cpu, *mem);
-                }
-                return Err(MapError::Infeasible(e));
-            }
-            reserved_paths.push(seg);
-        }
-        self.committed
-            .insert(chain.name.clone(), (mapping.clone(), reserved_compute));
+        let compute = demands(sg, &mapping).map_err(MapError::UnknownNode)?;
+        self.commit(&mapping, compute)
+            .map_err(MapError::Infeasible)?;
         Ok(mapping)
     }
 
@@ -282,37 +269,41 @@ impl Orchestrator {
         if self.committed.contains_key(&chain.name) {
             return Err(format!("chain {:?} already embedded", chain.name));
         }
-        let mut reserved_compute: Vec<(String, f64, u64)> = Vec::new();
-        for (vnf, container) in &mapping.placement {
-            let Some(req) = sg.vnf_named(vnf) else {
-                for (c, cpu, mem) in &reserved_compute {
-                    self.state.release_compute(c, *cpu, *mem);
-                }
-                return Err(format!("unknown vnf {vnf:?} in checkpointed mapping"));
-            };
-            if let Err(e) = self.state.reserve_compute(container, req.cpu, req.mem_mb) {
-                for (c, cpu, mem) in &reserved_compute {
+        let compute = demands(sg, mapping)
+            .map_err(|vnf| format!("unknown vnf {vnf:?} in checkpointed mapping"))?;
+        self.commit(mapping, compute)
+    }
+
+    /// Reserves `compute`, then `mapping`'s bandwidth on every segment,
+    /// and records the chain as committed. On failure nothing stays
+    /// reserved.
+    fn commit(
+        &mut self,
+        mapping: &ChainMapping,
+        compute: Vec<(String, f64, u64)>,
+    ) -> Result<(), String> {
+        let bw = mapping.chain.bandwidth_mbps;
+        for (i, (c, cpu, mem)) in compute.iter().enumerate() {
+            if let Err(e) = self.state.reserve_compute(c, *cpu, *mem) {
+                for (c, cpu, mem) in &compute[..i] {
                     self.state.release_compute(c, *cpu, *mem);
                 }
                 return Err(e);
             }
-            reserved_compute.push((container.clone(), req.cpu, req.mem_mb));
         }
-        let mut reserved_paths: Vec<&PathSegment> = Vec::new();
-        for seg in &mapping.segments {
-            if let Err(e) = self.state.reserve_path(&seg.nodes, chain.bandwidth_mbps) {
-                for s in reserved_paths {
-                    self.state.release_path(&s.nodes, chain.bandwidth_mbps);
+        for (i, seg) in mapping.segments.iter().enumerate() {
+            if let Err(e) = self.state.reserve_path(&seg.nodes, bw) {
+                for s in &mapping.segments[..i] {
+                    self.state.release_path(&s.nodes, bw);
                 }
-                for (c, cpu, mem) in &reserved_compute {
+                for (c, cpu, mem) in &compute {
                     self.state.release_compute(c, *cpu, *mem);
                 }
                 return Err(e);
             }
-            reserved_paths.push(seg);
         }
         self.committed
-            .insert(chain.name.clone(), (mapping.clone(), reserved_compute));
+            .insert(mapping.chain.name.clone(), (mapping.clone(), compute));
         Ok(())
     }
 
@@ -382,11 +373,6 @@ impl Orchestrator {
     /// [`ResourceState::fail_container`]).
     pub fn mark_container_failed(&mut self, container: &str) -> bool {
         self.state.fail_container(container)
-    }
-
-    /// Restores a failed container's capacity.
-    pub fn mark_container_recovered(&mut self, container: &str) -> bool {
-        self.state.recover_container(container)
     }
 
     /// Marks a link failed: path search and reservation route around it.
@@ -950,11 +936,6 @@ mod tests {
         assert!(orch.embedded_chains().is_empty());
         assert!(orch.remap_chain(&g, "c1").is_err(), "unknown chain now");
         assert_eq!(reg.counter_total("orch.remap_failures"), 1);
-        // Survivors come back once the containers recover.
-        orch.mark_container_recovered("c0");
-        orch.mark_container_recovered("c1");
-        let m = orch.embed_chain(&g, &g.chains[0]).unwrap();
-        assert_eq!(m.placement.len(), 1);
     }
 
     #[test]
@@ -971,7 +952,6 @@ mod tests {
         orch.mark_link_failed("s0", "s1");
         orch.mark_container_failed("c0");
         assert_eq!(orch.audit(), Vec::<String>::new());
-        orch.mark_container_recovered("c0");
         orch.mark_link_recovered("s0", "s1");
 
         orch.release_chain("c1").unwrap();

@@ -16,7 +16,8 @@ pub struct ResourceState {
     pub bw: BTreeMap<(String, String), f64>,
     /// Residuals stashed away for failed containers: while a container is
     /// in here its live cpu/mem read zero, and releases route into the
-    /// stash so recovery restores an exact view.
+    /// stash so the effective view (and the ledger audit) stays exact. A
+    /// failed container never comes back: a crashed node stays dead.
     failed_compute: BTreeMap<String, (f64, u64)>,
     /// Same for failed links (stashed residual bandwidth).
     failed_links: BTreeMap<(String, String), f64>,
@@ -72,16 +73,6 @@ impl ResourceState {
         self.failed_compute.insert(container.to_string(), (*c, *m));
         *c = 0.0;
         *m = 0;
-        true
-    }
-
-    /// Restores a failed container's stashed residuals.
-    pub fn recover_container(&mut self, container: &str) -> bool {
-        let Some((c, m)) = self.failed_compute.remove(container) else {
-            return false;
-        };
-        *self.cpu.get_mut(container).expect("known container") += c;
-        *self.mem.get_mut(container).expect("known container") += m;
         true
     }
 
@@ -141,7 +132,7 @@ impl ResourceState {
     }
 
     /// Releases compute. Releases onto a failed container land in its
-    /// stash, keeping the live view at zero until recovery.
+    /// stash, keeping the live view at zero.
     pub fn release_compute(&mut self, container: &str, cpu: f64, mem_mb: u64) {
         if let Some((c, m)) = self.failed_compute.get_mut(container) {
             *c += cpu;
@@ -292,10 +283,6 @@ mod tests {
         // Releasing the dead placement must not resurrect capacity.
         s.release_compute("c0", 1.0, 100);
         assert_eq!(s.cpu_of("c0"), 0.0);
-        // Recovery restores the exact pre-failure free view.
-        assert!(s.recover_container("c0"));
-        assert_eq!(s.cpu_of("c0"), 2.0);
-        assert!(!s.recover_container("c0"));
         assert!(!s.fail_container("ghost"));
     }
 

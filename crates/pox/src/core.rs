@@ -21,7 +21,6 @@ pub const FLUSH_TOKEN: u64 = 0xF1;
 pub struct ControllerStats {
     pub packet_ins: u64,
     pub flow_mods_sent: u64,
-    pub packet_outs_sent: u64,
     pub connections_up: u64,
     pub unhandled_packet_ins: u64,
 }
@@ -30,18 +29,19 @@ pub struct ControllerStats {
 struct CoreCounters {
     packet_ins: Counter,
     flow_mods: Counter,
-    /// Registered so the series exists; nothing sends packet-outs.
-    packet_outs: Counter,
     connections_up: Counter,
     unhandled_packet_ins: Counter,
 }
 
 impl CoreCounters {
     fn new(reg: &Registry) -> CoreCounters {
+        let packet_ins = reg.counter("pox.packet_ins");
+        let flow_mods = reg.counter("pox.flow_mods");
+        // Registered so the series exists; nothing sends packet-outs.
+        reg.counter("pox.packet_outs");
         CoreCounters {
-            packet_ins: reg.counter("pox.packet_ins"),
-            flow_mods: reg.counter("pox.flow_mods"),
-            packet_outs: reg.counter("pox.packet_outs"),
+            packet_ins,
+            flow_mods,
             connections_up: reg.counter("pox.connections_up"),
             unhandled_packet_ins: reg.counter("pox.unhandled_packet_ins"),
         }
@@ -87,7 +87,6 @@ impl Controller {
         ControllerStats {
             packet_ins: self.counters.packet_ins.get(),
             flow_mods_sent: self.counters.flow_mods.get(),
-            packet_outs_sent: self.counters.packet_outs.get(),
             connections_up: self.counters.connections_up.get(),
             unhandled_packet_ins: self.counters.unhandled_packet_ins.get(),
         }

@@ -191,12 +191,23 @@ start_daemon "watch smoke" "$WSOCK" --seed 11
 target/release/escape ctl --socket "$WSOCK" watch >"$WATCH_OUT" 2>&1 &
 WATCH_PID=$!
 # The "watching:" ack means the subscription is registered ahead of
-# every command issued after it — nothing below can be missed.
-for _ in $(seq 1 50); do
+# every command issued after it — nothing below can be missed. A loaded
+# 2-CPU host can take seconds to start the subscriber: wait up to 30 s.
+for _ in $(seq 1 300); do
     grep -q "watching:" "$WATCH_OUT" && break
     sleep 0.1
 done
-grep -q "watching:" "$WATCH_OUT" || { echo "watch smoke: subscriber never acked" >&2; exit 1; }
+if ! grep -q "watching:" "$WATCH_OUT"; then
+    echo "watch smoke: subscriber never acked" >&2
+    if kill -0 "$WATCH_PID" 2>/dev/null; then
+        echo "watch smoke: the watch process is still running" >&2
+    else
+        echo "watch smoke: the watch process has exited" >&2
+    fi
+    echo "watch smoke: watch log follows" >&2
+    cat "$WATCH_OUT" >&2
+    exit 1
+fi
 target/release/escape ctl --socket "$WSOCK" deploy examples/data/demo.sg
 target/release/escape ctl --socket "$WSOCK" traffic sap0:sap1:50:128:200
 target/release/escape ctl --socket "$WSOCK" run-for 20
