@@ -7,18 +7,28 @@
 //! control channels. Event ordering is strictly deterministic: ties in
 //! virtual time break on a monotone sequence number, and all randomness
 //! (link loss) comes from one seeded RNG.
+//!
+//! The kernel is split by concern: `kernel` holds the event loop —
+//! dispatch, transmission and the retirement of transmit completions,
+//! the whole per-frame path in one module; `node` holds what node logic
+//! sees ([`NodeLogic`], the ids, and [`NodeCtx`]'s trace and fault
+//! hooks); `drops` holds the drop accounting. This module holds the
+//! kernel's state and the topology it is built from.
+
+mod drops;
+mod kernel;
+mod node;
+
+pub use node::{AsAny, CtrlId, NodeCtx, NodeId, NodeLogic};
 
 use crate::link::{Link, LinkConfig, LinkId, LinkState};
-use crate::queue::{Event, EventQueue};
+use crate::queue::EventQueue;
 use crate::stats::SimStats;
 use crate::time::Time;
-use crate::trace::{DropReason, HopDetail, Trace, TraceDir, TraceRecord};
-use bytes::Bytes;
-use escape_packet::Packet;
+use crate::trace::{DropReason, Trace};
 use escape_telemetry::{Counter, Gauge, Registry};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::any::Any;
+use rand::SeedableRng;
 
 /// Cached handles into the telemetry [`Registry`] for the kernel's hot
 /// paths — one atomic increment per event, no lookups.
@@ -60,43 +70,6 @@ impl SimCounters {
             self.queued_frames_max.set(depth);
         }
     }
-}
-
-/// Identifies a node within a [`Sim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
-
-/// Identifies a control channel within a [`Sim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CtrlId(pub u32);
-
-/// Object-safe `Any` access for node logic, so callers can downcast a node
-/// back to its concrete type (e.g. to read host counters after a run).
-pub trait AsAny {
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<T: Any> AsAny for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Behaviour of a node. Implementations are state machines driven by the
-/// kernel: frames in, timers, control messages — frames out via the ctx.
-pub trait NodeLogic: AsAny + Send {
-    /// A frame arrived on `port`.
-    fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, port: u16, pkt: Packet);
-
-    /// A timer armed with [`NodeCtx::set_timer`] fired.
-    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
-
-    /// A message arrived on a control channel this node terminates.
-    fn on_ctrl(&mut self, _ctx: &mut NodeCtx<'_>, _conn: CtrlId, _msg: Vec<u8>) {}
 }
 
 struct NodeSlot {
@@ -377,277 +350,6 @@ impl Sim {
         CtrlId(id)
     }
 
-    /// Sends `msg` on `conn` as `from`; it will be delivered to the other
-    /// endpoint after the channel latency.
-    pub fn ctrl_send_from(&mut self, from: NodeId, conn: CtrlId, msg: Vec<u8>) {
-        let c = &self.ctrls[conn.0 as usize];
-        let to = if c.ends[0] == from.0 {
-            c.ends[1]
-        } else if c.ends[1] == from.0 {
-            c.ends[0]
-        } else {
-            panic!("node {} is not an endpoint of ctrl {}", from.0, conn.0)
-        };
-        let at = self.clock + c.latency;
-        self.queue.push(
-            at,
-            Event::CtrlDeliver {
-                conn: conn.0,
-                to_node: to,
-                msg,
-            },
-        );
-    }
-
-    /// Injects a frame so it arrives at `node` on `port` at time `at`
-    /// (which must not be in the past). Returns the packet id for tracing.
-    pub fn inject(&mut self, node: NodeId, port: u16, data: Bytes, at: Time) -> u64 {
-        assert!(at >= self.clock, "cannot inject into the past");
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        let pkt = Packet {
-            data,
-            id,
-            born_ns: at.as_ns(),
-        };
-        self.queue.push(
-            at,
-            Event::PacketArrive {
-                node: node.0,
-                port,
-                pkt,
-            },
-        );
-        id
-    }
-
-    /// Arms a timer for `node` (used by node constructors; inside a
-    /// dispatch use [`NodeCtx::set_timer`]).
-    pub fn set_timer_for(&mut self, node: NodeId, delay: Time, token: u64) {
-        let at = self.clock + delay;
-        self.queue.push(
-            at,
-            Event::Timer {
-                node: node.0,
-                token,
-            },
-        );
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.queue.peek_time()
-    }
-
-    /// Runs until the queue drains or `limit` events have been dispatched
-    /// from the heap. Returns that number of heap dispatches, which leaves
-    /// out transmit completions (retired, not dispatched; `netem.events`
-    /// counts both). Callers pass a limit only as a bound on a drain.
-    pub fn run(&mut self, limit: u64) -> u64 {
-        let mut n = 0;
-        while n < limit && self.step() {
-            n += 1;
-        }
-        n
-    }
-
-    /// Runs while events are scheduled at or before `deadline`, then
-    /// retires every transmit completion due by then. Events scheduled
-    /// later stay queued; the clock advances to at most `deadline`.
-    /// Returns the number of heap dispatches, as [`Sim::run`] does.
-    pub fn run_until(&mut self, deadline: Time) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        self.retire((deadline, u64::MAX));
-        if self.clock < deadline {
-            self.clock = deadline;
-        }
-        n
-    }
-
-    /// Dispatches one event. Returns false when the queue is empty, having
-    /// retired every transmit completion: each frame's arrival comes
-    /// after its completion, so with no arrival left all are due.
-    pub fn step(&mut self) -> bool {
-        let Some((key, ev)) = self.queue.pop() else {
-            self.retire((Time::MAX, u64::MAX));
-            return false;
-        };
-        let at = key.0;
-        debug_assert!(at >= self.clock, "time went backwards");
-        self.clock = at;
-        self.cursor = key;
-        self.counters.events.inc();
-        match ev {
-            Event::PacketArrive { node, port, pkt } => {
-                self.counters.frames_delivered.inc();
-                if let Some(tr) = &mut self.trace {
-                    let rec = TraceRecord::wire(
-                        self.clock,
-                        NodeId(node),
-                        port,
-                        TraceDir::Rx,
-                        pkt.len(),
-                        pkt.id,
-                    );
-                    tr.record_wire(rec, &pkt.data);
-                }
-                self.dispatch(node, |logic, ctx| logic.on_packet(ctx, port, pkt));
-            }
-            Event::Timer { node, token } => {
-                self.counters.timers.inc();
-                self.dispatch(node, |logic, ctx| logic.on_timer(ctx, token));
-            }
-            Event::CtrlDeliver { conn, to_node, msg } => {
-                self.counters.ctrl_messages.inc();
-                self.dispatch(to_node, |logic, ctx| logic.on_ctrl(ctx, CtrlId(conn), msg));
-            }
-        }
-        true
-    }
-
-    fn dispatch<F: FnOnce(&mut Box<dyn NodeLogic>, &mut NodeCtx<'_>)>(&mut self, node: u32, f: F) {
-        let mut logic = match self.nodes[node as usize].logic.take() {
-            Some(l) => l,
-            // Node was removed (e.g. crashed VNF container) — drop event.
-            None => return,
-        };
-        let mut ctx = NodeCtx {
-            sim: self,
-            node: NodeId(node),
-        };
-        f(&mut logic, &mut ctx);
-        self.nodes[node as usize].logic = Some(logic);
-    }
-
-    /// Transmits `pkt` from `node` out of `port` over the attached link,
-    /// modelling queueing, serialization, propagation and loss.
-    pub fn transmit_from(&mut self, node: NodeId, port: u16, pkt: Packet) {
-        let slot = &self.nodes[node.0 as usize];
-        let Some(Some((link_idx, dir))) = slot.ports.get(port as usize).copied() else {
-            // Unwired port: the frame falls on the floor, as with a real
-            // cable-less interface — but the drop is attributed.
-            self.record_drop(node, port, &pkt, DropReason::NoRoute, None);
-            return;
-        };
-        self.counters.frames_sent.inc();
-        if let Some(tr) = &mut self.trace {
-            let rec = TraceRecord::wire(self.clock, node, port, TraceDir::Tx, pkt.len(), pkt.id);
-            tr.record_wire(rec, &pkt.data);
-        }
-        let now = self.clock;
-        let (state, loss) = {
-            let l = &self.links[link_idx as usize];
-            (l.state, l.cfg.loss)
-        };
-        if state == LinkState::Down {
-            self.counters.drops_link_down.inc();
-            self.record_drop(node, port, &pkt, DropReason::LinkDown, Some(link_idx));
-            return;
-        }
-        if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            self.counters.drops_loss.inc();
-            self.record_drop(node, port, &pkt, DropReason::RandomLoss, Some(link_idx));
-            return;
-        }
-        // Every queue first sheds the frames whose transmission completed
-        // before this event, so the depth that decides a tail drop and the
-        // gauges are exact.
-        self.retire(self.cursor);
-        let full = {
-            let l = &self.links[link_idx as usize];
-            l.tx[dir as usize].pending.len() >= l.cfg.queue_capacity
-        };
-        if full {
-            self.counters.drops_queue.inc();
-            self.record_drop(node, port, &pkt, DropReason::QueueFull, Some(link_idx));
-            return;
-        }
-        let link = &mut self.links[link_idx as usize];
-        let tx = &mut link.tx[dir as usize];
-        let start = if tx.next_free > now {
-            tx.next_free
-        } else {
-            now
-        };
-        let done = start.add_ns(link.cfg.serialize_ns(pkt.len()));
-        tx.next_free = done;
-        if tx.pending.is_empty() {
-            self.busy.push((link_idx, dir));
-        }
-        tx.pending.push_back((done, self.queue.reserve()));
-        self.counters.enqueue();
-        let (peer_node, peer_port) = link.ends[1 - dir as usize];
-        let arrive = done + link.cfg.delay;
-        self.queue.push(
-            arrive,
-            Event::PacketArrive {
-                node: peer_node,
-                port: peer_port,
-                pkt,
-            },
-        );
-    }
-
-    /// Retires every queued frame whose transmission completes before
-    /// `bound` in (time, sequence number) order, exactly where the
-    /// completion would sit among the dispatched events: the frame leaves
-    /// its queue and the gauge, and counts as one model event.
-    fn retire(&mut self, bound: (Time, u64)) {
-        let mut i = 0;
-        while let Some(&(link, dir)) = self.busy.get(i) {
-            let tx = &mut self.links[link as usize].tx[dir as usize];
-            let due = tx.retire(bound);
-            if due > 0 {
-                self.counters.events.add(due as u64);
-                self.counters.queued_frames.sub(due as i64);
-            }
-            if tx.pending.is_empty() {
-                self.busy.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Counts a drop under `netem.drops{reason=...}` (plus the per-link
-    /// counter when the drop happened on a link) and records a typed
-    /// `Drop` trace record.
-    fn record_drop(
-        &mut self,
-        node: NodeId,
-        port: u16,
-        pkt: &Packet,
-        reason: DropReason,
-        link_idx: Option<u32>,
-    ) {
-        self.count_drop_reason(reason);
-        if let Some(idx) = link_idx {
-            self.link_drops[idx as usize].inc();
-        }
-        if let Some(tr) = &mut self.trace {
-            let mut rec =
-                TraceRecord::wire(self.clock, node, port, TraceDir::Drop, pkt.len(), pkt.id);
-            rec.drop = Some(reason);
-            tr.record(rec);
-        }
-    }
-
-    fn count_drop_reason(&mut self, reason: DropReason) {
-        self.drops_by_reason[reason as usize]
-            .get_or_insert_with(|| {
-                let labels = [("reason", reason.label())];
-                self.telemetry.counter_with("netem.drops", &labels)
-            })
-            .inc();
-    }
-
     /// Allocates a fresh packet id (for nodes that originate traffic).
     pub fn alloc_packet_id(&mut self) -> u64 {
         let id = self.next_packet_id;
@@ -691,135 +393,13 @@ impl Sim {
     }
 }
 
-/// The capability surface a node sees while handling an event.
-pub struct NodeCtx<'a> {
-    sim: &'a mut Sim,
-    node: NodeId,
-}
-
-impl NodeCtx<'_> {
-    /// Current virtual time.
-    pub fn now(&self) -> Time {
-        self.sim.clock
-    }
-
-    /// Transmits a frame out of `port`.
-    pub fn send(&mut self, port: u16, pkt: Packet) {
-        self.sim.transmit_from(self.node, port, pkt);
-    }
-
-    /// Creates a packet stamped with a fresh id and the current time.
-    pub fn new_packet(&mut self, data: Bytes) -> Packet {
-        Packet {
-            data,
-            id: self.sim.alloc_packet_id(),
-            born_ns: self.sim.clock.as_ns(),
-        }
-    }
-
-    /// Arms a timer that fires `delay` from now with `token`.
-    pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.sim.set_timer_for(self.node, delay, token);
-    }
-
-    /// Sends a message on a control channel this node terminates.
-    pub fn ctrl_send(&mut self, conn: CtrlId, msg: Vec<u8>) {
-        self.sim.ctrl_send_from(self.node, conn, msg);
-    }
-
-    // ------------- flight-recorder capabilities ---------------------
-    // Node logic annotates the packet trace with what happened *inside*
-    // the node: which flow rule matched, which Click elements ran, why a
-    // frame died. The journey reconstructor (escape::flight) correlates
-    // these with the kernel's wire records by packet id.
-
-    /// True when packet tracing is enabled — logic can skip building hop
-    /// annotations otherwise.
-    pub fn tracing(&self) -> bool {
-        self.sim.trace.is_some()
-    }
-
-    /// Records an in-node processing annotation for a traced packet.
-    pub fn trace_hop(&mut self, packet_id: u64, len: usize, port: u16, detail: HopDetail) {
-        if let Some(tr) = &mut self.sim.trace {
-            let mut rec = TraceRecord::wire(
-                self.sim.clock,
-                self.node,
-                port,
-                TraceDir::Hop,
-                len,
-                packet_id,
-            );
-            rec.hop = Some(detail);
-            tr.record(rec);
-        }
-    }
-
-    /// Records an in-node drop with a typed reason, counted under
-    /// `netem.drops{reason=...}` alongside the kernel's own drops.
-    pub fn trace_drop(&mut self, packet_id: u64, len: usize, port: u16, reason: DropReason) {
-        self.sim.count_drop_reason(reason);
-        if let Some(tr) = &mut self.sim.trace {
-            let mut rec = TraceRecord::wire(
-                self.sim.clock,
-                self.node,
-                port,
-                TraceDir::Drop,
-                len,
-                packet_id,
-            );
-            rec.drop = Some(reason);
-            tr.record(rec);
-        }
-    }
-
-    // ------------- fault-injection capabilities ---------------------
-    // Used by the fault injector node (crate::fault): a node dispatched
-    // by the kernel may manipulate links and *other* nodes.
-
-    /// Administratively flips a link.
-    pub fn set_link_state(&mut self, link: LinkId, state: LinkState) {
-        self.sim.set_link_state(link, state);
-    }
-
-    /// Changes a link's random loss probability.
-    pub fn set_link_loss(&mut self, link: LinkId, loss: f64) {
-        self.sim.set_link_loss(link, loss);
-    }
-
-    /// Changes a link's propagation delay.
-    pub fn set_link_delay(&mut self, link: LinkId, delay: Time) {
-        self.sim.set_link_delay(link, delay);
-    }
-
-    /// Kills another node (no-op on self: logic is already taken).
-    pub fn kill_node(&mut self, node: NodeId) {
-        self.sim.kill_node(node);
-    }
-
-    /// Pauses another node.
-    pub fn pause_node(&mut self, node: NodeId) -> bool {
-        self.sim.pause_node(node)
-    }
-
-    /// Resumes a paused node.
-    pub fn resume_node(&mut self, node: NodeId) -> bool {
-        self.sim.resume_node(node)
-    }
-
-    /// Increments `faults.injected{kind=...}` in the sim's registry.
-    pub fn count_fault(&mut self, kind: &str) {
-        self.sim
-            .telemetry
-            .counter_with("faults.injected", &[("kind", kind)])
-            .inc();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
+    use crate::trace::{HopDetail, TraceDir};
+    use bytes::Bytes;
+    use escape_packet::Packet;
 
     /// Echoes every frame back out the port it came in on.
     struct Reflector;

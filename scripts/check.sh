@@ -6,11 +6,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== no source file over 1200 lines =="
+echo "== no source file over 1000 lines =="
 # A file that size is a decision to take in review, not an accident.
-LONG="$(find crates/*/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')"
+LONG="$(find crates/*/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')"
 if [ -n "$LONG" ]; then
-    echo "source files over 1200 lines:" >&2
+    echo "source files over 1000 lines:" >&2
     echo "$LONG" >&2
     exit 1
 fi
