@@ -10,8 +10,8 @@
 //! the declaration below *is* the wire format — labels, key names and
 //! key order — and encode and decode are both read off it.
 
-use escape_json::wire::{to_json, Flat, Omit, Pairs, Wire, WireError};
-use escape_json::{wire_enum, wire_struct, wire_tagged, Value};
+use escape_json::wire::{decode, root_label, to_json, DecodeError, Flat, Omit, Pairs, WireError};
+use escape_json::{wire_enum, wire_struct, wire_tagged};
 
 /// Text format of a shipped service-graph document.
 pub use escape::session::InputFormat as SgFormat;
@@ -331,12 +331,18 @@ impl From<WireError> for CtlError {
     }
 }
 
-/// Unparsable JSON is `Malformed`, with the byte offset of the failure.
-fn parse(src: &str) -> Result<Value, CtlError> {
-    Value::parse_detailed(src).map_err(|e| CtlError::Malformed {
-        offset: e.offset as u64,
-        reason: e.message,
-    })
+/// Unparsable JSON is `Malformed`, with the byte offset of the failure;
+/// a document of the wrong shape is `Invalid`.
+impl From<DecodeError> for CtlError {
+    fn from(e: DecodeError) -> CtlError {
+        match e {
+            DecodeError::Syntax(e) => CtlError::Malformed {
+                offset: e.offset as u64,
+                reason: e.message,
+            },
+            DecodeError::Shape(e) => e.into(),
+        }
+    }
 }
 
 wire_struct! {
@@ -370,16 +376,16 @@ impl CtlRequest {
 
     /// Decodes a request together with its idempotency envelope.
     pub fn decode_enveloped(src: &str) -> Result<(CtlRequest, Option<String>), CtlError> {
-        let v = parse(src)?;
-        // An unrecognised verb is its own error kind, not a shape error.
-        match v.get(CtlRequest::LABEL_KEY).and_then(Value::as_str) {
-            Some(verb) if !CtlRequest::LABELS.contains(&verb) => Err(CtlError::UnknownVerb {
-                verb: verb.to_string(),
+        match decode::<Envelope>(src) {
+            Ok(e) => Ok((e.req, e.request_id)),
+            // An unrecognised verb is its own error kind, not a shape error.
+            Err(DecodeError::Shape(e)) => Err(match root_label(src, CtlRequest::LABEL_KEY) {
+                Some(verb) if !CtlRequest::LABELS.contains(&verb.as_str()) => {
+                    CtlError::UnknownVerb { verb }
+                }
+                _ => e.into(),
             }),
-            _ => {
-                let e = Envelope::from_value(&v)?;
-                Ok((e.req, e.request_id))
-            }
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -390,7 +396,7 @@ impl CtlResponse {
     }
 
     pub fn decode(src: &str) -> Result<CtlResponse, CtlError> {
-        Ok(CtlResponse::from_value(&parse(src)?)?)
+        Ok(decode(src)?)
     }
 }
 
@@ -400,13 +406,14 @@ impl CtlEvent {
     }
 
     pub fn decode(src: &str) -> Result<CtlEvent, CtlError> {
-        Ok(CtlEvent::from_value(&parse(src)?)?)
+        Ok(decode(src)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use escape_json::Value;
 
     fn round_trip_request(req: CtlRequest) {
         let text = req.encode();
@@ -673,6 +680,30 @@ mod tests {
             CtlError::Malformed { offset, .. } => assert_eq!(offset, 9),
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// An unknown verb is named as such whatever else is wrong with the
+    /// request, and wherever the verb sits in it; only text that is not
+    /// JSON is refused first.
+    #[test]
+    fn an_unknown_verb_beats_a_bad_field() {
+        for text in [
+            r#"{"verb":"dance","chain":7}"#,
+            r#"{"chain":7,"verb":"dance"}"#,
+            r#"{"ms":1e30,"request_id":7,"verb":"dance"}"#,
+        ] {
+            assert_eq!(
+                CtlRequest::decode_enveloped(text),
+                Err(CtlError::UnknownVerb {
+                    verb: "dance".into()
+                }),
+                "{text}"
+            );
+        }
+        assert!(matches!(
+            CtlRequest::decode(r#"{"verb":"dance","chain":nope}"#),
+            Err(CtlError::Malformed { offset: 24, .. })
+        ));
     }
 
     #[test]

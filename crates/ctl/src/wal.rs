@@ -41,8 +41,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use escape_json::wire::{to_json, to_json_pretty, Omit, Wire};
-use escape_json::{wire_tagged, Value};
+use escape_json::wire::{decode, to_json, to_json_pretty, DecodeError, Omit};
+use escape_json::wire_tagged;
 
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
 
@@ -115,8 +115,12 @@ fn io_internal(what: &str, e: std::io::Error) -> CtlError {
 
 /// Decodes a snapshot document, refusing a layout this build does not
 /// read.
-fn decode_snapshot(doc: &Value) -> Result<Snapshot, String> {
-    let snap = Snapshot::from_value(doc)?;
+fn decode_snapshot(text: &str) -> Result<Snapshot, String> {
+    let snap: Snapshot = match decode(text) {
+        Ok(snap) => snap,
+        Err(DecodeError::Syntax(e)) => return Err(format!("snapshot is not valid JSON: {e}")),
+        Err(DecodeError::Shape(e)) => return Err(e.into()),
+    };
     if snap.version != SNAPSHOT_VERSION {
         return Err(format!(
             "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
@@ -195,9 +199,13 @@ fn scan_log(path: &Path, bytes: &[u8]) -> Result<ScannedLog, CtlError> {
         let payload = &bytes[off + 4..off + 4 + len];
         let text = std::str::from_utf8(payload)
             .map_err(|_| corrupt(path, off as u64, "record is not UTF-8"))?;
-        let doc = Value::parse(text)
-            .map_err(|e| corrupt(path, off as u64, format!("record is not valid JSON: {e}")))?;
-        let rec = WalRecord::from_value(&doc).map_err(|e| corrupt(path, off as u64, e))?;
+        let rec = decode::<WalRecord>(text).map_err(|e| {
+            let cause = match e {
+                DecodeError::Syntax(e) => format!("record is not valid JSON: {e}"),
+                DecodeError::Shape(e) => e.into(),
+            };
+            corrupt(path, off as u64, cause)
+        })?;
         records.push((off as u64, rec));
         off += 4 + len;
     }
@@ -235,10 +243,7 @@ impl Wal {
                 let text = std::str::from_utf8(&bytes).map_err(|e| {
                     corrupt(&snap_path, e.valid_up_to() as u64, "snapshot is not UTF-8")
                 })?;
-                let doc = Value::parse(text).map_err(|e| {
-                    corrupt(&snap_path, 0, format!("snapshot is not valid JSON: {e}"))
-                })?;
-                Some(decode_snapshot(&doc).map_err(|e| corrupt(&snap_path, 0, e))?)
+                Some(decode_snapshot(text).map_err(|e| corrupt(&snap_path, 0, e))?)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_internal("read snapshot", e)),
@@ -472,6 +477,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::proto::SgFormat;
+    use escape_json::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIRS: AtomicU64 = AtomicU64::new(0);

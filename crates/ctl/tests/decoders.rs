@@ -95,6 +95,36 @@ fn error_kinds_do_not_move() {
     );
 }
 
+/// A number past `u64` is refused by name, not saturated to `u64::MAX`:
+/// as a request field, and as a snapshot field.
+#[test]
+fn a_number_past_u64_is_refused() {
+    let reason = invalid_reason(CtlRequest::decode(r#"{"verb":"run-for","ms":1e30}"#));
+    assert_eq!(reason, "ms: out of range for u64");
+
+    let snapshot = corpus()
+        .into_iter()
+        .find(|d| d.contains("\"journal_base\""))
+        .expect("a snapshot in the corpus");
+    let doctored = snapshot.replace(
+        "\"next_cookie\": 3,",
+        "\"next_cookie\": 18446744073709551616,",
+    );
+    assert_ne!(doctored, snapshot);
+    let dir = std::env::temp_dir().join(format!("escape-decoders-{}-wide", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(SNAPSHOT_FILE), doctored).unwrap();
+    let answer = Wal::open(&dir, SEED).map(|_| ());
+    let _ = fs::remove_dir_all(&dir);
+    match answer {
+        Err(CtlError::CorruptState { cause, .. }) => {
+            assert_eq!(cause, "next_cookie: out of range for u64")
+        }
+        other => panic!("expected CorruptState, got {other:?}"),
+    }
+}
+
 /// Every JSON document of the golden corpus: the one-line frames, the
 /// payload of each log record, and the pretty-printed files.
 fn corpus() -> Vec<String> {

@@ -3,26 +3,30 @@
 //! The workspace builds in a container without crates.io access, so the
 //! machine interchange formats (service graphs, topologies, telemetry
 //! snapshots) run on this small hand-rolled JSON library instead of
-//! serde. It provides a [`Value`] model, a strict parser and one
-//! streaming printer, [`Writer`], whose output matches the shapes the
-//! previous serde-based format produced (objects keep insertion order;
-//! floats always carry a decimal point, integers never do).
+//! serde. It provides one pull [`Reader`] over the input text, a
+//! [`Value`] tree built with it, and one streaming printer, [`Writer`],
+//! whose output matches the shapes the previous serde-based format
+//! produced (objects keep insertion order; floats always carry a decimal
+//! point, integers never do).
 //!
-//! The parser accepts any RFC 8259 document; the printer emits compact
+//! The reader accepts any RFC 8259 document; the printer emits compact
 //! or 2-space indented output like `serde_json::to_string_pretty`.
 //!
 //! Typed documents sit on top through the [`wire`] layer: each message
 //! declares its fields once; it is written straight into a [`Writer`]
-//! and read back from a parsed [`Value`].
+//! and read back in one pass from a [`Reader`], with no [`Value`] on
+//! the way. The tree is for untyped documents.
 
+mod read;
 pub mod wire;
 mod write;
 
+pub use read::{Kind, Mark, Reader};
 pub use write::Writer;
 
 /// A parse failure with the byte offset it occurred at. The offset is
-/// into the raw input handed to [`Value::parse_detailed`] — control
-/// planes surface it verbatim so clients can point at the broken byte.
+/// into the raw input handed to the [`Reader`] — control planes surface
+/// it verbatim so clients can point at the broken byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte position in the input where parsing failed.
@@ -108,14 +112,20 @@ impl Value {
         }
     }
 
-    /// Non-negative integral content.
+    /// Non-negative integral content that fits a `u64`: `5.0` is 5,
+    /// and `1e30` is nothing, not `u64::MAX`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) if *i >= 0 => Some(*i as u64),
             Value::UInt(u) => Some(*u),
-            Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
+            Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 && *f < U64_END => Some(*f as u64),
             _ => None,
         }
+    }
+
+    /// True for an integral number too large for a `u64`.
+    pub(crate) fn is_past_u64(&self) -> bool {
+        matches!(self, Value::Float(f) if *f >= U64_END)
     }
 
     /// Boolean content.
@@ -147,17 +157,9 @@ impl Value {
     /// [`Value::parse`] with a structured error carrying the byte
     /// offset of the failure.
     pub fn parse_detailed(src: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            src,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.src.len() {
-            return Err(p.err("trailing garbage"));
-        }
+        let mut r = Reader::new(src);
+        let v = r.value()?;
+        r.end()?;
         Ok(v)
     }
 
@@ -220,245 +222,13 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
-/// Deepest nesting of arrays and objects the parser follows. The parser
+/// Deepest nesting of arrays and objects the reader follows. It
 /// recurses per level, so without a cap a frame of nothing but `[`
 /// overflows the stack of whichever thread reads it.
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Parser::object),
-            Some(b'[') => self.nested(Parser::array),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn keyword(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.src.len() < self.pos + 5 {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let code = self
-                                .hex4(self.pos + 1)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(self.scalar_of(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or escape.
-                    // Both are ASCII, so the run ends on a char boundary.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.src[start..self.pos]);
-                }
-            }
-        }
-    }
-
-    /// The four hex digits at `at`, if that is what is there.
-    fn hex4(&self, at: usize) -> Option<u32> {
-        let hex = self.src.as_bytes().get(at..at + 4)?;
-        hex.iter()
-            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
-    }
-
-    /// The scalar a `\uXXXX` escape ending at `self.pos` stands for. A
-    /// high surrogate directly followed by an escaped low one is half of
-    /// a UTF-16 pair: both escapes make one scalar, and `self.pos` moves
-    /// to the end of the second. A surrogate without its partner is not
-    /// a scalar.
-    fn scalar_of(&mut self, code: u32) -> Option<char> {
-        if (0xd800..0xdc00).contains(&code)
-            && self.src.as_bytes().get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..])
-        {
-            if let Some(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
-                self.pos += 6;
-                return char::from_u32(0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00));
-            }
-        }
-        char::from_u32(code)
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = &self.src[start..self.pos];
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| self.err(e.to_string()))
-        } else {
-            // Integers beyond both `i64` and `u64` degrade to float like
-            // serde_json's arbitrary-precision-off behaviour.
-            text.parse::<i64>()
-                .map(Value::Int)
-                .or_else(|_| text.parse::<u64>().map(Value::UInt))
-                .or_else(|_| text.parse::<f64>().map(Value::Float))
-                .map_err(|e| self.err(e.to_string()))
-        }
-    }
-}
+/// Where integers stop being `u64`s: 2^64.
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
 
 /// Compact single-line rendering (`value.to_string()`).
 impl std::fmt::Display for Value {

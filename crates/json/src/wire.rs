@@ -3,11 +3,12 @@
 //! declaration.
 //!
 //! A type that travels as JSON implements [`Wire`]: it writes itself
-//! straight into a [`Writer`] (no [`Value`] is built on the way out)
-//! and reads itself back from a parsed [`Value`]. The scalar and
-//! container impls live here; message types get theirs from one of
-//! three declaration macros, each of which *defines* the type and its
-//! codec from the same field list, so a wire key is written once:
+//! straight into a [`Writer`] and reads itself back from a [`Reader`] in
+//! the same pass that checks the text, so no [`Value`](crate::Value) tree is built
+//! either way. The scalar and container impls live here; message types
+//! get theirs from one of three declaration macros, each of which
+//! *defines* the type and its codec from the same field list, so a wire
+//! key is written once:
 //!
 //! * [`wire_struct!`](crate::wire_struct) — a struct that is an object;
 //! * [`wire_enum!`](crate::wire_enum) — a C-like enum that is a string;
@@ -16,73 +17,55 @@
 //!
 //! A field's key defaults to its name (`as "key"` renames it) and its
 //! encoding to [`Plain`]; `=> codec` picks another [`Codec`] for the
-//! formats' standing quirks ([`Omit`], [`Pairs`], [`Flat`]). Decoding
-//! fails with a [`WireError`] that carries the path to the offending
-//! value: `events[3].loss: expected a number`.
+//! formats' standing quirks ([`Omit`], [`Pairs`], [`Flat`]). A codec is
+//! named by its type, with its arguments after it
+//! (`=> Pairs("vnf", "container")`): the type names the field's decode
+//! slot, the value writes and reads it.
+//!
+//! An object is read key by key, in whatever order its keys come: each
+//! key is offered to the fields in declaration order, and the one that
+//! claims it reads its value into its slot. Unknown keys are skipped, and
+//! of a repeated key the first copy wins. A discriminator that is not the
+//! first key still decodes: the keys before it are marked, and read again
+//! once the variant is known. Decoding fails with a [`DecodeError`]: a
+//! syntax error anywhere in the text wins, and otherwise the first field
+//! in declaration order that is missing or mistyped is named by its path:
+//! `events[3].loss: expected a number`.
 
-use crate::{Value, Writer};
+use crate::{Kind, ParseError, Reader, Writer};
+use std::borrow::Cow;
 
-/// A document of the wrong shape: what is wrong and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    /// Path from the document root to the offending value, e.g.
-    /// `events[3].loss`; empty when the root itself is wrong.
-    pub path: String,
-    pub message: String,
-}
+mod codec;
+mod error;
+mod scalar;
 
-impl WireError {
-    pub fn new(message: impl Into<String>) -> WireError {
-        WireError {
-            path: String::new(),
-            message: message.into(),
-        }
-    }
+pub use codec::{finish_one, offer_one, Codec, Flat, Omit, One, Pairs, Pending, Plain};
+pub use error::{DecodeError, WireError};
+pub use scalar::read_str;
 
-    fn under(mut self, step: std::fmt::Arguments<'_>) -> WireError {
-        let dot = if self.path.is_empty() || self.path.starts_with('[') {
-            ""
-        } else {
-            "."
-        };
-        self.path = format!("{step}{dot}{}", self.path);
-        self
-    }
-
-    /// The error, seen from the object whose field `key` it is in.
-    pub fn in_field(self, key: &str) -> WireError {
-        self.under(format_args!("{key}"))
-    }
-
-    /// The error, seen from the array whose element `index` it is in.
-    pub fn in_item(self, index: usize) -> WireError {
-        self.under(format_args!("[{index}]"))
+/// Splits a decode's result: a syntax error stops the whole document,
+/// a shape error is kept while the rest of the text is checked.
+pub fn shaped<T>(read: Result<T, DecodeError>) -> Result<Result<T, WireError>, ParseError> {
+    match read {
+        Ok(x) => Ok(Ok(x)),
+        Err(DecodeError::Shape(e)) => Ok(Err(e)),
+        Err(DecodeError::Syntax(e)) => Err(e),
     }
 }
 
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.path.is_empty() {
-            f.write_str(&self.message)
-        } else {
-            write!(f, "{}: {}", self.path, self.message)
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<WireError> for String {
-    fn from(e: WireError) -> String {
-        e.to_string()
-    }
+/// Steps over a value of the wrong kind and refuses it with `message`.
+pub fn refuse<T>(r: &mut Reader<'_>, message: &str) -> Result<T, DecodeError> {
+    r.skip_value()?;
+    Err(WireError::new(message).into())
 }
 
 /// A type with one JSON form.
 pub trait Wire: Sized {
     fn write(&self, w: &mut Writer);
 
-    fn from_value(v: &Value) -> Result<Self, WireError>;
+    /// Reads one value. On a shape error, as on success, the reader is
+    /// past the value, so the rest of the document is still checked.
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 
     /// What an absent key decodes to. Only `Option` has an answer
     /// (`None`); for everything else an absent key is an error.
@@ -94,11 +77,29 @@ pub trait Wire: Sized {
 /// A type whose JSON form is an object. The declaration macros
 /// implement this; [`Wire`] follows from it, and so does flattening one
 /// object's keys into another's ([`Flat`]).
+///
+/// An object is decoded into [`Fields::Slots`], one slot per field, by
+/// offering it each key; [`Fields::finish`] then builds the value.
 pub trait Fields: Sized {
+    /// A decode in progress.
+    type Slots;
+
     /// Writes the keys and values, inside an object the caller opened.
     fn put_fields(&self, w: &mut Writer);
 
-    fn take_fields(obj: &Value) -> Result<Self, WireError>;
+    /// The slots before any key is read.
+    fn slots() -> Self::Slots;
+
+    /// Offers the key `name`, with the reader at its value. True when a
+    /// field claimed the key and the reader is past the value; false
+    /// leaves the value to the caller.
+    fn offer(slots: &mut Self::Slots, name: &str, r: &mut Reader<'_>) -> Result<bool, ParseError>;
+
+    /// The value, or the error of the first field in declaration order
+    /// that is missing or did not decode. Each field's value is taken
+    /// out of its slot; the slots themselves stay with the caller, so an
+    /// early error drops only the fields already built.
+    fn finish(slots: &mut Self::Slots) -> Result<Self, WireError>;
 }
 
 impl<T: Fields> Wire for T {
@@ -108,110 +109,18 @@ impl<T: Fields> Wire for T {
         w.end_object();
     }
 
-    fn from_value(v: &Value) -> Result<T, WireError> {
-        match v {
-            Value::Obj(_) => T::take_fields(v),
-            _ => Err(WireError::new("expected an object")),
+    fn read(r: &mut Reader<'_>) -> Result<T, DecodeError> {
+        if r.kind()? != Kind::Obj {
+            return refuse(r, "expected an object");
         }
-    }
-}
-
-impl Wire for u64 {
-    fn write(&self, w: &mut Writer) {
-        w.uint(*self);
-    }
-
-    fn from_value(v: &Value) -> Result<u64, WireError> {
-        v.as_u64()
-            .ok_or_else(|| WireError::new("expected a non-negative integer"))
-    }
-}
-
-/// The narrower unsigned integers travel as `u64` and are range-checked
-/// coming back.
-macro_rules! wire_narrow_uint {
-    ($($ty:ty),*) => {$(
-        impl Wire for $ty {
-            fn write(&self, w: &mut Writer) {
-                w.uint(*self as u64);
-            }
-
-            fn from_value(v: &Value) -> Result<$ty, WireError> {
-                <$ty>::try_from(u64::from_value(v)?)
-                    .map_err(|_| WireError::new(concat!("out of range for ", stringify!($ty))))
+        let mut slots = T::slots();
+        r.begin_object()?;
+        while let Some(name) = r.next_key()? {
+            if !T::offer(&mut slots, &name, r)? {
+                r.skip_value()?;
             }
         }
-    )*};
-}
-wire_narrow_uint!(u32, usize);
-
-impl Wire for f64 {
-    fn write(&self, w: &mut Writer) {
-        w.float(*self);
-    }
-
-    fn from_value(v: &Value) -> Result<f64, WireError> {
-        v.as_f64()
-            .ok_or_else(|| WireError::new("expected a number"))
-    }
-}
-
-impl Wire for bool {
-    fn write(&self, w: &mut Writer) {
-        w.bool(*self);
-    }
-
-    fn from_value(v: &Value) -> Result<bool, WireError> {
-        v.as_bool()
-            .ok_or_else(|| WireError::new("expected a boolean"))
-    }
-}
-
-impl Wire for String {
-    fn write(&self, w: &mut Writer) {
-        w.str(self);
-    }
-
-    fn from_value(v: &Value) -> Result<String, WireError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| WireError::new("expected a string"))
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn write(&self, w: &mut Writer) {
-        w.begin_array();
-        for x in self {
-            x.write(w);
-        }
-        w.end_array();
-    }
-
-    fn from_value(v: &Value) -> Result<Vec<T>, WireError> {
-        decode_items(v, T::from_value)
-    }
-}
-
-/// `None` is `null`; an absent key also reads as `None`.
-impl<T: Wire> Wire for Option<T> {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            Some(x) => x.write(w),
-            None => w.null(),
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<Option<T>, WireError> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::from_value(v).map(Some)
-        }
-    }
-
-    fn absent() -> Option<Option<T>> {
-        Some(None)
+        Ok(T::finish(&mut slots)?)
     }
 }
 
@@ -229,30 +138,69 @@ pub fn to_json_pretty<T: Wire>(x: &T) -> String {
     w.finish()
 }
 
-/// Decodes every element of an array, naming the index of the first
-/// one that fails.
-pub fn decode_items<T>(
-    v: &Value,
-    item: impl Fn(&Value) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    v.as_arr()
-        .ok_or_else(|| WireError::new("expected an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| item(x).map_err(|e| e.in_item(i)))
-        .collect()
+/// Reads `src` as one `T` in a single pass over the text.
+pub fn decode<T: Wire>(src: &str) -> Result<T, DecodeError> {
+    let mut r = Reader::new(src);
+    let x = T::read(&mut r);
+    if let Err(DecodeError::Syntax(_)) = x {
+        return x;
+    }
+    r.end()?;
+    x
 }
 
-fn missing(key: &str) -> WireError {
+/// [`decode`] with both failures as text, the way the file-format
+/// loaders report them.
+pub fn from_json<T: Wire>(src: &str) -> Result<T, String> {
+    Ok(decode(src)?)
+}
+
+/// The string under `key` in the object `src` holds, when it is one and
+/// the document is well formed: how a caller tells an unknown label from
+/// the other shape errors after a decode failed.
+pub fn root_label(src: &str, key: &str) -> Option<String> {
+    let mut r = Reader::new(src);
+    r.begin_object().ok()?;
+    while let Some(name) = r.next_key().ok()? {
+        if name == key {
+            return match r.kind().ok()? {
+                Kind::Str => r.str().ok().map(Cow::into_owned),
+                _ => None,
+            };
+        }
+        r.skip_value().ok()?;
+    }
+    None
+}
+
+/// Reads every element of an array; the first one that fails is named
+/// by its index, and the elements after it are only checked.
+pub fn read_items<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    if r.kind()? != Kind::Arr {
+        return refuse(r, "expected an array");
+    }
+    r.begin_array()?;
+    let mut items = Vec::new();
+    let mut failed = None;
+    while r.next_item()? {
+        if failed.is_some() {
+            r.skip_value()?;
+        } else if let Err(e) = shaped(item(r))?.map(|x| items.push(x)) {
+            failed = Some(e.in_item(items.len()));
+        }
+    }
+    match failed {
+        Some(e) => Err(e.into()),
+        None => Ok(items),
+    }
+}
+
+#[doc(hidden)]
+pub fn missing(key: &str) -> WireError {
     WireError::new("missing field").in_field(key)
-}
-
-/// The string under an enum's discriminator `key`.
-pub fn label_of<'v>(obj: &'v Value, key: &str) -> Result<&'v str, WireError> {
-    obj.get(key)
-        .ok_or_else(|| missing(key))?
-        .as_str()
-        .ok_or_else(|| WireError::new("expected a string").in_field(key))
 }
 
 /// The error for a label no variant carries; `key` is the discriminator
@@ -263,95 +211,6 @@ pub fn unknown_label(key: Option<&str>, label: &str, known: &[&str]) -> WireErro
         "unknown {what} {label:?} (expected one of: {})",
         known.join(", ")
     ))
-}
-
-/// How one field of a table sits in its object. A table names a codec
-/// per field (`=> codec`); without one the field is [`Plain`].
-pub trait Codec<T> {
-    /// Writes the field into the open object: usually `key` and the
-    /// field's value, possibly nothing, or several keys of its own.
-    fn put(&self, key: &str, field: &T, w: &mut Writer);
-
-    fn take(&self, key: &str, obj: &Value) -> Result<T, WireError>;
-}
-
-/// The field's own [`Wire`] form under `key`, always written. An
-/// `Option` writes `null` for `None` and reads an absent key as `None`.
-pub struct Plain;
-
-impl<T: Wire> Codec<T> for Plain {
-    fn put(&self, key: &str, field: &T, w: &mut Writer) {
-        field.write(w.key(key));
-    }
-
-    fn take(&self, key: &str, obj: &Value) -> Result<T, WireError> {
-        match obj.get(key) {
-            Some(v) => T::from_value(v).map_err(|e| e.in_field(key)),
-            None => T::absent().ok_or_else(|| missing(key)),
-        }
-    }
-}
-
-/// An `Option` whose key is left out when it is `None` (where [`Plain`]
-/// writes `null`). Reading is the same: absent and `null` are `None`,
-/// anything else must decode.
-pub struct Omit;
-
-impl<T: Wire> Codec<Option<T>> for Omit {
-    fn put(&self, key: &str, field: &Option<T>, w: &mut Writer) {
-        if let Some(x) = field {
-            x.write(w.key(key));
-        }
-    }
-
-    fn take(&self, key: &str, obj: &Value) -> Result<Option<T>, WireError> {
-        Plain.take(key, obj)
-    }
-}
-
-/// A list of pairs as a list of two-key objects, the key names given
-/// per site: `Pairs("vnf", "container")` is
-/// `[{"vnf": …, "container": …}, …]`.
-pub struct Pairs(pub &'static str, pub &'static str);
-
-impl<A: Wire, B: Wire> Codec<Vec<(A, B)>> for Pairs {
-    fn put(&self, key: &str, field: &Vec<(A, B)>, w: &mut Writer) {
-        w.key(key).begin_array();
-        for (a, b) in field {
-            w.begin_object();
-            a.write(w.key(self.0));
-            b.write(w.key(self.1));
-            w.end_object();
-        }
-        w.end_array();
-    }
-
-    fn take(&self, key: &str, obj: &Value) -> Result<Vec<(A, B)>, WireError> {
-        decode_items(obj.get(key).ok_or_else(|| missing(key))?, |item| {
-            Ok((Plain.take(self.0, item)?, Plain.take(self.1, item)?))
-        })
-        .map_err(|e| e.in_field(key))
-    }
-}
-
-/// An object-shaped field whose keys sit *beside* its siblings instead
-/// of under a key of their own (the field's key is not used).
-pub struct Flat;
-
-impl<T: Fields> Codec<T> for Flat {
-    fn put(&self, _key: &str, field: &T, w: &mut Writer) {
-        field.put_fields(w);
-    }
-
-    fn take(&self, _key: &str, obj: &Value) -> Result<T, WireError> {
-        T::take_fields(obj)
-    }
-}
-
-/// Parses `src` and decodes it as a `T`; both failures as text, the way
-/// the file-format loaders report them.
-pub fn from_json<T: Wire>(src: &str) -> Result<T, String> {
-    Ok(T::from_value(&Value::parse(src)?)?)
 }
 
 #[doc(hidden)]
@@ -365,13 +224,26 @@ macro_rules! __wire_key {
     };
 }
 
+/// A field's codec as a value.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __wire_codec {
     () => {
         $crate::wire::Plain
     };
-    ($codec:expr) => {
+    ($codec:ident $(($($arg:expr),*))?) => {
+        $codec $(($($arg),*))?
+    };
+}
+
+/// A field's codec as a type.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_codec_ty {
+    () => {
+        $crate::wire::Plain
+    };
+    ($codec:ident) => {
         $codec
     };
 }
@@ -390,15 +262,16 @@ macro_rules! __wire_bind {
 /// field, in field order:
 ///
 /// ```
+/// use escape_json::wire::{to_json, Omit};
+///
 /// escape_json::wire_struct! {
 ///     #[derive(Debug, PartialEq)]
 ///     pub struct Hop {
 ///         pub node: String,
 ///         pub delay_us: u64 as "delay",
-///         pub note: Option<String> => escape_json::wire::Omit,
+///         pub note: Option<String> => Omit,
 ///     }
 /// }
-/// use escape_json::wire::to_json;
 /// let hop = Hop { node: "s0".into(), delay_us: 50, note: None };
 /// assert_eq!(to_json(&hop), r#"{"node":"s0","delay":50}"#);
 /// ```
@@ -409,7 +282,8 @@ macro_rules! wire_struct {
         $vis:vis struct $name:ident {
             $(
                 $(#[$fmeta:meta])*
-                $fvis:vis $field:ident : $ty:ty $(as $key:literal)? $(=> $codec:expr)?
+                $fvis:vis $field:ident : $ty:ty $(as $key:literal)?
+                    $(=> $codec:ident $(($($carg:expr),*))?)?
             ),* $(,)?
         }
     ) => {
@@ -419,10 +293,14 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Fields for $name {
+            type Slots = ($(
+                <$crate::__wire_codec_ty!($($codec)?) as $crate::wire::Codec<$ty>>::Slot,
+            )*);
+
             fn put_fields(&self, w: &mut $crate::Writer) {
                 $(
                     <_ as $crate::wire::Codec<$ty>>::put(
-                        &$crate::__wire_codec!($($codec)?),
+                        &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
                         $crate::__wire_key!(stringify!($field) $(, $key)?),
                         &self.$field,
                         w,
@@ -430,15 +308,44 @@ macro_rules! wire_struct {
                 )*
             }
 
-            fn take_fields(
-                obj: &$crate::Value,
+            fn slots() -> Self::Slots {
+                ($(
+                    <_ as $crate::wire::Codec<$ty>>::slot(
+                        &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
+                    ),
+                )*)
+            }
+
+            fn offer(
+                slots: &mut Self::Slots,
+                name: &str,
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<bool, $crate::ParseError> {
+                let ($($field,)*) = slots;
+                $(
+                    if <_ as $crate::wire::Codec<$ty>>::offer(
+                        &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
+                        $crate::__wire_key!(stringify!($field) $(, $key)?),
+                        $field,
+                        name,
+                        r,
+                    )? {
+                        return Ok(true);
+                    }
+                )*
+                Ok(false)
+            }
+
+            fn finish(
+                slots: &mut Self::Slots,
             ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                let ($($field,)*) = slots;
                 Ok($name {
                     $(
-                        $field: <_ as $crate::wire::Codec<$ty>>::take(
-                            &$crate::__wire_codec!($($codec)?),
+                        $field: <_ as $crate::wire::Codec<$ty>>::finish(
+                            &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
                             $crate::__wire_key!(stringify!($field) $(, $key)?),
-                            obj,
+                            $field,
                         )?,
                     )*
                 })
@@ -500,14 +407,13 @@ macro_rules! wire_enum {
                 w.str(self.label());
             }
 
-            fn from_value(
-                v: &$crate::Value,
-            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
-                let label = v
-                    .as_str()
-                    .ok_or_else(|| $crate::wire::WireError::new("expected a string"))?;
-                $name::from_label(label)
-                    .ok_or_else(|| $crate::wire::unknown_label(None, label, &[$($label),*]))
+            fn read(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::wire::DecodeError> {
+                let label = $crate::wire::read_str(r)?;
+                $name::from_label(&label).ok_or_else(|| {
+                    $crate::wire::unknown_label(None, &label, &[$($label),*]).into()
+                })
             }
         }
     };
@@ -529,13 +435,18 @@ macro_rules! wire_enum {
 ///         "path" => Path(Vec<u64> as "points"),
 ///     }
 /// }
-/// use escape_json::wire::to_json;
+/// use escape_json::wire::{from_json, to_json};
 /// assert_eq!(to_json(&Shape::Dot), r#"{"kind":"dot"}"#);
 /// assert_eq!(
 ///     to_json(&Shape::Path(vec![1, 2])),
 ///     r#"{"kind":"path","points":[1,2]}"#
 /// );
 /// assert_eq!(Shape::LABELS, ["dot", "box", "path"]);
+/// // The label need not come first.
+/// assert_eq!(
+///     from_json::<Shape>(r#"{"h":2,"kind":"box","w":1}"#),
+///     Ok(Shape::Box { w: 1, h: 2 })
+/// );
 /// ```
 #[macro_export]
 macro_rules! wire_tagged {
@@ -548,10 +459,14 @@ macro_rules! wire_tagged {
                 $({
                     $(
                         $(#[$fmeta:meta])*
-                        $field:ident : $ty:ty $(as $key:literal)? $(=> $codec:expr)?
+                        $field:ident : $ty:ty $(as $key:literal)?
+                            $(=> $codec:ident $(($($carg:expr),*))?)?
                     ),* $(,)?
                 })?
-                $(( $pty:ty $(as $pkey:literal)? $(=> $pcodec:expr)? ))?
+                $((
+                    $pty:ty $(as $pkey:literal)?
+                        $(=> $pcodec:ident $(($($pcarg:expr),*))?)?
+                ))?
             ),* $(,)?
         }
     ) => {
@@ -580,68 +495,182 @@ macro_rules! wire_tagged {
             }
         }
 
-        impl $crate::wire::Fields for $name {
-            fn put_fields(&self, w: &mut $crate::Writer) {
-                w.key($label_key).str(self.label());
-                match self {
-                    $(
-                        $name::$variant
-                            $({ $($field),* })?
-                            $({ 0: $crate::__wire_bind!(payload, $pty) })? =>
-                        {
-                            $($(
-                                <_ as $crate::wire::Codec<$ty>>::put(
-                                    &$crate::__wire_codec!($($codec)?),
-                                    $crate::__wire_key!(stringify!($field) $(, $key)?),
-                                    $field,
-                                    w,
-                                );
-                            )*)?
-                            $(
-                                <_ as $crate::wire::Codec<$pty>>::put(
-                                    &$crate::__wire_codec!($($pcodec)?),
-                                    $crate::__wire_key!($label $(, $pkey)?),
-                                    payload,
-                                    w,
-                                );
-                            )?
-                        }
-                    )*
-                }
+        const _: () = {
+            /// A decode in progress: the keys before the label, a
+            /// refused label, or the chosen variant's slots.
+            pub enum __Slots {
+                __Pending($crate::wire::Pending),
+                __Refused($crate::wire::WireError),
+                $(
+                    $variant
+                    $((($(
+                        <$crate::__wire_codec_ty!($($codec)?) as $crate::wire::Codec<$ty>>::Slot,
+                    )*)))?
+                    $((
+                        <$crate::__wire_codec_ty!($($pcodec)?) as $crate::wire::Codec<$pty>>::Slot
+                    ))?,
+                )*
             }
 
-            fn take_fields(
-                obj: &$crate::Value,
-            ) -> ::std::result::Result<Self, $crate::wire::WireError> {
-                match $crate::wire::label_of(obj, $label_key)? {
-                    $(
-                        $label => Ok($name::$variant
-                            $({
-                                $(
-                                    $field: <_ as $crate::wire::Codec<$ty>>::take(
-                                        &$crate::__wire_codec!($($codec)?),
+            impl $crate::wire::Fields for $name {
+                type Slots = __Slots;
+
+                fn put_fields(&self, w: &mut $crate::Writer) {
+                    w.key($label_key).str(self.label());
+                    match self {
+                        $(
+                            $name::$variant
+                                $({ $($field),* })?
+                                $({ 0: $crate::__wire_bind!(payload, $pty) })? =>
+                            {
+                                $($(
+                                    <_ as $crate::wire::Codec<$ty>>::put(
+                                        &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
                                         $crate::__wire_key!(stringify!($field) $(, $key)?),
-                                        obj,
-                                    )?,
-                                )*
-                            })?
-                            $((
-                                <_ as $crate::wire::Codec<$pty>>::take(
-                                    &$crate::__wire_codec!($($pcodec)?),
-                                    $crate::__wire_key!($label $(, $pkey)?),
-                                    obj,
+                                        $field,
+                                        w,
+                                    );
+                                )*)?
+                                $(
+                                    <_ as $crate::wire::Codec<$pty>>::put(
+                                        &$crate::__wire_codec!($($pcodec $(($($pcarg),*))?)?),
+                                        $crate::__wire_key!($label $(, $pkey)?),
+                                        payload,
+                                        w,
+                                    );
                                 )?
-                            ))?
-                        ),
-                    )*
-                    other => Err($crate::wire::unknown_label(
-                        Some($label_key),
-                        other,
-                        $name::LABELS,
-                    )),
+                            }
+                        )*
+                    }
+                }
+
+                fn slots() -> __Slots {
+                    __Slots::__Pending(::std::vec::Vec::new())
+                }
+
+                fn offer(
+                    slots: &mut __Slots,
+                    name: &str,
+                    r: &mut $crate::Reader<'_>,
+                ) -> ::std::result::Result<bool, $crate::ParseError> {
+                    if name == $label_key {
+                        if !matches!(slots, __Slots::__Pending(_)) {
+                            // The first label wins.
+                            r.skip_value()?;
+                            return Ok(true);
+                        }
+                        let chosen = match $crate::wire::shaped($crate::wire::read_str(r))? {
+                            Ok(label) => match &*label {
+                                $(
+                                    $label => __Slots::$variant
+                                        $((($(
+                                            <_ as $crate::wire::Codec<$ty>>::slot(
+                                                &$crate::__wire_codec!(
+                                                    $($codec $(($($carg),*))?)?
+                                                ),
+                                            ),
+                                        )*)))?
+                                        $((
+                                            <_ as $crate::wire::Codec<$pty>>::slot(
+                                                &$crate::__wire_codec!(
+                                                    $($pcodec $(($($pcarg),*))?)?
+                                                ),
+                                            )
+                                        ))?,
+                                )*
+                                other => __Slots::__Refused($crate::wire::unknown_label(
+                                    Some($label_key),
+                                    other,
+                                    $name::LABELS,
+                                )),
+                            },
+                            Err(e) => __Slots::__Refused(e.in_field($label_key)),
+                        };
+                        if let __Slots::__Pending(marks) = ::std::mem::replace(slots, chosen) {
+                            for mark in marks {
+                                r.reread(mark, |name, r| {
+                                    <$name as $crate::wire::Fields>::offer(slots, name, r)
+                                })?;
+                            }
+                        }
+                        return Ok(true);
+                    }
+                    match slots {
+                        __Slots::__Pending(marks) => {
+                            marks.push(r.mark());
+                            Ok(false)
+                        }
+                        __Slots::__Refused(_) => Ok(false),
+                        $(
+                            __Slots::$variant
+                                $((($($field,)*)))?
+                                $(($crate::__wire_bind!(payload, $pty)))? =>
+                            {
+                                $($(
+                                    if <_ as $crate::wire::Codec<$ty>>::offer(
+                                        &$crate::__wire_codec!($($codec $(($($carg),*))?)?),
+                                        $crate::__wire_key!(stringify!($field) $(, $key)?),
+                                        $field,
+                                        name,
+                                        r,
+                                    )? {
+                                        return Ok(true);
+                                    }
+                                )*)?
+                                $(
+                                    if <_ as $crate::wire::Codec<$pty>>::offer(
+                                        &$crate::__wire_codec!($($pcodec $(($($pcarg),*))?)?),
+                                        $crate::__wire_key!($label $(, $pkey)?),
+                                        payload,
+                                        name,
+                                        r,
+                                    )? {
+                                        return Ok(true);
+                                    }
+                                )?
+                                Ok(false)
+                            }
+                        )*
+                    }
+                }
+
+                fn finish(
+                    slots: &mut __Slots,
+                ) -> ::std::result::Result<Self, $crate::wire::WireError> {
+                    match slots {
+                        __Slots::__Pending(_) => Err($crate::wire::missing($label_key)),
+                        __Slots::__Refused(e) => Err(e.clone()),
+                        $(
+                            __Slots::$variant
+                                $((($($field,)*)))?
+                                $(($crate::__wire_bind!(payload, $pty)))? =>
+                            {
+                                Ok($name::$variant
+                                    $({$(
+                                        $field: <_ as $crate::wire::Codec<$ty>>::finish(
+                                            &$crate::__wire_codec!(
+                                                $($codec $(($($carg),*))?)?
+                                            ),
+                                            $crate::__wire_key!(stringify!($field) $(, $key)?),
+                                            $field,
+                                        )?,
+                                    )*})?
+                                    $((
+                                        <_ as $crate::wire::Codec<$pty>>::finish(
+                                            &$crate::__wire_codec!(
+                                                $($pcodec $(($($pcarg),*))?)?
+                                            ),
+                                            $crate::__wire_key!($label $(, $pkey)?),
+                                            payload,
+                                        )?
+                                    ))?
+                                )
+                            }
+                        )*
+                    }
                 }
             }
-        }
+        };
     };
 }
 
@@ -808,5 +837,48 @@ mod tests {
             "[1][1]: expected a boolean"
         );
         assert!(from_json::<Doc>("{nope").unwrap_err().contains("at byte 1"));
+    }
+
+    #[test]
+    fn keys_come_in_any_order_and_the_first_copy_wins() {
+        let text = r#"{"height":5,"w":2,"zz":{"kind":"dot"},"kind":"box","labels":[{"v":1,"k":"a"}],
+            "offset":3,"name":"d","w":9,"kind":"dot","name":7}"#;
+        assert_eq!(from_json::<Doc>(text), Ok(doc(Shape::Box { w: 2, h: 5 })));
+        // A label after its fields that no variant carries is still refused.
+        assert_eq!(
+            from_json::<Shape>(r#"{"w":1,"kind":"blob"}"#).unwrap_err(),
+            "unknown \"kind\" \"blob\" (expected one of: dot, box, nested, beside, list)"
+        );
+    }
+
+    #[test]
+    fn a_syntax_error_beats_an_earlier_shape_error() {
+        let err = |text: &str| from_json::<Doc>(text).unwrap_err();
+        assert_eq!(err(r#"{"name":7}"#), "name: expected a string");
+        assert_eq!(err(r#"{"name":7,"offset":nope}"#), "bad literal at byte 19");
+        assert_eq!(err(r#"{"name":7} x"#), "trailing garbage at byte 11");
+        assert_eq!(
+            decode::<Doc>(r#"[{"name":7}"#),
+            Err(DecodeError::Syntax(crate::ParseError {
+                offset: 11,
+                message: "expected ',' or ']'".into()
+            }))
+        );
+    }
+
+    #[test]
+    fn integers_past_u64_are_out_of_range_not_saturated() {
+        let err = |text: &str| from_json::<u64>(text).unwrap_err();
+        assert_eq!(from_json::<u64>("5.0"), Ok(5));
+        assert_eq!(from_json::<u64>("18446744073709551615"), Ok(u64::MAX));
+        assert_eq!(err("18446744073709551616"), "out of range for u64");
+        assert_eq!(err("1e30"), "out of range for u64");
+        assert_eq!(err("-1"), "expected a non-negative integer");
+        assert_eq!(err("0.5"), "expected a non-negative integer");
+        assert_eq!(
+            from_json::<u32>("1e30").unwrap_err(),
+            "out of range for u32"
+        );
+        assert_eq!(crate::Value::Float(1e30).as_u64(), None);
     }
 }

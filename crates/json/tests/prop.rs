@@ -1,11 +1,15 @@
 //! Property tests for the JSON codec: strings and whole documents
 //! survive encode → parse whatever they contain, in compact and pretty
-//! output, the parser never panics, and string parsing is linear in the
-//! length of the string.
+//! output, the parser never panics, string parsing is linear in the
+//! length of the string, and a table type reads back from every form of
+//! its text.
 
-use escape_json::{Value, Writer};
+use escape_json::wire::{from_json, to_json, Flat, Omit, Pairs};
+use escape_json::{wire_enum, wire_struct, wire_tagged, Value, Writer};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
+
+mod forms;
 
 /// Any Unicode scalar, weighted towards what the codec treats specially:
 /// control characters (escaped as `\u00XX` or a short escape), the quote
@@ -166,6 +170,92 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         if let Err(e) = Value::parse_detailed(&text) {
             prop_assert!(e.offset <= text.len(), "offset {} past the input", e.offset);
+        }
+    }
+}
+
+// Every form a table can take: the same types the wire layer's unit
+// tests declare.
+
+wire_enum! {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Colour {
+        Red = "red",
+        DarkBlue = "dark-blue",
+    }
+}
+
+wire_struct! {
+    #[derive(Debug, Clone, PartialEq)]
+    struct Inner {
+        colour: Colour,
+        weight: Option<f64>,
+    }
+}
+
+wire_tagged! {
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shape as "kind" {
+        "dot" => Dot,
+        "box" => Box { w: u64, h: u32 as "height" },
+        "nested" => Nested(Inner),
+        "beside" => Beside(Inner => Flat),
+        "list" => List(Vec<Inner> as "items"),
+    }
+}
+
+wire_struct! {
+    #[derive(Debug, Clone, PartialEq)]
+    struct Doc {
+        name: String,
+        at: usize as "offset",
+        note: Option<String> => Omit,
+        labels: Vec<(String, u64)> => Pairs("k", "v"),
+        shape: Shape => Flat,
+    }
+}
+
+fn arb_inner() -> impl Strategy<Value = Inner> {
+    let colour = prop_oneof![Just(Colour::Red), Just(Colour::DarkBlue)];
+    (colour, proptest::option::of(-1e6f64..1e6))
+        .prop_map(|(colour, weight)| Inner { colour, weight })
+}
+
+fn arb_doc() -> impl Strategy<Value = Doc> {
+    let shape = prop_oneof![
+        Just(Shape::Dot),
+        (any::<u64>(), any::<u32>()).prop_map(|(w, h)| Shape::Box { w, h }),
+        arb_inner().prop_map(Shape::Nested),
+        arb_inner().prop_map(Shape::Beside),
+        prop::collection::vec(arb_inner(), 0..4).prop_map(Shape::List),
+    ];
+    let labels = prop::collection::vec((arb_string(), any::<u64>()), 0..4);
+    (
+        arb_string(),
+        any::<u32>(),
+        proptest::option::of(arb_string()),
+        labels,
+        shape,
+    )
+        .prop_map(|(name, at, note, labels, shape)| Doc {
+            name,
+            at: at as usize,
+            note,
+            labels,
+            shape,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Compact, pretty, keys permuted (the discriminator among them),
+    /// padded with unknown keys, one key repeated: the same value.
+    #[test]
+    fn a_table_reads_back_from_every_form(doc in arb_doc(), seed in any::<u64>()) {
+        let tree = Value::parse(&to_json(&doc)).expect("the writer writes JSON");
+        for (form, text) in forms::forms(&tree, seed) {
+            prop_assert_eq!(from_json::<Doc>(&text), Ok(doc.clone()), "{}: {}", form, text);
         }
     }
 }

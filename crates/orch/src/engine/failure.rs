@@ -1,7 +1,7 @@
 //! Failure handling: failed containers and links leave the resource
 //! view, and the chains that used them are re-routed or re-mapped.
 
-use super::{route_chain, ChainMapping, Orchestrator, PathSegment};
+use super::{route_chain, ChainMapping, Orchestrator};
 use crate::algo::MapError;
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::ServiceGraph;
@@ -103,19 +103,9 @@ impl Orchestrator {
         };
         let mut paths = self.paths.search(&self.state, old.chain.bandwidth_mbps);
         let routed = route_chain(&mut paths, &old.chain, &locate).and_then(|(segments, total)| {
-            let mut reserved: Vec<&PathSegment> = Vec::new();
-            for seg in &segments {
-                if let Err(e) = self
-                    .state
-                    .reserve_path(&seg.nodes, old.chain.bandwidth_mbps)
-                {
-                    for s in reserved {
-                        self.state.release_path(&s.nodes, old.chain.bandwidth_mbps);
-                    }
-                    return Err(MapError::Infeasible(e));
-                }
-                reserved.push(seg);
-            }
+            self.state
+                .reserve_paths(&segments, old.chain.bandwidth_mbps)
+                .map_err(MapError::Infeasible)?;
             Ok((segments, total))
         });
         match routed {

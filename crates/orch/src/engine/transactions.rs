@@ -125,16 +125,11 @@ impl Orchestrator {
                 return Err(e);
             }
         }
-        for (i, seg) in mapping.segments.iter().enumerate() {
-            if let Err(e) = self.state.reserve_path(&seg.nodes, bw) {
-                for s in &mapping.segments[..i] {
-                    self.state.release_path(&s.nodes, bw);
-                }
-                for (c, cpu, mem) in &compute {
-                    self.state.release_compute(c, *cpu, *mem);
-                }
-                return Err(e);
+        if let Err(e) = self.state.reserve_paths(&mapping.segments, bw) {
+            for (c, cpu, mem) in &compute {
+                self.state.release_compute(c, *cpu, *mem);
             }
+            return Err(e);
         }
         self.committed
             .insert(mapping.chain.name.clone(), (mapping.clone(), compute));

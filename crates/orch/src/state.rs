@@ -1,5 +1,6 @@
 //! Residual resource tracking.
 
+use crate::PathSegment;
 use escape_sg::topo::{link_key, TopoNodeKind};
 use escape_sg::ResourceTopology;
 use std::collections::BTreeMap;
@@ -165,6 +166,20 @@ impl ResourceState {
         Ok(())
     }
 
+    /// Reserves `mbps` along every segment's path, all or none: when one
+    /// path lacks it, the segments before it are released again.
+    pub fn reserve_paths(&mut self, segments: &[PathSegment], mbps: f64) -> Result<(), String> {
+        for (i, seg) in segments.iter().enumerate() {
+            if let Err(e) = self.reserve_path(&seg.nodes, mbps) {
+                for s in &segments[..i] {
+                    self.release_path(&s.nodes, mbps);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Releases bandwidth along a path. Releases onto a failed link land
     /// in its stash.
     pub fn release_path(&mut self, path: &[String], mbps: f64) {
@@ -268,6 +283,27 @@ mod tests {
         assert_eq!(s.bw, before);
         s.release_path(&path, 600.0);
         assert_eq!(s.bw_of("s0", "s1"), 1000.0);
+    }
+
+    #[test]
+    fn segment_reservation_is_all_or_none() {
+        let t = builders::linear(3, 2.0);
+        let mut s = ResourceState::from_topology(&t);
+        let seg = |nodes: &[&str]| PathSegment {
+            nodes: nodes.iter().map(|n| n.to_string()).collect(),
+            delay_us: 0,
+        };
+        let first = seg(&["sap0", "s0", "s1"]);
+        let second = seg(&["s1", "s2", "sap1"]);
+        s.reserve_path(&second.nodes, 700.0).unwrap();
+        // The second segment lacks 400 Mbit/s: the first is handed back.
+        let before = s.bw.clone();
+        let both = [first.clone(), second.clone()];
+        assert!(s.reserve_paths(&both, 400.0).is_err());
+        assert_eq!(s.bw, before);
+        s.reserve_paths(&both, 300.0).unwrap();
+        assert_eq!(s.bw_of("s0", "s1"), 700.0);
+        assert_eq!(s.bw_of("s1", "s2"), 0.0);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The abstract service graph: VNF requests and chains.
 
 use crate::topo::MAX_DELAY_US;
-use escape_json::wire::{decode_items, from_json, to_json_pretty, Codec, Omit, WireError};
-use escape_json::{wire_struct, Value, Writer};
+use escape_json::wire::{
+    finish_one, from_json, offer_one, read_items, refuse, to_json_pretty, Codec, DecodeError, Omit,
+    One, WireError,
+};
+use escape_json::{wire_struct, Kind, ParseError, Reader, Writer};
 use std::collections::BTreeSet;
 
 wire_struct! {
@@ -31,9 +34,11 @@ wire_struct! {
 
 /// `params` on the wire: a list of `[key, value]` arrays, the key left
 /// out altogether when the list is empty.
-struct ParamList;
+pub struct ParamList;
 
 impl Codec<Vec<(String, String)>> for ParamList {
+    type Slot = One<Vec<(String, String)>>;
+
     fn put(&self, key: &str, field: &Vec<(String, String)>, w: &mut Writer) {
         if !field.is_empty() {
             w.key(key).begin_array();
@@ -47,15 +52,44 @@ impl Codec<Vec<(String, String)>> for ParamList {
         }
     }
 
-    fn take(&self, key: &str, obj: &Value) -> Result<Vec<(String, String)>, WireError> {
-        let Some(list) = obj.get(key) else {
-            return Ok(Vec::new());
-        };
-        decode_items(list, |pair| match pair.as_arr() {
-            Some([Value::Str(k), Value::Str(w)]) => Ok((k.clone(), w.clone())),
-            _ => Err(WireError::new("expected a [key, value] pair of strings")),
-        })
-        .map_err(|e| e.in_field(key))
+    fn slot(&self) -> Self::Slot {
+        None
+    }
+
+    fn offer(
+        &self,
+        key: &str,
+        slot: &mut Self::Slot,
+        name: &str,
+        r: &mut Reader<'_>,
+    ) -> Result<bool, ParseError> {
+        offer_one(slot, key, name, r, |r| read_items(r, read_param))
+    }
+
+    fn finish(&self, key: &str, slot: &mut Self::Slot) -> Result<Vec<(String, String)>, WireError> {
+        finish_one(slot, key, Some(Vec::new()))
+    }
+}
+
+/// One `[key, value]` array of two strings.
+fn read_param(r: &mut Reader<'_>) -> Result<(String, String), DecodeError> {
+    const NOT_A_PAIR: &str = "expected a [key, value] pair of strings";
+    if r.kind()? != Kind::Arr {
+        return refuse(r, NOT_A_PAIR);
+    }
+    r.begin_array()?;
+    let mut pair = [None, None];
+    let mut len = 0;
+    while r.next_item()? {
+        match pair.get_mut(len) {
+            Some(slot) if r.kind()? == Kind::Str => *slot = Some(r.str()?.into_owned()),
+            _ => r.skip_value()?,
+        }
+        len += 1;
+    }
+    match (len, pair) {
+        (2, [Some(k), Some(v)]) => Ok((k, v)),
+        _ => Err(WireError::new(NOT_A_PAIR).into()),
     }
 }
 

@@ -133,6 +133,21 @@ if pgrep -f "escaped --socket target/benchmark/run/" >/dev/null; then
     exit 1
 fi
 
+echo "== virtual digests (scripts/digests.sh against tests/digests.txt) =="
+# Same flags => same digest: the eight end-to-end runs of the four
+# workloads on seeds 7 and 11 must print exactly the committed lines. A
+# change that moves one re-records tests/digests.txt in the same diff
+# that says why.
+if ! DIGESTS="$(bash scripts/digests.sh)"; then
+    echo "digests: a run was not correct" >&2
+    echo "$DIGESTS" >&2
+    exit 1
+fi
+if ! diff tests/digests.txt - <<<"$DIGESTS"; then
+    echo "virtual digests differ from tests/digests.txt (< committed, > this tree)" >&2
+    exit 1
+fi
+
 # The three smokes below run one daemon at a time. start_daemon spawns
 # it and waits for its socket; stop_daemon shuts it down through the
 # socket and checks that it left nothing behind. Whatever a failing step
