@@ -109,11 +109,11 @@ impl Durability {
     }
 
     /// Executes one command with write-ahead durability: dedup-window
-    /// hit → original outcome; otherwise intent (fsync) → execute →
-    /// commit marker (fsync) → reply. Once the reply leaves the daemon
-    /// the operation survives `kill -9`; a crash between intent and
-    /// commit is rolled back on restart because the in-memory effects
-    /// died with the process.
+    /// hit → original outcome; otherwise intent (written) → execute →
+    /// commit marker (written, then one fsync for both) → reply. Once
+    /// the reply leaves the daemon the operation survives `kill -9` and
+    /// power loss; a crash between intent and commit is rolled back on
+    /// restart because the in-memory effects died with the process.
     pub(super) fn dispatch(
         &mut self,
         session: &mut Session,

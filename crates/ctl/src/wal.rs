@@ -2,13 +2,17 @@
 //!
 //! Every state-mutating verb the daemon executes is journaled to
 //! `wal.log` in the state directory as two length-prefixed JSON
-//! records: an *intent* (fsynced before execution) and a *commit*
-//! marker carrying the outcome (fsynced before the reply leaves the
-//! daemon). A crash therefore leaves exactly one of three shapes per
-//! operation: no record (never started), intent only (mid-flight — the
-//! in-memory effects died with the process, so recovery rolls it back
-//! by simply not replaying it), or intent + commit (durable — recovery
-//! replays it through the same deterministic execution path).
+//! records: an *intent* (written before execution) and a *commit*
+//! marker carrying the outcome (written, then fsynced before the reply
+//! leaves the daemon). The one fsync covers both records. A crash
+//! therefore leaves exactly one of three shapes per operation: no
+//! record (never started), intent only (mid-flight — the in-memory
+//! effects died with the process, so recovery rolls it back by simply
+//! not replaying it), or intent + commit (durable — recovery replays it
+//! through the same deterministic execution path). After `kill -9` the
+//! unsynced intent survives in the page cache; after a power cut an
+//! unacknowledged operation may leave no intent at all, which recovery
+//! treats the same way, without its `txn-rolled-back` note.
 //!
 //! The log is periodically compacted into `snapshot.json`, a versioned
 //! capture of desired state (live chains with their exact placements
@@ -41,8 +45,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use escape_json::wire::{decode, to_json, to_json_pretty, DecodeError, Omit};
-use escape_json::wire_tagged;
+use escape_json::wire::{decode, to_json, to_json_pretty, DecodeError, Omit, Wire};
+use escape_json::{wire_struct, wire_tagged};
 
 use crate::proto::{CtlError, CtlRequest, CtlResponse};
 
@@ -89,8 +93,10 @@ pub struct Recovered {
     pub next_seq: u64,
 }
 
-/// The open write-ahead log. All appends fsync before returning: once
-/// `append_commit` succeeds, the operation survives `kill -9`.
+/// The open write-ahead log. An intent is written without a barrier; a
+/// commit marker or a `meta` header is written and then fsynced, which
+/// makes every record before it durable too. Once `append_commit`
+/// succeeds, the operation survives `kill -9` and power loss.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -113,21 +119,30 @@ fn io_internal(what: &str, e: std::io::Error) -> CtlError {
     }
 }
 
+wire_struct! {
+    /// The one field every snapshot layout shares.
+    struct SnapshotVersion {
+        version: u64,
+    }
+}
+
 /// Decodes a snapshot document, refusing a layout this build does not
-/// read.
+/// read. The version is read first, so a snapshot of another layout is
+/// refused by its version, not by the first field that layout moved.
 fn decode_snapshot(text: &str) -> Result<Snapshot, String> {
-    let snap: Snapshot = match decode(text) {
-        Ok(snap) => snap,
-        Err(DecodeError::Syntax(e)) => return Err(format!("snapshot is not valid JSON: {e}")),
-        Err(DecodeError::Shape(e)) => return Err(e.into()),
-    };
-    if snap.version != SNAPSHOT_VERSION {
+    fn decode_as<T: Wire>(text: &str) -> Result<T, String> {
+        decode(text).map_err(|e| match e {
+            DecodeError::Syntax(e) => format!("snapshot is not valid JSON: {e}"),
+            DecodeError::Shape(e) => e.into(),
+        })
+    }
+    let SnapshotVersion { version } = decode_as(text)?;
+    if version != SNAPSHOT_VERSION {
         return Err(format!(
-            "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
-            snap.version
+            "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
         ));
     }
-    Ok(snap)
+    decode_as(text)
 }
 
 wire_tagged! {
@@ -352,6 +367,7 @@ impl Wal {
         // A non-empty legacy log without one is tolerated as-is.
         if !has_meta && scanned.good_len == 0 {
             wal.write_record(&WalRecord::Meta { seed })?;
+            wal.sync()?;
         }
         Ok((wal, recovered))
     }
@@ -366,6 +382,9 @@ impl Wal {
         self.next_seq
     }
 
+    /// Appends one record without a barrier: it reaches the page cache,
+    /// so it survives `kill -9`, and the next `sync` makes it
+    /// durable against power loss too.
     fn write_record(&mut self, rec: &WalRecord) -> Result<(), CtlError> {
         let payload = to_json(rec).into_bytes();
         if payload.len() > MAX_WAL_RECORD {
@@ -383,14 +402,20 @@ impl Wal {
         buf.extend_from_slice(&payload);
         self.file
             .write_all(&buf)
-            .map_err(|e| io_internal("append wal record", e))?;
+            .map_err(|e| io_internal("append wal record", e))
+    }
+
+    /// The barrier: every record written so far is on disk once this
+    /// returns.
+    fn sync(&mut self) -> Result<(), CtlError> {
         self.file
             .sync_data()
             .map_err(|e| io_internal("fsync wal", e))
     }
 
-    /// Durably records the intent to execute `op`. Returns the
-    /// sequence number the matching commit marker must carry.
+    /// Records the intent to execute `op`, without a barrier of its own:
+    /// the commit marker's sync makes both durable. Returns the sequence
+    /// number the matching commit marker must carry.
     pub fn append_intent(
         &mut self,
         op: &CtlRequest,
@@ -411,13 +436,15 @@ impl Wal {
         Ok(seq)
     }
 
-    /// Durably records the outcome of intent `seq`. Once this returns,
-    /// the operation survives any crash.
+    /// Durably records the outcome of intent `seq`: the marker, then the
+    /// one barrier, which also covers the intent written before it. Once
+    /// this returns, the operation survives any crash.
     pub fn append_commit(&mut self, seq: u64, outcome: &CtlResponse) -> Result<(), CtlError> {
         self.write_record(&WalRecord::Commit {
             seq,
             outcome: outcome.clone(),
-        })
+        })?;
+        self.sync()
     }
 
     /// Atomically replaces the snapshot with `snap` and truncates the
@@ -456,7 +483,8 @@ impl Wal {
             .map_err(|e| io_internal("fsync truncated wal", e))?;
         self.next_seq = self.next_seq.max(snap.next_seq);
         let seed = self.seed;
-        self.write_record(&WalRecord::Meta { seed })
+        self.write_record(&WalRecord::Meta { seed })?;
+        self.sync()
     }
 
     /// Removes the state files (used by graceful shutdown when the

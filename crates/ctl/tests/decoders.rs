@@ -102,25 +102,57 @@ fn a_number_past_u64_is_refused() {
     let reason = invalid_reason(CtlRequest::decode(r#"{"verb":"run-for","ms":1e30}"#));
     assert_eq!(reason, "ms: out of range for u64");
 
-    let snapshot = corpus()
-        .into_iter()
-        .find(|d| d.contains("\"journal_base\""))
-        .expect("a snapshot in the corpus");
+    let snapshot = corpus_snapshot();
     let doctored = snapshot.replace(
         "\"next_cookie\": 3,",
         "\"next_cookie\": 18446744073709551616,",
     );
     assert_ne!(doctored, snapshot);
-    let dir = std::env::temp_dir().join(format!("escape-decoders-{}-wide", std::process::id()));
+    assert_eq!(
+        snapshot_refusal("wide", &doctored),
+        "next_cookie: out of range for u64"
+    );
+}
+
+/// A snapshot of another layout is refused by its version, not by the
+/// first field that layout moved; under this build's version the same
+/// document names its missing field.
+#[test]
+fn a_snapshot_of_another_layout_is_refused_by_its_version() {
+    let snapshot = corpus_snapshot();
+    let no_cookie = snapshot.replace("      \"cookie\": 1,\n", "");
+    assert_ne!(no_cookie, snapshot);
+    let version_2 = no_cookie.replace("\"version\": 1,", "\"version\": 2,");
+    assert_ne!(version_2, no_cookie);
+    assert_eq!(
+        snapshot_refusal("v2", &version_2),
+        "snapshot version 2 (this build reads 1)"
+    );
+    assert_eq!(
+        snapshot_refusal("v1", &no_cookie),
+        "chains[0].cookie: missing field"
+    );
+}
+
+/// The first snapshot document of the golden corpus.
+fn corpus_snapshot() -> String {
+    corpus()
+        .into_iter()
+        .find(|d| d.contains("\"journal_base\""))
+        .expect("a snapshot in the corpus")
+}
+
+/// The cause `Wal::open` gives for refusing a state directory that holds
+/// only `snapshot`.
+fn snapshot_refusal(tag: &str, snapshot: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("escape-decoders-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    fs::write(dir.join(SNAPSHOT_FILE), doctored).unwrap();
+    fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
     let answer = Wal::open(&dir, SEED).map(|_| ());
     let _ = fs::remove_dir_all(&dir);
     match answer {
-        Err(CtlError::CorruptState { cause, .. }) => {
-            assert_eq!(cause, "next_cookie: out of range for u64")
-        }
+        Err(CtlError::CorruptState { cause, .. }) => cause,
         other => panic!("expected CorruptState, got {other:?}"),
     }
 }

@@ -213,7 +213,9 @@ impl Escape {
     /// algorithm's greedy choices depend on the full deploy history.
     /// Runs the same prepare/commit transaction (and rollback on
     /// failure) as a fresh deploy — recovery is never a special,
-    /// less-safe code path.
+    /// less-safe code path. A mapping whose segments do not join its
+    /// placed VNFs (one more segment than VNFs) is refused before
+    /// anything is reserved.
     pub fn restore_chain(
         &mut self,
         sg: &ServiceGraph,
@@ -222,6 +224,14 @@ impl Escape {
     ) -> Result<(), EscapeError> {
         sg.validate().map_err(EscapeError::Invalid)?;
         let name = mapping.chain.name.clone();
+        if mapping.segments.len() != mapping.placement.len() + 1 {
+            return Err(EscapeError::Invalid(format!(
+                "chain {name}: {} segments join {} placed VNFs (want {})",
+                mapping.segments.len(),
+                mapping.placement.len(),
+                mapping.placement.len() + 1
+            )));
+        }
         self.orch
             .restore_embedding(sg, &mapping)
             .map_err(EscapeError::Invalid)?;

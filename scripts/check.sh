@@ -89,6 +89,19 @@ if [ "$(grep -c . <<<"$CLOCK")" -ne 1 ] \
     exit 1
 fi
 
+echo "== every fsync in crates/*/src lives in crates/ctl/src/wal.rs =="
+# A barrier costs about as much as a whole request's work. The WAL
+# decides which record needs one; a sync_data or sync_all anywhere else
+# is a barrier on some path that nobody priced. Test modules and doc
+# comments are exempt.
+FSYNCS="$(outside_tests 'sync_(data|all)[(]' 1 "${SOURCES[@]}" \
+    | grep -v '^crates/ctl/src/wal[.]rs:' || true)"
+if [ -n "$FSYNCS" ]; then
+    echo "fsync outside crates/ctl/src/wal.rs:" >&2
+    echo "$FSYNCS" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 # clippy.toml disallows std's HashMap and HashSet everywhere, tests
 # included: a map that is walked is a BTreeMap, and one that is only

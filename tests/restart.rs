@@ -133,8 +133,8 @@ fn control_fingerprint(name: &str, seed: u64, script: impl FnOnce(&mut CtlClient
 }
 
 /// Writes a WAL holding `committed` intent+commit pairs followed by one
-/// dangling intent — byte-for-byte the log a SIGKILL between an
-/// intent fsync and its commit marker leaves behind.
+/// dangling intent — byte-for-byte the log a SIGKILL between writing
+/// an intent and its commit marker leaves behind.
 fn craft_wal(dir: &Path, seed: u64, committed: &[CtlRequest], dangling: &CtlRequest) {
     let (mut wal, rec) = Wal::open(dir, seed).unwrap();
     assert!(!rec.restarted, "crafting must start from a fresh dir");
@@ -241,7 +241,7 @@ fn sigkilled_daemon_restarts_to_the_uncrashed_fingerprint() {
 
     // Simulate the kill having landed mid-scale-migration as well: a
     // dangling intent with no commit marker, exactly what a crash
-    // between the intent fsync and the commit fsync leaves.
+    // between writing the intent and writing its commit marker leaves.
     {
         let (mut wal, rec) = Wal::open(&state_dir, 11).unwrap();
         assert_eq!(rec.committed.len(), 5, "all five scripted ops committed");
