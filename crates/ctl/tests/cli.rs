@@ -9,8 +9,10 @@
 //! in-process daemon on a fixed seed, so the text repeats bit for bit
 //! outside the reserved `wallclock.*` family, which is filtered the way
 //! `tests/ctl.rs` does it. A change that is meant to be invisible at the
-//! command line leaves `cli.txt` untouched (on a mismatch the full
-//! current corpus is written to the target tmp dir, ready to diff).
+//! command line leaves `cli.txt` untouched. On a mismatch the test names
+//! every section that changed, is new or was never produced, and writes
+//! the full current corpus to `target/tmp/witness/crates/ctl/tests/cli.txt`,
+//! which `scripts/rerecord.sh` copies over.
 
 use escape::session::demo_topology;
 use escape::{Session, SessionConfig};
@@ -18,7 +20,7 @@ use escape_ctl::server::{Daemon, DaemonConfig};
 use escape_ctl::CtlClient;
 use escape_json::Value;
 use escape_telemetry::SamplerConfig;
-use std::collections::BTreeMap;
+use escape_witness::Sections;
 use std::fs;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -26,7 +28,6 @@ use std::process::{Command, Output, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-const GOLDEN: &str = include_str!("cli.txt");
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 const DATA: &str = "examples/data";
 
@@ -48,7 +49,8 @@ enum Filter {
 }
 
 struct Corpus {
-    golden: BTreeMap<String, String>,
+    golden: Sections,
+    /// `(name, body)` of every section this run pinned, in order.
     actual: Vec<(String, String)>,
     /// `(path, placeholder)`: run-specific paths as the corpus spells them.
     aliases: Vec<(String, &'static str)>,
@@ -56,17 +58,8 @@ struct Corpus {
 
 impl Corpus {
     fn load() -> Corpus {
-        let golden = GOLDEN
-            .split("### ")
-            .skip(1)
-            .map(|section| {
-                let (name, body) = section.split_once('\n').expect("a body under the header");
-                let body = body.strip_suffix('\n').unwrap_or(body);
-                (name.to_string(), body.to_string())
-            })
-            .collect();
         Corpus {
-            golden,
+            golden: escape_witness::sections!("cli.txt", "### "),
             actual: Vec::new(),
             aliases: Vec::new(),
         }
@@ -117,6 +110,7 @@ impl Corpus {
             body.push_str(&format!("stdout:\n{stdout}"));
         }
         let body = self.scrub(body.strip_suffix('\n').unwrap_or(&body));
+        self.golden.pin(&name, body.clone());
         self.actual.push((name, body));
     }
 
@@ -128,36 +122,6 @@ impl Corpus {
 
     fn run(&mut self, bin: &str, args: &[&str]) {
         self.pin(bin, args, Stderr::FirstLine, Filter::None);
-    }
-
-    fn finish(self) {
-        let mut bad = Vec::new();
-        for (name, text) in &self.actual {
-            match self.golden.get(name) {
-                Some(g) if g == text => {}
-                Some(_) => bad.push(format!("changed: {name}")),
-                None => bad.push(format!("not in cli.txt: {name}")),
-            }
-        }
-        for name in self.golden.keys() {
-            if !self.actual.iter().any(|(n, _)| n == name) {
-                bad.push(format!("in cli.txt but never produced: {name}"));
-            }
-        }
-        if bad.is_empty() {
-            return;
-        }
-        let mut out = String::new();
-        for (name, text) in &self.actual {
-            out.push_str(&format!("### {name}\n{text}\n"));
-        }
-        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli.actual.txt");
-        fs::write(&path, out).unwrap();
-        panic!(
-            "command-line output differs from crates/ctl/tests/cli.txt:\n  {}\ncurrent corpus written to {}",
-            bad.join("\n  "),
-            path.display()
-        );
     }
 }
 
@@ -707,5 +671,5 @@ fn command_lines_match_the_golden_corpus() {
     json_files_need_no_flag(&mut corpus);
     multi_domain_fork(&mut corpus);
     options_a_command_does_not_read(&mut corpus);
-    corpus.finish();
+    corpus.golden.finish();
 }

@@ -7,8 +7,12 @@
 //! `encode(value) == golden` and `decode(golden) == value`. A change
 //! that is meant to be invisible on the wire leaves `golden.txt`
 //! untouched; one that is meant to be visible edits exactly the
-//! sections it moves (on a mismatch the full current corpus is written
-//! to the target tmp dir, ready to diff).
+//! sections it moves. On a mismatch the test names every section that
+//! changed, is new or was never produced, and writes the full current
+//! corpus to `target/tmp/witness/crates/ctl/tests/golden.txt`, which
+//! `scripts/rerecord.sh` copies over. Pinning a section hands back the
+//! committed text to decode (the produced text when the section is new,
+//! so a fresh corpus can be generated in one run).
 
 use escape_ctl::proto::{
     ChainInfo, CtlError, CtlEvent, CtlRequest, CtlResponse, DeployInfo, MetricDelta, MetricsFormat,
@@ -22,83 +26,13 @@ use escape_ctl::{
 use escape_domain::DomainSpec;
 use escape_netem::{FaultKind, FaultPlan};
 use escape_sg::{ResourceTopology, ServiceGraph, Sla};
-use std::collections::BTreeMap;
 use std::fs;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 
-const GOLDEN: &str = include_str!("golden.txt");
-
 /// A string exercising every escape the encoder knows: quote,
 /// backslash, the short escapes, a `\u00XX` control and multi-byte text.
 const TRICKY: &str = "a\"b\\c\nd\te\r\u{1}é→";
-
-/// The pinned corpus plus everything this run produced, by section.
-struct Corpus {
-    golden: BTreeMap<String, String>,
-    actual: Vec<(String, String)>,
-}
-
-impl Corpus {
-    fn load() -> Corpus {
-        let golden = GOLDEN
-            .split("### ")
-            .skip(1)
-            .map(|section| {
-                let (name, body) = section.split_once('\n').expect("a body under the header");
-                let body = body.strip_suffix('\n').unwrap_or(body);
-                (name.to_string(), body.to_string())
-            })
-            .collect();
-        Corpus {
-            golden,
-            actual: Vec::new(),
-        }
-    }
-
-    /// Records what the codec produced for `name` and hands back the
-    /// pinned text to decode (the produced text when the section is new,
-    /// so a fresh corpus can be generated in one run).
-    fn pin(&mut self, name: &str, encoded: String) -> String {
-        assert!(
-            !self.actual.iter().any(|(n, _)| n == name),
-            "duplicate section {name}"
-        );
-        let pinned = self.golden.get(name).cloned().unwrap_or(encoded.clone());
-        self.actual.push((name.to_string(), encoded));
-        pinned
-    }
-
-    fn finish(self) {
-        let mut bad = Vec::new();
-        for (name, text) in &self.actual {
-            match self.golden.get(name) {
-                Some(g) if g == text => {}
-                Some(_) => bad.push(format!("changed: {name}")),
-                None => bad.push(format!("not in golden.txt: {name}")),
-            }
-        }
-        for name in self.golden.keys() {
-            if !self.actual.iter().any(|(n, _)| n == name) {
-                bad.push(format!("in golden.txt but never produced: {name}"));
-            }
-        }
-        if bad.is_empty() {
-            return;
-        }
-        let mut out = String::new();
-        for (name, text) in &self.actual {
-            out.push_str(&format!("### {name}\n{text}\n"));
-        }
-        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden.actual.txt");
-        fs::write(&path, out).unwrap();
-        panic!(
-            "wire bytes differ from crates/ctl/tests/golden.txt:\n  {}\ncurrent corpus written to {}",
-            bad.join("\n  "),
-            path.display()
-        );
-    }
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("escape-golden-{tag}-{}", std::process::id()));
@@ -684,7 +618,7 @@ fn domain_spec() -> DomainSpec {
 
 #[test]
 fn wire_bytes_match_the_golden_corpus() {
-    let mut corpus = Corpus::load();
+    let corpus = escape_witness::sections!("golden.txt", "### ");
 
     for (name, req) in requests() {
         let pinned = corpus.pin(&format!("request {name}"), req.encode());

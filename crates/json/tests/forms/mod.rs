@@ -5,23 +5,7 @@
 //! test and the control plane's corpus test (`#[path]`-included there).
 
 use escape_json::Value;
-
-/// splitmix64: the forms are drawn from one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+use escape_witness::SplitMix64;
 
 type Fields = Vec<(String, Value)>;
 
@@ -43,7 +27,7 @@ fn each_object(v: &Value, f: &mut dyn FnMut(&mut Fields)) -> Value {
 
 /// Values an unknown key may hold: every kind, nested ones with keys
 /// the documents use as discriminators, and an escaped string.
-fn padding(rng: &mut Rng) -> Value {
+fn padding(rng: &mut SplitMix64) -> Value {
     match rng.below(5) {
         0 => Value::Null,
         1 => Value::from(-7.5),
@@ -63,7 +47,7 @@ fn other_than(v: &Value) -> Value {
 
 /// The five forms of `doc`, named, drawn with `seed`.
 pub fn forms(doc: &Value, seed: u64) -> Vec<(&'static str, String)> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64(seed);
     let permuted = each_object(doc, &mut |fields| {
         for i in (1..fields.len()).rev() {
             fields.swap(i, rng.below(i + 1));

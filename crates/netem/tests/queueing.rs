@@ -11,8 +11,9 @@
 //! `run_until` boundary and after the final drain, the queue gauges, the
 //! event count, the frames sent and the drops by reason. A change to the
 //! kernel that is meant to be invisible leaves the file untouched; on a
-//! mismatch the current corpus is written to the target tmp dir as
-//! `queueing.actual.txt`, ready to diff.
+//! mismatch the current corpus is written to
+//! `target/tmp/witness/crates/netem/tests/queueing.txt`, which
+//! `scripts/rerecord.sh` copies over.
 //!
 //! A proptest over random topologies checks the event-count law at every
 //! boundary: each model event is an arrival, a transmit completion, a
@@ -23,29 +24,14 @@ use bytes::Bytes;
 use escape_netem::{CtrlId, DropReason, LinkConfig, LinkState, NodeCtx, NodeId};
 use escape_netem::{NodeLogic, Sim, Time};
 use escape_packet::Packet;
+use escape_witness::SplitMix64;
 use proptest::prelude::*;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-const CORPUS: &str = include_str!("queueing.txt");
-
-/// SplitMix64: a fixed sequence on every toolchain.
-struct Seq(u64);
-
-impl Seq {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A value in `lo..=hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo + 1)
-    }
+/// A value in `lo..=hi`.
+fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.next_u64() % (hi - lo + 1)
 }
 
 type Log = Arc<Mutex<String>>;
@@ -178,11 +164,11 @@ fn bursts_into_small_queues(cap: usize) -> String {
         .with_delay(Time::from_us(10));
     r.sim.connect((h, 0), (s, 0), first);
     r.sim.connect((s, 1), (k, 0), second);
-    let mut rng = Seq(seed);
+    let mut rng = SplitMix64(seed);
     for i in 0..6 {
-        let at = i * 150_000 + rng.range(0, 50_000);
-        let count = rng.range(1, 5) as u16;
-        let len = rng.range(60, 400) as u16;
+        let at = i * 150_000 + range(&mut rng, 0, 50_000);
+        let count = range(&mut rng, 1, 5) as u16;
+        let len = range(&mut rng, 60, 400) as u16;
         r.burst_at(h, at, 0, count, len);
     }
     for t in (100_000..=1_200_000).step_by(100_000) {
@@ -259,10 +245,16 @@ fn faults_mid_burst() -> String {
         .sim
         .connect((h, 0), (s, 0), cfg.with_loss(0.25).with_queue(3));
     let down = r.sim.connect((s, 1), (k, 0), cfg.with_queue(2));
-    let mut rng = Seq(40);
+    let mut rng = SplitMix64(40);
     for i in 0..10 {
-        let at = i * 90_000 + rng.range(0, 30_000);
-        r.burst_at(h, at, 0, rng.range(2, 4) as u16, rng.range(80, 300) as u16);
+        let at = i * 90_000 + range(&mut rng, 0, 30_000);
+        r.burst_at(
+            h,
+            at,
+            0,
+            range(&mut rng, 2, 4) as u16,
+            range(&mut rng, 80, 300) as u16,
+        );
     }
     for t in (100_000..=1_100_000).step_by(100_000) {
         r.until(t);
@@ -290,16 +282,28 @@ fn both_directions_busy() -> String {
         .with_delay(Time::from_us(15));
     r.sim.connect((a, 0), (s, 0), cfg.with_queue(2));
     r.sim.connect((s, 1), (b, 0), cfg.with_queue(3));
-    let mut rng = Seq(50);
+    let mut rng = SplitMix64(50);
     for i in 0..6 {
-        let at = i * 120_000 + rng.range(0, 40_000);
-        r.burst_at(a, at, 0, rng.range(1, 4) as u16, rng.range(60, 250) as u16);
+        let at = i * 120_000 + range(&mut rng, 0, 40_000);
+        r.burst_at(
+            a,
+            at,
+            0,
+            range(&mut rng, 1, 4) as u16,
+            range(&mut rng, 60, 250) as u16,
+        );
         let at = if i % 2 == 0 {
             at
         } else {
-            at + rng.range(0, 40_000)
+            at + range(&mut rng, 0, 40_000)
         };
-        r.burst_at(b, at, 0, rng.range(1, 4) as u16, rng.range(60, 250) as u16);
+        r.burst_at(
+            b,
+            at,
+            0,
+            range(&mut rng, 1, 4) as u16,
+            range(&mut rng, 60, 250) as u16,
+        );
     }
     for t in (50_000..=800_000).step_by(50_000) {
         r.until(t);
@@ -313,41 +317,41 @@ fn both_directions_busy() -> String {
 fn seeded_line(seed: u64) -> String {
     const NAMES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
     let mut r = Rig::new("seeded_line", seed);
-    let mut rng = Seq(seed);
-    let n = rng.range(3, 5) as usize;
+    let mut rng = SplitMix64(seed);
+    let n = range(&mut rng, 3, 5) as usize;
     let nodes: Vec<NodeId> = (0..n)
         .map(|i| match i {
             0 => r.node(NAMES[i], &[None], 1),
             i if i == n - 1 => r.node(NAMES[i], &[None], 1),
-            _ => r.node(NAMES[i], &[Some(1), Some(0)], rng.range(1, 2) as u8),
+            _ => r.node(NAMES[i], &[Some(1), Some(0)], range(&mut rng, 1, 2) as u8),
         })
         .collect();
     for i in 0..n - 1 {
-        let bw = [u64::MAX, 1_000_000_000, 20_000_000, 5_000_000][rng.range(0, 3) as usize];
+        let bw = [u64::MAX, 1_000_000_000, 20_000_000, 5_000_000][range(&mut rng, 0, 3) as usize];
         let cfg = LinkConfig::lan()
             .with_bandwidth(bw)
-            .with_delay(Time::from_us(rng.range(0, 2) * 10))
-            .with_loss([0.0, 0.0, 0.2][rng.range(0, 2) as usize])
-            .with_queue(rng.range(1, 4) as usize);
+            .with_delay(Time::from_us(range(&mut rng, 0, 2) * 10))
+            .with_loss([0.0, 0.0, 0.2][range(&mut rng, 0, 2) as usize])
+            .with_queue(range(&mut rng, 1, 4) as usize);
         let a_port = if i == 0 { 0 } else { 1 };
         r.sim.connect((nodes[i], a_port), (nodes[i + 1], 0), cfg);
     }
     for _ in 0..12 {
-        let end = if rng.range(0, 1) == 0 {
+        let end = if range(&mut rng, 0, 1) == 0 {
             nodes[0]
         } else {
             nodes[n - 1]
         };
-        let at = rng.range(0, 40) * 10_000;
+        let at = range(&mut rng, 0, 40) * 10_000;
         r.burst_at(
             end,
             at,
             0,
-            rng.range(1, 4) as u16,
-            rng.range(60, 500) as u16,
+            range(&mut rng, 1, 4) as u16,
+            range(&mut rng, 60, 500) as u16,
         );
     }
-    let mut deadlines: Vec<u64> = (0..10).map(|_| rng.range(0, 600_000)).collect();
+    let mut deadlines: Vec<u64> = (0..10).map(|_| range(&mut rng, 0, 600_000)).collect();
     deadlines.sort_unstable();
     for t in deadlines {
         r.until(t);
@@ -374,25 +378,7 @@ fn corpus() -> String {
 
 #[test]
 fn queueing_corpus_is_unchanged() {
-    let actual = corpus();
-    if actual == CORPUS {
-        return;
-    }
-    let first = actual
-        .lines()
-        .zip(CORPUS.lines())
-        .position(|(x, y)| x != y)
-        .map_or_else(
-            || "a missing or extra line".to_string(),
-            |i| format!("line {}", i + 1),
-        );
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("queueing.actual.txt");
-    std::fs::write(&path, &actual).expect("writing the actual corpus");
-    panic!(
-        "queueing differs from crates/netem/tests/queueing.txt, first at {first}; \
-         current corpus written to {}",
-        path.display()
-    );
+    escape_witness::corpus!("queueing.txt").check(&corpus());
 }
 
 /// Forwards each frame while its first byte (a hop budget) lasts, out of

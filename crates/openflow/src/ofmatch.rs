@@ -254,14 +254,6 @@ impl Match {
         self.dl_type = Some(t);
         self
     }
-    pub fn with_nw_proto(mut self, p: u8) -> Self {
-        self.nw_proto = Some(p);
-        // nw fields require dl_type ip
-        if self.dl_type.is_none() {
-            self.dl_type = Some(0x0800);
-        }
-        self
-    }
     pub fn with_nw_src(mut self, a: Ipv4Addr, len: u8) -> Self {
         self.nw_src = Some((a, len));
         if self.dl_type.is_none() {
@@ -341,7 +333,10 @@ mod tests {
             Match::any()
                 .with_nw_src(Ipv4Addr::new(192, 168, 0, 0), 24)
                 .with_tp_dst(53),
-            Match::any().with_in_port(65_000).with_nw_proto(6),
+            Match {
+                nw_proto: Some(6),
+                ..Match::any().with_in_port(65_000).with_dl_type(0x0800)
+            },
             Match::any().with_dl_type(0x0800).with_bucket(4, 3),
             Match::exact_from_key(&key(443), 7).with_bucket(2, 0),
         ];

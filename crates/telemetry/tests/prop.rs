@@ -15,6 +15,7 @@ use escape_json::Value;
 use escape_telemetry::{
     delta, Labels, MetricValue, Registry, Sampler, SamplerConfig, Scalar, Snapshot,
 };
+use escape_witness::SplitMix64;
 use std::collections::VecDeque;
 
 /// One element of a metrics-delta frame: name, labels, kind, value.
@@ -191,23 +192,6 @@ fn reference_diff(before: &Snapshot, after: &Snapshot) -> Vec<Delta> {
 
 // ---------------- the random program -----------------------------------
 
-/// splitmix64: small, seedable, good enough to shuffle operations.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 #[derive(Clone, Copy)]
 enum Kind {
     Counter,
@@ -249,8 +233,8 @@ const POOL: &[Series] = &[
 
 /// Touches one pool series the way the stack does: look the handle up
 /// (registering on first use) and move it — or only register it.
-fn touch(r: &Registry, rng: &mut Rng) {
-    let (name, labels, kind) = POOL[rng.below(POOL.len() as u64) as usize];
+fn touch(r: &Registry, rng: &mut SplitMix64) {
+    let (name, labels, kind) = POOL[rng.below(POOL.len())];
     let only_register = rng.below(6) == 0;
     match kind {
         Kind::Counter => {
@@ -258,14 +242,14 @@ fn touch(r: &Registry, rng: &mut Rng) {
             match (only_register, rng.below(2)) {
                 (true, _) => {}
                 (false, 0) => c.inc(),
-                (false, _) => c.add(rng.below(1_000)),
+                (false, _) => c.add(rng.below(1_000) as u64),
             }
         }
         Kind::Gauge => {
             let g = r.gauge_with(name, labels);
             // A small value set, zero included, so gauges keep returning
             // to where a window (or the registry) started.
-            let v = [0, 0, 1, 2, -3, 7][rng.below(6) as usize];
+            let v = [0, 0, 1, 2, -3, 7][rng.below(6)];
             match (only_register, rng.below(3)) {
                 (true, _) => {}
                 (false, 0) => g.add(v),
@@ -275,14 +259,14 @@ fn touch(r: &Registry, rng: &mut Rng) {
         Kind::Histogram => {
             let h = r.histogram_with(name, labels, &[10, 100, 1_000]);
             if !only_register {
-                h.observe(rng.below(5_000));
+                h.observe(rng.below(5_000) as u64);
             }
         }
     }
 }
 
 fn run_program(seed: u64, retention: usize, steps: usize) {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64(seed);
     let r = Registry::new();
     // Some series exist before the sampler does, most register later.
     for _ in 0..rng.below(4) {
@@ -318,7 +302,7 @@ fn run_program(seed: u64, retention: usize, steps: usize) {
                     "seed {seed} retention {retention} step {step}: series document"
                 );
                 // Mostly one period ahead, sometimes an overshoot.
-                now_ns += 1_000 + rng.below(3) / 2 * rng.below(2_500);
+                now_ns += 1_000 + (rng.below(3) / 2 * rng.below(2_500)) as u64;
             }
             _ => {
                 let snap = r.snapshot();

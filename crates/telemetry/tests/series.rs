@@ -2,7 +2,9 @@
 //! counters, a gauge that goes negative, a histogram, a series that
 //! registers inside the window, one that never moves and label values
 //! that need escaping. `series.txt` holds the rendering; a mismatch
-//! writes the current one to `target/tmp/series.actual.txt`.
+//! writes the current one to
+//! `target/tmp/witness/crates/telemetry/tests/series.txt`, which
+//! `scripts/rerecord.sh` copies over.
 
 use escape_telemetry::{Registry, Sampler, SamplerConfig};
 
@@ -43,13 +45,5 @@ fn wrapped_sampler_document() -> String {
 
 #[test]
 fn wrapped_sampler_document_is_pinned() {
-    let actual = wrapped_sampler_document();
-    let expected = include_str!("series.txt");
-    if actual != expected {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tmp");
-        std::fs::create_dir_all(dir).expect("target/tmp");
-        let path = format!("{dir}/series.actual.txt");
-        std::fs::write(&path, &actual).expect("write the actual document");
-        panic!("series document moved; the current one is in {path}");
-    }
+    escape_witness::corpus!("series.txt").check(&wrapped_sampler_document());
 }

@@ -117,8 +117,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --
 echo "== cargo test =="
 # tests/restart.rs kill -9's daemons, which cannot unlink their own
 # sockets: whatever it creates in the temp dir it must remove itself.
+# --no-fail-fast: one red run reports every witness that moved, and each
+# leaves its current document under target/tmp/witness.
 TEST_STAMP="$(mktemp)"
-cargo test -q
+if ! cargo test -q --no-fail-fast; then
+    rm -f "$TEST_STAMP"
+    WITNESS="${CARGO_TARGET_DIR:-target}/tmp/witness"
+    MOVED="$(cd "$WITNESS" 2>/dev/null && find . -type f | sed 's|^\./|  |' | sort || true)"
+    if [ -n "$MOVED" ]; then
+        echo "cargo test: witnesses moved (current documents under $WITNESS):" >&2
+        echo "$MOVED" >&2
+        echo "a deliberate model change re-records them with scripts/rerecord.sh" >&2
+    fi
+    exit 1
+fi
 LEAKED="$(find "${TMPDIR:-/tmp}" -maxdepth 1 -name 'escape-restart-*' -newer "$TEST_STAMP")"
 rm -f "$TEST_STAMP"
 if [ -n "$LEAKED" ]; then

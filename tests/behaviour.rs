@@ -15,28 +15,20 @@
 //!
 //! A change meant to be invisible leaves the file untouched. A
 //! deliberate model change re-records it in one reviewed diff: on a
-//! mismatch the current corpus is written to the target tmp dir as
-//! `behaviour.actual.txt`, ready to diff or copy over. Because the file
+//! mismatch the current corpus is written to
+//! `target/tmp/witness/tests/behaviour.txt`, which `scripts/rerecord.sh`
+//! copies over. Because the file
 //! is compared across builds, it also catches nondeterminism that
 //! depends on the process image (a hash-map order leaking into an `f64`
 //! sum), which a same-process witness cannot see.
 
 use escape::ops::{self, OpMix};
 use escape_pox::SteeringMode;
+use escape_witness::fnv1a;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-
-const CORPUS: &str = include_str!("behaviour.txt");
 
 /// Steps per run.
 const STEPS: u64 = 500;
-
-/// FNV-1a, 64 bit: no dependency, and the same on every toolchain.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// One run of [`STEPS`] steps; every line starts with `tag`. Panics on
 /// the first step after which an invariant is broken.
@@ -64,11 +56,11 @@ fn run(tag: &str, seed: u64, steering: SteeringMode) -> String {
             out,
             "{tag}{step:03} t={} {op} | m={:016x} s={:016x} fp={:016x} spans={} sla={:016x}",
             esc.now().as_ns(),
-            fnv(&metrics),
-            fnv(&s.series_json()),
-            fnv(&s.state_fingerprint()),
+            fnv1a(metrics.as_bytes()),
+            fnv1a(s.series_json().as_bytes()),
+            fnv1a(s.state_fingerprint().as_bytes()),
             esc.tracer().records().count(),
-            fnv(&verdicts),
+            fnv1a(verdicts.as_bytes()),
         )
         .expect("writing to a String");
         for e in esc.journal().events_since(seq) {
@@ -90,23 +82,5 @@ fn behaviour_corpus_is_unchanged() {
             b.join().expect("run B panicked"),
         )
     });
-    let actual = a + &b;
-    if actual == CORPUS {
-        return;
-    }
-    let first = actual
-        .lines()
-        .zip(CORPUS.lines())
-        .position(|(x, y)| x != y)
-        .map_or_else(
-            || "a missing or extra line".to_string(),
-            |i| format!("line {}", i + 1),
-        );
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("behaviour.actual.txt");
-    std::fs::write(&path, &actual).expect("writing the actual corpus");
-    panic!(
-        "behaviour differs from tests/behaviour.txt, first at {first}; \
-         current corpus written to {}",
-        path.display()
-    );
+    escape_witness::corpus!("behaviour.txt").check(&(a + &b));
 }

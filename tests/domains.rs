@@ -11,17 +11,15 @@
 //! That witness compares runs inside one build, so a change that moves
 //! behaviour the same way at every worker count passes it. The corpus
 //! in `domains.txt` pins two scripted runs across builds: on a mismatch
-//! the current corpus is written to the target tmp dir as
-//! `domains.actual.txt`, ready to diff or copy over.
+//! the current corpus is written to `target/tmp/witness/tests/domains.txt`,
+//! which `scripts/rerecord.sh` copies over.
 
 use escape::{EscapeError, JournalKind, MultiDomainEscape};
 use escape_domain::DomainSpec;
 use escape_pox::SteeringMode;
 use escape_sg::{ResourceTopology, ServiceGraph};
+use escape_witness::fnv1a;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-
-const CORPUS: &str = include_str!("domains.txt");
 
 /// Three domains in a line:
 /// `sap0 - s0(c0) -[300us]- s1(c1) -[400us]- s2(c2) - sap2`.
@@ -327,13 +325,6 @@ fn intra_domain_crash_heals_locally_without_restitch() {
     assert_eq!(md.sap_stats("sap1").unwrap().udp_rx, BURST);
 }
 
-/// FNV-1a, 64 bit: no dependency, and the same on every toolchain.
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// One corpus block: the embedding and event traces in full, the sink
 /// SAP's stats, and hashes of the merged flight trace and of the merged
 /// metrics outside `wallclock.*`.
@@ -353,8 +344,8 @@ fn witness(tag: &str, md: &MultiDomainEscape, sink: &str) -> String {
         out,
         "sink {sink} {:?}\nflight={:016x} metrics={:016x}",
         md.sap_stats(sink).expect("the sink SAP"),
-        fnv(&md.merged_flight_trace()),
-        fnv(&metrics),
+        fnv1a(md.merged_flight_trace().as_bytes()),
+        fnv1a(metrics.as_bytes()),
     )
     .expect("writing to a String");
     out
@@ -400,25 +391,7 @@ fn corpus_diamond() -> String {
 
 #[test]
 fn multi_domain_corpus_is_unchanged() {
-    let actual = corpus_linear3() + &corpus_diamond();
-    if actual == CORPUS {
-        return;
-    }
-    let first = actual
-        .lines()
-        .zip(CORPUS.lines())
-        .position(|(x, y)| x != y)
-        .map_or_else(
-            || "a missing or extra line".to_string(),
-            |i| format!("line {}", i + 1),
-        );
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("domains.actual.txt");
-    std::fs::write(&path, &actual).expect("writing the actual corpus");
-    panic!(
-        "multi-domain runs differ from tests/domains.txt, first at {first}; \
-         current corpus written to {}",
-        path.display()
-    );
+    escape_witness::corpus!("domains.txt").check(&(corpus_linear3() + &corpus_diamond()));
 }
 
 #[test]

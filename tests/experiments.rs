@@ -13,8 +13,11 @@
 //!
 //! A model change re-records the file in one reviewed diff: on a
 //! mismatch the corpus, with every section that differed replaced, is
-//! written to the target tmp dir as `experiments.actual.txt`, ready to
-//! diff or copy over.
+//! written to `target/tmp/witness/tests/experiments.txt`. When the
+//! Markdown numbers drift from the committed corpus, EXPERIMENTS.md with
+//! only those cells corrected is written to
+//! `target/tmp/witness/EXPERIMENTS.md`. `scripts/rerecord.sh` copies both
+//! over, the Markdown one pass after the corpus.
 
 use escape::env::Escape;
 use escape::flight::Outcome;
@@ -29,75 +32,40 @@ use escape_packet::{MacAddr, Packet, PacketBuilder};
 use escape_pox::SteeringMode::{self, Proactive, Reactive};
 use escape_sg::topo::{builders, ResourceTopology};
 use escape_sg::ServiceGraph;
+use escape_witness::Sections;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::ops::Range;
+use std::sync::OnceLock;
 
-const CORPUS: &str = include_str!("experiments.txt");
+/// The corpus, shared by every test of this binary: each checks its own
+/// sections.
+static CORPUS: Sections = escape_witness::sections!("experiments.txt", "## ");
 
 /// Stringifies each cell of a table row.
 macro_rules! row {
     ($($cell:expr),* $(,)?) => { vec![$($cell.to_string()),*] };
 }
 
-/// Renders a section: `## title`, then the `header` names and `rows`
-/// right-aligned in columns, then a blank line.
-fn section(title: &str, header: &str, rows: &[Vec<String>]) -> String {
+/// Renders the section `## title`: the `header` names and `rows`
+/// right-aligned in columns, then a blank line; and compares it with the
+/// corpus.
+fn check(title: &str, header: &str, rows: &[Vec<String>]) {
     let header: Vec<String> = header.split_whitespace().map(String::from).collect();
     let rows = [&[header][..], rows].concat();
     let widths: Vec<usize> = (0..rows[0].len())
         .map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0))
         .collect();
-    let mut out = format!("## {title}\n");
+    let mut body = String::new();
     for r in &rows {
         let cells: Vec<String> = r
             .iter()
             .zip(&widths)
             .map(|(cell, &w)| format!("{cell:>w$}"))
             .collect();
-        out.push_str(&cells.join("  "));
-        out.push('\n');
+        body.push_str(&cells.join("  "));
+        body.push('\n');
     }
-    out.push('\n');
-    out
-}
-
-/// Byte range of the section whose title line is `title`: up to the
-/// next `## ` line, or the end of the document.
-fn span(doc: &str, title: &str) -> Option<(usize, usize)> {
-    let mut at = 0;
-    let start = doc.split_inclusive('\n').find_map(|line| {
-        let start = at;
-        at += line.len();
-        (line.trim_end() == title).then_some(start)
-    })?;
-    let end = doc[start..]
-        .find("\n## ")
-        .map_or(doc.len(), |i| start + i + 1);
-    Some((start, end))
-}
-
-/// Compares a rendered section with the corpus section of the same
-/// title. On a mismatch, records it in `experiments.actual.txt` (which
-/// holds every mismatch of this run) and fails.
-fn check(rendered: &str) {
-    let title = rendered.lines().next().expect("a section has a title");
-    if span(CORPUS, title).map(|(a, b)| &CORPUS[a..b]) == Some(rendered) {
-        return;
-    }
-    static ACTUAL: Mutex<Option<String>> = Mutex::new(None);
-    let mut actual = ACTUAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let doc = actual.get_or_insert_with(|| CORPUS.to_string());
-    match span(doc, title) {
-        Some((a, b)) => doc.replace_range(a..b, rendered),
-        None => doc.push_str(rendered),
-    }
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("experiments.actual.txt");
-    std::fs::write(&path, doc.as_bytes()).expect("writing the actual corpus");
-    panic!(
-        "`{title}` differs from tests/experiments.txt; current corpus written to {}",
-        path.display()
-    );
+    CORPUS.check(title, &body);
 }
 
 fn env(topo: ResourceTopology, algorithm: &str, mode: SteeringMode, seed: u64) -> Escape {
@@ -152,11 +120,11 @@ fn e1_setup_is_linear_in_chain_length_and_netconf_dominates() {
             "{n} VNFs: total {t} us is off the line ({line} us)"
         );
     }
-    check(&section(
+    check(
         "E1 chain setup latency vs chain length (virtual us; linear(8), one VNF per container)",
         "vnfs total_us netconf_us steering_us rpcs rules",
         &rows,
-    ));
+    );
 }
 
 /// Embeds `sg` with the named algorithm; one row: accepted, mean mapped
@@ -215,11 +183,11 @@ fn e2_nearest_maps_no_longer_paths_than_first_fit() {
     };
     let sg = random_service_graph(&topo, &spec).expect("workload fits the fabric");
     rows.push(e2_row("fabric", "nearest", &topo, &sg));
-    check(&section(
+    check(
         "E2 mapping quality (star topologies, 2 ms delay budget; fabric = the harness's leaf-spine)",
         "leaves algorithm accepted mean_delay_us mean_hops",
         &rows,
-    ));
+    );
 }
 
 #[test]
@@ -258,11 +226,11 @@ fn e3_reactive_steering_pays_on_the_first_packet() {
         first[1],
         first[0]
     );
-    check(&section(
+    check(
         "E3 steering modes (1-VNF chain, 20 frames of 128 B, 1 ms apart)",
         "mode first_pkt_us mean_lat_us packet_ins flow_mods",
         &rows,
-    ));
+    );
 }
 
 #[test]
@@ -305,11 +273,11 @@ fn e4_only_dpi_cost_grows_with_frame_size() {
         }
         rows.push(row![name, costs[0], costs[1], costs[2]]);
     }
-    check(&section(
+    check(
         "E4 modelled CPU cost per packet (ns, what the cgroup model charges)",
         "vnf 64B_ns 512B_ns 1500B_ns",
         &rows,
-    ));
+    );
 }
 
 #[test]
@@ -332,11 +300,11 @@ fn e5_netconf_phase_is_four_round_trips_and_a_hello() {
     );
     let us = |ns: u64| ns / 1_000;
     let hello = phase_ns - sum_ns;
-    check(&section(
+    check(
         "E5 NETCONF round trips of one VNF's bring-up (virtual us; 200 us control latency one way)",
         "phase_us rpcs rpc_mean_us rpc_sum_us hello_us",
         &[row![us(phase_ns), rpcs, us(mean_ns), us(sum_ns), us(hello)]],
-    ));
+    );
 }
 
 #[test]
@@ -360,11 +328,11 @@ fn e7_latency_grows_with_chain_length_above_the_mapped_delay() {
         let max = stats.latency_max_ns / 1_000;
         rows.push(row![n, mean, max, map_delay, stats.udp_rx]);
     }
-    check(&section(
+    check(
         "E7 end-to-end latency vs chain length (virtual us; linear(6), 50 frames of 256 B)",
         "vnfs mean_us max_us map_delay_us delivered",
         &rows,
-    ));
+    );
 }
 
 /// Victim's mean latency (µs) and the noisy chain's delivered frames,
@@ -432,11 +400,11 @@ fn e8_isolation_protects_the_victim_and_quota_throttles_the_noisy_vnf() {
         .zip(&runs)
         .map(|((label, _), (victim, noisy))| row![label, victim, noisy])
         .collect();
-    check(&section(
+    check(
         "E8 co-located victim monitor and noisy DPI under the DPI's isolation (virtual us)",
         "noisy_isolation victim_mean_us noisy_rx",
         &rows,
-    ));
+    );
 }
 
 /// E10's firewall: 149 decoy denies no frame matches (the stream's dst
@@ -510,8 +478,10 @@ fn e10_one() -> E10Run {
     *ONE.get_or_init(|| e10_run(1))
 }
 
-/// Runs `replicas` and renders its row: (speedup over one, section).
-fn e10_row(replicas: u32) -> (f64, String) {
+const E10_HEADER: &str = "replicas offered delivered pps mean_us max_us speedup";
+
+/// Runs `replicas`: its speedup over one, its section title and its row.
+fn e10_row(replicas: u32) -> (f64, String, Vec<String>) {
     let run = if replicas == 1 {
         e10_one()
     } else {
@@ -524,34 +494,36 @@ fn e10_row(replicas: u32) -> (f64, String) {
     let title = format!(
         "E10 {replicas} firewall replica{plural}: {FLOWS} flows, {FW_RULES}-rule IPFilter, {WINDOW_MS} ms window (virtual)"
     );
-    let header = "replicas offered delivered pps mean_us max_us speedup";
     let r = row![replicas, offered, delivered, pps, mean, max, gain];
-    (speedup, section(&title, header, &[r]))
+    (speedup, title, r)
 }
 
 #[test]
 fn e10_one_replica() {
-    check(&e10_row(1).1);
+    let (_, title, row) = e10_row(1);
+    check(&title, E10_HEADER, &[row]);
 }
 
 #[test]
 fn e10_two_replicas_deliver_at_least_one_and_a_half_times_one() {
-    let (speedup, rendered) = e10_row(2);
+    let (speedup, title, row) = e10_row(2);
     assert!(
         speedup >= 1.5,
         "E10: 2 replicas deliver {speedup:.2}x one replica, under the 1.5x floor"
     );
-    check(&rendered);
+    check(&title, E10_HEADER, &[row]);
 }
 
 #[test]
 fn e10_four_replicas() {
-    check(&e10_row(4).1);
+    let (_, title, row) = e10_row(4);
+    check(&title, E10_HEADER, &[row]);
 }
 
 #[test]
 fn e10_eight_replicas() {
-    check(&e10_row(8).1);
+    let (_, title, row) = e10_row(8);
+    check(&title, E10_HEADER, &[row]);
 }
 
 #[test]
@@ -567,11 +539,11 @@ fn e10_cutovers_under_live_traffic() {
         rows.push(row![from, to, cutover]);
         esc.run_for_ms(2);
     }
-    check(&section(
+    check(
         "E10 make-before-break cutovers under the same live traffic (virtual us)",
         "from to cutover_us",
         &rows,
-    ));
+    );
 }
 
 /// Experiments whose Markdown section ends in wall-clock tables that
@@ -608,7 +580,7 @@ fn numeric(cell: &str) -> Option<String> {
 /// tokens.
 fn corpus_rows() -> Vec<(String, Vec<Vec<String>>)> {
     let mut out: Vec<(String, Vec<Vec<String>>)> = Vec::new();
-    for block in CORPUS.split("\n## ").skip(1) {
+    for block in CORPUS.corpus.text.split("\n## ").skip(1) {
         let mut lines = block.lines().filter(|l| !l.trim().is_empty());
         let id = lines.next().and_then(|t| t.split(' ').next());
         let id = id.expect("a section has a title").to_string();
@@ -623,18 +595,28 @@ fn corpus_rows() -> Vec<(String, Vec<Vec<String>>)> {
     out
 }
 
+/// A numeric cell of EXPERIMENTS.md: its value, and where its digits
+/// lie in the document.
+struct Cell {
+    token: String,
+    at: Range<usize>,
+}
+
 /// The Markdown tables under EXPERIMENTS.md's `## {id} —` heading, each
 /// as its data rows of numeric cells.
-fn doc_tables(doc: &str, id: &str) -> Vec<Vec<Vec<String>>> {
+fn doc_tables(doc: &str, id: &str) -> Vec<Vec<Vec<Cell>>> {
     let heading = format!("## {id} —");
     let start = doc
         .find(&heading)
-        .unwrap_or_else(|| panic!("no `{heading}`"));
-    let body = &doc[start + heading.len()..];
-    let body = &body[..body.find("\n## ").unwrap_or(body.len())];
-    let mut tables: Vec<Vec<Vec<String>>> = Vec::new();
+        .unwrap_or_else(|| panic!("no `{heading}`"))
+        + heading.len();
+    let end = doc[start..].find("\n## ").map_or(doc.len(), |i| start + i);
+    let mut tables: Vec<Vec<Vec<Cell>>> = Vec::new();
     let mut in_table = false;
-    for line in body.lines() {
+    let mut at = start;
+    for line in doc[start..end].split_inclusive('\n') {
+        let line_at = at;
+        at += line.len();
         let Some(cells) = line.trim().strip_prefix('|') else {
             in_table = false;
             continue;
@@ -648,32 +630,81 @@ fn doc_tables(doc: &str, id: &str) -> Vec<Vec<Vec<String>>> {
         if cells.starts_with("---") {
             continue;
         }
-        let row = cells.split('|').filter_map(numeric).collect();
+        let mut cell_at = line_at + (line.len() - line.trim_start().len()) + 1;
+        let mut row = Vec::new();
+        for cell in cells.split('|') {
+            if let Some(token) = numeric(cell) {
+                let digit = |c: char| c.is_ascii_digit();
+                let first = cell.find(digit).expect("a number has digits");
+                let last = cell.rfind(digit).expect("a number has digits");
+                row.push(Cell {
+                    token,
+                    at: cell_at + first..cell_at + last + 1,
+                });
+            }
+            cell_at += cell.len() + 1;
+        }
         tables.last_mut().expect("a table is open").push(row);
     }
     tables
 }
 
+/// A corpus token as EXPERIMENTS.md spells it: integer parts of four
+/// digits or more in groups of three.
+fn spelled(token: &str) -> String {
+    let group = |part: &str| {
+        let (int, frac) = part.split_once('.').map_or((part, ""), |(i, f)| (i, f));
+        let mut out = String::new();
+        for (i, c) in int.chars().enumerate() {
+            if int.len() >= 4 && i > 0 && (int.len() - i) % 3 == 0 {
+                out.push(' ');
+            }
+            out.push(c);
+        }
+        if !frac.is_empty() {
+            out = format!("{out}.{frac}");
+        }
+        out
+    };
+    token.split('/').map(group).collect::<Vec<_>>().join("/")
+}
+
+/// EXPERIMENTS.md must show the corpus's numbers. Where a cell differs,
+/// the document with only those cells corrected is the mirror a
+/// re-record copies over; tables of another shape are fixed by hand.
 #[test]
 fn experiments_md_tables_match_the_corpus() {
-    const DOC: &str = include_str!("../EXPERIMENTS.md");
+    let md = escape_witness::corpus!("../EXPERIMENTS.md");
+    let mut edits = Vec::new();
     for (id, corpus) in corpus_rows() {
-        let tables = doc_tables(DOC, &id);
+        let tables = doc_tables(md.text, &id);
         // Whole tables, in order, until the corpus rows run out.
         let mut doc = Vec::new();
         let mut used = 0;
         while doc.len() < corpus.len() && used < tables.len() {
-            doc.extend(tables[used].iter().cloned());
+            doc.extend(&tables[used]);
             used += 1;
         }
         assert_eq!(
-            doc, corpus,
-            "EXPERIMENTS.md's {id} tables drift from the corpus"
+            doc.iter().map(|r| r.len()).collect::<Vec<_>>(),
+            corpus.iter().map(Vec::len).collect::<Vec<_>>(),
+            "EXPERIMENTS.md's {id} tables do not have the corpus's rows and columns"
         );
         assert!(
             used == tables.len() || WALL_CLOCK_TAIL.contains(&id.as_str()),
             "{id} has {} tables past the corpus rows",
             tables.len() - used
         );
+        for (cell, token) in doc.iter().copied().flatten().zip(corpus.iter().flatten()) {
+            if cell.token != *token {
+                edits.push((cell.at.clone(), spelled(token)));
+            }
+        }
     }
+    let mut fixed = md.text.to_string();
+    edits.sort_by_key(|(at, _)| at.start);
+    for (at, text) in edits.into_iter().rev() {
+        fixed.replace_range(at, &text);
+    }
+    md.check(&fixed);
 }

@@ -12,13 +12,7 @@ use escape_netem::LinkState;
 use escape_orch::NearestNeighbor;
 use escape_pox::SteeringMode;
 use escape_sg::{topo::builders, ServiceGraph, Sla};
-
-/// FNV-1a, 64 bit: no dependency, and the same on every toolchain.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
+use escape_witness::fnv1a;
 
 /// The fw+monitor chain of `tests/flight.rs` on `linear(3)`, which
 /// co-locates both VNFs in one container, under a budget that the
@@ -71,11 +65,11 @@ fn a_wrapping_capturing_recorder_renders_the_same_bytes() {
         .collect();
     assert!(verdicts.contains("FAIL"), "the cut fails the budget");
     let got = [
-        ("dump", fnv(trace.dump().as_bytes())),
-        ("pcap", fnv(&trace.to_pcap())),
-        ("timelines", fnv(fr.timelines().as_bytes())),
-        ("chrome", fnv(fr.chrome_json().as_bytes())),
-        ("sla", fnv(verdicts.as_bytes())),
+        ("dump", fnv1a(trace.dump().as_bytes())),
+        ("pcap", fnv1a(&trace.to_pcap())),
+        ("timelines", fnv1a(fr.timelines().as_bytes())),
+        ("chrome", fnv1a(fr.chrome_json().as_bytes())),
+        ("sla", fnv1a(verdicts.as_bytes())),
     ];
     let want: [(&str, u64); 5] = [
         ("dump", 0xcbda_1811_da84_1235),

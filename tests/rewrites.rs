@@ -13,18 +13,17 @@
 //! or `drop`.
 //!
 //! A change meant to be invisible leaves the file untouched. On a
-//! mismatch the current corpus is written to the target tmp dir as
-//! `rewrites.actual.txt`, ready to diff.
+//! mismatch the current corpus is written to
+//! `target/tmp/witness/tests/rewrites.txt`, which `scripts/rerecord.sh`
+//! copies over.
 
 use bytes::Bytes;
 use escape_click::{Registry, Router};
 use escape_netem::Time;
 use escape_packet::{checksum, EtherType, FlowKey, MacAddr, Packet, PacketBuilder};
+use escape_witness::SplitMix64;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
-
-const CORPUS: &str = include_str!("rewrites.txt");
 
 const MAC_A: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
 const MAC_B: MacAddr = MacAddr([2, 0, 0, 0, 0, 2]);
@@ -38,39 +37,22 @@ const NAT_FIRST_PORT: u16 = 40_000;
 const IP: usize = 14;
 const L4: usize = IP + 20;
 
-/// SplitMix64: a fixed sequence on every toolchain, no dependency.
-struct Seq(u64);
+fn bytes(s: &mut SplitMix64, n: usize) -> Vec<u8> {
+    (0..n).map(|_| s.next_u64() as u8).collect()
+}
 
-impl Seq {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+fn mac(s: &mut SplitMix64) -> MacAddr {
+    let mut m = [0u8; 6];
+    m.copy_from_slice(&bytes(s, 6));
+    MacAddr(m)
+}
 
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+fn ip(s: &mut SplitMix64) -> Ipv4Addr {
+    Ipv4Addr::from(s.next_u64() as u32)
+}
 
-    fn bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next() as u8).collect()
-    }
-
-    fn mac(&mut self) -> MacAddr {
-        let mut m = [0u8; 6];
-        m.copy_from_slice(&self.bytes(6));
-        MacAddr(m)
-    }
-
-    fn ip(&mut self) -> Ipv4Addr {
-        Ipv4Addr::from(self.next() as u32)
-    }
-
-    fn port(&mut self) -> u16 {
-        self.next() as u16
-    }
+fn port(s: &mut SplitMix64) -> u16 {
+    s.next_u64() as u16
 }
 
 fn hex(data: &[u8]) -> String {
@@ -262,7 +244,7 @@ fn inputs() -> Vec<(String, Vec<u8>)> {
         edited(&udp, |f| f[12..14].copy_from_slice(&[0x88, 0xcc])),
     );
 
-    let mut seq = Seq(0x5eed_0001);
+    let mut seq = SplitMix64(0x5eed_0001);
     for (name, frame) in builder {
         for i in 0..8 {
             let mut f = frame.to_vec();
@@ -276,12 +258,12 @@ fn inputs() -> Vec<(String, Vec<u8>)> {
     }
     for i in 0..12 {
         let len = seq.below(96);
-        add(&format!("soup{i}"), seq.bytes(len));
+        add(&format!("soup{i}"), bytes(&mut seq, len));
     }
     // Soup behind a valid IPv4 header: the transport layer is garbage.
     for i in 0..9 {
         let len = IP + 20 + seq.below(40);
-        let mut f = seq.bytes(len);
+        let mut f = bytes(&mut seq, len);
         f[12..14].copy_from_slice(&[0x08, 0x00]);
         f[IP] = 0x45;
         f[IP + 6] &= 0x40; // no fragment
@@ -398,20 +380,20 @@ fn nat(frame: &[u8]) -> (Option<Vec<u8>>, Vec<u8>, Option<Vec<u8>>) {
 
 /// Every builder function over seeded arguments.
 fn builder_lines(out: &mut String) {
-    let mut s = Seq(0x5eed_0002);
+    let mut s = SplitMix64(0x5eed_0002);
     for i in 0..6 {
         let len = s.below(24);
-        let payload = Bytes::from(s.bytes(len));
-        let (em, dm, si, di) = (s.mac(), s.mac(), s.ip(), s.ip());
-        let (sp, dp) = (s.port(), s.port());
+        let payload = Bytes::from(bytes(&mut s, len));
+        let (em, dm, si, di) = (mac(&mut s), mac(&mut s), ip(&mut s), ip(&mut s));
+        let (sp, dp) = (port(&mut s), port(&mut s));
         let f = PacketBuilder::udp(em, dm, si, di, sp, dp, payload.clone());
         let _ = writeln!(out, "build.udp {i} {}", hex(&f));
-        let flags = (s.next() & 0x3f) as u8;
+        let flags = (s.next_u64() & 0x3f) as u8;
         let f = PacketBuilder::tcp(em, dm, si, di, sp, dp, flags, payload);
         let _ = writeln!(out, "build.tcp {i} {}", hex(&f));
         let f = PacketBuilder::tcp_syn(em, dm, si, di, sp, dp);
         let _ = writeln!(out, "build.tcp_syn {i} {}", hex(&f));
-        let f = PacketBuilder::icmp_echo_request(em, dm, si, di, s.port(), s.port());
+        let f = PacketBuilder::icmp_echo_request(em, dm, si, di, port(&mut s), port(&mut s));
         let _ = writeln!(out, "build.icmp_echo_request {i} {}", hex(&f));
         let len = 42 + s.below(100);
         let f = PacketBuilder::udp_with_len(em, dm, si, di, sp, dp, len);
@@ -455,23 +437,5 @@ fn corpus() -> String {
 
 #[test]
 fn rewrite_corpus_is_unchanged() {
-    let actual = corpus();
-    if actual == CORPUS {
-        return;
-    }
-    let first = actual
-        .lines()
-        .zip(CORPUS.lines())
-        .position(|(x, y)| x != y)
-        .map_or_else(
-            || "a missing or extra line".to_string(),
-            |i| format!("line {}", i + 1),
-        );
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("rewrites.actual.txt");
-    std::fs::write(&path, &actual).expect("writing the actual corpus");
-    panic!(
-        "rewrites differ from tests/rewrites.txt, first at {first}; \
-         current corpus written to {}",
-        path.display()
-    );
+    escape_witness::corpus!("rewrites.txt").check(&corpus());
 }
